@@ -26,9 +26,7 @@ by the optimizer and checks the invariants MTCache correctness rests on:
   operator evaluates chunk-wise (filter predicates, projection makers,
   group keys, aggregate arguments, join keys, sort keys) must expose a
   batch form that honors the length contract: probed with an empty
-  chunk it must return an empty list without raising. Schema agreement
-  and guard discipline are mode-independent, so the same verifier
-  accepts plans for both row and batch execution.
+  chunk it must return an empty list without raising.
 
 The verifier powers the opt-in checked-execution hook
 (``Server(checked_plans=True)``) and the mutation tests.

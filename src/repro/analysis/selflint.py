@@ -41,13 +41,13 @@ own source (``python -m repro analyze --self``):
   ad-hoc modulo placement disagrees across runs (and with the ring);
   ownership decisions go through ``repro.sharding.stable_hash`` /
   ``HashRing`` / ``RangePartitioner``.
-* ``compile-at-build-time`` — operator execution bodies (``execute``,
-  ``execute_batches``, ``__next__``, ``next_batch``) may not call
-  ``compile_scalar``/``compile_predicate`` or construct an
-  ``ExpressionCompiler``. Expressions compile once when the plan is
-  built and the closures are cached with it; compiling inside the row
-  or batch loop silently reintroduces per-execution (or per-row) parse
-  cost that the plan cache exists to eliminate.
+* ``compile-at-build-time`` — operator execution bodies
+  (``execute_batches``, its ``_rows`` loop, ``__next__``,
+  ``next_batch``) may not call ``compile_scalar``/``compile_predicate``
+  or construct an ``ExpressionCompiler``. Expressions compile once when
+  the plan is built and the closures are cached with it; compiling
+  inside the batch loop silently reintroduces per-execution (or
+  per-row) parse cost that the plan cache exists to eliminate.
 * ``net-raw-socket`` — raw transport construction (``socket.socket``,
   ``socket.create_connection``/``create_server``,
   ``asyncio.start_server``/``open_connection``) is confined to
@@ -346,7 +346,7 @@ def _check_raw_threading_lock(tree: ast.AST, path: str) -> Iterator[AnalysisErro
 
 
 #: Method names that form an operator's execution body.
-_EXECUTION_METHODS = frozenset({"execute", "execute_batches", "__next__", "next_batch"})
+_EXECUTION_METHODS = frozenset({"execute_batches", "_rows", "__next__", "next_batch"})
 
 #: Call targets that compile expressions (forbidden inside execution bodies).
 _COMPILE_CALLS = frozenset({"compile_scalar", "compile_predicate", "ExpressionCompiler"})

@@ -43,7 +43,6 @@ from repro.exec.context import (
     DEFAULT_BATCH_ROWS,
     ExecutionContext,
     WorkCounters,
-    batch_exec_default,
 )
 from repro.exec.operators import BatchCursor, PhysicalOperator
 from repro.obs.metrics import CounterGroupView, MetricsRegistry
@@ -105,7 +104,6 @@ class Server:
         plan_cache_size: int = 512,
         observability: bool = True,
         checked_plans: Optional[bool] = None,
-        batch_exec: Optional[bool] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
         admission: Optional[Any] = None,
     ):
@@ -126,11 +124,9 @@ class Server:
         self.metrics = MetricsRegistry(namespace=name)
         self.tracer = Tracer(service=name, enabled=observability)
         self._statement_seconds = self.metrics.histogram("engine.statement_seconds")
-        # Vectorized execution (REPRO_BATCH_EXEC, default on): plans are
-        # drained through BatchCursor in fixed-size row chunks instead of
-        # one row per generator resumption. Instruments are created
-        # eagerly so ``exec.*`` always appears in metrics exports.
-        self.batch_exec = batch_exec_default() if batch_exec is None else batch_exec
+        # Plans are drained through BatchCursor in chunks of ``batch_rows``.
+        # Instruments are created eagerly so ``exec.*`` always appears in
+        # metrics exports.
         self.batch_rows = batch_rows
         self._exec_batches = self.metrics.counter("exec.batches")
         self._exec_batch_rows = self.metrics.histogram("exec.batch_rows")
@@ -635,14 +631,8 @@ class Server:
         return rows
 
     def _run_plan(self, root: PhysicalOperator, ctx: ExecutionContext) -> List[Tuple]:
-        """Drain a plan to a row list — BatchCursor in vectorized mode.
-
-        The single chokepoint where both execution modes meet: batch mode
-        pulls fixed-size chunks via the batch protocol and records the
-        ``exec.*`` instruments; row mode is the classic Volcano loop.
-        """
-        if not getattr(ctx, "batch_exec", False):
-            return list(root.execute(ctx))
+        """Drain a plan to a row list through :class:`BatchCursor`,
+        recording the ``exec.*`` instruments."""
         rows: List[Tuple] = []
         cursor = BatchCursor(root, ctx)
         batches = 0
@@ -667,7 +657,6 @@ class Server:
             clock=self.clock,
             fastpath=self.statement_fastpath,
             tracer=self.tracer if self.observability else None,
-            batch_exec=self.batch_exec,
             batch_rows=self.batch_rows,
         )
         ctx.subquery_executor = lambda select, sub_params: self.run_subquery(

@@ -8,20 +8,12 @@ work counters the cluster simulator uses to calibrate CPU demands.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-#: Rows per chunk on the batch execution path. Large enough to amortize
-#: per-batch dispatch, small enough to keep chunks cache-friendly.
+#: Rows per chunk between operators. Large enough to amortize per-batch
+#: dispatch, small enough to keep chunks cache-friendly.
 DEFAULT_BATCH_ROWS = 256
-
-_FALSY = {"", "0", "false", "off", "no"}
-
-
-def batch_exec_default() -> bool:
-    """Resolve the ``REPRO_BATCH_EXEC`` flag (vectorized mode, default on)."""
-    return os.environ.get("REPRO_BATCH_EXEC", "1").strip().lower() not in _FALSY
 
 
 @dataclass
@@ -82,7 +74,6 @@ class ExecutionContext:
         subquery_executor: Optional[Callable] = None,
         fastpath: bool = True,
         tracer: Optional[object] = None,
-        batch_exec: Optional[bool] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
     ):
         self.database = database
@@ -92,9 +83,6 @@ class ExecutionContext:
         # Statement fast path: when False, RemoteQueryOp ships full text
         # instead of executing by prepared handle (benchmark ablation).
         self.fastpath = fastpath
-        # Vectorized execution: when True the driver pulls row chunks via
-        # execute_batches; None defers to the REPRO_BATCH_EXEC env flag.
-        self.batch_exec = batch_exec_default() if batch_exec is None else batch_exec
         self.batch_rows = batch_rows
         # Batch-kernel memoization stats for this execution (drained into
         # the exec.compiled_cache_* metrics by the server).

@@ -220,7 +220,7 @@ def tuple_kernel(makers: Sequence[Scalar]) -> BatchScalar:
     """
     if not makers:
         # No extractors (e.g. GROUP BY-less aggregation): every row keys
-        # to the empty tuple, same as row mode's ``tuple()`` over nothing.
+        # to the empty tuple, same as the scalar ``tuple()`` over nothing.
         return lambda rows, ctx: [()] * len(rows)
     positions = [getattr(maker, "column_position", None) for maker in makers]
     if all(position is not None for position in positions):
@@ -329,7 +329,7 @@ class ExpressionCompiler:
             right_batch = batch_form(right)
 
             def logical_batch(rows, ctx):
-                # Both sides evaluate eagerly in row mode too, so combining
+                # Both sides evaluate eagerly in the scalar form too, so combining
                 # whole child vectors preserves semantics exactly.
                 return [
                     combine(_as_bool(lhs), _as_bool(rhs))
@@ -358,7 +358,7 @@ class ExpressionCompiler:
         type — the inner loop then runs a raw Python comparator. Any row
         whose value falls outside the specialized case (or any shape the
         specializer does not recognize) drops to element-wise
-        :func:`sql_compare`, so results match row mode exactly.
+        :func:`sql_compare`, so results match the scalar form exactly.
         """
         left_position = getattr(left, "column_position", None)
         right_position = getattr(right, "column_position", None)

@@ -1,41 +1,65 @@
-"""Volcano-style physical operators, with a batch-at-a-time fast path.
+"""Physical operators: one batch-at-a-time protocol.
 
-Each operator exposes an output :class:`Schema` and an ``execute(ctx)``
-generator producing tuples. Plans are re-executable: ``execute`` may be
-called many times with different contexts (different parameter bindings),
-which is exactly what dynamic plans need.
+Each operator exposes an output :class:`Schema` and
+``execute_batches(ctx)``, a generator of *non-empty* lists of rows, at
+most ``ctx.batch_rows`` per chunk at the source. That is the only way
+operators compose: parents pull chunks from ``child.execute_batches``
+and the server drains the root through :class:`BatchCursor`. Plans are
+re-executable: ``execute_batches`` may be called many times with
+different contexts (different parameter bindings), which is exactly what
+dynamic plans need.
 
 ``FilterOp`` supports a *startup predicate* — the mechanism the paper uses
 to implement ChoosePlan: the predicate references only parameters, is
 evaluated once when the operator is opened, and when false the operator's
 input is never opened (its branch of the plan costs nothing at run time).
 
-**Batch protocol.** ``execute_batches(ctx)`` is the vectorized
-counterpart: a generator of *non-empty* lists of rows, ``ctx.batch_rows``
-per chunk at the source. Converted operators (scan, filter, project,
-aggregate, hash join, sort/top, distinct, union-all) override it to move
-whole chunks through compiled batch kernels (see
-``exec/expressions.py``); everything else inherits the base fallback
-shim, which chunks its own row-mode ``execute`` so converted and
-unconverted operators compose freely in one tree. Batch kernels are
-memoized per operator instance (:meth:`PhysicalOperator._kernel`) — and
-since cached plans *are* operator trees, the kernels live in the plan
-cache entry and die with it on a schema bump. Work counters are bumped
-identically in both modes (``rows_processed`` per input row), so batch
-execution is observably equivalent, not just result-equivalent.
+Scan, filter, project, aggregate, hash join, sort/top, distinct and
+union-all move whole chunks through compiled batch kernels (see
+``exec/expressions.py``), memoized per operator instance
+(:meth:`PhysicalOperator._kernel`) — and since cached plans *are*
+operator trees, the kernels live in the plan cache entry and die with it
+on a schema bump. Sources whose rows are already materialised (index
+seek, index extreme, remote query) yield list slices. Operators whose
+work is inherently a per-row loop (index range scan, nested-loop, index
+lookup and merge joins) keep that loop as a ``_rows`` generator and hand
+it to :func:`_chunked`. Work counters count per input row whichever
+shape an operator has (``rows_processed += len(chunk)``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
 from repro.errors import ExecutionError
-from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext
+from repro.exec.context import ExecutionContext
 from repro.exec.expressions import Scalar, batch_form, tuple_kernel
 
 Row = Tuple
 Batch = List[Row]
+
+
+def _chunked(rows: Iterable[Row], size: int) -> Iterator[Batch]:
+    """Group a row stream into non-empty chunks of at most ``size`` rows."""
+    chunk: Batch = []
+    for row in rows:
+        chunk.append(row)
+        if len(chunk) >= size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def _table_and_index(ctx: ExecutionContext, table_name: str, index_name: str):
+    """Resolve a local storage table and one of its indexes."""
+    table = ctx.database.storage_table(table_name)
+    index = table.indexes.get(index_name)
+    if index is None:
+        raise ExecutionError(f"no index {index_name!r} on {table_name!r}")
+    return table, index
 
 
 class PhysicalOperator:
@@ -48,27 +72,9 @@ class PhysicalOperator:
         self.estimated_rows: float = 0.0
         self.estimated_cost: float = 0.0
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        raise NotImplementedError
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """Volcano-compatible fallback shim: chunk the row-mode stream.
-
-        Operators without a native batch implementation interoperate with
-        batch consumers through this adapter. The class-level ``execute``
-        call deliberately bypasses any per-instance profiling patch, so a
-        profiled fallback operator counts its rows once (in the batch
-        instrumentation), not twice.
-        """
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
-        chunk: Batch = []
-        for row in type(self).execute(self, ctx):
-            chunk.append(row)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
+        """Yield the operator's output as non-empty chunks of rows."""
+        raise NotImplementedError
 
     def _kernel(self, name: str, ctx: ExecutionContext, builder: Callable[[], Any]) -> Any:
         """Fetch (or build once) a named batch kernel for this operator.
@@ -86,9 +92,9 @@ class PhysicalOperator:
         if kernel is None:
             kernel = builder()
             cache[name] = kernel
-            ctx.compiled_cache_misses = getattr(ctx, "compiled_cache_misses", 0) + 1
+            ctx.compiled_cache_misses += 1
         else:
-            ctx.compiled_cache_hits = getattr(ctx, "compiled_cache_hits", 0) + 1
+            ctx.compiled_cache_hits += 1
         return kernel
 
     @property
@@ -126,11 +132,6 @@ class ValuesOp(PhysicalOperator):
         super().__init__(schema)
         self.row_makers = [list(makers) for makers in row_makers]
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for makers in self.row_makers:
-            ctx.work.rows_processed += 1
-            yield tuple(maker((), ctx) for maker in makers)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         rows = []
         for makers in self.row_makers:
@@ -150,15 +151,9 @@ class SeqScanOp(PhysicalOperator):
         super().__init__(schema)
         self.table_name = table_name
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        for _, row in table.scan():
-            ctx.work.rows_processed += 1
-            yield row
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         table = ctx.database.storage_table(self.table_name)
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
+        size = ctx.batch_rows
         for chunk in table.scan_batches(size):
             ctx.work.rows_processed += len(chunk)
             yield chunk
@@ -182,20 +177,19 @@ class IndexSeekOp(PhysicalOperator):
         self.index_name = index_name
         self.key_makers = list(key_makers)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        table, index = _table_and_index(ctx, self.table_name, self.index_name)
         key = tuple(maker((), ctx) for maker in self.key_makers)
         ctx.work.index_seeks += 1
         if len(key) == len(index.column_names):
             rids = index.seek(key)
         else:
             rids = list(index.seek_prefix(key))
-        for rid in rids:
-            ctx.work.rows_processed += 1
-            yield table.get(rid)
+        size = ctx.batch_rows
+        for start in range(0, len(rids), size):
+            chunk = [table.get(rid) for rid in rids[start : start + size]]
+            ctx.work.rows_processed += len(chunk)
+            yield chunk
 
     def describe(self) -> str:
         return f"IndexSeek({self.table_name}.{self.index_name})"
@@ -222,11 +216,11 @@ class IndexRangeScanOp(PhysicalOperator):
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        return _chunked(self._rows(ctx), ctx.batch_rows)
+
+    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+        table, index = _table_and_index(ctx, self.table_name, self.index_name)
         low = tuple(m((), ctx) for m in self.low_makers) if self.low_makers else None
         high = tuple(m((), ctx) for m in self.high_makers) if self.high_makers else None
         ctx.work.index_seeks += 1
@@ -254,11 +248,8 @@ class IndexExtremeOp(PhysicalOperator):
             raise ExecutionError(f"IndexExtreme supports MIN/MAX, not {which!r}")
         self.which = which
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        _, index = _table_and_index(ctx, self.table_name, self.index_name)
         ctx.work.index_seeks += 1
         value = None
         if self.which == "MAX":
@@ -272,7 +263,7 @@ class IndexExtremeOp(PhysicalOperator):
                     value = key[0][1]
                     break
         ctx.work.rows_processed += 1
-        yield (value,)
+        yield [(value,)]
 
     def describe(self) -> str:
         return f"IndexExtreme({self.which} via {self.table_name}.{self.index_name})"
@@ -303,19 +294,6 @@ class FilterOp(PhysicalOperator):
         # are opaque closures; the plan verifier needs the expression to
         # prove ChoosePlan guards mutually exclusive and exhaustive.
         self.startup_guard = startup_guard
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.startup_predicate is not None:
-            if self.startup_predicate((), ctx) is not True:
-                return
-        child = self.children[0]
-        if self.predicate is None:
-            yield from child.execute(ctx)
-            return
-        for row in child.execute(ctx):
-            ctx.work.rows_processed += 1
-            if self.predicate(row, ctx) is True:
-                yield row
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         if self.startup_predicate is not None:
@@ -349,11 +327,6 @@ class ProjectOp(PhysicalOperator):
         super().__init__(schema, [child])
         self.makers = list(makers)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for row in self.children[0].execute(ctx):
-            ctx.work.rows_processed += 1
-            yield tuple(maker(row, ctx) for maker in self.makers)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         kernel = self._kernel("project", ctx, lambda: tuple_kernel(self.makers))
         for chunk in self.children[0].execute_batches(ctx):
@@ -378,11 +351,14 @@ class NestedLoopJoinOp(PhysicalOperator):
         self.predicate = predicate
         self.kind = kind
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        return _chunked(self._rows(ctx), ctx.batch_rows)
+
+    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         left, right = self.children
-        right_rows = list(right.execute(ctx))
+        right_rows = list(chain.from_iterable(right.execute_batches(ctx)))
         null_right = (None,) * len(right.schema)
-        for left_row in left.execute(ctx):
+        for left_row in chain.from_iterable(left.execute_batches(ctx)):
             matched = False
             for right_row in right_rows:
                 ctx.work.rows_processed += 1
@@ -419,34 +395,11 @@ class HashJoinOp(PhysicalOperator):
         self.residual = residual
         self.kind = kind
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        left, right = self.children
-        # Build on the right input (typically the smaller by optimizer choice).
-        build: dict = {}
-        for right_row in right.execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(right_row, ctx) for maker in self.right_keys)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            build.setdefault(key, []).append(right_row)
-        null_right = (None,) * len(right.schema)
-        for left_row in left.execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(left_row, ctx) for maker in self.left_keys)
-            matches = build.get(key, []) if not any(part is None for part in key) else []
-            matched = False
-            for right_row in matches:
-                combined = left_row + right_row
-                if self.residual is None or self.residual(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_right
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         left, right = self.children
         right_kernel = self._kernel("right-keys", ctx, lambda: tuple_kernel(self.right_keys))
         left_kernel = self._kernel("left-keys", ctx, lambda: tuple_kernel(self.left_keys))
+        # Build on the right input (typically the smaller by optimizer choice).
         build: dict = {}
         for chunk in right.execute_batches(ctx):
             ctx.work.rows_processed += len(chunk)
@@ -455,7 +408,7 @@ class HashJoinOp(PhysicalOperator):
                     continue  # NULL never equi-joins
                 build.setdefault(key, []).append(right_row)
         null_right = (None,) * len(right.schema)
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
+        size = ctx.batch_rows
         out: Batch = []
         for chunk in left.execute_batches(ctx):
             ctx.work.rows_processed += len(chunk)
@@ -516,14 +469,14 @@ class IndexLookupJoinOp(PhysicalOperator):
         self.residual = residual
         self.kind = kind
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        table = ctx.database.storage_table(self.table_name)
-        index = table.indexes.get(self.index_name)
-        if index is None:
-            raise ExecutionError(f"no index {self.index_name!r} on {self.table_name!r}")
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        return _chunked(self._rows(ctx), ctx.batch_rows)
+
+    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
+        table, index = _table_and_index(ctx, self.table_name, self.index_name)
         partial = len(self.key_makers) < len(index.column_names)
         null_right = (None,) * len(self.right_schema)
-        for left_row in self.children[0].execute(ctx):
+        for left_row in chain.from_iterable(self.children[0].execute_batches(ctx)):
             key = tuple(maker(left_row, ctx) for maker in self.key_makers)
             ctx.work.index_seeks += 1
             if any(part is None for part in key):
@@ -586,7 +539,7 @@ class MergeJoinOp(PhysicalOperator):
 
     def _keyed(self, op: PhysicalOperator, makers: List[Scalar], ctx) -> List[Tuple]:
         keyed = []
-        for row in op.execute(ctx):
+        for row in chain.from_iterable(op.execute_batches(ctx)):
             ctx.work.rows_processed += 1
             key = tuple(maker(row, ctx) for maker in makers)
             if any(part is None for part in key):
@@ -595,7 +548,10 @@ class MergeJoinOp(PhysicalOperator):
         keyed.sort(key=lambda pair: pair[0])
         return keyed
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        return _chunked(self._rows(ctx), ctx.batch_rows)
+
+    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         left = self._keyed(self.children[0], self.left_keys, ctx)
         right = self._keyed(self.children[1], self.right_keys, ctx)
         i = j = 0
@@ -648,20 +604,13 @@ class _AggState:
         self.best: Any = None
         self.seen = set() if spec.distinct else None
 
-    def add(self, row: Row, ctx: ExecutionContext) -> None:
-        spec = self.spec
-        if spec.argument is None:  # COUNT(*)
-            self.count += 1
-            return
-        self.add_value(spec.argument(row, ctx))
-
     def add_value(self, value: Any) -> None:
         """Accumulate one pre-extracted argument value.
 
-        The batch path extracts the argument column for a whole chunk in
+        The operator extracts the argument column for a whole chunk in
         one kernel call, then feeds values here in row order — so SUM/AVG
-        accumulate in exactly the same sequence (and float associativity)
-        as row mode.
+        accumulate in input order (and float associativity), like the
+        scalar oracle in ``exec/reference.py``.
         """
         spec = self.spec
         if spec.argument is None:  # COUNT(*) counts rows, not values
@@ -717,26 +666,6 @@ class AggregateOp(PhysicalOperator):
         self.group_makers = list(group_makers)
         self.aggregates = list(aggregates)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        groups: dict = {}
-        order: List[Tuple] = []
-        for row in self.children[0].execute(ctx):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(row, ctx) for maker in self.group_makers)
-            states = groups.get(key)
-            if states is None:
-                states = [_AggState(spec) for spec in self.aggregates]
-                groups[key] = states
-                order.append(key)
-            for state in states:
-                state.add(row, ctx)
-        if not groups and not self.group_makers:
-            yield tuple(_AggState(spec).result() for spec in self.aggregates)
-            return
-        for key in order:
-            states = groups[key]
-            yield key + tuple(state.result() for state in states)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         groups: dict = {}
         order: List[Tuple] = []
@@ -771,15 +700,10 @@ class AggregateOp(PhysicalOperator):
         if not groups and not self.group_makers:
             yield [tuple(_AggState(spec).result() for spec in self.aggregates)]
             return
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
-        out: Batch = []
-        for key in order:
-            out.append(key + tuple(state.result() for state in groups[key]))
-            if len(out) >= size:
-                yield out
-                out = []
-        if out:
-            yield out
+        yield from _chunked(
+            (key + tuple(state.result() for state in groups[key]) for key in order),
+            ctx.batch_rows,
+        )
 
     def describe(self) -> str:
         names = [spec.function for spec in self.aggregates]
@@ -797,22 +721,6 @@ class SortOp(PhysicalOperator):
         super().__init__(child.schema, [child])
         self.sort_makers = list(sort_makers)
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        rows = list(self.children[0].execute(ctx))
-        ctx.work.rows_processed += len(rows)
-        # Stable multi-pass sort: apply keys from least to most significant.
-        # NULL is the lowest value (T-SQL): first ascending, last
-        # descending — the same (0-tagged) key works for both directions.
-        for maker, descending in reversed(self.sort_makers):
-            def key_fn(row, maker=maker):
-                value = maker(row, ctx)
-                if value is None:
-                    return (0, 0)
-                return (1, value)
-
-            rows.sort(key=key_fn, reverse=descending)
-        yield from rows
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         rows: Batch = []
         for chunk in self.children[0].execute_batches(ctx):
@@ -823,9 +731,11 @@ class SortOp(PhysicalOperator):
             ctx,
             lambda: [batch_form(maker) for maker, _ in self.sort_makers],
         )
-        # Same stable multi-pass sort as row mode, but each pass extracts
-        # its whole key column with one kernel call, then reorders by
-        # index (``sorted`` with a key is stable, like ``list.sort``).
+        # Stable multi-pass sort: apply keys from least to most significant.
+        # NULL is the lowest value (T-SQL): first ascending, last
+        # descending — the same (0-tagged) key works for both directions.
+        # Each pass extracts its whole key column with one kernel call,
+        # then reorders by index (``sorted`` with a key is stable).
         for (maker, descending), kernel in zip(
             reversed(self.sort_makers), reversed(kernels)
         ):
@@ -835,7 +745,7 @@ class SortOp(PhysicalOperator):
                 range(len(rows)), key=keyed.__getitem__, reverse=descending
             )
             rows = [rows[i] for i in positions]
-        size = getattr(ctx, "batch_rows", DEFAULT_BATCH_ROWS)
+        size = ctx.batch_rows
         for start in range(0, len(rows), size):
             yield rows[start : start + size]
 
@@ -849,19 +759,6 @@ class TopOp(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, count_maker: Scalar):
         super().__init__(child.schema, [child])
         self.count_maker = count_maker
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        limit = self.count_maker((), ctx)
-        if limit is None:
-            raise ExecutionError("TOP count evaluated to NULL")
-        remaining = int(limit)
-        if remaining <= 0:
-            return
-        for row in self.children[0].execute(ctx):
-            yield row
-            remaining -= 1
-            if remaining == 0:
-                return
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         limit = self.count_maker((), ctx)
@@ -886,14 +783,6 @@ class DistinctOp(PhysicalOperator):
 
     def __init__(self, child: PhysicalOperator):
         super().__init__(child.schema, [child])
-
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        seen = set()
-        for row in self.children[0].execute(ctx):
-            ctx.work.rows_processed += 1
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         seen: set = set()
@@ -924,10 +813,6 @@ class UnionAllOp(PhysicalOperator):
         super().__init__(children[0].schema, children)
         self.choose_plan = choose_plan
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for child in self.children:
-            yield from child.execute(ctx)
-
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         for child in self.children:
             yield from child.execute_batches(ctx)
@@ -957,19 +842,18 @@ class RemoteQueryOp(PhysicalOperator):
         self.server_name = server_name
         self.sql_text = sql_text
 
-    def execute(self, ctx: ExecutionContext) -> Iterator[Row]:
+    def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         if ctx.linked_servers is None:
             raise ExecutionError("no linked servers registered in context")
         server = ctx.linked_servers.get(self.server_name)
-        tracer = getattr(ctx, "tracer", None)
-        if tracer is not None:
-            span = tracer.span("remote.query", server=self.server_name)
+        if ctx.tracer is not None:
+            span = ctx.tracer.span("remote.query", server=self.server_name)
         else:
             from repro.obs.tracing import NULL_SPAN
 
             span = NULL_SPAN
         with span:
-            if getattr(ctx, "fastpath", True):
+            if ctx.fastpath:
                 handle = server.prepare(self.sql_text)
                 rows = handle.execute_rows(ctx.params)
                 ctx.work.prepared_executions += 1
@@ -977,10 +861,12 @@ class RemoteQueryOp(PhysicalOperator):
                 rows = server.execute_remote_sql(self.sql_text, ctx.params)
         ctx.work.remote_queries += 1
         width = self.schema.row_width
-        for row in rows:
-            ctx.work.rows_processed += 1
-            ctx.work.bytes_transferred += width
-            yield tuple(row)
+        size = ctx.batch_rows
+        for start in range(0, len(rows), size):
+            chunk = [tuple(row) for row in rows[start : start + size]]
+            ctx.work.rows_processed += len(chunk)
+            ctx.work.bytes_transferred += width * len(chunk)
+            yield chunk
 
     def describe(self) -> str:
         text = self.sql_text if len(self.sql_text) <= 60 else self.sql_text[:57] + "..."

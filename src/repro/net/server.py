@@ -480,8 +480,8 @@ class ReproServer:
         """RESULT header, then the rows in batches (fetch-in-batches).
 
         The batch size is the request's ``fetch_rows`` override, else the
-        connection default from HELLO, else the engine's vectorized-
-        execution chunk size — the wire hop streams rows at the same
+        connection default from HELLO, else the engine's execution
+        chunk size — the wire hop streams rows at the same
         granularity :class:`~repro.exec.operators.BatchCursor` produced
         them.
         """

@@ -7,21 +7,19 @@ optimizer's estimates, which is exactly what you need to see where a
 dynamic plan's cost went wrong.
 
 Implementation: :func:`profiled` wraps each operator *instance* in the
-plan with instrumented ``execute`` *and* ``execute_batches`` (instance
-attributes shadowing the class methods) for the duration of one
-execution, then removes the shims — whichever mode the driver runs in,
-the profile fills. Timing is taken around each ``next()`` on the
-operator's generator, so an operator's recorded time is inclusive of its
-children but excludes time the consumer spends between rows; the renderer
+plan with an instrumented ``execute_batches`` (an instance attribute
+shadowing the class method) for the duration of one execution, then
+removes it. Timing is taken around each ``next()`` on the operator's
+generator, so an operator's recorded time is inclusive of its children
+but excludes time the consumer spends between chunks; the renderer
 derives exclusive ("self") time by subtracting the children's inclusive
-time. Batch mode reports rows (summed over chunks) and ``actual_batches``;
-the base-class fallback shim calls ``execute`` at class level, so a
-shimmed operator's rows are counted once, by the batch instrumentation.
+time. Every node reports rows (summed over chunks) and
+``actual_batches``.
 
 Profiling is opt-in per execution (a session flag or
-``Server.profile_statements``): the instrumented path costs a timer call
-per row, which is too much to leave on for every query — unlike the
-metrics registry, which is always on.
+``Server.profile_statements``): the instrumented path costs two timer
+calls per chunk per operator, which is too much to leave on for every
+query — unlike the metrics registry, which is always on.
 """
 
 from __future__ import annotations
@@ -121,27 +119,6 @@ def _build_tree(operator: PhysicalOperator) -> OperatorProfile:
     return node
 
 
-def _instrumented_execute(operator: PhysicalOperator, node: OperatorProfile):
-    original = type(operator).execute
-    perf_counter = time.perf_counter
-
-    def execute(ctx):
-        node.opens += 1
-        iterator = original(operator, ctx)
-        while True:
-            started = perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                node.wall_seconds += perf_counter() - started
-                return
-            node.wall_seconds += perf_counter() - started
-            node.actual_rows += 1
-            yield row
-
-    return execute
-
-
 def _instrumented_execute_batches(operator: PhysicalOperator, node: OperatorProfile):
     original = type(operator).execute_batches
     perf_counter = time.perf_counter
@@ -169,14 +146,13 @@ def profiled(root: PhysicalOperator):
     """Instrument a plan tree for one execution.
 
     Yields the :class:`ExecutionProfile`; actuals accumulate as the plan
-    runs inside the ``with`` block. The shims are removed on exit even if
-    execution raises, so cached (shared) plans are never left patched.
+    runs inside the ``with`` block. The patches are removed on exit even
+    if execution raises, so cached (shared) plans are never left patched.
     """
     profile = ExecutionProfile(_build_tree(root))
     patched: List[PhysicalOperator] = []
     try:
         for node in profile.root.walk():
-            node.operator.execute = _instrumented_execute(node.operator, node)
             node.operator.execute_batches = _instrumented_execute_batches(
                 node.operator, node
             )
@@ -184,5 +160,4 @@ def profiled(root: PhysicalOperator):
         yield profile
     finally:
         for operator in patched:
-            operator.__dict__.pop("execute", None)
             operator.__dict__.pop("execute_batches", None)

@@ -1829,9 +1829,6 @@ class _RelabelOp(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, schema: Schema):
         super().__init__(schema, [child])
 
-    def execute(self, ctx):
-        return self.children[0].execute(ctx)
-
     def execute_batches(self, ctx):
         return self.children[0].execute_batches(ctx)
 

@@ -228,7 +228,7 @@ class Table:
     def scan_batches(self, size: int) -> Iterator[List[Tuple]]:
         """Yield rows in insertion-order chunks of at most ``size``.
 
-        The batch-mode SeqScan source: one slice per chunk instead of one
+        The SeqScan source: one slice per chunk instead of one
         generator resumption per row. ``rows_read`` advances by whole
         chunks so the counter matches :meth:`scan` exactly.
         """

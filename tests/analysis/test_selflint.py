@@ -165,15 +165,19 @@ def test_non_operator_classes_ignored():
 # -- compile-at-build-time ---------------------------------------------------
 
 
-def test_compile_in_execute_flagged():
+def test_compile_in_rows_loop_flagged():
     source = dedent(
         """
         class LazyOp(PhysicalOperator):
-            def execute(self, ctx):
+            def execute_batches(self, ctx):
+                return _chunked(self._rows(ctx), ctx.batch_rows)
+
+            def _rows(self, ctx):
                 predicate = compile_predicate(self.schema, self.expr)
-                for row in self.children[0].execute(ctx):
-                    if predicate(row, ctx) is True:
-                        yield row
+                for chunk in self.children[0].execute_batches(ctx):
+                    for row in chunk:
+                        if predicate(row, ctx) is True:
+                            yield row
         """
     )
     diagnostics = lint_source(source, "repro/exec/fake.py")
@@ -218,10 +222,9 @@ def test_compile_in_init_is_clean():
                 super().__init__(schema)
                 self.predicate = compile_predicate(schema, expr)
 
-            def execute(self, ctx):
-                for row in self.children[0].execute(ctx):
-                    if self.predicate(row, ctx) is True:
-                        yield row
+            def execute_batches(self, ctx):
+                for chunk in self.children[0].execute_batches(ctx):
+                    yield [row for row in chunk if self.predicate(row, ctx) is True]
         """
     )
     assert lint_source(source, "repro/exec/fake.py") == []
@@ -231,7 +234,7 @@ def test_compile_outside_operator_classes_ignored():
     source = dedent(
         """
         class PlanBuilder:
-            def execute(self, ctx):
+            def execute_batches(self, ctx):
                 return compile_scalar(self.schema, self.expr)
         """
     )

@@ -1,38 +1,37 @@
-"""Batch (vectorized) execution mode: equivalence, chunking, caching.
+"""The batch operator protocol: oracle equivalence, chunking, caching.
 
-Batch mode moves chunks of rows between operators instead of one row at
-a time (``PhysicalOperator.execute_batches``); anything not answerable
-from these tests lives next to the expression-level checks in
-``test_expressions.py``. The invariant everything here leans on: for
-every query, batch mode must produce the same rows, the same work
-counters, and the same observable side effects as row mode.
+Operators move chunks of rows (``PhysicalOperator.execute_batches``)
+through compiled batch kernels; anything not answerable from these tests
+lives next to the expression-level checks in ``test_expressions.py``.
+The invariant everything here leans on: for every query the engine must
+produce the rows the scalar reference evaluator
+(``exec.reference.evaluate_select``) produces.
 """
 
-import os
+from collections import Counter
 
 import pytest
 
+import repro.optimizer.planner  # noqa: F401  (defines an operator of its own)
 from repro.common.schema import Column, Schema
 from repro.common.types import FLOAT, INT, VARCHAR
 from repro.catalog.objects import TableDef
 from repro.engine.database import Database
-from repro.exec.context import (
-    DEFAULT_BATCH_ROWS,
-    ExecutionContext,
-    batch_exec_default,
-)
+from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext
 from repro.exec.expressions import ExpressionCompiler, compiled_like_pattern
 from repro.exec.operators import (
     BatchCursor,
     FilterOp,
     NestedLoopJoinOp,
+    PhysicalOperator,
     SeqScanOp,
     ValuesOp,
 )
-from repro.sql import parse_expression
+from repro.exec.reference import evaluate_select
+from repro.sql import ast, parse, parse_expression
 from tests.conftest import make_shop_backend
 
-#: Queries spanning every batch-capable operator plus the fallbacks:
+#: Queries spanning the kernel operators and the loop-shaped ones:
 #: scans, filters (LIKE/AND/OR/IS NULL/params), projection arithmetic,
 #: aggregation with and without GROUP BY, hash and index-lookup joins,
 #: sorting, TOP, DISTINCT, UNION ALL, and subqueries.
@@ -65,28 +64,41 @@ def server():
     return make_shop_backend()
 
 
-def run_both_modes(server, query, params=None):
-    server.batch_exec = False
-    row_result = server.execute(query, params=params).rows
-    server.batch_exec = True
-    batch_result = server.execute(query, params=params).rows
-    return row_result, batch_result
+def assert_matches_oracle(server, query, params=None):
+    """Engine rows == reference rows: ordered under ORDER BY, else as a
+    multiset. Returns the engine's rows."""
+    statement = parse(query)
+    database = server.database("shop")
+    if isinstance(statement, ast.UnionAll):
+        ordered = False
+        expected = [
+            row
+            for branch in statement.branches
+            for row in evaluate_select(database, branch, params)[1]
+        ]
+    else:
+        ordered = bool(statement.order_by)
+        expected = evaluate_select(database, statement, params)[1]
+    rows = server.execute(query, params=params).rows
+    if ordered:
+        assert rows == expected, query
+    else:
+        assert Counter(rows) == Counter(expected), query
+    return rows
 
 
-class TestModeEquivalence:
+class TestOracleEquivalence:
     @pytest.mark.parametrize("query", EQUIVALENCE_QUERIES)
-    def test_same_rows_in_both_modes(self, server, query):
-        row_result, batch_result = run_both_modes(server, query)
-        assert batch_result == row_result
+    def test_same_rows_as_reference(self, server, query):
+        assert_matches_oracle(server, query)
 
     def test_parameters_hoisted_per_batch(self, server):
-        row_result, batch_result = run_both_modes(
+        rows = assert_matches_oracle(
             server,
             "SELECT cname FROM customer WHERE cid <= @limit AND segment = @seg",
             params={"limit": 60, "seg": "gold"},
         )
-        assert batch_result == row_result
-        assert row_result  # the query must actually select something
+        assert rows  # the query must actually select something
 
     def test_null_heavy_rows(self, server):
         server.execute("INSERT INTO customer VALUES (998, 'nully', NULL, NULL)")
@@ -98,20 +110,16 @@ class TestModeEquivalence:
             "SELECT status, COUNT(*) FROM orders GROUP BY status",
             "SELECT cname FROM customer WHERE cname LIKE 'nul%'",
         ):
-            row_result, batch_result = run_both_modes(server, query)
-            assert batch_result == row_result
+            assert_matches_oracle(server, query)
 
-    def test_work_counters_identical_across_modes(self, server):
+    def test_work_counters_count_input_rows(self, server):
         query = "SELECT status, COUNT(*) FROM orders WHERE total > 100 GROUP BY status"
-        server.batch_exec = False
         server.reset_work()
         server.execute(query)
-        row_work = server.total_work.rows_processed
-        server.batch_exec = True
-        server.reset_work()
-        server.execute(query)
-        assert server.total_work.rows_processed == row_work
-        assert row_work >= 400  # the scan really counted its input
+        # One touch per input row: scan 400 + filter 400, then the 334
+        # orders over 100 through the pruning projection and the
+        # aggregate, then its 2 groups through the output projection.
+        assert server.total_work.rows_processed == 400 + 400 + 334 + 334 + 2
 
 
 class TestBatchProtocol:
@@ -144,9 +152,9 @@ class TestBatchProtocol:
         # 19 of the 20 input chunks filter to nothing and must be elided.
         assert chunks == [[(77,)]]
 
-    def test_fallback_shim_chunks_row_operators(self):
-        # NestedLoopJoinOp has no batch override: the base-class shim
-        # must adapt its row iterator into properly sized chunks.
+    def test_loop_shaped_operator_honours_chunk_contract(self):
+        # NestedLoopJoinOp is a per-row loop behind ``_chunked``: output
+        # must come in full chunks plus one non-empty remainder.
         database = Database("t")
         schema = Schema([Column("n", INT, qualifier="v")])
 
@@ -156,11 +164,12 @@ class TestBatchProtocol:
             )
 
         join = NestedLoopJoinOp(values(3), values(4))
-        assert "execute_batches" not in type(join).__dict__
         ctx = ExecutionContext(database=database, batch_rows=5)
         chunks = list(join.execute_batches(ctx))
         assert [len(chunk) for chunk in chunks] == [5, 5, 2]
-        assert sum(len(chunk) for chunk in chunks) == 12
+        # An exact multiple of the chunk size must not end on an empty chunk.
+        ctx = ExecutionContext(database=database, batch_rows=4)
+        assert [len(chunk) for chunk in join.execute_batches(ctx)] == [4, 4, 4]
 
     def test_batch_cursor(self):
         database, scan = self._scan()
@@ -187,44 +196,40 @@ class TestBatchProtocol:
         assert ctx.compiled_cache_misses == 1
         assert ctx.compiled_cache_hits == 1
 
-
-class TestModeSelection:
-    def test_env_flag_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_EXEC", raising=False)
-        assert batch_exec_default() is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", "", "  FALSE "])
-    def test_env_flag_falsy_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH_EXEC", value)
-        assert batch_exec_default() is False
-
-    def test_server_reads_env_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_EXEC", "0")
-        assert make_shop_backend().batch_exec is False
-        monkeypatch.setenv("REPRO_BATCH_EXEC", "1")
-        assert make_shop_backend().batch_exec is True
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        from repro.engine import Server
-
-        monkeypatch.setenv("REPRO_BATCH_EXEC", "0")
-        assert Server("s", batch_exec=True).batch_exec is True
-
-    def test_context_inherits_server_settings(self):
+    def test_context_inherits_server_batch_rows(self):
         from repro.engine import Server
         from repro.engine.session import Session
 
-        server = Server("s", batch_exec=True, batch_rows=33)
+        server = Server("s", batch_rows=33)
         server.create_database("d")
         ctx = server._make_context({}, server.database("d"), Session())
-        assert ctx.batch_exec is True
         assert ctx.batch_rows == 33
         assert ExecutionContext(database=None).batch_rows == DEFAULT_BATCH_ROWS
 
 
+def _operator_classes(base=PhysicalOperator):
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("repro."):
+            yield cls
+        yield from _operator_classes(cls)
+
+
+class TestOneProtocol:
+    def test_every_operator_defines_only_the_batch_protocol(self):
+        assert "execute" not in vars(PhysicalOperator)
+        classes = set(_operator_classes())
+        assert len(classes) >= 18  # 17 operators and the planner's relabel
+        for cls in classes:
+            assert "execute" not in vars(cls), cls
+            assert "execute_batches" in vars(cls), cls
+
+    def test_base_protocol_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            PhysicalOperator(Schema([])).execute_batches(ExecutionContext())
+
+
 class TestObservability:
     def test_exec_metrics_exported(self, server):
-        server.batch_exec = True
         server.execute("SELECT status, COUNT(*) FROM orders GROUP BY status")
         counters = server.metrics.snapshot()["counters"]
         assert counters["exec.batches"] > 0
@@ -233,16 +238,7 @@ class TestObservability:
         assert histogram["count"] == counters["exec.batches"]
         assert 0 < histogram["mean"] <= DEFAULT_BATCH_ROWS
 
-    def test_exec_metrics_present_even_in_row_mode(self, server):
-        server.batch_exec = False
-        server.execute("SELECT cid FROM customer WHERE cid = 1")
-        counters = server.metrics.snapshot()["counters"]
-        # Eagerly registered: exports always carry the keys.
-        assert counters["exec.batches"] == 0
-        assert counters["exec.compiled_cache_hits"] == 0
-
     def test_profile_counts_batches(self, server):
-        server.batch_exec = True
         server.profile_statements = True
         result = server.execute("SELECT cname FROM customer WHERE cid <= 150")
         profile = result.profile
@@ -251,13 +247,6 @@ class TestObservability:
         assert profile.root.actual_batches >= 1
         assert "batches=" in profile.render()
         assert profile.to_dict()["actual_batches"] == profile.root.actual_batches
-
-    def test_profile_batches_zero_in_row_mode(self, server):
-        server.batch_exec = False
-        server.profile_statements = True
-        result = server.execute("SELECT cname FROM customer WHERE cid <= 150")
-        assert result.profile.root.actual_rows == 150
-        assert result.profile.root.actual_batches == 0
 
 
 class TestLikeMemo:
@@ -277,10 +266,9 @@ class TestLikeMemo:
 
     def test_dynamic_like_matches_scalar(self, server):
         # Pattern comes from a parameter: compiled per chunk, not per row.
-        row_result, batch_result = run_both_modes(
+        rows = assert_matches_oracle(
             server,
             "SELECT cname FROM customer WHERE cname LIKE @pat",
             params={"pat": "cust1_"},
         )
-        assert batch_result == row_result
-        assert len(row_result) == 10
+        assert len(rows) == 10

@@ -1,5 +1,6 @@
 """Merge join operator and planner selection tests."""
 
+from itertools import chain
 
 from repro.common.schema import Column, Schema
 from repro.common.types import INT, VARCHAR
@@ -34,8 +35,11 @@ def run_merge(left_pairs, right_pairs, residual_text=None):
         residual = ExpressionCompiler(left.schema.concat(right.schema)).compile(
             parse_expression(residual_text)
         )
-    op = MergeJoinOp(left, right, [left_key], [right_key], residual)
-    return list(op.execute(ExecutionContext()))
+    return rows_of(MergeJoinOp(left, right, [left_key], [right_key], residual))
+
+
+def rows_of(op):
+    return list(chain.from_iterable(op.execute_batches(ExecutionContext())))
 
 
 class TestMergeJoinOperator:
@@ -79,7 +83,7 @@ class TestMergeJoinOperator:
         left_key = ExpressionCompiler(left.schema).compile(parse_expression("l.k"))
         right_key = ExpressionCompiler(right.schema).compile(parse_expression("r.k"))
         op = MergeJoinOp(left, right, [left_key], [right_key])
-        assert list(op.execute(ExecutionContext())) == []
+        assert rows_of(op) == []
 
 
 class TestPlannerSelection:

@@ -1,5 +1,7 @@
 """Physical operator tests (standalone, without the optimizer)."""
 
+from itertools import chain
+
 import pytest
 
 from repro.common.schema import Column, Schema
@@ -44,12 +46,9 @@ def make_db():
     return database
 
 
-def ctx_for(database):
-    return ExecutionContext(database=database)
-
-
-def rows_of(op, database):
-    return list(op.execute(ctx_for(database)))
+def rows_of(op, database, params=None):
+    ctx = ExecutionContext(database=database, params=params)
+    return list(chain.from_iterable(op.execute_batches(ctx)))
 
 
 def scan_schema():
@@ -81,10 +80,8 @@ class TestScansAndFilters:
         blank = ExpressionCompiler(Schema(()))
         guard = blank.compile(parse_expression("@x <= 5"))
         op = FilterOp(SeqScanOp(schema, "t"), startup_predicate=guard)
-        ctx = ExecutionContext(database=database, params={"x": 10})
-        assert list(op.execute(ctx)) == []
-        ctx2 = ExecutionContext(database=database, params={"x": 3})
-        assert len(list(op.execute(ctx2))) == 10
+        assert rows_of(op, database, params={"x": 10}) == []
+        assert len(rows_of(op, database, params={"x": 3})) == 10
 
     def test_startup_predicate_unknown_is_false(self):
         database = make_db()
@@ -318,8 +315,7 @@ class TestSortTopDistinctUnion:
         schema = scan_schema()
         blank = ExpressionCompiler(Schema(()))
         op = TopOp(SeqScanOp(schema, "t"), blank.compile(parse_expression("@n")))
-        ctx = ExecutionContext(database=database, params={"n": 4})
-        assert len(list(op.execute(ctx))) == 4
+        assert len(rows_of(op, database, params={"n": 4})) == 4
 
     def test_top_zero(self):
         database = make_db()

@@ -3,12 +3,30 @@
 import pytest
 
 from repro.obs.profile import profiled
+from repro.sql import parse
 from tests.conftest import make_shop_backend
+
+
+#: Plans Project -> IndexLookupJoin -> Project -> Filter -> IndexRangeScan.
+LOOKUP_JOIN_QUERY = (
+    "SELECT c.cname, o.total FROM customer c JOIN orders o ON c.cid = o.o_cid "
+    "WHERE c.cid <= 5"
+)
 
 
 @pytest.fixture
 def server():
     return make_shop_backend()
+
+
+def cached_plan(server):
+    """The plan-cache entry's operator tree (shared across executions)."""
+    return server.plan_select(parse(LOOKUP_JOIN_QUERY), server.database("shop")).root
+
+
+def assert_unpatched(root):
+    for operator in root.walk():
+        assert "execute_batches" not in vars(operator), operator
 
 
 class TestProfiledPlan:
@@ -57,41 +75,33 @@ class TestProfiledPlan:
         assert payload["actual_rows"] == 3
         assert isinstance(payload["children"], list)
 
-    def test_shims_removed_after_execution(self, server):
+    def test_every_node_counts_batches(self, server):
+        # One patched method per node: the subtree under a loop-shaped
+        # operator is accounted the same way as the rest of the plan.
         server.profile_statements = True
-        server.execute("SELECT cid FROM customer WHERE cid <= 3")
-        planned = server.plan_select(
-            __import__("repro.sql", fromlist=["parse"]).parse(
-                "SELECT cid FROM customer WHERE cid <= 3"
-            ),
-            server.database("shop"),
-        )
-        # No instance-level execute shim left behind on any operator.
-        stack = [planned.root]
-        while stack:
-            operator = stack.pop()
-            assert "execute" not in operator.__dict__
-            stack.extend(operator.children)
+        profile = server.execute(LOOKUP_JOIN_QUERY).profile
+        descriptions = [node.description for node in profile.root.walk()]
+        assert any(text.startswith("IndexLookupJoin") for text in descriptions)
+        assert profile.root.actual_rows == 10
+        for node in profile.root.walk():
+            assert node.actual_rows > 0 and node.actual_batches >= 1, node
 
-    def test_shims_removed_even_when_execution_raises(self, server):
-        from repro.sql import parse
+    def test_patches_removed_from_cached_plan(self, server):
+        server.profile_statements = True
+        server.execute(LOOKUP_JOIN_QUERY)
+        assert_unpatched(cached_plan(server))
 
-        planned = server.plan_select(
-            parse("SELECT cid FROM customer WHERE cid <= 3"),
-            server.database("shop"),
-        )
+    def test_patches_removed_even_when_execution_raises(self, server):
+        root = cached_plan(server)
 
         class Boom(Exception):
             pass
 
         with pytest.raises(Boom):
-            with profiled(planned.root):
+            with profiled(root):
+                assert "execute_batches" in vars(root)
                 raise Boom()
-        stack = [planned.root]
-        while stack:
-            operator = stack.pop()
-            assert "execute" not in operator.__dict__
-            stack.extend(operator.children)
+        assert_unpatched(root)
 
     def test_wall_time_accumulates(self, server):
         server.profile_statements = True
