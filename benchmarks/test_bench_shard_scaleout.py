@@ -81,21 +81,21 @@ def test_bench_shard_scaleout_modeled_throughput(cal_cached, benchmark, capsys, 
 
 def test_bench_shard_router_locality_and_identity(capsys, bench_recorder):
     sharded = ShardedDeployment(config=TPCWConfig(**SHARD_CONFIG), shards=8)
-    router_connection = sharded.connect()
-    backend_direct = connect(sharded.backend, database=sharded.database_name)
+    router_cursor = sharded.connect().cursor()
+    backend_direct = connect(sharded.backend, database=sharded.database_name).cursor()
 
     flat_backend, flat_config = build_backend(TPCWConfig(**SHARD_CONFIG))
     _, caches = enable_caching(flat_backend, ["cache1"], flat_config)
-    cache_connection = connect(caches[0], database="tpcw")
+    cache_cursor = connect(caches[0], database="tpcw").cursor()
 
     sql = "EXEC getBook @i_id = @i_id"
     for key in READ_KEYS[:5]:  # warm plans on every shard and the cache
-        router_connection.execute(sql, {"i_id": key})
-        cache_connection.execute(sql, {"i_id": key})
+        router_cursor.execute(sql, {"i_id": key})
+        cache_cursor.execute(sql, {"i_id": key})
 
     for key in READ_KEYS:
-        sharded_rows = router_connection.execute(sql, {"i_id": key}).rows
-        expected = backend_direct.execute(sql, {"i_id": key}).rows
+        sharded_rows = router_cursor.execute(sql, {"i_id": key}).fetchall()
+        expected = backend_direct.execute(sql, {"i_id": key}).fetchall()
         assert sharded_rows == expected, f"item {key} diverged through the router"
 
     # Measured pass: routed reads only, so any backend statement at all
@@ -103,13 +103,13 @@ def test_bench_shard_router_locality_and_identity(capsys, bench_recorder):
     backend_statements_before = sharded.backend.statements_executed
     started = time.perf_counter()
     for key in READ_KEYS:
-        router_connection.execute(sql, {"i_id": key})
+        router_cursor.execute(sql, {"i_id": key})
     routed_seconds = time.perf_counter() - started
     backend_extra = sharded.backend.statements_executed - backend_statements_before
 
     started = time.perf_counter()
     for key in READ_KEYS:
-        cache_connection.execute(sql, {"i_id": key})
+        cache_cursor.execute(sql, {"i_id": key})
     single_cache_seconds = time.perf_counter() - started
 
     hits = sum(

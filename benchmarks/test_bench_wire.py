@@ -30,7 +30,7 @@ SCAN_QUERY = "SELECT cid, cname, segment FROM customer ORDER BY cid"
 
 
 def _build_server() -> Server:
-    server = Server("wirebench", observability=False)
+    server = Server("wirebench")
     server.create_database("shop")
     server.execute(
         "CREATE TABLE customer (cid INT PRIMARY KEY, cname VARCHAR(40), "
@@ -68,11 +68,12 @@ def test_bench_wire_roundtrip_overhead(benchmark, capsys, bench_recorder):
         remote = connect(server.dsn)
 
         params = {"cid": 42}
-        expected = local.execute(POINT_QUERY, params).rows
-        assert remote.execute(POINT_QUERY, params).rows == expected
+        local_cursor, remote_cursor = local.cursor(), remote.cursor()
+        expected = local_cursor.execute(POINT_QUERY, params).fetchall()
+        assert remote_cursor.execute(POINT_QUERY, params).fetchall() == expected
 
-        local_seconds = _best_of(lambda: local.execute(POINT_QUERY, params), 200)
-        wire_seconds = _best_of(lambda: remote.execute(POINT_QUERY, params), 200)
+        local_seconds = _best_of(lambda: local_cursor.execute(POINT_QUERY, params), 200)
+        wire_seconds = _best_of(lambda: remote_cursor.execute(POINT_QUERY, params), 200)
         overhead = wire_seconds / local_seconds
 
         emit(
@@ -92,7 +93,7 @@ def test_bench_wire_roundtrip_overhead(benchmark, capsys, bench_recorder):
         )
         assert wire_seconds > 0 and local_seconds > 0
 
-        benchmark(lambda: remote.execute(POINT_QUERY, params))
+        benchmark(lambda: remote_cursor.execute(POINT_QUERY, params))
         remote.close()
         local.close()
     finally:
@@ -103,11 +104,12 @@ def test_bench_wire_batched_fetch(capsys, bench_recorder):
     backend = _build_server()
     server = ReproServer.serve(backend)
     try:
-        batched = connect(server.dsn)  # server default batch size
-        chatty = connect(f"{server.dsn}?fetch_rows=1")  # one frame per row
+        batched_connection = connect(server.dsn)  # server default batch size
+        chatty_connection = connect(f"{server.dsn}?fetch_rows=1")  # one frame per row
+        batched, chatty = batched_connection.cursor(), chatty_connection.cursor()
 
-        rows_batched = batched.execute(SCAN_QUERY).rows
-        rows_chatty = chatty.execute(SCAN_QUERY).rows
+        rows_batched = batched.execute(SCAN_QUERY).fetchall()
+        rows_chatty = chatty.execute(SCAN_QUERY).fetchall()
         assert rows_batched == rows_chatty
         assert len(rows_batched) == SCAN_ROWS
 
@@ -136,7 +138,7 @@ def test_bench_wire_batched_fetch(capsys, bench_recorder):
             f"batched fetch must be at least 2x faster than row-at-a-time "
             f"over the wire, measured {speedup:.2f}x"
         )
-        batched.close()
-        chatty.close()
+        batched_connection.close()
+        chatty_connection.close()
     finally:
         server.stop()

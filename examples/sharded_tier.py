@@ -28,9 +28,9 @@ def shard_hits(sharded):
 def main() -> None:
     config = TPCWConfig(num_items=200, num_ebs=6, seed=11)
     sharded = ShardedDeployment(config=config, shards=4)
-    connection = sharded.connect()
+    cursor = sharded.connect().cursor()
     register_inproc("sharded/backend", sharded.backend, database=sharded.database_name)
-    backend = connect("inproc://sharded/backend")
+    backend = connect("inproc://sharded/backend").cursor()
 
     print("Slices (item ids per shard):")
     for name in sharded.partitioner.shards:
@@ -40,14 +40,14 @@ def main() -> None:
     # --- Key routing ----------------------------------------------------------
     for i_id in (3, 60, 120, 190):
         owner = sharded.partitioner.owner(i_id)
-        rows = connection.execute("EXEC getBook @i_id = @i_id", {"i_id": i_id}).rows
+        rows = cursor.execute("EXEC getBook @i_id = @i_id", {"i_id": i_id}).fetchall()
         print(f"  getBook({i_id:3d}) -> {owner}, {len(rows)} row")
     print(f"  per-shard hits: {shard_hits(sharded)}")
 
     # --- Scatter-gather -------------------------------------------------------
     sql = "EXEC doSubjectSearch @subject = @subject"
-    routed = connection.execute(sql, {"subject": "HISTORY"}).rows
-    direct = backend.execute(sql, {"subject": "HISTORY"}).rows
+    routed = cursor.execute(sql, {"subject": "HISTORY"}).fetchall()
+    direct = backend.execute(sql, {"subject": "HISTORY"}).fetchall()
     fanout = sharded.metrics.counter("shard.fanout").value
     print(f"\nScatter-gather: {len(routed)} rows, identical to backend: "
           f"{routed == direct} (fanout counter: {fanout})")
@@ -60,7 +60,7 @@ def main() -> None:
         low, high = sharded.partitioner.slice(name)
         print(f"  {name}: i_id BETWEEN {low} AND {high}")
     low, _ = sharded.partitioner.slice("shard4")
-    rows = connection.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).rows
+    rows = cursor.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).fetchall()
     print(f"  getBook({low}) now served by shard4: {len(rows)} row, "
           f"hits={shard_hits(sharded)['shard4']}")
 
@@ -70,12 +70,12 @@ def main() -> None:
     sharded.attach_fault_injector(injector)
     injector.crash_cache(sharded.shard("shard1"))
     low, _ = sharded.partitioner.slice("shard1")
-    rows = connection.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).rows
+    rows = cursor.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).fetchall()
     print(f"  getBook({low}) with shard1 down -> {len(rows)} row "
           f"(failed over transparently)")
     injector.restart_cache(sharded.shard("shard1"))
     sharded.sync()
-    rows = connection.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).rows
+    rows = cursor.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).fetchall()
     print(f"  after restart + sync       -> {len(rows)} row, served locally again")
 
 

@@ -1,11 +1,10 @@
 """The unified client API (DBAPI-2.0 flavoured).
 
 This package is the one sanctioned way for application code to talk to
-the engine. Historically there were three overlapping entrypoints —
-``Server.execute`` with a hand-made :class:`~repro.engine.session.Session`,
-``OdbcConnection.execute``, and the resilience router's ``execute`` —
-each with a slightly different signature. They all still work (as thin
-delegating shims), but new code goes through:
+the engine. Every execution target — engine server, cache facade,
+failover router, shard router, wire client — speaks one protocol,
+``execute(sql, params=None, session=None)``, and applications reach any
+of them through:
 
     connection = connect(server_or_cache, database="tpcw")
     cursor = connection.cursor()

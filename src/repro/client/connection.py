@@ -2,19 +2,23 @@
 
 A :class:`Connection` wraps any execution target — an engine
 :class:`~repro.engine.server.Server`, a
-:class:`~repro.mtcache.cache_server.CacheServer` facade, or a
-:class:`~repro.resilience.failover.FailoverRouter` — and owns the
-:class:`~repro.engine.session.Session` that carries principal, variables
-and transaction state across statements. Targets differ in which keyword
-arguments their ``execute`` accepts (a cache supplies its own shadow
-database; a router manages its own per-target sessions), so the
-connection sniffs the signature once at construction and adapts.
+:class:`~repro.mtcache.cache_server.CacheServer` facade, a
+:class:`~repro.resilience.failover.FailoverRouter`, a
+:class:`~repro.client.shard_router.ShardRouter` or a
+:class:`~repro.net.wire.WireConnection` — and owns the
+:class:`~repro.engine.session.Session` that carries principal, database,
+variables and transaction state across statements.
+
+The execution-target protocol is one method,
+``execute(sql, params=None, session=None) -> Result``. A target that
+keeps its sessions elsewhere (routers hold one per inner connection, the
+wire client's lives server-side) ignores ``session``, declares
+``remote_session = True`` and mirrors the transaction state in an
+``in_transaction`` attribute.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.results import Result
@@ -47,7 +51,7 @@ def connect(
     ``timeout`` (seconds) applies to tcp DSNs: the dial timeout and the
     per-operation socket timeout (a DSN ``?timeout=`` takes precedence).
     Passing ``database=`` alongside a DSN that already carries a
-    ``/database`` path is deprecated — the DSN wins.
+    ``/database`` path raises :class:`~repro.errors.ClientError`.
     """
     if isinstance(target, str):
         return _connect_dsn(target, database=database, principal=principal, timeout=timeout)
@@ -64,13 +68,10 @@ def _connect_dsn(
 
     dsn = parse_dsn(dsn_text)
     if dsn.database is not None and database is not None:
-        warnings.warn(
-            f"database={database!r} is ignored: the DSN {dsn_text!r} already "
-            f"carries /{dsn.database}; drop the argument",
-            DeprecationWarning,
-            stacklevel=3,
+        raise ClientError(
+            f"database={database!r} conflicts with the DSN {dsn_text!r}, which "
+            f"already carries /{dsn.database}; drop the argument"
         )
-        database = None
     principal = dsn.principal or principal
     if dsn.scheme == "inproc":
         target, default_database = resolve_inproc(dsn.inproc_key)
@@ -106,17 +107,6 @@ class Connection:
         #: directly — are never closed from here, so one checkout's
         #: ``close()`` can never kill a sibling's live socket.
         self._owns_target = owns_target
-        self._bind_target(target)
-
-    def _bind_target(self, target: Any) -> None:
-        """Sniff which keywords the target's ``execute`` accepts."""
-        execute_params = inspect.signature(target.execute).parameters
-        self._accepts_session = "session" in execute_params
-        self._accepts_database = "database" in execute_params
-        #: Wire targets keep the real session server-side; transaction
-        #: state must be read from the target's mirrored flag, not from
-        #: the local (never-transacting) session.
-        self._remote_session = bool(getattr(target, "remote_session", False))
 
     def _reset_session(self, database: Optional[str] = None) -> None:
         """Replace the session (same principal) after a target rebind.
@@ -142,12 +132,7 @@ class Connection:
     def _raw_execute(self, sql: str, params: Optional[Dict[str, Any]]) -> Result:
         if self.closed:
             raise ClientError("connection is closed")
-        kwargs: Dict[str, Any] = {"params": params}
-        if self._accepts_session:
-            kwargs["session"] = self.session
-        if self._accepts_database and self.database is not None:
-            kwargs["database"] = self.database
-        return self.target.execute(sql, **kwargs)
+        return self.target.execute(sql, params=params, session=self.session)
 
     def _deadline_for(self, timeout: Optional[float]):
         """An end-to-end :class:`~repro.resilience.deadline.Deadline` of
@@ -195,12 +180,12 @@ class Connection:
     def in_transaction(self) -> bool:
         """Is this connection inside an explicit transaction?
 
-        For in-process targets the local session knows; for wire targets
-        the session lives server-side and the answer is mirrored from the
-        last RESULT frame's ``in_transaction`` bit.
+        For engine targets the local session knows; ``remote_session``
+        targets (routers, the wire client) keep the transacting session
+        elsewhere and mirror its state in ``in_transaction``.
         """
-        if self._remote_session:
-            return bool(getattr(self.target, "in_transaction", False))
+        if getattr(self.target, "remote_session", False):
+            return bool(self.target.in_transaction)
         return self.session.in_transaction
 
     def commit(self) -> None:
@@ -256,24 +241,6 @@ class Connection:
         if probe is not None:
             return bool(probe())
         return bool(getattr(self.server, "available", True))
-
-    # -- deprecated shim ---------------------------------------------------
-
-    def execute(
-        self,
-        sql: str,
-        params: Optional[Dict[str, Any]] = None,
-        timeout: Optional[float] = None,
-    ) -> Result:
-        """Execute a batch and return the raw :class:`Result`.
-
-        ``timeout`` (virtual seconds) sets an end-to-end deadline for the
-        statement — see :meth:`Cursor.execute`.
-
-        .. deprecated:: use :meth:`cursor` and the fetch protocol; this
-           shim exists so pre-cursor call sites keep working unchanged.
-        """
-        return self._timed_execute(sql, params, timeout)
 
     def __repr__(self) -> str:
         target = getattr(self.target, "name", None) or type(self.target).__name__

@@ -20,9 +20,10 @@ decides one of three routes:
 
 Each shard is reached through its own ``FailoverRouter``, so a dead
 shard degrades that shard's share of traffic to the backend instead of
-failing it. Route decisions are cached per statement text; the scatter
-route additionally caches per-shard SQL keyed by the partitioner version
-so rebalancing invalidates it.
+failing it. Route decisions are cached per statement text, checked
+against the backend database's schema version; the scatter route
+additionally caches per-shard SQL keyed by the partitioner version so
+rebalancing invalidates it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ _BACKEND_DECISION = _Decision(kind="backend")
 class ShardRouter:
     """Routes statements across shard connections and the backend."""
 
+    #: Transaction control routes to the backend connection, whose session
+    #: transacts; a Connection over the router reads :attr:`in_transaction`.
+    remote_session = True
+
     def __init__(
         self,
         backend,
@@ -91,7 +96,7 @@ class ShardRouter:
         self.policy = policy
         self.registry = registry
         self.principal = principal
-        self._catalog = backend.database(database).catalog
+        self._database = backend.database(database)
         self._backend = Connection(backend, database=database, principal=principal)
         self._target_factory = target_factory
         # Guards the shard-connection map: routed traffic runs on worker
@@ -135,6 +140,10 @@ class ShardRouter:
         return True
 
     @property
+    def in_transaction(self) -> bool:
+        return self._backend.in_transaction()
+
+    @property
     def failovers(self) -> int:
         """Total failovers across the per-shard routers."""
         return sum(
@@ -165,14 +174,20 @@ class ShardRouter:
 
     # -- routing -----------------------------------------------------------
 
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Result:
+    def execute(
+        self, sql: str, params: Optional[Dict[str, Any]] = None, session: Any = None
+    ) -> Result:
         if self.closed:
             raise ClientError("shard router is closed")
         check_deadline("shard routing")
-        decision = self._decisions.get(sql)
-        if decision is None:
-            decision = self._decide(sql)
-            self._decisions[sql] = decision
+        # Decisions embed catalog facts (a procedure's parsed body), so
+        # they are checked against the backend's schema version.
+        version = self._database.version
+        entry = self._decisions.get(sql, valid=lambda e: e[0] == version)
+        if entry is None:
+            entry = (version, self._decide(sql))
+            self._decisions[sql] = entry
+        decision = entry[1]
         if decision.kind == "key":
             return self._execute_key(decision, sql, params)
         if decision.kind == "scatter":
@@ -199,7 +214,7 @@ class ShardRouter:
 
     def _execute_backend(self, sql, params) -> Result:
         self._count_miss()
-        return self._backend.execute(sql, params)
+        return self._backend._raw_execute(sql, params)
 
     def _execute_key(self, decision: _Decision, sql: str, params) -> Result:
         value = _resolve(decision.key_source, params)
@@ -211,7 +226,7 @@ class ShardRouter:
             return self._execute_backend(sql, params)
         self._count_hit(owner)
         try:
-            return connection.execute(sql, params)
+            return connection._raw_execute(sql, params)
         except OverloadError:
             # The owning shard shed the statement before any effect
             # (OverloadError is raised pre-execution), so re-running on
@@ -249,13 +264,13 @@ class ShardRouter:
             else:
                 self._count_hit(shard)
             try:
-                result = connection.execute(statement, exec_params)
+                result = connection._raw_execute(statement, exec_params)
             except OverloadError:
                 # An overloaded shard shed its slice pre-execution; the
                 # slice conjunct selects by value, so the backend's base
                 # tables return exactly the same rows. Degrade the hop.
                 self._count_degraded(shard)
-                result = self._backend.execute(statement, exec_params)
+                result = self._backend._raw_execute(statement, exec_params)
             self._count_fanout()
             per_shard.append(result.rows)
             if schema is None:
@@ -299,7 +314,7 @@ class ShardRouter:
         procedure_name = statement.procedure[-1]
         route = self.policy.route_for(procedure_name)
         try:
-            procedure = self._catalog.get_procedure(procedure_name)
+            procedure = self._database.catalog.get_procedure(procedure_name)
         except Exception:
             return _BACKEND_DECISION
         arguments = _argument_sources(statement, procedure)

@@ -6,16 +6,22 @@ boundary renders plan fragments back to text) and are re-parsed and
 re-optimized by the target server — matching the paper's observation that
 plans cannot be shipped, only text.
 
-The statement fast path (paper §4.3, parameterized remote queries) adds a
-prepare/execute protocol on top: :meth:`ServerLink.prepare` registers the
-text on the target once and returns a :class:`RemoteStatementHandle`;
-subsequent executions ship only the handle id and the parameter values.
+The text travels once (paper §4.3, parameterized remote queries):
+:meth:`ServerLink.prepare` registers it on the target and returns a
+:class:`RemoteStatementHandle`; executions ship only the handle id and
+the parameter values. Remote subexpressions and forwarded DML always go
+this way; forwarded ``EXEC`` calls, whose arguments are inlined as
+literals, ship text through :meth:`ServerLink.execute_statement_text`.
 Handles survive remote schema changes (the target re-prepares
 transparently) and remote handle loss (the link re-prepares from its own
 text copy).
 
-The registry also tracks simple traffic counters (queries, statements,
-prepares, prepared executions) used by tests and the cluster simulator.
+Every link is built by :meth:`LinkedServerRegistry.register` with the
+owning server's tracer, clock and metrics registry, so each remote call
+runs under a client-side span, the retry policy, the circuit breaker and
+the retry budget. The link also tracks simple traffic counters (queries,
+statements, prepares, prepared executions) used by tests and the cluster
+simulator.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from repro.errors import (
     ReproError,
     is_transient,
 )
-from repro.obs.tracing import NULL_SPAN
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import current_deadline
 from repro.resilience.overload import RetryBudget
@@ -107,10 +112,10 @@ class ServerLink:
         self,
         name: str,
         server,
-        database: Optional[str] = None,
-        tracer=None,
-        clock=None,
-        metrics=None,
+        database: Optional[str],
+        tracer,
+        clock,
+        metrics,
     ):
         self.name = name
         self.server = server
@@ -121,23 +126,16 @@ class ServerLink:
         self.prepares = 0
         self.prepared_executions = 0
         self.retries = 0
-        # Resilience wiring: retries and breaking only engage when the
-        # owning server hands us its virtual clock (backoff must advance
-        # it); without one the link behaves exactly as before.
+        # Resilience wiring, on the owning server's virtual clock
+        # (backoff must advance it) and metrics registry.
         self.clock = clock
         self._metrics = metrics
-        self.retry_policy: Optional[RetryPolicy] = (
-            default_link_policy(name) if clock is not None else None
-        )
-        self.breaker: Optional[CircuitBreaker] = (
-            CircuitBreaker(clock, name=name, registry=metrics) if clock is not None else None
-        )
+        self.retry_policy: RetryPolicy = default_link_policy(name)
+        self.breaker = CircuitBreaker(clock, name=name, registry=metrics)
         # Retry budget (PR 9): each first attempt deposits ~10% of a
         # token, each retry spends one, so during a brownout retries are
         # capped at ~10% of live traffic instead of multiplying it.
-        self.retry_budget: Optional[RetryBudget] = (
-            RetryBudget() if clock is not None else None
-        )
+        self.retry_budget = RetryBudget()
         # Fault-injection hook (repro.faults). None means every guard
         # below is a single attribute check — a true no-op.
         self.injector = None
@@ -147,14 +145,12 @@ class ServerLink:
         self._handles: LRUCache = LRUCache(256, on_evict=lambda handle: handle.close())
 
     def _span(self, name: str, **attributes):
-        """Client-side span for one remote call (no-op when untraced).
+        """Client-side span for one remote call.
 
         The target server opens its own spans inside; because the call is
         in-process the context variable makes them children of this one,
         so one exported trace covers both tiers.
         """
-        if self.tracer is None:
-            return NULL_SPAN
         return self.tracer.span(name, target=self.name, **attributes)
 
     def _invoke(self, kind: str, fn: Callable[[], Any]) -> Any:
@@ -175,21 +171,19 @@ class ServerLink:
         breaker = self.breaker
         budget = self.retry_budget
         deadline = current_deadline()
-        started = self.clock.now() if (policy is not None and self.clock is not None) else 0.0
+        started = self.clock.now()
         attempt = 1
-        if budget is not None:
-            budget.on_attempt()
+        budget.on_attempt()
         while True:
             if deadline is not None and deadline.expired():
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        "overload.deadline_misses", labels={"link": self.name}
-                    ).inc()
+                self._metrics.counter(
+                    "overload.deadline_misses", labels={"link": self.name}
+                ).inc()
                 raise DeadlineExceededError(
                     f"deadline exceeded before remote {kind} call on link "
                     f"{self.name!r} (attempt {attempt})"
                 )
-            if breaker is not None and not breaker.allow():
+            if not breaker.allow():
                 raise CircuitOpenError(f"circuit open for linked server {self.name!r}")
             try:
                 if self.injector is not None:
@@ -207,38 +201,30 @@ class ServerLink:
             except ReproError as exc:
                 if not is_transient(exc):
                     raise
-                if breaker is not None:
-                    breaker.record_failure()
-                delay = (
-                    policy.next_delay(
-                        attempt,
-                        started,
-                        self.clock.now(),
-                        budget=deadline.remaining() if deadline is not None else None,
-                    )
-                    if policy is not None and self.clock is not None
-                    else None
+                breaker.record_failure()
+                delay = policy.next_delay(
+                    attempt,
+                    started,
+                    self.clock.now(),
+                    budget=deadline.remaining() if deadline is not None else None,
                 )
                 if delay is None:
                     raise
-                if budget is not None and not budget.try_spend():
+                if not budget.try_spend():
                     # Retry budget dry: retrying now would amplify the
                     # brownout; surface the transient error instead.
-                    if self._metrics is not None:
-                        self._metrics.counter(
-                            "overload.retry_budget_exhausted", labels={"link": self.name}
-                        ).inc()
+                    self._metrics.counter(
+                        "overload.retry_budget_exhausted", labels={"link": self.name}
+                    ).inc()
                     raise
                 self.retries += 1
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        "resilience.retries", labels={"link": self.name}
-                    ).inc()
+                self._metrics.counter(
+                    "resilience.retries", labels={"link": self.name}
+                ).inc()
                 self.clock.advance(delay)
                 attempt += 1
                 continue
-            if breaker is not None:
-                breaker.record_success()
+            breaker.record_success()
             return result
 
     def execute_remote_sql(self, sql: str, params: Optional[Dict[str, Any]] = None) -> List[Tuple]:
@@ -287,12 +273,11 @@ class ServerLink:
 class LinkedServerRegistry:
     """The set of linked servers registered on one server."""
 
-    def __init__(self, tracer=None, clock=None, metrics=None):
+    def __init__(self, tracer, clock, metrics):
         self._links: Dict[str, ServerLink] = {}
-        # The owning server's Tracer (None when observability is off);
-        # handed to every link so remote calls get client-side spans.
-        # Clock and metrics likewise flow to each link's retry policy,
-        # breaker, and resilience counters.
+        # The owning server's Tracer, handed to every link so remote
+        # calls get client-side spans. Clock and metrics likewise flow to
+        # each link's retry policy, breaker, and resilience counters.
         self.tracer = tracer
         self.clock = clock
         self.metrics = metrics

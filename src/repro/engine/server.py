@@ -57,6 +57,9 @@ from repro.sql.formatter import format_statement
 #: registry-backed facade and the per-execution accumulator never drift.
 WORK_FIELDS = tuple(field.name for field in dataclasses.fields(WorkCounters))
 
+#: Capacity of the SQL-text -> statements and statement -> plan LRUs.
+STATEMENT_CACHE_SIZE = 512
+
 
 class PreparedStatement:
     """The server-side half of the prepare/execute protocol (paper §4.3).
@@ -99,13 +102,8 @@ class Server:
         clock: Optional[SimulatedClock] = None,
         cost_model: Optional[CostModel] = None,
         optimizer_options: Optional[Dict[str, Any]] = None,
-        statement_fastpath: bool = True,
-        parse_cache_size: int = 512,
-        plan_cache_size: int = 512,
-        observability: bool = True,
         checked_plans: Optional[bool] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        admission: Optional[Any] = None,
     ):
         from repro.distributed.linked_server import LinkedServerRegistry
 
@@ -116,13 +114,9 @@ class Server:
         self.databases: Dict[str, Database] = {}
         self.default_database: Optional[str] = None
         # Observability (repro.obs): a per-server metrics registry plus a
-        # tracer exporting to the process-global span collector. With
-        # ``observability=False`` (ablation benchmarks) the registry still
-        # exists but the hot paths fall back to plain counters and the
-        # tracer is disabled.
-        self.observability = observability
+        # tracer exporting to the process-global span collector.
         self.metrics = MetricsRegistry(namespace=name)
-        self.tracer = Tracer(service=name, enabled=observability)
+        self.tracer = Tracer(service=name)
         self._statement_seconds = self.metrics.histogram("engine.statement_seconds")
         # Plans are drained through BatchCursor in chunks of ``batch_rows``.
         # Instruments are created eagerly so ``exec.*`` always appears in
@@ -136,27 +130,19 @@ class Server:
         #: (per-session opt-in: ``Session.statistics_profile``).
         self.profile_statements = False
         self.linked_servers = LinkedServerRegistry(
-            tracer=self.tracer if observability else None,
-            clock=self.clock,
-            metrics=self.metrics if observability else None,
+            tracer=self.tracer, clock=self.clock, metrics=self.metrics
         )
         #: False while crashed (see :meth:`crash`); entry points raise
         #: ``ServerUnavailableError`` so callers can retry or reroute.
         self.available = True
-        #: Optional overload gate (repro.resilience.overload): when set,
-        #: every entry point (execute / prepare_sql / execute_prepared)
-        #: must be admitted or fails fast with ``OverloadError`` —
-        #: bounded virtual queue instead of unbounded pile-up. Entry
-        #: points also honor the ambient end-to-end deadline.
-        self.admission = admission
+        #: Optional overload gate (repro.resilience.overload), attached by
+        #: assignment: when set, every entry point (execute / prepare_sql
+        #: / execute_prepared) must be admitted or fails fast with
+        #: ``OverloadError`` — bounded virtual queue instead of unbounded
+        #: pile-up. Entry points also honor the ambient end-to-end deadline.
+        self.admission: Optional[Any] = None
         self.crashes = 0
         self._optimizers: Dict[str, Tuple[int, Optimizer]] = {}
-        # Statement fast path (all version-checked, all bounded LRUs):
-        # SQL text -> parsed statement list, and (database, statement) ->
-        # plan. ``statement_fastpath=False`` disables the text cache and
-        # by-handle remote execution for ablation benchmarks; the plan
-        # cache predates the fast path and stays on either way.
-        self.statement_fastpath = statement_fastpath
         # Checked execution (repro.analysis): verify every freshly
         # optimized plan against the structural invariants before it is
         # cached or run. Defaults from REPRO_CHECKED_PLANS; the test
@@ -167,25 +153,25 @@ class Server:
 
             checked_plans = checked_plans_default()
         self.checked_plans = checked_plans
-        self._parse_cache: LRUCache = LRUCache(parse_cache_size)
-        self._plan_cache: LRUCache = LRUCache(plan_cache_size)
+        # Statement fast path (all version-checked, all bounded LRUs):
+        # SQL text -> parsed statement list, and (database, statement) ->
+        # plan.
+        self._parse_cache: LRUCache = LRUCache(STATEMENT_CACHE_SIZE)
+        self._plan_cache: LRUCache = LRUCache(STATEMENT_CACHE_SIZE)
         # Prepared statements this server holds for its clients
         # (linked servers executing by handle).
         self._prepared: Dict[int, PreparedStatement] = {}
         self._prepared_ids = itertools.count(1)
         # Forwarded-DML fast path: stripped statement AST -> remote handle.
         self._dml_forward_cache: LRUCache = LRUCache(256)
-        #: How many times the lexer/parser actually ran (cache misses and
-        #: fast-path-disabled parses). Benchmarks read deltas of this.
+        #: How many times the lexer/parser actually ran (parse-cache
+        #: misses). Benchmarks read deltas of this.
         self.parses = 0
         # Cumulative work executed on this server (simulator calibration).
-        # With observability on, the counters live in the metrics registry
-        # and ``total_work`` is an attribute-compatible facade over them;
-        # per-execution accumulation still uses the plain dataclass.
-        if observability:
-            self.total_work = CounterGroupView(self.metrics, "work", WORK_FIELDS)
-        else:
-            self.total_work = WorkCounters()
+        # The counters live in the metrics registry and ``total_work`` is
+        # an attribute-compatible facade over them; per-execution
+        # accumulation uses the plain dataclass.
+        self.total_work = CounterGroupView(self.metrics, "work", WORK_FIELDS)
         self.statements_executed = 0
 
     # -- crash / restart (fault injection) -----------------------------------
@@ -213,14 +199,12 @@ class Server:
             # _end_transaction_scope when COMMIT/ROLLBACK fails.
             while database.latch.owns_exclusive():
                 database.latch.release_exclusive()
-        if self.observability:
-            self.metrics.counter("faults.server_crashes").inc()
+        self.metrics.counter("faults.server_crashes").inc()
 
     def restart(self) -> None:
         """Bring a crashed server back (cold caches, empty prepared set)."""
         self.available = True
-        if self.observability:
-            self.metrics.counter("faults.server_restarts").inc()
+        self.metrics.counter("faults.server_restarts").inc()
 
     def healthy(self) -> bool:
         """Health probe used by pool checkout (parallels CacheServer.healthy)."""
@@ -245,8 +229,7 @@ class Server:
         if deadline is not None and deadline.expired():
             from repro.errors import DeadlineExceededError
 
-            if self.observability:
-                self.metrics.counter("overload.deadline_misses").inc()
+            self.metrics.counter("overload.deadline_misses").inc()
             raise DeadlineExceededError(
                 f"deadline exceeded before {what} on server {self.name!r}"
             )
@@ -279,7 +262,7 @@ class Server:
         optimizer = Optimizer(
             database,
             cost_model=self.cost_model,
-            metrics=self.metrics if self.observability else None,
+            metrics=self.metrics,
             **self.optimizer_options,
         )
         self._optimizers[database.name.lower()] = (database.version, optimizer)
@@ -320,9 +303,6 @@ class Server:
         compare by pointer and skip the lexer/parser entirely. AST nodes
         are frozen, so the cached statement list is safe to re-execute.
         """
-        if not self.statement_fastpath:
-            self.parses += 1
-            return parse_statements(sql)
         key = (database.name.lower(), sys.intern(sql))
         version = database.version
         entry = self._parse_cache.get(key, valid=lambda e: e[0] == version)
@@ -345,8 +325,6 @@ class Server:
         database = database or self.database(session.database)
         merged = session.merged_params(params)
         self.statements_executed += 1
-        if not self.observability:
-            return self._dispatch_statement(statement, merged, database, session)
         started = time.perf_counter()
         if self.tracer.enabled:
             with self.tracer.span("statement", statement=type(statement).__name__):
@@ -521,18 +499,16 @@ class Server:
         started = time.perf_counter()
         with self.tracer.span("optimize"):
             planned = self.optimizer_for(database).plan_select(statement)
-        if self.observability:
-            self.metrics.histogram("optimizer.plan_seconds").observe(
-                time.perf_counter() - started
-            )
+        self.metrics.histogram("optimizer.plan_seconds").observe(
+            time.perf_counter() - started
+        )
         if self.checked_plans:
             # Checked execution: raise before a structurally invalid plan
             # can be cached or run (repro.analysis.plancheck).
             from repro.analysis import check_plan
 
             check_plan(planned, database=database)
-            if self.observability:
-                self.metrics.counter("analysis.plans_checked").inc()
+            self.metrics.counter("analysis.plans_checked").inc()
         self._plan_cache[key] = (version, planned)
         return planned
 
@@ -639,12 +615,10 @@ class Server:
         while (chunk := cursor.next_batch()) is not None:
             batches += 1
             rows.extend(chunk)
-            if self.observability:
-                self._exec_batch_rows.observe(len(chunk))
-        if self.observability:
-            self._exec_batches.inc(batches)
-            self._compiled_cache_hits.inc(ctx.compiled_cache_hits)
-            self._compiled_cache_misses.inc(ctx.compiled_cache_misses)
+            self._exec_batch_rows.observe(len(chunk))
+        self._exec_batches.inc(batches)
+        self._compiled_cache_hits.inc(ctx.compiled_cache_hits)
+        self._compiled_cache_misses.inc(ctx.compiled_cache_misses)
         return rows
 
     def _make_context(
@@ -655,8 +629,7 @@ class Server:
             params=params,
             linked_servers=self.linked_servers,
             clock=self.clock,
-            fastpath=self.statement_fastpath,
-            tracer=self.tracer if self.observability else None,
+            tracer=self.tracer,
             batch_rows=self.batch_rows,
         )
         ctx.subquery_executor = lambda select, sub_params: self.run_subquery(
@@ -731,13 +704,10 @@ class Server:
         Fast path: the stripped statement AST (frozen, hashable) keys a
         bounded cache of remote prepared handles, so a repeated forwarded
         update neither re-formats its text here nor re-parses it there —
-        only the parameter values travel. Falls back to whole-text
-        shipping when the fast path is disabled.
+        only the parameter values travel.
         """
         link = self.linked_servers.get(server_name)
         stripped = self._strip_server_prefix(statement)
-        if not self.statement_fastpath:
-            return link.execute_statement_text(format_statement(stripped), params)
         text = self._dml_forward_cache.get(stripped)
         if text is None:
             text = format_statement(stripped)
@@ -825,9 +795,16 @@ class Server:
         return handle.handle_id
 
     def execute_prepared(
-        self, handle_id: int, params: Optional[Dict[str, Any]] = None
+        self,
+        handle_id: int,
+        params: Optional[Dict[str, Any]] = None,
+        session: Optional[Session] = None,
     ) -> Result:
         """Execute a previously prepared statement batch by handle.
+
+        ``session`` carries the caller's principal and transaction (a
+        wire connection's); linked servers pass none and run as ``dbo``
+        on a fresh autocommit session.
 
         A schema-version bump since prepare (or the last execution)
         triggers a transparent re-prepare: re-parse the pinned text and
@@ -849,7 +826,7 @@ class Server:
                 handle.version = target.version
                 handle.reprepares += 1
             self.total_work.inc("prepared_executions")
-            session = Session()
+            session = session or Session()
             result = Result()
             for statement in handle.statements:
                 result = self.execute_statement(
@@ -918,10 +895,7 @@ class Server:
         warm-up traffic. Cache *contents* are kept (warm caches are the
         steady state being measured); only the statistics reset.
         """
-        if isinstance(self.total_work, CounterGroupView):
-            self.total_work.reset()
-        else:
-            self.total_work = WorkCounters()
+        self.total_work.reset()
         self.statements_executed = 0
         self.parses = 0
         for cache in (self._parse_cache, self._plan_cache, self._dml_forward_cache):
@@ -930,9 +904,8 @@ class Server:
             stats.misses = 0
             stats.evictions = 0
             stats.invalidations = 0
-        if self.observability:
-            self.metrics.reset(prefix="engine.")
-            self.metrics.reset(prefix="optimizer.")
+        self.metrics.reset(prefix="engine.")
+        self.metrics.reset(prefix="optimizer.")
 
     def __repr__(self) -> str:
         return f"<Server {self.name} databases={list(self.databases)}>"

@@ -42,25 +42,6 @@ class WorkCounters:
     prepared_executions: int = 0
     round_trips_saved: int = 0
 
-    def merge(self, other: "WorkCounters") -> None:
-        self.rows_processed += other.rows_processed
-        self.rows_returned += other.rows_returned
-        self.bytes_transferred += other.bytes_transferred
-        self.remote_queries += other.remote_queries
-        self.index_seeks += other.index_seeks
-        self.parse_cache_hits += other.parse_cache_hits
-        self.prepared_executions += other.prepared_executions
-        self.round_trips_saved += other.round_trips_saved
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Bump one counter by name.
-
-        Same signature as ``CounterGroupView.inc`` so engine hot paths can
-        increment a single field without caring whether the server's
-        ``total_work`` is this dataclass or the registry facade.
-        """
-        setattr(self, name, getattr(self, name) + amount)
-
 
 class ExecutionContext:
     """Per-execution state shared by all operators in a plan."""
@@ -72,7 +53,6 @@ class ExecutionContext:
         linked_servers: Optional[object] = None,
         clock: Optional[object] = None,
         subquery_executor: Optional[Callable] = None,
-        fastpath: bool = True,
         tracer: Optional[object] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
     ):
@@ -80,16 +60,13 @@ class ExecutionContext:
         self.params = dict(params or {})
         self.linked_servers = linked_servers
         self.clock = clock
-        # Statement fast path: when False, RemoteQueryOp ships full text
-        # instead of executing by prepared handle (benchmark ablation).
-        self.fastpath = fastpath
         self.batch_rows = batch_rows
         # Batch-kernel memoization stats for this execution (drained into
         # the exec.compiled_cache_* metrics by the server).
         self.compiled_cache_hits = 0
         self.compiled_cache_misses = 0
-        # Observability: the owning server's Tracer (None when disabled);
-        # RemoteQueryOp opens client-side spans through it.
+        # Observability: the owning server's Tracer (None for a bare
+        # context); RemoteQueryOp opens client-side spans through it.
         self.tracer = tracer
         self.work = WorkCounters()
         # Callable(select_ast, params) -> list of rows; installed by the

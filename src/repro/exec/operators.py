@@ -830,11 +830,11 @@ class RemoteQueryOp(PhysicalOperator):
     result rows flow back. Transferred volume is charged to the context's
     work counters so the cost model and the cluster simulator see it.
 
-    On the statement fast path the text is shipped only once: the first
-    execution prepares it on the link (paper §4.3's parameterized remote
-    query) and every execution after that goes by handle with just the
-    parameter values. The target re-prepares transparently when its
-    schema version bumps, so plans stay valid across remote DDL.
+    The text is shipped only once: the first execution prepares it on
+    the link (paper §4.3's parameterized remote query) and every
+    execution after that goes by handle with just the parameter values.
+    The target re-prepares transparently when its schema version bumps,
+    so plans stay valid across remote DDL.
     """
 
     def __init__(self, schema: Schema, server_name: str, sql_text: str):
@@ -853,12 +853,8 @@ class RemoteQueryOp(PhysicalOperator):
 
             span = NULL_SPAN
         with span:
-            if ctx.fastpath:
-                handle = server.prepare(self.sql_text)
-                rows = handle.execute_rows(ctx.params)
-                ctx.work.prepared_executions += 1
-            else:
-                rows = server.execute_remote_sql(self.sql_text, ctx.params)
+            rows = server.prepare(self.sql_text).execute_rows(ctx.params)
+            ctx.work.prepared_executions += 1
         ctx.work.remote_queries += 1
         width = self.schema.row_width
         size = ctx.batch_rows

@@ -103,15 +103,13 @@ class CacheServer:
             if cached is None:
                 raise
             self.degraded_reads += 1
-            if self.server.observability:
-                self.server.metrics.counter("overload.degraded_reads").inc()
+            self.server.metrics.counter("overload.degraded_reads").inc()
             return cached
         except (BindError, CatalogError):
             if not self.minimal_shadow:
                 raise
             self.statements_forwarded += 1
-            if self.server.observability:
-                self.server.metrics.counter("mtcache.statements_forwarded").inc()
+            self.server.metrics.counter("mtcache.statements_forwarded").inc()
             with self.server.tracer.span("forward.statement", target="backend"):
                 return self.deployment.backend.execute(
                     sql, params=params, database=self.deployment.database_name
@@ -120,8 +118,7 @@ class CacheServer:
             if not self._read_only_batch(sql):
                 raise
             self.fallback_reads += 1
-            if self.server.observability:
-                self.server.metrics.counter("resilience.fallback_reads").inc()
+            self.server.metrics.counter("resilience.fallback_reads").inc()
             with self.server.tracer.span("failover.read", target="backend"):
                 return self.deployment.backend.execute(
                     sql, params=params, database=self.deployment.database_name
@@ -198,8 +195,7 @@ class CacheServer:
             return False
         links = self.server.linked_servers
         for name in links.names():
-            breaker = links.get(name).breaker
-            if breaker is not None and not breaker.ready():
+            if not links.get(name).breaker.ready():
                 return False
         return True
 

@@ -316,7 +316,7 @@ class MTCacheDeployment:
             probe_interval=probe_interval,
             failback_threshold=failback_threshold,
             principal=principal,
-            registry=cache.server.metrics if cache.server.observability else None,
+            registry=cache.server.metrics,
             health=cache.healthy,
         )
 

@@ -10,7 +10,7 @@ server answers them — the definition of cache transparency.
 :class:`OdbcConnection` is a thin subclass of the unified
 :class:`repro.client.Connection`, so it speaks the full DBAPI-style
 surface (``cursor()``, ``commit()``/``rollback()``) while keeping the
-historical ``execute()``/``server``/``server_name`` attributes.
+historical ``server``/``server_name`` attributes.
 
 Redirecting a source *invalidates* its live connections: each one
 re-resolves against the registry on its next execute — fresh target,
@@ -74,7 +74,7 @@ class OdbcConnection(Connection):
         if self._registry is None or self._source_name is None:
             return
         try:
-            if self.session.in_transaction:
+            if self.in_transaction():
                 # Abandon the old target's transaction (and its latch).
                 super()._raw_execute("ROLLBACK", None)
         except Exception:
@@ -83,7 +83,6 @@ class OdbcConnection(Connection):
         self.target = server
         self.database = database
         self._reset_session(database)
-        self._bind_target(server)
 
 
 class OdbcSourceRegistry:

@@ -42,7 +42,6 @@ Design points:
 from __future__ import annotations
 
 import asyncio
-import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
@@ -100,9 +99,6 @@ class ReproServer:
         self.max_connections = max_connections
         self.injector = injector
         self.name = getattr(target, "name", None) or type(target).__name__
-        execute_params = inspect.signature(target.execute).parameters
-        self._accepts_session = "session" in execute_params
-        self._accepts_database = "database" in execute_params
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -432,12 +428,7 @@ class ReproServer:
     def _execute_target(
         self, sql: str, params: Optional[Dict[str, Any]], session: Session
     ) -> Result:
-        kwargs: Dict[str, Any] = {"params": params}
-        if self._accepts_session:
-            kwargs["session"] = session
-        if self._accepts_database and session.database is not None:
-            kwargs["database"] = session.database
-        return self.target.execute(sql, **kwargs)
+        return self.target.execute(sql, params=params, session=session)
 
     def _do_execute(self, wire: _WireSession, payload: Dict[str, Any]) -> Result:
         sql = str(payload.get("sql") or "")
@@ -459,7 +450,7 @@ class ReproServer:
         handle_id = int(payload.get("handle", 0))
         params = payload.get("params") or None
         return self._scoped(
-            payload, lambda: self.engine.execute_prepared(handle_id, params=params)
+            payload, self.engine.execute_prepared, handle_id, params, wire.session
         )
 
     # -- replies -----------------------------------------------------------

@@ -259,8 +259,11 @@ class WireConnection:
 
     # -- execution target surface -----------------------------------------
 
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Result:
-        """Execute a batch on the remote session (the facade's chokepoint)."""
+    def execute(
+        self, sql: str, params: Optional[Dict[str, Any]] = None, session: Any = None
+    ) -> Result:
+        """Execute a batch on the remote session (the facade's chokepoint);
+        ``session`` is ignored — the real one lives server-side."""
         self._ensure_connected()
         started = time.perf_counter()
         self._send_frame(protocol.OP_EXECUTE, self._request({"sql": sql, "params": params}))

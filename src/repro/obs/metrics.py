@@ -285,18 +285,12 @@ class CounterGroupView:
             self._pending[name] += amount
 
     def merge(self, other: Any) -> None:
+        """Add a per-execution ``WorkCounters``: one dict scan under a
+        single lock, adds for non-zero fields."""
         pending = self._pending
-        if isinstance(other, CounterGroupView):
-            values: Optional[Dict[str, Any]] = other.snapshot()
-        else:
-            # Fast path for the per-execution WorkCounters dataclass: one
-            # dict scan under a single lock, adds for non-zero fields.
-            values = getattr(other, "__dict__", None)
-        if values is None:
-            values = {name: getattr(other, name, 0) for name in pending}
         with self._lock:
-            for name, delta in values.items():
-                if delta and name in pending:
+            for name, delta in other.__dict__.items():
+                if delta:
                     pending[name] += delta
 
     def reset(self) -> None:

@@ -31,10 +31,9 @@ LAG_AGE_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
 
 def registry_for_subscription(subscription) -> Optional[Any]:
-    """The subscriber server's metrics registry, if observability is on."""
+    """The subscriber server's metrics registry (None for a database no
+    server owns)."""
     server = getattr(subscription.subscriber_database, "owner_server", None)
-    if server is None or not getattr(server, "observability", False):
-        return None
     return getattr(server, "metrics", None)
 
 
@@ -150,9 +149,7 @@ def rollup(
         "servers": per_server,
     }
     if registry is None:
-        backend = getattr(deployment, "backend", None)
-        if backend is not None and getattr(backend, "observability", False):
-            registry = getattr(backend, "metrics", None)
+        registry = getattr(getattr(deployment, "backend", None), "metrics", None)
     if registry is not None:
         registry.gauge("replication.tier_lag_seconds_max").set(
             summary["lag_seconds_max"]

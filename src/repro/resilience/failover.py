@@ -4,10 +4,10 @@ The paper's availability claim is that a mid-tier cache is an
 *optimization*, never a single point of failure: every cached table and
 view also exists on the backend, so any statement a cache can run, the
 backend can run too. :class:`FailoverRouter` operationalizes that — it
-wraps the application's connection (duck-compatible with
-``OdbcConnection``: ``execute(sql, params=...)``) and routes each
-statement to the primary (a cache) while healthy, to the fallback (the
-backend) while not.
+is an execution target (``execute(sql, params=None, session=None)``, see
+:mod:`repro.client.connection`) that routes each statement to the
+primary (a cache) while healthy, to the fallback (the backend) while
+not.
 
 State machine::
 
@@ -50,6 +50,11 @@ class FailoverRouter:
     NORMAL = "normal"
     FAILED_OVER = "failed_over"
 
+    #: The transacting sessions belong to the per-target connections; a
+    #: Connection over the router reads :attr:`in_transaction` instead of
+    #: its own session.
+    remote_session = True
+
     def __init__(
         self,
         primary: Any,
@@ -76,9 +81,7 @@ class FailoverRouter:
         self.health = health if health is not None else self._default_health
         # Each target gets its own client Connection (and therefore its
         # own session), so principal and session variables survive a
-        # mid-conversation reroute on both sides. Connections also adapt
-        # to the target's execute signature (CacheServer facades supply
-        # their own shadow database).
+        # mid-conversation reroute on both sides.
         self._connections: Dict[int, Connection] = {
             id(primary): Connection(
                 primary, database=primary_database, principal=principal
@@ -123,8 +126,7 @@ class FailoverRouter:
         links = getattr(server, "linked_servers", None)
         if links is not None:
             for name in links.names():
-                breaker = getattr(links.get(name), "breaker", None)
-                if breaker is not None and not breaker.ready():
+                if not links.get(name).breaker.ready():
                     return False
         return True
 
@@ -132,7 +134,14 @@ class FailoverRouter:
     def _run(self, target: Any, sql: str, params: Optional[Dict[str, Any]]) -> Any:
         return self._connections[id(target)]._raw_execute(sql, params)
 
-    def execute(self, sql: str, params: Optional[Dict[str, Any]] = None) -> Any:
+    @property
+    def in_transaction(self) -> bool:
+        """Is an explicit transaction open on either target's session?"""
+        return any(c.in_transaction() for c in self._connections.values())
+
+    def execute(
+        self, sql: str, params: Optional[Dict[str, Any]] = None, session: Any = None
+    ) -> Any:
         from repro.resilience.deadline import check_deadline
 
         check_deadline("failover routing")

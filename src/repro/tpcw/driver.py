@@ -131,9 +131,8 @@ class LoadDriver:
         calls_before = self.application.db_calls
 
         target = self._target_server()
-        observed = target is not None and getattr(target, "observability", False)
-        registry = target.metrics if observed else None
-        tracer = target.tracer if observed else None
+        registry = getattr(target, "metrics", None)
+        tracer = getattr(target, "tracer", None)
 
         while events:
             now, user = heapq.heappop(events)

@@ -144,11 +144,12 @@ def test_close_rolls_back_open_transaction(backend):
 
 
 def test_closed_connection_rejects_use(connection):
+    cursor = connection.cursor()
     connection.close()
     with pytest.raises(ClientError):
         connection.cursor()
     with pytest.raises(ClientError):
-        connection.execute("SELECT 1 AS one")
+        cursor.execute("SELECT 1 AS one")
 
 
 def test_closed_cursor_rejects_execute(connection):
@@ -182,7 +183,9 @@ def test_double_begin_rejected_through_client(connection):
 
 
 def test_deprecated_execute_shim_returns_result(connection):
-    result = connection.execute("SELECT cid FROM customer WHERE cid = 1")
+    """The shim is gone; the raw Result is the cursor's ``result``."""
+    assert not hasattr(connection, "execute")
+    result = connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result
     assert result.rows == [(1,)]
 
 
@@ -206,9 +209,9 @@ def test_healthy_tracks_server_availability(backend):
 
 def test_result_is_iterable(connection):
     """Satellite: raw Result supports iteration, len() and mappings()."""
-    result = connection.execute(
+    result = connection.cursor().execute(
         "SELECT cid, cname FROM customer WHERE cid <= 2 ORDER BY cid"
-    )
+    ).result
     assert len(result) == 2
     assert [row[0] for row in result] == [1, 2]
     assert result.mappings() == [

@@ -105,22 +105,6 @@ class TestRemoteQueryOpFastPath:
         assert link.prepares == 1
         assert local.total_work.prepared_executions >= 4
 
-    def test_fastpath_disabled_ships_text(self):
-        local = Server("local", statement_fastpath=False)
-        local.create_database("localdb")
-        remote = Server("remote", statement_fastpath=False)
-        remote.create_database("catdb")
-        remote.execute("CREATE TABLE part (id INT PRIMARY KEY, name VARCHAR(30))")
-        remote.execute("INSERT INTO part VALUES (1, 'p1')")
-        remote.database("catdb").analyze_all()
-        local.linked_servers.register("remote", remote, "catdb")
-        link = local.linked_servers.get("remote")
-        before = remote.parses
-        for _ in range(3):
-            local.execute("SELECT ps.name FROM remote.catdb.dbo.part ps")
-        assert link.prepares == 0
-        assert remote.parses >= before + 3
-
 
 class TestForwardedDml:
     def test_forwarded_update_uses_prepared_handle(self, pair):

@@ -81,17 +81,6 @@ class TestParseCache:
         assert server.parses == before + 2
         assert server._parse_cache.stats.invalidations >= 1
 
-    def test_fastpath_disabled_parses_every_time(self):
-        s = Server("slow", statement_fastpath=False)
-        s.create_database("db")
-        s.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-        s.execute("INSERT INTO t VALUES (1)")
-        before = s.parses
-        for _ in range(3):
-            s.execute("SELECT id FROM t")
-        assert s.parses == before + 3
-        assert s.total_work.parse_cache_hits == 0
-
     def test_stats_surface(self, server):
         server.execute("SELECT v FROM t")
         server.execute("SELECT v FROM t")
@@ -111,7 +100,8 @@ class TestParseCache:
 
 class TestPlanCache:
     def test_plan_cache_is_bounded(self):
-        s = Server("tiny", plan_cache_size=2)
+        s = Server("tiny")
+        s._plan_cache = LRUCache(2)
         s.create_database("db")
         s.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         s.execute("INSERT INTO t VALUES (1)")

@@ -36,10 +36,7 @@ class TestDegradedReads:
         degraded = cache.execute(SELECT, {"cid": 7})
         assert degraded.rows == live.rows
         assert cache.degraded_reads == 1
-        if cache.server.observability:
-            assert (
-                cache.server.metrics.counter("overload.degraded_reads").value == 1
-            )
+        assert cache.server.metrics.counter("overload.degraded_reads").value == 1
 
     def test_unseen_read_still_sheds(self, deployment, cache):
         overload(cache)

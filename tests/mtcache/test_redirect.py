@@ -66,7 +66,7 @@ def test_live_connection_follows_redirect(env):
     backend, _, cache, registry = env
     connection = registry.connect("shopdsn")
     assert (
-        connection.execute("SELECT cname FROM customer WHERE cid = 1").scalar
+        connection.cursor().execute("SELECT cname FROM customer WHERE cid = 1").result.scalar
         == "cust1"
     )
     assert connection.server_name == "backend"
@@ -75,7 +75,7 @@ def test_live_connection_follows_redirect(env):
     # The connection object the application already holds re-resolves on
     # its next statement — no reconnect in application code.
     assert (
-        connection.execute("SELECT cname FROM customer WHERE cid = 1").scalar
+        connection.cursor().execute("SELECT cname FROM customer WHERE cid = 1").result.scalar
         == "cust1"
     )
     assert connection.server_name == "cache1"
@@ -85,11 +85,11 @@ def test_redirect_rolls_back_transaction_on_old_target(env):
     backend, _, cache, registry = env
     connection = registry.connect("shopdsn")
     connection.begin()
-    connection.execute("UPDATE customer SET cname = 'dirty' WHERE cid = 1")
+    connection.cursor().execute("UPDATE customer SET cname = 'dirty' WHERE cid = 1")
     latch = backend.database("shop").latch
 
     registry.redirect("shopdsn", cache.server, "shop")
-    connection.execute("SELECT cid FROM customer WHERE cid = 1")
+    connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
     # The abandoned transaction was rolled back and its latch released;
     # the backend still shows the pre-transaction value.
     assert not latch.owns_exclusive()
@@ -111,7 +111,7 @@ def test_direct_connection_never_goes_stale(env):
     # A connection not handed out by the registry is unaffected.
     assert direct.server_name == "backend"
     assert (
-        direct.execute("SELECT cname FROM customer WHERE cid = 1").scalar == "cust1"
+        direct.cursor().execute("SELECT cname FROM customer WHERE cid = 1").result.scalar == "cust1"
     )
 
 

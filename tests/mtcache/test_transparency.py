@@ -45,22 +45,22 @@ class TestOdbcRedirection:
         before = {}
         connection = registry.connect("shopdsn")
         for sql in QUERIES:
-            before[sql] = connection.execute(sql).rows
+            before[sql] = connection.cursor().execute(sql).result.rows
         # The configuration change: redirect the DSN to the cache server.
         registry.redirect("shopdsn", cache.server, "shop")
         connection = registry.connect("shopdsn")
         for sql in QUERIES:
-            assert connection.execute(sql).rows == before[sql], sql
+            assert connection.cursor().execute(sql).result.rows == before[sql], sql
 
     def test_application_cannot_tell_servers_apart_functionally(self, env):
         backend, deployment, cache, registry = env
         registry.redirect("shopdsn", cache.server, "shop")
         connection = registry.connect("shopdsn")
         # The app writes and (after propagation) reads its own write.
-        connection.execute("UPDATE customer SET cname = 'written' WHERE cid = 50")
+        connection.cursor().execute("UPDATE customer SET cname = 'written' WHERE cid = 50")
         deployment.sync()
         assert (
-            connection.execute("SELECT cname FROM customer WHERE cid = 50").scalar
+            connection.cursor().execute("SELECT cname FROM customer WHERE cid = 50").result.scalar
             == "written"
         )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client import connect
-from repro.errors import DsnError
+from repro.errors import ClientError, DsnError
 from repro.net import (
     DEFAULT_PORT,
     parse_dsn,
@@ -119,10 +119,8 @@ class TestConnectRedesign:
         register_inproc("t/depr", backend)
         register_inproc("t/depr/shop", backend, database="shop")
         try:
-            with pytest.warns(DeprecationWarning, match="already\\s+carries"):
-                connection = connect("inproc://t/depr/shop", database="other")
-            # The DSN wins: the registered default database is used.
-            assert connection.database == "shop"
+            with pytest.raises(ClientError, match="already\\s+carries"):
+                connect("inproc://t/depr/shop", database="other")
         finally:
             unregister_inproc("t/depr")
             unregister_inproc("t/depr/shop")

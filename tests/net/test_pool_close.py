@@ -25,7 +25,7 @@ class TestPooledWireClose:
             first.close()
             # The sibling's socket must be untouched: same dial, live query.
             generation_before = second.target.generation
-            rows = second.execute("SELECT cid FROM customer WHERE cid = 1").rows
+            rows = second.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result.rows
             assert rows == [(1,)]
             assert second.target.generation == generation_before  # no redial
             pool.release(second)
@@ -35,11 +35,11 @@ class TestPooledWireClose:
     def test_double_close_is_safe(self, wire_server):
         _, server = wire_server
         connection = connect(server.dsn)
-        connection.execute("SELECT cid FROM customer WHERE cid = 1")
+        connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
         connection.close()
         connection.close()  # second close: silent no-op
         with pytest.raises(ClientError, match="closed"):
-            connection.execute("SELECT cid FROM customer WHERE cid = 1")
+            connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
 
     def test_close_while_fetching_keeps_buffered_rows(self, wire_server):
         _, server = wire_server
@@ -56,7 +56,7 @@ class TestPooledWireClose:
         assert len(remaining) == 198
         # But new statements on the closed connection must fail loudly.
         with pytest.raises(ClientError, match="closed"):
-            connection.execute("SELECT 1 AS one")
+            connection.cursor().execute("SELECT 1 AS one")
 
     def test_pool_close_tears_down_every_wire_connection(self, wire_server):
         _, server = wire_server
@@ -69,9 +69,9 @@ class TestPooledWireClose:
 
         pool = ConnectionPool(factory, size=2)
         with pool.connection() as first:
-            first.execute("SELECT cid FROM customer WHERE cid = 1")
+            first.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
         with pool.connection() as again:
-            again.execute("SELECT cid FROM customer WHERE cid = 2")
+            again.cursor().execute("SELECT cid FROM customer WHERE cid = 2")
         pool.close()
         assert dialed  # the pool actually dialed at least once
         for conn in dialed:

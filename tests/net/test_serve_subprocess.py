@@ -54,19 +54,19 @@ def test_serve_entry_point_over_a_real_socket():
         assert dsn.startswith("tcp://")
 
         with connect(dsn, timeout=10) as connection:
-            rows = connection.execute(
+            rows = connection.cursor().execute(
                 "SELECT cid, cname FROM customer WHERE cid <= @n ORDER BY cid",
                 {"n": 3},
-            ).rows
+            ).result.rows
             assert rows == [(1, "cust1"), (2, "cust2"), (3, "cust3")]
             connection.begin()
-            connection.execute(
+            connection.cursor().execute(
                 "INSERT INTO customer (cid, cname) VALUES (5001, 'subproc')"
             )
             connection.commit()
-            assert connection.execute(
+            assert connection.cursor().execute(
                 "SELECT cname FROM customer WHERE cid = 5001"
-            ).scalar == "subproc"
+            ).result.scalar == "subproc"
     finally:
         process.terminate()
         try:

@@ -17,6 +17,7 @@ from repro.errors import (
     DeadlineExceededError,
     HandshakeError,
     OverloadError,
+    PermissionError_,
     is_transient,
 )
 from repro.net import ReproServer, WireConnection, protocol
@@ -34,10 +35,10 @@ class TestBasicExecution:
         )
         connection = connect(server.dsn)
         try:
-            remote = connection.execute(
+            remote = connection.cursor().execute(
                 "SELECT cid, cname, segment FROM customer WHERE cid <= @n ORDER BY cid",
                 {"n": 10},
-            )
+            ).result
             assert remote.rows == local.rows
             assert remote.rowcount == local.rowcount
             assert [c.name for c in remote.schema] == [c.name for c in local.schema]
@@ -59,32 +60,34 @@ class TestBasicExecution:
     def test_temporal_and_null_values_roundtrip(self, wire_server):
         _, server = wire_server
         with connect(server.dsn) as connection:
-            connection.execute(
+            connection.cursor().execute(
                 "CREATE TABLE events (eid INT PRIMARY KEY, at DATETIME, day DATE, note VARCHAR(20))"
             )
             stamp = datetime.datetime(2003, 6, 9, 12, 0, 1)
             day = datetime.date(2003, 6, 9)
-            connection.execute(
+            connection.cursor().execute(
                 "INSERT INTO events (eid, at, day, note) VALUES (@e, @at, @day, @note)",
                 {"e": 1, "at": stamp, "day": day, "note": None},
             )
-            row = connection.execute("SELECT at, day, note FROM events WHERE eid = 1").rows[0]
+            row = connection.cursor().execute(
+                "SELECT at, day, note FROM events WHERE eid = 1"
+            ).fetchone()
             assert row == (stamp, day, None)
 
     def test_server_errors_cross_as_their_own_class(self, wire_server):
         _, server = wire_server
         with connect(server.dsn) as connection:
             with pytest.raises(ConstraintError):
-                connection.execute(
+                connection.cursor().execute(
                     "INSERT INTO customer (cid, cname) VALUES (1, 'dup')"
                 )
             with pytest.raises(BindError):
-                connection.execute("SELECT x FROM no_such_table")
+                connection.cursor().execute("SELECT x FROM no_such_table")
 
     def test_batched_fetch_reassembles_large_results(self, wire_server):
         backend, server = wire_server
         with connect(f"{server.dsn}?fetch_rows=16") as connection:
-            rows = connection.execute("SELECT cid FROM customer ORDER BY cid").rows
+            rows = connection.cursor().execute("SELECT cid FROM customer ORDER BY cid").result.rows
         assert len(rows) == 200
         assert rows[0] == (1,) and rows[-1] == (200,)
 
@@ -96,20 +99,20 @@ class TestTransactions:
             assert connection.in_transaction() is False
             connection.begin()
             assert connection.in_transaction() is True
-            connection.execute(
+            connection.cursor().execute(
                 "INSERT INTO customer (cid, cname) VALUES (9001, 'txn')"
             )
             connection.rollback()
             assert connection.in_transaction() is False
-            assert connection.execute(
+            assert connection.cursor().execute(
                 "SELECT cid FROM customer WHERE cid = 9001"
-            ).rows == []
+            ).result.rows == []
 
     def test_commit_persists_across_connections(self, wire_server):
         backend, server = wire_server
         with connect(server.dsn) as connection:
             connection.begin()
-            connection.execute(
+            connection.cursor().execute(
                 "INSERT INTO customer (cid, cname) VALUES (9002, 'committed')"
             )
             connection.commit()
@@ -121,7 +124,7 @@ class TestTransactions:
         backend, server = wire_server
         connection = connect(server.dsn)
         connection.begin()
-        connection.execute("INSERT INTO customer (cid, cname) VALUES (9003, 'lost')")
+        connection.cursor().execute("INSERT INTO customer (cid, cname) VALUES (9003, 'lost')")
         # Drop the socket without COMMIT: server-side cleanup must roll
         # back and release the exclusive latch, or this execute blocks.
         connection.target._drop()
@@ -165,6 +168,32 @@ class TestPreparedStatements:
             wire._drop()  # simulate a network drop between calls
             assert wire.execute_prepared(handle, {"id": 3}).rows == [("cust3",)]
             assert wire._prepared[handle].reprepares == 1
+
+    def test_prepared_execution_runs_as_the_connection_principal(self, wire_server):
+        backend, server = wire_server
+        backend.execute("CREATE TABLE secret (v INT)", database="shop")
+        backend.execute("INSERT INTO secret VALUES (42)", database="shop")
+        with connect(f"{server.dsn}?principal=alice") as connection:
+            sql = "SELECT v FROM secret"
+            with pytest.raises(PermissionError_):
+                connection.cursor().execute(sql)
+            wire = connection.target
+            handle = wire.prepare_sql(sql)
+            with pytest.raises(PermissionError_):
+                wire.execute_prepared(handle)
+
+    def test_prepared_dml_joins_the_connection_transaction(self, wire_server):
+        backend, server = wire_server
+        with connect(server.dsn) as connection:
+            wire = connection.target
+            handle = wire.prepare_sql("UPDATE customer SET cname = @n WHERE cid = 1")
+            connection.begin()
+            wire.execute_prepared(handle, {"n": "dirty"})
+            assert connection.in_transaction() is True
+            connection.rollback()
+        assert backend.execute(
+            "SELECT cname FROM customer WHERE cid = 1", database="shop"
+        ).scalar == "cust1"
 
 
 class TestHandshake:
@@ -253,7 +282,7 @@ class TestDeadlinesAndTracing:
         tracer = Tracer(service="client-app")
         with connect(server.dsn) as connection:
             with tracer.span("interaction") as span:
-                connection.execute("SELECT cid FROM customer WHERE cid = 1")
+                connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
                 client_trace = span.trace_id
         services = {
             recorded.service
@@ -264,7 +293,7 @@ class TestDeadlinesAndTracing:
     def test_wire_metrics_recorded(self, wire_server):
         backend, server = wire_server
         with connect(server.dsn) as connection:
-            connection.execute("SELECT cid FROM customer WHERE cid = 1")
+            connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
         assert backend.metrics.counter("net.server.requests").value > 0
         assert backend.metrics.counter("net.server.bytes_in").value > 0
         assert backend.metrics.counter("net.server.bytes_out").value > 0
@@ -280,7 +309,7 @@ class TestConnectionFacade:
             from repro.errors import ServerUnavailableError
 
             with pytest.raises(ServerUnavailableError):
-                connection.execute("SELECT cid FROM customer WHERE cid = 1")
+                connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
             backend.restart()
             assert connection.healthy() is True
 
@@ -289,9 +318,9 @@ class TestConnectionFacade:
         wire = WireConnection(server.host, server.port, database="shop")
         try:
             connection = connect(wire)  # back-compat: plain object target
-            assert connection.execute(
+            assert connection.cursor().execute(
                 "SELECT cid FROM customer WHERE cid = 1"
-            ).rows == [(1,)]
+            ).result.rows == [(1,)]
             connection.close()
             # The facade did not own the handed-in target: still usable.
             assert wire.healthy()

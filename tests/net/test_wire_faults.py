@@ -39,11 +39,11 @@ class TestMidFrameDisconnect:
             # its reply frame is written.
             injector.rule(f"net:{server.name}:result", action="unavailable", count=1)
             with pytest.raises(ConnectionLostError) as info:
-                connection.execute("SELECT cid FROM customer WHERE cid = 1")
+                connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
             assert is_transient(info.value)
             # The very next call redials transparently and succeeds.
             generation = connection.target.generation
-            rows = connection.execute("SELECT cid FROM customer WHERE cid = 1").rows
+            rows = connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result.rows
             assert rows == [(1,)]
             assert connection.target.generation == generation + 1
         finally:
@@ -56,9 +56,9 @@ class TestMidFrameDisconnect:
             injector.rule(f"net:{server.name}:result", action="unavailable", count=2)
             policy = RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05)
             result = policy.run(
-                lambda: connection.execute(
+                lambda: connection.cursor().execute(
                     "SELECT cname FROM customer WHERE cid = @id", {"id": 5}
-                ),
+                ).result,
                 clock=connection.target.clock,
             )
             assert result.rows == [("cust5",)]
@@ -72,7 +72,7 @@ class TestMidFrameDisconnect:
         try:
             injector.rule(f"net:{server.name}:request", action="unavailable", count=1)
             with pytest.raises(ConnectionLostError):
-                connection.execute(
+                connection.cursor().execute(
                     "INSERT INTO customer (cid, cname) VALUES (9100, 'ghost')"
                 )
             # Dropped BEFORE dispatch: the write must not have applied, so a
@@ -81,7 +81,7 @@ class TestMidFrameDisconnect:
                 "SELECT cid FROM customer WHERE cid = 9100", database="shop"
             ).rows
             assert rows == []
-            connection.execute(
+            connection.cursor().execute(
                 "INSERT INTO customer (cid, cname) VALUES (9100, 'ghost')"
             )
             assert backend.execute(
@@ -98,6 +98,6 @@ class TestMidFrameDisconnect:
             f"net:{server.name}:result", action="latency", latency=0.5, count=1
         )
         with connect(server.dsn) as connection:
-            rows = connection.execute("SELECT cid FROM customer WHERE cid = 1").rows
+            rows = connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result.rows
             assert rows == [(1,)]
         assert injector.injected == 1

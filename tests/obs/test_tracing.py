@@ -149,16 +149,6 @@ class TestCrossServerPropagation:
                 node = by_id[node.parent_id]
             assert node.service == "cache1"
 
-    def test_observability_off_produces_no_spans(self):
-        from repro import Server
-
-        dark = Server("dark", observability=False)
-        dark.create_database("d")
-        dark.execute("CREATE TABLE t (a INT)")
-        global_collector().clear()
-        dark.execute("SELECT a FROM t")
-        assert len(global_collector()) == 0
-
 
 class TestPropagatedTrace:
     """Wire-protocol trace adoption: spans parent under a remote context."""

@@ -56,8 +56,8 @@ def test_kill_one_shard_mid_run_zero_failed_interactions():
     sharded.sync()
     low, _ = sharded.partitioner.slice("shard1")
     backend = connect(sharded.backend, database=sharded.database_name)
-    expected = backend.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).rows
-    actual = connection.execute("EXEC getBook @i_id = @i_id", {"i_id": low}).rows
+    expected = backend.cursor().execute("EXEC getBook @i_id = @i_id", {"i_id": low}).result.rows
+    actual = connection.cursor().execute("EXEC getBook @i_id = @i_id", {"i_id": low}).result.rows
     assert actual == expected
 
 
@@ -68,14 +68,14 @@ def test_dead_shard_scatter_results_stay_exact():
     connection = sharded.connect()
     backend = connect(sharded.backend, database=sharded.database_name)
 
-    expected = backend.execute(
+    expected = backend.cursor().execute(
         "EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"}
-    ).rows
+    ).result.rows
     injector.crash_cache(sharded.shard("shard2"))
     # The dead shard's slice is served by its failover route; results are
     # still exactly the backend's.
-    actual = connection.execute(
+    actual = connection.cursor().execute(
         "EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"}
-    ).rows
+    ).result.rows
     assert actual == expected
     injector.restart_cache(sharded.shard("shard2"))

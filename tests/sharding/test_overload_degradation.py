@@ -38,7 +38,7 @@ def test_key_route_degrades_to_backend_when_shard_sheds(
 ):
     owner, cache = overloaded_shard
     backend = connect(sharded.backend, database=sharded.database_name)
-    expected = backend.execute("EXEC getStock @i_id = @i_id", {"i_id": 7}).rows
+    expected = backend.cursor().execute("EXEC getStock @i_id = @i_id", {"i_id": 7}).result.rows
     degraded_before = sharded.metrics.counter(
         "overload.degraded_scatter", labels={"shard": owner}
     ).value
@@ -57,9 +57,9 @@ def test_scatter_degrades_only_the_overloaded_slice(
 ):
     owner, cache = overloaded_shard
     backend = connect(sharded.backend, database=sharded.database_name)
-    expected = backend.execute(
+    expected = backend.cursor().execute(
         "EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"}
-    ).rows
+    ).result.rows
     actual = router.execute(
         "EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"}
     ).rows
@@ -87,7 +87,7 @@ def test_writes_are_never_dropped_under_shard_overload(
         "UPDATE item SET i_stock = 77 WHERE i_id = @i_id", {"i_id": 7}
     )
     backend = connect(sharded.backend, database=sharded.database_name)
-    rows = backend.execute(
+    rows = backend.cursor().execute(
         "SELECT i_stock FROM item WHERE i_id = @i_id", {"i_id": 7}
-    ).rows
+    ).result.rows
     assert rows == [(77,)]

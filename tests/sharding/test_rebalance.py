@@ -20,12 +20,14 @@ def _fresh(shards=2):
 def _probe(sharded, router, items=(1, 25, 50, 75, 100)):
     backend = connect(sharded.backend, database=sharded.database_name)
     for item in items:
-        expected = backend.execute("EXEC getBook @i_id = @i_id", {"i_id": item}).rows
+        expected = backend.cursor().execute(
+            "EXEC getBook @i_id = @i_id", {"i_id": item}
+        ).result.rows
         actual = router.execute("EXEC getBook @i_id = @i_id", {"i_id": item}).rows
         assert actual == expected, f"item {item} diverged"
-    expected = backend.execute(
+    expected = backend.cursor().execute(
         "EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"}
-    ).rows
+    ).result.rows
     actual = router.execute(
         "EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"}
     ).rows
@@ -62,7 +64,7 @@ def test_replication_reaches_rebalanced_slice():
     router = sharded.router()
     low, _ = sharded.partitioner.slice("shard2")
     backend = connect(sharded.backend, database=sharded.database_name)
-    backend.execute(f"UPDATE item SET i_stock = 999 WHERE i_id = {low}")
+    backend.cursor().execute(f"UPDATE item SET i_stock = 999 WHERE i_id = {low}")
     backend.commit()
     sharded.sync()
     rows = router.execute("EXEC getStock @i_id = @i_id", {"i_id": low}).rows

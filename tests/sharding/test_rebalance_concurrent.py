@@ -54,11 +54,11 @@ def test_boundary_moves_mid_traffic_stay_exact():
     router = sharded.router()
     backend = connect(sharded.backend, database=sharded.database_name)
     expected = {
-        item: backend.execute("EXEC getBook @i_id = @i_id", {"i_id": item}).rows
+        item: backend.cursor().execute("EXEC getBook @i_id = @i_id", {"i_id": item}).result.rows
         for item in ITEMS
     }
     stock = {
-        item: backend.execute("EXEC getStock @i_id = @i_id", {"i_id": item}).rows
+        item: backend.cursor().execute("EXEC getStock @i_id = @i_id", {"i_id": item}).result.rows
         for item in ITEMS
     }
 

@@ -26,7 +26,9 @@ def test_key_route_goes_to_owning_shard(sharded, router):
 def test_key_route_matches_backend_rows(sharded, router):
     backend = _backend_connection(sharded)
     for item in (1, 30, 60, 90, 119):
-        expected = backend.execute("EXEC getStock @i_id = @i_id", {"i_id": item}).rows
+        expected = backend.cursor().execute(
+            "EXEC getStock @i_id = @i_id", {"i_id": item}
+        ).result.rows
         actual = router.execute("EXEC getStock @i_id = @i_id", {"i_id": item}).rows
         assert actual == expected
 
@@ -35,9 +37,9 @@ def test_scatter_route_fans_out_and_matches_backend(sharded, router):
     backend = _backend_connection(sharded)
     fanout_before = sharded.metrics.counter("shard.fanout").value
     for subject in ("HISTORY", "COOKING", "ARTS"):
-        expected = backend.execute(
+        expected = backend.cursor().execute(
             "EXEC doSubjectSearch @subject = @subject", {"subject": subject}
-        ).rows
+        ).result.rows
         actual = router.execute(
             "EXEC doSubjectSearch @subject = @subject", {"subject": subject}
         ).rows
@@ -51,9 +53,9 @@ def test_scatter_route_fans_out_and_matches_backend(sharded, router):
 
 def test_scatter_preserves_sort_on_unprojected_column(sharded, router):
     backend = _backend_connection(sharded)
-    expected = backend.execute(
+    expected = backend.cursor().execute(
         "EXEC getNewProducts @subject = @subject", {"subject": "HISTORY"}
-    )
+    ).result
     actual = router.execute(
         "EXEC getNewProducts @subject = @subject", {"subject": "HISTORY"}
     )
@@ -93,10 +95,10 @@ def test_transactions_route_to_backend_connection(sharded):
     cursor.execute("UPDATE item SET i_stock = 5 WHERE i_id = 3")
     cursor.execute("ROLLBACK")
     backend = _backend_connection(sharded)
-    stock = backend.execute("EXEC getStock @i_id = @i_id", {"i_id": 3}).rows
+    stock = backend.cursor().execute("EXEC getStock @i_id = @i_id", {"i_id": 3}).result.rows
     assert stock[0][0] != 5 or True  # rollback left backend state intact
     # And a fresh read through the router still works post-transaction.
-    assert connection.execute("EXEC getBook @i_id = @i_id", {"i_id": 3}).rows
+    assert connection.cursor().execute("EXEC getBook @i_id = @i_id", {"i_id": 3}).result.rows
 
 
 def test_write_then_read_after_sync_is_fresh(sharded, router):
@@ -129,3 +131,28 @@ def test_snapshot_exposes_sharding_section(sharded, router):
     rollup = snapshot["replication"]["lag_rollup"]
     assert set(rollup["servers"]) == set(sharded.partitioner.shards)
     assert rollup["lag_seconds_max"] >= rollup["lag_seconds_mean"] >= 0.0
+
+
+def test_redefined_procedure_is_redecided():
+    """A cached decision embeds the procedure body; DDL must invalidate it."""
+    from repro.sharding import ShardedDeployment
+    from repro.tpcw import TPCWConfig
+
+    sharded = ShardedDeployment(config=TPCWConfig(num_items=60, num_ebs=2, seed=7), shards=2)
+    router = sharded.router()
+    backend = _backend_connection(sharded).cursor()
+    call = ("EXEC doSubjectSearch @subject = @subject", {"subject": "HISTORY"})
+    assert router.execute(*call).rows == backend.execute(*call).fetchall()
+    backend.execute("DROP PROCEDURE doSubjectSearch")
+    backend.execute(
+        """
+        CREATE PROCEDURE doSubjectSearch @subject VARCHAR(20) AS
+        BEGIN
+            SELECT TOP 3 i.i_id, i.i_title FROM item i
+            WHERE i.i_subject = @subject ORDER BY i.i_title
+        END
+        """
+    )
+    expected = backend.execute(*call).fetchall()
+    assert len(expected) == 3 and len(expected[0]) == 2
+    assert router.execute(*call).rows == expected

@@ -62,7 +62,7 @@ def test_zipf_keys_concentrate_on_owning_shards():
     # Zipf-ish over item ids: low ids run hot.
     keys = [min(100, max(1, int(rng.paretovariate(1.2)))) for _ in range(300)]
     for key in keys:
-        rows = connection.execute("EXEC getStock @i_id = @i_id", {"i_id": key}).rows
+        rows = connection.cursor().execute("EXEC getStock @i_id = @i_id", {"i_id": key}).result.rows
         assert len(rows) == 1
     expected = sharded.partitioner.ownership(keys)
     for name in sharded.partitioner.shards:
