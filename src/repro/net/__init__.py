@@ -2,10 +2,11 @@
 
 Three pieces:
 
-* :mod:`repro.net.protocol` — the length-prefixed binary frame codec and
-  the opcode vocabulary (:data:`PROTOCOL_VERSION`).
-* :mod:`repro.net.server` — :class:`ReproServer`, an asyncio TCP listener
-  (on a background thread) in front of any execution target.
+* :mod:`repro.net.protocol` — the length-prefixed binary frame codec, the
+  one frame reader both ends use, and the opcode vocabulary
+  (:data:`PROTOCOL_VERSION`).
+* :mod:`repro.net.server` — :class:`ReproServer`, a blocking TCP listener
+  (one handler thread per connection) in front of any execution target.
 * :mod:`repro.net.wire` — :class:`WireConnection`, the blocking client
   that plugs into the existing :func:`repro.client.connect` facade.
 * :mod:`repro.net.dsn` — :func:`parse_dsn` and the ``inproc://`` target

@@ -10,6 +10,8 @@ Frame layout (all integers big-endian)::
 frame has length 1. Frames larger than :data:`MAX_FRAME` are a
 :class:`~repro.errors.ProtocolError` on both ends — a bounded frame size
 is what keeps a misbehaving peer from ballooning the receiver's memory.
+Both ends read frames through :func:`read_frame`, the one place that
+knows this layout.
 
 The payload is one *value* in a tagged binary encoding covering the
 engine's data model: NULL, booleans, 64-bit and big integers, floats,
@@ -54,6 +56,7 @@ the server parents its spans under it, stitching one distributed trace.
 from __future__ import annotations
 
 import datetime
+import socket
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -69,6 +72,11 @@ PROTOCOL_VERSION = 1
 
 #: Upper bound on one frame (opcode + payload), bytes.
 MAX_FRAME = 64 * 1024 * 1024
+
+#: Upper bound on value nesting in one payload: far above any real one (a
+#: RESULT header with extra result sets nests 6 deep), far below the
+#: interpreter's recursion limit a hostile frame would otherwise hit.
+MAX_NESTING = 64
 
 # -- opcodes ----------------------------------------------------------------
 
@@ -233,7 +241,7 @@ class _Reader:
         return bytes(self.take(self.u32())).decode("utf-8")
 
 
-def _decode(reader: _Reader) -> Any:
+def _decode(reader: _Reader, depth: int = 0) -> Any:
     tag = reader.u8()
     if tag == _T_NULL:
         return None
@@ -255,28 +263,32 @@ def _decode(reader: _Reader) -> Any:
         return datetime.date.fromisoformat(reader.text())
     if tag == _T_DATETIME:
         return datetime.datetime.fromisoformat(reader.text())
+    # Every remaining tag contains values: one more level of nesting.
+    depth += 1
+    if depth > MAX_NESTING:
+        raise ProtocolError(f"value nested deeper than {MAX_NESTING} on the wire")
     if tag in (_T_LIST, _T_TUPLE):
         count = reader.u32()
-        items = [_decode(reader) for _ in range(count)]
+        items = [_decode(reader, depth) for _ in range(count)]
         return tuple(items) if tag == _T_TUPLE else items
     if tag == _T_DICT:
         count = reader.u32()
-        return {reader.text(): _decode(reader) for _ in range(count)}
+        return {reader.text(): _decode(reader, depth) for _ in range(count)}
     if tag == _T_SQLTYPE:
         kind_name = reader.text()
         kind = _KIND_BY_VALUE.get(kind_name)
         if kind is None:
             raise ProtocolError(f"unknown SQL type kind {kind_name!r} on the wire")
-        length, precision, scale = _decode(reader), _decode(reader), _decode(reader)
+        length, precision, scale = (_decode(reader, depth) for _ in range(3))
         return SqlType(kind, length=length, precision=precision, scale=scale)
     if tag == _T_SCHEMA:
         count = reader.u32()
         columns = []
         for _ in range(count):
             name = reader.text()
-            qualifier = _decode(reader)
-            nullable = _decode(reader)
-            sql_type = _decode(reader)
+            qualifier = _decode(reader, depth)
+            nullable = _decode(reader, depth)
+            sql_type = _decode(reader, depth)
             columns.append(
                 Column(name=name, sql_type=sql_type, qualifier=qualifier, nullable=nullable)
             )
@@ -285,9 +297,13 @@ def _decode(reader: _Reader) -> Any:
 
 
 def decode_value(data: bytes) -> Any:
-    """Decode one value from ``data`` (must consume it exactly)."""
+    """Decode one value from ``data`` (must consume it exactly); whatever
+    is wrong with the bytes surfaces as :class:`ProtocolError` only."""
     reader = _Reader(memoryview(data))
-    value = _decode(reader)
+    try:
+        value = _decode(reader)
+    except (ValueError, struct.error) as exc:  # UnicodeDecodeError is a ValueError
+        raise ProtocolError(f"malformed value on the wire: {exc}") from exc
     if reader.pos != len(reader.data):
         raise ProtocolError(
             f"trailing garbage in frame: {len(reader.data) - reader.pos} bytes "
@@ -327,6 +343,30 @@ def check_frame_length(length: int) -> int:
     if length == 0 or length > MAX_FRAME:
         raise ProtocolError(f"invalid frame length {length} (max {MAX_FRAME})")
     return length
+
+
+def _read_exactly(sock: socket.socket, count: int) -> bytes:
+    data = bytearray()
+    while len(data) < count:
+        chunk = sock.recv(count - len(data))
+        if not chunk:
+            raise EOFError(f"peer closed the stream {count - len(data)} bytes short")
+        data += chunk
+    return bytes(data)
+
+
+def read_frame(sock: socket.socket) -> Tuple[int, Optional[Dict[str, Any]], int]:
+    """Read one frame off a blocking socket: ``(opcode, payload, bytes read)``.
+
+    Both ends of the wire read through here and map the outcomes to
+    their own meaning: a peer that closed the stream, between frames or
+    inside one, is :class:`EOFError`; a bad length or body is
+    :class:`ProtocolError` (the stream is then out of step: close it);
+    socket errors and timeouts pass through as :class:`OSError`.
+    """
+    length = check_frame_length(_U32.unpack(_read_exactly(sock, 4))[0])
+    opcode, payload = decode_body(_read_exactly(sock, length))
+    return opcode, payload, 4 + length
 
 
 # -- results ----------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""The network front end: an asyncio socket server over an engine target.
+"""The network front end: a blocking socket server over an engine target.
 
 :class:`ReproServer` puts a real TCP listener in front of any execution
 target — an engine :class:`~repro.engine.server.Server` or a
 :class:`~repro.mtcache.cache_server.CacheServer` facade — speaking the
-frame protocol of :mod:`repro.net.protocol`. The asyncio event loop runs
-on a dedicated background thread; the calling thread gets a plain
-blocking ``start()``/``stop()`` object (or ``serve_forever()`` for the
-CLI), so the rest of the — entirely synchronous — codebase never sees a
-coroutine.
+frame protocol of :mod:`repro.net.protocol`. One daemon thread accepts;
+each accepted connection gets one daemon handler thread. The calling
+thread gets a plain blocking ``start()``/``stop()`` object (or
+``serve_forever()`` for the CLI), like the rest of the — entirely
+synchronous — codebase.
 
 Design points:
 
-* **One worker thread per connection.** The engine's transaction control
+* **One handler thread per connection.** The engine's transaction control
   keys latch ownership to the OS thread that ran BEGIN (coarse 2PL, see
   ``Server._begin_transaction``), so all statements of one wire
   connection — and its disconnect-cleanup rollback — must run on one
-  thread. Each connection owns a single-thread executor; the event loop
-  thread itself never touches the engine.
+  thread. The handler reads a frame, runs the engine call inline, writes
+  the whole reply with one ``sendall``, and cleans up in its own
+  ``finally``: the invariant holds by construction.
 * **Sessions live server-side.** The HELLO handshake creates the
   :class:`~repro.engine.session.Session`; variables and transaction
   state persist across that connection's statements exactly as they
@@ -24,7 +25,7 @@ Design points:
   client facade can mirror commit/rollback semantics.
 * **Deadlines re-anchor.** A request's ``budget`` (remaining seconds) is
   turned into a fresh :class:`~repro.resilience.deadline.Deadline` on
-  the engine's clock inside the worker thread, so PR 9 deadline scopes
+  the engine's clock inside the handler thread, so PR 9 deadline scopes
   survive the hop without shared clocks.
 * **Overload sheds at accept.** Connections beyond ``max_connections``
   get one ERROR frame carrying :class:`~repro.errors.OverloadError`
@@ -37,18 +38,24 @@ Design points:
   transport abruptly — the wire-level analogue of a mid-frame network
   partition, surfacing client-side as a transient
   :class:`~repro.errors.ConnectionLostError`.
+* **Malformed frames end their connection only.** A bad length prefix or
+  an undecodable body is answered with one ERROR frame carrying
+  :class:`~repro.errors.ProtocolError`; the stream is out of step after
+  it, so that connection closes while the listener keeps serving.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+import time
+from typing import Any, Dict, List, Optional
 
+from repro.common.locks import mutex
 from repro.engine.results import Result
 from repro.engine.session import Session
 from repro.errors import (
+    CatalogError,
     HandshakeError,
     LinkUnavailableError,
     OverloadError,
@@ -56,28 +63,32 @@ from repro.errors import (
 )
 from repro.net import protocol
 from repro.obs.tracing import propagated_trace
+from repro.resilience.deadline import Deadline, deadline_scope
 
 
 class _AbruptClose(Exception):
     """Internal signal: drop the transport without a reply (fault drop)."""
 
 
+def _shutdown(sock: socket.socket) -> None:
+    """Wake whichever thread blocks on ``sock``; it closes the socket itself."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already disconnected or closed
+
+
 class _WireSession:
     """Server-side state of one accepted connection."""
 
-    __slots__ = ("session", "executor", "handles", "fetch_rows", "peer")
+    __slots__ = ("sock", "session", "handles", "fetch_rows")
 
-    def __init__(self, peer: str):
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
         self.session: Optional[Session] = None
-        # One thread for this connection's whole life: latch ownership is
-        # per-thread, so BEGIN and the statements under it must share one.
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-net-{peer}"
-        )
         #: handle id -> statement text, for disconnect cleanup.
         self.handles: Dict[int, str] = {}
         self.fetch_rows: Optional[int] = None
-        self.peer = peer
 
 
 class ReproServer:
@@ -99,14 +110,11 @@ class ReproServer:
         self.max_connections = max_connections
         self.injector = injector
         self.name = getattr(target, "name", None) or type(target).__name__
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._connections = 0
-        self._handler_tasks: set = set()
-        self._writers: set = set()
+        self._listener: Optional[socket.socket] = None
+        self._thread: Optional[threading.Thread] = None  # the accept thread
+        #: Live client socket -> its handler thread; guarded by ``_lock``.
+        self._live: Dict[socket.socket, threading.Thread] = {}
+        self._lock = mutex()
         metrics = self.engine.metrics
         self._m_accepted = metrics.counter("net.server.connections_accepted")
         self._m_shed = metrics.counter("net.server.connections_shed")
@@ -143,30 +151,42 @@ class ReproServer:
         return f"tcp://{self.host}:{self.port}/{database}"
 
     def start(self) -> None:
-        """Start the listener on its background event-loop thread."""
+        """Bind the listener (a bind error raises here) and start accepting."""
         if self._thread is not None:
             raise ProtocolError("server already started")
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]
         self._thread = threading.Thread(
-            target=self._run_loop, name=f"repro-net-server-{self.name}", daemon=True
+            target=self._accept_loop,
+            args=(self._listener,),
+            name=f"repro-net-server-{self.name}",
+            daemon=True,
         )
         self._thread.start()
-        self._started.wait()
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join()
-            self._thread = None
-            self._startup_error = None
-            raise error
 
     def stop(self) -> None:
-        """Stop the listener and wait for the loop thread to exit."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
+        """Stop listening, disconnect every client, wait for the threads.
+
+        Client sockets are shut down, not closed: each handler falls out
+        of ``recv`` and runs its own cleanup (rollback, handle close) on
+        its own thread. An engine call in flight is not cancelled.
+        """
+        thread, listener = self._thread, self._listener
+        if thread is None or listener is None:
             return
-        loop.call_soon_threadsafe(self._signal_stop)
+        deadline = time.monotonic() + 10
+        self._listener = None  # tells the accept thread its next error is this
+        # shutdown, then close: close alone does not wake a blocked accept.
+        _shutdown(listener)
+        listener.close()
         thread.join(timeout=10)
+        with self._lock:  # the accept thread is gone: nothing new appears
+            live = dict(self._live)
+        for sock in live:
+            _shutdown(sock)
+        for handler in live.values():
+            handler.join(timeout=max(0.0, deadline - time.monotonic()))
         self._thread = None
-        self._loop = None
 
     def serve_forever(self) -> None:
         """Blocking serve (the ``python -m repro serve`` entry point)."""
@@ -187,82 +207,63 @@ class ReproServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    def _signal_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def _run_loop(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            listener = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self.port = listener.sockets[0].getsockname()[1]
-        self._started.set()
-        async with listener:
-            await self._stop_event.wait()
-        # Graceful drain: close every client transport so its handler
-        # falls out of readexactly on its own (no task cancellation — a
-        # cancelled handler could skip its rollback cleanup), then wait.
-        for writer in list(self._writers):
-            writer.close()
-        if self._handler_tasks:
-            await asyncio.wait(self._handler_tasks, timeout=10)
-
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        if self._connections >= self.max_connections:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, address = listener.accept()
+            except OSError:
+                if self._listener is None:
+                    return  # stop() shut the listener down
+                continue  # that one connection failed; keep listening
+            peer = f"{address[0]}:{address[1]}"
+            with self._lock:
+                admitted = len(self._live) < self.max_connections
+                if admitted:
+                    handler = threading.Thread(
+                        target=self._handle_connection,
+                        args=(_WireSession(sock),),
+                        name=f"repro-net-{peer}",
+                        daemon=True,
+                    )
+                    self._live[sock] = handler
+                    handler.start()  # under the lock: stop() only joins started threads
+                    self._m_active.set(len(self._live))
+            if admitted:
+                self._m_accepted.inc()
+                continue
             # Shed at accept: one ERROR frame, then close. The client's
             # pending HELLO gets OverloadError instead of WELCOME.
             self._m_shed.inc()
-            await self._send(
-                writer,
-                protocol.OP_ERROR,
-                protocol.error_payload(
-                    OverloadError(
-                        f"server {self.name!r} at connection limit "
-                        f"({self.max_connections}); shedding {peer}"
-                    )
-                ),
+            overload = OverloadError(
+                f"server {self.name!r} at connection limit "
+                f"({self.max_connections}); shedding {peer}"
             )
-            writer.close()
-            return
-        self._connections += 1
-        self._m_accepted.inc()
-        self._m_active.set(self._connections)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        self._writers.add(writer)
-        wire = _WireSession(peer)
-        try:
-            await self._serve_session(wire, reader, writer)
-        except (_AbruptClose, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections -= 1
-            self._m_active.set(self._connections)
-            self._writers.discard(writer)
-            writer.close()
-            await self._cleanup(wire)
-            if task is not None:
-                self._handler_tasks.discard(task)
+            try:
+                self._send(sock, [self._error_frame(overload)])
+            except OSError:
+                pass  # the client gave up first
+            sock.close()
 
-    async def _cleanup(self, wire: _WireSession) -> None:
-        """Disconnect hygiene, on the connection's own worker thread.
+    def _handle_connection(self, wire: _WireSession) -> None:
+        try:
+            # Replies are whole messages; never wait to coalesce them.
+            wire.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._serve_session(wire)
+        except (_AbruptClose, EOFError, OSError):
+            pass  # injected drop (the client sees EOF for a reply), or it went away
+        finally:
+            try:
+                self._cleanup(wire)
+            finally:
+                wire.sock.close()
+                with self._lock:
+                    del self._live[wire.sock]
+                    self._m_active.set(len(self._live))
+
+    def _cleanup(self, wire: _WireSession) -> None:
+        """Disconnect hygiene, on the thread that ran the connection.
 
         An abandoned explicit transaction holds the database latch
         exclusively — rolling it back here is what keeps a dropped client
@@ -270,89 +271,65 @@ class ReproServer:
         created are dropped the way a closed in-process link would drop
         them.
         """
-        def finish() -> None:
-            session = wire.session
-            if session is not None and session.in_transaction:
-                self._execute_target("ROLLBACK", None, session)
-            for handle_id in wire.handles:
-                self.engine.close_prepared(handle_id)
+        session = wire.session
+        if session is not None and session.in_transaction:
+            self._execute_target("ROLLBACK", None, session)
+        for handle_id in wire.handles:
+            self.engine.close_prepared(handle_id)
 
-        # submit (not run_in_executor) so the rollback runs to completion
-        # on the worker thread even if this coroutine is cancelled while
-        # awaiting it — a leaked exclusive latch wedges every session.
-        future = wire.executor.submit(finish)
-        try:
-            await asyncio.wrap_future(future)
-        except asyncio.CancelledError:
-            future.result(timeout=10)
-            raise
-        finally:
-            wire.executor.shutdown(wait=False)
-
-    async def _serve_session(
-        self, wire: _WireSession, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    def _serve_session(self, wire: _WireSession) -> None:
         while True:
             try:
-                prefix = await reader.readexactly(4)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return  # client went away
-            length = protocol.check_frame_length(int.from_bytes(prefix, "big"))
-            body = await reader.readexactly(length)
-            self._m_bytes_in.inc(4 + length)
-            opcode, payload = protocol.decode_body(body)
+                opcode, payload, size = protocol.read_frame(wire.sock)
+            except ProtocolError as exc:
+                # The stream is out of step: answer once, then close.
+                self._m_errors.inc()
+                self._send(wire.sock, [self._error_frame(exc)])
+                return
+            self._m_bytes_in.inc(size)
             if opcode == protocol.OP_BYE:
                 return
-            started = loop.time()
+            started = time.perf_counter()
             self._m_requests.inc()
             try:
-                self._on_fault("request", opcode)
-                if opcode == protocol.OP_HELLO:
-                    await self._send(writer, *self._do_hello(wire, payload or {}))
-                elif opcode == protocol.OP_PING:
-                    await self._send(writer, protocol.OP_PONG, {"server": self.name})
-                elif wire.session is None:
-                    raise ProtocolError(
-                        f"{protocol.OP_NAMES.get(opcode, opcode)} before HELLO"
-                    )
-                elif opcode == protocol.OP_EXECUTE:
-                    result = await loop.run_in_executor(
-                        wire.executor, self._do_execute, wire, payload or {}
-                    )
-                    self._on_fault("result", opcode)
-                    await self._send_result(writer, wire, payload or {}, result)
-                elif opcode == protocol.OP_PREPARE:
-                    handle_id = await loop.run_in_executor(
-                        wire.executor, self._do_prepare, wire, payload or {}
-                    )
-                    await self._send(writer, protocol.OP_PREPARED, {"handle": handle_id})
-                elif opcode == protocol.OP_EXECUTE_PREPARED:
-                    result = await loop.run_in_executor(
-                        wire.executor, self._do_execute_prepared, wire, payload or {}
-                    )
-                    self._on_fault("result", opcode)
-                    await self._send_result(writer, wire, payload or {}, result)
-                elif opcode == protocol.OP_CLOSE_PREPARED:
-                    handle_id = int((payload or {}).get("handle", 0))
-                    wire.handles.pop(handle_id, None)
-                    self.engine.close_prepared(handle_id)
-                    await self._send(writer, protocol.OP_PONG, {"closed": handle_id})
-                else:
-                    raise ProtocolError(
-                        f"unexpected opcode 0x{opcode:02x} from client"
-                    )
-            except _AbruptClose:
-                # Injected drop: a few bytes may already be on the wire
-                # (a torn frame); the client sees EOF mid-read and maps it
-                # to a transient ConnectionLostError.
-                writer.close()
-                raise
-            except Exception as exc:  # noqa: BLE001 — every error becomes a frame
-                self._m_errors.inc()
-                await self._send(writer, protocol.OP_ERROR, protocol.error_payload(exc))
+                self._send(wire.sock, self._reply(wire, opcode, payload or {}))
             finally:
-                self._m_seconds.observe(loop.time() - started)
+                self._m_seconds.observe(time.perf_counter() - started)
+
+    def _reply(self, wire: _WireSession, opcode: int, payload: Dict[str, Any]) -> List[bytes]:
+        """The reply frames for one request; any error but an injected
+        drop is itself a reply — one ERROR frame."""
+        try:
+            self._on_fault("request", opcode)
+            if opcode == protocol.OP_HELLO:
+                return [protocol.encode_frame(*self._do_hello(wire, payload))]
+            if opcode == protocol.OP_PING:
+                return [protocol.encode_frame(protocol.OP_PONG, {"server": self.name})]
+            if wire.session is None:
+                raise ProtocolError(f"{protocol.OP_NAMES.get(opcode, opcode)} before HELLO")
+            if opcode in (protocol.OP_EXECUTE, protocol.OP_EXECUTE_PREPARED):
+                run = (
+                    self._do_execute
+                    if opcode == protocol.OP_EXECUTE
+                    else self._do_execute_prepared
+                )
+                result = run(wire, payload)
+                self._on_fault("result", opcode)
+                return self._result_frames(wire, payload, result)
+            if opcode == protocol.OP_PREPARE:
+                handle_id = self._do_prepare(wire, payload)
+                return [protocol.encode_frame(protocol.OP_PREPARED, {"handle": handle_id})]
+            if opcode == protocol.OP_CLOSE_PREPARED:
+                handle_id = int(payload.get("handle", 0))
+                wire.handles.pop(handle_id, None)
+                self.engine.close_prepared(handle_id)
+                return [protocol.encode_frame(protocol.OP_PONG, {"closed": handle_id})]
+            raise ProtocolError(f"unexpected opcode 0x{opcode:02x} from client")
+        except _AbruptClose:
+            raise
+        except Exception as exc:  # noqa: BLE001 — every error becomes a frame
+            self._m_errors.inc()
+            return [self._error_frame(exc)]
 
     def _on_fault(self, point: str, opcode: int) -> None:
         """Injector hook; LinkUnavailableError means: drop the transport."""
@@ -366,9 +343,13 @@ class ReproServer:
         except LinkUnavailableError as exc:
             raise _AbruptClose(str(exc)) from exc
 
-    # -- request handlers (handshake on the loop, the rest on the worker) --
+    # -- request handlers (on the connection's handler thread) -------------
 
     def _do_hello(self, wire: _WireSession, payload: Dict[str, Any]):
+        if wire.session is not None:
+            # Replacing the session would orphan its open transaction —
+            # and the database latch that transaction holds.
+            raise ProtocolError("HELLO on a connection that already has a session")
         version = payload.get("protocol")
         if version != protocol.PROTOCOL_VERSION:
             raise HandshakeError(
@@ -381,8 +362,6 @@ class ReproServer:
             # first statement. CacheServer targets pin their own shadow
             # database; for them the client's choice must match the
             # engine's catalog all the same.
-            from repro.errors import CatalogError
-
             try:
                 self.engine.database(database)
             except CatalogError as exc:
@@ -404,12 +383,10 @@ class ReproServer:
     def _scoped(self, payload: Dict[str, Any], fn, *args):
         """Run ``fn`` under the request's propagated deadline and trace.
 
-        Runs on the connection's worker thread. The budget re-anchors on
+        Runs on the connection's handler thread. The budget re-anchors on
         the engine clock; the trace context parents this request's spans
         under the client's active span.
         """
-        from repro.resilience.deadline import Deadline, deadline_scope
-
         budget = payload.get("budget")
         trace = payload.get("trace")
         deadline = (
@@ -455,19 +432,19 @@ class ReproServer:
 
     # -- replies -----------------------------------------------------------
 
-    async def _send(self, writer: asyncio.StreamWriter, opcode: int, payload) -> None:
-        frame = protocol.encode_frame(opcode, payload)
-        writer.write(frame)
-        self._m_bytes_out.inc(len(frame))
-        await writer.drain()
+    @staticmethod
+    def _error_frame(exc: BaseException) -> bytes:
+        return protocol.encode_frame(protocol.OP_ERROR, protocol.error_payload(exc))
 
-    async def _send_result(
-        self,
-        writer: asyncio.StreamWriter,
-        wire: _WireSession,
-        payload: Dict[str, Any],
-        result: Result,
-    ) -> None:
+    def _send(self, sock: socket.socket, frames: List[bytes]) -> None:
+        """Write one whole reply — all of its frames — with one ``sendall``."""
+        data = b"".join(frames)
+        sock.sendall(data)
+        self._m_bytes_out.inc(len(data))
+
+    def _result_frames(
+        self, wire: _WireSession, payload: Dict[str, Any], result: Result
+    ) -> List[bytes]:
         """RESULT header, then the rows in batches (fetch-in-batches).
 
         The batch size is the request's ``fetch_rows`` override, else the
@@ -478,24 +455,27 @@ class ReproServer:
         """
         session = wire.session
         in_transaction = bool(session is not None and session.in_transaction)
-        await self._send(
-            writer, protocol.OP_RESULT, protocol.result_header(result, in_transaction)
-        )
+        frames = [
+            protocol.encode_frame(
+                protocol.OP_RESULT, protocol.result_header(result, in_transaction)
+            )
+        ]
         requested = payload.get("fetch_rows")
         batch = int(requested) if requested else wire.fetch_rows
         if not batch:
             batch = int(getattr(self.engine, "batch_rows", 0) or 0) or len(result.rows) or 1
         rows = result.rows
-        if not rows:
-            await self._send(writer, protocol.OP_ROWS, {"rows": [], "last": True})
-            return
-        for start in range(0, len(rows), batch):
-            chunk = rows[start : start + batch]
-            await self._send(
-                writer,
-                protocol.OP_ROWS,
-                {"rows": list(chunk), "last": start + batch >= len(rows)},
+        for start in range(0, max(len(rows), 1), batch):  # no rows: one empty, last batch
+            frames.append(
+                protocol.encode_frame(
+                    protocol.OP_ROWS,
+                    {
+                        "rows": list(rows[start : start + batch]),
+                        "last": start + batch >= len(rows),
+                    },
+                )
             )
+        return frames
 
     def __repr__(self) -> str:
         state = "listening" if self._thread is not None else "stopped"

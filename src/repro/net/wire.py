@@ -26,7 +26,6 @@ unchanged. Differences from an in-process target, all deliberate:
 from __future__ import annotations
 
 import socket
-import struct
 import time
 from typing import Any, Dict, Optional
 
@@ -137,18 +136,13 @@ class WireConnection:
             "principal": self.principal,
             "fetch_rows": self.fetch_rows,
         }
-        opcode, payload = self._roundtrip(protocol.OP_HELLO, hello)
-        if opcode == protocol.OP_ERROR:
+        try:
+            welcome = self._roundtrip(protocol.OP_HELLO, hello, protocol.OP_WELCOME)
+        except Exception:
             # HandshakeError (version/database rejection) or OverloadError
             # (accept-time shedding) — either way the server said no.
             self._drop()
-            protocol.raise_error(payload or {})
-        if opcode != protocol.OP_WELCOME:
-            self._drop()
-            raise protocol.ProtocolError(
-                f"expected WELCOME, got {protocol.OP_NAMES.get(opcode, opcode)}"
-            )
-        welcome = payload or {}
+            raise
         self.server_name = welcome.get("server")
         self.server_batch_rows = int(welcome.get("batch_rows") or 0)
 
@@ -177,41 +171,56 @@ class WireConnection:
             raise ConnectionLostError(f"send to {self.name} failed: {exc}") from exc
         self._m_bytes_out.inc(len(frame))
 
-    def _recv_exactly(self, count: int) -> bytes:
-        assert self._sock is not None
-        chunks = bytearray()
-        while len(chunks) < count:
-            try:
-                chunk = self._sock.recv(count - len(chunks))
-            except socket.timeout as exc:
-                self._drop()
-                raise ConnectionLostError(
-                    f"timed out reading from {self.name} (timeout={self.timeout}s)"
-                ) from exc
-            except OSError as exc:
-                self._drop()
-                raise ConnectionLostError(f"read from {self.name} failed: {exc}") from exc
-            if not chunk:
-                # EOF — possibly mid-frame (a torn reply). Transient: the
-                # server or network dropped us; re-dial on the next call.
-                self._drop()
-                raise ConnectionLostError(
-                    f"connection to {self.name} lost mid-frame"
-                )
-            chunks += chunk
-        self._m_bytes_in.inc(count)
-        return bytes(chunks)
-
     def _recv_frame(self):
-        length = protocol.check_frame_length(
-            struct.unpack("!I", self._recv_exactly(4))[0]
-        )
-        return protocol.decode_body(self._recv_exactly(length))
+        """One frame through the shared reader. Whatever goes wrong, the
+        socket is dropped (the next call re-dials): transport trouble —
+        EOF, possibly mid-frame; a timeout; a reset — surfaces as a
+        transient :class:`ConnectionLostError`, a malformed reply as
+        the :class:`~repro.errors.ProtocolError` it is."""
+        assert self._sock is not None
+        try:
+            opcode, payload, size = protocol.read_frame(self._sock)
+        except protocol.ProtocolError:
+            self._drop()
+            raise
+        except (EOFError, OSError) as exc:  # socket.timeout is an OSError
+            self._drop()
+            raise ConnectionLostError(f"connection to {self.name} lost: {exc}") from exc
+        self._m_bytes_in.inc(size)
+        return opcode, payload
 
-    def _roundtrip(self, opcode: int, payload: Optional[Dict[str, Any]]):
+    def _expected(self, expect: int) -> Dict[str, Any]:
+        """The payload of the next frame, which must be ``expect`` or ERROR."""
+        opcode, payload = self._recv_frame()
+        if opcode == protocol.OP_ERROR:
+            protocol.raise_error(payload or {})
+        if opcode != expect:
+            self._drop()
+            raise protocol.ProtocolError(
+                f"expected {protocol.OP_NAMES[expect]}, "
+                f"got {protocol.OP_NAMES.get(opcode, opcode)}"
+            )
+        return payload or {}
+
+    def _roundtrip(self, opcode: int, payload: Optional[Dict[str, Any]], expect: int):
+        """Send one request and read its whole reply: the one request
+        path, so every completed round trip is counted and timed alike.
+
+        Returns the ``expect`` frame's payload; for ``RESULT``, the
+        :class:`Result` reassembled from the header and its ROWS stream.
+        """
         started = time.perf_counter()
         self._send_frame(opcode, payload)
-        reply = self._recv_frame()
+        reply: Any = self._expected(expect)
+        if expect == protocol.OP_RESULT:
+            rows: list = []
+            last = False
+            while not last:
+                chunk = self._expected(protocol.OP_ROWS)
+                rows.extend(chunk.get("rows") or [])
+                last = bool(chunk.get("last"))
+            self.in_transaction = bool(reply.get("in_transaction"))
+            reply = protocol.build_result(reply, rows)
         self._m_roundtrips.inc()
         self._m_seconds.observe(time.perf_counter() - started)
         return reply
@@ -231,32 +240,6 @@ class WireConnection:
             payload["fetch_rows"] = self.fetch_rows
         return payload
 
-    def _read_result(self) -> Result:
-        """ERROR or RESULT + ROWS... stream → a local Result."""
-        opcode, payload = self._recv_frame()
-        if opcode == protocol.OP_ERROR:
-            protocol.raise_error(payload or {})
-        if opcode != protocol.OP_RESULT:
-            self._drop()
-            raise protocol.ProtocolError(
-                f"expected RESULT, got {protocol.OP_NAMES.get(opcode, opcode)}"
-            )
-        header = payload or {}
-        rows = []
-        while True:
-            opcode, chunk = self._recv_frame()
-            if opcode != protocol.OP_ROWS:
-                self._drop()
-                raise protocol.ProtocolError(
-                    f"expected ROWS, got {protocol.OP_NAMES.get(opcode, opcode)}"
-                )
-            chunk = chunk or {}
-            rows.extend(chunk.get("rows") or [])
-            if chunk.get("last"):
-                break
-        self.in_transaction = bool(header.get("in_transaction"))
-        return protocol.build_result(header, rows)
-
     # -- execution target surface -----------------------------------------
 
     def execute(
@@ -265,12 +248,11 @@ class WireConnection:
         """Execute a batch on the remote session (the facade's chokepoint);
         ``session`` is ignored — the real one lives server-side."""
         self._ensure_connected()
-        started = time.perf_counter()
-        self._send_frame(protocol.OP_EXECUTE, self._request({"sql": sql, "params": params}))
-        result = self._read_result()
-        self._m_roundtrips.inc()
-        self._m_seconds.observe(time.perf_counter() - started)
-        return result
+        return self._roundtrip(
+            protocol.OP_EXECUTE,
+            self._request({"sql": sql, "params": params}),
+            protocol.OP_RESULT,
+        )
 
     def prepare_sql(self, sql: str) -> int:
         """Prepare on the server; returns a client-stable handle id.
@@ -285,17 +267,15 @@ class WireConnection:
         return handle_id
 
     def _prepare_remote(self, sql: str) -> int:
-        opcode, payload = self._roundtrip(
-            protocol.OP_PREPARE, self._request({"sql": sql})
+        prepared = self._roundtrip(
+            protocol.OP_PREPARE, self._request({"sql": sql}), protocol.OP_PREPARED
         )
-        if opcode == protocol.OP_ERROR:
-            protocol.raise_error(payload or {})
-        if opcode != protocol.OP_PREPARED:
-            self._drop()
-            raise protocol.ProtocolError(
-                f"expected PREPARED, got {protocol.OP_NAMES.get(opcode, opcode)}"
-            )
-        return int((payload or {})["handle"])
+        return int(prepared["handle"])
+
+    def _reprepare(self, handle: _PreparedHandle) -> None:
+        handle.handle_id = self._prepare_remote(handle.sql)
+        handle.generation = self.generation
+        handle.reprepares += 1
 
     def execute_prepared(
         self, handle_id: int, params: Optional[Dict[str, Any]] = None
@@ -310,26 +290,22 @@ class WireConnection:
         if handle.generation != self.generation:
             # The socket was re-dialed since prepare: the server-side
             # handle died with the old connection's cleanup (or a crash).
-            handle.handle_id = self._prepare_remote(handle.sql)
-            handle.generation = self.generation
-            handle.reprepares += 1
-        try:
-            self._send_frame(
+            self._reprepare(handle)
+
+        def run() -> Result:
+            return self._roundtrip(
                 protocol.OP_EXECUTE_PREPARED,
                 self._request({"handle": handle.handle_id, "params": params}),
+                protocol.OP_RESULT,
             )
-            return self._read_result()
+
+        try:
+            return run()
         except PreparedStatementError:
             # Server restarted underneath a live connection: its volatile
             # handle table is empty. Re-prepare from the kept text once.
-            handle.handle_id = self._prepare_remote(handle.sql)
-            handle.generation = self.generation
-            handle.reprepares += 1
-            self._send_frame(
-                protocol.OP_EXECUTE_PREPARED,
-                self._request({"handle": handle.handle_id, "params": params}),
-            )
-            return self._read_result()
+            self._reprepare(handle)
+            return run()
 
     # -- health / lifecycle ------------------------------------------------
 
@@ -339,11 +315,11 @@ class WireConnection:
             return False
         try:
             self._ensure_connected()
-            opcode, _ = self._roundtrip(protocol.OP_PING, None)
+            self._roundtrip(protocol.OP_PING, None, protocol.OP_PONG)
         except Exception:  # noqa: BLE001 — a health probe never raises
             self._drop()
             return False
-        return opcode == protocol.OP_PONG
+        return True
 
     def close(self) -> None:
         """Idempotent close: best-effort BYE, then drop the socket."""

@@ -9,6 +9,7 @@ from repro.engine.session import Session
 from repro.net import ReproServer, WireConnection
 from repro.sharding import ShardedDeployment
 from repro.tpcw import TPCWConfig
+from tests.conftest import stop_wire_server
 
 SMALL_TIER = dict(config=TPCWConfig(num_items=40, num_ebs=2, seed=7), shards=2)
 
@@ -33,7 +34,7 @@ def target(request, backend, deployment, cache):
             yield wire, "SELECT cid FROM customer WHERE cid = @cid", None
         finally:
             wire.close()
-            server.stop()
+            stop_wire_server(server)
 
 
 def test_every_target_takes_params_and_session_by_keyword(target):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -34,6 +35,19 @@ def _lock_witness_gate():
         return
     problems = [str(diagnostic) for diagnostic in verify_witness(witness)]
     assert not problems, "lock witness recorded violations:\n" + "\n".join(problems)
+
+
+def stop_wire_server(server) -> None:
+    """``stop()`` a ReproServer, then: no acceptor or handler thread outlives it."""
+    server.stop()
+    leaked = []
+    for thread in threading.enumerate():
+        if thread.name.startswith("repro-net-"):
+            # A handler whose client left earlier may still be unwinding.
+            thread.join(timeout=1)
+            if thread.is_alive():
+                leaked.append(thread.name)
+    assert not leaked, f"server threads alive after stop(): {leaked}"
 
 
 def make_shop_backend(customers: int = 200, orders: int = 400) -> Server:

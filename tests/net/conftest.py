@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net import ReproServer
-from tests.conftest import make_shop_backend
+from tests.conftest import make_shop_backend, stop_wire_server
 
 
 @pytest.fixture()
@@ -16,4 +16,4 @@ def wire_server():
     try:
         yield backend, server
     finally:
-        server.stop()
+        stop_wire_server(server)

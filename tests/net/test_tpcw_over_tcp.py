@@ -18,6 +18,7 @@ from repro.tpcw.application import TPCWApplication
 from repro.tpcw.config import TPCWConfig
 from repro.tpcw.setup import build_backend, enable_caching
 from repro.tpcw.workload import MIXES
+from tests.conftest import stop_wire_server
 
 INTERACTIONS = 60
 
@@ -90,5 +91,5 @@ def test_tpcw_mix_identical_in_process_and_over_tcp():
             )
         assert local_app.db_calls == remote_app.db_calls
     finally:
-        server.stop()
+        stop_wire_server(server)
         unregister_inproc("t/tpcw-identity")

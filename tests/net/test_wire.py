@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import datetime
 import socket
-import struct
+import sys
+import threading
 import time
 
 import pytest
@@ -18,11 +19,13 @@ from repro.errors import (
     HandshakeError,
     OverloadError,
     PermissionError_,
+    ProtocolError,
     is_transient,
 )
 from repro.net import ReproServer, WireConnection, protocol
+from repro.obs.metrics import global_registry
 from repro.obs.tracing import Tracer, global_collector
-from tests.conftest import make_shop_backend
+from tests.conftest import make_shop_backend, stop_wire_server
 
 
 class TestBasicExecution:
@@ -84,12 +87,31 @@ class TestBasicExecution:
             with pytest.raises(BindError):
                 connection.cursor().execute("SELECT x FROM no_such_table")
 
-    def test_batched_fetch_reassembles_large_results(self, wire_server):
+    @pytest.mark.parametrize(
+        "fetch_rows, rows_frames", [(1, 200), (16, 13), (None, 1)],
+        ids=["row-at-a-time", "batches-of-16", "server-default"],
+    )
+    def test_batched_fetch_reassembles_large_results(
+        self, wire_server, monkeypatch, fetch_rows, rows_frames
+    ):
         backend, server = wire_server
-        with connect(f"{server.dsn}?fetch_rows=16") as connection:
-            rows = connection.cursor().execute("SELECT cid FROM customer ORDER BY cid").result.rows
-        assert len(rows) == 200
-        assert rows[0] == (1,) and rows[-1] == (200,)
+        sql = "SELECT cid, cname, segment FROM customer ORDER BY cid"
+        local = backend.execute(sql, database="shop")
+        opcodes = []
+        read_frame = protocol.read_frame
+
+        def recording(sock):
+            frame = read_frame(sock)
+            opcodes.append(frame[0])
+            return frame
+
+        monkeypatch.setattr(protocol, "read_frame", recording)
+        dsn = server.dsn if fetch_rows is None else f"{server.dsn}?fetch_rows={fetch_rows}"
+        with connect(dsn) as connection:
+            remote = connection.cursor().execute(sql).result
+        assert len(remote.rows) == 200
+        assert remote.rows == local.rows
+        assert opcodes.count(protocol.OP_ROWS) == rows_frames
 
 
 class TestTransactions:
@@ -205,8 +227,7 @@ class TestHandshake:
                     protocol.OP_HELLO, {"protocol": 999, "database": "shop"}
                 )
             )
-            length = struct.unpack("!I", _read_exactly(raw, 4))[0]
-            opcode, payload = protocol.decode_body(_read_exactly(raw, length))
+            opcode, payload, _ = protocol.read_frame(raw)
         assert opcode == protocol.OP_ERROR
         with pytest.raises(HandshakeError, match="version mismatch"):
             protocol.raise_error(payload)
@@ -218,17 +239,39 @@ class TestHandshake:
 
     def test_statement_before_hello_is_a_protocol_error(self, wire_server):
         _, server = wire_server
-        from repro.errors import ProtocolError
-
         with socket.create_connection((server.host, server.port), timeout=5) as raw:
             raw.sendall(
                 protocol.encode_frame(protocol.OP_EXECUTE, {"sql": "SELECT 1"})
             )
-            length = struct.unpack("!I", _read_exactly(raw, 4))[0]
-            opcode, payload = protocol.decode_body(_read_exactly(raw, length))
+            opcode, payload, _ = protocol.read_frame(raw)
         assert opcode == protocol.OP_ERROR
         with pytest.raises(ProtocolError, match="before HELLO"):
             protocol.raise_error(payload)
+
+    def test_second_hello_is_refused_and_its_transaction_rolled_back(self, wire_server):
+        backend, server = wire_server
+        hello = protocol.encode_frame(
+            protocol.OP_HELLO,
+            {"protocol": protocol.PROTOCOL_VERSION, "database": "shop"},
+        )
+        begin = protocol.encode_frame(protocol.OP_EXECUTE, {"sql": "BEGIN TRANSACTION"})
+        with socket.create_connection((server.host, server.port), timeout=5) as raw:
+            raw.sendall(hello)
+            assert protocol.read_frame(raw)[0] == protocol.OP_WELCOME
+            raw.sendall(begin)
+            assert protocol.read_frame(raw)[0] == protocol.OP_RESULT
+            assert protocol.read_frame(raw)[0] == protocol.OP_ROWS
+            raw.sendall(hello)
+            opcode, payload, _ = protocol.read_frame(raw)
+        assert opcode == protocol.OP_ERROR
+        with pytest.raises(ProtocolError, match="already has a session"):
+            protocol.raise_error(payload)
+        # The session that ran BEGIN is still the connection's session, so
+        # the disconnect rolled it back: nobody is left holding the latch.
+        with connect(server.dsn, timeout=3) as other:
+            rows = other.cursor().execute("SELECT cid FROM customer WHERE cid = 1").fetchall()
+        assert rows == [(1,)]
+        assert backend.database("shop").latch._writer is None
 
     def test_connect_refused_is_transient(self):
         with socket.socket() as probe:  # find a port nobody listens on
@@ -258,7 +301,55 @@ class TestOverloadShedding:
                     continue
             second.close()
         finally:
-            server.stop()
+            stop_wire_server(server)
+
+
+@pytest.mark.concurrency
+def test_connection_churn_loses_no_update_and_no_connection(wire_server):
+    """More clients than cores dial, run a read-modify-write transaction and
+    hang up, over and over, under aggressive preemption: every statement of
+    a connection — and its cleanup — runs on that connection's one thread,
+    so the latch serializes the increments and the live table stays exact."""
+    backend, server = wire_server
+    workers, rounds = 8, 12
+    backend.execute("CREATE TABLE counter (k INT PRIMARY KEY, n INT)", database="shop")
+    backend.execute("INSERT INTO counter VALUES (1, 0)", database="shop")
+    accepted = backend.metrics.counter("net.server.connections_accepted")
+    before = accepted.value
+    failures = []
+
+    def churn():
+        try:
+            for _ in range(rounds):
+                with connect(server.dsn, timeout=30) as connection:
+                    cursor = connection.cursor()
+                    connection.begin()
+                    n = cursor.execute("SELECT n FROM counter WHERE k = 1").fetchone()[0]
+                    cursor.execute("UPDATE counter SET n = @n WHERE k = 1", {"n": n + 1})
+                    connection.commit()
+        except Exception as exc:  # noqa: BLE001 — reported by the main thread
+            failures.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not failures and not any(thread.is_alive() for thread in threads)
+    total = backend.execute("SELECT n FROM counter WHERE k = 1", database="shop").scalar
+    assert total == workers * rounds
+    assert accepted.value == before + workers * rounds
+    active = backend.metrics.gauge("net.server.connections_active")
+    for _ in range(200):  # the last handlers unwind on their own threads
+        if active.value == 0:
+            break
+        time.sleep(0.05)
+    assert active.value == 0 and server._live == {}
 
 
 class TestDeadlinesAndTracing:
@@ -292,8 +383,15 @@ class TestDeadlinesAndTracing:
 
     def test_wire_metrics_recorded(self, wire_server):
         backend, server = wire_server
+        roundtrips = global_registry().counter("net.client.roundtrips")
         with connect(server.dsn) as connection:
+            before = roundtrips.value
             connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
+            assert roundtrips.value == before + 1
+            handle = connection.target.prepare_sql("SELECT cname FROM customer WHERE cid = @id")
+            before = roundtrips.value
+            connection.target.execute_prepared(handle, {"id": 1})
+            assert roundtrips.value == before + 1  # one request path: counted alike
         assert backend.metrics.counter("net.server.requests").value > 0
         assert backend.metrics.counter("net.server.bytes_in").value > 0
         assert backend.metrics.counter("net.server.bytes_out").value > 0
@@ -327,11 +425,3 @@ class TestConnectionFacade:
         finally:
             wire.close()
 
-
-def _read_exactly(sock: socket.socket, count: int) -> bytes:
-    data = bytearray()
-    while len(data) < count:
-        chunk = sock.recv(count - len(data))
-        assert chunk, "server closed the connection early"
-        data += chunk
-    return bytes(data)

@@ -9,14 +9,17 @@ a statement runs (never executed) or after it runs but before the reply
 
 from __future__ import annotations
 
+import socket
+import struct
+
 import pytest
 
 from repro.client import connect
-from repro.errors import ConnectionLostError, is_transient
+from repro.errors import ConnectionLostError, ProtocolError, is_transient
 from repro.faults import FaultInjector
-from repro.net import ReproServer
+from repro.net import ReproServer, protocol
 from repro.resilience import RetryPolicy
-from tests.conftest import make_shop_backend
+from tests.conftest import make_shop_backend, stop_wire_server
 
 
 @pytest.fixture()
@@ -27,7 +30,7 @@ def faulty_server():
     try:
         yield backend, server, injector
     finally:
-        server.stop()
+        stop_wire_server(server)
 
 
 class TestMidFrameDisconnect:
@@ -101,3 +104,40 @@ class TestMidFrameDisconnect:
             rows = connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result.rows
             assert rows == [(1,)]
         assert injector.injected == 1
+
+
+def _framed(payload: bytes) -> bytes:
+    body = bytes([protocol.OP_EXECUTE]) + payload
+    return struct.pack("!I", len(body)) + body
+
+
+MALFORMED_FRAMES = {
+    "zero-length": struct.pack("!I", 0),
+    "2GiB-length": struct.pack("!I", 2**31),
+    "unknown-value-tag": _framed(b"\x7f"),
+    "invalid-utf8-string": _framed(b"\x06\x00\x00\x00\x01\xff"),
+    "date-that-is-not-one": _framed(b"\x08\x00\x00\x00\x03abc"),
+    "5000-nested-lists": _framed(b"\x0a\x00\x00\x00\x01" * 5000 + b"\x00"),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_FRAMES.values(), ids=MALFORMED_FRAMES.keys())
+def test_malformed_frame_gets_an_error_frame_and_ends_only_its_connection(
+    wire_server, capfd, data
+):
+    backend, server = wire_server
+    errors = backend.metrics.counter("net.server.request_errors")
+    before = errors.value
+    with socket.create_connection((server.host, server.port), timeout=5) as raw:
+        raw.sendall(data)
+        opcode, payload, _ = protocol.read_frame(raw)
+        assert opcode == protocol.OP_ERROR
+        with pytest.raises(ProtocolError):
+            protocol.raise_error(payload)
+        with pytest.raises(EOFError):  # ...and the offender is disconnected
+            protocol.read_frame(raw)
+    assert errors.value == before + 1
+    with connect(server.dsn, timeout=3) as connection:  # the listener still serves
+        rows = connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1").fetchall()
+    assert rows == [(1,)]
+    assert capfd.readouterr().err == ""  # no handler thread died with a traceback
