@@ -7,7 +7,8 @@ Four passes (all by default, each opt-in via flag):
 * ``--workload``    — the workload SQL lint over the full TPC-W
   procedure set, the MTCache cached-view DDL, the generated shadow/grant
   deployment scripts (:mod:`repro.analysis.sqllint`), and the sharding
-  policy coverage check (:mod:`repro.analysis.shardlint`);
+  policy lint, followed by the route table the sharded tier derives from
+  the catalog (:mod:`repro.analysis.shardlint`);
 * ``--plans``       — the plan-invariant verifier over every SELECT the
   optimizer produces for the TPC-W procedures, on both the backend and
   a provisioned cache server (:mod:`repro.analysis.plancheck`);
@@ -60,7 +61,7 @@ def _self_pass() -> int:
 
 
 def _workload_pass(backend, cache, config) -> int:
-    from repro.analysis.shardlint import lint_sharding_policy
+    from repro.analysis.shardlint import lint_sharding_policy, route_table
     from repro.analysis.sqllint import SqlLinter, lint_workload
     from repro.mtcache.scripts import generate_grant_script, generate_shadow_script
     from repro.sharding.policy import tpcw_sharding_policy
@@ -72,7 +73,8 @@ def _workload_pass(backend, cache, config) -> int:
         scripts={"cached-view-ddl": ";".join(CACHED_VIEW_DDL)},
     )
     diagnostics += lint_workload(cache.database)
-    diagnostics += lint_sharding_policy(tpcw_sharding_policy(config), catalog)
+    policy = tpcw_sharding_policy(config)
+    diagnostics += lint_sharding_policy(policy, catalog)
     # The generated deployment scripts run against an initially empty
     # shadow database, so they lint with no base catalog: the script's
     # own CREATE TABLEs must carry the later CREATE INDEX / GRANT lines.
@@ -81,6 +83,8 @@ def _workload_pass(backend, cache, config) -> int:
     diagnostics += empty.lint_sql(generate_grant_script(catalog), "grant-script")
     errors = _print("workload", diagnostics)
     print(f"workload: {len(diagnostics)} diagnostic(s)")
+    for line in route_table(policy, catalog):
+        print(f"workload: shard route: {line}")
     return errors
 
 

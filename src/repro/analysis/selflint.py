@@ -38,9 +38,9 @@ own source (``python -m repro analyze --self``):
   stays auditable and ad-hoc locks cannot introduce new deadlock edges.
 * ``shard-ownership`` — no ``hash(...) % n`` placement arithmetic outside
   ``repro/sharding``. Python's builtin ``hash`` is salted per process, so
-  ad-hoc modulo placement disagrees across runs (and with the ring);
-  ownership decisions go through ``repro.sharding.stable_hash`` /
-  ``HashRing`` / ``RangePartitioner``.
+  ad-hoc modulo placement disagrees across runs; ownership decisions go
+  through ``repro.sharding.RangePartitioner``, and anything that must
+  hash a key uses ``repro.sharding.stable_hash``.
 * ``compile-at-build-time`` — operator execution bodies
   (``execute_batches``, its ``_rows`` loop, ``__next__``,
   ``next_batch``) may not call ``compile_scalar``/``compile_predicate``
@@ -393,7 +393,7 @@ def _check_shard_ownership(tree: ast.AST, path: str) -> Iterator[AnalysisError]:
                 "shard-ownership",
                 "hash(...) % n outside repro.sharding; the builtin hash is "
                 "salted per process, so modulo placement disagrees across runs "
-                "— use repro.sharding.stable_hash / HashRing instead",
+                "— use repro.sharding.stable_hash / RangePartitioner instead",
                 location=f"{path}:{node.lineno}",
             )
 

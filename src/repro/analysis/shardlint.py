@@ -1,38 +1,38 @@
-"""Sharding-policy coverage lint: verify what the policy *claims*.
+"""Sharding-policy lint: verify what the policy *declares*.
 
-The :class:`~repro.sharding.policy.ShardingPolicy` is declarative — it
-asserts that ``getBook`` is a single-key lookup, that the search
-procedures decompose for scatter-gather, that item partitions on
-``i_id``. The router trusts none of it at runtime (every unroutable
-statement silently falls back to the backend), which is safe but makes a
-stale policy invisible: a renamed parameter or an added subquery quietly
-turns a scatter route into 100% backend traffic.
+A :class:`~repro.sharding.policy.ShardingPolicy` declares placement
+only — which cached views the shards hold and which of their source
+tables partition on which key — so that is all that can be wrong in
+one: a partitioned table or key column the catalog does not have, a
+view that does not parse or is not a cached view over one catalog
+table, a view over a partitioned table that does not project the
+partition key (its slice could not be guarded or re-sliced).
+:class:`~repro.sharding.deployment.ShardedDeployment` refuses to
+provision from a policy this pass flags. Routing is not declared, so
+there is nothing to lint in it; :func:`route_table` prints what
+:func:`repro.sharding.routing.decide` derives, so a procedure edit that
+changes routing shows in the ``analyze`` log.
 
-This pass re-derives each claim against the real catalog, with the same
-machinery the router uses (:func:`repro.sharding.scatter.decompose`,
-the procedure parameter list), and reports every route that would fall
-back. :func:`check_partitioner` separately verifies the geometric
-invariant routing correctness rests on: a partitioner's slices tile the
-key domain exactly — no gaps, no overlaps — after any sequence of
-rebalance operations.
+:func:`check_partitioner` separately verifies the geometric invariant
+routing correctness rests on: a partitioner's slices tile the key domain
+exactly — no gaps, no overlaps — after any sequence of rebalance
+operations.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.engine.locks import _procedure_writes
-from repro.errors import AnalysisError
-from repro.sharding.policy import ROUTE_KEY, ROUTE_SCATTER, ShardingPolicy
+from repro.errors import AnalysisError, CatalogError, ParseError
+from repro.sharding.policy import ShardingPolicy, source_table
 from repro.sharding.ring import RangePartitioner
-from repro.sharding.scatter import decompose
+from repro.sharding.routing import procedure_routes
 from repro.sql import ast as sqlast
 
 
 def lint_sharding_policy(policy: ShardingPolicy, catalog) -> List[AnalysisError]:
-    """Verify every route and partition claim against the catalog."""
+    """Verify every partition and view declaration against the catalog."""
     diagnostics: List[AnalysisError] = []
-    copied = {name.lower() for name in policy.procedures}
 
     for table_key, partition in sorted(policy.partitions.items()):
         where = f"policy.partitions[{table_key!r}]"
@@ -45,9 +45,9 @@ def lint_sharding_policy(policy: ShardingPolicy, catalog) -> List[AnalysisError]
                     location=where,
                 )
             )
-            continue
-        columns = {column.name.lower() for column in table.schema.columns}
-        if partition.key_column.lower() not in columns:
+        elif partition.key_column.lower() not in {
+            column.name.lower() for column in table.schema.columns
+        }:
             diagnostics.append(
                 AnalysisError(
                     "shard-partition-key",
@@ -56,97 +56,52 @@ def lint_sharding_policy(policy: ShardingPolicy, catalog) -> List[AnalysisError]
                     location=where,
                 )
             )
-        if partition.table.lower() not in {t.lower() for t in policy.shadow_tables}:
-            diagnostics.append(
-                AnalysisError(
-                    "shard-shadow-coverage",
-                    f"partitioned table {partition.table!r} is missing from "
-                    "shadow_tables; shard-local SELECTs over it would never "
-                    "route",
-                    location=where,
-                )
-            )
 
-    for name, route in sorted(policy.routes.items()):
-        where = f"policy.routes[{name!r}]"
-        procedure = catalog.procedures.get(name.lower())
-        if procedure is None:
+    try:
+        views = policy.view_statements
+    except (ParseError, CatalogError) as error:
+        return diagnostics + [AnalysisError("shard-view", str(error), location="policy.views")]
+    for view in views:
+        where = f"policy.views[{view.name!r}]"
+        table_name = source_table(view)
+        if table_name.lower() not in catalog.tables:
             diagnostics.append(
                 AnalysisError(
-                    "shard-route-procedure",
-                    f"route names unknown procedure {name!r}",
+                    "shard-view-table",
+                    f"cached view {view.name!r} selects from {table_name!r}, "
+                    "which is not in the catalog",
                     location=where,
                 )
             )
-            continue
-        if route.kind not in (ROUTE_KEY, ROUTE_SCATTER):
-            continue
-        if name.lower() not in copied:
+        partition = policy.partitions.get(table_name.lower())
+        if partition is not None and not any(
+            isinstance(item.expression, sqlast.Star)
+            or (
+                isinstance(item.expression, sqlast.ColumnRef)
+                and item.expression.name.lower() == partition.key_column.lower()
+            )
+            for item in view.select.items
+        ):
             diagnostics.append(
                 AnalysisError(
-                    "shard-route-copy",
-                    f"procedure {name!r} routes to shards but is not in "
-                    "policy.procedures, so shards never receive its "
-                    "definition — every call would fall back",
+                    "shard-view-key",
+                    f"cached view {view.name!r} slices {table_name!r} but does "
+                    f"not project its partition key {partition.key_column!r}",
                     location=where,
                 )
             )
-        if _procedure_writes(procedure.body, catalog, {name.lower()}):
-            diagnostics.append(
-                AnalysisError(
-                    "shard-route-writes",
-                    f"procedure {name!r} writes; writes must route to the "
-                    "backend (the replication stream is one-directional)",
-                    location=where,
-                )
-            )
-        if route.kind == ROUTE_KEY:
-            params = {param.name.lower() for param in procedure.params}
-            if route.key_param is None or route.key_param.lower() not in params:
-                diagnostics.append(
-                    AnalysisError(
-                        "shard-route-key",
-                        f"key route for {name!r} names parameter "
-                        f"{route.key_param!r}, which the procedure does not "
-                        "declare; every call would fall back to the backend",
-                        location=where,
-                    )
-                )
-            if route.table is None or route.table.lower() not in policy.partitions:
-                diagnostics.append(
-                    AnalysisError(
-                        "shard-route-key",
-                        f"key route for {name!r} keys on {route.table!r}, "
-                        "which is not a partitioned table",
-                        location=where,
-                    )
-                )
-        elif route.kind == ROUTE_SCATTER:
-            body = procedure.body
-            if len(body) != 1 or not isinstance(body[0], sqlast.Select):
-                diagnostics.append(
-                    AnalysisError(
-                        "shard-route-scatter",
-                        f"scatter route for {name!r} needs a single-SELECT "
-                        f"body (it has {len(body)} statement(s)); every call "
-                        "would silently fall back to the backend",
-                        location=where,
-                    )
-                )
-            elif decompose(body[0], policy.partitions) is None:
-                diagnostics.append(
-                    AnalysisError(
-                        "shard-route-scatter",
-                        f"scatter route for {name!r} does not decompose "
-                        "(aggregation, subquery, multiple partitioned "
-                        "tables, or a non-literal TOP); every call would "
-                        "silently fall back to the backend",
-                        location=where,
-                    )
-                )
 
     diagnostics += check_partitioner_domain(policy)
     return diagnostics
+
+
+def route_table(policy: ShardingPolicy, catalog) -> List[str]:
+    """The derived route per catalog procedure, one printable line each,
+    closing with the set the deployment copies to the shards."""
+    routes = procedure_routes(policy, catalog)
+    lines = [f"{name} -> {kind}" for name, kind in sorted(routes.items())]
+    copied = sorted(name for name, kind in routes.items() if kind != "backend")
+    return lines + [f"copied to shards: {', '.join(copied) or '(none)'}"]
 
 
 def check_partitioner(partitioner: RangePartitioner) -> List[AnalysisError]:

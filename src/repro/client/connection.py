@@ -97,6 +97,13 @@ class Connection:
         principal: str = "dbo",
         owns_target: bool = False,
     ):
+        if getattr(target, "remote_session", False) and target.principal != principal:
+            # Such a target executes under the sessions it was built with;
+            # it cannot honour this one, and must not silently outrank it.
+            raise ClientError(
+                f"{type(target).__name__} runs as {target.principal!r}; a connection "
+                f"over it cannot run as {principal!r} — build the target for that principal"
+            )
         self.target = target
         self.database = database
         self.session = Session(principal=principal, database=database)

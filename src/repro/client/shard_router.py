@@ -4,14 +4,17 @@ The router is an execution target like a server or a
 :class:`~repro.resilience.failover.FailoverRouter` — wrap it in a
 :class:`~repro.client.Connection` (or call :meth:`connection`) and the
 application never knows the cache tier is partitioned. Per statement it
-decides one of three routes:
+executes one of the three routes :func:`repro.sharding.routing.decide`
+derives from the statement and the backend catalog (nothing is declared
+per procedure — a procedure whose body is a single SELECT routes as that
+SELECT would):
 
-* **key** — the statement touches a partitioned table with an equality
-  on the partition key (or calls a procedure declared single-key): it
-  goes, unmodified, to the owning shard. A stale ownership guess (e.g.
-  mid-rebalance) is still correct: the shard's slice view only matches
-  keys it actually holds, so the optimizer's guarded plan fetches a
-  missing key from the backend.
+* **key** — an equality on the partition key of a partitioned table: the
+  statement goes, unmodified, to the owning shard. A stale ownership
+  guess (e.g. mid-rebalance) is still correct: the shard's slice view
+  only matches keys it actually holds, so the optimizer's guarded plan
+  fetches a missing key from the backend. A key the partitioner cannot
+  place (NULL, or anything but an integer) goes to the backend.
 * **scatter** — a decomposable scan: each shard runs the statement with
   its slice conjunct ANDed in, and the router re-merges (UNION ALL, then
   ORDER BY/TOP re-applied). See :mod:`repro.sharding.scatter`.
@@ -28,44 +31,18 @@ rebalancing invalidates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.client.connection import Connection
 from repro.common.locks import mutex
 from repro.common.lru import LRUCache
 from repro.common.schema import Schema
 from repro.engine.results import Result
 from repro.errors import ClientError, OverloadError
 from repro.resilience.deadline import check_deadline
-from repro.sharding.policy import (
-    ROUTE_KEY,
-    ROUTE_SCATTER,
-    ShardingPolicy,
-)
-from repro.sharding.scatter import ScatterQuery, decompose
-from repro.sql import ast, parse
-
-#: Value sources for routing keys and procedure arguments:
-#: ("param", name) reads the statement's parameter dict, ("literal", v)
-#: is a constant baked into the statement text.
-_Source = Tuple[str, Any]
-
-
-@dataclass
-class _Decision:
-    """A cached routing decision for one statement text."""
-
-    kind: str  # "key" | "scatter" | "backend"
-    key_source: Optional[_Source] = None
-    scatter: Optional[ScatterQuery] = None
-    # None passes the statement's params through unchanged; otherwise a
-    # mapping of procedure-parameter name -> value source.
-    param_map: Optional[Tuple[Tuple[str, _Source], ...]] = None
-    # Per-shard SQL cache: (partitioner version, {shard: sql}).
-    _shard_sql: Optional[Tuple[int, Dict[str, str]]] = None
-
-
-_BACKEND_DECISION = _Decision(kind="backend")
+from repro.sharding.policy import ShardingPolicy
+from repro.sharding.routing import BACKEND, Route, decide, remap, resolve
+from repro.sql import parse
 
 
 class ShardRouter:
@@ -90,8 +67,6 @@ class ShardRouter:
         shard provisioned after the router was built (rebalancing grows
         the tier); None (or a factory returning None) leaves unknown
         shards to the backend fallback."""
-        from repro.client.connection import Connection
-
         self.partitioner = partitioner
         self.policy = policy
         self.registry = registry
@@ -118,8 +93,6 @@ class ShardRouter:
                 if connection is None:
                     target = self._target_factory(name)
                     if target is not None:
-                        from repro.client.connection import Connection
-
                         connection = Connection(target, principal=self.principal)
                         self._shards[name] = connection
         return connection
@@ -160,9 +133,7 @@ class ShardRouter:
 
     def connection(self):
         """A DBAPI connection facade over this router."""
-        from repro.client.connection import Connection
-
-        return Connection(self)
+        return Connection(self, principal=self.principal)
 
     def close(self) -> None:
         if self.closed:
@@ -180,18 +151,18 @@ class ShardRouter:
         if self.closed:
             raise ClientError("shard router is closed")
         check_deadline("shard routing")
-        # Decisions embed catalog facts (a procedure's parsed body), so
-        # they are checked against the backend's schema version.
+        # Routes embed catalog facts (a procedure's parsed body), so they
+        # are checked against the backend's schema version.
         version = self._database.version
         entry = self._decisions.get(sql, valid=lambda e: e[0] == version)
         if entry is None:
             entry = (version, self._decide(sql))
             self._decisions[sql] = entry
-        decision = entry[1]
-        if decision.kind == "key":
-            return self._execute_key(decision, sql, params)
-        if decision.kind == "scatter":
-            return self._execute_scatter(decision, params)
+        route = entry[1]
+        if route.kind == "key":
+            return self._execute_key(route, sql, params)
+        if route.kind == "scatter":
+            return self._execute_scatter(route, params)
         return self._execute_backend(sql, params)
 
     def _count_hit(self, shard: str) -> None:
@@ -216,9 +187,12 @@ class ShardRouter:
         self._count_miss()
         return self._backend._raw_execute(sql, params)
 
-    def _execute_key(self, decision: _Decision, sql: str, params) -> Result:
-        value = _resolve(decision.key_source, params)
-        if value is None:
+    def _execute_key(self, route: Route, sql: str, params) -> Result:
+        value = resolve(route.key_source, params)
+        if not isinstance(value, int) or isinstance(value, bool):
+            # NULL, or a key the partitioner cannot place ('abc', 3.7):
+            # no slice guard could compare it either, so the backend —
+            # which answers any value the application may send — does.
             return self._execute_backend(sql, params)
         owner = self.partitioner.owner(value)
         connection = self._shard_connection(owner)
@@ -235,21 +209,13 @@ class ShardRouter:
             self._count_degraded(owner)
             return self._execute_backend(sql, params)
 
-    def _execute_scatter(self, decision: _Decision, params) -> Result:
-        scatter = decision.scatter
+    def _execute_scatter(self, route: Route, params) -> Result:
+        scatter = route.scatter
         assert scatter is not None
-        shard_sql = self._shard_statements(decision)
-        if not shard_sql:
-            return self._execute_backend(
-                # No range slices to scatter over (hash partitioner):
-                # reconstruct nothing — run the original on the backend.
-                scatter_sql_fallback(scatter),
-                _remap(decision.param_map, params),
-            )
-        exec_params = _remap(decision.param_map, params)
+        exec_params = remap(route.param_map, params)
         per_shard: List[Sequence[Tuple]] = []
         schema: Optional[Schema] = None
-        for shard, statement in shard_sql.items():
+        for shard, statement in self._shard_statements(route).items():
             # Each scatter hop spends budget; stop fanning out the moment
             # the statement's deadline is gone rather than finishing the
             # sweep on borrowed time.
@@ -280,175 +246,30 @@ class ShardRouter:
             schema = Schema(list(schema)[: scatter.width])
         return Result(rows=rows, schema=schema, rowcount=len(rows))
 
-    def _shard_statements(self, decision: _Decision) -> Dict[str, str]:
+    def _shard_statements(self, route: Route) -> Dict[str, str]:
         """Per-shard scatter SQL, cached against the partitioner version."""
+        assert route.scatter is not None
         version = self.partitioner.version
-        cached = decision._shard_sql
+        cached = route.shard_sql
         if cached is not None and cached[0] == version:
             return cached[1]
-        slice_of = getattr(self.partitioner, "slice", None)
         statements: Dict[str, str] = {}
-        if slice_of is not None:
-            for shard in self.partitioner.shards:
-                low, high = slice_of(shard)
-                if high < low:
-                    continue  # empty slice (e.g. a shard mid-provisioning)
-                statements[shard] = decision.scatter.shard_sql(low, high)
-        decision._shard_sql = (version, statements)
+        for shard in self.partitioner.shards:
+            low, high = self.partitioner.slice(shard)
+            if high < low:
+                continue  # empty slice (e.g. a shard mid-provisioning)
+            statements[shard] = route.scatter.shard_sql(low, high)
+        route.shard_sql = (version, statements)
         return statements
 
-    # -- decision building -------------------------------------------------
-
-    def _decide(self, sql: str) -> _Decision:
+    def _decide(self, sql: str) -> Route:
         try:
             statement = parse(sql)
         except Exception:
-            return _BACKEND_DECISION
-        if isinstance(statement, ast.Execute):
-            return self._decide_execute(statement)
-        if isinstance(statement, ast.Select):
-            return self._decide_select(statement)
-        return _BACKEND_DECISION
-
-    def _decide_execute(self, statement: ast.Execute) -> _Decision:
-        procedure_name = statement.procedure[-1]
-        route = self.policy.route_for(procedure_name)
-        try:
-            procedure = self._database.catalog.get_procedure(procedure_name)
-        except Exception:
-            return _BACKEND_DECISION
-        arguments = _argument_sources(statement, procedure)
-        if arguments is None:
-            return _BACKEND_DECISION
-        if route.kind == ROUTE_KEY and route.key_param:
-            source = dict(arguments).get(route.key_param.lower())
-            if source is None:
-                return _BACKEND_DECISION
-            return _Decision(kind="key", key_source=source)
-        if route.kind == ROUTE_SCATTER:
-            selects = [
-                body_statement
-                for body_statement in procedure.body
-                if isinstance(body_statement, ast.Select)
-            ]
-            if len(selects) != 1 or len(procedure.body) != 1:
-                return _BACKEND_DECISION
-            scatter = decompose(selects[0], self.policy.partitions)
-            if scatter is None:
-                return _BACKEND_DECISION
-            return _Decision(kind="scatter", scatter=scatter, param_map=arguments)
-        return _BACKEND_DECISION
-
-    def _decide_select(self, statement: ast.Select) -> _Decision:
-        key_source = self._key_equality(statement)
-        if key_source is not None:
-            return _Decision(kind="key", key_source=key_source)
-        scatter = decompose(statement, self.policy.partitions)
-        if scatter is not None and self._tables_shadowed(statement):
-            return _Decision(kind="scatter", scatter=scatter, param_map=None)
-        return _BACKEND_DECISION
-
-    def _tables_shadowed(self, statement: ast.Select) -> bool:
-        shadowed = {table.lower() for table in self.policy.shadow_tables}
-        from repro.sharding.scatter import _table_names
-
-        tables = _table_names(statement.from_clause)
-        if not tables:
-            return False
-        return all(table.object_name.lower() in shadowed for table in tables)
-
-    def _key_equality(self, statement: ast.Select) -> Optional[_Source]:
-        """A ``key = @p`` / ``key = literal`` conjunct on the partition key."""
-        from repro.optimizer.predicates import split_conjuncts
-        from repro.sharding.scatter import _table_names
-
-        if not self._tables_shadowed(statement):
-            return None
-        tables = _table_names(statement.from_clause) or []
-        partitioned = [
-            table
-            for table in tables
-            if table.object_name.lower() in self.policy.partitions
-        ]
-        if len(partitioned) != 1:
-            return None
-        partition = self.policy.partitions[partitioned[0].object_name.lower()]
-        qualifiers = {
-            partitioned[0].binding_name.lower(),
-            partitioned[0].object_name.lower(),
-        }
-        for conjunct in split_conjuncts(statement.where):
-            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-                continue
-            for column, value in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not isinstance(column, ast.ColumnRef):
-                    continue
-                if column.name.lower() != partition.key_column.lower():
-                    continue
-                if column.qualifier and column.qualifier.lower() not in qualifiers:
-                    continue
-                if isinstance(value, ast.Parameter):
-                    return ("param", value.name)
-                if isinstance(value, ast.Literal) and value.value is not None:
-                    return ("literal", value.value)
-        return None
+            return BACKEND
+        return decide(statement, self.policy, self._database.catalog)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
         return f"<ShardRouter shards={list(self._shards)} {state}>"
 
-
-def _argument_sources(
-    statement: ast.Execute, procedure
-) -> Optional[Tuple[Tuple[str, _Source], ...]]:
-    """Map procedure parameter names to value sources, or None when the
-    call uses expressions the router cannot evaluate client-side."""
-    parameter_names = [param.name.lower() for param in procedure.params]
-    sources: List[Tuple[str, _Source]] = []
-    for position, (name, expression) in enumerate(statement.arguments):
-        if name is not None:
-            target = name.lower()
-        elif position < len(parameter_names):
-            target = parameter_names[position]
-        else:
-            return None
-        if isinstance(expression, ast.Parameter):
-            sources.append((target, ("param", expression.name)))
-        elif isinstance(expression, ast.Literal):
-            sources.append((target, ("literal", expression.value)))
-        else:
-            return None
-    return tuple(sources)
-
-
-def _resolve(source: Optional[_Source], params: Optional[Dict[str, Any]]):
-    if source is None:
-        return None
-    kind, value = source
-    if kind == "literal":
-        return value
-    return (params or {}).get(value)
-
-
-def _remap(
-    param_map: Optional[Tuple[Tuple[str, _Source], ...]],
-    params: Optional[Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    if param_map is None:
-        return params
-    return {name: _resolve(source, params) for name, source in param_map}
-
-
-def scatter_sql_fallback(scatter: ScatterQuery) -> str:
-    """The undecomposed statement text (backend fallback for scatter)."""
-    from repro.sql.formatter import format_statement
-
-    trimmed = scatter.select
-    if scatter.width < len(trimmed.items):
-        from dataclasses import replace
-
-        trimmed = replace(trimmed, items=trimmed.items[: scatter.width])
-    return format_statement(trimmed)

@@ -756,6 +756,10 @@ class Server:
         server_name = explicit_server or database.backend_server
         if server_name is None:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
+        if explicit_server is None:
+            # The link executes as dbo, so the caller's right is checked
+            # here, against the permissions shadowed from the backend.
+            database.catalog.permissions.check("EXECUTE", name, session.principal)
         link = self.linked_servers.get(server_name)
         literal_args = []
         for arg_name, expression in statement.arguments:

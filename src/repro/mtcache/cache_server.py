@@ -111,20 +111,28 @@ class CacheServer:
             self.statements_forwarded += 1
             self.server.metrics.counter("mtcache.statements_forwarded").inc()
             with self.server.tracer.span("forward.statement", target="backend"):
-                return self.deployment.backend.execute(
-                    sql, params=params, database=self.deployment.database_name
-                )
+                return self._on_backend(sql, params, session)
         except (LinkUnavailableError, ServerUnavailableError, CircuitOpenError):
             if not self._read_only_batch(sql):
                 raise
             self.fallback_reads += 1
             self.server.metrics.counter("resilience.fallback_reads").inc()
             with self.server.tracer.span("failover.read", target="backend"):
-                return self.deployment.backend.execute(
-                    sql, params=params, database=self.deployment.database_name
-                )
+                return self._on_backend(sql, params, session)
         self._record_degraded_candidate(sql, params, result)
         return result
+
+    def _on_backend(self, sql: str, params: Optional[Dict], session):
+        """Run a whole statement on the backend, as the caller's principal
+        (a fallback must not answer what the backend would deny)."""
+        from repro.client.connection import connect
+
+        with connect(
+            self.deployment.backend,
+            database=self.deployment.database_name,
+            principal=session.principal if session is not None else "dbo",
+        ) as connection:
+            return connection.cursor().execute(sql, params).result
 
     # -- degraded reads (overload, PR 9) -------------------------------------
 

@@ -171,13 +171,23 @@ class MTCacheDeployment:
         The paper notes its prototype "do[es] not currently refresh the
         shadowed catalog information. This clearly needs to be done." This
         is that refresh: new tables, indexes and plain views appear on
-        every (fully shadowed) cache; statistics are re-adopted. Returns
-        counts of objects added.
+        every (fully shadowed) cache; statistics are re-adopted. A copied
+        procedure the backend has since redefined is re-copied (dropped,
+        when the backend dropped it) on every cache, minimal shadows
+        included — a cache must not keep answering with a definition the
+        backend no longer has. Returns counts of objects added.
         """
         backend_db = self.backend_database
         added = {"tables": 0, "indexes": 0, "views": 0}
         for cache in self.cache_servers:
             shadow = cache.database
+            for key, held in list(shadow.catalog.procedures.items()):
+                current = backend_db.catalog.maybe_procedure(key)
+                if current != held:
+                    shadow.catalog.drop_procedure(key)
+                    if current is not None:
+                        shadow.catalog.add_procedure(current)
+                    shadow.bump_version()
             if getattr(cache, "minimal_shadow", False):
                 continue  # minimal shadows stay minimal by design
             for key, table in backend_db.catalog.tables.items():

@@ -73,6 +73,7 @@ class FailoverRouter:
         self.primary = primary
         self.fallback = fallback
         self.clock = clock
+        self.principal = principal
         self.probe_interval = probe_interval
         if failback_threshold < 1:
             raise ValueError(f"failback_threshold must be >= 1, not {failback_threshold}")
@@ -92,7 +93,7 @@ class FailoverRouter:
         }
         # A connection over the router itself, so applications written
         # against the DBAPI cursor surface can drive a router directly.
-        self._facade = Connection(self)
+        self._facade = Connection(self, principal=principal)
         self.state = self.NORMAL
         self.failovers = 0
         self.failbacks = 0

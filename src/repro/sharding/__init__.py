@@ -8,42 +8,31 @@ horizontal slice of the hot tables, apply work divides across the tier,
 and a shard-aware router (:class:`repro.client.ShardRouter`) sends
 single-key statements to the owning shard and scatter-gathers scans.
 
-Placement strategies live in :mod:`repro.sharding.ring`; the declarative
-table/procedure policy in :mod:`repro.sharding.policy`; scatter-gather
+Placement lives in :mod:`repro.sharding.ring`; the declaration of where
+data lives in :mod:`repro.sharding.policy`; the one decision of where a
+statement goes in :mod:`repro.sharding.routing`; scatter-gather
 decomposition in :mod:`repro.sharding.scatter`; provisioning and
 rebalancing in :mod:`repro.sharding.deployment` and
 :mod:`repro.sharding.rebalance`.
 """
 
 from repro.sharding.deployment import ShardedDeployment
-from repro.sharding.policy import (
-    ROUTE_BACKEND,
-    ROUTE_KEY,
-    ROUTE_SCATTER,
-    BroadcastView,
-    ProcedureRoute,
-    ShardingPolicy,
-    TablePartition,
-    tpcw_sharding_policy,
-)
+from repro.sharding.policy import ShardingPolicy, TablePartition, tpcw_sharding_policy
 from repro.sharding.rebalance import Rebalancer
-from repro.sharding.ring import HashRing, RangePartitioner, stable_hash
+from repro.sharding.ring import RangePartitioner, stable_hash
+from repro.sharding.routing import decide, procedure_routes
 from repro.sharding.scatter import ScatterQuery, decompose
 
 __all__ = [
-    "BroadcastView",
-    "HashRing",
-    "ProcedureRoute",
     "RangePartitioner",
     "Rebalancer",
-    "ROUTE_BACKEND",
-    "ROUTE_KEY",
-    "ROUTE_SCATTER",
     "ScatterQuery",
     "ShardedDeployment",
     "ShardingPolicy",
     "TablePartition",
+    "decide",
     "decompose",
+    "procedure_routes",
     "stable_hash",
     "tpcw_sharding_policy",
 ]

@@ -5,7 +5,10 @@ shard is an ordinary minimal-shadow cache server whose cached views of
 the partitioned tables carry the shard's slice predicate, so the
 existing replication pipeline (articles with row restrictions, log
 reader, push agents) delivers each shard only its horizontal slice.
-Broadcast views replicate in full to every shard.
+The policy's other views replicate in full to every shard. Everything
+past the views is derived: the shadowed tables are the views' source
+tables, the copied procedures the ones
+:func:`~repro.sharding.routing.procedure_routes` sends to a shard.
 
 The division of labor with the router:
 
@@ -24,15 +27,19 @@ a misrouted or mid-rebalance statement is slower, not wrong.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.catalog.objects import ViewDef
+from repro.errors import CatalogError
 from repro.mtcache.cache_server import CacheServer
 from repro.mtcache.deployment import MTCacheDeployment
 from repro.obs.metrics import MetricsRegistry
-from repro.sharding.policy import ShardingPolicy, TablePartition
+from repro.sharding.policy import ShardingPolicy, TablePartition, source_table, tpcw_sharding_policy
 from repro.sharding.rebalance import Rebalancer
-from repro.sharding.ring import RangePartitioner
+from repro.sharding.ring import RangePartitioner, slice_predicate
+from repro.sharding.routing import procedure_routes
+from repro.sql import ast
+from repro.sql.formatter import format_statement
+from repro.tpcw.config import TPCWConfig
 
 
 class ShardedDeployment:
@@ -44,34 +51,29 @@ class ShardedDeployment:
         config=None,
         shards: int = 8,
         policy: Optional[ShardingPolicy] = None,
-        shard_names: Optional[List[str]] = None,
-        logreader_interval: float = 0.25,
-        agent_interval: float = 0.25,
     ):
         """With no ``backend``, builds and populates a TPC-W backend
         (``config`` may override :class:`~repro.tpcw.TPCWConfig`) — the
-        quickstart path. ``policy`` defaults to the TPC-W policy."""
+        quickstart path. ``policy`` defaults to the TPC-W policy; one
+        the backend catalog contradicts raises ``CatalogError`` here,
+        before any shard is provisioned."""
         if backend is None:
             from repro.tpcw.setup import build_backend
 
             backend, config = build_backend(config)
         if policy is None:
-            from repro.sharding.policy import tpcw_sharding_policy
-            from repro.tpcw.config import TPCWConfig
-
             policy = tpcw_sharding_policy(config or TPCWConfig())
+        from repro.analysis.shardlint import lint_sharding_policy
         from repro.tpcw.setup import DATABASE_NAME
 
         self.backend = backend
         self.policy = policy
         self.database_name = DATABASE_NAME
-        self.deployment = MTCacheDeployment(
-            backend,
-            self.database_name,
-            logreader_interval=logreader_interval,
-            agent_interval=agent_interval,
-        )
-        names = shard_names or [f"shard{index}" for index in range(shards)]
+        diagnostics = lint_sharding_policy(policy, backend.database(DATABASE_NAME).catalog)
+        if diagnostics:
+            raise CatalogError(str(diagnostics[0]))
+        self.deployment = MTCacheDeployment(backend, self.database_name)
+        names = [f"shard{index}" for index in range(shards)]
         low, high = policy.key_domain
         self.partitioner = RangePartitioner(names, low, high)
         self.metrics = MetricsRegistry(namespace="sharding")
@@ -98,18 +100,44 @@ class ShardedDeployment:
 
     # -- provisioning ------------------------------------------------------
 
+    def _shard_views(
+        self, low: int, high: int
+    ) -> Iterator[Tuple[ast.CreateView, Optional[TablePartition]]]:
+        """The policy's views as the shard owning ``[low, high]`` holds
+        them: a view over a partitioned table has the slice ANDed into
+        its WHERE clause, every other view is carried in full."""
+        for view in self.policy.view_statements:
+            partition = self.policy.partitions.get(source_table(view).lower())
+            if partition is not None:
+                where = slice_predicate(partition.key_column, low, high)
+                if view.select.where is not None:
+                    where = ast.BinaryOp(op="AND", left=view.select.where, right=where)
+                view = replace(view, select=replace(view.select, where=where))
+            yield view, partition
+
+    def _routed_procedures(self) -> List[str]:
+        """The procedures the router sends to a shard."""
+        routes = procedure_routes(self.policy, self.deployment.backend_database.catalog)
+        return [name for name, kind in routes.items() if kind != "backend"]
+
     def _provision_shard(self, name: str) -> CacheServer:
         cache = self.deployment.add_cache_server(
-            name, shadow_tables=list(self.policy.shadow_tables)
+            name, shadow_tables=sorted(self.policy.source_tables)
         )
-        for broadcast in self.policy.broadcasts:
-            cache.create_cached_view(broadcast.ddl)
-        low, high = self.partitioner.slice(name)
-        for partition in self.policy.partitions.values():
-            cache.create_cached_view(partition.ddl(low, high))
-        if self.policy.procedures:
-            cache.copy_procedures(list(self.policy.procedures))
+        for view, _ in self._shard_views(*self.partitioner.slice(name)):
+            cache.create_cached_view(format_statement(view))
+        cache.copy_procedures(self._routed_procedures())
         return cache
+
+    def refresh_catalog(self) -> Dict[str, int]:
+        """Propagate backend DDL to the shards, then copy the procedures
+        the router now sends there (a redefinition can change the set)."""
+        added = self.deployment.refresh_catalog()
+        routed = self._routed_procedures()
+        for cache in self.shards.values():
+            held = cache.database.catalog.procedures
+            cache.copy_procedures([name for name in routed if name.lower() not in held])
+        return added
 
     def add_shard(self, name: str) -> CacheServer:
         """Grow the tier by one shard: split the widest slice into it.
@@ -139,11 +167,12 @@ class ShardedDeployment:
     def _retarget(self, shard_name: str, low: int, high: int) -> int:
         """Re-slice an existing shard to ``[low, high]``.
 
-        Updates, for every partitioned table: the publication article's
-        predicate (future replicated commands), the shard's cached-view
-        definition (so view matching sees the new slice), and the view's
-        stored rows (copy gained keys from the backend, drop lost ones).
-        Returns the number of rows moved in or out.
+        Updates, for every view over a partitioned table: the
+        publication article's predicate (future replicated commands), the
+        shard's cached-view definition (so view matching sees the new
+        slice), and the view's stored rows (copy gained keys from the
+        backend, drop lost ones). Returns the number of rows moved in or
+        out.
 
         The whole re-slice holds the shard database's latch exclusively —
         it is DDL plus a data move, and concurrent statements take the
@@ -155,51 +184,48 @@ class ShardedDeployment:
         """
         cache = self.shards[shard_name]
         database = cache.database
+        backend_database = self.deployment.backend_database
         moved = 0
         with database.latch.exclusive():
-            for partition in self.policy.partitions.values():
-                subscription = cache.subscriptions[partition.view.lower()]
+            for view, partition in self._shard_views(low, high):
+                if partition is None:
+                    continue
+                subscription = cache.subscriptions[view.name.lower()]
                 article = self.deployment.publication.article(
                     subscription.article_name
                 )
-                predicate = self.partitioner_predicate(partition, low, high)
-                article.predicate = predicate
-                article.bind(
-                    self.deployment.backend_database.catalog.get_table(
-                        partition.table
-                    ).schema
+                article.predicate = view.select.where
+                article.bind(backend_database.catalog.get_table(partition.table).schema)
+                view_def = database.catalog.get_view(view.name)
+                database.catalog.drop_view(view.name)
+                database.catalog.add_view(replace(view_def, select=view.select))
+                moved += self._resync_rows(
+                    database.storage_table(view.name),
+                    backend_database.storage_table(partition.table),
+                    article,
+                    partition.key_column,
+                    low,
+                    high,
                 )
-                view = database.catalog.get_view(partition.view)
-                database.catalog.drop_view(partition.view)
-                database.catalog.add_view(
-                    replace(view, select=replace(view.select, where=predicate))
-                )
-                moved += self._resync_rows(database, partition, article, low, high)
-                database.analyze(partition.view)
+                database.analyze(view.name)
             database.bump_version()
         return moved
 
     @staticmethod
-    def partitioner_predicate(partition: TablePartition, low: int, high: int):
-        from repro.sql import ast
-
-        return ast.Between(
-            operand=ast.ColumnRef(name=partition.key_column),
-            low=ast.Literal(low),
-            high=ast.Literal(high),
-        )
-
     def _resync_rows(
-        self, database, partition: TablePartition, article, low: int, high: int
+        storage, source, article, key_column: str, low: int, high: int
     ) -> int:
         """Make the view's stored rows exactly the backend rows in range.
 
         Idempotent set reconciliation rather than delta shipping: drop
         rows that left the slice, copy rows that joined it (skipping keys
         already present — replication may already have delivered them).
+        The view stores the article's columns in order, so the key sits
+        where the article projects it.
         """
-        storage = database.storage_table(partition.view)
-        key_position = storage.schema.resolve(partition.view_key())
+        key_position = [column.lower() for column in article.columns].index(
+            key_column.lower()
+        )
         moved = 0
         stale = [
             rid
@@ -210,7 +236,6 @@ class ShardedDeployment:
             storage.delete_rid(rid)
         moved += len(stale)
         present = {row[key_position] for _, row in storage.scan()}
-        source = self.deployment.backend_database.storage_table(partition.table)
         for _, row in source.scan():
             if article.row_matches(row):
                 projected = article.project(row)
@@ -258,11 +283,6 @@ class ShardedDeployment:
 
     def sync(self) -> None:
         self.deployment.sync()
-
-    def failover_connection(self, cache, principal: str = "dbo", probe_interval: float = 1.0):
-        return self.deployment.failover_connection(
-            cache, principal=principal, probe_interval=probe_interval
-        )
 
     # -- the client tier ---------------------------------------------------
 

@@ -1,35 +1,43 @@
-"""Sharding policy: which tables partition, and how statements route.
+"""Sharding policy: where data lives — and nothing else.
 
-A :class:`ShardingPolicy` is the declarative half of the sharded tier:
+The paper asks the DBA for one kind of declaration, the cached views,
+and derives the rest (shadow catalog, publication, subscriptions, the
+local/remote choice per statement). A :class:`ShardingPolicy` keeps to
+that: it declares
 
-* ``partitions`` — tables split across shards. Each shard's cached view
-  of a partitioned table carries the shard's slice as its WHERE clause,
-  so the replication article (and therefore the shard's storage and
-  apply work) covers only the slice.
-* ``broadcasts`` — cached views every shard carries in full (small or
-  join-critical tables; the classic broadcast/dimension-table choice).
-* ``routes`` — per-procedure routing: single-key procedures go to the
-  owning shard, decomposable scans scatter-gather, everything else goes
-  to the backend.
+* ``views`` — ``CREATE CACHED VIEW`` statements, written exactly as a
+  single cache would run them;
+* ``partitions`` — which of their source tables split across shards,
+  and on which key column;
+* ``key_domain`` — the integer key range the shards tile.
 
-:func:`tpcw_sharding_policy` instantiates the policy for the TPC-W
-deployment: **item** and **order_line** partition on the item id (they
-co-partition — order lines live with the item they reference, which is
-what the bestseller-style joins want), while **author** and **orders**
-broadcast.
+:class:`~repro.sharding.deployment.ShardedDeployment` derives the
+provisioning from it: a view over a partitioned table gets the shard's
+slice (``key BETWEEN lo AND hi``) ANDed into its WHERE clause, so the
+replication article — and with it the shard's storage and apply work —
+covers only the slice; every other view is carried in full by every
+shard (the broadcast/dimension-table choice); the views' source tables
+are the shadowed catalog. Where a *statement* goes is not declared at
+all: :func:`repro.sharding.routing.decide` derives it from the statement
+and the catalog, and the procedures copied to the shards are exactly the
+ones it routes there.
+
+:func:`tpcw_sharding_policy` is the TPC-W instance: the paper's four
+cached views, with **item** and **order_line** partitioned on the item
+id (they co-partition — order lines live with the item they reference,
+which is what the bestseller-style joins want) and **author** and
+**orders** broadcast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Tuple
 
+from repro.errors import CatalogError
+from repro.sql import ast, parse
 from repro.tpcw.config import TPCWConfig
-
-#: Routing kinds.
-ROUTE_KEY = "key"
-ROUTE_SCATTER = "scatter"
-ROUTE_BACKEND = "backend"
 
 
 @dataclass(frozen=True)
@@ -37,125 +45,57 @@ class TablePartition:
     """One horizontally partitioned table."""
 
     table: str  # base table on the backend
-    view: str  # the cached view name each shard materializes
     key_column: str  # the partition key (a column of ``table``)
-    select: str  # the view's select-project body, without WHERE
-    # column name of the key *in the view's output* (usually the same).
-    view_key_column: Optional[str] = None
-
-    def view_key(self) -> str:
-        return self.view_key_column or self.key_column
-
-    def ddl(self, low: int, high: int) -> str:
-        """The shard-local CREATE CACHED VIEW statement for one slice."""
-        return (
-            f"CREATE CACHED VIEW {self.view} AS {self.select} "
-            f"WHERE {self.key_column} BETWEEN {low} AND {high}"
-        )
-
-
-@dataclass(frozen=True)
-class BroadcastView:
-    """A cached view every shard carries in full."""
-
-    view: str
-    ddl: str
-
-
-@dataclass(frozen=True)
-class ProcedureRoute:
-    """How one stored procedure routes through the shard tier."""
-
-    kind: str  # ROUTE_KEY / ROUTE_SCATTER / ROUTE_BACKEND
-    table: Optional[str] = None  # the partitioned table the route keys on
-    key_param: Optional[str] = None  # procedure parameter carrying the key
 
 
 @dataclass
 class ShardingPolicy:
-    """The full declarative description of a sharded cache tier."""
+    """The declarative description of a sharded cache tier."""
 
     key_domain: Tuple[int, int]  # shared key domain of the partitioned tables
     partitions: Dict[str, TablePartition] = field(default_factory=dict)
-    broadcasts: List[BroadcastView] = field(default_factory=list)
-    routes: Dict[str, ProcedureRoute] = field(default_factory=dict)
-    shadow_tables: List[str] = field(default_factory=list)
-    procedures: List[str] = field(default_factory=list)  # copied to shards
+    views: List[str] = field(default_factory=list)  # CREATE CACHED VIEW ...
 
-    def partition_for(self, table: str) -> Optional[TablePartition]:
-        return self.partitions.get(table.lower())
+    @cached_property
+    def view_statements(self) -> Tuple[ast.CreateView, ...]:
+        """``views`` parsed, once: ``ParseError`` on malformed text,
+        ``CatalogError`` on anything but a cached view over one table."""
+        return tuple(_cached_view(ddl) for ddl in self.views)
 
-    def route_for(self, procedure: str) -> ProcedureRoute:
-        return self.routes.get(procedure.lower(), _BACKEND_ROUTE)
+    @cached_property
+    def source_tables(self) -> FrozenSet[str]:
+        """The views' source tables: what every shard shadows."""
+        return frozenset(source_table(view).lower() for view in self.view_statements)
 
 
-_BACKEND_ROUTE = ProcedureRoute(kind=ROUTE_BACKEND)
+def _cached_view(ddl: str) -> ast.CreateView:
+    statement = parse(ddl)
+    if not (
+        isinstance(statement, ast.CreateView)
+        and statement.cached
+        and isinstance(statement.select.from_clause, ast.TableName)
+    ):
+        raise CatalogError(f"not a CREATE CACHED VIEW over one table: {ddl!r}")
+    return statement
+
+
+def source_table(view: ast.CreateView) -> str:
+    """The table a policy view selects from."""
+    from_clause = view.select.from_clause
+    assert isinstance(from_clause, ast.TableName)
+    return from_clause.object_name
 
 
 def tpcw_sharding_policy(config: TPCWConfig) -> ShardingPolicy:
-    """The TPC-W policy: item/order_line partition by item id.
+    """The TPC-W policy: the paper's cached views, item/order_line
+    partitioned by item id."""
+    from repro.tpcw.setup import CACHED_VIEW_DDL
 
-    Routing choices, procedure by procedure:
-
-    * ``getBook``/``getStock`` — single-key item lookups: route to the
-      owning shard (``ROUTE_KEY``).
-    * the search procedures (``doSubjectSearch``, ``doTitleSearch``,
-      ``doAuthorSearch``, ``getNewProducts``) — TOP-n ORDER BY scans of
-      item x author: scatter across shards and re-merge. Their sort
-      columns include the unique item title, so the merged order is
-      total and deterministic.
-    * ``getBestSellers`` (global TOP-window subquery + GROUP BY),
-      ``getRelated`` (an item self-join whose related id may live on
-      another shard), the order/customer procedures, and every write —
-      backend (``ROUTE_BACKEND``). Unlisted procedures default there.
-    """
-    partitions = {
-        "item": TablePartition(
-            table="item",
-            view="cv_item",
-            key_column="i_id",
-            select="SELECT * FROM item",
-        ),
-        "order_line": TablePartition(
-            table="order_line",
-            view="cv_order_line",
-            key_column="ol_i_id",
-            select=(
-                "SELECT ol_id, ol_o_id, ol_i_id, ol_qty, ol_discount "
-                "FROM order_line"
-            ),
-        ),
-    }
-    broadcasts = [
-        BroadcastView(
-            view="cv_author",
-            ddl="CREATE CACHED VIEW cv_author AS SELECT * FROM author",
-        ),
-        BroadcastView(
-            view="cv_orders",
-            ddl="CREATE CACHED VIEW cv_orders AS SELECT o_id, o_c_id, o_date FROM orders",
-        ),
-    ]
-    routes = {
-        "getbook": ProcedureRoute(ROUTE_KEY, table="item", key_param="i_id"),
-        "getstock": ProcedureRoute(ROUTE_KEY, table="item", key_param="i_id"),
-        "dosubjectsearch": ProcedureRoute(ROUTE_SCATTER, table="item"),
-        "dotitlesearch": ProcedureRoute(ROUTE_SCATTER, table="item"),
-        "doauthorsearch": ProcedureRoute(ROUTE_SCATTER, table="item"),
-        "getnewproducts": ProcedureRoute(ROUTE_SCATTER, table="item"),
-    }
     return ShardingPolicy(
         key_domain=(1, config.num_items),
-        partitions=partitions,
-        broadcasts=broadcasts,
-        routes=routes,
-        shadow_tables=["item", "author", "orders", "order_line"],
-        procedures=[
-            "getBook",
-            "getStock",
-            "doSubjectSearch",
-            "doTitleSearch",
-            "doAuthorSearch",
-            "getNewProducts",
-        ],
+        partitions={
+            "item": TablePartition(table="item", key_column="i_id"),
+            "order_line": TablePartition(table="order_line", key_column="ol_i_id"),
+        },
+        views=list(CACHED_VIEW_DDL),
     )

@@ -1,23 +1,18 @@
-"""Partitioning strategies for the sharded cache tier.
+"""Placement for the sharded cache tier: contiguous key ranges.
 
-Two strategies share one small protocol (``shards``, ``owner(key)``,
-``version``):
+There is one strategy, :class:`RangePartitioner`, because a shard's
+slice has to be a **SQL predicate**: ``key BETWEEN lo AND hi``
+(:func:`slice_predicate`) is what a shard's cached views carry as their
+WHERE clause, what their replication articles carry as a row
+restriction, and what lets the optimizer build dynamic plans whose
+guards keep even a misrouted key correct. Ownership of a hash bucket is
+not expressible that way, so consistent hashing — more uniform under
+skew — cannot place data here.
 
-* :class:`HashRing` — consistent hashing with virtual nodes. Placement is
-  uniform for arbitrary key spaces and adding/removing a shard relocates
-  only ~K/N keys, but ownership of a hash bucket is not expressible as a
-  SQL predicate, so the ring serves *router-level* partitioning (and the
-  simulation scenarios), not replication slices.
-* :class:`RangePartitioner` — contiguous key ranges. Less uniform under
-  skew, but each slice **is** a SQL predicate (``key BETWEEN lo AND hi``),
-  which is what lets a shard's cached views carry the slice as an article
-  restriction and lets the optimizer build dynamic plans whose guards keep
-  even misrouted keys correct. This is the strategy
-  :class:`~repro.sharding.deployment.ShardedDeployment` provisions with.
-
-All hashing goes through :func:`stable_hash` (md5-based), never Python's
-builtin ``hash`` — the builtin is salted per process, and shard ownership
-must be deterministic across processes and runs. The ``shard-ownership``
+:func:`stable_hash` (md5-based) is what any code that does need a hash
+of a key must use, never Python's builtin ``hash`` — the builtin is
+salted per process, and anything derived from a key must be
+deterministic across processes and runs. The ``shard-ownership``
 selflint rule enforces that no code outside this package improvises
 ``hash(...) % n`` placement.
 """
@@ -31,10 +26,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common.locks import rmutex
 from repro.sql import ast
 
-#: Virtual nodes per shard; enough that ownership spreads within a few
-#: percent of uniform at 8-32 shards without making lookups expensive.
-DEFAULT_VNODES = 64
-
 
 def stable_hash(value: object) -> int:
     """A process-independent 64-bit hash (md5 prefix) of ``str(value)``."""
@@ -42,71 +33,15 @@ def stable_hash(value: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class HashRing:
-    """Consistent hashing over virtual nodes.
-
-    Each shard contributes ``vnodes`` points on a 64-bit ring; a key is
-    owned by the shard whose point follows the key's hash (wrapping).
-    Adding or removing one shard therefore moves only the keys between
-    the affected points — about K/N of them — instead of reshuffling
-    everything the way modular hashing does.
-    """
-
-    def __init__(self, shards: Iterable[str], vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, not {vnodes}")
-        self.vnodes = vnodes
-        self.version = 0
-        self._shards: List[str] = []
-        self._points: List[Tuple[int, str]] = []
-        for shard in shards:
-            self.add_shard(shard)
-
-    @property
-    def shards(self) -> Tuple[str, ...]:
-        return tuple(self._shards)
-
-    def add_shard(self, name: str) -> None:
-        if name in self._shards:
-            raise ValueError(f"shard {name!r} already on the ring")
-        self._shards.append(name)
-        for replica in range(self.vnodes):
-            point = stable_hash(f"{name}#{replica}")
-            bisect.insort(self._points, (point, name))
-        self.version += 1
-
-    def remove_shard(self, name: str) -> None:
-        if name not in self._shards:
-            raise ValueError(f"no shard {name!r} on the ring")
-        self._shards.remove(name)
-        self._points = [entry for entry in self._points if entry[1] != name]
-        self.version += 1
-
-    def owner(self, key: object) -> str:
-        """The shard owning ``key`` (first ring point at or after its hash)."""
-        if not self._points:
-            raise ValueError("ring has no shards")
-        position = bisect.bisect_left(self._points, (stable_hash(key), ""))
-        if position == len(self._points):
-            position = 0
-        return self._points[position][1]
-
-    def ownership(self, keys: Iterable[object]) -> Dict[str, int]:
-        """How many of ``keys`` each shard owns (every shard listed)."""
-        counts = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.owner(key)] += 1
-        return counts
-
-    def slice_predicate(self, shard: str, column: str, qualifier: Optional[str] = None):
-        raise NotImplementedError(
-            "hash-ring ownership is not expressible as a SQL predicate; "
-            "provision ShardedDeployment with a RangePartitioner (the "
-            "ring partitions at the router/simulation level)"
-        )
-
-    def __repr__(self) -> str:
-        return f"<HashRing shards={len(self._shards)} vnodes={self.vnodes}>"
+def slice_predicate(
+    column: str, low: int, high: int, qualifier: Optional[str] = None
+) -> ast.Expression:
+    """A slice as an AST predicate: ``column BETWEEN low AND high``."""
+    return ast.Between(
+        operand=ast.ColumnRef(name=column, qualifier=qualifier),
+        low=ast.Literal(low),
+        high=ast.Literal(high),
+    )
 
 
 class RangePartitioner:
@@ -161,8 +96,7 @@ class RangePartitioner:
             except KeyError:
                 raise ValueError(f"no shard {shard!r}") from None
 
-    def owner(self, key: object) -> str:
-        value = int(key)  # type: ignore[arg-type]
+    def owner(self, key: int) -> str:
         with self._mutex:
             boundaries = [
                 (self._ranges[name][1], name)
@@ -172,27 +106,16 @@ class RangePartitioner:
         if not boundaries:
             raise ValueError("all shard ranges are empty")
         boundaries.sort()
-        position = bisect.bisect_left(boundaries, (value, ""))
+        position = bisect.bisect_left(boundaries, (key, ""))
         if position == len(boundaries):
             position -= 1  # clamp above the domain to the last shard
         return boundaries[position][1]
 
-    def ownership(self, keys: Iterable[object]) -> Dict[str, int]:
+    def ownership(self, keys: Iterable[int]) -> Dict[str, int]:
         counts = {shard: 0 for shard in self.shards}
         for key in keys:
             counts[self.owner(key)] += 1
         return counts
-
-    def slice_predicate(
-        self, shard: str, column: str, qualifier: Optional[str] = None
-    ) -> ast.Expression:
-        """The shard's slice as an AST predicate: ``column BETWEEN lo AND hi``."""
-        low, high = self.slice(shard)
-        return ast.Between(
-            operand=ast.ColumnRef(name=column, qualifier=qualifier),
-            low=ast.Literal(low),
-            high=ast.Literal(high),
-        )
 
     # -- rebalancing primitives -------------------------------------------
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sharding.policy import TablePartition
+from repro.sharding.ring import slice_predicate
 from repro.sql import ast
 from repro.sql.formatter import format_statement
 
@@ -48,12 +49,8 @@ class ScatterQuery:
 
     def shard_sql(self, low: int, high: int) -> str:
         """The per-shard statement for one slice ``[low, high]``."""
-        conjunct = ast.Between(
-            operand=ast.ColumnRef(
-                name=self.partition.key_column, qualifier=self.key_qualifier
-            ),
-            low=ast.Literal(low),
-            high=ast.Literal(high),
+        conjunct = slice_predicate(
+            self.partition.key_column, low, high, self.key_qualifier
         )
         where = (
             conjunct

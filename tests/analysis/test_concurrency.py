@@ -26,13 +26,7 @@ from repro.analysis.shardlint import (
 )
 from repro.common.witness import Witness, WitnessedLock, lock_class
 from repro.engine.locks import LockMode, LockPlan
-from repro.sharding.policy import (
-    ROUTE_KEY,
-    ProcedureRoute,
-    ShardingPolicy,
-    TablePartition,
-    tpcw_sharding_policy,
-)
+from repro.sharding.policy import ShardingPolicy, TablePartition, tpcw_sharding_policy
 from repro.sharding.ring import RangePartitioner
 from repro.sql import ast as sqlast
 from repro.tpcw import TPCWConfig
@@ -279,31 +273,21 @@ def test_drained_single_mutation_is_clean():
 def _policy(**overrides):
     base = dict(
         key_domain=(1, 100),
-        partitions={
-            "customer": TablePartition(
-                table="customer",
-                view="CustomerSlice",
-                key_column="cid",
-                select="SELECT cid, cname FROM customer",
-            )
-        },
-        routes={},
-        shadow_tables=["customer"],
-        procedures=[],
+        partitions={"customer": TablePartition(table="customer", key_column="cid")},
+        views=["CREATE CACHED VIEW CustomerSlice AS SELECT cid, cname FROM customer"],
     )
     base.update(overrides)
     return ShardingPolicy(**base)
 
 
+def test_well_formed_policy_is_clean(backend):
+    assert lint_sharding_policy(_policy(), backend.database("shop").catalog) == []
+
+
 def test_policy_with_unknown_table_flagged(backend):
     catalog = backend.database("shop").catalog
     policy = _policy(
-        partitions={
-            "ghost": TablePartition(
-                table="ghost", view="GhostSlice", key_column="gid", select="SELECT 1"
-            )
-        },
-        shadow_tables=["ghost"],
+        partitions={"ghost": TablePartition(table="ghost", key_column="gid")}
     )
     assert "shard-partition-table" in _rules(lint_sharding_policy(policy, catalog))
 
@@ -312,24 +296,10 @@ def test_policy_with_unknown_key_column_flagged(backend):
     catalog = backend.database("shop").catalog
     policy = _policy(
         partitions={
-            "customer": TablePartition(
-                table="customer",
-                view="CustomerSlice",
-                key_column="not_a_column",
-                select="SELECT cid FROM customer",
-            )
+            "customer": TablePartition(table="customer", key_column="not_a_column")
         }
     )
     assert "shard-partition-key" in _rules(lint_sharding_policy(policy, catalog))
-
-
-def test_key_route_to_uncopied_procedure_flagged(backend):
-    catalog = backend.database("shop").catalog
-    policy = _policy(
-        routes={"getcustomer": ProcedureRoute(kind=ROUTE_KEY, table="customer")}
-    )
-    rules = _rules(lint_sharding_policy(policy, catalog))
-    assert any(rule.startswith("shard-route") for rule in rules)
 
 
 # -- partitioner geometry ----------------------------------------------------

@@ -141,3 +141,58 @@ class TestConsistencyUnderUpdates:
             "SELECT segment FROM vcust WHERE cid <= 2 ORDER BY cid"
         ).rows
         assert rows == [("A",), ("A",)]
+
+
+class TestPrincipalsSurviveTheCache:
+    """What the backend denies a principal, every path through a cache
+    denies too — the hops that run as ``dbo`` must not lend it out."""
+
+    @pytest.fixture
+    def secret(self, env):
+        backend, deployment, cache, _ = env
+        backend.execute(
+            """
+            CREATE TABLE secret (s VARCHAR(10));
+            INSERT INTO secret VALUES ('x');
+            CREATE PROCEDURE getSecret AS BEGIN SELECT s FROM secret END
+            """,
+            database="shop",
+        )
+        deployment.refresh_catalog()
+        minimal = deployment.add_cache_server("mini", shadow_tables=["customer"])
+        return backend, cache, minimal
+
+    @pytest.mark.parametrize("shadow", ["full", "minimal"])
+    def test_forwarded_exec_checks_execute_permission(self, secret, shadow):
+        from repro.client import connect
+        from repro.errors import PermissionError_
+
+        backend, full, minimal = secret
+        cache = full if shadow == "full" else minimal
+        assert cache.database.catalog.maybe_procedure("getSecret") is None
+        assert connect(cache, principal="dbo").cursor().execute("EXEC getSecret").fetchall() == [("x",)]
+        for target in (backend, cache):
+            with pytest.raises(PermissionError_, match="lacks EXECUTE on 'getSecret'"):
+                connect(target, database="shop", principal="alice").cursor().execute("EXEC getSecret")
+
+    def test_whole_statement_fallbacks_run_as_the_caller(self, secret):
+        from repro.client import connect
+        from repro.errors import PermissionError_
+
+        backend, cache, minimal = secret
+        # forward.statement: the minimal shadow cannot bind ``orders``, so
+        # the whole batch — the part not yet checked included — forwards.
+        backend.execute("GRANT SELECT ON orders TO alice", database="shop")
+        minimal.database.catalog.permissions = backend.database("shop").catalog.permissions.copy()
+        with pytest.raises(PermissionError_):
+            connect(minimal, principal="alice").cursor().execute(
+                "SELECT COUNT(*) FROM orders; SELECT s FROM secret"
+            )
+        assert minimal.statements_forwarded == 1
+        # failover.read: the cache's own server is down.
+        cache.server.crash()
+        assert connect(cache, principal="dbo").cursor().execute("SELECT s FROM secret").fetchall() == [("x",)]
+        alice = connect(cache, principal="alice").cursor()
+        with pytest.raises(PermissionError_):
+            alice.execute("SELECT s FROM secret")
+        assert cache.fallback_reads == 2

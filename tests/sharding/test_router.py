@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client.connection import connect
-from repro.errors import ClientError
+from repro.errors import ClientError, PermissionError_
 
 pytestmark = pytest.mark.shard
 
@@ -62,6 +62,19 @@ def test_scatter_preserves_sort_on_unprojected_column(sharded, router):
     assert actual.rows == expected.rows
     # The appended i_pub_date sort column is stripped before returning.
     assert len(list(actual.schema)) == len(list(expected.schema))
+
+
+@pytest.mark.parametrize("key", ["abc", "7", 3.7, None, True, 10**9])
+def test_key_the_partitioner_cannot_place_gets_the_backend_answer(sharded, router, key):
+    backend = _backend_connection(sharded).cursor()
+    for sql, params in (
+        ("EXEC getStock @i_id = @i_id", {"i_id": key}),
+        ("SELECT i_stock FROM item WHERE i_id = @i_id", {"i_id": key}),
+    ):
+        assert router.execute(sql, params).rows == backend.execute(sql, params).fetchall()
+    if isinstance(key, str):
+        sql = f"SELECT i_stock FROM item WHERE i_id = '{key}'"
+        assert router.execute(sql).rows == backend.execute(sql).fetchall()
 
 
 def test_raw_select_with_key_equality_routes_to_shard(sharded, router):
@@ -156,3 +169,39 @@ def test_redefined_procedure_is_redecided():
     expected = backend.execute(*call).fetchall()
     assert len(expected) == 3 and len(expected[0]) == 2
     assert router.execute(*call).rows == expected
+
+    # A key route ships the EXEC unmodified, so the owning shard runs its
+    # own copy of the procedure: that copy has to follow the backend too.
+    call = ("EXEC getStock @i_id = @i_id", {"i_id": 29})
+    assert router.execute(*call).rows == backend.execute(*call).fetchall()
+    backend.execute("DROP PROCEDURE getStock")
+    backend.execute(
+        """
+        CREATE PROCEDURE getStock @i_id INT AS
+        BEGIN
+            SELECT i_stock, i_cost FROM item WHERE i_id = @i_id
+        END
+        """
+    )
+    sharded.refresh_catalog()
+    expected = backend.execute(*call).fetchall()
+    assert len(expected[0]) == 2
+    hits = sharded.metrics.counter("shard.hits", labels={"shard": sharded.partitioner.owner(29)})
+    before = hits.value
+    assert router.execute(*call).rows == expected
+    assert hits.value == before + 1
+
+
+def test_connection_runs_as_the_principal_it_was_asked_for(sharded):
+    alice = sharded.connect(principal="alice").cursor()
+    for sql in ("SELECT i_title FROM item WHERE i_id = 7", "SELECT COUNT(*) FROM customer"):
+        with pytest.raises(PermissionError_):
+            alice.execute(sql)
+    # A router built for one principal refuses a connection for another
+    # instead of silently running it as its own.
+    with pytest.raises(ClientError):
+        connect(sharded.router(), principal="alice")
+    with pytest.raises(ClientError):
+        connect(
+            sharded.deployment.failover_connection(sharded.shard("shard0")), principal="alice"
+        )

@@ -115,9 +115,11 @@ def test_shard_sql_is_a_valid_statement():
     assert isinstance(reparsed, ast.Select)
 
 
-def test_partition_ddl_carries_slice():
+def test_partition_ddl_carries_slice(sharded):
     partition = PARTITIONS["item"]
     assert isinstance(partition, TablePartition)
-    ddl = partition.ddl(5, 25)
-    assert "CREATE CACHED VIEW" in ddl
-    assert "BETWEEN 5 AND 25" in ddl
+    for name, cache in sharded.shards.items():
+        low, high = sharded.partitioner.slice(name)
+        ddl = cache.database.catalog.get_view("cv_item").source_text
+        assert "CREATE CACHED VIEW" in ddl
+        assert f"{partition.key_column} BETWEEN {low} AND {high}" in ddl
