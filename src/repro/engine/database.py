@@ -48,7 +48,8 @@ class Database:
         # Installed by the MTCache layer: returns the current replication
         # staleness in seconds, for freshness-clause processing.
         self.staleness_provider: Optional[Callable[[], Optional[float]]] = None
-        # Installed by the MTCache layer: intercepts CREATE CACHED VIEW.
+        # Installed by the MTCache layer: intercepts CREATE CACHED VIEW
+        # and the DROP VIEW of a cached view.
         self.cached_view_handler: Optional[Callable] = None
         # Backlink to the owning server (set by Server.create_database);
         # used to resolve four-part linked-server names during planning.

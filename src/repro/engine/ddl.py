@@ -3,7 +3,8 @@
 ``CREATE CACHED VIEW`` is delegated to the MTCache layer through the
 database's ``cached_view_handler`` hook — on a cache server it creates the
 view's backing storage *and* the replication subscription that keeps it up
-to date (paper §4).
+to date (paper §4); ``DROP VIEW`` of a cached view goes through the same
+hook, which ends that subscription.
 """
 
 from __future__ import annotations
@@ -142,6 +143,8 @@ def execute_drop(database, statement: ast.DropObject) -> Result:
         database.drop_storage(name)
     elif kind == "VIEW":
         view = database.catalog.get_view(name)
+        if view.cached:
+            database.cached_view_handler(statement)  # ends its subscription
         database.catalog.drop_view(name)
         if view.materialized:
             database.drop_storage(name)

@@ -207,55 +207,54 @@ class FaultInjector:
         server.restart()
 
     def crash_cache(self, cache: Any) -> None:
-        """Crash a cache server and stall its distribution agents.
+        """Crash a cache server and stall its distribution agent.
 
-        The agents' subscriber is gone, so they stop applying (watermark
+        The agent's subscriber is gone, so it stops applying (watermark
         frozen, lag gauges climb) until :meth:`restart_cache`.
         """
         self.crash_server(cache.server)
-        for agent in cache.agents.values():
+        agent = cache.agent
+        if agent is not None:
             agent.stall()
 
     def restart_cache(self, cache: Any) -> None:
-        """Restart a crashed cache; stalled agents resume from watermark."""
+        """Restart a crashed cache; its agent resumes from the watermark."""
         self.restart_server(cache.server)
-        for agent in cache.agents.values():
+        agent = cache.agent
+        if agent is not None:
             agent.resume()
 
     # ------------------------------------------------------------------
     # Distribution agents
     # ------------------------------------------------------------------
     def stall_agent(self, agent: Any) -> None:
-        self.log.append((self.clock.now(), f"agent:{agent.subscription.name}", "stall"))
+        self.log.append((self.clock.now(), f"agent:{agent.subscriber.name}", "stall"))
         self.injected += 1
         agent.stall()
 
     def resume_agent(self, agent: Any) -> None:
-        self.log.append((self.clock.now(), f"agent:{agent.subscription.name}", "resume"))
+        self.log.append((self.clock.now(), f"agent:{agent.subscriber.name}", "resume"))
         agent.resume()
 
     def kill_agent(self, agent: Any) -> None:
         """Remove an agent from its distributor entirely (process death).
 
-        The subscription object — and crucially its ``last_sequence``
-        watermark — survives; :meth:`restart_agent` builds a fresh agent
-        around it, which resumes from the watermark.
+        The subscriber — and crucially its ``last_sequence`` watermark —
+        survives; :meth:`restart_agent` builds a fresh agent around it,
+        which resumes from the watermark.
         """
-        self.log.append((self.clock.now(), f"agent:{agent.subscription.name}", "kill"))
+        self.log.append((self.clock.now(), f"agent:{agent.subscriber.name}", "kill"))
         self.injected += 1
         if agent in agent.distributor.agents:
             agent.distributor.agents.remove(agent)
 
     def restart_agent(self, agent: Any) -> Any:
-        """Replace a killed agent with a fresh one on the same subscription."""
+        """Replace a killed agent with a fresh one on the same subscriber."""
         from repro.replication.agent import DistributionAgent
 
-        self.log.append((self.clock.now(), f"agent:{agent.subscription.name}", "restart"))
+        self.log.append((self.clock.now(), f"agent:{agent.subscriber.name}", "restart"))
         replacement = DistributionAgent(
-            agent.subscription,
-            agent.distributor,
-            poll_interval=agent.poll_interval,
-            mode=agent.mode,
+            agent.subscriber, agent.distributor, poll_interval=agent.poll_interval
         )
         agent.distributor.register_agent(replacement)
         return replacement

@@ -6,7 +6,9 @@ adopted from the backend so the optimizer costs shadow tables as if the
 data were local (paper §3). What data actually lives here is defined by
 ``CREATE CACHED VIEW`` statements, each of which automatically provisions
 a replication subscription (creating a matching publication article when
-none exists) and populates the view with an initial snapshot.
+none exists) and populates the view with an initial snapshot. The cache
+server as a whole is one replication *subscriber*: one distribution
+agent, one watermark, every view at the same committed prefix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro.common.schema import Column, Schema
 from repro.engine import Database, Server
 from repro.errors import ReplicationError
 from repro.replication.agent import DistributionAgent
-from repro.replication.subscription import Subscription
+from repro.replication.subscription import Subscriber, Subscription
 from repro.sql import ast, parse
 from repro.sql.formatter import format_statement
 
@@ -31,8 +33,13 @@ class CacheServer:
         self.server = server
         self.deployment = deployment
         self.shadow_db_name = shadow_db_name
-        self.subscriptions: Dict[str, Subscription] = {}
-        self.agents: Dict[str, DistributionAgent] = {}
+        # One subscriber per shadow database; on a server attached to a
+        # second backend the database name keeps the two apart.
+        database = self.database
+        name = server.name
+        if database.backend_server != "backend":
+            name = f"{name}_{shadow_db_name}"
+        self.subscriber = Subscriber(name, database)
         # Minimal shadows (paper §7) only carry the catalog relevant to
         # the cached views; anything else is forwarded as whole statements.
         self.minimal_shadow = False
@@ -58,6 +65,19 @@ class CacheServer:
     @property
     def name(self) -> str:
         return self.server.name
+
+    @property
+    def subscriptions(self) -> Dict[str, Subscription]:
+        """Cached view name (lower) -> its replication subscription."""
+        return self.subscriber.subscriptions
+
+    @property
+    def agent(self) -> Optional[DistributionAgent]:
+        """The distribution agent serving this cache (None while killed)."""
+        for agent in self.deployment.distributor.agents:
+            if agent.subscriber is self.subscriber:
+                return agent
+        return None
 
     # -- the public query interface (what applications see) -----------------
 
@@ -228,8 +248,13 @@ class CacheServer:
         self._handle_cached_view(statement)
         return self.database.catalog.get_view(statement.name)
 
-    def _handle_cached_view(self, statement: ast.CreateView) -> None:
-        """The CREATE CACHED VIEW hook installed on the shadow database."""
+    def _handle_cached_view(self, statement) -> None:
+        """The cached-view DDL hook installed on the shadow database:
+        ``CREATE CACHED VIEW`` provisions the view and its subscription,
+        ``DROP VIEW`` of a cached view ends the subscription."""
+        if isinstance(statement, ast.DropObject):
+            self.subscriber.remove(statement.name)
+            return
         select = statement.select
         if not isinstance(select.from_clause, ast.TableName):
             raise ReplicationError(
@@ -280,6 +305,10 @@ class CacheServer:
             }
             primary_key = tuple(rename[key.lower()] for key in primary_key)
 
+        # Before anything is created: the new view must join the others
+        # at their position in the stream.
+        self.deployment.drain(self)
+
         database = self.database
         database.catalog.add_view(
             ViewDef(
@@ -313,23 +342,22 @@ class CacheServer:
                 )
 
         # Provision replication: article (creating it if absent),
-        # subscription, snapshot, push agent (paper §4).
+        # snapshot, subscription on this cache's subscriber (paper §4).
         article = self.deployment.ensure_article(
             view_name=statement.name,
             source_table=source_table,
             columns=tuple(columns),
             predicate=select.where,
         )
-        subscription = Subscription(
-            name=f"{self.server.name}_{statement.name}",
-            article_name=article.name,
-            subscriber_database=database,
-            target_table=statement.name,
+        self.deployment.snapshot(article, storage)
+        self.subscriber.add(
+            Subscription(
+                name=f"{self.server.name}_{statement.name}",
+                article=article,
+                target_table=statement.name,
+            )
         )
-        self.deployment.register_subscription(self, subscription)
-        self.deployment.snapshot(article, subscription)
         database.analyze(statement.name)
-        self.subscriptions[statement.name.lower()] = subscription
         database.bump_version()
 
     # -- procedures -----------------------------------------------------------
@@ -359,14 +387,9 @@ class CacheServer:
 
     def staleness(self) -> float:
         """Upper bound (seconds) on how stale the cached views may be."""
-        now = self.database.clock.now()
         if not self.subscriptions:
             return 0.0
-        bounds = []
-        for subscription in self.subscriptions.values():
-            synced = getattr(subscription, "synced_through", 0.0)
-            bounds.append(max(0.0, now - max(synced, subscription.last_applied_commit_ts)))
-        return max(bounds)
+        return self.subscriber.staleness(self.database.clock.now())
 
     def __repr__(self) -> str:
         return f"<CacheServer {self.server.name} views={list(self.subscriptions)}>"

@@ -4,9 +4,12 @@ cache servers.
 The deployment owns the pieces the paper's Figure 1 shows between the
 backend and the mid-tier: the distributor (with its distribution
 database), the log reader on the published database, the auto-managed
-publication, and the per-subscription push agents. ``tick()`` advances
-replication in virtual time; the cluster simulator calls it as simulated
-time passes, and interactive use can call ``sync()`` to drain everything.
+publication, and one push agent per cache server. A cache server is one
+subscriber: all of its cached views advance together, whole transaction
+by whole transaction, so a read on the cache is always the backend's
+answer at one committed prefix. ``tick()`` advances replication in
+virtual time; the cluster simulator calls it as simulated time passes,
+and interactive use can call ``sync()`` to drain everything.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from repro.replication.agent import DistributionAgent
 from repro.replication.distributor import Distributor
 from repro.replication.logreader import LogReader
 from repro.replication.publication import Article, Publication
-from repro.replication.subscription import Subscription
 from repro.sql import ast
 from repro.sql.formatter import format_expression
 
@@ -66,8 +68,6 @@ class MTCacheDeployment:
         # Chaos hook (repro.faults): when attached, ``tick()`` fires its
         # virtual-time schedule. None costs one attribute check.
         self.fault_injector = None
-        # Apply failures contained by tick() (watermark-backed retries).
-        self.apply_failures_contained = 0
 
     @property
     def backend_database(self) -> Database:
@@ -86,8 +86,8 @@ class MTCacheDeployment:
 
         Follows the paper's setup steps: run the generated shadow script,
         adopt backend statistics, mark the shadow tables remote, register
-        the backend as a linked server, and install the cached-view DDL
-        hook and the freshness provider.
+        the backend as a linked server, install the cached-view DDL hook
+        and the freshness provider, and start the cache's distribution agent.
 
         ``shadow_tables`` implements the paper's §7 suggestion of shadowing
         only the catalog information relevant to the cached views: when
@@ -163,6 +163,12 @@ class MTCacheDeployment:
         shadow.cached_view_handler = cache._handle_cached_view
         shadow.staleness_provider = cache.staleness
         self.cache_servers.append(cache)
+        # No views yet, so the subscriber starts at the stream's frontier;
+        # each view it gains is snapshotted on a drained cache.
+        cache.subscriber.last_sequence = self.distributor.distribution_db.last_sequence
+        self.distributor.register_agent(
+            DistributionAgent(cache.subscriber, self.distributor, self.agent_interval)
+        )
         return cache
 
     def refresh_catalog(self) -> Dict[str, int]:
@@ -188,12 +194,12 @@ class MTCacheDeployment:
                     if current is not None:
                         shadow.catalog.add_procedure(current)
                     shadow.bump_version()
-            if getattr(cache, "minimal_shadow", False):
+            if cache.minimal_shadow:
                 continue  # minimal shadows stay minimal by design
             for key, table in backend_db.catalog.tables.items():
                 if shadow.catalog.maybe_table(key) is None:
                     shadow.create_storage(table)
-                    shadow.mark_remote([key], backend_server="backend")
+                    shadow.mark_remote([key], backend_server=shadow.backend_server)
                     added["tables"] += 1
             for key, index in backend_db.catalog.indexes.items():
                 if key not in shadow.catalog.indexes:
@@ -265,28 +271,34 @@ class MTCacheDeployment:
         self.publication.add_article(article)
         return article
 
-    def register_subscription(self, cache: CacheServer, subscription: Subscription) -> None:
-        # New subscriptions start at the distribution database's current
-        # frontier; earlier changes arrive via the initial snapshot.
-        # Drain the log first so the snapshot and the stream do not overlap.
-        self.log_reader.poll()
-        subscription.last_sequence = self.distributor.distribution_db.last_sequence
-        subscription.synced_through = self.clock.now()
-        self.distributor.register_subscription(subscription)
-        agent = DistributionAgent(subscription, self.distributor, self.agent_interval)
-        self.distributor.register_agent(agent)
-        cache.agents[subscription.target_table.lower()] = agent
+    def drain(self, cache: CacheServer) -> None:
+        """Bring ``cache`` to the distribution frontier, log drained first.
 
-    def snapshot(self, article: Article, subscription: Subscription) -> int:
-        """Initial population: copy current matching rows to the subscriber."""
+        A new cached view joins the cache's other views at *their*
+        position: everything up to the frontier arrives in its snapshot,
+        everything after through the stream. A cache that cannot catch
+        up (stalled or killed agent) cannot take a snapshot.
+        """
+        self.log_reader.poll()
+        agent = cache.agent
+        if agent is not None:
+            agent.poll()
+        self._settle()
+        if cache.subscriber.last_sequence < self.distributor.distribution_db.last_sequence:
+            raise ReplicationError(
+                f"cache {cache.name!r} is behind the distribution frontier; "
+                "a cached view cannot be snapshotted until it catches up"
+            )
+
+    def snapshot(self, article: Article, target) -> int:
+        """Initial population: copy current matching rows into ``target``
+        (the new view's storage on a freshly drained cache)."""
         source = self.backend_database.storage_table(article.source_table)
-        target = subscription.storage()
         copied = 0
         for _, row in source.scan():
             if article.row_matches(row):
                 target.insert(article.project(row))
                 copied += 1
-        subscription.last_applied_commit_ts = self.clock.now()
         return copied
 
     # -- faults & resilience ----------------------------------------------------
@@ -327,7 +339,6 @@ class MTCacheDeployment:
             failback_threshold=failback_threshold,
             principal=principal,
             registry=cache.server.metrics,
-            health=cache.healthy,
         )
 
     # -- driving replication ---------------------------------------------------
@@ -352,18 +363,12 @@ class MTCacheDeployment:
             try:
                 applied += agent.run_due(now)
             except ReplicationError:
-                # Contained: the subscription undid the failed transaction
+                # Contained: the subscriber undid the failed transaction
                 # and its watermark still points at the last fully-applied
                 # one, so the next due poll re-delivers the unapplied
-                # suffix. The failure stays visible via agent counters.
-                self.apply_failures_contained += 1
-        # Record sync points for freshness: a subscription that has
-        # consumed the whole stream is current as of the reader's scan.
-        frontier = self.distributor.distribution_db.last_sequence
-        for subscription in self.distributor.subscriptions:
-            if subscription.last_sequence >= frontier:
-                subscription.synced_through = self.log_reader.last_scan_time
-        self.distributor.cleanup()
+                # suffix. The agent counted it (replication.apply_failures).
+                pass
+        self._settle()
         if (
             self.stats_refresh_interval is not None
             and now - self._last_stats_refresh >= self.stats_refresh_interval
@@ -378,7 +383,7 @@ class MTCacheDeployment:
 
         Everything up to the watermark has been copied into the
         distribution database (and the distributor purges *its* store once
-        every subscription consumed it), so the log prefix is no longer
+        every subscriber consumed it), so the log prefix is no longer
         needed for replication. Bounds log growth on long runs; returns
         the number of records discarded.
         """
@@ -390,26 +395,38 @@ class MTCacheDeployment:
         self._last_logreader_poll = self.clock.now()
         for agent in self.distributor.agents:
             agent.poll(self.clock.now())
-        frontier = self.distributor.distribution_db.last_sequence
-        for subscription in self.distributor.subscriptions:
-            if subscription.last_sequence >= frontier:
-                subscription.synced_through = self.log_reader.last_scan_time
-        self.distributor.cleanup()
+        self._settle()
+
+    def _settle(self) -> None:
+        """After a round of polls: a subscriber that has consumed the
+        whole stream is current as of the reader's scan (the freshness
+        sync point), and what every subscriber has consumed is purged
+        from the distribution database (SQL Server's cleanup job)."""
+        distribution_db = self.distributor.distribution_db
+        low_water = frontier = distribution_db.last_sequence
+        for cache in self.cache_servers:
+            subscriber = cache.subscriber
+            if subscriber.last_sequence >= frontier:
+                subscriber.synced_through = self.log_reader.last_scan_time
+            else:
+                low_water = min(low_water, subscriber.last_sequence)
+        distribution_db.purge_through(low_water)
 
     # -- measurements (experiments 2 & 3) -----------------------------------------
 
     def average_replication_latency(self) -> Optional[float]:
-        samples: List[float] = []
-        for subscription in self.distributor.subscriptions:
-            for committed, applied in subscription.latency_samples:
-                samples.append(applied - committed)
+        samples = [
+            applied - committed
+            for cache in self.cache_servers
+            for committed, applied in cache.subscriber.latency_samples
+        ]
         if not samples:
             return None
         return sum(samples) / len(samples)
 
     def reset_replication_measurements(self) -> None:
-        for subscription in self.distributor.subscriptions:
-            subscription.reset_measurements()
+        for cache in self.cache_servers:
+            cache.subscriber.latency_samples.clear()
 
     def set_log_reader_enabled(self, enabled: bool) -> None:
         """Experiment 2's switch: turning the log reader off removes all

@@ -12,7 +12,7 @@ Four pillars, one package:
 * :mod:`repro.obs.profile` — opt-in per-operator execution profiles
   (actual rows / opens / wall time per plan operator), rendered as an
   annotated plan tree.
-* :mod:`repro.obs.replication_metrics` — per-subscription replication lag
+* :mod:`repro.obs.replication_metrics` — per-subscriber replication lag
   gauges, apply-batch histograms and distribution-queue depth.
 
 :mod:`repro.obs.export` snapshots all of it to JSON (also:

@@ -3,7 +3,7 @@
 ``server_snapshot`` covers one server (metrics registry, statement-cache
 counters, prepared-handle population); ``deployment_snapshot`` covers a
 whole MTCache deployment (backend + every cache + replication lag per
-subscription + distribution queue depth). ``to_json`` serializes either.
+subscriber + distribution queue depth). ``to_json`` serializes either.
 
 The ``python -m repro metrics`` CLI subcommand prints a deployment
 snapshot after driving a short TPC-W workload; benchmarks embed snapshots
@@ -46,7 +46,7 @@ def witness_snapshot() -> Optional[Dict[str, Any]]:
 
 def deployment_snapshot(deployment) -> Dict[str, Any]:
     """A whole deployment: backend, caches, and replication lag."""
-    subscriptions = replication_metrics.sample(deployment)
+    subscribers = replication_metrics.sample(deployment)
     witness = witness_snapshot()
     if witness is not None:
         witness = {
@@ -71,10 +71,8 @@ def deployment_snapshot(deployment) -> Dict[str, Any]:
             "transactions_distributed": deployment.log_reader.transactions_distributed,
             "commands_produced": deployment.log_reader.commands_produced,
             "average_latency_seconds": deployment.average_replication_latency(),
-            "subscriptions": subscriptions,
-            "lag_rollup": replication_metrics.rollup(
-                deployment, samples=subscriptions
-            ),
+            "subscribers": subscribers,
+            "lag_rollup": replication_metrics.rollup(deployment, samples=subscribers),
         },
     }
 

@@ -1,17 +1,21 @@
-"""Replication observability: per-subscription lag gauges and batch stats.
+"""Replication observability: per-subscriber lag gauges and batch stats.
 
 The paper's Experiment 3 measures replication latency; these gauges make
-the same quantities continuously visible instead of post-hoc:
+the same quantities continuously visible instead of post-hoc. A
+subscriber is one cache server's shadow database — all of its cached
+views share one watermark, so lag has one value per subscriber:
 
-* ``replication.lag_transactions{subscription=...}`` — how many committed
-  transactions the subscription still has to consume (the commit-sequence
+* ``replication.lag_transactions{subscriber=...}`` — how many committed
+  transactions the subscriber still has to consume (the commit-sequence
   delta between the distribution database's frontier and the
-  subscription's watermark; the repro's analogue of a commit-LSN delta).
-* ``replication.lag_seconds{subscription=...}`` — the age of the cached
-  data: now minus the newest point the subscription is known current as
+  subscriber's watermark; the repro's analogue of a commit-LSN delta).
+* ``replication.lag_seconds{subscriber=...}`` — the age of the cached
+  data: now minus the newest point the subscriber is known current as
   of (same formula the freshness clause uses).
-* ``replication.batch_size{subscription=...}`` — histogram of transactions
+* ``replication.batch_size{subscriber=...}`` — histogram of transactions
   applied per subscriber round trip (the agent-batching win from PR 1).
+* ``replication.apply_failures{subscriber=...}`` — polls whose batch hit
+  a failing transaction (undone; redelivered by the next poll).
 * ``replication.distribution_queue_depth`` — transactions sitting in the
   distribution database, sampled at each agent poll.
 
@@ -26,48 +30,35 @@ from typing import Any, Dict, Optional
 
 #: Transactions applied in one subscriber round trip.
 BATCH_SIZE_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250)
-#: Replication lag age in seconds (sub-second to tens of seconds).
-LAG_AGE_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
 
-def registry_for_subscription(subscription) -> Optional[Any]:
-    """The subscriber server's metrics registry (None for a database no
-    server owns)."""
-    server = getattr(subscription.subscriber_database, "owner_server", None)
-    return getattr(server, "metrics", None)
+def _registry(agent):
+    """The subscriber server's metrics registry."""
+    return agent.subscriber.database.owner_server.metrics
 
 
-def _lag_values(agent, now: float) -> Dict[str, float]:
-    subscription = agent.subscription
-    frontier = agent.distributor.distribution_db.last_sequence
-    synced = getattr(subscription, "synced_through", 0.0)
-    current_as_of = max(subscription.last_applied_commit_ts, synced)
-    return {
-        "lag_transactions": max(0, frontier - subscription.last_sequence),
-        "lag_seconds": max(0.0, now - current_as_of),
-        "queue_depth": len(agent.distributor.distribution_db),
-    }
+def _labels(agent) -> Dict[str, str]:
+    return {"subscriber": agent.subscriber.name}
 
 
-def update_lag_gauges(agent, now: Optional[float] = None, registry=None) -> Dict[str, float]:
+def update_lag_gauges(agent, now: Optional[float] = None) -> Dict[str, float]:
     """Refresh one agent's lag gauges; returns the sampled values."""
-    subscription = agent.subscription
+    subscriber = agent.subscriber
     if now is None:
-        now = subscription.subscriber_database.clock.now()
-    values = _lag_values(agent, now)
-    if registry is None:
-        registry = registry_for_subscription(subscription)
-    if registry is not None:
-        labels = {"subscription": subscription.name}
-        registry.gauge("replication.lag_transactions", labels=labels).set(
-            values["lag_transactions"]
-        )
-        registry.gauge("replication.lag_seconds", labels=labels).set(
-            values["lag_seconds"]
-        )
-        registry.gauge("replication.distribution_queue_depth").set(
-            values["queue_depth"]
-        )
+        now = subscriber.database.clock.now()
+    distribution_db = agent.distributor.distribution_db
+    values = {
+        "lag_transactions": max(0, distribution_db.last_sequence - subscriber.last_sequence),
+        "lag_seconds": subscriber.staleness(now),
+        "queue_depth": len(distribution_db),
+    }
+    registry = _registry(agent)
+    labels = _labels(agent)
+    registry.gauge("replication.lag_transactions", labels=labels).set(
+        values["lag_transactions"]
+    )
+    registry.gauge("replication.lag_seconds", labels=labels).set(values["lag_seconds"])
+    registry.gauge("replication.distribution_queue_depth").set(values["queue_depth"])
     return values
 
 
@@ -77,66 +68,50 @@ def record_batch(agent, batch_size: int, now: Optional[float] = None) -> None:
     Called by :class:`~repro.replication.agent.DistributionAgent` after a
     poll applies ``batch_size`` transactions in one round trip.
     """
-    registry = registry_for_subscription(agent.subscription)
-    if registry is None:
-        return
-    labels = {"subscription": agent.subscription.name}
+    registry = _registry(agent)
+    labels = _labels(agent)
     registry.histogram(
         "replication.batch_size", buckets=BATCH_SIZE_BUCKETS, labels=labels
     ).observe(batch_size)
     registry.counter("replication.transactions_applied", labels=labels).inc(batch_size)
     registry.counter("replication.round_trips", labels=labels).inc()
-    update_lag_gauges(agent, now=now, registry=registry)
+    update_lag_gauges(agent, now=now)
+
+
+def record_apply_failure(agent, now: Optional[float] = None) -> None:
+    """Count a poll that failed partway through its batch."""
+    _registry(agent).counter("replication.apply_failures", labels=_labels(agent)).inc()
+    update_lag_gauges(agent, now=now)
 
 
 def sample(deployment) -> Dict[str, Dict[str, float]]:
     """Refresh and return lag for every agent of a deployment.
 
-    Keys are subscription names; values the sampled lag dicts. Use this
+    Keys are subscriber names; values the sampled lag dicts. Use this
     for on-demand reads (snapshots, the CLI) — between agent polls the
     ``lag_seconds`` gauge ages and this recomputes it.
     """
-    samples: Dict[str, Dict[str, float]] = {}
     now = deployment.clock.now()
-    for agent in deployment.distributor.agents:
-        samples[agent.subscription.name] = update_lag_gauges(agent, now=now)
-    return samples
+    return {
+        agent.subscriber.name: update_lag_gauges(agent, now=now)
+        for agent in deployment.distributor.agents
+    }
 
 
 def rollup(
-    deployment, samples: Optional[Dict[str, Dict[str, float]]] = None, registry=None
+    deployment, samples: Optional[Dict[str, Dict[str, float]]] = None
 ) -> Dict[str, Any]:
-    """Aggregate per-subscription lag across the whole cache tier.
+    """Aggregate per-subscriber lag across the whole cache tier.
 
-    With one cache the per-subscription gauges are the whole story; a
-    sharded tier has ``shards x views`` subscriptions and the question
-    becomes "which shard is behind, and how far is the worst one?". This
-    groups subscriptions by subscriber server and publishes tier-wide
-    ``replication.tier_lag_*`` (max and mean) plus per-server
-    ``replication.server_lag_seconds_max{server=...}`` gauges on the
-    *publisher's* registry — the one place that sees every shard.
+    With one cache the per-subscriber gauges are the whole story; on a
+    sharded tier the question becomes "which shard is behind, and how
+    far is the worst one?". Publishes tier-wide ``replication.tier_lag_*``
+    (max and mean) plus ``replication.subscriber_lag_seconds{subscriber=...}``
+    gauges on the *publisher's* registry — the one place that sees every
+    shard.
     """
     if samples is None:
         samples = sample(deployment)
-    per_server: Dict[str, Dict[str, float]] = {}
-    for agent in deployment.distributor.agents:
-        values = samples.get(agent.subscription.name)
-        if values is None:
-            continue
-        server = getattr(
-            agent.subscription.subscriber_database, "owner_server", None
-        )
-        bucket = per_server.setdefault(
-            getattr(server, "name", "unknown"),
-            {"lag_seconds_max": 0.0, "lag_transactions_max": 0, "subscriptions": 0},
-        )
-        bucket["lag_seconds_max"] = max(
-            bucket["lag_seconds_max"], values["lag_seconds"]
-        )
-        bucket["lag_transactions_max"] = max(
-            bucket["lag_transactions_max"], values["lag_transactions"]
-        )
-        bucket["subscriptions"] += 1
     seconds = [values["lag_seconds"] for values in samples.values()]
     transactions = [values["lag_transactions"] for values in samples.values()]
     summary: Dict[str, Any] = {
@@ -146,22 +121,15 @@ def rollup(
         "lag_transactions_mean": (
             sum(transactions) / len(transactions) if transactions else 0.0
         ),
-        "servers": per_server,
     }
-    if registry is None:
-        registry = getattr(getattr(deployment, "backend", None), "metrics", None)
-    if registry is not None:
-        registry.gauge("replication.tier_lag_seconds_max").set(
-            summary["lag_seconds_max"]
-        )
-        registry.gauge("replication.tier_lag_seconds_mean").set(
-            summary["lag_seconds_mean"]
-        )
-        registry.gauge("replication.tier_lag_transactions_max").set(
-            summary["lag_transactions_max"]
-        )
-        for server_name, bucket in per_server.items():
-            registry.gauge(
-                "replication.server_lag_seconds_max", labels={"server": server_name}
-            ).set(bucket["lag_seconds_max"])
+    registry = deployment.backend.metrics
+    registry.gauge("replication.tier_lag_seconds_max").set(summary["lag_seconds_max"])
+    registry.gauge("replication.tier_lag_seconds_mean").set(summary["lag_seconds_mean"])
+    registry.gauge("replication.tier_lag_transactions_max").set(
+        summary["lag_transactions_max"]
+    )
+    for name, values in samples.items():
+        registry.gauge(
+            "replication.subscriber_lag_seconds", labels={"subscriber": name}
+        ).set(values["lag_seconds"])
     return summary

@@ -1,17 +1,23 @@
 """Distribution agents: periodic push of pending transactions.
 
-A push agent wakes up on its polling interval, reads the distribution
-database past its subscription's watermark and applies complete
-transactions in commit order (§2.2). The agent is driven by virtual time:
+One agent serves one subscriber — a cache server's shadow database with
+all of its cached views. It wakes up on its polling interval, reads the
+distribution database once past the subscriber's watermark and applies
+complete transactions in commit order (§2.2), each atomically across
+every view it touches. The agent is driven by virtual time:
 ``run_due(now)`` fires only when the poll interval has elapsed, which is
-what gives replication its characteristic sub-second-to-seconds latency in
-the paper's Experiment 3.
+what gives replication its characteristic sub-second-to-seconds latency
+in the paper's Experiment 3.
 
 Each poll batches *all* pending transactions into one subscriber round
-trip (commit order preserved) and applies them through the subscription's
-prepared applier, so a burst of N backend commits costs one trip plus N
+trip (commit order preserved) and applies them through the subscriptions'
+prepared appliers, so a burst of N backend commits costs one trip plus N
 lightweight applies instead of N full trips — the replication leg of the
 statement fast path.
+
+The agent is the process, not the position: the watermark lives on the
+:class:`~repro.replication.subscription.Subscriber`, so a killed agent's
+replacement resumes exactly where the old one stopped.
 """
 
 from __future__ import annotations
@@ -20,29 +26,21 @@ from typing import Optional
 
 from repro.obs import replication_metrics
 from repro.replication.distributor import Distributor
-from repro.replication.subscription import Subscription
+from repro.replication.subscription import Subscriber
 
 
 class DistributionAgent:
-    """A push agent serving one subscription."""
+    """The push agent serving one subscriber."""
 
     def __init__(
         self,
-        subscription: Subscription,
+        subscriber: Subscriber,
         distributor: Distributor,
         poll_interval: float = 0.25,
-        mode: str = "push",
     ):
-        """``mode`` follows SQL Server terminology (§2.2): a *push* agent
-        runs on the distributor machine, a *pull* agent on the subscriber.
-        Functionally identical; the cluster simulator charges the apply
-        CPU to the corresponding machine."""
-        if mode not in ("push", "pull"):
-            raise ValueError(f"agent mode must be 'push' or 'pull', not {mode!r}")
-        self.subscription = subscription
+        self.subscriber = subscriber
         self.distributor = distributor
         self.poll_interval = poll_interval
-        self.mode = mode
         self.last_poll_time: float = float("-inf")
         self.transactions_applied = 0
         self.commands_applied = 0
@@ -50,30 +48,16 @@ class DistributionAgent:
         # applies N pending transactions in one trip saves N - 1.
         self.round_trips = 0
         self.round_trips_saved = 0
-        # Last applied transaction, recorded per agent for observability:
-        # the subscriber's "how far am I" answer (LSN analogue + commit
-        # timestamp + origin transaction + apply wall-clock).
-        self.last_applied_sequence: int = 0
-        self.last_applied_commit_ts: Optional[float] = None
-        self.last_applied_origin_id: Optional[int] = None
-        self.last_apply_time: Optional[float] = None
-        # Resilience state: a stalled agent (fault injection, admin) skips
-        # applying but keeps its schedule; apply failures are counted and
-        # contained by the deployment loop — the watermark makes the next
-        # poll re-deliver the unapplied suffix.
+        # A stalled agent (fault injection, admin) skips applying but
+        # keeps its schedule; the watermark makes the next poll
+        # re-deliver the unapplied suffix.
         self.stalled = False
-        self.apply_failures = 0
 
     def stall(self) -> None:
         self.stalled = True
 
     def resume(self) -> None:
         self.stalled = False
-
-    def subscriber_available(self) -> bool:
-        """False while the subscriber's server is crashed."""
-        server = getattr(self.subscription.subscriber_database, "owner_server", None)
-        return server is None or getattr(server, "available", True)
 
     def due(self, now: float) -> bool:
         return now - self.last_poll_time >= self.poll_interval
@@ -94,51 +78,29 @@ class DistributionAgent:
         """
         if now is not None:
             self.last_poll_time = now
-        if self.stalled or not self.subscriber_available():
-            # Outage: nothing is applied and the watermark stays put, so
-            # the distributor retains everything past it (its cleanup
-            # low-water mark is the min over subscriptions). Lag gauges
-            # keep climbing — the operator-visible symptom.
-            replication_metrics.update_lag_gauges(self, now=now)
-            return 0
-        pending = self.distributor.distribution_db.read_after(
-            self.subscription.last_sequence
-        )
+        subscriber = self.subscriber
+        pending = []
+        if not self.stalled and subscriber.database.owner_server.available:
+            pending = self.distributor.distribution_db.read_after(subscriber.last_sequence)
         if not pending:
-            # Idle poll: lag gauges still move (age keeps growing).
+            # Idle poll or outage (the watermark stays put, so the
+            # distribution database retains everything past it): lag
+            # gauges still move — the operator-visible symptom.
             replication_metrics.update_lag_gauges(self, now=now)
             return 0
         try:
-            self.commands_applied += self.subscription.apply_batch(pending)
+            self.commands_applied += subscriber.apply_batch(pending)
         except Exception:
             # The failed transaction was undone and the watermark points
             # at the last fully-applied one; re-raise so the caller (the
-            # deployment tick) can count and contain the failure.
-            self.apply_failures += 1
-            replication_metrics.update_lag_gauges(self, now=now)
+            # deployment tick) can contain the failure.
+            replication_metrics.record_apply_failure(self, now=now)
             raise
         self.transactions_applied += len(pending)
         self.round_trips += 1
-        newest = pending[-1]
-        self.last_applied_sequence = newest.sequence
-        self.last_applied_commit_ts = newest.commit_timestamp
-        self.last_applied_origin_id = newest.origin_transaction_id
-        self.last_apply_time = self.subscription.last_apply_time
         saved = len(pending) - 1
         self.round_trips_saved += saved
         if saved:
-            server = getattr(self.subscription.subscriber_database, "owner_server", None)
-            if server is not None:
-                server.total_work.round_trips_saved += saved
+            subscriber.database.owner_server.total_work.round_trips_saved += saved
         replication_metrics.record_batch(self, len(pending), now=now)
         return len(pending)
-
-    def last_applied(self) -> dict:
-        """Snapshot of the newest applied transaction (satellite API)."""
-        return {
-            "subscription": self.subscription.name,
-            "sequence": self.last_applied_sequence,
-            "commit_timestamp": self.last_applied_commit_ts,
-            "origin_transaction_id": self.last_applied_origin_id,
-            "applied_at": self.last_apply_time,
-        }

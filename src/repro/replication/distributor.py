@@ -1,7 +1,7 @@
 """The distributor and its distribution database.
 
 The distribution database stores *replication commands* — per-committed-
-transaction batches of projected row changes — until every subscription
+transaction batches of projected row changes — until every subscriber
 has consumed them, after which they are deleted (as SQL Server does).
 """
 
@@ -33,7 +33,8 @@ class ReplicatedTransaction:
 
 
 class DistributionDatabase:
-    """Commit-ordered command store with per-subscription watermarks."""
+    """Commit-ordered command store; each subscriber keeps its own
+    watermark (a sequence number) into it."""
 
     def __init__(self):
         self._transactions: List[ReplicatedTransaction] = []
@@ -82,23 +83,12 @@ class DistributionDatabase:
 
 
 class Distributor:
-    """Owns the distribution database and the registered subscriptions."""
+    """Owns the distribution database and the running agents."""
 
     def __init__(self, clock):
         self.clock = clock
         self.distribution_db = DistributionDatabase()
-        self.subscriptions: List = []  # Subscription instances
         self.agents: List = []  # DistributionAgent instances
-
-    def register_subscription(self, subscription) -> None:
-        self.subscriptions.append(subscription)
 
     def register_agent(self, agent) -> None:
         self.agents.append(agent)
-
-    def cleanup(self) -> int:
-        """Purge fully-consumed transactions (SQL Server's cleanup job)."""
-        if not self.subscriptions:
-            return 0
-        low_water = min(sub.last_sequence for sub in self.subscriptions)
-        return self.distribution_db.purge_through(low_water)

@@ -1,27 +1,33 @@
-"""Subscriptions: a subscriber's claim on an article.
+"""Subscribers and subscriptions: the receiving end of replication.
 
-A subscription binds one article to a target table on the subscriber (for
-MTCache: the backing table of a cached view). Applying commands keeps the
-target transactionally consistent with the publisher as of the last
-applied commit; the subscription tracks the commit timestamp high-water
-mark, which drives both the latency experiment and the freshness clause.
+A *subscriber* is one shadow database on a cache server. It holds the
+one watermark into the distribution database's commit-ordered stream —
+so every cached view of that cache reflects the same committed prefix of
+the backend's history — and it survives its distribution agent being
+killed and its server crashing. A *subscription* is the per-view binding
+underneath: one article delivered into one target table (for MTCache:
+the backing table of a cached view).
 
 Apply goes through a *prepared applier* — the replication analogue of a
 prepared statement. Instead of re-resolving the target table and probing
 every index per command, the applier binds the table and its unique
-index once (per batch on the fast path) and each command then executes
-against pre-resolved state.
+index once per batch and each command then executes against
+pre-resolved state.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.locks import LockMode
 from repro.errors import ReplicationError
+from repro.replication.publication import Article
 from repro.storage.table import Table
 
 _EXCLUSIVE = LockMode.EXCLUSIVE
+
+#: One reversible step of an apply: (table, action, rid, old row).
+_UndoEntry = Tuple[Table, str, int, Optional[Tuple]]
 
 
 class PreparedApplier:
@@ -54,164 +60,196 @@ class PreparedApplier:
 
 
 class Subscription:
-    """One article -> one target table on a subscriber database."""
+    """One article -> one target table of a :class:`Subscriber`."""
 
-    def __init__(
-        self,
-        name: str,
-        article_name: str,
-        subscriber_database,
-        target_table: str,
-    ):
+    def __init__(self, name: str, article: Article, target_table: str):
         self.name = name
-        self.article_name = article_name
-        self.subscriber_database = subscriber_database
+        self.article = article
         self.target_table = target_table
-        # Position in the distribution database's commit-ordered stream.
-        self.last_sequence = 0
-        # Commit timestamp of the newest applied transaction.
-        self.last_applied_commit_ts: float = 0.0
-        # When (subscriber clock) the newest transaction was applied.
-        self.last_apply_time: float = 0.0
-        # (commit_ts, applied_at) samples for latency measurement.
-        self.latency_samples: List[Tuple[float, float]] = []
         self.commands_applied = 0
-        # One round trip may carry many transactions (agent batching).
-        self.batches_applied = 0
-        # Times an apply failed and was rolled back to the watermark.
-        self.apply_failures = 0
         # Fault-injection hook (repro.faults); None is a true no-op.
         self.injector = None
 
-    def storage(self) -> Table:
-        return self.subscriber_database.storage_table(self.target_table)
+    def apply(self, command, applier: PreparedApplier, undo: List[_UndoEntry]) -> None:
+        """Apply one command to the target table, recording its inverse.
 
-    def prepare_applier(self) -> PreparedApplier:
-        """Bind the target table and its unique index for a batch."""
-        return PreparedApplier(self.storage())
+        The caller (:meth:`Subscriber.apply_transaction`) holds the
+        locks and owns ``undo``; a raise here leaves this command
+        unapplied and everything before it reversible.
+        """
+        if self.injector is not None:
+            self.injector.on_call(
+                f"subscription:{self.name}:apply",
+                subscription=self,
+                command=command,
+            )
+        table = applier.table
+        if command.action == "insert":
+            undo.append((table, "insert", table.insert(command.new_row), None))
+        elif command.action == "delete":
+            rid = applier.locate(command.old_row)
+            if rid is None:
+                raise ReplicationError(
+                    f"subscription {self.name!r}: row to delete not found in {self.target_table!r}"
+                )
+            table.delete_rid(rid)
+            undo.append((table, "delete", rid, command.old_row))
+        else:
+            rid = applier.locate(command.old_row)
+            if rid is None:
+                # The old image should exist; treat as insert to
+                # converge rather than silently diverging.
+                undo.append((table, "insert", table.insert(command.new_row), None))
+            else:
+                old_row, _ = table.update_rid(rid, command.new_row)
+                undo.append((table, "update", rid, old_row))
+
+
+def _undo(undo: List[_UndoEntry]) -> None:
+    """Reverse the applied prefix of a failed transaction, newest first."""
+    for table, action, rid, old_row in reversed(undo):
+        if action == "insert":
+            table.delete_rid(rid)
+        elif action == "delete":
+            table.insert_with_rid(rid, old_row)
+        else:
+            table.update_rid(rid, old_row)
+
+
+class Subscriber:
+    """One shadow database as a replication subscriber.
+
+    Holds the subscriptions of every cached view in the database and the
+    single position they share in the distribution database's stream.
+    """
+
+    def __init__(self, name: str, database):
+        self.name = name
+        self.database = database
+        # View name (lower) -> its subscription; ``_by_article`` is the
+        # apply-time index over the same objects, keyed by the name
+        # commands carry (identical views share one article, so an
+        # article may feed several tables).
+        self.subscriptions: Dict[str, Subscription] = {}
+        self._by_article: Dict[str, List[Subscription]] = {}
+        # Position in the distribution database's commit-ordered stream:
+        # every view holds exactly the transactions up to here.
+        self.last_sequence = 0
+        # The newest applied transaction (commit timestamp, origin id)
+        # and when, on the subscriber's clock, it was applied.
+        self.last_applied_commit_ts: float = 0.0
+        self.last_applied_origin_id: Optional[int] = None
+        self.last_apply_time: float = 0.0
+        # Reader scan time as of which the whole stream had been consumed.
+        self.synced_through: float = 0.0
+        # (commit_ts, applied_at) per transaction that changed a view.
+        self.latency_samples: List[Tuple[float, float]] = []
+
+    def add(self, subscription: Subscription) -> None:
+        self.subscriptions[subscription.target_table.lower()] = subscription
+        self._by_article.setdefault(subscription.article.name, []).append(subscription)
+
+    def remove(self, view_name: str) -> None:
+        subscription = self.subscriptions.pop(view_name.lower())
+        self._by_article[subscription.article.name].remove(subscription)
+
+    def staleness(self, now: float) -> float:
+        """Upper bound (seconds) on how stale the views are at ``now``:
+        current as of the newest applied commit, or of the reader scan
+        after which nothing was left to apply."""
+        return max(0.0, now - max(self.synced_through, self.last_applied_commit_ts))
 
     def apply_batch(self, transactions) -> int:
         """Apply a commit-ordered batch in one subscriber round trip.
 
-        All transactions share a single prepared applier; each is still
-        applied atomically in commit order, with its own watermark and
-        latency bookkeeping, so consistency is exactly that of applying
-        them one round trip at a time.
+        All transactions share one prepared applier per view; each is
+        still applied atomically in commit order, with its own watermark
+        and latency bookkeeping, so consistency is exactly that of
+        applying them one round trip at a time.
         """
-        if not transactions:
-            return 0
-        applier = self.prepare_applier()
-        applied = 0
-        for transaction in transactions:
-            applied += self.apply_transaction(transaction, applier=applier)
-        self.batches_applied += 1
-        return applied
+        appliers: Dict[Subscription, PreparedApplier] = {}
+        return sum(
+            self.apply_transaction(transaction, appliers) for transaction in transactions
+        )
 
     def apply_transaction(
-        self, transaction, applier: Optional[PreparedApplier] = None
+        self, transaction, appliers: Dict[Subscription, PreparedApplier]
     ) -> int:
-        """Apply one replicated transaction's commands for this article.
+        """Apply one replicated transaction to every view it touches.
 
-        Atomic per transaction: a failure partway through (a missing old
-        image, an injected fault, a subscriber crash) undoes the commands
-        already applied and leaves ``last_sequence`` at the previous
-        transaction — so the next poll's ``read_after(last_sequence)``
-        re-delivers exactly this transaction and its unapplied
-        successors. That is the exactly-once guarantee at transaction
-        granularity: a crash mid-batch never skips or double-applies.
+        Atomic across the whole subscriber: a failure partway through (a
+        missing old image, an injected fault) undoes the commands
+        already applied — on every table — and leaves ``last_sequence``
+        at the previous transaction, so the next poll's
+        ``read_after(last_sequence)`` re-delivers exactly this
+        transaction and its unapplied successors. That is the
+        exactly-once guarantee at transaction granularity: a crash
+        mid-batch never skips, double-applies or splits a transaction.
 
-        The whole apply (including the undo of a failed prefix) runs
-        under the subscriber database's latch (shared) plus an exclusive
-        lock on the target table — the same protocol as a local DML
-        statement — so a threaded driver reading the cached view never
-        observes a half-applied transaction.
+        The apply (including the undo of a failed prefix) runs under the
+        database's latch (shared) plus exclusive locks on every target
+        table — under the view's own name and under its source table's,
+        which is what a transparent statement names and locks — taken in
+        the same sorted order as a local DML statement. So a reader
+        joining two cached tables never observes a transaction applied
+        to one and not the other. A thread that already owns the latch
+        exclusively (the drain inside ``CREATE CACHED VIEW``) passes
+        straight through.
         """
-        latch = getattr(self.subscriber_database, "latch", None)
-        if latch is not None and not latch.owns_exclusive():
-            with latch.shared():
-                with self.subscriber_database.lock_manager.locking(
-                    [(self.target_table, _EXCLUSIVE)]
-                ):
-                    return self._apply_locked(transaction, applier)
-        return self._apply_locked(transaction, applier)
+        latch = self.database.latch
+        if latch.owns_exclusive():
+            return self._apply_latched(transaction, appliers)
+        with latch.shared():
+            return self._apply_latched(transaction, appliers)
 
-    def _apply_locked(
-        self, transaction, applier: Optional[PreparedApplier] = None
+    def _apply_latched(
+        self, transaction, appliers: Dict[Subscription, PreparedApplier]
     ) -> int:
-        applied = 0
-        if applier is None:
-            applier = self.prepare_applier()
-        table = applier.table
-        undo: List[Tuple] = []
-        try:
-            for command in transaction.commands:
-                if command.article_name.lower() != self.article_name.lower():
-                    continue
-                if self.injector is not None:
-                    self.injector.on_call(
-                        f"subscription:{self.name}:apply",
-                        subscription=self,
-                        command=command,
-                    )
-                if command.action == "insert":
-                    rid = table.insert(command.new_row)
-                    undo.append(("insert", rid, None))
-                elif command.action == "delete":
-                    rid = self._delete_row(applier, command.old_row)
-                    undo.append(("delete", rid, command.old_row))
-                else:
-                    rid = applier.locate(command.old_row)
-                    if rid is None:
-                        # The old image should exist; treat as insert to
-                        # converge rather than silently diverging.
-                        rid = table.insert(command.new_row)
-                        undo.append(("insert", rid, None))
-                    else:
-                        old_row, _ = table.update_rid(rid, command.new_row)
-                        undo.append(("update", rid, old_row))
-                applied += 1
-        except Exception:
-            self.apply_failures += 1
-            self._undo(table, undo)
-            raise
-        now = self.subscriber_database.clock.now()
+        if transaction.sequence <= self.last_sequence:
+            return 0  # a concurrent drain got here first
+        # Resolved under the latch: DROP VIEW (latch exclusive) removes
+        # a subscription together with its table.
+        work = [
+            (subscription, command)
+            for command in transaction.commands
+            for subscription in self._by_article.get(command.article_name, ())
+        ]
+        locks = set()
+        for subscription, _ in work:
+            locks.add((subscription.target_table, _EXCLUSIVE))
+            locks.add((subscription.article.source_table, _EXCLUSIVE))
+        undo: List[_UndoEntry] = []
+        with self.database.lock_manager.locking(locks):
+            try:
+                for subscription, command in work:
+                    applier = appliers.get(subscription)
+                    if applier is None:
+                        applier = appliers[subscription] = PreparedApplier(
+                            self.database.storage_table(subscription.target_table)
+                        )
+                    subscription.apply(command, applier, undo)
+            except Exception:
+                _undo(undo)
+                raise
+        now = self.database.clock.now()
         self.last_sequence = transaction.sequence
         self.last_applied_commit_ts = max(
             self.last_applied_commit_ts, transaction.commit_timestamp
         )
+        self.last_applied_origin_id = transaction.origin_transaction_id
         self.last_apply_time = now
-        if applied:
+        if work:
             self.latency_samples.append((transaction.commit_timestamp, now))
-            self.commands_applied += applied
-        return applied
+            for subscription, _ in work:
+                subscription.commands_applied += 1
+        return len(work)
 
-    def _delete_row(self, applier: PreparedApplier, old_row: Tuple) -> int:
-        rid = applier.locate(old_row)
-        if rid is None:
-            raise ReplicationError(
-                f"subscription {self.name!r}: row to delete not found in {self.target_table!r}"
-            )
-        applier.table.delete_rid(rid)
-        return rid
-
-    @staticmethod
-    def _undo(table: Table, undo: List[Tuple]) -> None:
-        """Reverse the applied prefix of a failed transaction, newest first."""
-        for action, rid, old_row in reversed(undo):
-            if action == "insert":
-                table.delete_rid(rid)
-            elif action == "delete":
-                table.insert_with_rid(rid, old_row)
-            else:
-                table.update_rid(rid, old_row)
-
-    def average_latency(self) -> Optional[float]:
-        """Mean commit-to-apply delay over recorded samples."""
-        if not self.latency_samples:
-            return None
-        total = sum(applied - committed for committed, applied in self.latency_samples)
-        return total / len(self.latency_samples)
-
-    def reset_measurements(self) -> None:
-        self.latency_samples.clear()
-        self.commands_applied = 0
+    def last_applied(self) -> dict:
+        """The subscriber's "how far am I" answer."""
+        return {
+            "subscriber": self.name,
+            "sequence": self.last_sequence,
+            "commit_timestamp": self.last_applied_commit_ts,
+            "origin_transaction_id": self.last_applied_origin_id,
+            "applied_at": self.last_apply_time,
+        }

@@ -39,7 +39,7 @@ illusory).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import CircuitOpenError, LinkUnavailableError, ServerUnavailableError
 
@@ -66,7 +66,6 @@ class FailoverRouter:
         failback_threshold: int = 2,
         principal: str = "dbo",
         registry: Optional[Any] = None,
-        health: Optional[Callable[[], bool]] = None,
     ):
         from repro.client.connection import Connection
 
@@ -79,7 +78,6 @@ class FailoverRouter:
             raise ValueError(f"failback_threshold must be >= 1, not {failback_threshold}")
         self.failback_threshold = failback_threshold
         self._healthy_probes = 0
-        self.health = health if health is not None else self._default_health
         # Each target gets its own client Connection (and therefore its
         # own session), so principal and session variables survive a
         # mid-conversation reroute on both sides.
@@ -117,20 +115,6 @@ class FailoverRouter:
         inner = getattr(self.primary, "server", None)
         return inner if inner is not None else self.primary
 
-    def _default_health(self) -> bool:
-        """Primary is healthy when its server is up and no link breaker
-        is open (an open-but-timed-out breaker counts as healthy: the
-        half-open probe happens on the first routed call)."""
-        server = self.server
-        if not getattr(server, "available", True):
-            return False
-        links = getattr(server, "linked_servers", None)
-        if links is not None:
-            for name in links.names():
-                if not links.get(name).breaker.ready():
-                    return False
-        return True
-
     # ------------------------------------------------------------------
     def _run(self, target: Any, sql: str, params: Optional[Dict[str, Any]]) -> Any:
         return self._connections[id(target)]._raw_execute(sql, params)
@@ -149,7 +133,7 @@ class FailoverRouter:
         if self.state == self.FAILED_OVER:
             now = self.clock.now()
             if now >= self._next_probe:
-                if self.health():
+                if self.primary.healthy():
                     self._healthy_probes += 1
                     if self._healthy_probes >= self.failback_threshold:
                         self._fail_back()

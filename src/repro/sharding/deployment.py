@@ -190,10 +190,7 @@ class ShardedDeployment:
             for view, partition in self._shard_views(low, high):
                 if partition is None:
                     continue
-                subscription = cache.subscriptions[view.name.lower()]
-                article = self.deployment.publication.article(
-                    subscription.article_name
-                )
+                article = cache.subscriptions[view.name.lower()].article
                 article.predicate = view.select.where
                 article.bind(backend_database.catalog.get_table(partition.table).schema)
                 view_def = database.catalog.get_view(view.name)

@@ -77,14 +77,12 @@ class TestReplicationRobustness:
         deployment.sync()
 
         # Simulate an agent crash/restart: replace the agent object; the
-        # subscription's watermark survives, so nothing re-applies and
+        # subscriber's watermark survives, so nothing re-applies and
         # nothing is lost.
-        subscription = cache.subscriptions["vcust"]
-        old_agent = cache.agents["vcust"]
-        deployment.distributor.agents.remove(old_agent)
-        new_agent = DistributionAgent(subscription, deployment.distributor, 0.25)
+        deployment.distributor.agents.remove(cache.agent)
+        new_agent = DistributionAgent(cache.subscriber, deployment.distributor, 0.25)
         deployment.distributor.register_agent(new_agent)
-        cache.agents["vcust"] = new_agent
+        assert cache.agent is new_agent
 
         backend.execute(
             "UPDATE customer SET cname = 'post' WHERE cid = 3", database="shop"
@@ -100,7 +98,7 @@ class TestReplicationRobustness:
             "UPDATE customer SET cname = 'early' WHERE cid = 7", database="shop"
         )
         deployment.sync()
-        deployment.distributor.cleanup()  # early commands are gone
+        assert len(deployment.distributor.distribution_db) == 0  # early commands are gone
 
         cache2 = deployment.add_cache_server("late_cache")
         cache2.create_cached_view(
@@ -154,12 +152,30 @@ class TestPlanInvalidation:
         assert "ix_vcust_name" in after.explain()
 
     def test_dropping_cached_view_reroutes_to_backend(self, env):
-        backend, _, cache = env
+        backend, deployment, cache = env
+        other = deployment.add_cache_server("cache2")
+        other.create_cached_view(
+            "CREATE CACHED VIEW vcust AS SELECT cid, cname, segment FROM customer"
+        )
         sql = "SELECT cname FROM customer WHERE cid = 4"
         assert not cache.plan(sql).uses_remote
         cache.execute("DROP VIEW vcust")
         assert cache.plan(sql).uses_remote
         assert cache.execute(sql).rows == [("cust4",)]
+        assert "vcust" not in cache.subscriptions
+
+        # The dropped view no longer takes part in replication: ticks and
+        # sync() keep running, the backlog purges and the other cache
+        # keeps converging.
+        backend.execute(
+            "UPDATE customer SET cname = 'after-drop' WHERE cid = 4", database="shop"
+        )
+        deployment.tick(advance=1.0)
+        deployment.tick(advance=1.0)
+        deployment.sync()
+        assert len(deployment.distributor.distribution_db) == 0
+        assert other.execute("SELECT cname FROM vcust WHERE cid = 4").scalar == "after-drop"
+        assert cache.execute(sql).rows == [("after-drop",)]
 
 
 class TestEngineEdgeCases:

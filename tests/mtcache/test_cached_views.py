@@ -37,7 +37,8 @@ class TestCreation:
         cache.create_cached_view(
             "CREATE CACHED VIEW v AS SELECT cid FROM customer WHERE cid <= 50"
         )
-        assert len(deployment.distributor.subscriptions) == 1
+        assert list(cache.subscriptions) == ["v"]
+        assert len(deployment.distributor.agents) == len(deployment.cache_servers) == 1
         assert len(deployment.publication.articles) == 1
 
     def test_star_projection(self, env):

@@ -113,23 +113,6 @@ class TestMinimalShadow:
 
 
 class TestAgentModes:
-    def test_pull_and_push_modes_apply_identically(self, env):
-        backend, deployment = env
-        cache = deployment.add_cache_server("c1")
-        cache.create_cached_view(
-            "CREATE CACHED VIEW vc AS SELECT cid, cname FROM customer WHERE cid <= 30"
-        )
-        agent = cache.agents["vc"]
-        assert agent.mode == "push"  # our distributor pushes by default
-        from repro.replication.agent import DistributionAgent
-
-        pull = DistributionAgent(
-            cache.subscriptions["vc"], deployment.distributor, 0.25, mode="pull"
-        )
-        assert pull.mode == "pull"
-        with pytest.raises(ValueError):
-            DistributionAgent(cache.subscriptions["vc"], deployment.distributor, 0.25, mode="x")
-
     def test_des_push_mode_loads_backend(self, env):
         from repro.simulation import DESConfig, calibrate, simulate_cluster
         from repro.tpcw import TPCWConfig

@@ -118,3 +118,24 @@ class TestMultiBackendCache:
         rogue = Server("rogue")  # its own clock
         with pytest.raises(ReplicationError, match="clock"):
             deployment.attach_cache_server(rogue)
+
+    def test_catalog_refresh_links_new_tables_to_their_own_backend(self, multi_env):
+        _, catalog, *_, catalog_deployment, _, catalog_cache = multi_env
+        catalog.execute(
+            "CREATE TABLE vendor (vid INT PRIMARY KEY, vname VARCHAR(30))",
+            database="catalog",
+        )
+        catalog.execute("INSERT INTO vendor VALUES (1, 'acme')", database="catalog")
+        catalog_deployment.refresh_catalog()
+        # The new shadow table resolves through the catalog backend's
+        # link, not the first-attached (sales) one.
+        assert catalog_cache.database.backend_server == "backend_catalog"
+        assert catalog_cache.execute("SELECT vname FROM vendor").rows == [("acme",)]
+
+    def test_one_agent_per_shadow_database(self, multi_env):
+        *_, sales_deployment, catalog_deployment, sales_cache, catalog_cache = multi_env
+        for deployment in (sales_deployment, catalog_deployment):
+            assert len(deployment.distributor.agents) == len(deployment.cache_servers) == 1
+        # Two subscribers on one server: their lag series must not collide.
+        assert sales_cache.subscriber.name != catalog_cache.subscriber.name
+        assert sales_cache.agent is not catalog_cache.agent

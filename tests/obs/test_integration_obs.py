@@ -92,9 +92,9 @@ class TestBuyConfirmTrace:
 
     def test_snapshot_reports_replication_lag(self):
         replication = self.snapshot["replication"]
-        subscriptions = replication["subscriptions"]
-        assert subscriptions
-        for values in subscriptions.values():
+        subscribers = replication["subscribers"]
+        assert subscribers
+        for values in subscribers.values():
             assert {"lag_transactions", "lag_seconds", "queue_depth"} <= set(values)
         # The buy wrote orders/order_line on the backend; after sync the
         # distributor has moved at least one transaction.

@@ -6,7 +6,7 @@ from repro.obs.export import deployment_snapshot
 
 
 def _agent(cache):
-    return next(iter(cache.agents.values()))
+    return cache.agent
 
 
 class TestLagGauges:
@@ -21,7 +21,7 @@ class TestLagGauges:
         assert values["queue_depth"] == 2
 
         registry = cache.server.metrics
-        labels = {"subscription": agent.subscription.name}
+        labels = {"subscriber": agent.subscriber.name}
         assert (
             registry.gauge("replication.lag_transactions", labels=labels).value == 2
         )
@@ -50,7 +50,7 @@ class TestBatchStats:
         assert applied == 3
 
         registry = cache.server.metrics
-        labels = {"subscription": agent.subscription.name}
+        labels = {"subscriber": agent.subscriber.name}
         histogram = registry.histogram(
             "replication.batch_size",
             buckets=replication_metrics.BATCH_SIZE_BUCKETS,
@@ -66,31 +66,32 @@ class TestBatchStats:
 
 
 class TestLastApplied:
-    """Satellite: the agent records the newest applied transaction."""
+    """Satellite: the subscriber records the newest applied transaction."""
 
     def test_last_applied_updates_on_poll(self, deployment, cache):
-        agent = _agent(cache)
-        assert agent.last_applied_sequence == 0
+        agent, subscriber = _agent(cache), cache.subscriber
+        assert subscriber.last_sequence == 0
         backend = deployment.backend
         backend.execute("UPDATE customer SET cname = 'Y' WHERE cid = 7")
         deployment.log_reader.poll()
         frontier = deployment.distributor.distribution_db.last_sequence
+        (transaction,) = deployment.distributor.distribution_db.read_after(0)
         agent.poll(now=deployment.clock.now())
 
-        assert agent.last_applied_sequence == frontier
-        assert agent.last_applied_commit_ts is not None
-        assert agent.last_applied_origin_id is not None
-        info = agent.last_applied()
-        assert info["subscription"] == agent.subscription.name
+        assert subscriber.last_sequence == frontier
+        assert subscriber.last_applied_commit_ts == transaction.commit_timestamp
+        assert subscriber.last_applied_origin_id == transaction.origin_transaction_id
+        info = subscriber.last_applied()
+        assert info["subscriber"] == subscriber.name == "cache1"
         assert info["sequence"] == frontier
-        assert info["applied_at"] == agent.subscription.last_apply_time
+        assert info["applied_at"] == subscriber.last_apply_time
 
     def test_idle_poll_does_not_move_last_applied(self, deployment, cache):
         deployment.sync()
         agent = _agent(cache)
-        sequence = agent.last_applied_sequence
+        before = cache.subscriber.last_applied()
         agent.poll(now=deployment.clock.now())
-        assert agent.last_applied_sequence == sequence
+        assert cache.subscriber.last_applied() == before
 
 
 class TestDeploymentSample:
@@ -98,8 +99,9 @@ class TestDeploymentSample:
         deployment.sync()
         samples = replication_metrics.sample(deployment)
         assert set(samples) == {
-            agent.subscription.name for agent in deployment.distributor.agents
+            agent.subscriber.name for agent in deployment.distributor.agents
         }
+        assert set(samples) == {cache.name for cache in deployment.cache_servers}
         for values in samples.values():
             assert {"lag_transactions", "lag_seconds", "queue_depth"} <= set(values)
 
@@ -109,7 +111,7 @@ class TestDeploymentSample:
         deployment.clock.advance(1.0)
         deployment.sync()
         snap = deployment_snapshot(deployment)
-        assert snap["replication"]["subscriptions"]
+        assert snap["replication"]["subscribers"]
         assert snap["replication"]["transactions_distributed"] >= 1
         assert snap["backend"]["metrics"]["counters"]
         assert snap["caches"][0]["server"] == "cache1"
@@ -123,10 +125,12 @@ class TestLagRollup:
             "SELECT cid, cname, caddress FROM customer WHERE cid <= 50"
         )
         deployment.sync()
-        rollup = replication_metrics.rollup(deployment)
-        assert set(rollup["servers"]) == {"cache1", "cache2"}
-        for bucket in rollup["servers"].values():
-            assert bucket["subscriptions"] >= 1
+        samples = replication_metrics.sample(deployment)
+        assert set(samples) == {"cache1", "cache2"}
+        rollup = replication_metrics.rollup(deployment, samples=samples)
+        assert rollup["lag_seconds_max"] == max(
+            values["lag_seconds"] for values in samples.values()
+        )
         assert rollup["lag_seconds_max"] >= rollup["lag_seconds_mean"] >= 0.0
         assert rollup["lag_transactions_max"] >= rollup["lag_transactions_mean"]
 
@@ -139,7 +143,7 @@ class TestLagRollup:
         assert "replication.tier_lag_seconds_max" in gauges
         assert "replication.tier_lag_seconds_mean" in gauges
         assert "replication.tier_lag_transactions_max" in gauges
-        assert "replication.server_lag_seconds_max{server=cache1}" in gauges
+        assert "replication.subscriber_lag_seconds{subscriber=cache1}" in gauges
 
     def test_rollup_sees_backlogged_subscription(self, deployment, cache):
         backend = deployment.backend
@@ -160,5 +164,5 @@ class TestLagRollup:
         deployment.sync()
         snap = deployment_snapshot(deployment)
         rollup = snap["replication"]["lag_rollup"]
-        assert "cache1" in rollup["servers"]
+        assert "cache1" in snap["replication"]["subscribers"]
         assert rollup["lag_seconds_mean"] >= 0.0

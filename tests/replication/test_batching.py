@@ -24,7 +24,7 @@ def view_rows(cache):
 
 
 def agent_for(deployment, cache):
-    return cache.agents["vcust"]
+    return cache.agent
 
 
 class TestBatchedApply:
@@ -95,8 +95,8 @@ class TestBatchedApply:
         """Batching must not collapse latency accounting: one sample per
         applied transaction, commit timestamps intact."""
         backend, deployment, cache = env
-        subscription = cache.subscriptions["vcust"]
-        samples_before = len(subscription.latency_samples)
+        subscriber = cache.subscriber
+        samples_before = len(subscriber.latency_samples)
         for i in range(1, 4):
             backend.execute(
                 f"UPDATE customer SET cname = 'l{i}' WHERE cid = {i}", database="shop"
@@ -104,8 +104,8 @@ class TestBatchedApply:
             deployment.clock.advance(0.05)
         deployment.log_reader.poll()
         agent_for(deployment, cache).poll(deployment.clock.now())
-        assert len(subscription.latency_samples) == samples_before + 3
-        commits = [c for c, _ in subscription.latency_samples[-3:]]
+        assert len(subscriber.latency_samples) == samples_before + 3
+        commits = [c for c, _ in subscriber.latency_samples[-3:]]
         assert commits == sorted(commits)
 
     def test_empty_backlog_is_not_a_round_trip(self, env):
@@ -118,8 +118,8 @@ class TestBatchedApply:
 
     def test_batches_applied_counter(self, env):
         backend, deployment, cache = env
-        subscription = cache.subscriptions["vcust"]
-        before = subscription.batches_applied
+        agent = agent_for(deployment, cache)
+        before = agent.round_trips
         backend.execute(
             "UPDATE customer SET cname = 'x' WHERE cid = 2", database="shop"
         )
@@ -127,5 +127,6 @@ class TestBatchedApply:
             "UPDATE customer SET cname = 'y' WHERE cid = 3", database="shop"
         )
         deployment.log_reader.poll()
-        agent_for(deployment, cache).poll(deployment.clock.now())
-        assert subscription.batches_applied == before + 1
+        agent.poll(deployment.clock.now())
+        assert agent.round_trips == before + 1
+        assert cache.subscriptions["vcust"].commands_applied == 2

@@ -2,7 +2,7 @@
 
 The contract under test is exactly-once apply at transaction granularity:
 a failure partway through a batch (or partway through one transaction)
-leaves the subscription watermark at the last *fully applied*
+leaves the cache's watermark at the last *fully applied*
 transaction, the partial transaction undone — so the next poll
 re-delivers precisely the unapplied suffix, never a duplicate.
 """
@@ -40,11 +40,17 @@ def cache_name(cache, cid):
     return cache.execute(f"SELECT cname FROM vcust WHERE cid = {cid}").scalar
 
 
+def apply_failures(cache):
+    return cache.server.metrics.counter(
+        "replication.apply_failures", labels={"subscriber": cache.subscriber.name}
+    ).value
+
+
 class TestCrashMidBatch:
     def test_failed_batch_redelivers_exactly_the_unapplied_suffix(self, env):
         backend, deployment, cache, injector = env
         sub = cache.subscriptions["vcust"]
-        agent = cache.agents["vcust"]
+        subscriber, agent = cache.subscriber, cache.agent
 
         # Three single-command transactions...
         for cid, name in ((1, "a1"), (2, "a2"), (3, "a3")):
@@ -53,17 +59,18 @@ class TestCrashMidBatch:
 
         # ...and a fault on the second command of the batch.
         injector.wound_subscription(sub, skip=1, count=1)
-        watermark_before = sub.last_sequence
+        watermark_before = subscriber.last_sequence
         with pytest.raises(ReplicationError):
             agent.poll(deployment.clock.now())
-        assert agent.apply_failures == 1
-        assert sub.apply_failures == 1
+        assert apply_failures(cache) == 1
 
         # Transaction 1 applied; the watermark sits right after it.
         assert cache_name(cache, 1) == "a1"
         assert cache_name(cache, 2) == "cust2"
-        assert sub.last_sequence == watermark_before + 1
-        pending = deployment.distributor.distribution_db.read_after(sub.last_sequence)
+        assert subscriber.last_sequence == watermark_before + 1
+        pending = deployment.distributor.distribution_db.read_after(
+            subscriber.last_sequence
+        )
         assert len(pending) == 2  # exactly the unapplied suffix
 
         # The next poll applies just those two — no duplicates, no gaps.
@@ -71,12 +78,14 @@ class TestCrashMidBatch:
         assert applied == 2
         assert cache_name(cache, 2) == "a2"
         assert cache_name(cache, 3) == "a3"
-        assert not deployment.distributor.distribution_db.read_after(sub.last_sequence)
+        assert not deployment.distributor.distribution_db.read_after(
+            subscriber.last_sequence
+        )
 
     def test_failure_inside_a_transaction_undoes_its_partial_commands(self, env):
         backend, deployment, cache, injector = env
         sub = cache.subscriptions["vcust"]
-        agent = cache.agents["vcust"]
+        subscriber, agent = cache.subscriber, cache.agent
 
         # One transaction with two commands.
         backend.execute(
@@ -90,7 +99,7 @@ class TestCrashMidBatch:
 
         # Fault lands on the second command: mid-transaction.
         injector.wound_subscription(sub, skip=1, count=1)
-        watermark_before = sub.last_sequence
+        watermark_before = subscriber.last_sequence
         with pytest.raises(ReplicationError):
             agent.poll(deployment.clock.now())
 
@@ -98,7 +107,7 @@ class TestCrashMidBatch:
         # never exposes half a transaction.
         assert cache_name(cache, 1) == "cust1"
         assert cache_name(cache, 2) == "cust2"
-        assert sub.last_sequence == watermark_before
+        assert subscriber.last_sequence == watermark_before
 
         # Redelivery applies the whole transaction exactly once.
         agent.poll(deployment.clock.now())
@@ -113,7 +122,7 @@ class TestCrashMidBatch:
         # tick() must not explode the simulation loop; it counts and
         # moves on, and the following tick catches the cache up.
         deployment.tick(advance=1.0)
-        assert deployment.apply_failures_contained == 1
+        assert apply_failures(cache) == 1
         deployment.tick(advance=1.0)
         assert cache_name(cache, 5) == "c5"
 
@@ -121,27 +130,25 @@ class TestCrashMidBatch:
 class TestAgentOutages:
     def test_stalled_agent_freezes_watermark_then_catches_up(self, env):
         backend, deployment, cache, injector = env
-        agent = cache.agents["vcust"]
-        sub = cache.subscriptions["vcust"]
+        agent, subscriber = cache.agent, cache.subscriber
 
         injector.stall_agent(agent)
         rename(backend, 7, "d7")
         rename(backend, 8, "d8")
-        watermark = sub.last_sequence
+        watermark = subscriber.last_sequence
         deployment.tick(advance=1.0)
-        assert sub.last_sequence == watermark  # frozen during the stall
+        assert subscriber.last_sequence == watermark  # frozen during the stall
         assert cache_name(cache, 7) == "cust7"
 
         injector.resume_agent(agent)
         deployment.tick(advance=1.0)
         assert cache_name(cache, 7) == "d7"
         assert cache_name(cache, 8) == "d8"
-        assert sub.last_sequence > watermark
+        assert subscriber.last_sequence > watermark
 
     def test_killed_agent_restarts_from_the_watermark(self, env):
         backend, deployment, cache, injector = env
-        agent = cache.agents["vcust"]
-        sub = cache.subscriptions["vcust"]
+        agent = cache.agent
 
         rename(backend, 9, "e9")
         deployment.sync()
@@ -149,13 +156,15 @@ class TestAgentOutages:
 
         injector.kill_agent(agent)
         assert agent not in deployment.distributor.agents
+        assert cache.agent is None
         rename(backend, 9, "e9b")
         rename(backend, 10, "e10")
         deployment.tick(advance=1.0)
         assert cache_name(cache, 9) == "e9"  # nobody is applying
 
         replacement = injector.restart_agent(agent)
-        assert replacement.subscription is sub
+        assert replacement.subscriber is cache.subscriber
+        assert cache.agent is replacement
         deployment.tick(advance=1.0)
         # The replacement resumed from the shared watermark: both changes
         # arrive, each exactly once.
@@ -169,7 +178,7 @@ class TestAgentOutages:
         injector.crash_cache(cache)
         rename(backend, 11, "f11")
         deployment.tick(advance=2.0)
-        assert cache.agents["vcust"].stalled
+        assert cache.agent.stalled
         lag = replication_metrics.sample(deployment)
         (values,) = lag.values()
         assert values["lag_transactions"] >= 1

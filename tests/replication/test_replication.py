@@ -166,7 +166,8 @@ class TestSharedArticles:
             "SELECT cid, cname, segment FROM customer WHERE cid <= 30"
         )
         assert len(deployment.publication.articles) == 1
-        assert len(deployment.distributor.subscriptions) == 2
+        assert [list(c.subscriptions) for c in (cache, cache2)] == [["vcust"], ["vcust"]]
+        assert cache.subscriptions["vcust"].article is cache2.subscriptions["vcust"].article
 
     def test_second_subscriber_receives_changes(self, env):
         backend, deployment, cache = env

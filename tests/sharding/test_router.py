@@ -142,7 +142,7 @@ def test_snapshot_exposes_sharding_section(sharded, router):
     assert set(section["shards"]) == set(sharded.partitioner.shards)
     assert "lag_rollup" in snapshot["replication"]
     rollup = snapshot["replication"]["lag_rollup"]
-    assert set(rollup["servers"]) == set(sharded.partitioner.shards)
+    assert set(snapshot["replication"]["subscribers"]) == set(sharded.partitioner.shards)
     assert rollup["lag_seconds_max"] >= rollup["lag_seconds_mean"] >= 0.0
 
 

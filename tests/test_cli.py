@@ -26,8 +26,8 @@ def test_metrics_emits_json_snapshot(capsys):
     snapshot = json.loads(capsys.readouterr().out)
     assert snapshot["backend"]["metrics"]["counters"]
     assert snapshot["caches"][0]["server"] == "cache1"
-    assert snapshot["replication"]["subscriptions"]
-    for values in snapshot["replication"]["subscriptions"].values():
+    assert set(snapshot["replication"]["subscribers"]) == {"cache1"}
+    for values in snapshot["replication"]["subscribers"].values():
         assert "lag_seconds" in values
 
 
