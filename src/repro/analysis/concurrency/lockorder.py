@@ -61,8 +61,7 @@ from repro.errors import AnalysisError
 #: the caller's in the cross-server nesting model). Reported as notes.
 SANCTIONED_BLOCKING = frozenset(
     {
-        "repro/engine/server.py::Server._forward_dml",
-        "repro/engine/server.py::Server._execute_procedure_call",
+        "repro/engine/server.py::Server._forward",
     }
 )
 

@@ -23,10 +23,11 @@ SELECT would):
 
 Each shard is reached through its own ``FailoverRouter``, so a dead
 shard degrades that shard's share of traffic to the backend instead of
-failing it. Route decisions are cached per statement text, checked
-against the backend database's schema version; the scatter route
-additionally caches per-shard SQL keyed by the partitioner version so
-rebalancing invalidates it.
+failing it. Literals are lifted to parameters first
+(:func:`repro.sql.lift_literals`), so route decisions are cached per
+statement *template*, checked against the backend database's schema
+version; the scatter route additionally caches per-shard SQL keyed by
+the partitioner version so rebalancing invalidates it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.errors import ClientError, OverloadError
 from repro.resilience.deadline import check_deadline
 from repro.sharding.policy import ShardingPolicy
 from repro.sharding.routing import BACKEND, Route, decide, remap, resolve
-from repro.sql import parse
+from repro.sql import lift_literals, overlay, parse
 
 
 class ShardRouter:
@@ -151,6 +152,14 @@ class ShardRouter:
         if self.closed:
             raise ClientError("shard router is closed")
         check_deadline("shard routing")
+        # Literals become parameters before anything is keyed on the text:
+        # one decision per template, a constant partition key routes like
+        # ``@p``, and the lifted text is a no-op for every layer below.
+        template, lifted = lift_literals(sql)
+        if lifted:
+            merged = overlay(lifted, params)
+            if merged is not None:
+                sql, params = template, merged
         # Routes embed catalog facts (a procedure's parsed body), so they
         # are checked against the backend's schema version.
         version = self._database.version

@@ -9,9 +9,11 @@ plans cannot be shipped, only text.
 The text travels once (paper §4.3, parameterized remote queries):
 :meth:`ServerLink.prepare` registers it on the target and returns a
 :class:`RemoteStatementHandle`; executions ship only the handle id and
-the parameter values. Remote subexpressions and forwarded DML always go
-this way; forwarded ``EXEC`` calls, whose arguments are inlined as
-literals, ship text through :meth:`ServerLink.execute_statement_text`.
+the parameter values. Everything on the link goes this way: remote
+subexpressions through the handle itself, forwarded DML and forwarded
+``EXEC`` calls (arguments evaluated by the caller and sent as parameters)
+through :meth:`ServerLink.execute_statement_text`, the one
+forwarded-statement entry, which executes by the text's shared handle.
 Handles survive remote schema changes (the target re-prepares
 transparently) and remote handle loss (the link re-prepares from its own
 text copy).
@@ -243,13 +245,18 @@ class ServerLink:
     def execute_statement_text(
         self, sql: str, params: Optional[Dict[str, Any]] = None
     ) -> Result:
-        """Execute a forwarded statement (DML / EXEC); returns full result."""
+        """Execute a forwarded statement (DML / EXEC); returns full result.
+
+        The one forwarded-statement entry: the text travels once, as the
+        shared prepared handle for ``sql``, and each call ships the handle
+        id and ``params`` under a single ``statement`` invocation (one
+        span, one fault site, one retry loop).
+        """
         self.statements_shipped += 1
-        with self._span("remote.statement"):
-            return self._invoke(
-                "statement",
-                lambda: self.server.execute(sql, params=params, database=self.database),
-            )
+        self.prepared_executions += 1
+        handle = self.prepare(sql)
+        with self._span("remote.statement", handle=handle.handle_id):
+            return self._invoke("statement", lambda: handle._execute_once(params))
 
     def prepare(self, sql: str) -> RemoteStatementHandle:
         """Return the (shared) prepared handle for ``sql`` on this link."""

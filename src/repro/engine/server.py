@@ -35,6 +35,8 @@ from repro.engine.session import Session
 from repro.errors import (
     CatalogError,
     ExecutionError,
+    LexError,
+    ParseError,
     PreparedStatementError,
     TransactionError,
     TypeCheckError,
@@ -50,7 +52,7 @@ from repro.obs.tracing import NULL_SPAN as _NULL_SPAN
 from repro.obs.tracing import Tracer, active_span
 from repro.optimizer.cost import CostModel
 from repro.optimizer.planner import Optimizer, PlannedStatement
-from repro.sql import ast, parse_statements
+from repro.sql import RESERVED_PREFIX, ast, lift_literals, overlay, parse_statements
 from repro.sql.formatter import format_statement
 
 #: The work-counter field names, taken from the dataclass so the
@@ -64,14 +66,17 @@ STATEMENT_CACHE_SIZE = 512
 class PreparedStatement:
     """The server-side half of the prepare/execute protocol (paper §4.3).
 
-    Holds the statement text plus its parsed form, pinned to the schema
-    version it was prepared under. When the version moves (DDL on the
-    target database), the next execution transparently re-prepares: the
-    text is re-parsed and the plan cache — itself version-checked —
-    re-plans against the new schema.
+    Holds the statement text plus its parsed form — the statements of the
+    text's literal-lifted template and the values lifted out of it — pinned
+    to the schema version it was prepared under. When the version moves
+    (DDL on the target database), the next execution transparently
+    re-prepares: the text is re-parsed and the plan cache — itself
+    version-checked — re-plans against the new schema.
     """
 
-    __slots__ = ("handle_id", "sql", "database_key", "statements", "version", "reprepares")
+    __slots__ = (
+        "handle_id", "sql", "database_key", "statements", "lifted", "version", "reprepares",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -79,12 +84,14 @@ class PreparedStatement:
         sql: str,
         database_key: str,
         statements: List[ast.Statement],
+        lifted: Dict[str, Any],
         version: int,
     ):
         self.handle_id = handle_id
         self.sql = sql
         self.database_key = database_key
         self.statements = statements
+        self.lifted = lifted
         self.version = version
         self.reprepares = 0
 
@@ -154,16 +161,17 @@ class Server:
             checked_plans = checked_plans_default()
         self.checked_plans = checked_plans
         # Statement fast path (all version-checked, all bounded LRUs):
-        # SQL text -> parsed statement list, and (database, statement) ->
-        # plan.
+        # literal-lifted SQL template -> parsed statement list, and
+        # (database, statement) -> plan. No literal reaches either key.
         self._parse_cache: LRUCache = LRUCache(STATEMENT_CACHE_SIZE)
         self._plan_cache: LRUCache = LRUCache(STATEMENT_CACHE_SIZE)
         # Prepared statements this server holds for its clients
         # (linked servers executing by handle).
         self._prepared: Dict[int, PreparedStatement] = {}
         self._prepared_ids = itertools.count(1)
-        # Forwarded-DML fast path: stripped statement AST -> remote handle.
-        self._dml_forward_cache: LRUCache = LRUCache(256)
+        # Forwarding fast path: rewritten DML / EXEC AST -> its SQL text
+        # (the text in turn keys the link's shared prepared handle).
+        self._forward_cache: LRUCache = LRUCache(256)
         #: How many times the lexer/parser actually ran (parse-cache
         #: misses). Benchmarks read deltas of this.
         self.parses = 0
@@ -189,7 +197,7 @@ class Server:
         self.available = False
         self.crashes += 1
         self._prepared.clear()
-        self._dml_forward_cache.clear()
+        self._forward_cache.clear()
         for database in self.databases.values():
             for transaction in database.transactions.active_transactions():
                 database.transactions.rollback(transaction)
@@ -285,34 +293,73 @@ class Server:
         tracer = self.tracer
         span = tracer.span("batch", sql=sql) if tracer.enabled else _NULL_SPAN
         with span:
-            statements = self._parse_sql(sql, target)
-            if not statements:
-                return Result()
-            result = Result()
-            for statement in statements:
-                result = self.execute_statement(
-                    statement, params=params, session=session, database=target
-                )
-            return result
+            statements, lifted = self._parse_sql(sql, target)
+            return self._run_batch(sql, statements, lifted, params, session, target)
 
-    def _parse_sql(self, sql: str, database: Database) -> List[ast.Statement]:
-        """Parse a batch through the version-checked SQL-text cache.
+    def parsed(self, sql: str, database: Optional[str] = None) -> List[ast.Statement]:
+        """The batch's statements, through the same literal-lifting,
+        version-checked parse cache every execution uses."""
+        return self._parse_sql(sql, self.database(database))[0]
 
-        Keys are interned so repeated identical batches — shipped remote
-        subexpressions, replication commands, TPC-W procedure calls —
-        compare by pointer and skip the lexer/parser entirely. AST nodes
-        are frozen, so the cached statement list is safe to re-execute.
+    def _parse_sql(
+        self, sql: str, database: Database
+    ) -> Tuple[List[ast.Statement], Dict[str, Any]]:
+        """Parse a batch through the version-checked template cache.
+
+        Literals are lifted to reserved parameter markers first
+        (:func:`repro.sql.lift_literals`), so the key — and, through the
+        frozen AST, every plan-cache, forwarding-cache and remote-handle
+        key derived from it — is the text's template: ``WHERE cid = 1`` and
+        ``WHERE cid = 2`` are one entry, one dynamic plan. Returns the
+        template's statements and the lifted values they run under.
+
+        Keys are interned so repeated batches compare by pointer and skip
+        the lexer/parser entirely. AST nodes are frozen, so the cached
+        statement list is safe to re-execute. A template that does not
+        parse is parsed again as the text the client sent (cold path), so
+        a syntax error's line and column are the client's own.
         """
-        key = (database.name.lower(), sys.intern(sql))
+        template, lifted = lift_literals(sql)
+        key = (database.name.lower(), sys.intern(template))
         version = database.version
         entry = self._parse_cache.get(key, valid=lambda e: e[0] == version)
         if entry is not None:
             self.total_work.inc("parse_cache_hits")
-            return entry[1]
+            return entry[1], lifted
         self.parses += 1
-        statements = parse_statements(sql)
+        try:
+            statements = parse_statements(template)
+        except (LexError, ParseError):
+            if not lifted:
+                raise
+            return parse_statements(sql), {}
         self._parse_cache[key] = (version, statements)
-        return statements
+        return statements, lifted
+
+    def _run_batch(
+        self,
+        sql: str,
+        statements: List[ast.Statement],
+        lifted: Dict[str, Any],
+        params: Optional[Dict[str, Any]],
+        session: Session,
+        database: Database,
+    ) -> Result:
+        """Run a parsed batch under the caller's parameters laid over the
+        lifted ones; returns the last statement's result. A caller whose
+        own names use the reserved prefix gets its text run as written."""
+        if lifted:
+            merged = overlay(lifted, params)
+            if merged is None:
+                statements = parse_statements(sql)
+            else:
+                params = merged
+        result = Result()
+        for statement in statements:
+            result = self.execute_statement(
+                statement, params=params, session=session, database=database
+            )
+        return result
 
     def execute_statement(
         self,
@@ -668,7 +715,7 @@ class Server:
         if server_name is None and database.is_remote_table(target):
             server_name = database.backend_server
         if server_name is not None:
-            return self._forward_dml(server_name, statement, params)
+            return self._forward(server_name, self._strip_server_prefix(statement), params)
 
         ctx = self._make_context(params, database, session)
         autocommit = not session.in_transaction
@@ -698,22 +745,20 @@ class Server:
         self.total_work.merge(ctx.work)
         return result
 
-    def _forward_dml(self, server_name: str, statement, params: Dict[str, Any]) -> Result:
-        """Ship a DML statement to its owning server.
+    def _forward(self, server_name: str, statement, params: Dict[str, Any]) -> Result:
+        """Ship a rewritten DML or ``EXEC`` statement to its owning server.
 
-        Fast path: the stripped statement AST (frozen, hashable) keys a
-        bounded cache of remote prepared handles, so a repeated forwarded
-        update neither re-formats its text here nor re-parses it there —
-        only the parameter values travel.
+        The one forwarding call: the statement AST (frozen, hashable)
+        keys a bounded cache of its SQL text, and the link executes that
+        text by shared prepared handle — a repeated forwarded statement
+        neither re-formats its text here nor re-parses it there; only the
+        parameter values travel.
         """
-        link = self.linked_servers.get(server_name)
-        stripped = self._strip_server_prefix(statement)
-        text = self._dml_forward_cache.get(stripped)
+        text = self._forward_cache.get(statement)
         if text is None:
-            text = format_statement(stripped)
-            self._dml_forward_cache[stripped] = text
-        link.statements_shipped += 1
-        result = link.prepare(text).execute(params)
+            text = format_statement(statement)
+            self._forward_cache[statement] = text
+        result = self.linked_servers.get(server_name).execute_statement_text(text, params)
         self.total_work.inc("prepared_executions")
         return result
 
@@ -740,6 +785,15 @@ class Server:
         database: Database,
         session: Session,
     ) -> Result:
+        """Run a procedure held locally, or forward the call (paper §5.2).
+
+        A forwarded call evaluates its arguments here and ships
+        ``EXEC proc @a = @a, ...`` — one text per call shape, whatever the
+        values — with the evaluated values as parameters, through the same
+        :meth:`_forward` as DML; positional arguments travel under
+        reserved markers. No literal is formatted into the text, so the
+        owning server parses and prepares it once.
+        """
         name = statement.procedure[-1]
         explicit_server = statement.procedure[0] if len(statement.procedure) == 4 else None
         procedure = database.catalog.maybe_procedure(name)
@@ -751,8 +805,6 @@ class Server:
                 result = interpreter.call(procedure, list(statement.arguments), params)
             return result
 
-        # Transparent forwarding of the call (paper §5.2): evaluate the
-        # arguments locally, ship EXEC with literal values.
         server_name = explicit_server or database.backend_server
         if server_name is None:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
@@ -760,13 +812,13 @@ class Server:
             # The link executes as dbo, so the caller's right is checked
             # here, against the permissions shadowed from the backend.
             database.catalog.permissions.check("EXECUTE", name, session.principal)
-        link = self.linked_servers.get(server_name)
-        literal_args = []
-        for arg_name, expression in statement.arguments:
-            value = self._evaluate_scalar(expression, params, database, session)
-            literal_args.append((arg_name, ast.Literal(value)))
-        forwarded = ast.Execute((name,), tuple(literal_args))
-        return link.execute_statement_text(format_statement(forwarded), {})
+        arguments = []
+        values: Dict[str, Any] = {}
+        for position, (arg_name, expression) in enumerate(statement.arguments, 1):
+            marker = arg_name or f"{RESERVED_PREFIX}{position}"
+            values[marker] = self._evaluate_scalar(expression, params, database, session)
+            arguments.append((arg_name, ast.Parameter(marker)))
+        return self._forward(server_name, ast.Execute((name,), tuple(arguments)), values)
 
     # -- linked-server endpoint -------------------------------------------------
 
@@ -779,20 +831,23 @@ class Server:
     def prepare_sql(self, sql: str, database: Optional[str] = None) -> int:
         """Prepare a statement batch for by-handle execution (paper §4.3).
 
-        Parses once and pins the result to the current schema version;
-        returns an opaque handle id the client executes with parameters.
+        Parses once (the literal-lifted template, keeping the lifted
+        values with the handle) and pins the result to the current schema
+        version; returns an opaque handle id the client executes with
+        parameters.
         This is what lets a parameterized remote query ship its text a
         single time instead of once per execution.
         """
         self._check_available()
         self._admit("prepare")
         target = self.database(database)
-        statements = self._parse_sql(sql, target)
+        statements, lifted = self._parse_sql(sql, target)
         handle = PreparedStatement(
             handle_id=next(self._prepared_ids),
-            sql=sys.intern(sql),
+            sql=sql,
             database_key=target.name,
             statements=statements,
+            lifted=lifted,
             version=target.version,
         )
         self._prepared[handle.handle_id] = handle
@@ -826,17 +881,13 @@ class Server:
         target = self.database(handle.database_key)
         with self.tracer.span("prepared", handle=handle_id):
             if handle.version != target.version:
-                handle.statements = self._parse_sql(handle.sql, target)
+                handle.statements, handle.lifted = self._parse_sql(handle.sql, target)
                 handle.version = target.version
                 handle.reprepares += 1
             self.total_work.inc("prepared_executions")
-            session = session or Session()
-            result = Result()
-            for statement in handle.statements:
-                result = self.execute_statement(
-                    statement, params=params, session=session, database=target
-                )
-            return result
+            return self._run_batch(
+                handle.sql, handle.statements, handle.lifted, params, session or Session(), target
+            )
 
     def close_prepared(self, handle_id: int) -> None:
         """Drop a prepared statement (client-side handle going away)."""
@@ -902,7 +953,7 @@ class Server:
         self.total_work.reset()
         self.statements_executed = 0
         self.parses = 0
-        for cache in (self._parse_cache, self._plan_cache, self._dml_forward_cache):
+        for cache in (self._parse_cache, self._plan_cache, self._forward_cache):
             stats = cache.stats
             stats.hits = 0
             stats.misses = 0

@@ -201,11 +201,13 @@ class CacheServer:
     def _read_only_batch(self, sql: str) -> bool:
         """True when every statement in the batch is a pure query.
 
-        Uses the server's version-checked parse cache; parsing here is
-        safe even when the server is marked crashed (in-process model).
+        Uses the server's literal-lifting, version-checked parse cache (a
+        lookup on the statement's template, never a second parse of a
+        literal text); parsing here is safe even when the server is
+        marked crashed (in-process model).
         """
         try:
-            statements = self.server._parse_sql(sql, self.database)
+            statements = self.server.parsed(sql, self.shadow_db_name)
         except Exception:
             return False
         return bool(statements) and all(
@@ -228,11 +230,14 @@ class CacheServer:
         return True
 
     def plan(self, sql: str):
-        """Plan a SELECT and return the PlannedStatement (for inspection)."""
+        """Plan exactly the SELECT given — literals stay literals, so a
+        constant gets its static plan, unlike the lifted template
+        :meth:`execute` would run — and return the PlannedStatement (for
+        inspection)."""
         statement = parse(sql)
         if not isinstance(statement, ast.Select):
             raise ValueError("plan() accepts SELECT statements only")
-        return self.server.plan_select(statement, self.database, cache_key=sql)
+        return self.server.plan_select(statement, self.database)
 
     # -- cached views ---------------------------------------------------------
 

@@ -29,10 +29,12 @@ from repro.sharding.policy import ShardingPolicy
 from repro.sharding.scatter import ScatterQuery, _table_names, decompose
 from repro.sql import ast
 
-#: A value source for routing keys and procedure arguments:
-#: ("param", name) reads the statement's parameter dict, ("literal", v)
-#: is a constant baked into the statement text.
-Source = Tuple[str, Any]
+#: A value source for routing keys and procedure arguments: the name of
+#: the statement parameter holding the value. The router lifts literals
+#: to parameters before it decides, so a constant is a parameter too; a
+#: literal that stays in the text (``NULL``, anything off the lifter's
+#: safe list) sends the statement to the backend.
+Source = str
 Arguments = Tuple[Tuple[str, Source], ...]
 
 
@@ -75,8 +77,7 @@ def decide(statement: ast.Statement, policy: ShardingPolicy, catalog: Any) -> Ro
         # The body names the key in the procedure's terms; the call says
         # where each procedure parameter's value comes from.
         assert route.key_source is not None
-        kind, value = route.key_source
-        source = route.key_source if kind == "literal" else dict(arguments).get(value.lower())
+        source = dict(arguments).get(route.key_source.lower())
         if source is not None:
             return Route(kind="key", key_source=source)
     return BACKEND
@@ -111,7 +112,7 @@ def _decide_select(statement: ast.Select, policy: ShardingPolicy) -> Route:
 def _key_equality(
     statement: ast.Select, tables: List[ast.TableName], policy: ShardingPolicy
 ) -> Optional[Source]:
-    """A ``key = @p`` / ``key = literal`` conjunct on the partition key."""
+    """A ``key = @p`` conjunct on the partition key."""
     partitioned = [
         table for table in tables if table.object_name.lower() in policy.partitions
     ]
@@ -136,9 +137,7 @@ def _key_equality(
             if column.qualifier and column.qualifier.lower() not in qualifiers:
                 continue
             if isinstance(value, ast.Parameter):
-                return ("param", value.name)
-            if isinstance(value, ast.Literal) and value.value is not None:
-                return ("literal", value.value)
+                return value.name
     return None
 
 
@@ -156,12 +155,9 @@ def _argument_sources(
             target = parameter_names[position]
         else:
             return None
-        if isinstance(expression, ast.Parameter):
-            sources.append((target, ("param", expression.name)))
-        elif isinstance(expression, ast.Literal):
-            sources.append((target, ("literal", expression.value)))
-        else:
+        if not isinstance(expression, ast.Parameter):
             return None
+        sources.append((target, expression.name))
     return tuple(sources)
 
 
@@ -169,10 +165,7 @@ def resolve(source: Optional[Source], params: Optional[Dict[str, Any]]) -> Any:
     """The run-time value of a source under a statement's parameters."""
     if source is None:
         return None
-    kind, value = source
-    if kind == "literal":
-        return value
-    return (params or {}).get(value)
+    return (params or {}).get(source)
 
 
 def remap(

@@ -9,7 +9,11 @@ per-shard statements cheap and the merge exact:
   slice, so without this conjunct the optimizer on each shard would have
   to treat its slice view as conditional and plan remote fallbacks; with
   it, predicate implication holds unconditionally and the scan runs
-  local. It also keeps the merge exact during rebalancing: the conjunct
+  local — which needs the bounds to reach the shard's optimizer as
+  constants, so the statement is marked :data:`~repro.sql.AS_WRITTEN`
+  and no layer below lifts them to parameters (they are the same on
+  every call; there is nothing to share). It also keeps the merge exact
+  during rebalancing: the conjunct
   describes the slice by *value*, so a shard (or the backend, after a
   failover) returns exactly those rows no matter where the router
   believed the slice lived.
@@ -32,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sharding.policy import TablePartition
 from repro.sharding.ring import slice_predicate
-from repro.sql import ast
+from repro.sql import AS_WRITTEN, ast
 from repro.sql.formatter import format_statement
 
 
@@ -57,7 +61,7 @@ class ScatterQuery:
             if self.select.where is None
             else ast.BinaryOp(op="AND", left=self.select.where, right=conjunct)
         )
-        return format_statement(replace(self.select, where=where))
+        return AS_WRITTEN + format_statement(replace(self.select, where=where))
 
     def merge(self, shard_rows: Sequence[Sequence[Tuple]]) -> List[Tuple]:
         """Re-merge per-shard row sets: sort, TOP, strip appended columns."""

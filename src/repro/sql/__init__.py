@@ -4,12 +4,15 @@ The dialect is a T-SQL-flavoured subset sufficient for the TPC-W workload
 and all examples in the MTCache paper: SELECT with joins/grouping/TOP,
 DML, DDL (tables, indexes, views, materialized and cached views, stored
 procedures), ``@parameter`` markers, ``EXEC``, four-part linked-server
-names and the paper's proposed freshness clause.
+names and the paper's proposed freshness clause. :func:`lift_literals`
+is the normal form statement-keyed caches key on (literals lifted to
+reserved parameter markers before any parse).
 """
 
 from repro.sql.lexer import Lexer, Token, TokenType, tokenize
 from repro.sql.parser import Parser, parse, parse_expression, parse_statements
 from repro.sql.formatter import format_expression, format_statement
+from repro.sql.lift import AS_WRITTEN, RESERVED_PREFIX, lift_literals, overlay
 
 __all__ = [
     "Lexer",
@@ -22,4 +25,8 @@ __all__ = [
     "parse_statements",
     "format_expression",
     "format_statement",
+    "AS_WRITTEN",
+    "RESERVED_PREFIX",
+    "lift_literals",
+    "overlay",
 ]

@@ -66,10 +66,14 @@ class TestParseCache:
         assert server.total_work.parse_cache_hits >= 4
 
     def test_distinct_texts_parse_separately(self, server):
+        """Distinct *shapes* parse separately; distinct literals do not."""
         before = server.parses
         server.execute("SELECT v FROM t WHERE id = 1")
         server.execute("SELECT v FROM t WHERE id = 2")
-        assert server.parses == before + 2
+        assert server.parses == before + 1
+        server.execute("SELECT v FROM t WHERE id >= 2")
+        server.execute("SELECT v FROM t WHERE v = 'two'")
+        assert server.parses == before + 3
 
     def test_ddl_version_bump_invalidates_parse_cache(self, server):
         sql = "SELECT v FROM t WHERE id = @id"
@@ -105,10 +109,13 @@ class TestPlanCache:
         s.create_database("db")
         s.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         s.execute("INSERT INTO t VALUES (1)")
-        for i in range(5):
-            s.execute(f"SELECT id FROM t WHERE id = {i}")
+        for op in ("=", "<>", "<", "<=", ">"):  # five shapes, not five literals
+            s.execute(f"SELECT id FROM t WHERE id {op} 1")
         assert len(s._plan_cache) <= 2
         assert s._plan_cache.stats.evictions >= 3
+        for i in range(5):
+            s.execute(f"SELECT id FROM t WHERE id > {i}")
+        assert s._plan_cache.stats.evictions == 3
 
     def test_ddl_version_bump_invalidates_plan_cache(self, server):
         sql = "SELECT v FROM t WHERE id = @id"

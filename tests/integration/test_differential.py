@@ -8,6 +8,10 @@ generates structured queries over the shop schema and checks:
 1. backend execution == reference evaluation;
 2. cache-server execution == reference evaluation (after replication
    sync), i.e. the transparency invariant under every generated query.
+
+Each query runs twice per tier: as text — the literal-lifted template and
+its dynamic plan — and as ``execute_statement(parse(text))``, the unlifted
+statement and its static plan. Both must equal the reference.
 """
 
 from collections import Counter
@@ -174,11 +178,15 @@ def check(env, sql):
     backend, cache = env
     statement = parse(sql)
     ordered = bool(statement.order_by)
-    _, expected = evaluate_select(backend.database("shop"), statement)
-    backend_rows = backend.execute(sql, database="shop").rows
-    cache_rows = cache.execute(sql).rows
-    assert normalize(backend_rows, ordered) == normalize(expected, ordered), sql
-    assert normalize(cache_rows, ordered) == normalize(expected, ordered), sql
+    shop = backend.database("shop")
+    _, expected = evaluate_select(shop, statement)
+    for rows in (
+        backend.execute(sql, database="shop").rows,
+        backend.execute_statement(statement, database=shop).rows,
+        cache.execute(sql).rows,
+        cache.server.execute_statement(statement, database=cache.database).rows,
+    ):
+        assert normalize(rows, ordered) == normalize(expected, ordered), sql
 
 
 SETTINGS = settings(

@@ -96,12 +96,18 @@ class TestBreaker:
         assert link.breaker.state == link.breaker.CLOSED
 
     def test_breaker_covers_all_three_call_paths(self, injector, link):
+        # A forwarded statement runs by shared handle, but under its own
+        # ``statement`` fault site: a ``prepared`` wound leaves it alone...
+        update = "UPDATE customer SET cname = @n WHERE cid = @cid"
+        injector.wound_link(link, kind="prepared", count=None)
+        assert link.execute_statement_text(update, {"n": "x", "cid": 1}).rowcount == 1
+        assert link.peek_handle(update).prepares == 1 and injector.injected == 0
+        injector.heal_link(link)
+        # ... and a ``statement`` wound opens the link's one breaker.
         injector.wound_link(link, kind="statement", count=None)
         for _ in range(2):
             with pytest.raises((LinkUnavailableError, CircuitOpenError)):
-                link.execute_statement_text(
-                    "UPDATE customer SET cname = 'x' WHERE cid = 1"
-                )
+                link.execute_statement_text(update, {"n": "y", "cid": 1})
         assert link.breaker.state == link.breaker.OPEN
         # The open breaker also rejects the other paths — it is per-link.
         with pytest.raises(CircuitOpenError):

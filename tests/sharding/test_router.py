@@ -205,3 +205,41 @@ def test_connection_runs_as_the_principal_it_was_asked_for(sharded):
         connect(
             sharded.deployment.failover_connection(sharded.shard("shard0")), principal="alice"
         )
+
+
+def _hits(sharded, shard):
+    return sharded.metrics.counter("shard.hits", labels={"shard": shard}).value
+
+
+def test_a_literal_key_routes_like_a_parameter(sharded):
+    """The router lifts literals before it decides: a constant partition
+    key goes to its owner, and every value shares one cached decision."""
+    router = sharded.router()
+    for item in (7, 42, 77, 110):
+        owner = sharded.partitioner.owner(item)
+        before = _hits(sharded, owner)
+        by_parameter = router.execute(
+            "SELECT i_title FROM item WHERE i_id = @i_id", {"i_id": item}
+        ).rows
+        assert router.execute(f"SELECT i_title FROM item WHERE i_id = {item}").rows == by_parameter
+        assert router.execute(f"EXEC getBook {item}").rows == (
+            router.execute(f"EXEC getBook @i_id = {item}").rows
+        )
+        assert _hits(sharded, owner) == before + 4
+    assert len(router._decisions) == 4
+
+
+def test_scatter_hops_reach_the_shards_as_written(sharded, router):
+    """A hop's slice bounds are constants of its shape: lifted to
+    parameters, the shard could no longer prove its slice view covers the
+    hop and would plan (and sometimes pick) a remote fallback."""
+    sharded.sync()
+    before = sharded.backend.total_work.rows_processed
+    for sql, params in (
+        ("EXEC doAuthorSearch @lname = @lname", {"lname": "Last1%"}),
+        ("SELECT i_id, i_title FROM item WHERE i_stock >= 0 AND i_cost < 1000 ORDER BY i_title", None),
+    ):
+        assert router.execute(sql, params).rows
+    assert sharded.backend.total_work.rows_processed == before
+    for cache in sharded.shards.values():
+        assert all("@__l" in text for _, text in cache.server._parse_cache if "BETWEEN" in text)
