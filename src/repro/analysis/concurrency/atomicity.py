@@ -12,8 +12,11 @@ protocol with machinery *independent* of the code that implements it:
   catalog (backend + cache): ``EXEC`` of a writing procedure must take
   the latch exclusive for the whole call span; every other statement's
   plan must cover the tables an *independent* AST walk (a generic
-  dataclass-field traversal, not the engine's ``_iter_table_names``)
-  says it reads and writes — S or better for reads, X for writes.
+  dataclass-field traversal, not the engine's ``named_tables``) says it
+  reads and writes — S or better for reads, X for writes. The plans
+  checked are read through :func:`~repro.engine.binding.bind_statement`,
+  the bind step the server's dispatcher takes its locks from: the
+  analysed plan is the executed one, not a second derivation.
 * **rebalance-drain** / **boundary-move-window** — the sharding
   deployment's rebalance operations must drain replication (``sync()``)
   before touching slice state, and the boundary cutover must go through
@@ -28,11 +31,8 @@ import dataclasses
 import inspect
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.locks import (
-    LockMode,
-    _procedure_writes,
-    statement_lock_plan,
-)
+from repro.engine.binding import bind_statement
+from repro.engine.locks import LockMode, _procedure_writes
 from repro.errors import AnalysisError
 from repro.sql import ast as sqlast
 from repro.sql import parse
@@ -205,9 +205,12 @@ def _body_statements(
 def check_lock_plans(
     database,
     where: str,
-    lock_plan: Callable = statement_lock_plan,
+    lock_plan: Optional[Callable] = None,
 ) -> List[AnalysisError]:
     """Verify plan coverage over one provisioned database's catalog.
+
+    ``lock_plan(statement, catalog)`` defaults to the lock plan of the
+    statement as the server binds it (tests substitute weakened plans).
 
     * every *writing* procedure's EXEC plan is an exclusive latch span;
     * every statement in every *read-only* procedure body individually
@@ -216,6 +219,8 @@ def check_lock_plans(
       the ad-hoc autocommit path.
     """
     catalog = database.catalog
+    if lock_plan is None:
+        lock_plan = lambda statement, catalog: bind_statement(statement, database).lock_plan
     diagnostics: List[AnalysisError] = []
     for name, procedure in sorted(catalog.procedures.items()):
         writes = _procedure_writes(procedure.body, catalog, {name.lower()})
@@ -342,7 +347,7 @@ def check_rebalance_protocol(source: Optional[str] = None) -> List[AnalysisError
 def check_atomicity(
     backend=None,
     cache=None,
-    lock_plan: Callable = statement_lock_plan,
+    lock_plan: Optional[Callable] = None,
 ) -> List[AnalysisError]:
     """Run all atomicity rules; corpus-driven rules run when given servers."""
     diagnostics = check_statement_coverage()

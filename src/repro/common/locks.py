@@ -92,20 +92,25 @@ class RWLock:
         self._writer: Optional[int] = None  # owning thread ident
         self._writer_depth = 0
         self._writers_waiting = 0
-        site = _witness.caller_site()
-        self._witness_class: Optional[_witness.LockClass] = _witness.lock_class(
-            site, _witness.level_for_site(site)
-        )
+        # Decided here, like ``mutex``/``rmutex``: a lock minted while the
+        # witness is inactive stays raw (class None), so acquire and
+        # release on the statement path never consult the environment.
+        self._witness_class: Optional[_witness.LockClass] = None
+        if _witness.active_witness() is not None:
+            site = _witness.caller_site()
+            self._witness_class = _witness.lock_class(site, _witness.level_for_site(site))
 
     def _note_acquired(self) -> None:
-        witness = _witness.active_witness()
-        if witness is not None and self._witness_class is not None:
-            witness.on_acquire(self, self._witness_class)
+        if self._witness_class is not None:
+            witness = _witness.active_witness()
+            if witness is not None:
+                witness.on_acquire(self, self._witness_class)
 
     def _note_released(self) -> None:
-        witness = _witness.active_witness()
-        if witness is not None and self._witness_class is not None:
-            witness.on_release(self)
+        if self._witness_class is not None:
+            witness = _witness.active_witness()
+            if witness is not None:
+                witness.on_release(self)
 
     # -- shared (readers) ------------------------------------------------
 

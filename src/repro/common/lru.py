@@ -92,6 +92,12 @@ class LRUCache:
             self.stats.hits += 1
             return value
 
+    def count_hit(self) -> None:
+        """Count a hit served from a reference to an entry's value that the
+        caller already holds (and has validated) — no lookup happens."""
+        with self._lock:
+            self.stats.hits += 1
+
     def peek(self, key: Any, default: Any = None) -> Any:
         with self._lock:
             return self._entries.get(key, default)

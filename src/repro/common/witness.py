@@ -155,8 +155,13 @@ def lock_class(name: str, level: int, ordered: bool = False) -> LockClass:
 
 
 def annotate_lock(lock: Any, name: str, level: int, ordered: bool = False) -> None:
-    """Assign ``lock`` to an explicitly named class (latch, table)."""
-    lock._witness_class = lock_class(name, level, ordered)
+    """Assign ``lock`` to an explicitly named class (latch, table).
+
+    A lock minted while the witness was inactive carries no class and
+    stays raw: instrumentation is decided when a lock is created.
+    """
+    if getattr(lock, "_witness_class", None) is not None:
+        lock._witness_class = lock_class(name, level, ordered)
 
 
 class WitnessViolation:
@@ -362,7 +367,12 @@ _active: Optional[Witness] = None
 
 def witness_enabled() -> bool:
     """Whether ``REPRO_LOCK_WITNESS`` requests witnessing (read lazily,
-    like ``REPRO_CHECKED_PLANS``, so conftest can set it at import time)."""
+    like ``REPRO_CHECKED_PLANS``, so conftest can set it at import time).
+
+    An environment read, so never on a statement's path: it is consulted
+    where a lock (or a server link) is *created* — through
+    :func:`active_witness` — and the answer rides on the object.
+    """
     return os.environ.get(ENV_VAR, "") not in ("", "0")
 
 
@@ -370,7 +380,9 @@ def active_witness() -> Optional[Witness]:
     """The process-wide witness, created on first use when enabled.
 
     Instrumentation happens at lock *creation*: locks minted while the
-    witness is inactive stay raw even if it activates later.
+    witness is inactive stay raw even if it activates later. Only an
+    instrumented lock calls this again on acquire and release, and by then
+    the witness exists, so that call returns before the environment read.
     """
     global _active
     if _active is not None:

@@ -141,6 +141,10 @@ class ServerLink:
         # Fault-injection hook (repro.faults). None means every guard
         # below is a single attribute check — a true no-op.
         self.injector = None
+        # Decided once, like the locks themselves (repro.common.locks):
+        # remote calls record cross-server nesting only on a link built
+        # while the witness was active.
+        self._witnessed = active_witness() is not None
         # sql text -> RemoteStatementHandle, so every caller preparing the
         # same text (RemoteQueryOps of cached plans, forwarded DML) shares
         # one remote handle. Evicted handles close their server-side half.
@@ -190,7 +194,7 @@ class ServerLink:
             try:
                 if self.injector is not None:
                     self.injector.on_call(f"link:{self.name}:{kind}", link=self, kind=kind)
-                witness = active_witness()
+                witness = active_witness() if self._witnessed else None
                 if witness is None:
                     result = fn()
                 else:

@@ -71,7 +71,7 @@ def execute_create_index(database, statement: ast.CreateIndex) -> Result:
 def execute_create_view(database, statement: ast.CreateView, select_runner=None) -> Result:
     """Create a view; materialized views are populated immediately.
 
-    ``select_runner(select) -> (rows, schema)`` executes the defining query
+    ``select_runner() -> (rows, schema)`` executes the defining query
     locally — available on a backend server; on a cache server, cached
     views are populated by replication instead.
     """
@@ -85,7 +85,7 @@ def execute_create_view(database, statement: ast.CreateView, select_runner=None)
 
     source_text = format_statement(statement)
     if not statement.materialized:
-        schema = _derive_schema(database, statement.select)
+        schema = derive_schema(database, statement.select)
         database.catalog.add_view(
             ViewDef(
                 name=statement.name,
@@ -100,7 +100,7 @@ def execute_create_view(database, statement: ast.CreateView, select_runner=None)
 
     if select_runner is None:
         raise ExecutionError("materialized view creation requires a select runner")
-    rows, schema = select_runner(statement.select)
+    rows, schema = select_runner()
     database.catalog.add_view(
         ViewDef(
             name=statement.name,
@@ -117,7 +117,8 @@ def execute_create_view(database, statement: ast.CreateView, select_runner=None)
     return Result(messages=[f"materialized view {statement.name} created ({len(rows)} rows)"])
 
 
-def _derive_schema(database, select: ast.Select) -> Schema:
+def derive_schema(database, select: ast.Select) -> Schema:
+    """A SELECT's output schema against ``database``, without planning it."""
     from repro.optimizer.planner import Optimizer
 
     return Optimizer(database)._select_output_schema(select)

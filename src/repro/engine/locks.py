@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.locks import RWLock, mutex
 from repro.common.witness import LEVEL_LATCH, LEVEL_TABLE, annotate_lock
@@ -137,10 +137,14 @@ _READ_STATEMENTS = (ast.Select, ast.UnionAll, ast.Explain)
 _DML_STATEMENTS = (ast.Insert, ast.Update, ast.Delete)
 
 
-def _iter_table_names(statement: ast.Statement) -> Iterator[ast.TableName]:
+def named_tables(statement: ast.Statement) -> Iterator[ast.TableName]:
     """Yield every FROM-clause table name reachable from ``statement``,
     descending into joins, derived tables, subqueries and UNION branches
-    (DML *targets* are handled separately by :func:`referenced_tables`)."""
+    (DML *targets* are handled separately by :func:`referenced_tables`).
+
+    These are the names *as written* — before view expansion — which is
+    what permissions are checked against; the binder walks a statement
+    once and hands the result to :func:`statement_lock_plan` as well."""
     pending: List[ast.Statement] = [statement]
 
     def expr_subqueries(expression: ast.Expression) -> None:
@@ -178,6 +182,8 @@ def _iter_table_names(statement: ast.Statement) -> Iterator[ast.TableName]:
             pending.extend(node.branches)
         elif isinstance(node, ast.Explain):
             pending.append(node.statement)
+        elif isinstance(node, ast.CreateView):
+            pending.append(node.select)
         elif isinstance(node, ast.Insert):
             if node.select is not None:
                 pending.append(node.select)
@@ -201,10 +207,13 @@ def _iter_table_names(statement: ast.Statement) -> Iterator[ast.TableName]:
 
 
 def referenced_tables(
-    statement: ast.Statement, catalog=None
+    statement: ast.Statement,
+    catalog=None,
+    named: Optional[Sequence[ast.TableName]] = None,
 ) -> Tuple[Set[str], Set[str]]:
     """Return ``(reads, writes)``: lowercase local table names the
-    statement touches.
+    statement touches (``named``: its :func:`named_tables`, when the
+    caller has already walked it).
 
     Non-materialized views are resolved recursively down to their base
     tables (a view scan locks what it actually reads); materialized and
@@ -217,20 +226,19 @@ def referenced_tables(
     if isinstance(statement, _DML_STATEMENTS) and statement.table.server is None:
         writes.add(statement.table.object_name.lower())
     expanded_views: Set[str] = set()
-    stack: List[ast.Statement] = [statement]
-    while stack:
-        current = stack.pop()
-        for name in _iter_table_names(current):
-            if name.server is not None:
-                continue
-            key = name.object_name.lower()
-            view = catalog.maybe_view(name.object_name) if catalog is not None else None
-            if view is not None and not view.materialized:
-                if key not in expanded_views:
-                    expanded_views.add(key)
-                    stack.append(view.select)
-                continue
-            reads.add(key)
+    pending: List[ast.TableName] = list(named if named is not None else named_tables(statement))
+    while pending:
+        name = pending.pop()
+        if name.server is not None:
+            continue
+        key = name.object_name.lower()
+        view = catalog.maybe_view(name.object_name) if catalog is not None else None
+        if view is not None and not view.materialized:
+            if key not in expanded_views:
+                expanded_views.add(key)
+                pending.extend(named_tables(view.select))
+            continue
+        reads.add(key)
     return reads, writes
 
 
@@ -263,8 +271,18 @@ def _procedure_writes(body, catalog, seen: Set[str]) -> bool:
     return False
 
 
-def statement_lock_plan(statement: ast.Statement, catalog=None) -> Optional[LockPlan]:
+def statement_lock_plan(
+    statement: ast.Statement,
+    catalog=None,
+    named: Optional[Sequence[ast.TableName]] = None,
+) -> Optional[LockPlan]:
     """Classify a statement into the locks its dispatch must hold.
+
+    The one derivation: the server's binder
+    (:func:`repro.engine.binding.bind_statement`) calls it once per
+    statement and schema version and executions read the result, so the
+    plan the concurrency analysis checks is the plan that runs. ``named``
+    is the statement's :func:`named_tables` when already walked.
 
     Returns ``None`` for statements the locked dispatcher handles
     specially (transaction control takes the latch for the transaction's
@@ -294,7 +312,7 @@ def statement_lock_plan(statement: ast.Statement, catalog=None) -> Optional[Lock
         return None
     variable_statements = (ast.Declare, ast.SetVariable, ast.PrintStatement)
     if isinstance(statement, _READ_STATEMENTS + _DML_STATEMENTS + variable_statements):
-        reads, writes = referenced_tables(statement, catalog)
+        reads, writes = referenced_tables(statement, catalog, named)
         if isinstance(statement, variable_statements) and not (reads or writes):
             return None  # pure variable assignment touches no shared state
         modes: Dict[str, LockMode] = {name: LockMode.SHARED for name in reads}

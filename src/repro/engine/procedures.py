@@ -1,23 +1,31 @@
-"""Stored procedure interpreter (T-SQL control-flow subset).
+"""Stored procedures: bound once, interpreted per call (T-SQL subset).
 
-Procedures are the primary source of parameterized queries (paper §5.2).
-The interpreter maintains a variable frame seeded from the call arguments;
-every embedded query executes through the server's plan cache with the
-frame as its parameter bindings — so a procedure body compiled once keeps
-reusing its (possibly dynamic) plans across calls with different
-arguments, which is precisely the scenario dynamic plans exist for.
+Procedures are the primary source of parameterized queries (paper §5.2):
+a body compiled once keeps reusing its (possibly dynamic) plans across
+calls with different arguments, which is precisely the scenario dynamic
+plans exist for. Here "compiled once" is literal. :func:`bind_procedure`
+runs when the ``EXEC`` naming the procedure is bound (once per schema
+version, see :mod:`repro.engine.binding`) and turns the definition into a
+:class:`BoundProcedure`: parameter order and compiled defaults, every
+``IF``/``WHILE``/``SET``/``DECLARE``/``RETURN``/``PRINT`` expression
+compiled to a closure, every embedded statement a
+:class:`~repro.engine.binding.BoundStatement` carrying its own lock plan
+and plan slot, and the body itself a tuple of *steps* — closures over
+those parts. A call (:class:`ProcedureInterpreter`) builds only what
+varies: the session the body runs under, the variable frame seeded from
+the arguments, and the result it accumulates.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.catalog.objects import ProcedureDef
-from repro.common.schema import Schema
 from repro.engine.results import Result
+from repro.engine.session import Session
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import Scalar, compile_scalar
 from repro.sql import ast
 
 
@@ -31,13 +39,143 @@ class _ReturnSignal(Exception):
 #: Safety bound on WHILE iterations (runaway-loop protection).
 MAX_LOOP_ITERATIONS = 1_000_000
 
+#: One body statement, compiled: runs against the call in progress.
+Step = Callable[["ProcedureInterpreter"], None]
+
+
+class BoundProcedure:
+    """A procedure definition bound against one schema version.
+
+    Created empty and filled by :func:`bind_procedure`, so that a body
+    calling its own procedure (directly or through a callee) refers to
+    the object being filled instead of binding without end.
+    """
+
+    __slots__ = ("definition", "params", "body", "statements")
+
+    def __init__(self, definition: ProcedureDef):
+        self.definition = definition
+        #: ``(name, compiled default or None)`` in declaration order.
+        self.params: Tuple[Tuple[str, Optional[Scalar]], ...] = ()
+        self.body: Tuple[Step, ...] = ()
+        #: The body's embedded statements as bound, in source order (the
+        #: steps hold the same objects; this is the view tools read).
+        self.statements: Tuple[Any, ...] = ()
+
+
+def bind_procedure(bound: BoundProcedure, bind_nested: Callable[[ast.Statement], Any]) -> None:
+    """Compile ``bound.definition`` into parameters and steps.
+
+    ``bind_nested`` binds one embedded statement (``SELECT``, DML,
+    ``EXEC``, transaction control) for the same database and version.
+    """
+    procedure = bound.definition
+    bound.params = tuple(
+        (param.name, compile_scalar(param.default) if param.default is not None else None)
+        for param in procedure.params
+    )
+    statements = []
+
+    def bind_and_keep(statement: ast.Statement) -> Any:
+        nested = bind_nested(statement)
+        statements.append(nested)
+        return nested
+
+    bound.body = _compile_block(procedure.body, bind_and_keep)
+    bound.statements = tuple(statements)
+
+
+def _compile_block(statements: Sequence[ast.Statement], bind_nested) -> Tuple[Step, ...]:
+    return tuple(_compile_step(statement, bind_nested) for statement in statements)
+
+
+def _run_block(steps: Tuple[Step, ...], call: "ProcedureInterpreter") -> None:
+    for step in steps:
+        step(call)
+
+
+def _truthy(value: Any) -> bool:
+    if value is None:
+        return False
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value != 0
+    return bool(value)
+
+
+def _compile_step(statement: ast.Statement, bind_nested) -> Step:
+    """The dispatch on statement class, made once per binding."""
+    if isinstance(statement, (ast.Declare, ast.SetVariable)):
+        name = statement.name
+        expression = (
+            statement.initial if isinstance(statement, ast.Declare) else statement.value
+        )
+        value = compile_scalar(expression) if expression is not None else None
+
+        def assign(call: "ProcedureInterpreter") -> None:
+            call.frame[name] = call.evaluate(value) if value is not None else None
+
+        return assign
+    if isinstance(statement, ast.IfStatement):
+        condition = compile_scalar(statement.condition)
+        then_body = _compile_block(statement.then_body, bind_nested)
+        else_body = _compile_block(statement.else_body, bind_nested)
+
+        def run_if(call: "ProcedureInterpreter") -> None:
+            _run_block(then_body if _truthy(call.evaluate(condition)) else else_body, call)
+
+        return run_if
+    if isinstance(statement, ast.WhileStatement):
+        condition = compile_scalar(statement.condition)
+        body = _compile_block(statement.body, bind_nested)
+
+        def run_while(call: "ProcedureInterpreter") -> None:
+            iterations = 0
+            while _truthy(call.evaluate(condition)):
+                iterations += 1
+                if iterations > MAX_LOOP_ITERATIONS:
+                    raise ExecutionError("WHILE loop exceeded iteration bound")
+                _run_block(body, call)
+
+        return run_while
+    if isinstance(statement, ast.ReturnStatement):
+        if statement.value is None:
+            return _return_zero
+        value = compile_scalar(statement.value)
+
+        def run_return(call: "ProcedureInterpreter") -> None:
+            raise _ReturnSignal(call.evaluate(value))
+
+        return run_return
+    if isinstance(statement, ast.PrintStatement):
+        value = compile_scalar(statement.value)
+        return lambda call: call.result.messages.append(str(call.evaluate(value)))
+    nested = bind_nested(statement)
+    if isinstance(statement, ast.Select):
+        targets = tuple(item.target_parameter for item in statement.items)
+        if any(targets):
+            return lambda call: call.assign_from_select(nested, targets)
+        return lambda call: call.run_select(nested)
+    # Everything else (DML, EXEC, transactions) goes through the server's
+    # dispatcher with the frame as parameter bindings.
+    return lambda call: call.run_statement(nested)
+
+
+def _return_zero(call: "ProcedureInterpreter") -> None:
+    raise _ReturnSignal(0)
+
 
 class ProcedureInterpreter:
-    """Executes one procedure invocation."""
+    """One invocation of a :class:`BoundProcedure`.
+
+    Holds what a call owns — session, frame, accumulated result — and
+    nothing derivable from the definition: no expression is compiled and
+    no statement classified here; the steps were built when the ``EXEC``
+    was bound.
+    """
 
     def __init__(self, server, database, session):
-        from repro.engine.session import Session
-
         self.server = server
         self.database = database
         # Ownership chaining: once the caller holds EXECUTE, the body runs
@@ -45,117 +183,75 @@ class ProcedureInterpreter:
         # statements do not re-check the caller's table permissions.
         self.session = Session(principal="dbo", database=session.database)
         self.session.in_transaction = session.in_transaction
-        self.session.transaction = getattr(session, "transaction", None)
-        self._caller_session = session
-        self._blank = ExpressionCompiler(Schema(()))
+        self.session.transaction = session.transaction
+        self.frame: Dict[str, Any] = {}
+        self.result = Result()
 
     def call(
         self,
-        procedure: ProcedureDef,
-        arguments: List[Tuple[Optional[str], ast.Expression]],
-        outer_params: Optional[Dict[str, Any]] = None,
+        procedure: BoundProcedure,
+        arguments: Sequence[Tuple[Optional[str], Scalar]],
+        outer_params: Dict[str, Any],
     ) -> Result:
-        frame = self._bind_arguments(procedure, arguments, outer_params or {})
-        result = Result()
+        self._bind_arguments(procedure, arguments, outer_params)
+        result = self.result
         try:
-            self._run_block(procedure.body, frame, result)
+            _run_block(procedure.body, self)
         except _ReturnSignal as signal:
             result.return_value = signal.value
         if result.resultsets:
-            schema, rows = result.resultsets[-1]
-            result.schema = schema
-            result.rows = rows
+            result.schema, result.rows = result.resultsets[-1]
         return result
 
     def _bind_arguments(
         self,
-        procedure: ProcedureDef,
-        arguments: List[Tuple[Optional[str], ast.Expression]],
+        procedure: BoundProcedure,
+        arguments: Sequence[Tuple[Optional[str], Scalar]],
         outer_params: Dict[str, Any],
-    ) -> Dict[str, Any]:
+    ) -> None:
+        name = procedure.definition.name
         ctx = self._context(outer_params)
-        frame: Dict[str, Any] = {}
-        positional = [value for name, value in arguments if name is None]
-        named = {name: value for name, value in arguments if name is not None}
-
-        for position, param in enumerate(procedure.params):
-            if param.name in named:
-                expression = named.pop(param.name)
+        positional = [value for arg_name, value in arguments if arg_name is None]
+        named = {arg_name: value for arg_name, value in arguments if arg_name is not None}
+        frame = self.frame
+        for position, (param, default) in enumerate(procedure.params):
+            if param in named:
+                value = named.pop(param)
             elif position < len(positional):
-                expression = positional[position]
-            elif param.default is not None:
-                expression = param.default
+                value = positional[position]
+            elif default is not None:
+                value = default
             else:
-                raise ExecutionError(
-                    f"missing argument @{param.name} for procedure {procedure.name}"
-                )
-            frame[param.name] = self._blank.compile(expression)((), ctx)
+                raise ExecutionError(f"missing argument @{param} for procedure {name}")
+            frame[param] = value((), ctx)
         if named:
-            unknown = ", ".join(f"@{name}" for name in named)
-            raise ExecutionError(
-                f"unknown argument(s) {unknown} for procedure {procedure.name}"
-            )
-        return frame
+            unknown = ", ".join(f"@{arg_name}" for arg_name in named)
+            raise ExecutionError(f"unknown argument(s) {unknown} for procedure {name}")
 
     def _context(self, params: Dict[str, Any]) -> ExecutionContext:
-        return ExecutionContext(
+        ctx = ExecutionContext(
             database=self.database,
             params=params,
             linked_servers=self.server.linked_servers,
             clock=self.server.clock,
         )
+        ctx.subquery_executor = self._run_subquery
+        return ctx
 
-    # -- statement dispatch -------------------------------------------------
+    def _run_subquery(self, select: ast.Select, params: Dict[str, Any]):
+        return self.server.run_subquery(select, params, self.database, self.session)
 
-    def _run_block(
-        self, statements, frame: Dict[str, Any], result: Result
-    ) -> None:
-        for statement in statements:
-            self._run_statement(statement, frame, result)
+    # -- what the steps call ------------------------------------------------
 
-    def _run_statement(self, statement, frame: Dict[str, Any], result: Result) -> None:
-        if isinstance(statement, ast.Declare):
-            value = None
-            if statement.initial is not None:
-                value = self._evaluate(statement.initial, frame)
-            frame[statement.name] = value
-            return
-        if isinstance(statement, ast.SetVariable):
-            frame[statement.name] = self._evaluate(statement.value, frame)
-            return
-        if isinstance(statement, ast.IfStatement):
-            condition = self._evaluate(statement.condition, frame)
-            if self._truthy(condition):
-                self._run_block(statement.then_body, frame, result)
-            else:
-                self._run_block(statement.else_body, frame, result)
-            return
-        if isinstance(statement, ast.WhileStatement):
-            iterations = 0
-            while self._truthy(self._evaluate(statement.condition, frame)):
-                iterations += 1
-                if iterations > MAX_LOOP_ITERATIONS:
-                    raise ExecutionError("WHILE loop exceeded iteration bound")
-                self._run_block(statement.body, frame, result)
-            return
-        if isinstance(statement, ast.ReturnStatement):
-            value = (
-                self._evaluate(statement.value, frame)
-                if statement.value is not None
-                else 0
-            )
-            raise _ReturnSignal(value)
-        if isinstance(statement, ast.PrintStatement):
-            result.messages.append(str(self._evaluate(statement.value, frame)))
-            return
-        if isinstance(statement, ast.Select):
-            self._run_select(statement, frame, result)
-            return
-        # Everything else (DML, EXEC, transactions) goes through the
-        # server's dispatcher with the frame as parameter bindings.
-        inner = self.server.execute_statement(
-            statement, params=frame, session=self.session, database=self.database
-        )
+    def evaluate(self, value: Scalar) -> Any:
+        """A compiled body expression over the current frame (a fresh
+        context each time: subquery results must not outlive one
+        evaluation of a ``WHILE`` condition)."""
+        return value((), self._context(self.frame))
+
+    def run_statement(self, nested) -> None:
+        result = self.result
+        inner = self.server.execute_bound(nested, self.frame, self.session, self.database)
         result.messages.extend(inner.messages)
         result.rowcount += inner.rowcount
         if inner.resultsets:
@@ -163,37 +259,17 @@ class ProcedureInterpreter:
         elif inner.schema is not None:
             result.resultsets.append((inner.schema, inner.rows))
 
-    def _run_select(self, statement: ast.Select, frame: Dict[str, Any], result: Result) -> None:
-        targets = [item.target_parameter for item in statement.items]
-        inner = self.server.execute_statement(
-            statement, params=frame, session=self.session, database=self.database
-        )
-        if any(targets):
-            # SELECT @x = expr: assignment form. T-SQL applies the select
-            # list to each row; the final values come from the last row.
-            # With no rows, variables keep their prior values.
-            for row in inner.rows:
-                for position, target in enumerate(targets):
-                    if target is not None:
-                        frame[target] = row[position]
-            return
-        result.resultsets.append((inner.schema, inner.rows))
+    def run_select(self, nested) -> None:
+        inner = self.server.execute_bound(nested, self.frame, self.session, self.database)
+        self.result.resultsets.append((inner.schema, inner.rows))
 
-    # -- helpers -------------------------------------------------------------
-
-    def _evaluate(self, expression: ast.Expression, frame: Dict[str, Any]) -> Any:
-        ctx = self._context(frame)
-        ctx.subquery_executor = lambda select, params: self.server.run_subquery(
-            select, params, self.database, self.session
-        )
-        return self._blank.compile(expression)((), ctx)
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        if value is None:
-            return False
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, (int, float)):
-            return value != 0
-        return bool(value)
+    def assign_from_select(self, nested, targets: Tuple[Optional[str], ...]) -> None:
+        """``SELECT @x = expr``: T-SQL applies the select list to each
+        row, so the final values come from the last row; with no rows the
+        variables keep their prior values."""
+        inner = self.server.execute_bound(nested, self.frame, self.session, self.database)
+        frame = self.frame
+        for row in inner.rows:
+            for position, target in enumerate(targets):
+                if target is not None:
+                    frame[target] = row[position]

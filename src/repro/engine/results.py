@@ -18,7 +18,9 @@ class Result:
     ``resultsets`` holds every result set a procedure produced, in order.
     ``profile`` carries the per-operator execution profile when statistics
     profiling was on for the statement (``SET STATISTICS PROFILE ON``
-    style; see :mod:`repro.obs.profile`).
+    style; see :mod:`repro.obs.profile`). ``read_only`` is set on a
+    batch's result by the server that ran it: every statement of the batch
+    was a pure query.
     """
 
     rows: List[Tuple] = field(default_factory=list)
@@ -28,6 +30,7 @@ class Result:
     messages: List[str] = field(default_factory=list)
     resultsets: List[Tuple[Schema, List[Tuple]]] = field(default_factory=list)
     profile: Optional[Any] = None
+    read_only: bool = False
 
     @property
     def scalar(self) -> Any:

@@ -1,11 +1,13 @@
 """The server: statement dispatch, plan cache, linked-server endpoint.
 
 One :class:`Server` instance models one SQL Server. It accepts SQL text
-(or pre-parsed ASTs from stored procedures), plans SELECTs through the
-MTCache-extended optimizer with a version-checked plan cache, executes DML
-locally or forwards it to the backend (the transparent-update rule), runs
-stored procedures locally or forwards the call, and serves as a linked
-server for other instances' remote subexpressions.
+(or pre-parsed ASTs), binds each statement once per schema version
+(:mod:`repro.engine.binding`: lock plan, named objects, where it runs),
+plans SELECTs through the MTCache-extended optimizer with a
+version-checked plan cache, executes DML locally or forwards it to the
+backend (the transparent-update rule), runs stored procedures locally or
+forwards the call, and serves as a linked server for other instances'
+remote subexpressions.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.catalog.permissions import OWNER
 from repro.common.clock import SimulatedClock
 from repro.common.lru import LRUCache
+from repro.engine.binding import BoundBatch, BoundStatement, bind_statement
 from repro.engine.database import Database
 from repro.engine.ddl import (
     execute_create_index,
@@ -27,8 +31,8 @@ from repro.engine.ddl import (
     execute_drop,
     execute_grant,
 )
-from repro.engine.dml import execute_delete, execute_insert, execute_update
-from repro.engine.locks import LockMode, statement_lock_plan
+from repro.engine.dml import compile_dml
+from repro.engine.locks import LockMode
 from repro.engine.procedures import ProcedureInterpreter
 from repro.engine.results import Result
 from repro.engine.session import Session
@@ -52,8 +56,7 @@ from repro.obs.tracing import NULL_SPAN as _NULL_SPAN
 from repro.obs.tracing import Tracer, active_span
 from repro.optimizer.cost import CostModel
 from repro.optimizer.planner import Optimizer, PlannedStatement
-from repro.sql import RESERVED_PREFIX, ast, lift_literals, overlay, parse_statements
-from repro.sql.formatter import format_statement
+from repro.sql import ast, lift_literals, overlay, parse_statements
 
 #: The work-counter field names, taken from the dataclass so the
 #: registry-backed facade and the per-execution accumulator never drift.
@@ -66,38 +69,38 @@ STATEMENT_CACHE_SIZE = 512
 class PreparedStatement:
     """The server-side half of the prepare/execute protocol (paper §4.3).
 
-    Holds the statement text plus its parsed form — the statements of the
-    text's literal-lifted template and the values lifted out of it — pinned
-    to the schema version it was prepared under. When the version moves
-    (DDL on the target database), the next execution transparently
-    re-prepares: the text is re-parsed and the plan cache — itself
-    version-checked — re-plans against the new schema.
+    Holds the statement text plus its parsed and bound form — the batch of
+    the text's literal-lifted template and the values lifted out of it —
+    pinned to the schema version it was prepared under. When the version
+    moves (DDL on the target database), the next execution transparently
+    re-prepares: the text is re-parsed, re-bound and re-planned against
+    the new schema.
     """
 
-    __slots__ = (
-        "handle_id", "sql", "database_key", "statements", "lifted", "version", "reprepares",
-    )  # fmt: skip
+    __slots__ = ("handle_id", "sql", "database_key", "batch", "lifted", "reprepares")
 
     def __init__(
         self,
         handle_id: int,
         sql: str,
         database_key: str,
-        statements: List[ast.Statement],
+        batch: BoundBatch,
         lifted: Dict[str, Any],
-        version: int,
     ):
         self.handle_id = handle_id
         self.sql = sql
         self.database_key = database_key
-        self.statements = statements
+        self.batch = batch
         self.lifted = lifted
-        self.version = version
         self.reprepares = 0
+
+    @property
+    def statements(self) -> List[ast.Statement]:
+        return self.batch.statements
 
     def __repr__(self) -> str:
         text = self.sql if len(self.sql) <= 40 else self.sql[:37] + "..."
-        return f"<PreparedStatement #{self.handle_id} {text!r} v{self.version}>"
+        return f"<PreparedStatement #{self.handle_id} {text!r} v{self.batch.version}>"
 
 
 class Server:
@@ -161,17 +164,20 @@ class Server:
             checked_plans = checked_plans_default()
         self.checked_plans = checked_plans
         # Statement fast path (all version-checked, all bounded LRUs):
-        # literal-lifted SQL template -> parsed statement list, and
-        # (database, statement) -> plan. No literal reaches either key.
+        # literal-lifted SQL template -> parsed *and bound* batch, and
+        # (database, statement) -> plan, the second level a bound
+        # statement's plan slot is filled from. No literal reaches either
+        # key.
         self._parse_cache: LRUCache = LRUCache(STATEMENT_CACHE_SIZE)
         self._plan_cache: LRUCache = LRUCache(STATEMENT_CACHE_SIZE)
+        #: Statements bound (a parse-cache entry or prepared handle built
+        #: or rebuilt, a stale binding redone, a raw AST executed): flat
+        #: once a workload is warm.
+        self._statement_binds = self.metrics.counter("engine.statement_binds")
         # Prepared statements this server holds for its clients
         # (linked servers executing by handle).
         self._prepared: Dict[int, PreparedStatement] = {}
         self._prepared_ids = itertools.count(1)
-        # Forwarding fast path: rewritten DML / EXEC AST -> its SQL text
-        # (the text in turn keys the link's shared prepared handle).
-        self._forward_cache: LRUCache = LRUCache(256)
         #: How many times the lexer/parser actually ran (parse-cache
         #: misses). Benchmarks read deltas of this.
         self.parses = 0
@@ -197,7 +203,6 @@ class Server:
         self.available = False
         self.crashes += 1
         self._prepared.clear()
-        self._forward_cache.clear()
         for database in self.databases.values():
             for transaction in database.transactions.active_transactions():
                 database.transactions.rollback(transaction)
@@ -293,72 +298,89 @@ class Server:
         tracer = self.tracer
         span = tracer.span("batch", sql=sql) if tracer.enabled else _NULL_SPAN
         with span:
-            statements, lifted = self._parse_sql(sql, target)
-            return self._run_batch(sql, statements, lifted, params, session, target)
+            batch, lifted = self._parse_sql(sql, target)
+            return self._run_batch(sql, batch, lifted, params, session, target)
 
     def parsed(self, sql: str, database: Optional[str] = None) -> List[ast.Statement]:
         """The batch's statements, through the same literal-lifting,
         version-checked parse cache every execution uses."""
-        return self._parse_sql(sql, self.database(database))[0]
+        return self._parse_sql(sql, self.database(database))[0].statements
 
-    def _parse_sql(
-        self, sql: str, database: Database
-    ) -> Tuple[List[ast.Statement], Dict[str, Any]]:
-        """Parse a batch through the version-checked template cache.
+    def bind(self, statement: ast.Statement, database: Database) -> BoundStatement:
+        """The one bind step (:mod:`repro.engine.binding`), counted.
+
+        Runs where ``database.version`` already invalidates — when a
+        parse-cache entry or a prepared handle is (re)built — plus the two
+        cold paths: a binding the version has overtaken, and a raw AST
+        handed to :meth:`execute_statement`.
+        """
+        self._statement_binds.inc()
+        return bind_statement(statement, database)
+
+    def _bind_batch(self, statements: List[ast.Statement], database: Database) -> BoundBatch:
+        version = database.version
+        return BoundBatch(
+            version, statements, [self.bind(statement, database) for statement in statements]
+        )
+
+    def _parse_sql(self, sql: str, database: Database) -> Tuple[BoundBatch, Dict[str, Any]]:
+        """Parse and bind a batch through the version-checked template cache.
 
         Literals are lifted to reserved parameter markers first
         (:func:`repro.sql.lift_literals`), so the key — and, through the
-        frozen AST, every plan-cache, forwarding-cache and remote-handle
-        key derived from it — is the text's template: ``WHERE cid = 1`` and
-        ``WHERE cid = 2`` are one entry, one dynamic plan. Returns the
-        template's statements and the lifted values they run under.
+        frozen AST, every plan-cache and remote-handle key derived from
+        it — is the text's template: ``WHERE cid = 1`` and
+        ``WHERE cid = 2`` are one entry, one binding, one dynamic plan.
+        Returns the template's bound batch and the lifted values it runs
+        under.
 
         Keys are interned so repeated batches compare by pointer and skip
-        the lexer/parser entirely. AST nodes are frozen, so the cached
-        statement list is safe to re-execute. A template that does not
-        parse is parsed again as the text the client sent (cold path), so
-        a syntax error's line and column are the client's own.
+        the lexer/parser — and the binder — entirely. AST nodes are
+        frozen, so the cached batch is safe to re-execute. A template that
+        does not parse is parsed again as the text the client sent (cold
+        path), so a syntax error's line and column are the client's own.
         """
         template, lifted = lift_literals(sql)
         key = (database.name.lower(), sys.intern(template))
         version = database.version
-        entry = self._parse_cache.get(key, valid=lambda e: e[0] == version)
-        if entry is not None:
+        batch = self._parse_cache.get(key, valid=lambda entry: entry.version == version)
+        if batch is not None:
             self.total_work.inc("parse_cache_hits")
-            return entry[1], lifted
+            return batch, lifted
         self.parses += 1
         try:
             statements = parse_statements(template)
         except (LexError, ParseError):
             if not lifted:
                 raise
-            return parse_statements(sql), {}
-        self._parse_cache[key] = (version, statements)
-        return statements, lifted
+            return self._bind_batch(parse_statements(sql), database), {}
+        batch = self._bind_batch(statements, database)
+        self._parse_cache[key] = batch
+        return batch, lifted
 
     def _run_batch(
         self,
         sql: str,
-        statements: List[ast.Statement],
+        batch: BoundBatch,
         lifted: Dict[str, Any],
         params: Optional[Dict[str, Any]],
         session: Session,
         database: Database,
     ) -> Result:
-        """Run a parsed batch under the caller's parameters laid over the
-        lifted ones; returns the last statement's result. A caller whose
-        own names use the reserved prefix gets its text run as written."""
+        """Run a bound batch under the caller's parameters laid over the
+        lifted ones; returns the last statement's result, stamped with the
+        batch's ``read_only`` bit. A caller whose own names use the
+        reserved prefix gets its text run as written."""
         if lifted:
             merged = overlay(lifted, params)
             if merged is None:
-                statements = parse_statements(sql)
+                batch = self._bind_batch(parse_statements(sql), database)
             else:
                 params = merged
         result = Result()
-        for statement in statements:
-            result = self.execute_statement(
-                statement, params=params, session=session, database=database
-            )
+        for bound in batch.bound:
+            result = self.execute_bound(bound, params, session, database)
+        result.read_only = batch.read_only
         return result
 
     def execute_statement(
@@ -368,55 +390,90 @@ class Server:
         session: Optional[Session] = None,
         database: Optional[Database] = None,
     ) -> Result:
+        """Execute a raw AST: bound on the spot (the cold path — texts,
+        handles and procedure bodies carry their bindings)."""
         session = session or Session()
         database = database or self.database(session.database)
+        return self.execute_bound(self.bind(statement, database), params, session, database)
+
+    def execute_bound(
+        self,
+        bound: BoundStatement,
+        params: Optional[Dict[str, Any]],
+        session: Session,
+        database: Database,
+    ) -> Result:
+        """Execute one bound statement (batches and procedure bodies)."""
         merged = session.merged_params(params)
         self.statements_executed += 1
         started = time.perf_counter()
         if self.tracer.enabled:
-            with self.tracer.span("statement", statement=type(statement).__name__):
-                result = self._dispatch_statement(statement, merged, database, session)
+            with self.tracer.span("statement", statement=bound.kind.__name__):
+                result = self._dispatch_statement(bound, merged, database, session)
         else:
-            result = self._dispatch_statement(statement, merged, database, session)
+            result = self._dispatch_statement(bound, merged, database, session)
         self._statement_seconds.observe(time.perf_counter() - started)
         return result
 
     def _dispatch_statement(
         self,
-        statement: ast.Statement,
+        bound: BoundStatement,
         merged: Dict[str, Any],
         database: Database,
         session: Session,
     ) -> Result:
-        """Acquire the statement's locks, then dispatch.
+        """Check permissions, acquire the bound lock plan, run.
 
-        The locking hierarchy (see :mod:`repro.engine.locks`): transaction
-        control manages the database latch across statements (an explicit
-        transaction holds it exclusively for its whole span); DDL takes
-        the latch exclusive for one statement; everything else takes it
-        shared plus sorted per-table locks. A thread already holding the
-        latch exclusively — explicit transaction, or a nested dispatch
-        from a procedure body — skips both levels.
+        Everything decided here was decided when the statement was bound;
+        what is left is what varies per execution. The permission check
+        runs live over the bound object list (``GRANT`` does not bump the
+        schema version). The locking hierarchy (see
+        :mod:`repro.engine.locks`): transaction control manages the
+        database latch across statements (an explicit transaction holds
+        it exclusively for its whole span) and, like the other statements
+        that touch no shared state, has no lock plan; DDL takes the latch
+        exclusive for one statement; everything else takes it shared plus
+        sorted per-table locks. A thread already holding the latch
+        exclusively — explicit transaction, or a nested dispatch from a
+        procedure body — skips both levels.
+
+        A binding the schema version has overtaken is redone here, for
+        this execution (its holder — parse-cache entry, prepared handle —
+        is rebuilt by its own version check). The version is compared
+        again once the latch is held: DDL runs under the exclusive latch,
+        so a binding current inside the latch stays current while the
+        statement runs, plan slot included.
         """
-        if isinstance(statement, ast.BeginTransaction):
-            return self._begin_transaction(database, session)
-        if isinstance(statement, ast.CommitTransaction):
-            return self._commit_transaction(database, session)
-        if isinstance(statement, ast.RollbackTransaction):
-            return self._rollback_transaction(database, session)
-        plan = statement_lock_plan(statement, database.catalog)
-        if plan is None or database.latch.owns_exclusive():
-            return self._dispatch_unlocked(statement, merged, database, session)
-        if plan.latch is LockMode.EXCLUSIVE:
-            with database.latch.exclusive():
-                return self._dispatch_unlocked(statement, merged, database, session)
-        with database.latch.shared():
-            with database.lock_manager.locking(plan.tables):
-                return self._dispatch_unlocked(statement, merged, database, session)
+        runner = _RUNNERS.get(bound.kind)
+        if runner is None:
+            raise ExecutionError(f"cannot execute {bound.kind.__name__} at session level")
+        latch = database.latch
+        while True:
+            if bound.version != database.version:
+                bound = self.bind(bound.statement, database)
+            if bound.objects and session.principal.lower() != OWNER:
+                check = database.catalog.permissions.check
+                for permission, name in bound.objects:
+                    check(permission, name, session.principal)
+            plan = bound.lock_plan
+            if plan is None or latch.owns_exclusive():
+                return runner(self, bound, merged, database, session)
+            if plan.latch is LockMode.EXCLUSIVE:
+                with latch.exclusive():
+                    if bound.version == database.version:
+                        return runner(self, bound, merged, database, session)
+            else:
+                with latch.shared():
+                    if bound.version == database.version:
+                        with database.lock_manager.locking(plan.tables):
+                            return runner(self, bound, merged, database, session)
+            # DDL got in between the version check and the latch.
 
     # -- transaction control ----------------------------------------------
 
-    def _begin_transaction(self, database: Database, session: Session) -> Result:
+    def _begin_transaction(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
         """BEGIN TRANSACTION: coarse 2PL — the session owns the database.
 
         The latch is taken exclusively *before* the transaction starts and
@@ -436,14 +493,18 @@ class Server:
         session.transaction = transaction
         return Result(messages=["transaction started"])
 
-    def _commit_transaction(self, database: Database, session: Session) -> Result:
+    def _commit_transaction(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
         try:
             database.transactions.commit(session.transaction)
         finally:
             self._end_transaction_scope(database, session)
         return Result(messages=["transaction committed"])
 
-    def _rollback_transaction(self, database: Database, session: Session) -> Result:
+    def _rollback_transaction(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
         try:
             database.transactions.rollback(session.transaction)
         finally:
@@ -463,61 +524,42 @@ class Server:
         if had_transaction and database.latch.owns_exclusive():
             database.latch.release_exclusive()
 
-    def _dispatch_unlocked(
-        self,
-        statement: ast.Statement,
-        merged: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> Result:
-        if isinstance(statement, ast.Select):
-            return self._execute_select(statement, merged, database, session)
-        if isinstance(statement, ast.UnionAll):
-            return self._execute_union(statement, merged, database, session)
-        if isinstance(statement, ast.Explain):
-            planned = self.plan_select(statement.statement, database)
-            from repro.common.schema import Column, Schema
-            from repro.common.types import VARCHAR
+    # -- statements without a plan of their own ------------------------------
 
-            lines = planned.explain(costs=statement.costs).splitlines()
-            schema = Schema([Column("plan", VARCHAR(None))])
-            return Result(
-                rows=[(line,) for line in lines],
-                schema=schema,
-                rowcount=len(lines),
-            )
-        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
-            return self._execute_dml(statement, merged, database, session)
-        if isinstance(statement, ast.Execute):
-            return self._execute_procedure_call(statement, merged, database, session)
-        if isinstance(statement, ast.CreateTable):
-            return execute_create_table(database, statement)
-        if isinstance(statement, ast.CreateIndex):
-            return execute_create_index(database, statement)
-        if isinstance(statement, ast.CreateView):
-            runner = lambda select: self._run_select_rows(select, merged, database, session)  # noqa: E731
-            return execute_create_view(database, statement, select_runner=runner)
-        if isinstance(statement, ast.CreateProcedure):
-            return execute_create_procedure(database, statement)
-        if isinstance(statement, ast.DropObject):
-            return execute_drop(database, statement)
-        if isinstance(statement, ast.Grant):
-            return execute_grant(database, statement)
-        if isinstance(statement, ast.Declare):
-            value = None
-            if statement.initial is not None:
-                value = self._evaluate_scalar(statement.initial, merged, database, session)
-            session.variables[statement.name] = value
-            return Result()
-        if isinstance(statement, ast.SetVariable):
-            session.variables[statement.name] = self._evaluate_scalar(
-                statement.value, merged, database, session
-            )
-            return Result()
-        if isinstance(statement, ast.PrintStatement):
-            value = self._evaluate_scalar(statement.value, merged, database, session)
+    def _execute_explain(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
+        from repro.common.schema import Column, Schema
+        from repro.common.types import VARCHAR
+
+        target = bound.children[0]
+        planned = self.plan_select(target.statement, database, bound=target)
+        lines = planned.explain(costs=bound.statement.costs).splitlines()
+        schema = Schema([Column("plan", VARCHAR(None))])
+        return Result(rows=[(line,) for line in lines], schema=schema, rowcount=len(lines))
+
+    def _execute_ddl(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
+        return _DDL[bound.kind](database, bound.statement)
+
+    def _execute_create_view(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
+        runner = self._source_runner(bound, merged, database, session)
+        return execute_create_view(database, bound.statement, select_runner=runner)
+
+    def _execute_variable(
+        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
+    ) -> Result:
+        """DECLARE / SET / PRINT at session level."""
+        value = None
+        if bound.scalar is not None:
+            value = bound.scalar((), self._make_context(merged, database, session))
+        if bound.kind is ast.PrintStatement:
             return Result(messages=[str(value)])
-        raise ExecutionError(f"cannot execute {type(statement).__name__} at session level")
+        session.variables[bound.statement.name] = value
+        return Result()
 
     # -- SELECT ---------------------------------------------------------------
 
@@ -526,48 +568,60 @@ class Server:
         statement: ast.Select,
         database: Database,
         cache_key: Optional[Any] = None,
+        bound: Optional[BoundStatement] = None,
     ) -> PlannedStatement:
-        """Plan a SELECT with version-checked caching.
+        """The SELECT's plan: a slot read, a cache lookup, or the optimizer.
 
-        Dynamic plans make this cache effective for parameterized queries:
-        one plan serves every parameter value, choosing its branch at run
-        time via startup predicates instead of re-optimizing.
+        Dynamic plans make reuse effective for parameterized queries: one
+        plan serves every parameter value, choosing its branch at run time
+        via startup predicates instead of re-optimizing.
 
-        The default cache key is the statement AST itself: AST nodes are
-        frozen dataclasses with structural equality, so textually equal
-        statements share a plan (and, unlike ``id()``, keys can never be
-        recycled onto a different statement).
+        Every SELECT execution calls this. Given the statement's binding
+        (``bound``, which the dispatcher has validated against the schema
+        version), the plan is read from its slot — no hashing, no lookup —
+        and counted as a plan-cache hit. The slot is filled from the
+        structural plan cache, consulted at bind time: its default key is
+        the statement AST itself — AST nodes are frozen dataclasses with
+        structural equality, so texts that differ but parse equal share a
+        plan (and, unlike ``id()``, keys can never be recycled onto a
+        different statement). A caller's own ``cache_key`` replaces the
+        structural key (a probe forcing a cold plan).
         """
+        if bound is not None and bound.planned is not None:
+            self._plan_cache.count_hit()
+            return bound.planned
         key = (database.name.lower(), cache_key if cache_key is not None else statement)
         version = database.version
         cached = self._plan_cache.get(key, valid=lambda e: e[0] == version)
         if cached is not None:
-            return cached[1]
-        started = time.perf_counter()
-        with self.tracer.span("optimize"):
-            planned = self.optimizer_for(database).plan_select(statement)
-        self.metrics.histogram("optimizer.plan_seconds").observe(
-            time.perf_counter() - started
-        )
-        if self.checked_plans:
-            # Checked execution: raise before a structurally invalid plan
-            # can be cached or run (repro.analysis.plancheck).
-            from repro.analysis import check_plan
+            planned = cached[1]
+        else:
+            started = time.perf_counter()
+            with self.tracer.span("optimize"):
+                planned = self.optimizer_for(database).plan_select(statement)
+            self.metrics.histogram("optimizer.plan_seconds").observe(
+                time.perf_counter() - started
+            )
+            if self.checked_plans:
+                # Checked execution: raise before a structurally invalid plan
+                # can be cached or run (repro.analysis.plancheck).
+                from repro.analysis import check_plan
 
-            check_plan(planned, database=database)
-            self.metrics.counter("analysis.plans_checked").inc()
-        self._plan_cache[key] = (version, planned)
+                check_plan(planned, database=database)
+                self.metrics.counter("analysis.plans_checked").inc()
+            self._plan_cache[key] = (version, planned)
+        if bound is not None and bound.version == version:
+            bound.planned = planned
         return planned
 
     def _execute_select(
         self,
-        statement: ast.Select,
+        bound: BoundStatement,
         params: Dict[str, Any],
         database: Database,
         session: Session,
     ) -> Result:
-        self._check_select_permissions(statement, database, session)
-        planned = self.plan_select(statement, database)
+        planned = self.plan_select(bound.statement, database, bound=bound)
         ctx = self._make_context(params, database, session)
         profile = None
         if self.profile_statements or session.statistics_profile:
@@ -590,7 +644,7 @@ class Server:
 
     def _execute_union(
         self,
-        statement: ast.UnionAll,
+        bound: BoundStatement,
         params: Dict[str, Any],
         database: Database,
         session: Session,
@@ -602,7 +656,7 @@ class Server:
         """
         rows: List[Tuple] = []
         schema = None
-        for branch in statement.branches:
+        for branch in bound.children:
             result = self._execute_select(branch, params, database, session)
             if schema is None:
                 schema = result.schema
@@ -636,10 +690,6 @@ class Server:
                     f"{position + 1} ({left.name!r}): {left.sql_type} vs {right.sql_type}"
                 ) from exc
 
-    def _run_select_rows(self, select, params, database, session):
-        result = self._execute_select(select, params, database, session)
-        return result.rows, result.schema
-
     def run_subquery(
         self,
         select: ast.Select,
@@ -647,6 +697,9 @@ class Server:
         database: Database,
         session: Session,
     ) -> List[Tuple]:
+        """Plan (through the structural plan cache) and run a subquery of
+        a statement whose binding already covered its locks and
+        permissions."""
         planned = self.plan_select(select, database)
         ctx = self._make_context(params, database, session)
         rows = self._run_plan(planned.root, ctx)
@@ -684,39 +737,22 @@ class Server:
         )
         return ctx
 
-    def _evaluate_scalar(self, expression, params, database, session):
-        from repro.common.schema import Schema
-        from repro.exec.expressions import ExpressionCompiler
-
-        ctx = self._make_context(params, database, session)
-        return ExpressionCompiler(Schema(())).compile(expression)((), ctx)
-
     # -- DML --------------------------------------------------------------------
 
     def _execute_dml(
         self,
-        statement,
+        bound: BoundStatement,
         params: Dict[str, Any],
         database: Database,
         session: Session,
     ) -> Result:
-        target = statement.table.object_name
-        permission = {
-            ast.Insert: "INSERT",
-            ast.Update: "UPDATE",
-            ast.Delete: "DELETE",
-        }[type(statement)]
-        database.catalog.permissions.check(permission, target, session.principal)
-
-        # Transparent forwarding: shadow tables and four-part names update
-        # the real table on the owning server (paper §5: "all insert,
-        # delete and update requests ... immediately converted to remote").
-        server_name = statement.table.server
-        if server_name is None and database.is_remote_table(target):
-            server_name = database.backend_server
-        if server_name is not None:
-            return self._forward(server_name, self._strip_server_prefix(statement), params)
-
+        if bound.forward is not None:
+            return self._forward(bound, params)
+        run = bound.planned
+        if run is None:
+            # Compiled at the first execution, not when bound: the target
+            # may be created by an earlier statement of the same batch.
+            run = bound.planned = compile_dml(database, bound.statement)
         ctx = self._make_context(params, database, session)
         autocommit = not session.in_transaction
         transaction = (
@@ -727,15 +763,7 @@ class Server:
         if transaction is None:
             raise TransactionError("no active transaction for DML")
         try:
-            if isinstance(statement, ast.Insert):
-                runner = lambda select: self._run_select_rows(  # noqa: E731
-                    select, params, database, session
-                )
-                result = execute_insert(database, statement, ctx, transaction, runner)
-            elif isinstance(statement, ast.Update):
-                result = execute_update(database, statement, ctx, transaction)
-            else:
-                result = execute_delete(database, statement, ctx, transaction)
+            result = run(ctx, transaction, self._source_runner(bound, params, database, session))
         except Exception:
             if autocommit:
                 database.transactions.rollback(transaction)
@@ -745,80 +773,59 @@ class Server:
         self.total_work.merge(ctx.work)
         return result
 
-    def _forward(self, server_name: str, statement, params: Dict[str, Any]) -> Result:
-        """Ship a rewritten DML or ``EXEC`` statement to its owning server.
+    def _source_runner(self, bound: BoundStatement, params, database, session):
+        """``() -> (rows, schema)`` of the SELECT a statement is fed from
+        (an INSERT's source, a materialized view's definition), or None."""
+        if not bound.children:
+            return None
 
-        The one forwarding call: the statement AST (frozen, hashable)
-        keys a bounded cache of its SQL text, and the link executes that
-        text by shared prepared handle — a repeated forwarded statement
-        neither re-formats its text here nor re-parses it there; only the
+        def run() -> Tuple[List[Tuple], Any]:
+            result = self._execute_select(bound.children[0], params, database, session)
+            return result.rows, result.schema
+
+        return run
+
+    def _forward(self, bound: BoundStatement, params: Dict[str, Any]) -> Result:
+        """Ship a DML or ``EXEC`` statement to its owning server.
+
+        The one forwarding call: the binding holds the owning server and
+        the rewritten statement's text, and the link executes that text by
+        shared prepared handle — a repeated forwarded statement neither
+        re-formats its text here nor re-parses it there; only the
         parameter values travel.
         """
-        text = self._forward_cache.get(statement)
-        if text is None:
-            text = format_statement(statement)
-            self._forward_cache[statement] = text
+        server_name, text = bound.forward
         result = self.linked_servers.get(server_name).execute_statement_text(text, params)
         self.total_work.inc("prepared_executions")
         return result
-
-    @staticmethod
-    def _strip_server_prefix(statement):
-        """Remove the linked-server part from a DML target name."""
-        table = statement.table
-        if len(table.parts) >= 2:
-            new_table = ast.TableName((table.parts[-1],), table.alias)
-        else:
-            new_table = table
-        if isinstance(statement, ast.Insert):
-            return ast.Insert(new_table, statement.columns, statement.rows, statement.select)
-        if isinstance(statement, ast.Update):
-            return ast.Update(new_table, statement.assignments, statement.where)
-        return ast.Delete(new_table, statement.where)
 
     # -- procedures ---------------------------------------------------------------
 
     def _execute_procedure_call(
         self,
-        statement: ast.Execute,
+        bound: BoundStatement,
         params: Dict[str, Any],
         database: Database,
         session: Session,
     ) -> Result:
         """Run a procedure held locally, or forward the call (paper §5.2).
 
-        A forwarded call evaluates its arguments here and ships
-        ``EXEC proc @a = @a, ...`` — one text per call shape, whatever the
-        values — with the evaluated values as parameters, through the same
-        :meth:`_forward` as DML; positional arguments travel under
-        reserved markers. No literal is formatted into the text, so the
-        owning server parses and prepares it once.
+        Which of the two — and the procedure's bound body, or the
+        forwarded text — was settled when the ``EXEC`` was bound
+        (:func:`repro.engine.binding.bind_statement`); a forwarded call
+        evaluates its arguments here and ships them as parameters through
+        the same :meth:`_forward` as DML.
         """
-        name = statement.procedure[-1]
-        explicit_server = statement.procedure[0] if len(statement.procedure) == 4 else None
-        procedure = database.catalog.maybe_procedure(name)
-
-        if procedure is not None and explicit_server is None:
-            database.catalog.permissions.check("EXECUTE", name, session.principal)
+        name = bound.statement.procedure[-1]
+        if bound.procedure is not None:
             interpreter = ProcedureInterpreter(self, database, session)
             with self.tracer.span("procedure", procedure=name):
-                result = interpreter.call(procedure, list(statement.arguments), params)
-            return result
-
-        server_name = explicit_server or database.backend_server
-        if server_name is None:
+                return interpreter.call(bound.procedure, bound.arguments, params)
+        if bound.forward is None:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
-        if explicit_server is None:
-            # The link executes as dbo, so the caller's right is checked
-            # here, against the permissions shadowed from the backend.
-            database.catalog.permissions.check("EXECUTE", name, session.principal)
-        arguments = []
-        values: Dict[str, Any] = {}
-        for position, (arg_name, expression) in enumerate(statement.arguments, 1):
-            marker = arg_name or f"{RESERVED_PREFIX}{position}"
-            values[marker] = self._evaluate_scalar(expression, params, database, session)
-            arguments.append((arg_name, ast.Parameter(marker)))
-        return self._forward(server_name, ast.Execute((name,), tuple(arguments)), values)
+        ctx = self._make_context(params, database, session)
+        values = {marker: value((), ctx) for marker, value in bound.arguments}
+        return self._forward(bound, values)
 
     # -- linked-server endpoint -------------------------------------------------
 
@@ -831,24 +838,23 @@ class Server:
     def prepare_sql(self, sql: str, database: Optional[str] = None) -> int:
         """Prepare a statement batch for by-handle execution (paper §4.3).
 
-        Parses once (the literal-lifted template, keeping the lifted
-        values with the handle) and pins the result to the current schema
-        version; returns an opaque handle id the client executes with
-        parameters.
+        Parses and binds once (the literal-lifted template, keeping the
+        lifted values with the handle) and pins the result to the current
+        schema version; returns an opaque handle id the client executes
+        with parameters.
         This is what lets a parameterized remote query ship its text a
         single time instead of once per execution.
         """
         self._check_available()
         self._admit("prepare")
         target = self.database(database)
-        statements, lifted = self._parse_sql(sql, target)
+        batch, lifted = self._parse_sql(sql, target)
         handle = PreparedStatement(
             handle_id=next(self._prepared_ids),
             sql=sql,
             database_key=target.name,
-            statements=statements,
+            batch=batch,
             lifted=lifted,
-            version=target.version,
         )
         self._prepared[handle.handle_id] = handle
         return handle.handle_id
@@ -866,9 +872,9 @@ class Server:
         on a fresh autocommit session.
 
         A schema-version bump since prepare (or the last execution)
-        triggers a transparent re-prepare: re-parse the pinned text and
-        let the version-checked plan cache re-plan against the new
-        schema. Unknown handles raise :class:`PreparedStatementError`
+        triggers a transparent re-prepare: re-parse and re-bind the pinned
+        text and let the version-checked plan cache re-plan against the
+        new schema. Unknown handles raise :class:`PreparedStatementError`
         so the client link can re-prepare from its own text copy.
         """
         self._check_available()
@@ -880,13 +886,12 @@ class Server:
             )
         target = self.database(handle.database_key)
         with self.tracer.span("prepared", handle=handle_id):
-            if handle.version != target.version:
-                handle.statements, handle.lifted = self._parse_sql(handle.sql, target)
-                handle.version = target.version
+            if handle.batch.version != target.version:
+                handle.batch, handle.lifted = self._parse_sql(handle.sql, target)
                 handle.reprepares += 1
             self.total_work.inc("prepared_executions")
             return self._run_batch(
-                handle.sql, handle.statements, handle.lifted, params, session or Session(), target
+                handle.sql, handle.batch, handle.lifted, params, session or Session(), target
             )
 
     def close_prepared(self, handle_id: int) -> None:
@@ -914,32 +919,6 @@ class Server:
             "round_trips_saved": self.total_work.round_trips_saved,
         }
 
-    # -- permissions ---------------------------------------------------------------
-
-    def _check_select_permissions(
-        self, statement: ast.Select, database: Database, session: Session
-    ) -> None:
-        if session.principal.lower() == "dbo":
-            return
-
-        def visit_ref(ref: Optional[ast.TableRef]) -> None:
-            if ref is None:
-                return
-            if isinstance(ref, ast.JoinRef):
-                visit_ref(ref.left)
-                visit_ref(ref.right)
-            elif isinstance(ref, ast.DerivedTable):
-                visit_select(ref.select)
-            elif isinstance(ref, ast.TableName):
-                database.catalog.permissions.check(
-                    "SELECT", ref.object_name, session.principal
-                )
-
-        def visit_select(select: ast.Select) -> None:
-            visit_ref(select.from_clause)
-
-        visit_select(statement)
-
     def reset_work(self) -> None:
         """Zero the cumulative work counters (between calibration runs).
 
@@ -953,7 +932,7 @@ class Server:
         self.total_work.reset()
         self.statements_executed = 0
         self.parses = 0
-        for cache in (self._parse_cache, self._plan_cache, self._forward_cache):
+        for cache in (self._parse_cache, self._plan_cache):
             stats = cache.stats
             stats.hits = 0
             stats.misses = 0
@@ -964,3 +943,33 @@ class Server:
 
     def __repr__(self) -> str:
         return f"<Server {self.name} databases={list(self.databases)}>"
+
+
+_DDL = {
+    ast.CreateTable: execute_create_table,
+    ast.CreateIndex: execute_create_index,
+    ast.CreateProcedure: execute_create_procedure,
+    ast.DropObject: execute_drop,
+    ast.Grant: execute_grant,
+}
+
+#: Statement class -> the method that runs it once its locks are held: the
+#: dispatch target, fixed by ``BoundStatement.kind`` when the statement is
+#: bound. A class missing here cannot be executed at session level.
+_RUNNERS = {
+    ast.BeginTransaction: Server._begin_transaction,
+    ast.CommitTransaction: Server._commit_transaction,
+    ast.RollbackTransaction: Server._rollback_transaction,
+    ast.Select: Server._execute_select,
+    ast.UnionAll: Server._execute_union,
+    ast.Explain: Server._execute_explain,
+    ast.Insert: Server._execute_dml,
+    ast.Update: Server._execute_dml,
+    ast.Delete: Server._execute_dml,
+    ast.Execute: Server._execute_procedure_call,
+    ast.CreateView: Server._execute_create_view,
+    ast.Declare: Server._execute_variable,
+    ast.SetVariable: Server._execute_variable,
+    ast.PrintStatement: Server._execute_variable,
+    **{kind: Server._execute_ddl for kind in _DDL},
+}

@@ -9,7 +9,7 @@ work counters the cluster simulator uses to calibrate CPU demands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 #: Rows per chunk between operators. Large enough to amortize per-batch
 #: dispatch, small enough to keep chunks cache-friendly.
@@ -43,6 +43,40 @@ class WorkCounters:
     round_trips_saved: int = 0
 
 
+#: Comparison families whose Python hash and equality agree with
+#: ``_coerce_pair``: numbers compare across ``bool``/``int``/``float``,
+#: strings with strings. Exact types only — anything else (dates, which
+#: coerce against ISO strings; subclasses) takes the ``sql_equal`` loop.
+COMPARISON_FAMILY: Dict[type, str] = {bool: "number", int: "number", float: "number", str: "string"}
+
+#: What ``IN (subquery)`` probes: the non-NULL candidates, their family
+#: (None when there are none) and whether a NULL candidate was seen.
+Membership = Tuple[FrozenSet[Any], Optional[str], bool]
+
+
+def build_membership(rows: List[Tuple]) -> Optional[Membership]:
+    """The hash-probe form of a subquery's first column, or None when the
+    candidates do not all belong to one comparison family (or hold a NaN,
+    which ``_coerce_pair`` treats as equal to everything)."""
+    family: Optional[str] = None
+    seen_null = False
+    members = set()
+    for row in rows:
+        candidate = row[0]
+        if candidate is None:
+            seen_null = True
+            continue
+        candidate_family = COMPARISON_FAMILY.get(type(candidate))
+        if candidate_family is None or candidate != candidate:
+            return None
+        if family is None:
+            family = candidate_family
+        elif family != candidate_family:
+            return None
+        members.add(candidate)
+    return frozenset(members), family, seen_null
+
+
 class ExecutionContext:
     """Per-execution state shared by all operators in a plan."""
 
@@ -73,13 +107,20 @@ class ExecutionContext:
         # engine so scalar/IN subqueries can run nested statements.
         self.subquery_executor = subquery_executor
         self._subquery_cache: Dict[int, list] = {}
+        self._membership_cache: Dict[int, Optional[Membership]] = {}
 
     def param(self, name: str) -> Any:
         """Fetch a parameter value; missing parameters read as NULL."""
         return self.params.get(name)
 
     def run_subquery(self, select_ast: object) -> list:
-        """Execute an uncorrelated subquery, caching by AST identity."""
+        """Execute an uncorrelated subquery once per execution.
+
+        The rows are memoised by AST identity for the life of this
+        context — the plan (or bound statement) holding the AST outlives
+        it, so the key cannot be recycled — and so every row the outer
+        plan probes sees one evaluation of the subquery.
+        """
         key = id(select_ast)
         if key not in self._subquery_cache:
             if self.subquery_executor is None:
@@ -88,6 +129,18 @@ class ExecutionContext:
                 raise ExecutionError("no subquery executor installed in context")
             self._subquery_cache[key] = self.subquery_executor(select_ast, self.params)
         return self._subquery_cache[key]
+
+    def subquery_membership(self, select_ast: object) -> Optional[Membership]:
+        """The subquery's rows as one membership structure, built once per
+        execution beside the memoised row list and dropped with it (None
+        when the candidates need the ``sql_equal`` loop)."""
+        key = id(select_ast)
+        try:
+            return self._membership_cache[key]
+        except KeyError:
+            membership = build_membership(self.run_subquery(select_ast))
+            self._membership_cache[key] = membership
+            return membership
 
     def now(self) -> float:
         """Virtual current time (0.0 when no clock attached)."""

@@ -47,6 +47,7 @@ from repro.common.lru import LRUCache
 from repro.common.schema import Schema
 from repro.common.types import is_numeric, is_string, is_temporal
 from repro.errors import ExecutionError, TypeCheckError
+from repro.exec.context import COMPARISON_FAMILY
 from repro.sql import ast
 
 Scalar = Callable[[Tuple, "object"], Any]
@@ -79,6 +80,24 @@ def sql_compare(op: str, left: Any, right: Any) -> Optional[bool]:
     if op == ">=":
         return sign >= 0
     raise ExecutionError(f"unknown comparison operator {op!r}")
+
+
+def in_subquery_linear(value: Any, rows: Sequence[Tuple], negated: bool) -> Optional[bool]:
+    """``value [NOT] IN (rows' first column)`` by a ``sql_equal`` scan: the
+    definition of the predicate (and the tests' oracle for the set probe),
+    executed only where candidates and probe do not share one comparison
+    family. ``value`` is not NULL."""
+    seen_null = False
+    for subrow in rows:
+        candidate = subrow[0]
+        if candidate is None:
+            seen_null = True
+            continue
+        if sql_equal(value, candidate) is True:
+            return not negated
+    if seen_null:
+        return None
+    return negated
 
 
 def _coerce_pair(left: Any, right: Any, op: str) -> int:
@@ -487,25 +506,46 @@ class ExpressionCompiler:
         return evaluate
 
     def _compile_insubquery(self, node: ast.InSubquery) -> Scalar:
+        """``IN (subquery)``: one hash probe per row into the membership
+        structure the context builds once per execution; any combination
+        the structure cannot answer exactly as ``sql_equal`` would (mixed
+        families, dates against ISO strings, a string probed into
+        numbers, NaN) takes the linear scan, which coerces or raises."""
         operand = self.compile(node.operand)
+        operand_batch = batch_form(operand)
+        subquery = node.subquery
+        negated = node.negated
+
+        def probe(value, membership, ctx):
+            """``value`` (not NULL) against the execution's membership."""
+            if membership is not None:
+                members, family, seen_null = membership
+                if not members or (
+                    COMPARISON_FAMILY.get(type(value)) == family and value == value
+                ):
+                    if value in members:
+                        return not negated
+                    if seen_null:
+                        return None
+                    return negated
+            return in_subquery_linear(value, ctx.run_subquery(subquery), negated)
 
         def evaluate(row, ctx):
             value = operand(row, ctx)
             if value is None:
                 return None
-            rows = ctx.run_subquery(node.subquery)
-            seen_null = False
-            for subrow in rows:
-                candidate = subrow[0]
-                if candidate is None:
-                    seen_null = True
-                    continue
-                if sql_equal(value, candidate) is True:
-                    return False if node.negated else True
-            if seen_null:
-                return None
-            return True if node.negated else False
+            return probe(value, ctx.subquery_membership(subquery), ctx)
 
+        def evaluate_batch(rows, ctx):
+            values = operand_batch(rows, ctx)
+            if all(value is None for value in values):
+                return [None] * len(values)  # the subquery never runs
+            membership = ctx.subquery_membership(subquery)
+            return [
+                None if value is None else probe(value, membership, ctx) for value in values
+            ]
+
+        evaluate.batch = evaluate_batch
         return evaluate
 
     def _compile_between(self, node: ast.Between) -> Scalar:

@@ -139,7 +139,8 @@ class CacheServer:
             self.server.metrics.counter("resilience.fallback_reads").inc()
             with self.server.tracer.span("failover.read", target="backend"):
                 return self._on_backend(sql, params, session)
-        self._record_degraded_candidate(sql, params, result)
+        if result.read_only:
+            self._record_degraded_candidate(sql, params, result)
         return result
 
     def _on_backend(self, sql: str, params: Optional[Dict], session):
@@ -169,12 +170,14 @@ class CacheServer:
     def _record_degraded_candidate(self, sql: str, params: Optional[Dict], result) -> None:
         """Remember a successful read-only result for degraded service.
 
-        Each entry is stamped with the capture time and the replication
-        staleness bound in force at capture, so a later degraded serve
-        can honestly bound the total staleness it hands out.
+        Called only for a result whose batch was read-only — the bit the
+        server read off the bound batch it just ran, not a second parse
+        lookup. Each entry is stamped with the capture time and the
+        replication staleness bound in force at capture, so a later
+        degraded serve can honestly bound the total staleness it hands out.
         """
         key = self._degraded_key(sql, params)
-        if key is None or not self._read_only_batch(sql):
+        if key is None:
             return
         now = self.database.clock.now()
         self._degraded_results[key] = (now, self.staleness(), result)
@@ -182,15 +185,16 @@ class CacheServer:
     def _degraded_result(self, sql: str, params: Optional[Dict]):
         """A cached result fresh enough to serve under overload, or None.
 
-        Only read-only batches qualify, and only while capture-time
-        replication lag plus entry age stays within
+        Only read-only batches have entries (being read-only is a property
+        of the text, which is the key), and one is served only while its
+        capture-time replication lag plus its age stays within
         :attr:`degraded_staleness`.
         """
         key = self._degraded_key(sql, params)
         if key is None:
             return None
         entry = self._degraded_results.get(key)
-        if entry is None or not self._read_only_batch(sql):
+        if entry is None:
             return None
         captured_at, staleness_at_capture, result = entry
         now = self.database.clock.now()
@@ -199,7 +203,9 @@ class CacheServer:
         return result
 
     def _read_only_batch(self, sql: str) -> bool:
-        """True when every statement in the batch is a pure query.
+        """True when every statement in the batch is a pure query — for the
+        failure path, where nothing ran and only the text is at hand (a
+        successful execution carries the bit on its result).
 
         Uses the server's literal-lifting, version-checked parse cache (a
         lookup on the statement's template, never a second parse of a

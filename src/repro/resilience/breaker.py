@@ -62,8 +62,7 @@ class CircuitBreaker:
         # table locks), so the lock is annotated at leaf level — strictly
         # below the engine hierarchy, never held across the remote call.
         self._mutex = mutex()
-        if hasattr(self._mutex, "_witness_class"):
-            annotate_lock(self._mutex, "resilience.breaker", LEVEL_LEAF)
+        annotate_lock(self._mutex, "resilience.breaker", LEVEL_LEAF)
         self._probe_in_flight = False
         self._registry = registry
         self._gauge = None

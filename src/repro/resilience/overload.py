@@ -51,8 +51,7 @@ def _leaf_mutex(name: str):
     LEAF is safe.
     """
     lock = mutex()
-    if hasattr(lock, "_witness_class"):
-        annotate_lock(lock, f"resilience.{name}", LEVEL_LEAF)
+    annotate_lock(lock, f"resilience.{name}", LEVEL_LEAF)
     return lock
 
 

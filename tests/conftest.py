@@ -120,3 +120,40 @@ def cache(deployment):
         "SELECT cid, cname, caddress FROM customer WHERE cid <= 100"
     )
     return cache_server
+
+
+def assert_bound_as_fresh(server: Server, database, sql: str) -> int:
+    """The binding the server holds for ``sql`` equals a fresh derivation.
+
+    Looks the text up the way an execution does (the parse cache's bound
+    batch) and compares, for every statement and — through a local
+    ``EXEC`` — every statement of the procedure bodies beneath it, the
+    bound lock plan with a fresh ``statement_lock_plan`` and the bound
+    object list with the names an independent AST walk finds. Returns how
+    many bindings were compared.
+    """
+    from repro.analysis.concurrency.atomicity import _walk_table_names
+    from repro.engine.locks import statement_lock_plan
+    from repro.sql import ast
+
+    seen = set()
+
+    def check(bound) -> None:
+        if id(bound) in seen:  # a recursive procedure
+            return
+        seen.add(id(bound))
+        statement = bound.statement
+        assert bound.version == database.version, statement
+        assert bound.lock_plan == statement_lock_plan(statement, database.catalog), statement
+        named = {name.object_name.lower() for name in _walk_table_names(statement)}
+        if isinstance(statement, ast.Execute) and len(statement.procedure) != 4:
+            named.add(statement.procedure[-1].lower())
+        assert {name.lower() for _, name in bound.objects} == named, statement
+        if bound.procedure is not None:
+            for nested in bound.procedure.statements:
+                check(nested)
+
+    batch, _ = server._parse_sql(sql, database)
+    for bound in batch.bound:
+        check(bound)
+    return len(seen)

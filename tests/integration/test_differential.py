@@ -11,7 +11,8 @@ generates structured queries over the shop schema and checks:
 
 Each query runs twice per tier: as text — the literal-lifted template and
 its dynamic plan — and as ``execute_statement(parse(text))``, the unlifted
-statement and its static plan. Both must equal the reference.
+statement and its static plan. Both must equal the reference, and the
+binding each tier holds for the text must equal a fresh derivation.
 """
 
 from collections import Counter
@@ -24,7 +25,7 @@ from repro import MTCacheDeployment
 from repro.exec.reference import evaluate_select
 from repro.sql import parse
 
-from tests.conftest import make_shop_backend
+from tests.conftest import assert_bound_as_fresh, make_shop_backend
 
 # ---------------------------------------------------------------------------
 # Environment (built once; queries are read-only)
@@ -187,6 +188,10 @@ def check(env, sql):
         cache.server.execute_statement(statement, database=cache.database).rows,
     ):
         assert normalize(rows, ordered) == normalize(expected, ordered), sql
+    # The bindings those executions ran under are what a fresh derivation
+    # gives: lock plan and named objects, on both tiers.
+    assert assert_bound_as_fresh(backend, shop, sql) == 1
+    assert assert_bound_as_fresh(cache.server, cache.database, sql) == 1
 
 
 SETTINGS = settings(
