@@ -41,8 +41,8 @@ from repro.sql import parse
 #: plan, and why that is safe.
 _NO_PLAN_STATEMENTS = {
     # Transaction control: _begin_transaction takes the latch exclusive
-    # and holds it for the transaction's whole span; COMMIT/ROLLBACK
-    # release it. The latch *is* the plan.
+    # and parks the hold on the session for the transaction's whole span;
+    # COMMIT/ROLLBACK end it. The latch *is* the plan.
     "BeginTransaction",
     "CommitTransaction",
     "RollbackTransaction",

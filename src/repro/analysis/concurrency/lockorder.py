@@ -8,9 +8,10 @@ Walks every module under the package root and extracts:
   / :class:`~repro.engine.locks.TableLockManager`, or (flagged) from raw
   ``threading`` primitives;
 * **acquisition regions** — ``with lock:``, ``with rw.shared():`` /
-  ``.exclusive():``, ``with manager.locking(...):``, and bare
-  ``acquire_*``/``release_*`` pairs (an unmatched acquire holds to the
-  end of the function — the explicit-transaction pattern);
+  ``.exclusive():`` / ``.held_by(session):`` (a statement running under
+  its explicit transaction's hold), ``with manager.locking(...):``, and
+  bare ``acquire_*``/``release_*`` pairs (an unmatched acquire holds to
+  the end of the function);
 * **a call graph** — conservative resolution of ``self.method()``,
   same-module functions, explicitly imported functions, ``Class.method``
   and locals assigned from known constructors. Unresolvable calls are
@@ -567,7 +568,7 @@ class _Analyzer:
     ) -> Optional[LockSpec]:
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             method = expr.func.attr
-            if method in ("shared", "exclusive"):
+            if method in ("shared", "exclusive", "held_by"):
                 return self._resolve_lock(
                     expr.func.value, module, current_class, local_locks
                 )

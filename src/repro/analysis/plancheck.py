@@ -16,6 +16,11 @@ by the optimizer and checks the invariants MTCache correctness rests on:
   whose guard references parameters only, with the two guards mutually
   exclusive and exhaustive (one is the structural negation of the
   other) and branch schemas identical in names.
+* **Currency** — under a statement that states a bound (``WITH
+  FRESHNESS``), every leaf reading a cached view's storage must sit below
+  a startup guard that carries the statement's currency conjunct
+  (``STALENESS() <= n``): a plan cached today must not serve the view
+  once it is staler than that.
 * **Parameter-binding completeness** — every parameter a plan artifact
   references (startup guards, shipped remote SQL) must appear in the
   statement's required-parameter set, and — when bindings are supplied —
@@ -60,7 +65,7 @@ from repro.exec.operators import (
     ValuesOp,
 )
 from repro.optimizer.planner import PlannedStatement, _RelabelOp
-from repro.optimizer.predicates import negate, references_parameters_only
+from repro.optimizer.predicates import negate, references_parameters_only, split_conjuncts
 from repro.sql import ast as sql_ast
 from repro.sql import parse_statements
 
@@ -125,6 +130,7 @@ class PlanVerifier:
 
     ``database`` enables the DataLocation and catalog checks;
     ``required_parameters`` enables the binding-completeness checks;
+    ``currency`` (a bounded statement's guard conjunct) the currency rule;
     ``params`` additionally checks that every required parameter is
     actually bound (checked execution).
     """
@@ -134,9 +140,11 @@ class PlanVerifier:
         database: Optional[Any] = None,
         params: Optional[Dict[str, Any]] = None,
         required_parameters: Optional[Iterable[str]] = None,
+        currency: Optional[sql_ast.Expression] = None,
     ):
         self.database = database
         self.params = params
+        self.currency = currency
         self.required: Optional[Set[str]] = (
             None if required_parameters is None else set(required_parameters)
         )
@@ -149,7 +157,27 @@ class PlanVerifier:
         for op in root.walk():
             self._check_operator(op, self._location(op), diagnostics, referenced)
         self._check_parameters(referenced, diagnostics)
+        if self.currency is not None and self.database is not None:
+            self._check_currency(root, False, diagnostics)
         return diagnostics
+
+    def _check_currency(
+        self, op: PhysicalOperator, guarded: bool, diagnostics: List[AnalysisError]
+    ) -> None:
+        if isinstance(op, FilterOp) and op.startup_guard is not None:
+            guarded = guarded or self.currency in split_conjuncts(op.startup_guard)
+        if isinstance(op, _STORAGE_OPS) and not guarded:
+            view = self.database.catalog.maybe_view(getattr(op, "table_name", ""))
+            if view is not None and view.cached:
+                self._error(
+                    diagnostics,
+                    "currency-guard",
+                    f"cached view {view.name!r} is read under a freshness bound "
+                    "without a currency guard above it",
+                    self._location(op),
+                )
+        for child in op.children:
+            self._check_currency(child, guarded, diagnostics)
 
     @staticmethod
     def _location(op: PhysicalOperator) -> str:
@@ -498,7 +526,7 @@ def verify_plan(
     bare operator tree.
     """
     if isinstance(plan, PlannedStatement):
-        verifier = PlanVerifier(database, params, plan.required_parameters)
+        verifier = PlanVerifier(database, params, plan.required_parameters, plan.currency)
         diagnostics = verifier.verify(plan.root)
         if len(plan.schema) != len(plan.root.schema):
             diagnostics.insert(

@@ -32,15 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.catalog.catalog import Catalog
 from repro.catalog.objects import ProcedureDef, TableDef
 from repro.common.schema import Column, Schema
-from repro.common.types import (
-    BOOLEAN,
-    FLOAT,
-    INT,
-    VARCHAR,
-    SqlType,
-    common_type,
-    is_numeric,
-)
+from repro.common.types import BOOLEAN, SqlType, common_type, is_numeric
 from repro.errors import AnalysisError, SqlError, TypeCheckError
 from repro.sql import ast as sql_ast
 from repro.sql import parse_statements
@@ -64,20 +56,6 @@ def _compatible(left: Optional[SqlType], right: Optional[SqlType]) -> bool:
     except TypeCheckError:
         return False
     return True
-
-
-def _literal_type(value: Any) -> Optional[SqlType]:
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return BOOLEAN
-    if isinstance(value, int):
-        return INT
-    if isinstance(value, float):
-        return FLOAT
-    if isinstance(value, str):
-        return VARCHAR(None)
-    return None
 
 
 @dataclass
@@ -828,63 +806,17 @@ class SqlLinter:
                             )
                         )
 
+    @staticmethod
     def _infer_type(
-        self,
         expression: sql_ast.Expression,
         scope: _Scope,
         declared: Dict[str, Optional[SqlType]],
     ) -> Optional[SqlType]:
-        if isinstance(expression, sql_ast.Literal):
-            return _literal_type(expression.value)
-        if isinstance(expression, sql_ast.ColumnRef):
-            status, sql_type = scope.resolve(expression.name, expression.qualifier)
+        def column_type(ref: sql_ast.ColumnRef) -> Optional[SqlType]:
+            status, sql_type = scope.resolve(ref.name, ref.qualifier)
             return sql_type if status == "ok" else None
-        if isinstance(expression, sql_ast.Parameter):
-            return declared.get(expression.name)
-        if isinstance(expression, sql_ast.UnaryOp):
-            if expression.op == "NOT":
-                return BOOLEAN
-            return self._infer_type(expression.operand, scope, declared)
-        if isinstance(expression, sql_ast.BinaryOp):
-            if expression.op in _COMPARISONS or expression.op in ("AND", "OR"):
-                return BOOLEAN
-            left = self._infer_type(expression.left, scope, declared)
-            right = self._infer_type(expression.right, scope, declared)
-            if left is None or right is None:
-                return None
-            try:
-                return common_type(left, right)
-            except TypeCheckError:
-                return None
-        if isinstance(
-            expression,
-            (sql_ast.IsNull, sql_ast.InList, sql_ast.InSubquery, sql_ast.Between,
-             sql_ast.Like, sql_ast.Exists),
-        ):
-            return BOOLEAN
-        if isinstance(expression, sql_ast.FuncCall):
-            name = expression.name.upper()
-            if name == "COUNT":
-                return INT
-            if name == "AVG":
-                return FLOAT
-            if name in ("SUM", "MIN", "MAX") and expression.args:
-                return self._infer_type(expression.args[0], scope, declared)
-            if name in ("COALESCE", "ISNULL"):
-                for argument in expression.args:
-                    inferred = self._infer_type(argument, scope, declared)
-                    if inferred is not None:
-                        return inferred
-            return None
-        if isinstance(expression, sql_ast.CaseWhen):
-            for _, result in expression.whens:
-                inferred = self._infer_type(result, scope, declared)
-                if inferred is not None:
-                    return inferred
-            if expression.else_result is not None:
-                return self._infer_type(expression.else_result, scope, declared)
-            return None
-        return None
+
+        return sql_ast.infer_type(expression, column_type, declared.get)
 
 
 def lint_workload(

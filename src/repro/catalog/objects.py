@@ -8,7 +8,7 @@ copying any data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.common.schema import Schema
@@ -43,9 +43,6 @@ class TableDef:
     schema: Schema
     primary_key: Tuple[str, ...] = ()
     foreign_keys: Tuple[ForeignKey, ...] = ()
-
-    def rename(self, name: str) -> "TableDef":
-        return replace(self, name=name)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ A :class:`Connection` wraps any execution target — an engine
 variables and transaction state across statements.
 
 The execution-target protocol is one method,
-``execute(sql, params=None, session=None) -> Result``. A target that
-keeps its sessions elsewhere (routers hold one per inner connection, the
-wire client's lives server-side) ignores ``session``, declares
-``remote_session = True`` and mirrors the transaction state in an
-``in_transaction`` attribute.
+``execute(sql, params=None, session=None) -> Result``, and the session a
+connection passes is *the* session at every in-process hop: routers
+forward it, the engine server that runs ``BEGIN`` makes it the owner of
+the transaction and of the database latch, and a session in a
+transaction is routed to that home and nowhere else. Only the wire
+client's session really lives elsewhere (server-side): it ignores
+``session``, declares ``remote_session = True`` and mirrors the
+transaction state in an ``in_transaction`` attribute.
 """
 
 from __future__ import annotations
@@ -87,6 +90,22 @@ def _connect_dsn(
     return Connection(wire, principal=principal, owns_target=True)
 
 
+def execute_on(target: Any, database: Optional[str], sql: str, params, session) -> Result:
+    """One statement of ``session`` on ``target`` — how a router forwards.
+    ``database`` names the one to use on a target that serves several (an
+    engine server, which would otherwise read the session's)."""
+    if database is None:
+        return target.execute(sql, params=params, session=session)
+    return target.execute(sql, params=params, session=session, database=database)
+
+
+def engine_of(target: Any) -> Any:
+    """The engine server behind a target: a CacheServer's ``.server`` is
+    the engine server, a router's ``.server`` unwraps the same way."""
+    inner = getattr(target, "server", None)
+    return inner if inner is not None else target
+
+
 class Connection:
     """One client connection: a session plus an execution target."""
 
@@ -97,13 +116,6 @@ class Connection:
         principal: str = "dbo",
         owns_target: bool = False,
     ):
-        if getattr(target, "remote_session", False) and target.principal != principal:
-            # Such a target executes under the sessions it was built with;
-            # it cannot honour this one, and must not silently outrank it.
-            raise ClientError(
-                f"{type(target).__name__} runs as {target.principal!r}; a connection "
-                f"over it cannot run as {principal!r} — build the target for that principal"
-            )
         self.target = target
         self.database = database
         self.session = Session(principal=principal, database=database)
@@ -128,37 +140,19 @@ class Connection:
 
     @property
     def server(self) -> Any:
-        """The engine server behind the target (metrics, clock, tracer).
-
-        Unwraps facades: a CacheServer's ``.server`` is the engine server;
-        a FailoverRouter's ``.server`` unwraps its primary the same way.
-        """
-        inner = getattr(self.target, "server", None)
-        return inner if inner is not None else self.target
+        """The engine server behind the target (metrics, clock, tracer)."""
+        return engine_of(self.target)
 
     def _raw_execute(self, sql: str, params: Optional[Dict[str, Any]]) -> Result:
         if self.closed:
             raise ClientError("connection is closed")
         return self.target.execute(sql, params=params, session=self.session)
 
-    def _deadline_for(self, timeout: Optional[float]):
-        """An end-to-end :class:`~repro.resilience.deadline.Deadline` of
-        ``timeout`` virtual seconds on the target server's clock, or
-        None when no timeout was requested (or the target has no clock
-        to measure one against)."""
-        if timeout is None:
-            return None
-        clock = getattr(self.server, "clock", None)
-        if clock is None:
-            return None
-        from repro.resilience.deadline import Deadline
-
-        return Deadline.after(clock, timeout)
-
     def _timed_execute(
         self, sql: str, params: Optional[Dict[str, Any]], timeout: Optional[float]
     ) -> Result:
-        """``_raw_execute`` under a deadline scope when ``timeout`` is set.
+        """``_raw_execute``, under an end-to-end deadline of ``timeout``
+        virtual seconds on the target server's clock when one is set.
 
         The deadline rides a context variable down every tier below this
         call — shard routers, failover routers, cache servers, linked
@@ -166,11 +160,12 @@ class Connection:
         spending a hop and raises
         :class:`~repro.errors.DeadlineExceededError` once it is gone.
         """
-        if timeout is None:
+        clock = getattr(self.server, "clock", None) if timeout is not None else None
+        if clock is None:  # no timeout asked for, or no clock to measure one against
             return self._raw_execute(sql, params)
-        from repro.resilience.deadline import deadline_scope
+        from repro.resilience.deadline import Deadline, deadline_scope
 
-        with deadline_scope(self._deadline_for(timeout)):
+        with deadline_scope(Deadline.after(clock, timeout)):
             return self._raw_execute(sql, params)
 
     # -- DBAPI surface -----------------------------------------------------
@@ -187,9 +182,9 @@ class Connection:
     def in_transaction(self) -> bool:
         """Is this connection inside an explicit transaction?
 
-        For engine targets the local session knows; ``remote_session``
-        targets (routers, the wire client) keep the transacting session
-        elsewhere and mirror its state in ``in_transaction``.
+        The session knows; the wire client (``remote_session``) keeps
+        the transacting session server-side and mirrors its state in
+        ``in_transaction``.
         """
         if getattr(self.target, "remote_session", False):
             return bool(self.target.in_transaction)
@@ -209,9 +204,11 @@ class Connection:
     def close(self) -> None:
         """Close the connection, rolling back any open transaction.
 
-        Rolling back matters beyond tidiness: an explicit transaction
-        holds the database latch exclusively, so an abandoned connection
-        must release it or every other session blocks forever. A target
+        Rolling back matters beyond tidiness: the session of an explicit
+        transaction holds the database latch exclusively, so an abandoned
+        connection must release it or every other session blocks forever
+        (a transaction its server's crash already ended rolls back as a
+        clean no-op). A target
         this connection dialed itself (a ``tcp://`` DSN) is torn down
         too; shared targets are left alone (see ``_owns_target``).
         """

@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterator, List, Optional
 
 from repro.client.connection import Connection
 from repro.common.locks import condition
-from repro.errors import ClientError, OverloadError, PoolTimeoutError
+from repro.errors import ClientError, ConnectionLostError, OverloadError, PoolTimeoutError
 
 #: Checkout-wait histogram buckets (seconds): sub-millisecond uncontended
 #: checkouts up through multi-second waits near the timeout.
@@ -154,7 +154,7 @@ class ConnectionPool:
                 # is unhealthy too (whole target down), hand it out anyway
                 # and let the resilience layer deal with the failure.
                 self._unhealthy.inc()
-                self._safe_close(connection)
+                connection.close()
                 connection = self._connect()
         except BaseException:
             with self._cond:
@@ -173,23 +173,28 @@ class ConnectionPool:
 
         Any transaction still open is rolled back — a pooled connection
         must never carry transaction state (or an exclusive database
-        latch) into its next checkout.
+        latch) into its next checkout. When the transport died under the
+        rollback the server's handler does it on its side and this end is
+        dropped; a rollback failing any other way raises — it leaks a latch.
         """
+        reusable = False
         try:
-            connection.rollback()
-        except Exception:
-            self._safe_close(connection)
-            connection = None  # type: ignore[assignment]
-        with self._cond:
-            self._checked_out = max(0, self._checked_out - 1)
-            self._in_use_gauge.set(float(self._checked_out))
-            if connection is None or connection.closed or self.closed:
-                self._created = max(0, self._created - 1)
-                if connection is not None and self.closed:
-                    self._safe_close(connection)
-            else:
-                self._idle.append(connection)
-            self._cond.notify()
+            try:
+                connection.rollback()
+            except ConnectionLostError:
+                connection.close()
+            reusable = not connection.closed
+        finally:
+            with self._cond:
+                self._checked_out = max(0, self._checked_out - 1)
+                self._in_use_gauge.set(float(self._checked_out))
+                if reusable and not self.closed:
+                    self._idle.append(connection)
+                else:
+                    self._created = max(0, self._created - 1)
+                self._cond.notify()
+        if self.closed:
+            connection.close()
 
     @contextmanager
     def connection(self, timeout: Optional[float] = None) -> Iterator[Connection]:
@@ -211,16 +216,7 @@ class ConnectionPool:
             self._created -= len(idle)
             self._cond.notify_all()
         for connection in idle:
-            self._safe_close(connection)
-
-    @staticmethod
-    def _safe_close(connection: Optional[Connection]) -> None:
-        if connection is None:
-            return
-        try:
             connection.close()
-        except Exception:
-            pass  # a failing rollback on a dead target is not a leak
 
     # -- introspection -----------------------------------------------------------
 

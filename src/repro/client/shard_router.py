@@ -1,9 +1,10 @@
 """ShardRouter: shard-aware statement routing for the partitioned tier.
 
 The router is an execution target like a server or a
-:class:`~repro.resilience.failover.FailoverRouter` — wrap it in a
-:class:`~repro.client.Connection` (or call :meth:`connection`) and the
-application never knows the cache tier is partitioned. Per statement it
+:class:`~repro.resilience.failover.FailoverRouter` — ``connect(router)``
+and the application never knows the cache tier is partitioned. It keeps
+no sessions: the caller's session travels with each statement to the
+shard or backend that runs it. Per statement it
 executes one of the three routes :func:`repro.sharding.routing.decide`
 derives from the statement and the backend catalog (nothing is declared
 per procedure — a procedure whose body is a single SELECT routes as that
@@ -19,7 +20,9 @@ SELECT would):
   its slice conjunct ANDed in, and the router re-merges (UNION ALL, then
   ORDER BY/TOP re-applied). See :mod:`repro.sharding.scatter`.
 * **backend** — everything else (writes, transactions, global
-  aggregates, statements over unpartitioned/uncached tables).
+  aggregates, statements over unpartitioned/uncached tables), and every
+  statement of a session inside an explicit transaction: ``BEGIN`` runs
+  on the backend, which is the transaction's home from then on.
 
 Each shard is reached through its own ``FailoverRouter``, so a dead
 shard degrades that shard's share of traffic to the backend instead of
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.client.connection import Connection
+from repro.client.connection import execute_on
 from repro.common.locks import mutex
 from repro.common.lru import LRUCache
 from repro.common.schema import Schema
@@ -47,11 +50,7 @@ from repro.sql import lift_literals, overlay, parse
 
 
 class ShardRouter:
-    """Routes statements across shard connections and the backend."""
-
-    #: Transaction control routes to the backend connection, whose session
-    #: transacts; a Connection over the router reads :attr:`in_transaction`.
-    remote_session = True
+    """Routes statements across shard targets and the backend."""
 
     def __init__(
         self,
@@ -61,7 +60,6 @@ class ShardRouter:
         policy: ShardingPolicy,
         shard_targets: Dict[str, Any],
         registry=None,
-        principal: str = "dbo",
         target_factory=None,
     ):
         """``target_factory(name)`` supplies an execution target for a
@@ -71,39 +69,35 @@ class ShardRouter:
         self.partitioner = partitioner
         self.policy = policy
         self.registry = registry
-        self.principal = principal
+        self._backend = backend
+        self._backend_database = database
         self._database = backend.database(database)
-        self._backend = Connection(backend, database=database, principal=principal)
         self._target_factory = target_factory
-        # Guards the shard-connection map: routed traffic runs on worker
-        # threads while rebalancing adds shards through _shard_connection.
+        # Guards the shard-target map: routed traffic runs on worker
+        # threads while rebalancing adds shards through _shard_target.
         self._mutex = mutex()
-        self._shards: Dict[str, Any] = {
-            name: Connection(target, principal=principal)
-            for name, target in shard_targets.items()
-        }
+        self._shards: Dict[str, Any] = dict(shard_targets)
         self._decisions = LRUCache(capacity=512)
         self.closed = False
 
-    def _shard_connection(self, name: str):
-        """The shard's connection, building one for newly added shards."""
-        connection = self._shards.get(name)
-        if connection is None and self._target_factory is not None:
+    def _shard_target(self, name: str):
+        """The shard's target, building one for newly added shards."""
+        target = self._shards.get(name)
+        if target is None and self._target_factory is not None:
             with self._mutex:
-                connection = self._shards.get(name)
-                if connection is None:
+                target = self._shards.get(name)
+                if target is None:
                     target = self._target_factory(name)
                     if target is not None:
-                        connection = Connection(target, principal=self.principal)
-                        self._shards[name] = connection
-        return connection
+                        self._shards[name] = target
+        return target
 
     # -- execution-target surface (what Connection expects) ----------------
 
     @property
     def server(self):
         """The backend engine server (metrics/clock anchoring)."""
-        return self._backend.server
+        return self._backend
 
     @property
     def name(self) -> str:
@@ -114,34 +108,15 @@ class ShardRouter:
         return True
 
     @property
-    def in_transaction(self) -> bool:
-        return self._backend.in_transaction()
-
-    @property
     def failovers(self) -> int:
         """Total failovers across the per-shard routers."""
-        return sum(
-            getattr(connection.target, "failovers", 0)
-            for connection in list(self._shards.values())
-        )
+        return sum(getattr(target, "failovers", 0) for target in list(self._shards.values()))
 
     @property
     def failbacks(self) -> int:
-        return sum(
-            getattr(connection.target, "failbacks", 0)
-            for connection in list(self._shards.values())
-        )
-
-    def connection(self):
-        """A DBAPI connection facade over this router."""
-        return Connection(self, principal=self.principal)
+        return sum(getattr(target, "failbacks", 0) for target in list(self._shards.values()))
 
     def close(self) -> None:
-        if self.closed:
-            return
-        for connection in list(self._shards.values()):
-            connection.close()
-        self._backend.close()
         self.closed = True
 
     # -- routing -----------------------------------------------------------
@@ -152,6 +127,8 @@ class ShardRouter:
         if self.closed:
             raise ClientError("shard router is closed")
         check_deadline("shard routing")
+        if session is not None and session.in_transaction:
+            return self._execute_backend(sql, params, session)
         # Literals become parameters before anything is keyed on the text:
         # one decision per template, a constant partition key routes like
         # ``@p``, and the lifted text is a no-op for every layer below.
@@ -169,10 +146,10 @@ class ShardRouter:
             self._decisions[sql] = entry
         route = entry[1]
         if route.kind == "key":
-            return self._execute_key(route, sql, params)
+            return self._execute_key(route, sql, params, session)
         if route.kind == "scatter":
-            return self._execute_scatter(route, params)
-        return self._execute_backend(sql, params)
+            return self._execute_scatter(route, params, session)
+        return self._execute_backend(sql, params, session)
 
     def _count_hit(self, shard: str) -> None:
         if self.registry is not None:
@@ -192,36 +169,37 @@ class ShardRouter:
                 "overload.degraded_scatter", labels={"shard": shard}
             ).inc()
 
-    def _execute_backend(self, sql, params) -> Result:
+    def _execute_backend(self, sql, params, session) -> Result:
         self._count_miss()
-        return self._backend._raw_execute(sql, params)
+        return execute_on(self._backend, self._backend_database, sql, params, session)
 
-    def _execute_key(self, route: Route, sql: str, params) -> Result:
+    def _execute_key(self, route: Route, sql: str, params, session) -> Result:
         value = resolve(route.key_source, params)
         if not isinstance(value, int) or isinstance(value, bool):
             # NULL, or a key the partitioner cannot place ('abc', 3.7):
             # no slice guard could compare it either, so the backend —
             # which answers any value the application may send — does.
-            return self._execute_backend(sql, params)
+            return self._execute_backend(sql, params, session)
         owner = self.partitioner.owner(value)
-        connection = self._shard_connection(owner)
-        if connection is None:
-            return self._execute_backend(sql, params)
+        target = self._shard_target(owner)
+        if target is None:
+            return self._execute_backend(sql, params, session)
         self._count_hit(owner)
         try:
-            return connection._raw_execute(sql, params)
+            return target.execute(sql, params=params, session=session)
         except OverloadError:
             # The owning shard shed the statement before any effect
             # (OverloadError is raised pre-execution), so re-running on
             # the backend is safe even for writes — degrade instead of
             # failing the request.
             self._count_degraded(owner)
-            return self._execute_backend(sql, params)
+            return self._execute_backend(sql, params, session)
 
-    def _execute_scatter(self, route: Route, params) -> Result:
+    def _execute_scatter(self, route: Route, params, session) -> Result:
         scatter = route.scatter
         assert scatter is not None
         exec_params = remap(route.param_map, params)
+        backend, database = self._backend, self._backend_database
         per_shard: List[Sequence[Tuple]] = []
         schema: Optional[Schema] = None
         for shard, statement in self._shard_statements(route).items():
@@ -229,23 +207,24 @@ class ShardRouter:
             # the statement's deadline is gone rather than finishing the
             # sweep on borrowed time.
             check_deadline("scatter hop")
-            connection = self._shard_connection(shard)
-            if connection is None:
-                # Unknown shard: its slice statement still returns exactly
-                # the slice's rows when run on the backend's base tables —
-                # the conjunct defines the slice by value, not placement.
-                connection = self._backend
-                self._count_miss()
-            else:
-                self._count_hit(shard)
+            target = self._shard_target(shard)
             try:
-                result = connection._raw_execute(statement, exec_params)
+                if target is None:
+                    # Unknown shard: its slice statement still returns
+                    # exactly the slice's rows when run on the backend's
+                    # base tables — the conjunct defines the slice by
+                    # value, not placement.
+                    self._count_miss()
+                    result = execute_on(backend, database, statement, exec_params, session)
+                else:
+                    self._count_hit(shard)
+                    result = target.execute(statement, params=exec_params, session=session)
             except OverloadError:
                 # An overloaded shard shed its slice pre-execution; the
                 # slice conjunct selects by value, so the backend's base
                 # tables return exactly the same rows. Degrade the hop.
                 self._count_degraded(shard)
-                result = self._backend._raw_execute(statement, exec_params)
+                result = execute_on(backend, database, statement, exec_params, session)
             self._count_fanout()
             per_shard.append(result.rows)
             if schema is None:

@@ -16,7 +16,8 @@ The primitives:
 * :class:`RWLock` — a writer-preferring reader/writer lock with
   per-thread exclusive reentrancy. Readers share; a waiting writer
   blocks new readers so a steady read stream cannot starve DDL or an
-  explicit transaction.
+  explicit transaction — whose exclusive hold is *parked* on its
+  session, not owned by a thread.
 
 Timeouts are wall-clock (they bound how long a *real* thread waits);
 simulated time never appears here.
@@ -31,7 +32,8 @@ the stdlib types (a cast) so annotations downstream stay unchanged.
 from __future__ import annotations
 
 import threading
-from typing import Optional, cast
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional, cast
 
 from repro.common import witness as _witness
 
@@ -79,6 +81,11 @@ class RWLock:
       executed inside an explicit transaction, nested statement
       dispatch), and a thread that owns the lock exclusively passes
       straight through ``acquire_shared``.
+    * ``hold_for(holder)`` parks the calling thread's exclusive hold on
+      ``holder`` (the session that ran ``BEGIN``): the lock stays held
+      *by the holder*, whichever thread — or none — is running, until
+      ``end_hold()``, and ``held_by(holder)`` lends it to the calling
+      thread for one statement. No thread ident outlives a statement.
     """
 
     def __init__(self) -> None:
@@ -91,6 +98,7 @@ class RWLock:
         self._readers = 0
         self._writer: Optional[int] = None  # owning thread ident
         self._writer_depth = 0
+        self._holder: Optional[Any] = None  # who a parked exclusive hold belongs to
         self._writers_waiting = 0
         # Decided here, like ``mutex``/``rmutex``: a lock minted while the
         # witness is inactive stays raw (class None), so acquire and
@@ -118,7 +126,11 @@ class RWLock:
         me = threading.get_ident()
         with self._cond:
             if self._writer != me:  # exclusive owner reads freely
-                while self._writer is not None or self._writers_waiting:
+                while (
+                    self._writer is not None
+                    or self._holder is not None
+                    or self._writers_waiting
+                ):
                     if not self._cond.wait(timeout):
                         return False
                 self._readers += 1
@@ -146,7 +158,11 @@ class RWLock:
             else:
                 self._writers_waiting += 1
                 try:
-                    while self._writer is not None or self._readers:
+                    while (
+                        self._writer is not None
+                        or self._holder is not None
+                        or self._readers
+                    ):
                         if not self._cond.wait(timeout):
                             return False
                 finally:
@@ -165,6 +181,51 @@ class RWLock:
                 self._writer = None
                 self._cond.notify_all()
         self._note_released()
+
+    # -- a hold parked on a holder (explicit transactions) ------------------
+
+    def hold_for(self, holder: Any) -> None:
+        """Park the calling thread's exclusive hold on ``holder``: once the
+        thread releases its own, the lock is still held, by ``holder``."""
+        with self._cond:
+            if self._writer != threading.get_ident():
+                raise RuntimeError("hold_for by a thread that does not own the lock")
+            self._holder = holder
+
+    def end_hold(self) -> None:
+        """Release the parked hold, whoever calls."""
+        with self._cond:
+            self._holder = None
+            self._cond.notify_all()
+
+    @property
+    def holder(self) -> Optional[Any]:
+        """Who the parked exclusive hold belongs to (None: nobody)."""
+        return self._holder
+
+    @contextmanager
+    def held_by(self, holder: Any) -> Iterator[bool]:
+        """Lend ``holder``'s parked hold to the calling thread for the
+        span of the block (one statement of its transaction), with the
+        usual reentrancy inside. Yields False, holding nothing, when the
+        hold is no longer ``holder``'s (``end_hold`` got there first)."""
+        me = threading.get_ident()
+        with self._cond:
+            # Another thread running a statement of the same holder goes first.
+            while self._holder is holder and self._writer not in (None, me):
+                self._cond.wait()
+            lent = self._holder is holder
+            if lent:
+                self._writer = me
+                self._writer_depth += 1
+        if not lent:
+            yield False
+            return
+        self._note_acquired()
+        try:
+            yield True
+        finally:
+            self.release_exclusive()
 
     # -- introspection ----------------------------------------------------
 
@@ -213,5 +274,5 @@ class RWLock:
     def __repr__(self) -> str:
         return (
             f"<RWLock readers={self._readers} writer={self._writer} "
-            f"waiting={self._writers_waiting}>"
+            f"holder={self._holder!r} waiting={self._writers_waiting}>"
         )

@@ -98,10 +98,6 @@ class LRUCache:
         with self._lock:
             self.stats.hits += 1
 
-    def peek(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            return self._entries.get(key, default)
-
     def __setitem__(self, key: Any, value: Any) -> None:
         with self._lock:
             if key in self._entries:
@@ -114,18 +110,6 @@ class LRUCache:
                 if self.on_evict is not None:
                     self.on_evict(evicted)
             self._entries[key] = value
-
-    def pop(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            return self._entries.pop(key, default)
-
-    def invalidate(self, key: Any) -> bool:
-        """Drop one entry, counting it as an invalidation."""
-        with self._lock:
-            if self._entries.pop(key, _MISSING) is _MISSING:
-                return False
-            self.stats.invalidations += 1
-            return True
 
     def clear(self) -> None:
         with self._lock:
@@ -144,17 +128,9 @@ class LRUCache:
         with self._lock:
             return iter(list(self._entries))
 
-    def keys(self):
-        with self._lock:
-            return list(self._entries.keys())
-
     def values(self):
         with self._lock:
             return list(self._entries.values())
-
-    def items(self):
-        with self._lock:
-            return list(self._entries.items())
 
     def __repr__(self) -> str:
         return (
@@ -162,6 +138,3 @@ class LRUCache:
             f"hits={self.stats.hits} misses={self.stats.misses} "
             f"evictions={self.stats.evictions}>"
         )
-
-
-_MISSING = object()

@@ -105,10 +105,6 @@ class Schema:
                 raise
             return None
 
-    def index_of(self, column: Column) -> int:
-        """Return the position of an exact column object."""
-        return self.columns.index(column)
-
     def with_qualifier(self, qualifier: Optional[str]) -> "Schema":
         """Return a schema whose columns are all re-qualified."""
         return Schema(column.with_qualifier(qualifier) for column in self.columns)

@@ -224,10 +224,6 @@ class Witness:
         finally:
             self._local.depth = depth
 
-    def held_keys(self) -> List[str]:
-        """The calling thread's held lock-class keys, outermost first."""
-        return [entry[1] for entry in self._stack()]
-
     # -- recording ---------------------------------------------------------
 
     def on_acquire(self, lock: Any, cls: LockClass) -> None:

@@ -45,9 +45,10 @@ class Database:
         self.backend_server: Optional[str] = None
         # Bumped by DDL so cached plans and the view matcher re-validate.
         self.version = 0
-        # Installed by the MTCache layer: returns the current replication
-        # staleness in seconds, for freshness-clause processing.
-        self.staleness_provider: Optional[Callable[[], Optional[float]]] = None
+        # Seconds the cached views here may lag the backend (what
+        # ``STALENESS()``, the ``WITH FRESHNESS`` guard, evaluates to); the
+        # MTCache layer installs the cache's ``staleness``.
+        self.replication_staleness: Callable[[], float] = lambda: 0.0
         # Installed by the MTCache layer: intercepts CREATE CACHED VIEW
         # and the DROP VIEW of a cached view.
         self.cached_view_handler: Optional[Callable] = None
@@ -133,12 +134,6 @@ class Database:
         self.remote_tables.update(name.lower() for name in names)
         self.backend_server = backend_server
         self.bump_version()
-
-    def replication_staleness(self) -> Optional[float]:
-        """Seconds the cached data may lag the backend (None = not a cache)."""
-        if self.staleness_provider is None:
-            return None
-        return self.staleness_provider()
 
     def bump_version(self) -> None:
         self.version += 1

@@ -6,9 +6,10 @@ deadlock-free by construction:
 1. **Database latch** (:class:`DatabaseLatch`, one per
    :class:`~repro.engine.database.Database`). Ordinary statements take it
    *shared*; DDL and explicit multi-statement transactions take it
-   *exclusive* (coarse two-phase locking — an explicit transaction owns
-   the database for its whole span, so its reads and writes need no
-   finer-grained protection and fault-injected rollbacks stay simple).
+   *exclusive* (coarse two-phase locking — the session of an explicit
+   transaction owns the database for its whole span, so its reads and
+   writes need no finer-grained protection and fault-injected rollbacks
+   stay simple).
 2. **Table locks** (:class:`TableLockManager`). Autocommit statements
    running under the shared latch additionally lock the tables they
    touch: S for reads, X for the DML target. All of a statement's table
@@ -46,9 +47,14 @@ class LockMode(enum.Enum):
 class DatabaseLatch(RWLock):
     """The per-database reader-writer latch (level 1 of the hierarchy).
 
-    A thread holding it exclusively (DDL, explicit transaction) passes
+    A thread holding it exclusively (DDL, a writing procedure) passes
     freely through shared acquisition and through every table lock —
     exclusivity at the database level subsumes everything below it.
+
+    An explicit transaction's hold is its *session's*, not a thread's:
+    ``BEGIN`` parks it (``hold_for``), each later statement runs under
+    ``held_by(session)`` on whatever thread carries it, and
+    ``COMMIT``/``ROLLBACK`` — or the server's ``crash()`` — ends it.
     """
 
     def __init__(self) -> None:

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.catalog.objects import ProcedureDef
 from repro.engine.results import Result
-from repro.engine.session import Session
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
 from repro.exec.expressions import Scalar, compile_scalar
@@ -178,12 +177,7 @@ class ProcedureInterpreter:
     def __init__(self, server, database, session):
         self.server = server
         self.database = database
-        # Ownership chaining: once the caller holds EXECUTE, the body runs
-        # under the procedure owner's authority (as in T-SQL), so embedded
-        # statements do not re-check the caller's table permissions.
-        self.session = Session(principal="dbo", database=session.database)
-        self.session.in_transaction = session.in_transaction
-        self.session.transaction = session.transaction
+        self.session = session.frame()
         self.frame: Dict[str, Any] = {}
         self.result = Result()
 

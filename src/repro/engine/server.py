@@ -43,6 +43,7 @@ from repro.errors import (
     ParseError,
     PreparedStatementError,
     TransactionError,
+    TransactionLostError,
     TypeCheckError,
 )
 from repro.exec.context import (
@@ -198,7 +199,10 @@ class Server:
         clearing them makes remote links holding handle ids go through
         their ``PreparedStatementError`` re-prepare path after restart.
         Any in-flight transaction is rolled back, modeling the loss of
-        uncommitted work.
+        uncommitted work, and — the one place a transaction scope ends
+        without its session — every explicit transaction's latch hold is
+        released, whoever held it, and its session marked ``lost``
+        (answered by :meth:`_answer_lost`; nobody has anything to clean up).
         """
         self.available = False
         self.crashes += 1
@@ -206,16 +210,16 @@ class Server:
         for database in self.databases.values():
             for transaction in database.transactions.active_transactions():
                 database.transactions.rollback(transaction)
-            # A crash on the thread holding the latch (single-threaded
-            # chaos runs) must not leak the exclusive hold; latches held
-            # by *other* threads are released by their sessions'
-            # _end_transaction_scope when COMMIT/ROLLBACK fails.
-            while database.latch.owns_exclusive():
-                database.latch.release_exclusive()
+            session = database.latch.holder
+            if session is not None:
+                session.lost = True  # before the hold ends: see _dispatch_statement
+                database.latch.end_hold()
         self.metrics.counter("faults.server_crashes").inc()
 
     def restart(self) -> None:
         """Bring a crashed server back (cold caches, empty prepared set)."""
+        for database in self.databases.values():
+            assert database.latch.holder is None, f"{database!r} latch outlived the crash"
         self.available = True
         self.metrics.counter("faults.server_restarts").inc()
 
@@ -229,12 +233,14 @@ class Server:
 
             raise ServerUnavailableError(f"server {self.name!r} is down")
 
-    def _admit(self, what: str) -> None:
+    def _admit(self, what: str, session: Optional[Session] = None) -> None:
         """Overload gate for the entry points: deadline, then admission.
 
         The deadline check comes first — a request whose budget is
         already gone must not consume an admission token (it would be
-        thrown away after the work anyway).
+        thrown away after the work anyway). A session inside an explicit
+        transaction holds the database: shedding its statements — its
+        ``ROLLBACK`` above all — only keeps everyone else out for longer.
         """
         from repro.resilience.deadline import current_deadline
 
@@ -246,7 +252,7 @@ class Server:
             raise DeadlineExceededError(
                 f"deadline exceeded before {what} on server {self.name!r}"
             )
-        if self.admission is not None:
+        if self.admission is not None and not (session is not None and session.in_transaction):
             self.admission.admit(what)
 
     # -- databases -----------------------------------------------------------
@@ -290,10 +296,14 @@ class Server:
         session: Optional[Session] = None,
         database: Optional[str] = None,
     ) -> Result:
-        """Execute a SQL batch; returns the last statement's result."""
-        self._check_available()
-        self._admit("statement batch")
+        """Execute a SQL batch as ``session`` (none: ``dbo``, on a fresh
+        autocommit session); returns the last statement's result."""
         session = session or Session()
+        if session.owner.lost:
+            target = self.database(database or session.database)
+            return self._answer_lost(session, self._parse_sql(sql, target)[0].bound)
+        self._check_available()
+        self._admit("statement batch", session)
         target = self.database(database or session.database)
         tracer = self.tracer
         span = tracer.span("batch", sql=sql) if tracer.enabled else _NULL_SPAN
@@ -428,14 +438,16 @@ class Server:
         what is left is what varies per execution. The permission check
         runs live over the bound object list (``GRANT`` does not bump the
         schema version). The locking hierarchy (see
-        :mod:`repro.engine.locks`): transaction control manages the
-        database latch across statements (an explicit transaction holds
-        it exclusively for its whole span) and, like the other statements
-        that touch no shared state, has no lock plan; DDL takes the latch
-        exclusive for one statement; everything else takes it shared plus
-        sorted per-table locks. A thread already holding the latch
-        exclusively — explicit transaction, or a nested dispatch from a
-        procedure body — skips both levels.
+        :mod:`repro.engine.locks`): an explicit transaction's session
+        holds the database latch for the transaction's whole span, and
+        each of its statements runs under that hold, lent to the calling
+        thread for the statement (so any thread may carry the next one);
+        transaction control, like the other statements that touch no
+        shared state, has no lock plan; DDL takes the latch exclusive for
+        one statement; everything else takes it shared plus sorted
+        per-table locks. A thread already holding the latch exclusively —
+        a statement of an explicit transaction, or a nested dispatch from
+        a procedure body — skips both levels.
 
         A binding the schema version has overtaken is redone here, for
         this execution (its holder — parse-cache entry, prepared handle —
@@ -448,6 +460,7 @@ class Server:
         if runner is None:
             raise ExecutionError(f"cannot execute {bound.kind.__name__} at session level")
         latch = database.latch
+        owner = session.owner
         while True:
             if bound.version != database.version:
                 bound = self.bind(bound.statement, database)
@@ -455,8 +468,18 @@ class Server:
                 check = database.catalog.permissions.check
                 for permission, name in bound.objects:
                     check(permission, name, session.principal)
+            if latch.owns_exclusive():
+                return runner(self, bound, merged, database, session)
+            if owner.home is database:
+                # The session's transaction holds this latch (so no DDL
+                # can have slipped in); a crash marks the session lost,
+                # then ends its hold.
+                with latch.held_by(owner) as held:
+                    if owner.lost or not held:
+                        return self._answer_lost(session, (bound,))
+                    return runner(self, bound, merged, database, session)
             plan = bound.lock_plan
-            if plan is None or latch.owns_exclusive():
+            if plan is None:
                 return runner(self, bound, merged, database, session)
             if plan.latch is LockMode.EXCLUSIVE:
                 with latch.exclusive():
@@ -477,52 +500,54 @@ class Server:
         """BEGIN TRANSACTION: coarse 2PL — the session owns the database.
 
         The latch is taken exclusively *before* the transaction starts and
-        held until COMMIT/ROLLBACK, so everything the transaction reads or
-        writes is isolated without finer-grained locks, and concurrent
-        sessions simply queue behind it.
+        parked on the session until COMMIT/ROLLBACK (or a crash of this
+        server), so everything the transaction reads or writes is isolated
+        without finer-grained locks, and concurrent sessions queue behind
+        it. This database is the session's ``home`` from here on.
         """
-        if session.in_transaction:
+        owner = session.owner
+        if owner.home is not None:
             raise TransactionError("a transaction is already active")
-        database.latch.acquire_exclusive()
-        try:
-            transaction = database.transactions.begin()
-        except BaseException:
-            database.latch.release_exclusive()
-            raise
-        session.in_transaction = True
-        session.transaction = transaction
+        with database.latch.exclusive():
+            owner.transaction = database.transactions.begin()
+            owner.home = database
+            database.latch.hold_for(owner)
         return Result(messages=["transaction started"])
 
-    def _commit_transaction(
+    def _end_transaction(
         self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
     ) -> Result:
+        """COMMIT / ROLLBACK: end the transaction, then — even when that
+        raises — detach it from the session and end the session's hold."""
+        owner = session.owner
+        commit = bound.kind is ast.CommitTransaction
+        if owner.home is not database:
+            verb = "commit" if commit else "roll back"
+            raise TransactionError(f"no active transaction to {verb}")
+        transactions = database.transactions
         try:
-            database.transactions.commit(session.transaction)
+            (transactions.commit if commit else transactions.rollback)(owner.transaction)
         finally:
-            self._end_transaction_scope(database, session)
-        return Result(messages=["transaction committed"])
+            owner.transaction = owner.home = None
+            database.latch.end_hold()
+        return Result(messages=["transaction committed" if commit else "transaction rolled back"])
 
-    def _rollback_transaction(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
-        try:
-            database.transactions.rollback(session.transaction)
-        finally:
-            self._end_transaction_scope(database, session)
-        return Result(messages=["transaction rolled back"])
+    def _answer_lost(self, session: Session, batch) -> Result:
+        """The one answer to a session whose transaction a crash ended.
 
-    def _end_transaction_scope(self, database: Database, session: Session) -> None:
-        """Detach the session's transaction and drop its latch ownership.
-
-        Runs even when commit/rollback raises (e.g. the transaction was
-        already rolled back by a crash), so the latch can never leak from
-        a session that went through BEGIN.
+        Its transaction state is cleared; ``ROLLBACK`` gets what it asked
+        for (``close()``, pool release and disconnect cleanup need no
+        special case), anything else :class:`TransactionLostError`, once.
         """
-        had_transaction = session.in_transaction
-        session.in_transaction = False
-        session.transaction = None
-        if had_transaction and database.latch.owns_exclusive():
-            database.latch.release_exclusive()
+        owner = session.owner
+        owner.transaction = owner.home = None
+        owner.lost = False
+        if batch and all(bound.kind is ast.RollbackTransaction for bound in batch):
+            return Result(messages=["transaction rolled back"])
+        raise TransactionLostError(
+            f"server {self.name!r} crashed inside this session's transaction; "
+            "it was rolled back, nothing of it is committed"
+        )
 
     # -- statements without a plan of their own ------------------------------
 
@@ -754,14 +779,12 @@ class Server:
             # may be created by an earlier statement of the same batch.
             run = bound.planned = compile_dml(database, bound.statement)
         ctx = self._make_context(params, database, session)
-        autocommit = not session.in_transaction
-        transaction = (
-            database.transactions.begin()
-            if autocommit
-            else (session.transaction or database.transactions.current)
-        )
-        if transaction is None:
-            raise TransactionError("no active transaction for DML")
+        # The session's explicit transaction, when it lives on this
+        # database (a statement a cache re-runs on the backend does not
+        # bring the cache's transaction along).
+        owner = session.owner
+        autocommit = owner.home is not database
+        transaction = database.transactions.begin() if autocommit else owner.transaction
         try:
             result = run(ctx, transaction, self._source_runner(bound, params, database, session))
         except Exception:
@@ -877,8 +900,10 @@ class Server:
         new schema. Unknown handles raise :class:`PreparedStatementError`
         so the client link can re-prepare from its own text copy.
         """
+        if session is not None and session.owner.lost:
+            return self._answer_lost(session, ())  # handles died in the same crash
         self._check_available()
-        self._admit("prepared execution")
+        self._admit("prepared execution", session)
         handle = self._prepared.get(handle_id)
         if handle is None:
             raise PreparedStatementError(
@@ -958,8 +983,8 @@ _DDL = {
 #: bound. A class missing here cannot be executed at session level.
 _RUNNERS = {
     ast.BeginTransaction: Server._begin_transaction,
-    ast.CommitTransaction: Server._commit_transaction,
-    ast.RollbackTransaction: Server._rollback_transaction,
+    ast.CommitTransaction: Server._end_transaction,
+    ast.RollbackTransaction: Server._end_transaction,
     ast.Select: Server._execute_select,
     ast.UnionAll: Server._execute_union,
     ast.Explain: Server._execute_explain,

@@ -9,7 +9,7 @@ timestamp to the subscriber-side apply time.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.locks import mutex
 from repro.errors import TransactionError
@@ -61,11 +61,8 @@ class TransactionManager:
     """Transaction manager for one database.
 
     Supports multiple concurrently active transactions (one per session
-    or DTC participant); the engine's latch protocol decides which of
-    them may actually run side by side. ``current`` is kept as a legacy
-    accessor — the most recently begun still-active transaction — for
-    call sites (DTC recovery, fault injection, single-session shims)
-    that predate explicit transaction handles.
+    or DTC participant), each ended through its own handle; the engine's
+    latch protocol decides which of them may actually run side by side.
     """
 
     def __init__(self, wal: WriteAheadLog, clock):
@@ -73,15 +70,6 @@ class TransactionManager:
         self.clock = clock
         self._mutex = mutex()
         self._active: Dict[int, Transaction] = {}
-
-    @property
-    def current(self) -> Optional[Transaction]:
-        """The most recently begun still-active transaction, if any."""
-        with self._mutex:
-            for transaction in reversed(list(self._active.values())):
-                if transaction.active:
-                    return transaction
-            return None
 
     def active_transactions(self) -> List[Transaction]:
         """Every still-active transaction, oldest first (crash recovery)."""
@@ -95,10 +83,9 @@ class TransactionManager:
         self.wal.append(LogRecordType.BEGIN, transaction.id)
         return transaction
 
-    def commit(self, transaction: Optional[Transaction] = None) -> float:
+    def commit(self, transaction: Transaction) -> float:
         """Commit; returns the virtual commit timestamp."""
-        transaction = transaction or self.current
-        if transaction is None or not transaction.active:
+        if not transaction.active:
             raise TransactionError("no active transaction to commit")
         timestamp = self.clock.now()
         self.wal.append(LogRecordType.COMMIT, transaction.id, timestamp=timestamp)
@@ -107,9 +94,8 @@ class TransactionManager:
             self._active.pop(transaction.id, None)
         return timestamp
 
-    def rollback(self, transaction: Optional[Transaction] = None) -> None:
-        transaction = transaction or self.current
-        if transaction is None or not transaction.active:
+    def rollback(self, transaction: Transaction) -> None:
+        if not transaction.active:
             raise TransactionError("no active transaction to roll back")
         transaction.undo_all()
         self.wal.append(LogRecordType.ABORT, transaction.id)

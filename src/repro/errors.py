@@ -78,6 +78,14 @@ class TransactionError(ReproError):
     """Raised for invalid transaction state transitions or aborts."""
 
 
+class TransactionLostError(TransactionError):
+    """Raised, once, to a session whose explicit transaction ended without
+    it: the server it began on crashed, rolling it back (nothing of it is
+    committed) and releasing its latch hold. *Not* transient — re-sending
+    the statement cannot bring the earlier ones back; ``ROLLBACK`` and
+    ``close()`` on such a session are clean no-ops instead."""
+
+
 class OptimizerError(ReproError):
     """Raised when the optimizer cannot produce a plan for a valid query."""
 
@@ -215,11 +223,6 @@ class PoolTimeoutError(ClientError):
 def is_transient(exc: BaseException) -> bool:
     """True when ``exc`` is a retry-safe transient failure."""
     return bool(getattr(exc, "transient", False))
-
-
-class FreshnessError(ReproError):
-    """Raised when a query's freshness requirement cannot be met locally
-    and remote fallback is disabled."""
 
 
 class AnalysisError(ReproError):

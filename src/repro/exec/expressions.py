@@ -783,6 +783,12 @@ def _compile_scalar_function(compiler: ExpressionCompiler, node: ast.FuncCall) -
             return datetime.datetime(2003, 6, 9) + datetime.timedelta(seconds=ctx.now())
 
         return getdate
+    if name == "STALENESS":
+        # Seconds the local cached views may lag the backend, read off the
+        # cache's one replication watermark when evaluated (0 on a server
+        # that caches nothing): the currency guard of ``WITH FRESHNESS``.
+        need(0)
+        return lambda row, ctx: ctx.database.replication_staleness()
     if name in ("YEAR", "MONTH", "DAY"):
         need(1)
         attribute = name.lower()

@@ -144,16 +144,12 @@ class CacheServer:
         return result
 
     def _on_backend(self, sql: str, params: Optional[Dict], session):
-        """Run a whole statement on the backend, as the caller's principal
+        """Run a whole statement on the backend, as the caller's session
         (a fallback must not answer what the backend would deny)."""
-        from repro.client.connection import connect
-
-        with connect(
-            self.deployment.backend,
-            database=self.deployment.database_name,
-            principal=session.principal if session is not None else "dbo",
-        ) as connection:
-            return connection.cursor().execute(sql, params).result
+        deployment = self.deployment
+        return deployment.backend.execute(
+            sql, params=params, session=session, database=deployment.database_name
+        )
 
     # -- degraded reads (overload, PR 9) -------------------------------------
 
@@ -389,12 +385,6 @@ class CacheServer:
             self.copy_procedure(name)
 
     # -- freshness -----------------------------------------------------------
-
-    def metrics_snapshot(self) -> Dict:
-        """JSON-ready snapshot of this cache server's metrics registry."""
-        from repro.obs.export import server_snapshot
-
-        return server_snapshot(self.server)
 
     def staleness(self) -> float:
         """Upper bound (seconds) on how stale the cached views may be."""

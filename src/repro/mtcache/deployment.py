@@ -161,7 +161,7 @@ class MTCacheDeployment:
         cache = CacheServer(server, self, self.database_name)
         cache.minimal_shadow = shadow_tables is not None
         shadow.cached_view_handler = cache._handle_cached_view
-        shadow.staleness_provider = cache.staleness
+        shadow.replication_staleness = cache.staleness
         self.cache_servers.append(cache)
         # No views yet, so the subscriber starts at the stream's frontier;
         # each view it gains is snapshotted on a drained cache.
@@ -315,11 +315,11 @@ class MTCacheDeployment:
     def failover_connection(
         self,
         cache: CacheServer,
-        principal: str = "dbo",
         probe_interval: float = 1.0,
         failback_threshold: int = 2,
     ):
-        """An application connection that survives the cache failing.
+        """An execution target that survives the cache failing
+        (``connect(...)`` over it for a connection, as whichever principal).
 
         Routes statements to ``cache`` while healthy and to the backend
         while not — the paper's availability story made concrete. Health
@@ -337,7 +337,6 @@ class MTCacheDeployment:
             fallback_database=self.database_name,
             probe_interval=probe_interval,
             failback_threshold=failback_threshold,
-            principal=principal,
             registry=cache.server.metrics,
         )
 

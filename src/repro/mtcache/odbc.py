@@ -73,12 +73,9 @@ class OdbcConnection(Connection):
         self._stale = False
         if self._registry is None or self._source_name is None:
             return
-        try:
-            if self.in_transaction():
-                # Abandon the old target's transaction (and its latch).
-                super()._raw_execute("ROLLBACK", None)
-        except Exception:
-            pass  # the old target may already be gone; nothing to release
+        # Abandon the old target's transaction (and its latch); if that
+        # server is gone, its crash already did and this is a no-op.
+        self.rollback()
         server, database = self._registry._resolved_target(self._source_name)
         self.target = server
         self.database = database

@@ -11,13 +11,12 @@ synchronous — codebase.
 
 Design points:
 
-* **One handler thread per connection.** The engine's transaction control
-  keys latch ownership to the OS thread that ran BEGIN (coarse 2PL, see
-  ``Server._begin_transaction``), so all statements of one wire
-  connection — and its disconnect-cleanup rollback — must run on one
-  thread. The handler reads a frame, runs the engine call inline, writes
-  the whole reply with one ``sendall``, and cleans up in its own
-  ``finally``: the invariant holds by construction.
+* **One handler thread per connection.** The handler reads a frame,
+  runs the engine call inline, writes the whole reply with one
+  ``sendall``, and cleans up in its own ``finally`` — before the socket
+  closes, so a client that sees EOF finds the latch already free. (An
+  explicit transaction's latch hold belongs to the connection's session,
+  not to this thread: nothing here depends on thread identity.)
 * **Sessions live server-side.** The HELLO handshake creates the
   :class:`~repro.engine.session.Session`; variables and transaction
   state persist across that connection's statements exactly as they
@@ -267,9 +266,10 @@ class ReproServer:
 
         An abandoned explicit transaction holds the database latch
         exclusively — rolling it back here is what keeps a dropped client
-        from wedging every other session. Prepared handles the client
-        created are dropped the way a closed in-process link would drop
-        them.
+        from wedging every other session (when the server crashed
+        meanwhile it ended the transaction itself, and the ``ROLLBACK``
+        is answered as a no-op). Prepared handles the client created are
+        dropped the way a closed in-process link would drop them.
         """
         session = wire.session
         if session is not None and session.in_transaction:

@@ -8,9 +8,9 @@ facade already binds to (``execute`` / ``healthy`` / ``name``), so
 :class:`~repro.resilience.failover.FailoverRouter` work over real sockets
 unchanged. Differences from an in-process target, all deliberate:
 
-* ``remote_session = True`` — the session lives server-side; the facade
-  must consult :attr:`in_transaction` (mirrored from RESULT headers)
-  rather than its local session.
+* ``remote_session = True`` (only here) — the session lives server-side;
+  the facade must consult :attr:`in_transaction` (mirrored from RESULT
+  headers, cleared by ``TransactionLostError``), not its local session.
 * :attr:`clock` is a wall clock (``time.monotonic``), because across a
   real network hop there is no shared virtual clock. Client-side
   deadline scopes measure wall seconds; the *remaining* budget ships in
@@ -30,7 +30,12 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.engine.results import Result
-from repro.errors import ClientError, ConnectionLostError, PreparedStatementError
+from repro.errors import (
+    ClientError,
+    ConnectionLostError,
+    PreparedStatementError,
+    TransactionLostError,
+)
 from repro.net import protocol
 from repro.obs.metrics import global_registry
 from repro.obs.tracing import active_span
@@ -193,7 +198,11 @@ class WireConnection:
         """The payload of the next frame, which must be ``expect`` or ERROR."""
         opcode, payload = self._recv_frame()
         if opcode == protocol.OP_ERROR:
-            protocol.raise_error(payload or {})
+            try:
+                protocol.raise_error(payload or {})
+            except TransactionLostError:
+                self.in_transaction = False  # an ERROR frame carries no mirror
+                raise
         if opcode != expect:
             self._drop()
             raise protocol.ProtocolError(

@@ -137,12 +137,6 @@ class SpanCollector:
             key=lambda span: span.span_id,
         )
 
-    def trace_ids(self) -> List[int]:
-        seen: Dict[int, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def latest_trace_id(self) -> Optional[int]:
         if not self._spans:
             return None

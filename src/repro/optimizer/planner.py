@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.schema import Column, Schema
-from repro.common.types import BIGINT, FLOAT, INT, VARCHAR, SqlType
+from repro.common.types import FLOAT, SqlType
 from repro.errors import BindError, OptimizerError
 from repro.exec.expressions import ExpressionCompiler, Scalar, column_maker
 from repro.exec.operators import (
@@ -96,7 +96,10 @@ class PlannedStatement:
     uses_remote: bool
     uses_cached_view: bool
     is_dynamic: bool
-    freshness_seconds: Optional[float] = None
+    #: The currency guard of a statement ``WITH FRESHNESS n SECONDS`` —
+    #: ``STALENESS() <= n`` — or None for one that states no bound. The
+    #: plan verifier requires every cached-view leaf to sit below it.
+    currency: Optional[ast.Expression] = None
     #: Parameters the source statement references (including inside
     #: subqueries); the plan verifier checks bindings against this set.
     required_parameters: frozenset = frozenset()
@@ -116,6 +119,9 @@ class _Source:
     subselect: Optional[ast.Select] = None
     columns: List[str] = field(default_factory=list)
     column_types: Dict[str, SqlType] = field(default_factory=dict)
+    #: The statement's currency guard (None: no bound): what a cached view
+    #: standing in for this source must be guarded by.
+    currency: Optional[ast.Expression] = None
 
 
 @dataclass
@@ -239,50 +245,48 @@ class Optimizer:
     # public entry point
     # ------------------------------------------------------------------
 
-    def plan_select(self, select: ast.Select) -> PlannedStatement:
-        """Optimize a SELECT into an executable physical plan."""
-        use_views = True
-        freshness = None
+    def plan_select(
+        self, select: ast.Select, currency: Optional[ast.Expression] = None
+    ) -> PlannedStatement:
+        """Optimize a SELECT into an executable physical plan.
+
+        A ``WITH FRESHNESS n SECONDS`` bound never changes which plan is
+        built, only what guards it: wherever a cached view stands in for a
+        backend table, ``STALENESS() <= n`` — evaluated when the plan
+        opens, against the cache's one replication watermark — is one more
+        conjunct of the local branch's startup guard, and the backend
+        fetch is the other branch (paper §5.1, Figure 2). So one cached
+        plan serves the statement however stale the cache is when it runs.
+        ``currency`` is the enclosing statement's guard, when planning a
+        derived table.
+        """
         if select.freshness is not None:
-            freshness = select.freshness.max_staleness_seconds
-            staleness = getattr(self.database, "replication_staleness", lambda: None)()
-            if staleness is not None and staleness > freshness:
-                # Cached data is too stale for this query: disable view
-                # matching so the data comes from the backend.
-                use_views = False
+            currency = ast.BinaryOp(
+                "<=",
+                ast.FuncCall("STALENESS", ()),
+                ast.Literal(select.freshness.max_staleness_seconds),
+            )
 
-        required = frozenset(ast.statement_parameters(select))
-
+        used_remote = used_view = is_dynamic = False
         if select.from_clause is None:
             plan = self._plan_values(select)
-            return self._record(PlannedStatement(
-                root=plan.op,
-                schema=plan.op.schema,
-                estimated_rows=plan.rows,
-                estimated_cost=plan.cost,
-                uses_remote=False,
-                uses_cached_view=False,
-                is_dynamic=False,
-                freshness_seconds=freshness,
-                required_parameters=required,
-            ))
-
-        sources, join_conjuncts, has_outer = self._collect_sources(select.from_clause)
-        namespace = Namespace()
-        for source in sources:
-            namespace.add(source.alias, source.columns)
-
-        normalized = self._normalize(select, namespace, join_conjuncts)
-        if has_outer:
-            plan, used_remote, used_view = self._plan_syntactic(
-                select, sources, namespace, normalized, use_views
-            )
-            is_dynamic = False
         else:
-            plan, used_remote, used_view, is_dynamic = self._plan_block(
-                select, sources, namespace, normalized, use_views
+            sources, join_conjuncts, has_outer = self._collect_sources(
+                select.from_clause, currency
             )
-        plan.attach()
+            namespace = Namespace()
+            for source in sources:
+                namespace.add(source.alias, source.columns)
+            normalized = self._normalize(select, namespace, join_conjuncts)
+            if has_outer:
+                plan, used_remote, used_view = self._plan_syntactic(
+                    select, sources, namespace, normalized
+                )
+            else:
+                plan, used_remote, used_view, is_dynamic = self._plan_block(
+                    select, sources, namespace, normalized
+                )
+            plan.attach()
         return self._record(PlannedStatement(
             root=plan.op,
             schema=plan.op.schema,
@@ -291,8 +295,8 @@ class Optimizer:
             uses_remote=used_remote,
             uses_cached_view=used_view,
             is_dynamic=is_dynamic,
-            freshness_seconds=freshness,
-            required_parameters=required,
+            currency=currency,
+            required_parameters=frozenset(ast.statement_parameters(select)),
         ))
 
     # ------------------------------------------------------------------
@@ -325,7 +329,7 @@ class Optimizer:
         raise BindError(f"unknown object {name!r}")
 
     def _collect_sources(
-        self, ref: ast.TableRef
+        self, ref: ast.TableRef, currency: Optional[ast.Expression] = None
     ) -> Tuple[List[_Source], List[ast.Expression], bool]:
         """Flatten the FROM tree; returns sources, ON conjuncts, has_outer."""
         sources: List[_Source] = []
@@ -342,12 +346,14 @@ class Optimizer:
                 if node.condition is not None:
                     conjuncts.extend(split_conjuncts(node.condition))
                 return
-            sources.append(self._make_source(node))
+            sources.append(self._make_source(node, currency))
 
         visit(ref)
         return sources, conjuncts, has_outer
 
-    def _make_source(self, node: ast.TableRef) -> _Source:
+    def _make_source(
+        self, node: ast.TableRef, currency: Optional[ast.Expression] = None
+    ) -> _Source:
         if isinstance(node, ast.DerivedTable):
             sub_schema = self._select_output_schema(node.select)
             return _Source(
@@ -358,15 +364,23 @@ class Optimizer:
                 column_types={
                     column.name.lower(): column.sql_type for column in sub_schema
                 },
+                currency=currency,
             )
         assert isinstance(node, ast.TableName)
         object_name = node.object_name
         server = node.server
-        # Plain (virtual) views are substituted inline as derived tables.
+        # Plain (virtual) views are substituted inline as derived tables —
+        # and so is a cached view a bounded statement names itself: its
+        # definition reads the backend table, which the view then stands
+        # in for under the currency guard like anywhere else.
         view = self.database.catalog.maybe_view(object_name)
-        if view is not None and not view.materialized and server is None:
+        if (
+            view is not None
+            and server is None
+            and (not view.materialized or (view.cached and currency is not None))
+        ):
             derived = ast.DerivedTable(view.select, node.binding_name)
-            return self._make_source(derived)
+            return self._make_source(derived, currency)
         if server is not None:
             schema = self._linked_object_schema(server, object_name)
         else:
@@ -378,6 +392,7 @@ class Optimizer:
             server=server,
             columns=list(schema.names),
             column_types={column.name.lower(): column.sql_type for column in schema},
+            currency=currency,
         )
 
     def _normalize(
@@ -573,7 +588,7 @@ class Optimizer:
         return self._leaf_local_plan(leaf)
 
     def _leaf_derived_plan(self, leaf: _Leaf) -> _Plan:
-        planned = self.plan_select(leaf.source.subselect)
+        planned = self.plan_select(leaf.source.subselect, leaf.source.currency)
         inner = planned.root
         # Re-qualify the derived output under the leaf alias, apply the
         # query's pushed-down conjuncts, then project to the required
@@ -887,17 +902,17 @@ class Optimizer:
     # leaf decision (the cost-based local/remote/view choice)
     # ------------------------------------------------------------------
 
-    def _decide_leaf(
-        self, leaf: _Leaf, use_views: bool
-    ) -> Tuple[_Plan, Optional[_DynamicLeaf], bool]:
+    def _decide_leaf(self, leaf: _Leaf) -> Tuple[_Plan, Optional[_DynamicLeaf], bool]:
         """Choose the leaf's access path.
 
         Returns ``(plan, dynamic, used_view)``. When ``dynamic`` is not
         None the returned plan is the *base* (guard-false) plan and the
-        caller must build a ChoosePlan.
+        caller must build a ChoosePlan. Under a bounded statement a cached
+        view is only ever the guarded half of such a pair: the currency
+        bound is one more conjunct of its guard.
         """
         base_plan = self._leaf_base_plan(leaf)
-        if leaf.source.kind == "derived" or not use_views:
+        if leaf.source.kind == "derived":
             return base_plan, None, False
 
         matches = self.view_matcher.matches(
@@ -910,14 +925,19 @@ class Optimizer:
             matches = [match for match in matches if not match.view.cached]
         if not matches:
             return base_plan, None, False
+        currency = leaf.source.currency
 
         # Unconditional matches: plain cost comparison with the base path.
         for match in matches:
             if match.unconditional:
                 view_plan = self._leaf_view_plan(leaf, match)
-                if self.force_local_views or view_plan.cost <= base_plan.cost:
+                if not (self.force_local_views or view_plan.cost <= base_plan.cost):
+                    return base_plan, None, False
+                if currency is None or not match.view.cached:
                     return view_plan, None, True
-                return base_plan, None, False
+                if not self.enable_dynamic_plans:
+                    return base_plan, None, False
+                return base_plan, _DynamicLeaf(leaf, match, currency, 1.0), True
 
         if not self.enable_dynamic_plans:
             return base_plan, None, False
@@ -928,6 +948,8 @@ class Optimizer:
         frequency = (leaf.estimator or self._estimator(None)).guard_frequency_for_column(
             guard, guard_column
         )
+        if currency is not None and match.view.cached:
+            guard = ast.BinaryOp("AND", guard, currency)
 
         # Mixed-result alternative (Figure 3): allowed only for regular
         # materialized views; cached views would give inconsistent results.
@@ -973,7 +995,9 @@ class Optimizer:
     def _leaf_chooseplan(
         self, view_plan: _Plan, base_plan: _Plan, dynamic: _DynamicLeaf
     ) -> _Plan:
-        """Leaf-level ChoosePlan (no pull-up): UnionAll + startup guards."""
+        """ChoosePlan over two plans — of one leaf, or of the whole block
+        with that leaf forced either way (pull-up): UnionAll + startup
+        guards."""
         blank = ExpressionCompiler(Schema(()))
         not_guard = negate(dynamic.guard)
         guard_fn = blank.compile(dynamic.guard)
@@ -1290,12 +1314,11 @@ class Optimizer:
                     mapping[expression] = expression
                 else:
                     name = f"_g{position}"
-                    out_columns.append(Column(name, FLOAT))
+                    out_columns.append(Column(name, self._infer_type(expression, schema)))
                     mapping[expression] = ast.ColumnRef(name)
             for position, call in enumerate(aggregates):
                 name = f"_a{position}"
-                sql_type = INT if call.name == "COUNT" else FLOAT
-                out_columns.append(Column(name, sql_type))
+                out_columns.append(Column(name, self._infer_type(call, schema)))
                 mapping[call] = ast.ColumnRef(name)
 
             agg_schema = Schema(out_columns)
@@ -1329,10 +1352,7 @@ class Optimizer:
             expression = substitute(item.expression, mapping) if mapping else item.expression
             makers.append(compiler.compile(expression))
             out_columns.append(
-                Column(
-                    self._output_name(item, position),
-                    self._infer_type(item.expression, schema),
-                )
+                Column(self._output_name(item, position), self._infer_type(expression, schema))
             )
         out_schema = Schema(out_columns)
         op = ProjectOp(op, out_schema, makers)
@@ -1359,62 +1379,43 @@ class Optimizer:
             return item.expression.name.lower()
         return f"col{position + 1}"
 
-    def _infer_type(self, expression: ast.Expression, schema: Schema) -> SqlType:
-        if isinstance(expression, ast.ColumnRef):
-            index = schema.maybe_resolve(expression.name, expression.qualifier)
-            if index is not None:
-                return schema[index].sql_type
-        if isinstance(expression, ast.Literal):
-            if isinstance(expression.value, bool):
-                return INT
-            if isinstance(expression.value, int):
-                return BIGINT
-            if isinstance(expression.value, float):
-                return FLOAT
-            if isinstance(expression.value, str):
-                return VARCHAR(len(expression.value) or 1)
-        if isinstance(expression, ast.FuncCall) and expression.name == "COUNT":
-            return BIGINT
-        return FLOAT
+    @staticmethod
+    def _infer_type(expression: ast.Expression, schema: Schema) -> SqlType:
+        """An output column's type (FLOAT where inference cannot tell)."""
+
+        def column_type(ref: ast.ColumnRef) -> Optional[SqlType]:
+            index = schema.maybe_resolve(ref.name, ref.qualifier)
+            return schema[index].sql_type if index is not None else None
+
+        return ast.infer_type(expression, column_type) or FLOAT
 
     def _select_output_schema(self, select: ast.Select) -> Schema:
         """Derive a SELECT's output schema without planning it fully."""
-        if select.from_clause is None:
-            columns = [
-                Column(self._output_name(item, position), FLOAT)
-                for position, item in enumerate(select.items)
-            ]
-            return Schema(columns)
-        sources, _, _ = self._collect_sources(select.from_clause)
-        namespace = Namespace()
-        for source in sources:
-            namespace.add(source.alias, source.columns)
-        columns = []
-        position = 0
+        sources: List[_Source] = []
+        if select.from_clause is not None:
+            sources, _, _ = self._collect_sources(select.from_clause)
+
+        def column_type(ref: ast.ColumnRef) -> Optional[SqlType]:
+            for source in sources:
+                if ref.qualifier is None or ref.qualifier.lower() == source.alias.lower():
+                    found = source.column_types.get(ref.name.lower())
+                    if found is not None:
+                        return found
+            return None
+
+        columns: List[Column] = []
         for item in select.items:
             if isinstance(item.expression, ast.Star):
-                star_aliases = (
-                    [item.expression.qualifier.lower()]
-                    if item.expression.qualifier
-                    else namespace.aliases()
-                )
-                for alias in star_aliases:
-                    source = next(s for s in sources if s.alias.lower() == alias)
-                    for column in source.columns:
-                        columns.append(
-                            Column(column, source.column_types.get(column.lower(), FLOAT))
-                        )
-                        position += 1
-                continue
-            sql_type = FLOAT
-            if isinstance(item.expression, ast.ColumnRef):
+                qualifier = item.expression.qualifier
                 for source in sources:
-                    found = source.column_types.get(item.expression.name.lower())
-                    if found is not None:
-                        sql_type = found
-                        break
-            columns.append(Column(self._output_name(item, position), sql_type))
-            position += 1
+                    if qualifier is None or qualifier.lower() == source.alias.lower():
+                        columns.extend(
+                            Column(column, source.column_types.get(column.lower(), FLOAT))
+                            for column in source.columns
+                        )
+                continue
+            sql_type = ast.infer_type(item.expression, column_type) or FLOAT
+            columns.append(Column(self._output_name(item, len(columns)), sql_type))
         return Schema(columns)
 
     # ------------------------------------------------------------------
@@ -1427,7 +1428,6 @@ class Optimizer:
         sources: List[_Source],
         namespace: Namespace,
         normalized: Dict[str, Any],
-        use_views: bool,
     ) -> Tuple[_Plan, bool, bool, bool]:
         leaves, multi_conjuncts = self._build_leaves(sources, normalized)
 
@@ -1437,12 +1437,11 @@ class Optimizer:
 
         decisions: List[Tuple[_Leaf, _Plan, Optional[_DynamicLeaf], bool]] = []
         for leaf in leaves:
-            plan, dynamic, used_view = self._decide_leaf(leaf, use_views)
+            plan, dynamic, used_view = self._decide_leaf(leaf)
             decisions.append((leaf, plan, dynamic, used_view))
 
         dynamics = [entry for entry in decisions if entry[2] is not None]
         pulled = dynamics[:MAX_PULLED_UP_GUARDS] if self.pullup_chooseplan else []
-        inline = [entry for entry in dynamics if entry not in pulled]
 
         def build_with(forced: Dict[str, str]) -> _Plan:
             leaf_plans: List[Tuple[_Leaf, _Plan]] = []
@@ -1453,12 +1452,8 @@ class Optimizer:
                         leaf_plans.append((leaf, self._leaf_view_plan(leaf, dynamic.match)))
                     else:
                         leaf_plans.append((leaf, plan))
-                elif dynamic is not None and (leaf, plan, dynamic, True) in inline:
-                    view_plan = self._leaf_view_plan(leaf, dynamic.match)
-                    leaf_plans.append((leaf, self._leaf_chooseplan(view_plan, plan, dynamic)))
                 elif dynamic is not None:
-                    # A pulled-up dynamic leaf without a forced assignment
-                    # (only reachable when pull-up enumeration is skipped).
+                    # A guarded leaf past the pull-up bound: ChoosePlan in place.
                     view_plan = self._leaf_view_plan(leaf, dynamic.match)
                     leaf_plans.append((leaf, self._leaf_chooseplan(view_plan, plan, dynamic)))
                 else:
@@ -1568,27 +1563,7 @@ class Optimizer:
         base_branch = self._build_pulled_up(
             select, rest, build_with, {**forced, alias: "base"}
         )
-        blank = ExpressionCompiler(Schema(()))
-        not_guard = negate(dynamic.guard)
-        guard_fn = blank.compile(dynamic.guard)
-        not_guard_fn = blank.compile(not_guard)
-        guarded_view = FilterOp(
-            view_branch.op,
-            startup_predicate=guard_fn,
-            description="guard",
-            startup_guard=dynamic.guard,
-        )
-        guarded_base = FilterOp(
-            base_branch.op,
-            startup_predicate=not_guard_fn,
-            description="not guard",
-            startup_guard=not_guard,
-        )
-        op = UnionAllOp([guarded_view, guarded_base], choose_plan=True)
-        frequency = dynamic.frequency
-        rows = frequency * view_branch.rows + (1 - frequency) * base_branch.rows
-        cost = frequency * view_branch.cost + (1 - frequency) * base_branch.cost
-        return _Plan(op, rows, cost).attach()
+        return self._leaf_chooseplan(view_branch, base_branch, dynamic)
 
     def _full_pushdown_plan(
         self,
@@ -1719,12 +1694,12 @@ class Optimizer:
         sources: List[_Source],
         namespace: Namespace,
         normalized: Dict[str, Any],
-        use_views: bool,
     ) -> Tuple[_Plan, bool, bool]:
         """Plan outer-join queries following the written join order.
 
         Predicates stay at the join/WHERE level (no pushdown) to preserve
-        outer-join semantics; leaves use unconditional view matches only.
+        outer-join semantics; leaves use unconditional view matches only
+        (under a bounded statement, behind a leaf-level currency guard).
         """
         leaves, _ = self._build_leaves_syntactic(sources, normalized)
         leaf_by_alias = {leaf.source.alias.lower(): leaf for leaf in leaves}
@@ -1750,7 +1725,12 @@ class Optimizer:
                 ref.alias or ref.object_name if isinstance(ref, ast.TableName) else ref.alias
             )
             leaf = leaf_by_alias[alias.lower()]
-            plan, _, leaf_used_view = self._decide_leaf_simple(leaf, use_views)
+            # No conjunct is pushed down on this path, so a view serves a
+            # leaf only unconditionally — or behind its currency guard.
+            plan, dynamic, leaf_used_view = self._decide_leaf(leaf)
+            if dynamic is not None:
+                view_plan = self._leaf_view_plan(leaf, dynamic.match)
+                plan = self._leaf_chooseplan(view_plan, plan, dynamic)
             used_view = used_view or leaf_used_view
             return plan.op, plan.rows, plan.cost
 
@@ -1773,23 +1753,6 @@ class Optimizer:
         for leaf in leaves:
             leaf.conjuncts = []
         return leaves, multi
-
-    def _decide_leaf_simple(
-        self, leaf: _Leaf, use_views: bool
-    ) -> Tuple[_Plan, None, bool]:
-        base_plan = self._leaf_base_plan(leaf)
-        if leaf.source.kind == "derived" or not use_views:
-            return base_plan, None, False
-        matches = self.view_matcher.matches(
-            leaf.source.table_name, set(leaf.required), leaf.conjuncts
-        )
-        for match in matches:
-            if match.unconditional:
-                view_plan = self._leaf_view_plan(leaf, match)
-                if self.force_local_views or view_plan.cost <= base_plan.cost:
-                    return view_plan, None, True
-                break
-        return base_plan, None, False
 
     # ------------------------------------------------------------------
     # no-FROM SELECT

@@ -35,12 +35,6 @@ class LogReader:
         self.transactions_distributed = 0
         self.last_scan_time: float = 0.0
 
-    def bind_articles(self) -> None:
-        """Resolve every article against its source table's schema."""
-        for article in self.publication.articles.values():
-            schema = self.database.catalog.get_table(article.source_table).schema
-            article.bind(schema)
-
     def poll(self) -> int:
         """One log-sniffing pass; returns transactions distributed."""
         if not self.enabled:

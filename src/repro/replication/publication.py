@@ -72,12 +72,6 @@ class Publication:
             )
         self.articles[article.name.lower()] = article
 
-    def article(self, name: str) -> Article:
-        found = self.articles.get(name.lower())
-        if found is None:
-            raise ReplicationError(f"no article {name!r} in publication {self.name!r}")
-        return found
-
     def articles_for_table(self, table_name: str) -> List[Article]:
         return [
             article

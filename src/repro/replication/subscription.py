@@ -194,12 +194,9 @@ class Subscriber:
         joining two cached tables never observes a transaction applied
         to one and not the other. A thread that already owns the latch
         exclusively (the drain inside ``CREATE CACHED VIEW``) passes
-        straight through.
+        straight through the shared acquisition.
         """
-        latch = self.database.latch
-        if latch.owns_exclusive():
-            return self._apply_latched(transaction, appliers)
-        with latch.shared():
+        with self.database.latch.shared():
             return self._apply_latched(transaction, appliers)
 
     def _apply_latched(

@@ -7,7 +7,9 @@ backend can run too. :class:`FailoverRouter` operationalizes that — it
 is an execution target (``execute(sql, params=None, session=None)``, see
 :mod:`repro.client.connection`) that routes each statement to the
 primary (a cache) while healthy, to the fallback (the backend) while
-not.
+not. It keeps no sessions: the caller's session travels with the
+statement to whichever target runs it, so principal and session variables
+survive a mid-conversation reroute by construction.
 
 State machine::
 
@@ -31,6 +33,12 @@ the fallback executes it exactly once. Deterministic errors (constraint
 violations, parse errors) propagate to the caller unchanged from
 whichever target ran the statement.
 
+A session inside an explicit transaction is never rerouted: its
+statements go to the target the transaction began on (its *home*) and
+nowhere else. If that server has crashed, the session hears
+:class:`~repro.errors.TransactionLostError` from it instead of sending
+``COMMIT`` to a target that never saw ``BEGIN``.
+
 Probing is virtual-time based: while failed over, at most one health
 check per ``probe_interval``; a passing check routes traffic back (where
 the link breaker's half-open machinery takes over if the recovery was
@@ -41,7 +49,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.client.connection import engine_of, execute_on
 from repro.errors import CircuitOpenError, LinkUnavailableError, ServerUnavailableError
+from repro.resilience.deadline import check_deadline
 
 _REROUTE_ERRORS = (LinkUnavailableError, ServerUnavailableError, CircuitOpenError)
 
@@ -49,11 +59,6 @@ _REROUTE_ERRORS = (LinkUnavailableError, ServerUnavailableError, CircuitOpenErro
 class FailoverRouter:
     NORMAL = "normal"
     FAILED_OVER = "failed_over"
-
-    #: The transacting sessions belong to the per-target connections; a
-    #: Connection over the router reads :attr:`in_transaction` instead of
-    #: its own session.
-    remote_session = True
 
     def __init__(
         self,
@@ -64,34 +69,18 @@ class FailoverRouter:
         fallback_database: Optional[str] = None,
         probe_interval: float = 1.0,
         failback_threshold: int = 2,
-        principal: str = "dbo",
         registry: Optional[Any] = None,
     ):
-        from repro.client.connection import Connection
-
         self.primary = primary
         self.fallback = fallback
+        self.primary_database = primary_database
+        self.fallback_database = fallback_database
         self.clock = clock
-        self.principal = principal
         self.probe_interval = probe_interval
         if failback_threshold < 1:
             raise ValueError(f"failback_threshold must be >= 1, not {failback_threshold}")
         self.failback_threshold = failback_threshold
         self._healthy_probes = 0
-        # Each target gets its own client Connection (and therefore its
-        # own session), so principal and session variables survive a
-        # mid-conversation reroute on both sides.
-        self._connections: Dict[int, Connection] = {
-            id(primary): Connection(
-                primary, database=primary_database, principal=principal
-            ),
-            id(fallback): Connection(
-                fallback, database=fallback_database, principal=principal
-            ),
-        }
-        # A connection over the router itself, so applications written
-        # against the DBAPI cursor surface can drive a router directly.
-        self._facade = Connection(self, principal=principal)
         self.state = self.NORMAL
         self.failovers = 0
         self.failbacks = 0
@@ -112,24 +101,18 @@ class FailoverRouter:
         ``connection.server``; anchoring that to the primary keeps one
         coherent observability stream across failovers.
         """
-        inner = getattr(self.primary, "server", None)
-        return inner if inner is not None else self.primary
+        return engine_of(self.primary)
 
     # ------------------------------------------------------------------
-    def _run(self, target: Any, sql: str, params: Optional[Dict[str, Any]]) -> Any:
-        return self._connections[id(target)]._raw_execute(sql, params)
-
-    @property
-    def in_transaction(self) -> bool:
-        """Is an explicit transaction open on either target's session?"""
-        return any(c.in_transaction() for c in self._connections.values())
-
     def execute(
         self, sql: str, params: Optional[Dict[str, Any]] = None, session: Any = None
     ) -> Any:
-        from repro.resilience.deadline import check_deadline
-
         check_deadline("failover routing")
+        if session is not None and session.in_transaction:
+            home = session.owner.home.owner_server
+            if engine_of(self.primary) is home:
+                return execute_on(self.primary, self.primary_database, sql, params, session)
+            return execute_on(self.fallback, self.fallback_database, sql, params, session)
         if self.state == self.FAILED_OVER:
             now = self.clock.now()
             if now >= self._next_probe:
@@ -142,15 +125,11 @@ class FailoverRouter:
                 self._next_probe = now + self.probe_interval
         if self.state == self.NORMAL:
             try:
-                return self._run(self.primary, sql, params)
+                return execute_on(self.primary, self.primary_database, sql, params, session)
             except _REROUTE_ERRORS:
                 self._fail_over()
         self.rerouted_statements += 1
-        return self._run(self.fallback, sql, params)
-
-    def cursor(self):
-        """A DBAPI-style cursor; each execute still reroutes as above."""
-        return self._facade.cursor()
+        return execute_on(self.fallback, self.fallback_database, sql, params, session)
 
     # ------------------------------------------------------------------
     def _fail_over(self) -> None:

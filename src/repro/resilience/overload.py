@@ -122,12 +122,6 @@ class AdmissionController:
         """The virtual queue depth in requests (the bucket's debt)."""
         return max(0.0, -self._tokens)
 
-    def projected_delay(self) -> float:
-        """The queueing delay the next admitted request would see."""
-        with self._mutex:
-            self._refill(self.clock.now())
-            return max(0.0, (1.0 - self._tokens) / self.rate)
-
     # -- the gate ----------------------------------------------------------
 
     def try_admit(self) -> bool:

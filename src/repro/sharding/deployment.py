@@ -283,7 +283,7 @@ class ShardedDeployment:
 
     # -- the client tier ---------------------------------------------------
 
-    def router(self, principal: str = "dbo", probe_interval: float = 1.0):
+    def router(self, probe_interval: float = 1.0):
         """A :class:`~repro.client.ShardRouter` over per-shard failover."""
         from repro.client.shard_router import ShardRouter
 
@@ -291,9 +291,7 @@ class ShardedDeployment:
             cache = self.shards.get(name)
             if cache is None:
                 return None
-            return self.deployment.failover_connection(
-                cache, principal=principal, probe_interval=probe_interval
-            )
+            return self.deployment.failover_connection(cache, probe_interval=probe_interval)
 
         return ShardRouter(
             backend=self.backend,
@@ -302,13 +300,15 @@ class ShardedDeployment:
             policy=self.policy,
             shard_targets={name: target_factory(name) for name in self.shards},
             registry=self.metrics,
-            principal=principal,
             target_factory=target_factory,
         )
 
     def connect(self, principal: str = "dbo"):
-        """A routed DBAPI connection (the README quickstart entrypoint)."""
-        return self.router(principal=principal).connection()
+        """A routed DBAPI connection (the README quickstart entrypoint);
+        ``principal`` is the connection's, carried by its one session."""
+        from repro.client import connect
+
+        return connect(self.router(), principal=principal)
 
     # -- observability -----------------------------------------------------
 

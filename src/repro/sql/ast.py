@@ -9,9 +9,20 @@ Table names carry up to four dot-separated parts, matching SQL Server's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.common.types import SqlType
+from repro.common.types import (
+    BIGINT,
+    BOOLEAN,
+    DATETIME,
+    FLOAT,
+    INT,
+    VARCHAR,
+    SqlType,
+    common_type,
+    is_string,
+)
+from repro.errors import TypeCheckError
 
 
 class Node:
@@ -535,6 +546,77 @@ def expression_parameters(expression: Expression) -> List[str]:
 def expression_columns(expression: Expression) -> List[ColumnRef]:
     """Return all column references in an expression."""
     return [node for node in walk_expression(expression) if isinstance(node, ColumnRef)]
+
+
+#: Scalar and aggregate functions whose result type does not depend on
+#: their arguments; the ones listed under None take their first argument's.
+_FUNCTION_TYPES = {
+    **dict.fromkeys(("LEN", "CHARINDEX", "YEAR", "MONTH", "DAY"), INT),
+    **dict.fromkeys(("UPPER", "LOWER", "LTRIM", "RTRIM", "SUBSTRING"), VARCHAR(None)),
+    **dict.fromkeys(("SUM", "MIN", "MAX", "ABS", "ROUND", "FLOOR", "CEILING"), None),
+    "COUNT": BIGINT,
+    "AVG": FLOAT,
+    "STALENESS": FLOAT,
+    "GETDATE": DATETIME,
+}
+_BOOLEAN_OPERATORS = frozenset({"=", "<>", "<", "<=", ">", ">=", "AND", "OR", "NOT"})
+_PYTHON_TYPES = {bool: BOOLEAN, int: INT, float: FLOAT, str: VARCHAR(None)}
+
+
+def infer_type(
+    expression: Expression,
+    column_type: Callable[[ColumnRef], Optional[SqlType]],
+    parameter_type: Callable[[str], Optional[SqlType]] = lambda name: None,
+) -> Optional[SqlType]:
+    """The static type of ``expression``, or None where it cannot be told.
+
+    The one inference over the expression type system
+    (:func:`~repro.common.types.common_type` is its widening rule): the
+    planner's output schemas, ``derive_schema`` and the SQL linter all
+    call it, each supplying how a column reference — and, for the linter,
+    a declared parameter — resolves in its own scope.
+    """
+
+    def first_known(nodes) -> Optional[SqlType]:
+        return next(filter(None, map(infer, nodes)), None)
+
+    def infer(node: Expression) -> Optional[SqlType]:
+        if isinstance(node, Literal):
+            return _PYTHON_TYPES.get(type(node.value))
+        if isinstance(node, ColumnRef):
+            return column_type(node)
+        if isinstance(node, Parameter):
+            return parameter_type(node.name)
+        if isinstance(node, (IsNull, InList, InSubquery, Between, Like, Exists)):
+            return BOOLEAN
+        if isinstance(node, (UnaryOp, BinaryOp)):
+            if node.op in _BOOLEAN_OPERATORS:
+                return BOOLEAN
+            if isinstance(node, UnaryOp):
+                return infer(node.operand)
+            left, right = infer(node.left), infer(node.right)
+            try:
+                return None if left is None or right is None else common_type(left, right)
+            except TypeCheckError:
+                return None
+        if isinstance(node, FuncCall):
+            if node.name in ("COALESCE", "ISNULL"):
+                return first_known(node.args)
+            if node.name not in _FUNCTION_TYPES:
+                return None
+            known = _FUNCTION_TYPES[node.name]
+            if known is not None and not is_string(known):
+                return known
+            argument = infer(node.args[0]) if node.args else None
+            if known is None or (argument is not None and is_string(argument)):
+                return argument  # MAX(x) is x's type; UPPER(VARCHAR(40)) keeps its length
+            return known
+        if isinstance(node, CaseWhen):
+            results = [result for _, result in node.whens]
+            return first_known(results + [node.else_result or Literal(None)])
+        return None
+
+    return infer(expression)
 
 
 def walk_statement_expressions(statement: Statement):

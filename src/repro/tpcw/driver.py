@@ -46,8 +46,8 @@ class DriverStats:
     # Wall-clock run length; zero for the virtual-time LoadDriver.
     wall_seconds: float = 0.0
     by_interaction: Dict[str, int] = field(default_factory=dict)
-    # Failover activity observed on the connection (zero for plain
-    # connections; populated when driving through a FailoverRouter).
+    # Failover activity of the connection's target (zero for plain
+    # targets; populated when driving through a router).
     failovers: int = 0
     failbacks: int = 0
     # Overload activity (PR 9): interactions rejected fast by admission
@@ -173,9 +173,9 @@ class LoadDriver:
 
         stats.virtual_seconds = min(now, duration)
         stats.db_calls = self.application.db_calls - calls_before
-        connection = self.application.connection
-        stats.failovers = getattr(connection, "failovers", 0)
-        stats.failbacks = getattr(connection, "failbacks", 0)
+        router = self.application.connection.target
+        stats.failovers = getattr(router, "failovers", 0)
+        stats.failbacks = getattr(router, "failbacks", 0)
         if self.deployment is not None:
             self.deployment.sync()
         return stats

@@ -99,7 +99,6 @@ def test_health_check_replaces_unhealthy_connection(backend, registry):
     # The idle connection goes stale while the server bounces.
     backend.crash()
     backend.restart()
-    stale.session.in_transaction = False
     stale_target = stale
     stale_target.closed = False
     # Simulate a connection whose probe fails even though the server is

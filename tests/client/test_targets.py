@@ -62,7 +62,7 @@ def _latches_held(servers):
         (server.name, database.name)
         for server in servers
         for database in server.databases.values()
-        if database.latch.owns_exclusive()
+        if database.latch.holder is not None
     ]
 
 

@@ -283,9 +283,11 @@ def test_explicit_transaction_holds_latch_exclusively(backend):
     database = backend.database("shop")
     session = Session(principal="dbo", database="shop")
     backend.execute("BEGIN TRANSACTION", session=session, database="shop")
-    assert database.latch.owns_exclusive()
-    backend.execute("COMMIT", session=session, database="shop")
+    # The hold is the session's; between statements no thread owns anything.
+    assert database.latch.holder is session
     assert not database.latch.owns_exclusive()
+    backend.execute("COMMIT", session=session, database="shop")
+    assert database.latch.holder is None
 
 
 def test_rollback_releases_latch(backend):
@@ -300,7 +302,7 @@ def test_rollback_releases_latch(backend):
         database="shop",
     )
     backend.execute("ROLLBACK", session=session, database="shop")
-    assert not database.latch.owns_exclusive()
+    assert database.latch.holder is None and not database.latch.owns_exclusive()
     assert database.latch.readers == 0
 
 
@@ -310,7 +312,7 @@ def test_crash_releases_latch(backend):
     database = backend.database("shop")
     session = Session(principal="dbo", database="shop")
     backend.execute("BEGIN TRANSACTION", session=session, database="shop")
-    assert database.latch.owns_exclusive()
+    assert database.latch.holder is session
     backend.crash()
-    assert not database.latch.owns_exclusive()
+    assert database.latch.holder is None
     backend.restart()

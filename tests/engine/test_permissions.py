@@ -70,7 +70,8 @@ def test_permissions_cloned_into_shadow(server):
 # ``alice`` holds every right on ``pub`` and none on ``secret``. Whatever
 # shape names ``secret`` — a subquery, a derived table inside one, an
 # INSERT's source, a DML predicate — must be denied, on a plain server,
-# through a cache server's shadowed permissions, and over the wire.
+# through a cache server's shadowed permissions, over the wire, and through
+# either router — which forward the caller's session, not one of their own.
 
 NAMES_SECRET = [
     "SELECT a FROM pub WHERE a IN (SELECT a FROM secret)",
@@ -118,7 +119,7 @@ def _guarded_backend():
     return backend
 
 
-@pytest.fixture(params=["server", "cache", "tcp"])
+@pytest.fixture(params=["server", "cache", "tcp", "failover", "shard_router"])
 def as_alice(request):
     """``execute(sql) -> rows`` as ``alice`` against one kind of target."""
     from repro import MTCacheDeployment
@@ -130,10 +131,26 @@ def as_alice(request):
     wire = None
     if request.param == "server":
         connection = connect(backend, database="db", principal="alice")
-    elif request.param == "cache":
-        cache = MTCacheDeployment(backend, "db").add_cache_server("cache1")
+    elif request.param in ("cache", "failover", "shard_router"):
+        deployment = MTCacheDeployment(backend, "db")
+        cache = deployment.add_cache_server("cache1")
         cache.copy_procedure("readSecret")
-        connection = connect(cache, principal="alice")
+        target = cache
+        if request.param != "cache":
+            target = deployment.failover_connection(cache)
+        if request.param == "shard_router":
+            from repro.client import ShardRouter
+            from repro.sharding.policy import ShardingPolicy, TablePartition
+            from repro.sharding.ring import RangePartitioner
+
+            policy = ShardingPolicy(
+                key_domain=(1, 10),
+                partitions={"pub": TablePartition("pub", "a")},
+                views=["CREATE CACHED VIEW cv_pub AS SELECT a FROM pub"],
+            )
+            partitioner = RangePartitioner(["cache1"], 1, 10)
+            target = ShardRouter(backend, "db", partitioner, policy, {"cache1": target})
+        connection = connect(target, principal="alice")
     else:
         wire = ReproServer.serve(backend)
         connection = connect(f"{wire.dsn}?principal=alice")

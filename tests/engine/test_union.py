@@ -55,6 +55,36 @@ def test_union_type_mismatch_rejected(server):
         server.execute("SELECT id FROM a UNION ALL SELECT v FROM b")
 
 
+def test_union_of_an_expression_with_a_column_of_its_type(server):
+    """A string function is a string: the planner types expressions with the
+    linter's inference, not as FLOAT (rejected as ``float vs varchar(10)``
+    before)."""
+    result = server.execute("SELECT UPPER(v) FROM a UNION ALL SELECT v FROM b")
+    assert sorted(row[0] for row in result.rows) == ["A1", "A2", "b1"]
+    result = server.execute("SELECT id + 1 FROM a UNION ALL SELECT MAX(id) FROM b")
+    assert sorted(row[0] for row in result.rows) == [1, 2, 3]
+    with pytest.raises(ExecutionError, match=r"column 1 \('upper'\): varchar\(10\) vs int"):
+        server.execute("SELECT UPPER(v) FROM a UNION ALL SELECT id FROM b")
+
+
+def test_output_columns_carry_their_expression_types(server):
+    from repro.client import connect
+
+    cursor = connect(server, database="db").cursor()
+    cursor.execute(
+        "SELECT UPPER(v) AS n, id + 1 AS k, MAX(id) AS m, COUNT(*) AS c, AVG(id) AS a, "
+        "LEN(v) AS l, CASE WHEN id > 1 THEN v ELSE 'x' END AS w FROM a GROUP BY v, id"
+    )
+    types = {name: str(sql_type) for name, sql_type, *_ in cursor.description}
+    assert types == {
+        "n": "varchar(10)", "k": "int", "m": "int", "c": "bigint", "a": "float",
+        "l": "int", "w": "varchar(10)",
+    }
+    # A materialized view's storage is typed the same way (``derive_schema``).
+    server.execute("CREATE MATERIALIZED VIEW shout AS SELECT id, UPPER(v) AS loud FROM a")
+    assert str(server.database("db").storage_table("shout").schema[1].sql_type) == "varchar(10)"
+
+
 def test_union_compatible_types_widen(server):
     # INT unions with INT across tables; VARCHAR with VARCHAR.
     result = server.execute("SELECT id, v FROM a UNION ALL SELECT id, v FROM b")

@@ -9,6 +9,7 @@ byte-identical to one with no injector at all.
 
 import pytest
 
+from repro.client import connect
 from repro.faults import FaultInjector
 from repro.mtcache.odbc import OdbcConnection
 from repro.obs import replication_metrics
@@ -39,7 +40,7 @@ def test_cache_crash_loses_no_interactions():
     injector.at(start + 20.0, "restart_cache", cache)
 
     router = deployment.failover_connection(cache, probe_interval=0.5)
-    application = TPCWApplication(router, config)
+    application = TPCWApplication(connect(router), config)
     driver = LoadDriver(
         application, MIXES["Ordering"], users=5, deployment=deployment, seed=13
     )
@@ -80,7 +81,7 @@ def test_chaos_run_is_deterministic():
         injector.at(start + 8.0, "crash_cache", cache)
         injector.at(start + 16.0, "restart_cache", cache)
         router = deployment.failover_connection(cache, probe_interval=0.5)
-        application = TPCWApplication(router, config)
+        application = TPCWApplication(connect(router), config)
         driver = LoadDriver(
             application, MIXES["Ordering"], users=4, deployment=deployment, seed=21
         )

@@ -141,7 +141,7 @@ def test_overload_plus_cache_kill_composes():
     injector.at(start + 22.0, "restart_cache", cache)
 
     router = deployment.failover_connection(cache, probe_interval=0.5)
-    application = TPCWApplication(router, config)
+    application = TPCWApplication(connect(router), config)
     driver = LoadDriver(
         application, MIXES["Ordering"], users=8, deployment=deployment, seed=31
     )

@@ -153,10 +153,10 @@ class TestTransactions:
         connection.closed = True  # skip the facade's rollback-on-close
         latch = backend.database("shop").latch
         for _ in range(200):  # wait for server-side cleanup to run
-            if latch._writer is None:
+            if latch.holder is None:
                 break
             time.sleep(0.05)
-        assert latch._writer is None
+        assert latch.holder is None
         rows = backend.execute(
             "SELECT cid FROM customer WHERE cid = 9003", database="shop"
         ).rows
@@ -271,7 +271,7 @@ class TestHandshake:
         with connect(server.dsn, timeout=3) as other:
             rows = other.cursor().execute("SELECT cid FROM customer WHERE cid = 1").fetchall()
         assert rows == [(1,)]
-        assert backend.database("shop").latch._writer is None
+        assert backend.database("shop").latch.holder is None
 
     def test_connect_refused_is_transient(self):
         with socket.socket() as probe:  # find a port nobody listens on

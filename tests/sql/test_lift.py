@@ -309,6 +309,7 @@ def _bind(node, values):
             and bound.op == "-"
             and isinstance(node.operand, ast.Parameter)
             and isinstance(bound.operand, ast.Literal)
+            and not isinstance(bound.operand.value, str)  # ``- 's'`` stays a UnaryOp
         ):
             return ast.Literal(-bound.operand.value)
         return bound
