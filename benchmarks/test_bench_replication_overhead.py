@@ -14,7 +14,7 @@ actual extra backend work.
 import random
 
 
-from repro.mtcache.odbc import OdbcConnection
+from repro.client import connect
 from repro.tpcw import TPCWApplication, TPCWConfig, build_backend, enable_caching
 from repro.tpcw.workload import MIXES
 
@@ -64,7 +64,7 @@ def test_bench_logreader_measured_engine_work(benchmark, capsys):
     config = TPCWConfig(num_items=100, num_ebs=20, bestseller_window=100)
     backend, config = build_backend(config)
     deployment, caches = enable_caching(backend, ["c1"], config)
-    connection = OdbcConnection(backend, "tpcw", "dbo")
+    connection = connect(backend, database="tpcw")
     application = TPCWApplication(connection, config, random.Random(2))
     mix = MIXES["Ordering"]
     rng = random.Random(3)

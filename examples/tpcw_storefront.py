@@ -7,8 +7,9 @@ read-dominated stored procedures) and *redirects the application's ODBC
 source* — no application change — and shows how much database work moved
 to the cache tier.
 
-The registry hands out DBAPI-style connections (``connection.cursor()``
-works the same against either tier), which is what makes the redirect
+The registry hands out DBAPI-style connections over the source name
+(``connection.cursor()`` works the same against either tier, and an open
+connection follows a redirect), which is what makes the redirect
 invisible to application code.
 
 Run:  python examples/tpcw_storefront.py
@@ -60,7 +61,8 @@ def main() -> None:
     deployment, caches = enable_caching(backend, ["cache1"], config)
     registry.redirect("tpcw", caches[0].server, "tpcw")
 
-    connection = registry.connect("tpcw")  # the app code did not change
+    # The connection already open follows the redirect on its next
+    # statement: the app code did not change and did not reconnect.
     application = TPCWApplication(connection, config)
     backend.reset_work()
     caches[0].server.reset_work()

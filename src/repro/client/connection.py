@@ -14,10 +14,11 @@ The execution-target protocol is one method,
 connection passes is *the* session at every in-process hop: routers
 forward it, the engine server that runs ``BEGIN`` makes it the owner of
 the transaction and of the database latch, and a session in a
-transaction is routed to that home and nowhere else. Only the wire
-client's session really lives elsewhere (server-side): it ignores
-``session``, declares ``remote_session = True`` and mirrors the
-transaction state in an ``in_transaction`` attribute.
+transaction is sent to that home and nowhere else — by
+:func:`execute_home`, the one function every router and ODBC source
+calls for it. Only the wire client's session really lives elsewhere
+(server-side): it ignores ``session``, declares ``remote_session = True``
+and mirrors the transaction state in an ``in_transaction`` attribute.
 """
 
 from __future__ import annotations
@@ -99,6 +100,17 @@ def execute_on(target: Any, database: Optional[str], sql: str, params, session) 
     return target.execute(sql, params=params, session=session, database=database)
 
 
+def execute_home(sql: str, params, session) -> Result:
+    """One statement of a session inside a transaction: it runs at the
+    transaction's home — on the engine server whose database latch the
+    session holds, not on a facade or router in front of it — and nowhere
+    else, whatever a router would pick for a statement outside one, and
+    wherever an ODBC source points by now. If that server crashed, it
+    answers :class:`~repro.errors.TransactionLostError`."""
+    home = session.owner.home
+    return execute_on(home.owner_server, home.name, sql, params, session)
+
+
 def engine_of(target: Any) -> Any:
     """The engine server behind a target: a CacheServer's ``.server`` is
     the engine server, a router's ``.server`` unwraps the same way."""
@@ -126,15 +138,6 @@ class Connection:
         #: directly — are never closed from here, so one checkout's
         #: ``close()`` can never kill a sibling's live socket.
         self._owns_target = owns_target
-
-    def _reset_session(self, database: Optional[str] = None) -> None:
-        """Replace the session (same principal) after a target rebind.
-
-        Subclasses that re-point a live connection (ODBC redirection) go
-        through this instead of constructing a raw Session — connections
-        own their sessions (the ``session-construction`` lint rule).
-        """
-        self.session = Session(principal=self.session.principal, database=database)
 
     # -- target plumbing ---------------------------------------------------
 

@@ -22,7 +22,8 @@ SELECT would):
 * **backend** — everything else (writes, transactions, global
   aggregates, statements over unpartitioned/uncached tables), and every
   statement of a session inside an explicit transaction: ``BEGIN`` runs
-  on the backend, which is the transaction's home from then on.
+  on the backend, which is the transaction's home from then on
+  (:func:`~repro.client.connection.execute_home` sends it there).
 
 Each shard is reached through its own ``FailoverRouter``, so a dead
 shard degrades that shard's share of traffic to the backend instead of
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.client.connection import execute_on
+from repro.client.connection import execute_home, execute_on
 from repro.common.locks import mutex
 from repro.common.lru import LRUCache
 from repro.common.schema import Schema
@@ -128,7 +129,8 @@ class ShardRouter:
             raise ClientError("shard router is closed")
         check_deadline("shard routing")
         if session is not None and session.in_transaction:
-            return self._execute_backend(sql, params, session)
+            self._count_miss()
+            return execute_home(sql, params, session)
         # Literals become parameters before anything is keyed on the text:
         # one decision per template, a constant partition key routes like
         # ``@p``, and the lifted text is a no-op for every layer below.

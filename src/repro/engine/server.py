@@ -41,10 +41,13 @@ from repro.errors import (
     ExecutionError,
     LexError,
     ParseError,
+    PartialEffectError,
     PreparedStatementError,
+    ReproError,
     TransactionError,
     TransactionLostError,
     TypeCheckError,
+    invites_rerun,
 )
 from repro.exec.context import (
     DEFAULT_BATCH_ROWS,
@@ -380,16 +383,32 @@ class Server:
         """Run a bound batch under the caller's parameters laid over the
         lifted ones; returns the last statement's result, stamped with the
         batch's ``read_only`` bit. A caller whose own names use the
-        reserved prefix gets its text run as written."""
+        reserved prefix gets its text run as written.
+
+        The one place a call's failure is classified against its effects:
+        an error some layer would re-run the call for, raised after a
+        statement of it committed (``session.owner.commits`` moved), is
+        re-raised as the non-transient :class:`PartialEffectError`.
+        """
         if lifted:
             merged = overlay(lifted, params)
             if merged is None:
                 batch = self._bind_batch(parse_statements(sql), database)
             else:
                 params = merged
+        owner = session.owner
+        commits = owner.commits
         result = Result()
-        for bound in batch.bound:
-            result = self.execute_bound(bound, params, session, database)
+        try:
+            for bound in batch.bound:
+                result = self.execute_bound(bound, params, session, database)
+        except ReproError as exc:
+            if owner.commits == commits or not invites_rerun(exc):
+                raise
+            raise PartialEffectError(
+                f"{type(exc).__name__} on server {self.name!r} after an earlier "
+                f"statement of the call committed; it must not be re-run: {exc}"
+            ) from exc
         result.read_only = batch.read_only
         return result
 
@@ -530,7 +549,10 @@ class Server:
         finally:
             owner.transaction = owner.home = None
             database.latch.end_hold()
-        return Result(messages=["transaction committed" if commit else "transaction rolled back"])
+        if not commit:
+            return Result(messages=["transaction rolled back"])
+        owner.commits += 1
+        return Result(messages=["transaction committed"])
 
     def _answer_lost(self, session: Session, batch) -> Result:
         """The one answer to a session whose transaction a crash ended.
@@ -566,13 +588,17 @@ class Server:
     def _execute_ddl(
         self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
     ) -> Result:
-        return _DDL[bound.kind](database, bound.statement)
+        result = _DDL[bound.kind](database, bound.statement)
+        session.owner.commits += 1
+        return result
 
     def _execute_create_view(
         self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
     ) -> Result:
         runner = self._source_runner(bound, merged, database, session)
-        return execute_create_view(database, bound.statement, select_runner=runner)
+        result = execute_create_view(database, bound.statement, select_runner=runner)
+        session.owner.commits += 1
+        return result
 
     def _execute_variable(
         self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
@@ -772,7 +798,7 @@ class Server:
         session: Session,
     ) -> Result:
         if bound.forward is not None:
-            return self._forward(bound, params)
+            return self._forward(bound, params, session)
         run = bound.planned
         if run is None:
             # Compiled at the first execution, not when bound: the target
@@ -793,6 +819,7 @@ class Server:
             raise
         if autocommit:
             database.transactions.commit(transaction)
+            owner.commits += 1
         self.total_work.merge(ctx.work)
         return result
 
@@ -808,17 +835,19 @@ class Server:
 
         return run
 
-    def _forward(self, bound: BoundStatement, params: Dict[str, Any]) -> Result:
+    def _forward(self, bound: BoundStatement, params: Dict[str, Any], session: Session) -> Result:
         """Ship a DML or ``EXEC`` statement to its owning server.
 
         The one forwarding call: the binding holds the owning server and
         the rewritten statement's text, and the link executes that text by
         shared prepared handle — a repeated forwarded statement neither
         re-formats its text here nor re-parses it there; only the
-        parameter values travel.
+        parameter values travel. Once it returns, the owning server has
+        committed it (forwarded statements run there in autocommit).
         """
         server_name, text = bound.forward
         result = self.linked_servers.get(server_name).execute_statement_text(text, params)
+        session.owner.commits += 1
         self.total_work.inc("prepared_executions")
         return result
 
@@ -848,7 +877,7 @@ class Server:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
         ctx = self._make_context(params, database, session)
         values = {marker: value((), ctx) for marker, value in bound.arguments}
-        return self._forward(bound, values)
+        return self._forward(bound, values, session)
 
     # -- linked-server endpoint -------------------------------------------------
 
@@ -882,17 +911,12 @@ class Server:
         self._prepared[handle.handle_id] = handle
         return handle.handle_id
 
-    def execute_prepared(
-        self,
-        handle_id: int,
-        params: Optional[Dict[str, Any]] = None,
-        session: Optional[Session] = None,
-    ) -> Result:
+    def execute_prepared(self, handle_id: int, params: Optional[Dict[str, Any]] = None) -> Result:
         """Execute a previously prepared statement batch by handle.
 
-        ``session`` carries the caller's principal and transaction (a
-        wire connection's); linked servers pass none and run as ``dbo``
-        on a fresh autocommit session.
+        The caller is a linked server: the batch runs as ``dbo`` on a
+        fresh autocommit session (client requests arrive as texts through
+        :meth:`execute`).
 
         A schema-version bump since prepare (or the last execution)
         triggers a transparent re-prepare: re-parse and re-bind the pinned
@@ -900,10 +924,8 @@ class Server:
         new schema. Unknown handles raise :class:`PreparedStatementError`
         so the client link can re-prepare from its own text copy.
         """
-        if session is not None and session.owner.lost:
-            return self._answer_lost(session, ())  # handles died in the same crash
         self._check_available()
-        self._admit("prepared execution", session)
+        self._admit("prepared execution")
         handle = self._prepared.get(handle_id)
         if handle is None:
             raise PreparedStatementError(
@@ -916,7 +938,7 @@ class Server:
                 handle.reprepares += 1
             self.total_work.inc("prepared_executions")
             return self._run_batch(
-                handle.sql, handle.batch, handle.lifted, params, session or Session(), target
+                handle.sql, handle.batch, handle.lifted, params, Session(), target
             )
 
     def close_prepared(self, handle_id: int) -> None:

@@ -30,11 +30,15 @@ class Session:
         self.statistics_profile = False
         #: Whose transaction this session's statements run in: its own,
         #: or, for a procedure frame, its caller's (see :meth:`frame`).
-        #: The three fields below are only ever read through ``owner``.
+        #: The four fields below are only ever read through ``owner``.
         self.owner = self
         self.transaction = None  # the explicit one (None in autocommit)
         self.home = None
         self.lost = False
+        #: Effects its statements committed (autocommit writes, forwarded
+        #: statements, COMMIT, DDL): an engine call that fails after this
+        #: moved raises :class:`~repro.errors.PartialEffectError`.
+        self.commits = 0
 
     @property
     def in_transaction(self) -> bool:

@@ -220,9 +220,28 @@ class PoolTimeoutError(ClientError):
     transient = True
 
 
+class PartialEffectError(ReproError):
+    """Raised when a call failed after one of its statements committed.
+
+    An autocommit write, a forwarded statement, a ``COMMIT`` or DDL of the
+    same batch already took effect, so re-running the call would apply it
+    twice. The error that ended the call is kept as ``__cause__``; this
+    one is *not* transient and none of the classes retry loops, failover
+    routers or a cache's fallbacks re-run a call for, so none of them do.
+    """
+
+
 def is_transient(exc: BaseException) -> bool:
     """True when ``exc`` is a retry-safe transient failure."""
     return bool(getattr(exc, "transient", False))
+
+
+def invites_rerun(exc: BaseException) -> bool:
+    """True when some layer would re-run the call ``exc`` ended: a retry
+    loop (transient errors), a failover router or a linked server's
+    re-prepare (:class:`DistributedError`), a minimal-shadow cache's
+    forward to the backend (:class:`BindError`, :class:`CatalogError`)."""
+    return is_transient(exc) or isinstance(exc, (DistributedError, BindError, CatalogError))
 
 
 class AnalysisError(ReproError):

@@ -10,19 +10,21 @@
   forwarding of updates and stored-procedure calls.
 * :class:`OdbcSourceRegistry` — the redirection mechanism that makes
   caching transparent to applications: re-point a logical data source from
-  the backend to a cache server without touching application code.
+  the backend to a cache server without touching application code. Each
+  name is an :class:`OdbcSource`, an execution target that forwards to
+  wherever the name points now.
 """
 
 from repro.mtcache.deployment import MTCacheDeployment
 from repro.mtcache.cache_server import CacheServer
-from repro.mtcache.odbc import OdbcConnection, OdbcSourceRegistry
+from repro.mtcache.odbc import OdbcSource, OdbcSourceRegistry
 from repro.mtcache.scripts import generate_shadow_script
 from repro.mtcache.advisor import AdvisorReport, CacheAdvisor, WorkloadStatement
 
 __all__ = [
     "MTCacheDeployment",
     "CacheServer",
-    "OdbcConnection",
+    "OdbcSource",
     "OdbcSourceRegistry",
     "generate_shadow_script",
     "CacheAdvisor",

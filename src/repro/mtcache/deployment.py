@@ -55,7 +55,7 @@ class MTCacheDeployment:
         # (caches adopt fresh statistics when provisioned anyway).
         self._last_stats_refresh = self.clock.now()
 
-        self.distributor = Distributor(self.clock)
+        self.distributor = Distributor()
         self.publication = Publication(
             name=f"mtcache_pub_{database_name}", database=database_name
         )
@@ -405,7 +405,7 @@ class MTCacheDeployment:
         low_water = frontier = distribution_db.last_sequence
         for cache in self.cache_servers:
             subscriber = cache.subscriber
-            if subscriber.last_sequence >= frontier:
+            if subscriber.last_sequence == frontier:
                 subscriber.synced_through = self.log_reader.last_scan_time
             else:
                 low_water = min(low_water, subscriber.last_sequence)

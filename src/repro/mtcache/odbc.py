@@ -5,148 +5,95 @@ to an actual server. Enabling MTCache for an application is a pure
 configuration change: redirect the source from the backend server to the
 cache server (paper §4, "Rerouting the application's ODBC sources").
 
-Applications written against :class:`OdbcConnection` never know which
-server answers them — the definition of cache transparency.
-:class:`OdbcConnection` is a thin subclass of the unified
-:class:`repro.client.Connection`, so it speaks the full DBAPI-style
-surface (``cursor()``, ``commit()``/``rollback()``) while keeping the
-historical ``server``/``server_name`` attributes.
+A source is an execution target of its own (:class:`OdbcSource`): each
+statement goes to whatever ``(server, database)`` the source maps to *at
+that moment*, so a plain :class:`repro.client.Connection` over it — what
+:meth:`OdbcSourceRegistry.connect` hands out — follows a redirect on its
+next statement, with nothing to invalidate and nothing to re-resolve.
+Applications never know which server answers them: the definition of
+cache transparency.
 
-Redirecting a source *invalidates* its live connections: each one
-re-resolves against the registry on its next execute — fresh target,
-fresh session, any open transaction on the old target rolled back — so
-an application holding a connection across the configuration change
-transparently follows it. When the new server does not carry the
-source's old database, the database is re-resolved from the target
-(its shadow database for a cache facade, its default database
-otherwise) instead of silently keeping a name the server cannot serve.
+A redirect never discards work. A session inside an explicit transaction
+keeps going to the transaction's home (:func:`repro.client.connection.execute_home`)
+until it commits or rolls back there; its next statement outside one
+follows the new mapping. When the new server does not carry the source's
+old database, the database is re-resolved from the server (its default
+database) instead of silently keeping a name it cannot serve.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Dict, Optional
 
-from repro.client.connection import Connection
+from repro.client.connection import Connection, engine_of, execute_home, execute_on
 from repro.errors import DistributedError
 
 
-class OdbcConnection(Connection):
-    """A live connection through a logical source name.
+class OdbcSource:
+    """One logical source name, as an execution target."""
 
-    .. deprecated:: prefer ``repro.client.connect(...)`` for new code;
-       this class remains the ODBC-source-shaped facade (and what
-       :meth:`OdbcSourceRegistry.connect` hands out).
-    """
+    __slots__ = ("name", "target", "database")
 
-    def __init__(self, server, database: Optional[str], principal: str = "dbo"):
-        super().__init__(server, database=database, principal=principal)
-        # Set by OdbcSourceRegistry.connect; a direct OdbcConnection is
-        # not registry-managed and never goes stale.
-        self._registry: Optional["OdbcSourceRegistry"] = None
-        self._source_name: Optional[str] = None
-        self._stale = False
+    def __init__(self, name: str, target: Any, database: Optional[str]):
+        self.name = name
+        self.target = target
+        self.database = database
 
     @property
     def server(self) -> Any:
-        """The execution target exactly as handed to the constructor
-        (historical contract; the base class would unwrap facades)."""
-        return self.target
+        """The engine server the source points at now (metrics, clock)."""
+        return engine_of(self.target)
 
-    @property
-    def server_name(self) -> str:
-        """Which physical server this connection reaches (diagnostics)."""
-        return self.target.name
+    def execute(
+        self, sql: str, params: Optional[Dict[str, Any]] = None, session: Any = None
+    ) -> Any:
+        if session is not None and session.in_transaction:
+            return execute_home(sql, params, session)
+        return execute_on(self.target, self.database, sql, params, session)
 
-    # -- registry-driven re-resolution -------------------------------------
-
-    def invalidate(self) -> None:
-        """Mark the connection stale; it re-resolves on its next execute."""
-        self._stale = True
-
-    def _raw_execute(self, sql: str, params: Optional[Dict[str, Any]]):
-        if self._stale:
-            self._reresolve()
-        return super()._raw_execute(sql, params)
-
-    def _reresolve(self) -> None:
-        self._stale = False
-        if self._registry is None or self._source_name is None:
-            return
-        # Abandon the old target's transaction (and its latch); if that
-        # server is gone, its crash already did and this is a no-op.
-        self.rollback()
-        server, database = self._registry._resolved_target(self._source_name)
-        self.target = server
-        self.database = database
-        self._reset_session(database)
+    def __repr__(self) -> str:
+        return f"<OdbcSource {self.name} -> {self.target.name}/{self.database}>"
 
 
 class OdbcSourceRegistry:
     """Maps logical source names to physical servers."""
 
     def __init__(self):
-        self._sources: Dict[str, Dict[str, Any]] = {}
+        self._sources: Dict[str, OdbcSource] = {}
 
     def register(self, name: str, server, database: Optional[str] = None) -> None:
         """Define a logical source (initially pointing at the backend)."""
-        self._sources[name.lower()] = {
-            "server": server,
-            "database": database,
-            "connections": [],
-        }
+        self._sources[name.lower()] = OdbcSource(name.lower(), server, database)
 
     def redirect(self, name: str, server, database: Optional[str] = None) -> None:
         """Re-point a source at a different server — no app changes needed.
 
         Without an explicit ``database``, the old database is kept only
-        when the new server actually has it; otherwise the target's own
-        default is adopted. Live connections from this source are
-        invalidated so they re-resolve on their next execute.
+        when the new server actually has it; otherwise the server's own
+        default is adopted. Connections already open follow on their next
+        statement.
         """
-        entry = self._sources.get(name.lower())
-        if entry is None:
-            raise DistributedError(f"no ODBC source {name!r}")
+        source = self.source(name)
         if database is None:
-            database = self._default_database(server, entry["database"])
-        entry["server"] = server
-        entry["database"] = database
-        live = []
-        for ref in entry["connections"]:
-            connection = ref()
-            if connection is not None:
-                connection.invalidate()
-                live.append(ref)
-        entry["connections"] = live
+            database = self._default_database(server, source.database)
+        source.target = server
+        source.database = database
 
     @staticmethod
     def _default_database(server, previous: Optional[str]) -> Optional[str]:
         """The database a redirected source should use on ``server``."""
-        databases = getattr(server, "databases", None)
-        if previous is not None and databases is not None and previous.lower() in databases:
+        if previous is not None and previous.lower() in server.databases:
             return previous
-        shadow = getattr(server, "shadow_db_name", None)  # CacheServer facade
-        if shadow is not None:
-            return shadow
-        return getattr(server, "default_database", None) or previous
+        return server.default_database or previous
 
-    def _entry(self, name: str) -> Dict[str, Any]:
-        entry = self._sources.get(name.lower())
-        if entry is None:
+    def source(self, name: str) -> OdbcSource:
+        source = self._sources.get(name.lower())
+        if source is None:
             raise DistributedError(f"no ODBC source {name!r}")
-        return entry
+        return source
 
-    def _resolved_target(self, name: str):
-        entry = self._entry(name)
-        return entry["server"], entry["database"]
-
-    def connect(self, name: str, principal: str = "dbo") -> OdbcConnection:
-        entry = self._entry(name)
-        connection = OdbcConnection(entry["server"], entry["database"], principal)
-        connection._registry = self
-        connection._source_name = name.lower()
-        entry["connections"].append(weakref.ref(connection))
-        return connection
+    def connect(self, name: str, principal: str = "dbo") -> Connection:
+        return Connection(self.source(name), principal=principal)
 
     def target_of(self, name: str) -> str:
-        return self._entry(name)["server"].name
+        return self.source(name).target.name

@@ -28,13 +28,19 @@ Conversation (client to the left)::
                                            <--  RESULT {schema, rowcount, ...}
                                            <--  ROWS {rows, last=False} ...
                                            <--  ROWS {rows, last=True}
-    PREPARE {sql}                          -->
-                                           <--  PREPARED {handle}
-    EXECUTE_PREPARED {handle, params, ...} -->
-                                           <--  RESULT / ROWS as above
     PING                                   -->
                                            <--  PONG
     BYE                                    -->  (server closes)
+
+A client request is a text plus its parameters and nothing else: the
+server hands each EXECUTE to its target's ``execute``, so forwarding,
+fallbacks and permissions apply to every request alike. There is no
+PREPARE: the server lifts literals and keeps each text's parse, binding
+and plan on its parse cache, so a repeated text already costs it no
+parse and no bind (prepare/execute by handle is the linked servers'
+server-to-server mechanism, :mod:`repro.distributed.linked_server`).
+Version 1 of the protocol had a prepared-statement conversation; version
+2 removed it, and its opcodes are answered like any unknown opcode.
 
 Any request may instead be answered by ``ERROR {kind, message,
 transient}`` carrying the server-side :class:`~repro.errors.ReproError`
@@ -68,7 +74,7 @@ from repro.errors import ProtocolError, RemoteError, ReproError
 #: Protocol version spoken by this module. The handshake requires an
 #: exact match: the protocol is young enough that cross-version
 #: negotiation would only hide mistakes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame (opcode + payload), bytes.
 MAX_FRAME = 64 * 1024 * 1024
@@ -83,31 +89,23 @@ MAX_NESTING = 64
 OP_HELLO = 0x01
 OP_WELCOME = 0x02
 OP_EXECUTE = 0x03
-OP_PREPARE = 0x04
-OP_PREPARED = 0x05
-OP_EXECUTE_PREPARED = 0x06
 OP_RESULT = 0x07
 OP_ROWS = 0x08
 OP_ERROR = 0x09
 OP_PING = 0x0A
 OP_PONG = 0x0B
 OP_BYE = 0x0C
-OP_CLOSE_PREPARED = 0x0D
 
 OP_NAMES = {
     OP_HELLO: "HELLO",
     OP_WELCOME: "WELCOME",
     OP_EXECUTE: "EXECUTE",
-    OP_PREPARE: "PREPARE",
-    OP_PREPARED: "PREPARED",
-    OP_EXECUTE_PREPARED: "EXECUTE_PREPARED",
     OP_RESULT: "RESULT",
     OP_ROWS: "ROWS",
     OP_ERROR: "ERROR",
     OP_PING: "PING",
     OP_PONG: "PONG",
     OP_BYE: "BYE",
-    OP_CLOSE_PREPARED: "CLOSE_PREPARED",
 }
 
 # -- value tags -------------------------------------------------------------
@@ -279,7 +277,15 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
         kind = _KIND_BY_VALUE.get(kind_name)
         if kind is None:
             raise ProtocolError(f"unknown SQL type kind {kind_name!r} on the wire")
-        length, precision, scale = (_decode(reader, depth) for _ in range(3))
+        length = _decode(reader, depth)
+        precision = _decode(reader, depth)
+        scale = _decode(reader, depth)
+        if not (
+            (length is None or isinstance(length, int))
+            and (precision is None or isinstance(precision, int))
+            and (scale is None or isinstance(scale, int))
+        ):
+            raise ProtocolError(f"malformed {kind_name} type on the wire")
         return SqlType(kind, length=length, precision=precision, scale=scale)
     if tag == _T_SCHEMA:
         count = reader.u32()
@@ -289,6 +295,12 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             qualifier = _decode(reader, depth)
             nullable = _decode(reader, depth)
             sql_type = _decode(reader, depth)
+            if not (
+                (qualifier is None or isinstance(qualifier, str))
+                and isinstance(nullable, bool)
+                and isinstance(sql_type, SqlType)
+            ):
+                raise ProtocolError(f"malformed schema column {name!r} on the wire")
             columns.append(
                 Column(name=name, sql_type=sql_type, qualifier=qualifier, nullable=nullable)
             )
@@ -335,7 +347,10 @@ def decode_body(body: bytes) -> Tuple[int, Optional[Dict[str, Any]]]:
     opcode = body[0]
     if len(body) == 1:
         return opcode, None
-    return opcode, decode_value(body[1:])
+    payload = decode_value(body[1:])
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"frame payload must be a dict, not {type(payload).__name__}")
+    return opcode, payload
 
 
 def check_frame_length(length: int) -> int:

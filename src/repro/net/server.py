@@ -11,8 +11,13 @@ synchronous — codebase.
 
 Design points:
 
+* **One way in.** Every request reaches the target as
+  ``target.execute(sql, params, session)``, so a cache facade's
+  forwarding, fallbacks and degraded reads apply to each request a
+  client sends. The engine server behind the target is consulted only
+  for its clock, metrics and catalog of databases.
 * **One handler thread per connection.** The handler reads a frame,
-  runs the engine call inline, writes the whole reply with one
+  runs the target call inline, writes the whole reply with one
   ``sendall``, and cleans up in its own ``finally`` — before the socket
   closes, so a client that sees EOF finds the latch already free. (An
   explicit transaction's latch hold belongs to the connection's session,
@@ -40,7 +45,10 @@ Design points:
 * **Malformed frames end their connection only.** A bad length prefix or
   an undecodable body is answered with one ERROR frame carrying
   :class:`~repro.errors.ProtocolError`; the stream is out of step after
-  it, so that connection closes while the listener keeps serving.
+  it, so that connection closes while the listener keeps serving. A
+  well-framed request with an opcode the server does not serve (the
+  prepared-statement opcodes of protocol version 1 among them) is
+  answered ProtocolError too, and the connection carries on.
 """
 
 from __future__ import annotations
@@ -80,13 +88,11 @@ def _shutdown(sock: socket.socket) -> None:
 class _WireSession:
     """Server-side state of one accepted connection."""
 
-    __slots__ = ("sock", "session", "handles", "fetch_rows")
+    __slots__ = ("sock", "session", "fetch_rows")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.session: Optional[Session] = None
-        #: handle id -> statement text, for disconnect cleanup.
-        self.handles: Dict[int, str] = {}
         self.fetch_rows: Optional[int] = None
 
 
@@ -227,10 +233,12 @@ class ReproServer:
                         daemon=True,
                     )
                     self._live[sock] = handler
-                    handler.start()  # under the lock: stop() only joins started threads
+                    # Counted before it can be served: a client that got
+                    # its WELCOME finds itself in the count.
+                    self._m_accepted.inc()
                     self._m_active.set(len(self._live))
+                    handler.start()  # under the lock: stop() only joins started threads
             if admitted:
-                self._m_accepted.inc()
                 continue
             # Shed at accept: one ERROR frame, then close. The client's
             # pending HELLO gets OverloadError instead of WELCOME.
@@ -268,14 +276,11 @@ class ReproServer:
         exclusively — rolling it back here is what keeps a dropped client
         from wedging every other session (when the server crashed
         meanwhile it ended the transaction itself, and the ``ROLLBACK``
-        is answered as a no-op). Prepared handles the client created are
-        dropped the way a closed in-process link would drop them.
+        is answered as a no-op).
         """
         session = wire.session
         if session is not None and session.in_transaction:
-            self._execute_target("ROLLBACK", None, session)
-        for handle_id in wire.handles:
-            self.engine.close_prepared(handle_id)
+            self.target.execute("ROLLBACK", session=session)
 
     def _serve_session(self, wire: _WireSession) -> None:
         while True:
@@ -305,26 +310,13 @@ class ReproServer:
                 return [protocol.encode_frame(*self._do_hello(wire, payload))]
             if opcode == protocol.OP_PING:
                 return [protocol.encode_frame(protocol.OP_PONG, {"server": self.name})]
+            if opcode != protocol.OP_EXECUTE:
+                raise ProtocolError(f"unexpected opcode 0x{opcode:02x} from client")
             if wire.session is None:
-                raise ProtocolError(f"{protocol.OP_NAMES.get(opcode, opcode)} before HELLO")
-            if opcode in (protocol.OP_EXECUTE, protocol.OP_EXECUTE_PREPARED):
-                run = (
-                    self._do_execute
-                    if opcode == protocol.OP_EXECUTE
-                    else self._do_execute_prepared
-                )
-                result = run(wire, payload)
-                self._on_fault("result", opcode)
-                return self._result_frames(wire, payload, result)
-            if opcode == protocol.OP_PREPARE:
-                handle_id = self._do_prepare(wire, payload)
-                return [protocol.encode_frame(protocol.OP_PREPARED, {"handle": handle_id})]
-            if opcode == protocol.OP_CLOSE_PREPARED:
-                handle_id = int(payload.get("handle", 0))
-                wire.handles.pop(handle_id, None)
-                self.engine.close_prepared(handle_id)
-                return [protocol.encode_frame(protocol.OP_PONG, {"closed": handle_id})]
-            raise ProtocolError(f"unexpected opcode 0x{opcode:02x} from client")
+                raise ProtocolError("EXECUTE before HELLO")
+            result = self._do_execute(wire, payload)
+            self._on_fault("result", opcode)
+            return self._result_frames(wire, payload, result)
         except _AbruptClose:
             raise
         except Exception as exc:  # noqa: BLE001 — every error becomes a frame
@@ -380,13 +372,16 @@ class ReproServer:
             "batch_rows": int(getattr(self.engine, "batch_rows", 0) or 0),
         }
 
-    def _scoped(self, payload: Dict[str, Any], fn, *args):
-        """Run ``fn`` under the request's propagated deadline and trace.
+    def _do_execute(self, wire: _WireSession, payload: Dict[str, Any]) -> Result:
+        """One request through the target, under its propagated deadline
+        and trace.
 
         Runs on the connection's handler thread. The budget re-anchors on
         the engine clock; the trace context parents this request's spans
         under the client's active span.
         """
+        sql = str(payload.get("sql") or "")
+        params = payload.get("params") or None
         budget = payload.get("budget")
         trace = payload.get("trace")
         deadline = (
@@ -395,40 +390,12 @@ class ReproServer:
 
         def run():
             with deadline_scope(deadline):
-                return fn(*args)
+                return self.target.execute(sql, params=params, session=wire.session)
 
         if trace:
             with propagated_trace(int(trace[0]), int(trace[1]), service=self.name):
                 return run()
         return run()
-
-    def _execute_target(
-        self, sql: str, params: Optional[Dict[str, Any]], session: Session
-    ) -> Result:
-        return self.target.execute(sql, params=params, session=session)
-
-    def _do_execute(self, wire: _WireSession, payload: Dict[str, Any]) -> Result:
-        sql = str(payload.get("sql") or "")
-        params = payload.get("params") or None
-        assert wire.session is not None
-        return self._scoped(payload, self._execute_target, sql, params, wire.session)
-
-    def _do_prepare(self, wire: _WireSession, payload: Dict[str, Any]) -> int:
-        sql = str(payload.get("sql") or "")
-        assert wire.session is not None
-        database = wire.session.database
-        handle_id = self._scoped(
-            payload, lambda: self.engine.prepare_sql(sql, database=database)
-        )
-        wire.handles[handle_id] = sql
-        return handle_id
-
-    def _do_execute_prepared(self, wire: _WireSession, payload: Dict[str, Any]) -> Result:
-        handle_id = int(payload.get("handle", 0))
-        params = payload.get("params") or None
-        return self._scoped(
-            payload, self.engine.execute_prepared, handle_id, params, wire.session
-        )
 
     # -- replies -----------------------------------------------------------
 

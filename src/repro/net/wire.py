@@ -17,10 +17,12 @@ unchanged. Differences from an in-process target, all deliberate:
   each request header and the server re-anchors it on its own clock.
 * A dropped connection surfaces as a transient
   :class:`~repro.errors.ConnectionLostError`; the next call transparently
-  re-dials, and prepared statements re-prepare from their kept text (the
-  PR 1 handle-recovery protocol, now spanning a process boundary). Only
-  the *caller* decides whether to retry the failed call itself — reads
-  are safe, writes go through a retry policy or the DTC.
+  re-dials. Only the *caller* decides whether to retry the failed call
+  itself — reads are safe, writes go through a retry policy or the DTC.
+
+There is no client-side prepare: a request is a text plus parameters,
+and the server's parse cache makes a repeated text as cheap as a handle
+(see :mod:`repro.net.protocol`).
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ import time
 from typing import Any, Dict, Optional
 
 from repro.engine.results import Result
-from repro.errors import (
-    ClientError,
-    ConnectionLostError,
-    PreparedStatementError,
-    TransactionLostError,
-)
+from repro.errors import ClientError, ConnectionLostError, TransactionLostError
 from repro.net import protocol
 from repro.obs.metrics import global_registry
 from repro.obs.tracing import active_span
@@ -60,18 +57,6 @@ class _WallClock:
         if seconds > 0:
             time.sleep(seconds)
         return self.now()
-
-
-class _PreparedHandle:
-    """Client-side half of a prepared statement over the wire."""
-
-    __slots__ = ("sql", "handle_id", "generation", "reprepares")
-
-    def __init__(self, sql: str, handle_id: int, generation: int):
-        self.sql = sql
-        self.handle_id = handle_id
-        self.generation = generation
-        self.reprepares = 0
 
 
 class WireConnection:
@@ -100,13 +85,9 @@ class WireConnection:
         #: Mirrored from the last RESULT header: is the server-side
         #: session inside an explicit transaction?
         self.in_transaction = False
-        #: Bumped on every successful dial; prepared handles from an
-        #: older generation are stale and transparently re-prepared.
-        self.generation = 0
         self.server_name: Optional[str] = None
         self.server_batch_rows = 0
         self._sock: Optional[socket.socket] = None
-        self._prepared: Dict[int, _PreparedHandle] = {}
         metrics = global_registry()
         self._m_roundtrips = metrics.counter("net.client.roundtrips")
         self._m_bytes_out = metrics.counter("net.client.bytes_out")
@@ -131,9 +112,6 @@ class WireConnection:
             ) from exc
         sock.settimeout(self.timeout)
         self._sock = sock
-        if self.generation:
-            self._m_redials.inc()
-        self.generation += 1
         self.in_transaction = False
         hello = {
             "protocol": protocol.PROTOCOL_VERSION,
@@ -155,6 +133,7 @@ class WireConnection:
         if self.closed:
             raise ClientError("wire connection is closed")
         if self._sock is None:
+            self._m_redials.inc()
             self._dial()
 
     def _drop(self) -> None:
@@ -263,59 +242,6 @@ class WireConnection:
             protocol.OP_RESULT,
         )
 
-    def prepare_sql(self, sql: str) -> int:
-        """Prepare on the server; returns a client-stable handle id.
-
-        The id returned here is the *server's* handle id, but the text is
-        kept so :meth:`execute_prepared` can transparently re-prepare
-        after a reconnect or a server restart.
-        """
-        self._ensure_connected()
-        handle_id = self._prepare_remote(sql)
-        self._prepared[handle_id] = _PreparedHandle(sql, handle_id, self.generation)
-        return handle_id
-
-    def _prepare_remote(self, sql: str) -> int:
-        prepared = self._roundtrip(
-            protocol.OP_PREPARE, self._request({"sql": sql}), protocol.OP_PREPARED
-        )
-        return int(prepared["handle"])
-
-    def _reprepare(self, handle: _PreparedHandle) -> None:
-        handle.handle_id = self._prepare_remote(handle.sql)
-        handle.generation = self.generation
-        handle.reprepares += 1
-
-    def execute_prepared(
-        self, handle_id: int, params: Optional[Dict[str, Any]] = None
-    ) -> Result:
-        """Execute by handle, transparently re-preparing stale handles."""
-        handle = self._prepared.get(handle_id)
-        if handle is None:
-            raise PreparedStatementError(
-                f"no prepared statement with handle {handle_id} on this wire connection"
-            )
-        self._ensure_connected()
-        if handle.generation != self.generation:
-            # The socket was re-dialed since prepare: the server-side
-            # handle died with the old connection's cleanup (or a crash).
-            self._reprepare(handle)
-
-        def run() -> Result:
-            return self._roundtrip(
-                protocol.OP_EXECUTE_PREPARED,
-                self._request({"handle": handle.handle_id, "params": params}),
-                protocol.OP_RESULT,
-            )
-
-        try:
-            return run()
-        except PreparedStatementError:
-            # Server restarted underneath a live connection: its volatile
-            # handle table is empty. Re-prepare from the kept text once.
-            self._reprepare(handle)
-            return run()
-
     # -- health / lifecycle ------------------------------------------------
 
     def healthy(self) -> bool:
@@ -341,7 +267,6 @@ class WireConnection:
             except OSError:
                 pass
         self._drop()
-        self._prepared.clear()
 
     def __enter__(self) -> "WireConnection":
         return self

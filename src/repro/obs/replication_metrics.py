@@ -48,7 +48,7 @@ def update_lag_gauges(agent, now: Optional[float] = None) -> Dict[str, float]:
         now = subscriber.database.clock.now()
     distribution_db = agent.distributor.distribution_db
     values = {
-        "lag_transactions": max(0, distribution_db.last_sequence - subscriber.last_sequence),
+        "lag_transactions": distribution_db.last_sequence - subscriber.last_sequence,
         "lag_seconds": subscriber.staleness(now),
         "queue_depth": len(distribution_db),
     }

@@ -7,9 +7,10 @@ has consumed them, after which they are deleted (as SQL Server does).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+from repro.errors import ReplicationError
 
 
 @dataclass(frozen=True)
@@ -34,11 +35,16 @@ class ReplicatedTransaction:
 
 class DistributionDatabase:
     """Commit-ordered command store; each subscriber keeps its own
-    watermark (a sequence number) into it."""
+    watermark (a sequence number) into it.
+
+    Sequences are dense: the store holds ``purged_through + 1`` through
+    :attr:`last_sequence`, so the frontier stays where it is when a purge
+    empties the store.
+    """
 
     def __init__(self):
         self._transactions: List[ReplicatedTransaction] = []
-        self._sequence = itertools.count(1)
+        self.purged_through = 0
         self.commands_stored = 0
 
     def append(
@@ -48,7 +54,7 @@ class DistributionDatabase:
         commands: List[ReplicationCommand],
     ) -> ReplicatedTransaction:
         transaction = ReplicatedTransaction(
-            sequence=next(self._sequence),
+            sequence=self.last_sequence + 1,
             origin_transaction_id=origin_transaction_id,
             commit_timestamp=commit_timestamp,
             commands=tuple(commands),
@@ -59,23 +65,23 @@ class DistributionDatabase:
 
     @property
     def last_sequence(self) -> int:
-        if not self._transactions:
-            return 0
-        return self._transactions[-1].sequence
+        """The last sequence ever assigned (0 before the first)."""
+        return self.purged_through + len(self._transactions)
 
     def read_after(self, sequence: int) -> List[ReplicatedTransaction]:
-        """All stored transactions with sequence > ``sequence``."""
-        if not self._transactions:
-            return []
-        first = self._transactions[0].sequence
-        offset = max(0, sequence - first + 1)
-        return self._transactions[offset:]
+        """All stored transactions with sequence > ``sequence``, which must
+        not precede the purge: a watermark only ever trails what is kept."""
+        if sequence < self.purged_through:
+            raise ReplicationError(
+                f"transactions after {sequence} were purged through {self.purged_through}"
+            )
+        return self._transactions[sequence - self.purged_through :]
 
     def purge_through(self, sequence: int) -> int:
         """Delete transactions every subscriber has consumed."""
-        kept = [t for t in self._transactions if t.sequence > sequence]
-        purged = len(self._transactions) - len(kept)
-        self._transactions = kept
+        purged = max(0, sequence - self.purged_through)
+        del self._transactions[:purged]
+        self.purged_through += purged
         return purged
 
     def __len__(self) -> int:
@@ -85,8 +91,7 @@ class DistributionDatabase:
 class Distributor:
     """Owns the distribution database and the running agents."""
 
-    def __init__(self, clock):
-        self.clock = clock
+    def __init__(self):
         self.distribution_db = DistributionDatabase()
         self.agents: List = []  # DistributionAgent instances
 

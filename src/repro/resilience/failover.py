@@ -34,8 +34,9 @@ violations, parse errors) propagate to the caller unchanged from
 whichever target ran the statement.
 
 A session inside an explicit transaction is never rerouted: its
-statements go to the target the transaction began on (its *home*) and
-nowhere else. If that server has crashed, the session hears
+statements go to the server the transaction began on (its *home*, via
+:func:`~repro.client.connection.execute_home`) and nowhere else. If that
+server has crashed, the session hears
 :class:`~repro.errors.TransactionLostError` from it instead of sending
 ``COMMIT`` to a target that never saw ``BEGIN``.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.client.connection import engine_of, execute_on
+from repro.client.connection import engine_of, execute_home, execute_on
 from repro.errors import CircuitOpenError, LinkUnavailableError, ServerUnavailableError
 from repro.resilience.deadline import check_deadline
 
@@ -109,10 +110,7 @@ class FailoverRouter:
     ) -> Any:
         check_deadline("failover routing")
         if session is not None and session.in_transaction:
-            home = session.owner.home.owner_server
-            if engine_of(self.primary) is home:
-                return execute_on(self.primary, self.primary_database, sql, params, session)
-            return execute_on(self.fallback, self.fallback_database, sql, params, session)
+            return execute_home(sql, params, session)
         if self.state == self.FAILED_OVER:
             now = self.clock.now()
             if now >= self._next_probe:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.mtcache.odbc import OdbcConnection
+from repro.client import connect
 from repro.tpcw.application import TPCWApplication
 from repro.tpcw.config import TPCWConfig
 from repro.tpcw.setup import build_backend, enable_caching
@@ -82,7 +82,7 @@ def calibrate(
     else:
         raise ValueError(f"unknown calibration mode {mode!r}")
 
-    connection = OdbcConnection(target_server, "tpcw", "dbo")
+    connection = connect(target_server, database="tpcw")
     application = TPCWApplication(connection, config, random.Random(seed))
 
     profiles: Dict[str, InteractionProfile] = {}

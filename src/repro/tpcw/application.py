@@ -2,11 +2,11 @@
 
 Plays the role of the paper's ISAPI extension: each web interaction issues
 one or more ``EXEC`` calls through the DBAPI-style cursor surface of its
-connection — an :class:`~repro.mtcache.odbc.OdbcConnection`, a plain
-:class:`repro.client.Connection`, or a
-:class:`~repro.resilience.failover.FailoverRouter` — so the same
-application code runs against the backend directly or against an MTCache
-server: the transparency the paper is about.
+connection — a :class:`repro.client.Connection` over a server, an ODBC
+source (:class:`~repro.mtcache.odbc.OdbcSource`), a
+:class:`~repro.resilience.failover.FailoverRouter`, or a DSN — so the
+same application code runs against the backend directly or against an
+MTCache server: the transparency the paper is about.
 
 Interactions keep lightweight per-user session state (current customer,
 shopping-cart id, last detail item) the way the real benchmark's session

@@ -9,9 +9,9 @@ observable:
 * *equivalence* — the bindings a provisioned TPC-W tier holds (backend,
   cache, shard) equal a fresh derivation;
 * *rebind matrix* — after every kind of schema-version bump, the first
-  execution of a text and of a prepared handle (through a linked server
-  and over the wire) binds again and answers as a never-seen text would;
-  the second does not bind. ``GRANT`` takes effect without a bump;
+  execution of a text and of a prepared handle (through a linked server)
+  binds again and answers as a never-seen text would; the second does
+  not bind. ``GRANT`` takes effect without a bump;
 * *flatness* — once warm, TPC-W traffic binds nothing and never calls
   ``statement_lock_plan``;
 * *threads* — sessions sharing one text while another runs DDL lose no
@@ -31,11 +31,10 @@ from repro import MTCacheDeployment, Server, Session
 from repro.client import connect
 from repro.engine.locks import LockMode
 from repro.errors import BindError, PermissionError_
-from repro.net import ReproServer
 from repro.sharding import ShardedDeployment
 from repro.tpcw import MIXES, TPCWApplication, TPCWConfig, build_backend, enable_caching
 from repro.tpcw.workload import INTERACTIONS
-from tests.conftest import assert_bound_as_fresh, make_shop_backend, stop_wire_server
+from tests.conftest import assert_bound_as_fresh, make_shop_backend
 
 
 def binds(server: Server) -> int:
@@ -132,11 +131,11 @@ def test_tpcw_bindings_equal_a_fresh_derivation_on_every_tier():
 # -- (b) the rebind matrix ----------------------------------------------------
 
 
-class ThreeWays:
-    """One statement against one engine server as a text, by a
-    linked-server handle and by a wire handle — each under its own
-    spelling of the text (trailing blanks), so each holds its own
-    parse-cache entry and must rebind for itself."""
+class BothWays:
+    """One statement against one engine server as a text and by a
+    linked-server handle — each under its own spelling of the text
+    (trailing blanks), so each holds its own parse-cache entry and must
+    rebind for itself."""
 
     def __init__(self, target, sql: str, params=None):
         self.engine = getattr(target, "server", target)
@@ -145,19 +144,10 @@ class ThreeWays:
         client = Server("client")
         link = client.linked_servers.register("target", self.engine, self.database.name)
         handle = link.prepare(sql + " ")
-        self.wire_server = ReproServer.serve(target)
-        self.connection = connect(self.wire_server.dsn)
-        wire = self.connection.target
-        wire_handle = wire.prepare_sql(sql + "  ")
         self.ways = {
             "text": lambda: target.execute(sql, params).rows,
             "link": lambda: handle.execute(params).rows,
-            "wire": lambda: wire.execute_prepared(wire_handle, params).rows,
         }
-
-    def close(self) -> None:
-        self.connection.close()
-        stop_wire_server(self.wire_server)
 
     def warm(self):
         """Run every way until none binds; returns the rows."""
@@ -180,7 +170,7 @@ class ThreeWays:
             second = way()
             assert binds(self.engine) == before, f"{name}: bound twice for one version"
             assert first == second == cold, name
-        for spelling in ("", " ", "  "):
+        for spelling in ("", " "):
             assert_bound_as_fresh(self.engine, self.database, self.sql + spelling)
         return cold
 
@@ -188,23 +178,9 @@ class ThreeWays:
         return self.engine._parse_sql(self.sql, self.database)[0].bound[0]
 
 
-@pytest.fixture
-def three_ways():
-    opened = []
-
-    def build(target, sql, params=None):
-        ways = ThreeWays(target, sql, params)
-        opened.append(ways)
-        return ways
-
-    yield build
-    for ways in opened:
-        ways.close()
-
-
-def test_create_index_rebinds_and_the_new_plan_seeks_it(three_ways):
+def test_create_index_rebinds_and_the_new_plan_seeks_it():
     backend = make_shop_backend(customers=50, orders=50)
-    ways = three_ways(backend, "SELECT cid FROM customer WHERE cname = @n", {"n": "cust7"})
+    ways = BothWays(backend, "SELECT cid FROM customer WHERE cname = @n", {"n": "cust7"})
     assert ways.warm() == [(7,)]
     assert "ix_customer_cname" not in ways.bound().planned.explain()
     version = backend.database("shop").version
@@ -214,9 +190,9 @@ def test_create_index_rebinds_and_the_new_plan_seeks_it(three_ways):
     assert "ix_customer_cname" in ways.bound().planned.explain()
 
 
-def test_analyze_rebinds(three_ways):
+def test_analyze_rebinds():
     backend = make_shop_backend(customers=50, orders=50)
-    ways = three_ways(backend, "SELECT COUNT(*) FROM orders WHERE o_cid = @c", {"c": 3})
+    ways = BothWays(backend, "SELECT COUNT(*) FROM orders WHERE o_cid = @c", {"c": 3})
     rows = ways.warm()
     backend.database("shop").analyze("orders")
     assert ways.after_bump() == rows
@@ -230,7 +206,7 @@ WRITES = (
 )
 
 
-def test_procedure_redefined_read_only_to_writing_and_back(three_ways, monkeypatch):
+def test_procedure_redefined_read_only_to_writing_and_back(monkeypatch):
     backend = make_shop_backend(customers=10, orders=10)
     backend.execute(READS)
     latch = backend.database("shop").latch
@@ -239,7 +215,7 @@ def test_procedure_redefined_read_only_to_writing_and_back(three_ways, monkeypat
     monkeypatch.setattr(
         latch, "acquire_exclusive", lambda *a, **k: exclusive.append(1) or acquire(*a, **k)
     )
-    ways = three_ways(backend, "EXEC touch")
+    ways = BothWays(backend, "EXEC touch")
     assert ways.warm() == [(3,)]
     assert ways.bound().lock_plan is None  # a read-only body locks per statement
     exclusive.clear()
@@ -250,7 +226,7 @@ def test_procedure_redefined_read_only_to_writing_and_back(three_ways, monkeypat
     exclusive.clear()
     assert ways.after_bump() == [(3,)]
     assert ways.bound().lock_plan.latch is LockMode.EXCLUSIVE
-    assert len(exclusive) >= 7  # the cold text, then two executions per way
+    assert len(exclusive) >= 5  # the cold text, then two executions per way
 
     backend.execute("DROP PROCEDURE touch; " + READS)
     exclusive.clear()
@@ -259,13 +235,13 @@ def test_procedure_redefined_read_only_to_writing_and_back(three_ways, monkeypat
     assert not exclusive
 
 
-def test_redefined_callee_of_a_nested_exec(three_ways):
+def test_redefined_callee_of_a_nested_exec():
     backend = make_shop_backend(customers=10, orders=10)
     backend.execute(
         "CREATE PROCEDURE inner_p AS BEGIN SELECT cname FROM customer WHERE cid = 1 END; "
         "CREATE PROCEDURE outer_p AS BEGIN EXEC inner_p END"
     )
-    ways = three_ways(backend, "EXEC outer_p")
+    ways = BothWays(backend, "EXEC outer_p")
     assert ways.warm() == [("cust1",)]
     backend.execute(
         "DROP PROCEDURE inner_p; "
@@ -274,12 +250,12 @@ def test_redefined_callee_of_a_nested_exec(three_ways):
     assert ways.after_bump() == [("cust2",)]
 
 
-def test_copy_procedure_moves_the_call_to_the_cache(three_ways):
+def test_copy_procedure_moves_the_call_to_the_cache():
     backend = make_shop_backend(customers=10, orders=10)
     backend.execute("CREATE PROCEDURE countOrders AS BEGIN SELECT COUNT(*) FROM orders END")
     cache = MTCacheDeployment(backend, "shop").add_cache_server("cache1")
     link = cache.server.linked_servers.get("backend")
-    ways = three_ways(cache, "EXEC countOrders")
+    ways = BothWays(cache, "EXEC countOrders")
     assert ways.warm() == [(10,)]
     assert ways.bound().forward is not None and ways.bound().procedure is None
     cache.copy_procedure("countOrders")
@@ -289,22 +265,22 @@ def test_copy_procedure_moves_the_call_to_the_cache(three_ways):
     assert link.statements_shipped == forwarded  # the EXEC itself no longer travels
 
 
-def test_refresh_catalog_rebinds(three_ways):
+def test_refresh_catalog_rebinds():
     backend = make_shop_backend(customers=10, orders=10)
     deployment = MTCacheDeployment(backend, "shop")
     cache = deployment.add_cache_server("cache1")
-    ways = three_ways(cache, "SELECT cname FROM customer WHERE cid = @c", {"c": 4})
+    ways = BothWays(cache, "SELECT cname FROM customer WHERE cid = @c", {"c": 4})
     assert ways.warm() == [("cust4",)]
     backend.execute("CREATE INDEX ix_customer_cname ON customer (cname)")
     deployment.refresh_catalog()
     assert ways.after_bump() == [("cust4",)]
 
 
-def test_create_cached_view_brings_the_query_home(three_ways):
+def test_create_cached_view_brings_the_query_home():
     backend = make_shop_backend(customers=40, orders=10)
     cache = MTCacheDeployment(backend, "shop").add_cache_server("cache1")
     link = cache.server.linked_servers.get("backend")
-    ways = three_ways(cache, "SELECT cname FROM customer WHERE cid = @c", {"c": 4})
+    ways = BothWays(cache, "SELECT cname FROM customer WHERE cid = @c", {"c": 4})
     assert ways.warm() == [("cust4",)]
     cache.execute(
         "CREATE CACHED VIEW near AS SELECT cid, cname FROM customer WHERE cid <= 20"
@@ -314,14 +290,14 @@ def test_create_cached_view_brings_the_query_home(three_ways):
     assert link.queries_shipped == shipped  # answered from the view
 
 
-def test_mark_remote_turns_a_local_update_into_a_forwarded_one(three_ways):
+def test_mark_remote_turns_a_local_update_into_a_forwarded_one():
     backend = make_shop_backend(customers=10, orders=10)
     middle = Server("middle")
     middle.create_database("shop")
     middle.execute("CREATE TABLE customer (cid INT PRIMARY KEY, cname VARCHAR(40))")
     middle.execute("INSERT INTO customer VALUES (1, 'local')")
     middle.linked_servers.register("backend", backend, "shop")
-    ways = three_ways(middle, "UPDATE customer SET cname = @n WHERE cid = 1", {"n": "moved"})
+    ways = BothWays(middle, "UPDATE customer SET cname = @n WHERE cid = 1", {"n": "moved"})
     ways.warm()
     assert ways.bound().forward is None
     assert backend.execute("SELECT cname FROM customer WHERE cid = 1").scalar == "cust1"
@@ -331,12 +307,12 @@ def test_mark_remote_turns_a_local_update_into_a_forwarded_one(three_ways):
     assert backend.execute("SELECT cname FROM customer WHERE cid = 1").scalar == "moved"
 
 
-def test_shard_boundary_move_rebinds_on_the_shard(three_ways):
+def test_shard_boundary_move_rebinds_on_the_shard():
     sharded = ShardedDeployment(config=TPCWConfig(num_items=100, num_ebs=4, seed=29), shards=2)
     left, right = sorted(sharded.shards)
     low, high = sharded.partitioner.slice(left)
     item = high  # the left shard's last key: lost when the cut moves down
-    ways = three_ways(sharded.shards[left], "EXEC getBook @i_id = @i_id", {"i_id": item})
+    ways = BothWays(sharded.shards[left], "EXEC getBook @i_id = @i_id", {"i_id": item})
     rows = ways.warm()
     assert rows == sharded.backend.execute(
         "EXEC getBook @i_id = @i_id", {"i_id": item}, database="tpcw"

@@ -11,7 +11,6 @@ import pytest
 
 from repro.client import connect
 from repro.faults import FaultInjector
-from repro.mtcache.odbc import OdbcConnection
 from repro.obs import replication_metrics
 from repro.tpcw import (
     LoadDriver,
@@ -104,7 +103,7 @@ def test_empty_schedule_injector_is_byte_identical_to_none():
                 FaultInjector(deployment.clock, seed=99)
             )
         application = TPCWApplication(
-            OdbcConnection(cache.server, "tpcw", "dbo"), config
+            connect(cache.server, database="tpcw"), config
         )
         driver = LoadDriver(
             application, MIXES["Shopping"], users=5, deployment=deployment, seed=7

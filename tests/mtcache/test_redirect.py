@@ -1,10 +1,15 @@
-"""ODBC redirection edge cases: database re-resolution, live invalidation."""
+"""ODBC redirection edge cases: database re-resolution, live connections,
+and a transaction open across a redirect."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
 from repro import MTCacheDeployment, Server
+from repro.client import connect
 from repro.mtcache.odbc import OdbcSourceRegistry
 
 from tests.conftest import make_shop_backend
@@ -45,7 +50,7 @@ def test_redirect_resolves_database_from_target(env):
     connection = registry.connect("shopdsn")
     # The old bug kept database="shop", which the replica does not have;
     # every statement then failed. Resolution must pick shop_v2.
-    assert connection.database == "shop_v2"
+    assert registry.source("shopdsn").database == "shop_v2"
     assert (
         connection.cursor()
         .execute("SELECT cname FROM customer WHERE cid = 1")
@@ -57,9 +62,9 @@ def test_redirect_resolves_database_from_target(env):
 def test_redirect_keeps_database_the_target_actually_has(env):
     backend, _, cache, registry = env
     registry.redirect("shopdsn", cache.server)  # cache carries 'shop' too
-    connection = registry.connect("shopdsn")
-    assert connection.database == "shop"
-    assert connection.server_name == "cache1"
+    assert registry.source("shopdsn").database == "shop"
+    assert registry.target_of("shopdsn") == "cache1"
+    assert registry.connect("shopdsn").server is cache.server
 
 
 def test_live_connection_follows_redirect(env):
@@ -69,58 +74,66 @@ def test_live_connection_follows_redirect(env):
         connection.cursor().execute("SELECT cname FROM customer WHERE cid = 1").result.scalar
         == "cust1"
     )
-    assert connection.server_name == "backend"
+    assert connection.server is backend
 
     registry.redirect("shopdsn", cache.server, "shop")
-    # The connection object the application already holds re-resolves on
-    # its next statement — no reconnect in application code.
+    # The connection object the application already holds follows on its
+    # next statement — no reconnect in application code.
+    served = cache.server.statements_executed
     assert (
         connection.cursor().execute("SELECT cname FROM customer WHERE cid = 1").result.scalar
         == "cust1"
     )
-    assert connection.server_name == "cache1"
+    assert cache.server.statements_executed == served + 1
+    assert connection.server is cache.server
 
 
-def test_redirect_rolls_back_transaction_on_old_target(env):
-    backend, _, cache, registry = env
+def test_a_transaction_open_across_a_redirect_commits_at_its_home(env):
+    backend, deployment, cache, registry = env
     connection = registry.connect("shopdsn")
+    cursor = connection.cursor()
     connection.begin()
-    connection.cursor().execute("UPDATE customer SET cname = 'dirty' WHERE cid = 1")
+    cursor.execute("UPDATE customer SET cname = 'paid' WHERE cid = 1")
     latch = backend.database("shop").latch
+    assert latch.holder is connection.session
 
     registry.redirect("shopdsn", cache.server, "shop")
-    connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
-    # The abandoned transaction was rolled back and its latch released;
-    # the backend still shows the pre-transaction value.
-    assert not latch.owns_exclusive()
-    assert latch.readers == 0
+    # The session is inside a transaction: its home is the backend, and
+    # COMMIT goes there — the configuration change discards nothing.
+    served = cache.server.statements_executed
+    connection.commit()
+    assert cache.server.statements_executed == served
+    assert latch.holder is None and not connection.in_transaction()
     assert (
-        backend.execute(
-            "SELECT cname FROM customer WHERE cid = 1", database="shop"
-        ).scalar
-        == "cust1"
+        backend.execute("SELECT cname FROM customer WHERE cid = 1", database="shop").scalar
+        == "paid"
     )
+    # Outside the transaction the connection follows the redirect.
+    deployment.sync()
+    assert cursor.execute("SELECT cname FROM customer WHERE cid = 1").result.scalar == "paid"
+    assert cache.server.statements_executed == served + 1
+    assert connection.server.name == registry.target_of("shopdsn") == "cache1"
 
 
 def test_direct_connection_never_goes_stale(env):
     backend, _, cache, registry = env
-    from repro.mtcache.odbc import OdbcConnection
-
-    direct = OdbcConnection(backend, "shop", "dbo")
+    direct = connect(backend, database="shop")
     registry.redirect("shopdsn", cache.server, "shop")
     # A connection not handed out by the registry is unaffected.
-    assert direct.server_name == "backend"
+    served = cache.server.statements_executed
     assert (
         direct.cursor().execute("SELECT cname FROM customer WHERE cid = 1").result.scalar == "cust1"
     )
+    assert direct.server is backend
+    assert cache.server.statements_executed == served
 
 
 def test_dead_connections_are_pruned(env):
-    backend, _, cache, registry = env
-    for _ in range(3):
-        registry.connect("shopdsn")  # dropped immediately
-    import gc
-
+    """The registry holds one source per name, never the connections it
+    handed out: a dropped connection is garbage at once."""
+    _, _, cache, registry = env
+    dropped = [weakref.ref(registry.connect("shopdsn")) for _ in range(3)]
     gc.collect()
+    assert all(ref() is None for ref in dropped)
     registry.redirect("shopdsn", cache.server, "shop")
-    assert registry._sources["shopdsn"]["connections"] == []
+    assert registry.target_of("shopdsn") == "cache1"

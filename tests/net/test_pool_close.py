@@ -24,10 +24,10 @@ class TestPooledWireClose:
             # Close the first checkout's socket outright (not a release).
             first.close()
             # The sibling's socket must be untouched: same dial, live query.
-            generation_before = second.target.generation
+            sock = second.target._sock
             rows = second.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result.rows
             assert rows == [(1,)]
-            assert second.target.generation == generation_before  # no redial
+            assert second.target._sock is sock  # no redial
             pool.release(second)
         finally:
             pool.close()

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro import MTCacheDeployment
 from repro.client import connect
 from repro.errors import (
     BindError,
@@ -18,7 +19,6 @@ from repro.errors import (
     DeadlineExceededError,
     HandshakeError,
     OverloadError,
-    PermissionError_,
     ProtocolError,
     is_transient,
 )
@@ -163,59 +163,43 @@ class TestTransactions:
         assert rows == []
 
 
-class TestPreparedStatements:
-    def test_prepare_execute_roundtrip(self, wire_server):
-        _, server = wire_server
-        with connect(server.dsn) as connection:
-            wire = connection.target
-            handle = wire.prepare_sql("SELECT cname FROM customer WHERE cid = @id")
-            assert wire.execute_prepared(handle, {"id": 7}).rows == [("cust7",)]
-            assert wire.execute_prepared(handle, {"id": 8}).rows == [("cust8",)]
+def _raw_session(server):
+    """A raw socket past the handshake, for frames no client would send."""
+    raw = socket.create_connection((server.host, server.port), timeout=5)
+    raw.sendall(
+        protocol.encode_frame(
+            protocol.OP_HELLO, {"protocol": protocol.PROTOCOL_VERSION, "database": "shop"}
+        )
+    )
+    assert protocol.read_frame(raw)[0] == protocol.OP_WELCOME
+    return raw
 
-    def test_reprepare_after_server_restart(self, wire_server):
-        backend, server = wire_server
-        with connect(server.dsn) as connection:
-            wire = connection.target
-            handle = wire.prepare_sql("SELECT cname FROM customer WHERE cid = @id")
-            wire.execute_prepared(handle, {"id": 1})
-            backend.crash()  # volatile state (prepared handles) is lost
-            backend.restart()
-            assert wire.execute_prepared(handle, {"id": 2}).rows == [("cust2",)]
 
-    def test_reprepare_after_redial(self, wire_server):
-        _, server = wire_server
-        with connect(server.dsn) as connection:
-            wire = connection.target
-            handle = wire.prepare_sql("SELECT cname FROM customer WHERE cid = @id")
-            wire._drop()  # simulate a network drop between calls
-            assert wire.execute_prepared(handle, {"id": 3}).rows == [("cust3",)]
-            assert wire._prepared[handle].reprepares == 1
+class TestOneWayIn:
+    """A client request is a text plus parameters, through the target (the
+    retired PREPARE opcodes: ``test_protocol_fuzz.py``)."""
 
-    def test_prepared_execution_runs_as_the_connection_principal(self, wire_server):
-        backend, server = wire_server
-        backend.execute("CREATE TABLE secret (v INT)", database="shop")
-        backend.execute("INSERT INTO secret VALUES (42)", database="shop")
-        with connect(f"{server.dsn}?principal=alice") as connection:
-            sql = "SELECT v FROM secret"
-            with pytest.raises(PermissionError_):
-                connection.cursor().execute(sql)
-            wire = connection.target
-            handle = wire.prepare_sql(sql)
-            with pytest.raises(PermissionError_):
-                wire.execute_prepared(handle)
-
-    def test_prepared_dml_joins_the_connection_transaction(self, wire_server):
-        backend, server = wire_server
-        with connect(server.dsn) as connection:
-            wire = connection.target
-            handle = wire.prepare_sql("UPDATE customer SET cname = @n WHERE cid = 1")
-            connection.begin()
-            wire.execute_prepared(handle, {"n": "dirty"})
-            assert connection.in_transaction() is True
-            connection.rollback()
-        assert backend.execute(
-            "SELECT cname FROM customer WHERE cid = 1", database="shop"
-        ).scalar == "cust1"
+    def test_every_request_reaches_a_minimal_shadow_cache_through_its_forwarding(self):
+        backend = make_shop_backend(customers=20, orders=20)
+        deployment = MTCacheDeployment(backend, "shop")
+        cache = deployment.add_cache_server("cache1", shadow_tables=["customer"])
+        server = ReproServer.serve(cache)
+        sql = "SELECT oid FROM orders WHERE o_cid = @c ORDER BY oid"
+        expected = backend.execute(sql, {"c": 3}, database="shop").rows
+        try:
+            with connect(server.dsn) as connection:
+                cursor = connection.cursor()
+                assert cursor.execute(sql, {"c": 3}).fetchall() == expected
+                assert cursor.execute(sql, {"c": 3}).fetchall() == expected  # repeated
+            with _raw_session(server) as raw:  # the version-1 way around the target
+                raw.sendall(protocol.encode_frame(0x04, {"sql": sql}))
+                opcode, payload, _ = protocol.read_frame(raw)
+            assert opcode == protocol.OP_ERROR
+            with pytest.raises(ProtocolError, match="unexpected opcode"):
+                protocol.raise_error(payload)
+        finally:
+            stop_wire_server(server)
+        assert cache.statements_forwarded == 2
 
 
 class TestHandshake:
@@ -230,6 +214,17 @@ class TestHandshake:
             opcode, payload, _ = protocol.read_frame(raw)
         assert opcode == protocol.OP_ERROR
         with pytest.raises(HandshakeError, match="version mismatch"):
+            protocol.raise_error(payload)
+
+    def test_a_version_1_client_is_refused(self, wire_server):
+        _, server = wire_server
+        with socket.create_connection((server.host, server.port), timeout=5) as raw:
+            raw.sendall(
+                protocol.encode_frame(protocol.OP_HELLO, {"protocol": 1, "database": "shop"})
+            )
+            opcode, payload, _ = protocol.read_frame(raw)
+        assert opcode == protocol.OP_ERROR
+        with pytest.raises(HandshakeError, match="client speaks 1"):
             protocol.raise_error(payload)
 
     def test_unknown_database_rejected_at_connect(self, wire_server):
@@ -352,6 +347,36 @@ def test_connection_churn_loses_no_update_and_no_connection(wire_server):
     assert active.value == 0 and server._live == {}
 
 
+class _SlowGauge:
+    """A gauge whose ``set`` yields for a while: it widens whatever window
+    the accept thread leaves between starting a handler and counting it."""
+
+    def __init__(self, gauge):
+        self.gauge = gauge
+
+    def set(self, value):
+        time.sleep(0.01)
+        self.gauge.set(value)
+
+
+@pytest.mark.concurrency
+def test_an_accepted_connection_is_counted_before_it_is_served(wire_server, monkeypatch):
+    """A client holding its WELCOME finds itself in ``connections_accepted``
+    — what the churn test's exact count relies on."""
+    backend, server = wire_server
+    monkeypatch.setattr(server, "_m_active", _SlowGauge(server._m_active))
+    accepted = backend.metrics.counter("net.server.connections_accepted")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(20):
+            before = accepted.value
+            with connect(server.dsn, timeout=5):
+                assert accepted.value == before + 1
+    finally:
+        sys.setswitchinterval(old)
+
+
 class TestDeadlinesAndTracing:
     def test_spent_budget_fails_fast_across_the_wire(self, wire_server):
         _, server = wire_server
@@ -388,10 +413,8 @@ class TestDeadlinesAndTracing:
             before = roundtrips.value
             connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
             assert roundtrips.value == before + 1
-            handle = connection.target.prepare_sql("SELECT cname FROM customer WHERE cid = @id")
-            before = roundtrips.value
-            connection.target.execute_prepared(handle, {"id": 1})
-            assert roundtrips.value == before + 1  # one request path: counted alike
+            assert connection.healthy()
+            assert roundtrips.value == before + 2  # one request path: counted alike
         assert backend.metrics.counter("net.server.requests").value > 0
         assert backend.metrics.counter("net.server.bytes_in").value > 0
         assert backend.metrics.counter("net.server.bytes_out").value > 0

@@ -18,6 +18,7 @@ from repro.client import connect
 from repro.errors import ConnectionLostError, ProtocolError, is_transient
 from repro.faults import FaultInjector
 from repro.net import ReproServer, protocol
+from repro.obs.metrics import global_registry
 from repro.resilience import RetryPolicy
 from tests.conftest import make_shop_backend, stop_wire_server
 
@@ -45,10 +46,11 @@ class TestMidFrameDisconnect:
                 connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1")
             assert is_transient(info.value)
             # The very next call redials transparently and succeeds.
-            generation = connection.target.generation
+            redials = global_registry().counter("net.client.redials")
+            before = redials.value
             rows = connection.cursor().execute("SELECT cid FROM customer WHERE cid = 1").result.rows
             assert rows == [(1,)]
-            assert connection.target.generation == generation + 1
+            assert redials.value == before + 1
         finally:
             connection.close()
 

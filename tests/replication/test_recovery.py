@@ -46,6 +46,42 @@ def apply_failures(cache):
     ).value
 
 
+class TestFullPurge:
+    """The distribution frontier is the last sequence ever assigned, also
+    once every subscriber consumed everything and the store is empty."""
+
+    def test_the_frontier_survives_a_full_purge(self, env):
+        backend, deployment, cache, _ = env
+        distribution_db = deployment.distributor.distribution_db
+        start = distribution_db.last_sequence
+        for cid in (1, 2, 3):
+            rename(backend, cid, f"p{cid}")
+        deployment.sync()  # applied, then purged
+        assert len(distribution_db) == 0
+        assert distribution_db.last_sequence == cache.subscriber.last_sequence == start + 3
+        assert distribution_db.read_after(start + 3) == []
+
+    def test_a_cache_provisioned_after_a_full_purge_gets_the_next_transaction_once(self, env):
+        backend, deployment, _, _ = env
+        rename(backend, 1, "before")
+        deployment.sync()
+        distribution_db = deployment.distributor.distribution_db
+        frontier = distribution_db.last_sequence
+        assert frontier > 0 and len(distribution_db) == 0
+        late = deployment.add_cache_server("cache2")
+        late.create_cached_view(
+            "CREATE CACHED VIEW vcust AS "
+            "SELECT cid, cname, segment FROM customer WHERE cid <= 30"
+        )
+        assert late.subscriber.last_sequence == frontier
+        applied = late.agent.transactions_applied
+        rename(backend, 1, "after")
+        deployment.sync()
+        assert late.agent.transactions_applied == applied + 1
+        assert late.subscriber.last_sequence == frontier + 1
+        assert cache_name(late, 1) == "after"
+
+
 class TestCrashMidBatch:
     def test_failed_batch_redelivers_exactly_the_unapplied_suffix(self, env):
         backend, deployment, cache, injector = env

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mtcache.odbc import OdbcConnection
+from repro.client import connect
 from repro.tpcw import (
     LoadDriver,
     MIXES,
@@ -22,7 +22,7 @@ def cached_env():
 
 def test_driver_runs_traffic(cached_env):
     backend, config, deployment, cache = cached_env
-    application = TPCWApplication(OdbcConnection(cache.server, "tpcw", "dbo"), config)
+    application = TPCWApplication(connect(cache.server, database="tpcw"), config)
     driver = LoadDriver(
         application, MIXES["Shopping"], users=5, deployment=deployment, seed=3
     )
@@ -36,7 +36,7 @@ def test_driver_runs_traffic(cached_env):
 
 def test_driver_mix_matches_weights(cached_env):
     backend, config, deployment, cache = cached_env
-    application = TPCWApplication(OdbcConnection(cache.server, "tpcw", "dbo"), config)
+    application = TPCWApplication(connect(cache.server, database="tpcw"), config)
     driver = LoadDriver(
         application, MIXES["Browsing"], users=20, deployment=deployment, seed=4
     )
@@ -54,7 +54,7 @@ def test_driver_mix_matches_weights(cached_env):
 
 def test_driver_advances_replication(cached_env):
     backend, config, deployment, cache = cached_env
-    application = TPCWApplication(OdbcConnection(cache.server, "tpcw", "dbo"), config)
+    application = TPCWApplication(connect(cache.server, database="tpcw"), config)
     driver = LoadDriver(
         application, MIXES["Ordering"], users=5, deployment=deployment, seed=5
     )
@@ -68,7 +68,7 @@ def test_driver_deterministic(cached_env):
     backend, config, deployment, cache = cached_env
     def run_once(seed):
         application = TPCWApplication(
-            OdbcConnection(cache.server, "tpcw", "dbo"), config
+            connect(cache.server, database="tpcw"), config
         )
         driver = LoadDriver(
             application, MIXES["Browsing"], users=3, deployment=deployment, seed=seed

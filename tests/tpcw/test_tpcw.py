@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.exec.reference import evaluate_select
-from repro.mtcache.odbc import OdbcConnection
+from repro.client import connect
 from repro.sql import parse
 from repro.tpcw import (
     MIXES,
@@ -258,7 +258,7 @@ class TestInteractionsEndToEnd:
     @pytest.mark.parametrize("interaction", INTERACTIONS)
     def test_each_interaction_runs_against_backend(self, env, interaction):
         backend, config = env
-        connection = OdbcConnection(backend, "tpcw", "dbo")
+        connection = connect(backend, database="tpcw")
         application = TPCWApplication(connection, config, random.Random(3))
         session = application.new_session()
         if interaction in ("buy_request", "buy_confirm"):
@@ -269,7 +269,7 @@ class TestInteractionsEndToEnd:
     def test_interactions_through_cache_equal_backend_semantics(self):
         backend, config = build_backend(TPCWConfig(num_items=40, num_ebs=8))
         deployment, caches = enable_caching(backend, ["c1"], config)
-        connection = OdbcConnection(caches[0].server, "tpcw", "dbo")
+        connection = connect(caches[0].server, database="tpcw")
         application = TPCWApplication(connection, config, random.Random(4))
         rng = random.Random(9)
         sessions = [application.new_session() for _ in range(4)]
