@@ -11,9 +11,9 @@ Commands:
 * ``metrics``  — drive a short TPC-W workload and print the deployment's
   observability snapshot (metrics, caches, replication lag) as JSON;
 * ``analyze``  — run the static-analysis passes (``--self`` AST lint,
-  ``--workload`` SQL lint, ``--plans`` plan-invariant verification,
-  ``--concurrency`` lock-order/atomicity/witness checks; all four when
-  no flag is given);
+  ``--workload`` the engine's bind and the plan verifier over every TPC-W
+  procedure, ``--concurrency`` lock-order/atomicity/witness checks; all
+  three when no flag is given);
 * ``serve``    — boot a TCP network front end (``repro.net``) over a
   TPC-W cache deployment (or a minimal shop backend) and print the
   ``tcp://`` DSN clients dial with ``connect()`` / ``--dsn``.
@@ -197,12 +197,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--workload",
         action="store_true",
-        help="analyze: run only the workload SQL lint",
-    )
-    parser.add_argument(
-        "--plans",
-        action="store_true",
-        help="analyze: run only the plan-invariant verifier",
+        help="analyze: run only the workload pass (bind and plan every procedure)",
     )
     parser.add_argument(
         "--concurrency",
@@ -246,7 +241,6 @@ def main(argv=None) -> int:
         return run_analyze(
             self_lint=args.self_lint,
             workload=args.workload,
-            plans=args.plans,
             concurrency=args.concurrency,
             path=args.path,
         )

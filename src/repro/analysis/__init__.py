@@ -2,20 +2,18 @@
 
 Three passes, one CLI (``python -m repro analyze``):
 
-* :mod:`repro.analysis.plancheck` — walks optimizer-produced physical
-  plans and checks the structural invariants the paper states but the
-  optimizer otherwise upholds only by convention: schema agreement
-  between parents and children, DataLocation discipline (remote rows
-  only cross into local operators through a DataTransfer /
-  ``RemoteQueryOp`` boundary), ChoosePlan well-formedness (guards
-  mutually exclusive and exhaustive, branch schemas identical),
-  parameter-binding completeness, and catalog-resolvable table/index
-  references.
-* :mod:`repro.analysis.sqllint` — statically binds workload SQL (stored
-  procedures, cached-view DDL, generated shadow/grant scripts) against a
-  catalog, with no execution.
 * :mod:`repro.analysis.selflint` — repo-specific rules over the
   package's own Python source (stdlib ``ast``).
+* the workload pass (:func:`repro.analysis.cli.check_workload`) — the
+  engine's own bind over the TPC-W procedures on a backend and a cache
+  server: what the engine would raise at a procedure's first ``EXEC``
+  (undeclared variables, argument mismatches, unknown names, operand
+  types that do not combine) is what it reports. Every SELECT of a bound
+  body is planned under :mod:`repro.analysis.plancheck`, the structural
+  invariants of optimizer-produced plans (schema agreement, DataLocation
+  discipline, ChoosePlan well-formedness, parameter completeness).
+* :mod:`repro.analysis.concurrency` — lock order, atomicity and the
+  runtime lock witness.
 
 All passes report :class:`repro.errors.AnalysisError` diagnostics.
 """
@@ -26,14 +24,11 @@ import os
 
 from repro.analysis.plancheck import PlanVerifier, check_plan, verify_plan
 from repro.analysis.selflint import lint_package, lint_source
-from repro.analysis.sqllint import SqlLinter, lint_workload
 
 __all__ = [
     "PlanVerifier",
     "check_plan",
     "verify_plan",
-    "SqlLinter",
-    "lint_workload",
     "lint_package",
     "lint_source",
     "checked_plans_default",

@@ -1,17 +1,13 @@
 """``python -m repro analyze`` — run the static-analysis passes.
 
-Four passes (all by default, each opt-in via flag):
+Three passes (all by default, each opt-in via flag):
 
 * ``--self``        — the repo-specific AST lint pack over ``repro``'s
   own source (:mod:`repro.analysis.selflint`);
-* ``--workload``    — the workload SQL lint over the full TPC-W
-  procedure set, the MTCache cached-view DDL, the generated shadow/grant
-  deployment scripts (:mod:`repro.analysis.sqllint`), and the sharding
-  policy lint, followed by the route table the sharded tier derives from
-  the catalog (:mod:`repro.analysis.shardlint`);
-* ``--plans``       — the plan-invariant verifier over every SELECT the
-  optimizer produces for the TPC-W procedures, on both the backend and
-  a provisioned cache server (:mod:`repro.analysis.plancheck`);
+* ``--workload``    — the engine's own bind (:func:`check_workload`) over
+  every TPC-W procedure on the backend and a cache server, each SELECT
+  planned under :mod:`repro.analysis.plancheck`; then the sharding-policy
+  lint and route table (:mod:`repro.analysis.shardlint`);
 * ``--concurrency`` — the whole-program concurrency lint
   (:mod:`repro.analysis.concurrency`): the static lock-order analyzer,
   the atomicity checker over the provisioned corpus, and — when a
@@ -30,7 +26,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReproError
 
 
 def _print(pass_name: str, diagnostics: List[AnalysisError]) -> int:
@@ -43,6 +39,8 @@ def _print(pass_name: str, diagnostics: List[AnalysisError]) -> int:
 
 
 def _build_corpus():
+    """The TPC-W backend and one cache server: building it executes the
+    generated shadow script and the cached-view DDL."""
     from repro.tpcw import TPCWConfig, build_backend, enable_caching
 
     backend, config = build_backend(TPCWConfig(num_items=50, num_ebs=10))
@@ -60,60 +58,60 @@ def _self_pass() -> int:
     return errors
 
 
+def check_workload(server, database) -> List[AnalysisError]:
+    """Bind every procedure of ``database`` as ``server`` binds an
+    ``EXEC`` naming all its parameters, then plan each SELECT of the bound
+    body (its nested bodies included, by construction) under the plan
+    verifier and compile each local DML. The first error a procedure
+    raises is reported at ``procedure <name>``."""
+    from repro.analysis.plancheck import check_plan
+    from repro.engine.binding import bind_statement
+    from repro.engine.dml import compile_dml
+    from repro.engine.procedures import call_with_every_parameter
+    from repro.sql import ast
+
+    optimizer = server.optimizer_for(database)
+    diagnostics: List[AnalysisError] = []
+    for procedure in database.catalog.procedures.values():
+        try:
+            bound = bind_statement(call_with_every_parameter(procedure), database).procedure
+            assert bound is not None  # a procedure in the catalog binds locally
+            for nested in bound.statements:
+                if nested.kind in (ast.Insert, ast.Update, ast.Delete) and not nested.forward:
+                    compile_dml(database, nested.statement)
+                for select in (nested, *nested.children):
+                    if select.kind is ast.Select:
+                        check_plan(optimizer.plan_select(select.statement), database=database)
+        except AnalysisError as exc:  # the plan verifier's
+            rule, message = exc.rule, exc.message
+        except ReproError as exc:
+            rule, message = type(exc).__name__, str(exc)
+        else:
+            continue
+        location = f"procedure {procedure.name}"
+        diagnostics.append(AnalysisError(rule, f"{server.name}: {message}", location=location))
+    return diagnostics
+
+
 def _workload_pass(backend, cache, config) -> int:
     from repro.analysis.shardlint import lint_sharding_policy, route_table
-    from repro.analysis.sqllint import SqlLinter, lint_workload
-    from repro.mtcache.scripts import generate_grant_script, generate_shadow_script
     from repro.sharding.policy import tpcw_sharding_policy
-    from repro.tpcw.setup import CACHED_VIEW_DDL, DATABASE_NAME
+    from repro.tpcw.setup import DATABASE_NAME
 
+    diagnostics: List[AnalysisError] = []
+    procedures = 0
+    for server in (backend, cache.server):
+        database = server.databases[DATABASE_NAME]
+        diagnostics += check_workload(server, database)
+        procedures += len(database.catalog.procedures)
     catalog = backend.databases[DATABASE_NAME].catalog
-    diagnostics = lint_workload(
-        backend.databases[DATABASE_NAME],
-        scripts={"cached-view-ddl": ";".join(CACHED_VIEW_DDL)},
-    )
-    diagnostics += lint_workload(cache.database)
     policy = tpcw_sharding_policy(config)
     diagnostics += lint_sharding_policy(policy, catalog)
-    # The generated deployment scripts run against an initially empty
-    # shadow database, so they lint with no base catalog: the script's
-    # own CREATE TABLEs must carry the later CREATE INDEX / GRANT lines.
-    empty = SqlLinter(None)
-    diagnostics += empty.lint_sql(generate_shadow_script(catalog), "shadow-script")
-    diagnostics += empty.lint_sql(generate_grant_script(catalog), "grant-script")
     errors = _print("workload", diagnostics)
+    print(f"workload: {procedures} procedure(s) bound and planned on backend and cache")
     print(f"workload: {len(diagnostics)} diagnostic(s)")
     for line in route_table(policy, catalog):
         print(f"workload: shard route: {line}")
-    return errors
-
-
-def _plans_pass(backend, cache) -> int:
-    from repro.analysis.plancheck import verify_plan
-    from repro.sql import ast
-    from repro.tpcw.setup import DATABASE_NAME
-
-    errors = 0
-    planned_count = 0
-    for server in (backend, cache.server):
-        database = server.databases[DATABASE_NAME]
-        for procedure in database.catalog.procedures.values():
-            pending = list(procedure.body)
-            while pending:
-                statement = pending.pop()
-                if isinstance(statement, ast.Select):
-                    planned = server.plan_select(statement, database)
-                    diagnostics = verify_plan(planned, database=database)
-                    planned_count += 1
-                    errors += _print(
-                        f"plans[{server.name}:{procedure.name}]", diagnostics
-                    )
-                elif isinstance(statement, ast.IfStatement):
-                    pending.extend(statement.then_body)
-                    pending.extend(statement.else_body)
-                elif isinstance(statement, ast.WhileStatement):
-                    pending.extend(statement.body)
-    print(f"plans: {planned_count} plan(s) verified on backend and cache")
     return errors
 
 
@@ -152,23 +150,20 @@ def _concurrency_pass(backend, cache, path: Optional[str] = None) -> int:
 def run_analyze(
     self_lint: bool = False,
     workload: bool = False,
-    plans: bool = False,
     concurrency: bool = False,
     path: Optional[str] = None,
 ) -> int:
-    """Run the selected passes (all four when none is selected)."""
-    if not (self_lint or workload or plans or concurrency):
-        self_lint = workload = plans = concurrency = True
+    """Run the selected passes (all three when none is selected)."""
+    if not (self_lint or workload or concurrency):
+        self_lint = workload = concurrency = True
     errors = 0
     if self_lint:
         errors += _self_pass()
     backend = cache = config = None
-    if workload or plans or (concurrency and path is None):
+    if workload or (concurrency and path is None):
         backend, cache, config = _build_corpus()
     if workload:
         errors += _workload_pass(backend, cache, config)
-    if plans:
-        errors += _plans_pass(backend, cache)
     if concurrency:
         errors += _concurrency_pass(backend, cache, path)
     if errors:

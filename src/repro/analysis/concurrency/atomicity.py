@@ -33,6 +33,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.engine.binding import bind_statement
 from repro.engine.locks import LockMode, _procedure_writes
+from repro.engine.procedures import call_with_every_parameter
 from repro.errors import AnalysisError
 from repro.sql import ast as sqlast
 from repro.sql import parse
@@ -224,7 +225,7 @@ def check_lock_plans(
     diagnostics: List[AnalysisError] = []
     for name, procedure in sorted(catalog.procedures.items()):
         writes = _procedure_writes(procedure.body, catalog, {name.lower()})
-        exec_plan = lock_plan(parse(f"EXEC {procedure.name}"), catalog)
+        exec_plan = lock_plan(call_with_every_parameter(procedure), catalog)
         if writes:
             if exec_plan is None or exec_plan.latch is not LockMode.EXCLUSIVE:
                 diagnostics.append(

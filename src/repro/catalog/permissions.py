@@ -9,7 +9,7 @@ permission, matching how the paper's setup scripts run as the owner.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.errors import PermissionError_
 
@@ -61,11 +61,3 @@ class PermissionSet:
         duplicate = PermissionSet()
         duplicate._grants = {key: set(value) for key, value in self._grants.items()}
         return duplicate
-
-    def grants_for(self, object_name: str) -> Dict[str, FrozenSet[str]]:
-        """Return ``principal -> permissions`` for one object (for tooling)."""
-        result: Dict[str, FrozenSet[str]] = {}
-        for (principal, obj), permissions in self._grants.items():
-            if obj == object_name.lower():
-                result[principal] = frozenset(permissions)
-        return result

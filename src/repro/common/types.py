@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, FrozenSet, Optional
 
 from repro.errors import TypeCheckError
 
@@ -144,6 +144,65 @@ def common_type(left: SqlType, right: SqlType) -> SqlType:
     if left.kind in _TEMPORAL_KINDS and right.kind in _TEMPORAL_KINDS:
         return DATETIME
     raise TypeCheckError(f"incompatible types: {left} and {right}")
+
+
+#: What a comparison can tell kinds apart by: BIT counts as a number (the
+#: engine compares 0/1 freely), CHAR as a string, DATE as a datetime.
+_FAMILIES = {
+    **dict.fromkeys(_NUMERIC_KINDS | {TypeKind.BOOLEAN}, "number"),
+    **dict.fromkeys(_STRING_KINDS, "string"),
+    **dict.fromkeys(_TEMPORAL_KINDS, "temporal"),
+}
+#: Kinds sharing another's Python representation, named after it in errors.
+_HELD_AS = {TypeKind.BIGINT: TypeKind.INT, TypeKind.NUMERIC: TypeKind.FLOAT, TypeKind.CHAR: TypeKind.VARCHAR}
+_VALUE_KINDS = {
+    bool: TypeKind.BOOLEAN,
+    int: TypeKind.INT,
+    float: TypeKind.FLOAT,
+    str: TypeKind.VARCHAR,
+    datetime.date: TypeKind.DATE,
+    datetime.datetime: TypeKind.DATETIME,
+}
+
+
+def value_kind(value: Any) -> Optional[TypeKind]:
+    """The kind a (non-NULL) Python value is held as; None for anything else."""
+    return _VALUE_KINDS.get(type(value))
+
+
+def comparable(left: TypeKind, right: TypeKind) -> bool:
+    """The engine's one comparison rule, stated on kinds: numbers with
+    numbers, strings with strings, temporals with temporals or with (ISO)
+    strings. ``sql_compare`` applies it to values, the planner to static
+    types, an index seek to its key against the column."""
+    families = {_FAMILIES[left], _FAMILIES[right]}
+    return len(families) == 1 or families == {"string", "temporal"}
+
+
+def comparable_types(kind: TypeKind) -> FrozenSet[type]:
+    """The Python types of the values :func:`comparable` accepts against
+    ``kind`` — NULL's included: it compares with anything (to UNKNOWN)."""
+    accepted = (held for held, other in _VALUE_KINDS.items() if comparable(other, kind))
+    return frozenset((type(None), *accepted))
+
+
+def incomparable(left: Optional[TypeKind], right: Optional[TypeKind]) -> TypeCheckError:
+    """The error for a pair :func:`comparable` refuses. It names the kinds
+    as their values are held and in a fixed order, so whichever access path
+    meets the pair — a filter, a ChoosePlan guard, an index seek — and on
+    whichever side, the answer is the same."""
+    first, second = sorted(
+        _HELD_AS.get(kind, kind).value if kind is not None else "unknown"
+        for kind in (left, right)
+    )
+    return TypeCheckError(f"cannot compare {first} and {second}")
+
+
+def check_arithmetic(op: str, left: SqlType, right: SqlType) -> None:
+    """Arithmetic takes numbers; ``+`` also concatenates two strings."""
+    families = {_FAMILIES[left.kind], _FAMILIES[right.kind]}
+    if families != {"number"} and not (op == "+" and families == {"string"}):
+        raise TypeCheckError(f"cannot apply {op!r} to {left.kind.value} and {right.kind.value}")
 
 
 def coerce_value(value: Any, sql_type: SqlType) -> Any:

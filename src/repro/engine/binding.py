@@ -23,7 +23,10 @@ returns a :class:`BoundStatement`:
   prepared handle), and the compiled argument expressions;
 * for a local ``EXEC``: the :class:`~repro.engine.procedures.BoundProcedure`
   — parameter order and defaults, control-flow expressions compiled,
-  nested statements bound the same way.
+  nested statements bound the same way — and the call's arguments matched
+  to its parameters. An undeclared variable in the body, an unknown
+  argument name, a positional argument too many or a missing required one
+  raises :class:`~repro.errors.BindError` here, at the first ``EXEC``.
 
 Deliberately *not* bound: whether the principal holds those permissions
 (``GRANT`` does not bump the schema version, so the check runs live over
@@ -44,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.ddl import derive_schema
 from repro.engine.locks import LockPlan, named_tables, statement_lock_plan
-from repro.engine.procedures import BoundProcedure, bind_procedure
+from repro.engine.procedures import BoundProcedure, bind_arguments, bind_procedure
 from repro.errors import BindError, CatalogError
 from repro.exec.expressions import Scalar, compile_scalar
 from repro.sql import RESERVED_PREFIX, ast
@@ -81,10 +84,11 @@ class BoundStatement:
         self.children: Tuple["BoundStatement", ...] = ()
         #: DECLARE / SET / PRINT: the compiled value (None: no initializer).
         self.scalar: Optional[Scalar] = None
-        #: EXEC: ``(name, compiled expression)`` per argument — parameter
-        #: names (None: positional) for a local call, parameter markers of
-        #: the forwarded text for a forwarded one.
-        self.arguments: Tuple[Tuple[Optional[str], Scalar], ...] = ()
+        #: EXEC: ``(name, compiled expression)`` — for a local call every
+        #: parameter in declaration order, with the caller's argument or
+        #: the default; for a forwarded one each argument under its
+        #: parameter marker in the forwarded text.
+        self.arguments: Tuple[Tuple[str, Scalar], ...] = ()
         self.procedure: Optional[BoundProcedure] = None
         #: Forwarded DML / EXEC: ``(linked server, statement text)``.
         self.forward: Optional[Tuple[str, str]] = None
@@ -142,6 +146,12 @@ def bind_statement(
             server_name = database.backend_server
         if server_name is not None:
             bound.forward = (server_name, format_statement(_without_server_prefix(statement)))
+        elif (view := database.catalog.maybe_view(target)) is not None:
+            what = "cached view" if view.cached else "view"
+            raise BindError(
+                f"{_DML_PERMISSION[kind]} against non-updatable {what} {target!r}"
+                + (" (replication maintains it)" if view.cached else "")
+            )
         elif kind is ast.Insert and statement.select is not None:
             bound.children = (_plan_slot(statement.select, bound),)
     elif kind is ast.Execute:
@@ -182,15 +192,13 @@ def _bind_execute(
     explicit_server = statement.procedure[0] if len(statement.procedure) == 4 else None
     definition = database.catalog.maybe_procedure(name) if explicit_server is None else None
     if definition is not None:
-        bound.arguments = tuple(
-            (arg_name, compile_scalar(expression)) for arg_name, expression in statement.arguments
-        )
         procedure = procedures.get(name.lower())
         if procedure is None:
             procedure = procedures[name.lower()] = BoundProcedure(definition)
             bind_procedure(
                 procedure, lambda nested: bind_statement(nested, database, procedures)
             )
+        bound.arguments = bind_arguments(procedure, statement.arguments)
         bound.procedure = procedure
         return
     server_name = explicit_server or database.backend_server

@@ -50,8 +50,11 @@ def execute_create_index(database, statement: ast.CreateIndex) -> Result:
     from repro.catalog.objects import IndexDef
 
     target = statement.table
-    if not database.catalog.maybe_table(target) and not database.catalog.maybe_view(target):
+    indexed = database.catalog.maybe_table(target) or database.catalog.maybe_view(target)
+    if indexed is None:
         raise CatalogError(f"no table or view {target!r}")
+    for column in statement.columns:
+        indexed.schema.resolve(column)  # BindError before the catalog changes
     database.catalog.add_index(
         IndexDef(
             name=statement.name,
@@ -118,10 +121,15 @@ def execute_create_view(database, statement: ast.CreateView, select_runner=None)
 
 
 def derive_schema(database, select: ast.Select) -> Schema:
-    """A SELECT's output schema against ``database``, without planning it."""
+    """A SELECT's output schema against ``database``, without planning it
+    — but bound first, so a name that does not resolve or an operand type
+    that does not combine raises here (a view is bound at CREATE; only
+    procedures defer name resolution)."""
     from repro.optimizer.planner import Optimizer
 
-    return Optimizer(database)._select_output_schema(select)
+    optimizer = Optimizer(database)
+    optimizer.bind(select)
+    return optimizer._select_output_schema(select)
 
 
 def execute_create_procedure(database, statement: ast.CreateProcedure) -> Result:
@@ -165,7 +173,9 @@ def execute_drop(database, statement: ast.DropObject) -> Result:
 
 
 def execute_grant(database, statement: ast.Grant) -> Result:
-    database.catalog.permissions.grant(
-        statement.permission, statement.object_name, statement.principal
-    )
+    catalog = database.catalog
+    name = statement.object_name
+    if not (catalog.maybe_table(name) or catalog.maybe_view(name) or catalog.maybe_procedure(name)):
+        raise CatalogError(f"no table, view or procedure {name!r}")
+    catalog.permissions.grant(statement.permission, name, statement.principal)
     return Result(messages=["grant recorded"])

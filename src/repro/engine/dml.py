@@ -70,6 +70,7 @@ def _candidate_rids(storage, equalities: Dict[str, Scalar], ctx) -> Optional[Lis
                 break
             prefix.append(maker((), ctx))
         if prefix:
+            index.check_key(prefix)
             ctx.work.index_seeks += 1
             return list(storage.indexes[index.name].seek_prefix(prefix))
     return None
@@ -90,11 +91,25 @@ def _matching(storage, predicate: Optional[Scalar], equalities, ctx) -> List[Tup
     return matched
 
 
+def _check_types(schema, expressions) -> None:
+    """The planner's operand-type rule (:func:`repro.sql.ast.check_types`)
+    over a DML statement's own expressions; an INSERT's source SELECT is
+    planned, so checked, on its own."""
+
+    def column_type(ref: ast.ColumnRef):
+        position = schema.maybe_resolve(ref.name, ref.qualifier)
+        return schema[position].sql_type if position is not None else None
+
+    for expression in expressions:
+        ast.check_types(expression, column_type)
+
+
 def compile_dml(database, statement) -> DmlRunner:
     """Compile a local INSERT, UPDATE or DELETE against the catalog as it
-    is now: name resolution and expression compilation happen here, once
-    per binding (the server keeps the runner in the bound statement's
-    slot); the runner does what varies — find the storage, evaluate, log.
+    is now: name resolution, the operand-type check and expression
+    compilation happen here, once per binding (the server keeps the runner
+    in the bound statement's slot); the runner does what varies — find the
+    storage, evaluate, log.
     """
     if isinstance(statement, ast.Insert):
         return _compile_insert(database, statement)
@@ -113,6 +128,7 @@ def _compile_insert(database, statement: ast.Insert) -> DmlRunner:
         positions = list(range(len(schema)))
     width = len(schema)
     row_makers = [tuple(compile_scalar(expr) for expr in row) for row in statement.rows]
+    _check_types(schema, [expression for row in statement.rows for expression in row])
 
     def expand(values: Tuple) -> List[Any]:
         if len(values) != len(positions):
@@ -151,6 +167,11 @@ def _compile_update(database, statement: ast.Update) -> DmlRunner:
         (schema.resolve(column_name), compiler.compile(expression))
         for column_name, expression in statement.assignments
     ]
+    _check_types(
+        schema,
+        [expression for _, expression in statement.assignments]
+        + ([statement.where] if statement.where is not None else []),
+    )
     equalities = _index_equalities(statement.where)
 
     def run(ctx: ExecutionContext, transaction: Transaction, select_runner=None) -> Result:
@@ -172,11 +193,10 @@ def _compile_delete(database, statement: ast.Delete) -> DmlRunner:
     """Delete rows matching the WHERE predicate."""
     table_def = database.catalog.get_table(statement.table.object_name)
     schema = table_def.schema.with_qualifier(table_def.name)
-    predicate = (
-        ExpressionCompiler(schema).compile(statement.where)
-        if statement.where is not None
-        else None
-    )
+    predicate = None
+    if statement.where is not None:
+        predicate = ExpressionCompiler(schema).compile(statement.where)
+        _check_types(schema, [statement.where])
     equalities = _index_equalities(statement.where)
 
     def run(ctx: ExecutionContext, transaction: Transaction, select_runner=None) -> Result:

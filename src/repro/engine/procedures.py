@@ -14,6 +14,12 @@ and plan slot, and the body itself a tuple of *steps* — closures over
 those parts. A call (:class:`ProcedureInterpreter`) builds only what
 varies: the session the body runs under, the variable frame seeded from
 the arguments, and the result it accumulates.
+
+Binding is also where a body and a call are checked: a variable the body
+never declares, and an ``EXEC`` whose arguments do not match the
+parameters (:func:`bind_arguments`), are a ``BindError`` at the first
+``EXEC``. Objects keep T-SQL's deferred name resolution: a body may name
+a table created later, and each statement resolves it when planned.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.catalog.objects import ProcedureDef
 from repro.engine.results import Result
-from repro.errors import ExecutionError
+from repro.errors import BindError, ExecutionError
 from repro.exec.context import ExecutionContext
 from repro.exec.expressions import Scalar, compile_scalar
-from repro.sql import ast
+from repro.sql import RESERVED_PREFIX, ast
 
 
 class _ReturnSignal(Exception):
@@ -67,8 +73,12 @@ def bind_procedure(bound: BoundProcedure, bind_nested: Callable[[ast.Statement],
 
     ``bind_nested`` binds one embedded statement (``SELECT``, DML,
     ``EXEC``, transaction control) for the same database and version.
+    Raises :class:`BindError` for a variable the body never declares;
+    the *objects* it names resolve when each statement is planned
+    (T-SQL's deferred name resolution).
     """
     procedure = bound.definition
+    _check_variables(procedure)
     bound.params = tuple(
         (param.name, compile_scalar(param.default) if param.default is not None else None)
         for param in procedure.params
@@ -82,6 +92,74 @@ def bind_procedure(bound: BoundProcedure, bind_nested: Callable[[ast.Statement],
 
     bound.body = _compile_block(procedure.body, bind_and_keep)
     bound.statements = tuple(statements)
+
+
+def _check_variables(procedure: ProcedureDef) -> None:
+    """T-SQL's "must declare the scalar variable": every ``@name`` the
+    body reads is a parameter, a ``DECLARE``, a ``SET`` target or a
+    ``SELECT @x =`` target somewhere in the body (one frame; order is not
+    enforced). Lifted-literal markers are not variables."""
+    declared = {param.name for param in procedure.params}
+    pending = list(procedure.body)
+    while pending:
+        statement = pending.pop()
+        if isinstance(statement, (ast.Declare, ast.SetVariable)):
+            declared.add(statement.name)
+        elif isinstance(statement, ast.Select):
+            declared.update(item.target_parameter for item in statement.items if item.target_parameter)
+        elif isinstance(statement, ast.IfStatement):
+            pending += statement.then_body + statement.else_body
+        elif isinstance(statement, ast.WhileStatement):
+            pending += statement.body
+    for statement in procedure.body:
+        for name in ast.statement_parameters(statement):
+            if name not in declared and not name.startswith(RESERVED_PREFIX):
+                raise BindError(
+                    f"procedure {procedure.name}: must declare the scalar variable @{name}"
+                )
+
+
+def call_with_every_parameter(procedure: ProcedureDef) -> ast.Execute:
+    """``EXEC name @p = @p, …`` over every parameter: a call that binds
+    whatever the procedure's arity (what analysis tools bind)."""
+    return ast.Execute(
+        (procedure.name,),
+        tuple((param.name, ast.Parameter(param.name)) for param in procedure.params),
+    )
+
+
+def bind_arguments(
+    procedure: BoundProcedure, arguments: Sequence[Tuple[Optional[str], ast.Expression]]
+) -> Tuple[Tuple[str, Scalar], ...]:
+    """An ``EXEC``'s arguments matched to ``procedure``'s parameters:
+    ``(parameter, compiled value)`` for every parameter in declaration
+    order — the caller's argument (named, else positional) or the default.
+    Raises :class:`BindError` for an unknown name, one positional argument
+    too many, or a required parameter left unsupplied."""
+    name = procedure.definition.name
+    params = procedure.params
+    positional = [expression for arg_name, expression in arguments if arg_name is None]
+    named = {arg_name: expression for arg_name, expression in arguments if arg_name is not None}
+    if len(positional) > len(params):
+        raise BindError(
+            f"procedure {name} takes {len(params)} argument(s); "
+            f"argument {len(params) + 1} has no parameter"
+        )
+    unknown = set(named).difference(param for param, _ in params)
+    if unknown:
+        raise BindError(f"procedure {name} has no parameter @{min(unknown)}")
+    resolved = []
+    for position, (param, default) in enumerate(params):
+        if param in named:
+            value = compile_scalar(named[param])
+        elif position < len(positional):
+            value = compile_scalar(positional[position])
+        elif default is not None:
+            value = default
+        else:
+            raise BindError(f"procedure {name} expects parameter @{param}, which was not supplied")
+        resolved.append((param, value))
+    return tuple(resolved)
 
 
 def _compile_block(statements: Sequence[ast.Statement], bind_nested) -> Tuple[Step, ...]:
@@ -184,10 +262,14 @@ class ProcedureInterpreter:
     def call(
         self,
         procedure: BoundProcedure,
-        arguments: Sequence[Tuple[Optional[str], Scalar]],
+        arguments: Sequence[Tuple[str, Scalar]],
         outer_params: Dict[str, Any],
     ) -> Result:
-        self._bind_arguments(procedure, arguments, outer_params)
+        """Run ``procedure`` with ``arguments`` as :func:`bind_arguments`
+        matched them, evaluated against the caller's parameters."""
+        ctx = self._context(outer_params)
+        for param, value in arguments:
+            self.frame[param] = value((), ctx)
         result = self.result
         try:
             _run_block(procedure.body, self)
@@ -196,31 +278,6 @@ class ProcedureInterpreter:
         if result.resultsets:
             result.schema, result.rows = result.resultsets[-1]
         return result
-
-    def _bind_arguments(
-        self,
-        procedure: BoundProcedure,
-        arguments: Sequence[Tuple[Optional[str], Scalar]],
-        outer_params: Dict[str, Any],
-    ) -> None:
-        name = procedure.definition.name
-        ctx = self._context(outer_params)
-        positional = [value for arg_name, value in arguments if arg_name is None]
-        named = {arg_name: value for arg_name, value in arguments if arg_name is not None}
-        frame = self.frame
-        for position, (param, default) in enumerate(procedure.params):
-            if param in named:
-                value = named.pop(param)
-            elif position < len(positional):
-                value = positional[position]
-            elif default is not None:
-                value = default
-            else:
-                raise ExecutionError(f"missing argument @{param} for procedure {name}")
-            frame[param] = value((), ctx)
-        if named:
-            unknown = ", ".join(f"@{arg_name}" for arg_name in named)
-            raise ExecutionError(f"unknown argument(s) {unknown} for procedure {name}")
 
     def _context(self, params: Dict[str, Any]) -> ExecutionContext:
         ctx = ExecutionContext(

@@ -45,7 +45,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.common.lru import LRUCache
 from repro.common.schema import Schema
-from repro.common.types import is_numeric, is_string, is_temporal
+from repro.common.types import incomparable, is_numeric, is_string, is_temporal, value_kind
 from repro.errors import ExecutionError, TypeCheckError
 from repro.exec.context import COMPARISON_FAMILY
 from repro.sql import ast
@@ -59,14 +59,14 @@ def sql_equal(left: Any, right: Any) -> Optional[bool]:
     """Three-valued ``=``: NULL operands yield UNKNOWN (None)."""
     if left is None or right is None:
         return None
-    return _coerce_pair(left, right, "=") == 0
+    return _coerce_pair(left, right) == 0
 
 
 def sql_compare(op: str, left: Any, right: Any) -> Optional[bool]:
     """Three-valued comparison for =, <>, <, <=, >, >=."""
     if left is None or right is None:
         return None
-    sign = _coerce_pair(left, right, op)
+    sign = _coerce_pair(left, right)
     if op == "=":
         return sign == 0
     if op == "<>":
@@ -100,8 +100,10 @@ def in_subquery_linear(value: Any, rows: Sequence[Tuple], negated: bool) -> Opti
     return negated
 
 
-def _coerce_pair(left: Any, right: Any, op: str) -> int:
-    """Return -1/0/1 for left vs right, coercing numerics."""
+def _coerce_pair(left: Any, right: Any) -> int:
+    """Return -1/0/1 for left vs right, coercing numerics; a pair the
+    comparison rule (:func:`~repro.common.types.comparable`) refuses
+    raises its :func:`~repro.common.types.incomparable` error."""
     if isinstance(left, bool):
         left = int(left)
     if isinstance(right, bool):
@@ -112,25 +114,21 @@ def _coerce_pair(left: Any, right: Any, op: str) -> int:
         return (left > right) - (left < right)
     # Date/datetime compared against ISO strings (common in generated SQL)
     # — resolve the string side first, then fall through to temporal rules.
-    if isinstance(left, (datetime.date, datetime.datetime)) and isinstance(right, str):
+    if isinstance(left, datetime.date) and isinstance(right, str):
         right = _parse_temporal(right, left)
-    elif isinstance(right, (datetime.date, datetime.datetime)) and isinstance(left, str):
+    elif isinstance(right, datetime.date) and isinstance(left, str):
         left = _parse_temporal(left, right)
-    if isinstance(left, datetime.datetime) or isinstance(right, datetime.datetime):
-        left_dt = _as_datetime(left)
-        right_dt = _as_datetime(right)
-        return (left_dt > right_dt) - (left_dt < right_dt)
     if isinstance(left, datetime.date) and isinstance(right, datetime.date):
+        if isinstance(left, datetime.datetime) or isinstance(right, datetime.datetime):
+            left, right = _as_datetime(left), _as_datetime(right)
         return (left > right) - (left < right)
-    raise TypeCheckError(f"cannot apply {op!r} to {type(left).__name__} and {type(right).__name__}")
+    raise incomparable(value_kind(left), value_kind(right))
 
 
-def _as_datetime(value: Any) -> datetime.datetime:
+def _as_datetime(value: datetime.date) -> datetime.datetime:
     if isinstance(value, datetime.datetime):
         return value
-    if isinstance(value, datetime.date):
-        return datetime.datetime(value.year, value.month, value.day)
-    raise TypeCheckError(f"cannot treat {value!r} as datetime")
+    return datetime.datetime(value.year, value.month, value.day)
 
 
 def _parse_temporal(text: str, template: Any) -> Any:

@@ -180,6 +180,7 @@ class IndexSeekOp(PhysicalOperator):
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
         key = tuple(maker((), ctx) for maker in self.key_makers)
+        index.check_key(key)
         ctx.work.index_seeks += 1
         if len(key) == len(index.column_names):
             rids = index.seek(key)
@@ -223,6 +224,9 @@ class IndexRangeScanOp(PhysicalOperator):
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
         low = tuple(m((), ctx) for m in self.low_makers) if self.low_makers else None
         high = tuple(m((), ctx) for m in self.high_makers) if self.high_makers else None
+        for bound in (low, high):
+            if bound is not None:
+                index.check_key(bound)
         ctx.work.index_seeks += 1
         for rid in index.range_scan(low, high, self.low_inclusive, self.high_inclusive):
             ctx.work.rows_processed += 1

@@ -3,10 +3,11 @@
 Setting up an MTCache server uses two SQL scripts:
 
 1. an automatically generated script that creates the shadow database —
-   tables, indexes, views and permissions matching the target database on
-   the backend (this module generates it from the backend catalog, playing
-   the role of SQL Server's Enterprise Manager scripting plus the paper's
-   small augmentation application);
+   tables, indexes and views matching the target database on the backend
+   (this module generates it from the backend catalog, playing the role of
+   SQL Server's Enterprise Manager scripting; the paper's small
+   augmentation application — statistics and permissions — is
+   ``MTCacheDeployment``'s provisioning step, which copies them);
 2. a manually written script creating the cached materialized views
    (``CREATE CACHED VIEW ...``), which the cache server intercepts to
    provision replication subscriptions.
@@ -60,16 +61,4 @@ def generate_shadow_script(catalog: Catalog, only_tables=None) -> str:
         if view.materialized or wanted is not None:
             continue
         statements.append(view.source_text or f"-- view {view.name} (no source text)")
-    return ";\n".join(statements) + (";\n" if statements else "")
-
-
-def generate_grant_script(catalog: Catalog) -> str:
-    """Render GRANT statements mirroring the backend's permissions."""
-    statements: List[str] = []
-    seen_objects = set(catalog.tables) | set(catalog.views) | set(catalog.procedures)
-    for object_name in sorted(seen_objects):
-        for principal, permissions in catalog.permissions.grants_for(object_name).items():
-            for permission in sorted(permissions):
-                keyword = "EXEC" if permission == "EXECUTE" else permission
-                statements.append(f"GRANT {keyword} ON {object_name} TO {principal}")
     return ";\n".join(statements) + (";\n" if statements else "")

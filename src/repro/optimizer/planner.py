@@ -268,16 +268,10 @@ class Optimizer:
             )
 
         used_remote = used_view = is_dynamic = False
+        sources, namespace, normalized, has_outer = self.bind(select, currency)
         if select.from_clause is None:
             plan = self._plan_values(select)
         else:
-            sources, join_conjuncts, has_outer = self._collect_sources(
-                select.from_clause, currency
-            )
-            namespace = Namespace()
-            for source in sources:
-                namespace.add(source.alias, source.columns)
-            normalized = self._normalize(select, namespace, join_conjuncts)
             if has_outer:
                 plan, used_remote, used_view = self._plan_syntactic(
                     select, sources, namespace, normalized
@@ -300,8 +294,45 @@ class Optimizer:
         ))
 
     # ------------------------------------------------------------------
-    # normalization
+    # binding and normalization
     # ------------------------------------------------------------------
+
+    def bind(
+        self, select: ast.Select, currency: Optional[ast.Expression] = None
+    ) -> Tuple[List[_Source], Namespace, Dict[str, Any], bool]:
+        """Resolve every name ``select`` uses and check its operand types
+        — ``BindError`` / ``TypeCheckError`` before any plan is built, so
+        no access path can answer a statement another path refuses.
+        Subqueries are bound here too, whether or not a row ever reaches
+        them. Returns the sources, their namespace, the normalized clauses
+        and whether the FROM clause has an outer join."""
+        sources: List[_Source] = []
+        join_conjuncts: List[ast.Expression] = []
+        has_outer = False
+        if select.from_clause is not None:
+            sources, join_conjuncts, has_outer = self._collect_sources(
+                select.from_clause, currency
+            )
+        namespace = Namespace()
+        for source in sources:
+            namespace.add(source.alias, source.columns)
+        normalized = self._normalize(select, namespace, join_conjuncts)
+        column_types = {source.alias.lower(): source.column_types for source in sources}
+
+        def column_type(ref: ast.ColumnRef) -> Optional[SqlType]:
+            return column_types[ref.qualifier.lower()].get(ref.name.lower())
+
+        expressions = [item.expression for item in normalized["items"]]
+        expressions += normalized["conjuncts"] + normalized["group_by"]
+        expressions += [entry.expression for entry in normalized["order_by"]]
+        if normalized["having"] is not None:
+            expressions.append(normalized["having"])
+        for expression in expressions:
+            ast.check_types(expression, column_type)
+            for node in ast.walk_expression(expression):
+                if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+                    self.bind(node.subquery)
+        return sources, namespace, normalized, has_outer
 
 
     def _estimator(self, stats) -> CardinalityEstimator:

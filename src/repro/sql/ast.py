@@ -19,10 +19,14 @@ from repro.common.types import (
     INT,
     VARCHAR,
     SqlType,
+    check_arithmetic,
     common_type,
+    comparable,
+    incomparable,
     is_string,
 )
 from repro.errors import TypeCheckError
+from repro.sql.lift import marker_type
 
 
 class Node:
@@ -572,9 +576,9 @@ def infer_type(
 
     The one inference over the expression type system
     (:func:`~repro.common.types.common_type` is its widening rule): the
-    planner's output schemas, ``derive_schema`` and the SQL linter all
-    call it, each supplying how a column reference — and, for the linter,
-    a declared parameter — resolves in its own scope.
+    planner's output schemas, ``derive_schema`` and :func:`check_types`
+    all call it, each supplying how a column reference — and, for the type
+    check, a lifted literal's marker — resolves in its own scope.
     """
 
     def first_known(nodes) -> Optional[SqlType]:
@@ -617,6 +621,41 @@ def infer_type(
         return None
 
     return infer(expression)
+
+
+_COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+_ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
+
+
+def check_types(
+    expression: Expression, column_type: Callable[[ColumnRef], Optional[SqlType]]
+) -> None:
+    """Raise :class:`TypeCheckError` where ``expression`` compares (``=``
+    … ``>=``, ``BETWEEN``) or computes with operands whose static types
+    the engine cannot combine at run time (:func:`comparable`,
+    :func:`check_arithmetic`). An operand whose type cannot be told passes;
+    a parameter's type is its lifted literal's, if it is one.
+    Subqueries are left to the caller, which knows their scope."""
+
+    def infer(node: Expression) -> Optional[SqlType]:
+        return infer_type(node, column_type, marker_type)
+
+    for node in walk_expression(expression):
+        if isinstance(node, Between):
+            pairs = ((node.operand, node.low), (node.operand, node.high))
+        elif isinstance(node, BinaryOp) and node.op in _COMPARISONS:
+            pairs = ((node.left, node.right),)
+        elif isinstance(node, BinaryOp) and node.op in _ARITHMETIC:
+            left, right = infer(node.left), infer(node.right)
+            if left is not None and right is not None:
+                check_arithmetic(node.op, left, right)
+            continue
+        else:
+            continue
+        for left_operand, right_operand in pairs:
+            left, right = infer(left_operand), infer(right_operand)
+            if left is not None and right is not None and not comparable(left.kind, right.kind):
+                raise incomparable(left.kind, right.kind)
 
 
 def walk_statement_expressions(statement: Statement):

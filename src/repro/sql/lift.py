@@ -33,10 +33,14 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, Optional, Tuple
 
+from repro.common.types import FLOAT, INT, VARCHAR, SqlType
+
 #: Parameter names starting with this belong to :func:`lift_literals`.
 RESERVED_PREFIX = "__l"
 
 _RESERVED_MARKER = "@" + RESERVED_PREFIX
+#: A marker's type letter (rule 2) -> the type of the literal it replaced.
+_MARKER_TYPES = {"i": INT, "f": FLOAT, "s": VARCHAR(None)}
 
 #: Leading comment for a *generated* text whose literals belong to its
 #: shape, not to one call (a shard's slice bounds, which the shard must see
@@ -135,6 +139,14 @@ def lift_literals(text: str) -> Tuple[str, Dict[str, Any]]:
         return text, {}
     pieces.append(text[copied:])
     return "".join(pieces), {marker: value for (_, value), marker in markers.items()}
+
+
+def marker_type(name: str) -> Optional[SqlType]:
+    """The static type of a parameter: a lifted literal's marker has its
+    literal's, any other parameter (a client's, a variable) none."""
+    if name.startswith(RESERVED_PREFIX):
+        return _MARKER_TYPES.get(name[len(RESERVED_PREFIX) : len(RESERVED_PREFIX) + 1])
+    return None
 
 
 def overlay(

@@ -15,7 +15,7 @@ import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
-from repro.common.types import coerce_value
+from repro.common.types import coerce_value, comparable_types, incomparable, value_kind
 from repro.errors import ConstraintError, ExecutionError
 from repro.storage.btree import PREFIX_SENTINEL, BPlusTree, encode_key
 
@@ -28,8 +28,21 @@ class SecondaryIndex:
         self.table = table
         self.column_names = tuple(column_names)
         self.positions = tuple(table.schema.resolve(name) for name in column_names)
+        #: Per key column: its kind and the Python types a key part may have.
+        self._key_rules = tuple(
+            (kind, comparable_types(kind))
+            for kind in (table.schema[position].sql_type.kind for position in self.positions)
+        )
         self.unique = unique
         self.tree = BPlusTree()
+
+    def check_key(self, values: Sequence[Any]) -> None:
+        """Refuse a seek key part the comparison rule refuses against its
+        column, with the comparison's own error: a seek compares nothing,
+        so it would otherwise just find no row where a scan raises."""
+        for value, (column, accepted) in zip(values, self._key_rules):
+            if type(value) not in accepted:
+                raise incomparable(value_kind(value), column)
 
     def key_for(self, row: Tuple) -> Tuple:
         """Extract and encode this index's key from a heap row."""

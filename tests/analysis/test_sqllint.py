@@ -1,13 +1,39 @@
-"""Workload SQL lint: the real corpus is clean, seeded defects are not."""
+"""Every seeded SQL defect is caught by the engine itself: each case runs
+on a cache server and on the backend it shadows, and the engine raises
+(the workload pass of ``analyze`` reports exactly what it raises). The
+clean corpus and the generated scripts bind, plan and execute cleanly.
+``ENGINE_ERRORS`` maps each former lint rule id to the class the engine
+raises for it.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.sqllint import SqlLinter, lint_workload
-from repro.mtcache.scripts import generate_grant_script, generate_shadow_script
+from repro import Server
+from repro.analysis.cli import check_workload
+from repro.errors import BindError, CatalogError, ExecutionError, ParseError, TypeCheckError
+from repro.mtcache.scripts import generate_shadow_script
 from repro.tpcw.config import TPCWConfig
 from repro.tpcw.setup import CACHED_VIEW_DDL, DATABASE_NAME, build_backend, enable_caching
+
+ENGINE_ERRORS = {
+    "unknown-table": BindError,
+    "unknown-column": BindError,
+    "ambiguous-column": BindError,
+    # Inside a procedure body, at its first EXEC; a top-level @name is a
+    # client parameter.
+    "undeclared-parameter": BindError,
+    "insert-arity": ExecutionError,
+    # Comparisons and arithmetic when the statement is planned or its DML
+    # compiled; an INSERT/UPDATE value when it is coerced to its column.
+    "type-mismatch": TypeCheckError,
+    # Names the non-updatable cached view.
+    "dml-target": BindError,
+    "exec-args": BindError,
+    "unknown-object": CatalogError,
+    "parse": ParseError,
+}
 
 
 @pytest.fixture(scope="module")
@@ -18,230 +44,244 @@ def tpcw():
     return backend, caches[0]
 
 
-# -- The clean corpus produces zero diagnostics ----------------------------
+# -- The clean corpus binds, plans and executes ------------------------------
 
 
 def test_tpcw_backend_procedures_lint_clean(tpcw):
     backend, _ = tpcw
-    assert lint_workload(backend.databases[DATABASE_NAME]) == []
+    assert check_workload(backend, backend.databases[DATABASE_NAME]) == []
 
 
 def test_tpcw_cache_procedures_lint_clean(tpcw):
     _, cache = tpcw
-    assert lint_workload(cache.database) == []
+    assert check_workload(cache.server, cache.database) == []
 
 
 def test_cached_view_ddl_lints_clean(tpcw):
-    backend, _ = tpcw
-    linter = SqlLinter(backend.databases[DATABASE_NAME].catalog)
-    assert linter.lint_sql(";".join(CACHED_VIEW_DDL), "cached-view-ddl") == []
+    _, cache = tpcw
+    fresh = cache.deployment.add_cache_server("cache_ddl")
+    for ddl in CACHED_VIEW_DDL:
+        fresh.execute(ddl)
+    assert {name.lower() for name in fresh.subscriptions} == {
+        name.lower() for name in cache.subscriptions
+    }
 
 
 def test_generated_deployment_scripts_lint_clean(tpcw):
-    """The shadow and grant scripts run against an initially empty shadow
-    database: they must lint with no base catalog, overlay only."""
+    """The shadow script runs against an initially empty shadow database
+    (grants are copied with the permission table, not scripted)."""
     backend, _ = tpcw
     catalog = backend.databases[DATABASE_NAME].catalog
-    linter = SqlLinter(None)
-    assert linter.lint_sql(generate_shadow_script(catalog), "shadow-script") == []
-    assert linter.lint_sql(generate_grant_script(catalog), "grant-script") == []
+    scratch = Server("scratch")
+    scratch.create_database(DATABASE_NAME)
+    scratch.execute(generate_shadow_script(catalog))
+    shadow = scratch.database(DATABASE_NAME).catalog
+    assert set(shadow.tables) == set(catalog.tables)
+    assert set(shadow.indexes) == set(catalog.indexes)
 
 
 def test_shop_fixture_lints_clean(cache):
-    assert lint_workload(cache.database) == []
+    backend = cache.deployment.backend
+    backend.execute(
+        "CREATE PROCEDURE segmentOf @cid INT AS "
+        "BEGIN SELECT segment FROM customer WHERE cid = @cid END",
+        database="shop",
+    )
+    cache.copy_procedure("segmentOf")
+    assert check_workload(backend, backend.database("shop")) == []
+    assert check_workload(cache.server, cache.database) == []
 
 
-# -- Seeded defects, one rule each -----------------------------------------
+# -- Seeded defects: the engine raises, on the cache and on the backend ------
 
 
-def _lint(cache, sql):
-    return SqlLinter(cache.database.catalog).lint_sql(sql, "test")
+def _raises(cache, rule, *statements, targets=("cache", "backend")):
+    """Run ``statements`` in order on each target; the last must raise
+    the class ``rule`` maps to. Returns the raised errors."""
+    backend = cache.deployment.backend
+    run = {
+        "cache": cache.execute,
+        "backend": lambda sql: backend.execute(sql, database="shop"),
+    }
+    raised = []
+    for target in targets:
+        for sql in statements[:-1]:
+            run[target](sql)
+        with pytest.raises(ENGINE_ERRORS[rule]) as error:
+            run[target](statements[-1])
+        raised.append(error.value)
+    return raised
 
 
-def _rules(diagnostics):
-    return [d.rule for d in diagnostics]
+def _runs(cache, *statements):
+    for sql in statements:
+        cache.execute(sql)
+        cache.deployment.backend.execute(sql, database="shop")
 
 
 def test_unknown_table(cache):
-    diagnostics = _lint(cache, "SELECT x FROM no_such_table")
-    assert "unknown-table" in _rules(diagnostics)
+    _raises(cache, "unknown-table", "SELECT x FROM no_such_table")
 
 
 def test_unknown_column(cache):
-    diagnostics = _lint(cache, "SELECT no_such_column FROM customer")
-    assert _rules(diagnostics) == ["unknown-column"]
+    _raises(cache, "unknown-column", "SELECT no_such_column FROM customer")
 
 
 def test_unknown_qualified_column(cache):
-    diagnostics = _lint(cache, "SELECT c.nope FROM customer c")
-    assert _rules(diagnostics) == ["unknown-column"]
+    _raises(cache, "unknown-column", "SELECT c.nope FROM customer c")
 
 
 def test_one_unknown_table_does_not_cascade(cache):
-    """An unknown table is one diagnostic, not one per column reference."""
-    diagnostics = _lint(cache, "SELECT a, b, c FROM no_such_table WHERE d = 1")
-    assert _rules(diagnostics) == ["unknown-table"]
+    """An unknown table is reported as the table, not as its columns."""
+    for error in _raises(cache, "unknown-table", "SELECT a, b, c FROM no_such_table WHERE d = 1"):
+        assert "no_such_table" in str(error)
 
 
 def test_ambiguous_column(cache):
-    diagnostics = _lint(
-        cache, "SELECT cid FROM customer c JOIN Cust1000 k ON c.cid = k.cid"
+    _raises(
+        cache,
+        "ambiguous-column",
+        "SELECT cid FROM customer c JOIN Cust1000 k ON c.cid = k.cid",
+        targets=("cache",),
     )
-    assert "ambiguous-column" in _rules(diagnostics)
 
 
 def test_order_by_may_use_select_alias(cache):
-    diagnostics = _lint(
-        cache,
-        "SELECT segment, COUNT(*) AS n FROM customer GROUP BY segment ORDER BY n DESC",
-    )
-    assert diagnostics == []
+    _runs(cache, "SELECT segment, COUNT(*) AS n FROM customer GROUP BY segment ORDER BY n DESC")
 
 
 def test_undeclared_parameter(cache):
-    diagnostics = _lint(cache, "SELECT cid FROM customer WHERE cid = @nope")
-    assert _rules(diagnostics) == ["undeclared-parameter"]
+    for error in _raises(
+        cache,
+        "undeclared-parameter",
+        "CREATE PROCEDURE pu AS BEGIN SELECT cid FROM customer WHERE cid = @nope END",
+        "EXEC pu",
+    ):
+        assert "@nope" in str(error)
 
 
 def test_declared_parameters_accepted(cache):
-    script = """
+    _runs(
+        cache,
+        """
         CREATE PROCEDURE p1 @cid INT AS
         BEGIN
             DECLARE @limit INT = 10
             SELECT cname FROM customer WHERE cid = @cid AND cid < @limit
         END
-    """
-    assert _lint(cache, script) == []
+        """,
+        "EXEC p1 @cid = 3",
+    )
 
 
 def test_insert_arity(cache):
-    diagnostics = _lint(cache, "INSERT INTO customer (cid, cname) VALUES (1, 'a', 'extra')")
-    assert "insert-arity" in _rules(diagnostics)
+    _raises(cache, "insert-arity", "INSERT INTO customer (cid, cname) VALUES (1, 'a', 'extra')")
 
 
 def test_insert_select_arity(cache):
-    diagnostics = _lint(
-        cache, "INSERT INTO customer (cid, cname) SELECT cid FROM customer"
-    )
-    assert "insert-arity" in _rules(diagnostics)
+    _raises(cache, "insert-arity", "INSERT INTO customer (cid, cname) SELECT cid FROM customer")
 
 
 def test_insert_unknown_column(cache):
-    diagnostics = _lint(cache, "INSERT INTO customer (cid, nope) VALUES (1, 'a')")
-    assert "unknown-column" in _rules(diagnostics)
+    _raises(cache, "unknown-column", "INSERT INTO customer (cid, nope) VALUES (1, 'a')")
 
 
 def test_insert_type_mismatch(cache):
-    diagnostics = _lint(cache, "INSERT INTO customer (cid, cname) VALUES ('text', 'a')")
-    assert "type-mismatch" in _rules(diagnostics)
+    _raises(cache, "type-mismatch", "INSERT INTO customer (cid, cname) VALUES ('text', 'a')")
 
 
 def test_comparison_type_mismatch(cache):
-    diagnostics = _lint(cache, "SELECT cid FROM customer WHERE cname > 5")
-    assert "type-mismatch" in _rules(diagnostics)
+    _raises(cache, "type-mismatch", "SELECT cid FROM customer WHERE cname > 5")
 
 
 def test_numeric_widening_is_not_a_mismatch(cache):
-    assert _lint(cache, "SELECT cid FROM customer WHERE cid < 10.5") == []
+    _runs(cache, "SELECT cid FROM customer WHERE cid < 10.5")
 
 
 def test_update_against_cached_article(cache):
-    diagnostics = _lint(cache, "UPDATE Cust1000 SET cname = 'x' WHERE cid = 1")
-    assert _rules(diagnostics) == ["dml-target"]
-    assert "cached article" in diagnostics[0].message
+    (error,) = _raises(
+        cache, "dml-target", "UPDATE Cust1000 SET cname = 'x' WHERE cid = 1", targets=("cache",)
+    )
+    assert "non-updatable cached view 'Cust1000'" in str(error)
 
 
 def test_delete_against_cached_article(cache):
-    diagnostics = _lint(cache, "DELETE FROM Cust1000 WHERE cid = 1")
-    assert _rules(diagnostics) == ["dml-target"]
+    _raises(cache, "dml-target", "DELETE FROM Cust1000 WHERE cid = 1", targets=("cache",))
 
 
 def test_update_unknown_column(cache):
-    diagnostics = _lint(cache, "UPDATE customer SET nope = 'x' WHERE cid = 1")
-    assert "unknown-column" in _rules(diagnostics)
+    _raises(cache, "unknown-column", "UPDATE customer SET nope = 'x' WHERE cid = 1")
 
 
 def test_update_type_mismatch(cache):
-    diagnostics = _lint(cache, "UPDATE customer SET cid = 'text' WHERE cid = 1")
-    assert "type-mismatch" in _rules(diagnostics)
+    _raises(cache, "type-mismatch", "UPDATE customer SET cid = 'text' WHERE cid = 1")
 
 
 def test_exec_unknown_argument(cache):
-    script = """
-        CREATE PROCEDURE p2 @cid INT AS
-        BEGIN
-            SELECT cname FROM customer WHERE cid = @cid
-        END;
-        EXEC p2 @nope = 1
-    """
-    diagnostics = _lint(cache, script)
-    assert "exec-args" in _rules(diagnostics)
+    for error in _raises(
+        cache,
+        "exec-args",
+        "CREATE PROCEDURE p2 @cid INT AS BEGIN SELECT cname FROM customer WHERE cid = @cid END",
+        "EXEC p2 @nope = 1",
+    ):
+        assert "@nope" in str(error)
 
 
 def test_exec_missing_required_argument(cache):
-    script = """
-        CREATE PROCEDURE p3 @cid INT AS
-        BEGIN
-            SELECT cname FROM customer WHERE cid = @cid
-        END;
-        EXEC p3
-    """
-    diagnostics = _lint(cache, script)
-    assert "exec-args" in _rules(diagnostics)
+    _raises(
+        cache,
+        "exec-args",
+        "CREATE PROCEDURE p3 @cid INT AS BEGIN SELECT cname FROM customer WHERE cid = @cid END",
+        "EXEC p3",
+    )
 
 
 def test_exec_with_default_is_clean(cache):
-    script = """
-        CREATE PROCEDURE p4 @cid INT = 1 AS
-        BEGIN
-            SELECT cname FROM customer WHERE cid = @cid
-        END;
-        EXEC p4
-    """
-    assert _lint(cache, script) == []
+    _runs(
+        cache,
+        "CREATE PROCEDURE p4 @cid INT = 1 AS BEGIN SELECT cname FROM customer WHERE cid = @cid END",
+        "EXEC p4",
+    )
 
 
 def test_grant_on_unknown_object(cache):
-    diagnostics = _lint(cache, "GRANT SELECT ON no_such_object TO app")
-    assert _rules(diagnostics) == ["unknown-object"]
+    _raises(cache, "unknown-object", "GRANT SELECT ON no_such_object TO app")
 
 
 def test_create_index_on_unknown_table(cache):
-    diagnostics = _lint(cache, "CREATE INDEX ix_x ON no_such_table (a)")
-    assert _rules(diagnostics) == ["unknown-object"]
+    _raises(cache, "unknown-object", "CREATE INDEX ix_x ON no_such_table (a)")
 
 
 def test_create_index_on_unknown_column(cache):
-    diagnostics = _lint(cache, "CREATE INDEX ix_x ON customer (nope)")
-    assert _rules(diagnostics) == ["unknown-column"]
+    _raises(cache, "unknown-column", "CREATE INDEX ix_x ON customer (nope)")
 
 
 def test_subqueries_are_bound(cache):
-    diagnostics = _lint(
+    _raises(
         cache,
+        "unknown-column",
         "SELECT cname FROM customer WHERE cid IN (SELECT nope FROM orders)",
     )
-    assert "unknown-column" in _rules(diagnostics)
 
 
 def test_derived_table_columns_resolve(cache):
-    sql = (
-        "SELECT t.n FROM "
-        "(SELECT segment, COUNT(*) AS n FROM customer GROUP BY segment) t"
+    _runs(
+        cache,
+        "SELECT t.n FROM (SELECT segment, COUNT(*) AS n FROM customer GROUP BY segment) t",
     )
-    assert _lint(cache, sql) == []
 
 
 def test_overlay_create_table_then_index(cache):
-    """Script-local DDL satisfies later references, as at execution time."""
-    script = """
+    """DDL earlier in a batch satisfies later statements of it."""
+    _runs(
+        cache,
+        """
         CREATE TABLE t_new (a INT PRIMARY KEY, b VARCHAR(10));
         CREATE INDEX ix_t_new_b ON t_new (b);
         INSERT INTO t_new (a, b) VALUES (1, 'x')
-    """
-    assert _lint(cache, script) == []
+        """,
+    )
 
 
 def test_unparsable_script_reports_parse(cache):
-    diagnostics = _lint(cache, "SELEC cid FORM customer")
-    assert _rules(diagnostics) == ["parse"]
+    _raises(cache, "parse", "SELEC cid FORM customer")

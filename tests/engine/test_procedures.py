@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Server
-from repro.errors import ExecutionError
+from repro.errors import BindError
 
 
 @pytest.fixture
@@ -41,12 +41,12 @@ class TestBasics:
         server.execute(
             "CREATE PROCEDURE needsArg @id INT AS BEGIN SELECT 1 END"
         )
-        with pytest.raises(ExecutionError, match="missing argument"):
+        with pytest.raises(BindError, match="expects parameter @id, which was not supplied"):
             server.execute("EXEC needsArg")
 
     def test_unknown_argument(self, server):
         server.execute("CREATE PROCEDURE noArgs AS BEGIN SELECT 1 END")
-        with pytest.raises(ExecutionError, match="unknown argument"):
+        with pytest.raises(BindError, match="has no parameter @bogus"):
             server.execute("EXEC noArgs @bogus = 1")
 
     def test_return_value(self, server):

@@ -225,8 +225,8 @@ class TestCoercionEdgeCases:
         assert sql_compare(">=", 2.0, 2) is True
 
     def test_bool_coerces_to_int(self):
-        assert _coerce_pair(True, 1, "=") == 0
-        assert _coerce_pair(False, 1, "<") == -1
+        assert _coerce_pair(True, 1) == 0
+        assert _coerce_pair(False, 1) == -1
         assert sql_compare("=", True, 1.0) is True
 
     def test_date_vs_iso_string_both_sides(self):
@@ -243,7 +243,7 @@ class TestCoercionEdgeCases:
         with pytest.raises(TypeCheckError):
             sql_compare("=", "abc", 1)
         with pytest.raises(TypeCheckError):
-            _coerce_pair(datetime.date(2003, 1, 1), 5, "<")
+            _coerce_pair(datetime.date(2003, 1, 1), 5)
 
 
 #: Rows with NULLs, cross-type numerics, bools-as-ints, and boundary

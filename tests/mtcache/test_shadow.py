@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MTCacheDeployment
-from repro.mtcache.scripts import generate_grant_script, generate_shadow_script
+from repro.mtcache.scripts import generate_shadow_script
 
 from tests.conftest import make_shop_backend
 
@@ -71,11 +71,13 @@ class TestSetupScripts:
         statements = parse_statements(script)
         assert len(statements) >= 4
 
-    def test_grant_script(self, env):
-        backend, _, _ = env
+    def test_provisioning_copies_the_backend_grants(self, backend):
         backend.execute("GRANT SELECT ON customer TO webapp", database="shop")
-        script = generate_grant_script(backend.database("shop").catalog)
-        assert "GRANT SELECT ON customer TO webapp" in script
+        cache = MTCacheDeployment(backend, "shop").add_cache_server("cache1")
+        permissions = cache.database.catalog.permissions
+        assert permissions.holds("SELECT", "customer", "webapp")
+        assert not permissions.holds("UPDATE", "customer", "webapp")
+        assert permissions is not backend.database("shop").catalog.permissions
 
     def test_cached_view_requires_mtcache_database(self):
         from repro import Server

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.client.connection import connect
-from repro.errors import ClientError, PermissionError_
+from repro.errors import ClientError, PermissionError_, TypeCheckError
 
 pytestmark = pytest.mark.shard
 
@@ -64,17 +64,28 @@ def test_scatter_preserves_sort_on_unprojected_column(sharded, router):
     assert len(list(actual.schema)) == len(list(expected.schema))
 
 
+def _answer(run):
+    """Rows, or the error's class and message: both must be the backend's."""
+    try:
+        return run()
+    except TypeCheckError as exc:
+        return f"TypeCheckError: {exc}"
+
+
 @pytest.mark.parametrize("key", ["abc", "7", 3.7, None, True, 10**9])
 def test_key_the_partitioner_cannot_place_gets_the_backend_answer(sharded, router, key):
     backend = _backend_connection(sharded).cursor()
-    for sql, params in (
+    texts = [
         ("EXEC getStock @i_id = @i_id", {"i_id": key}),
         ("SELECT i_stock FROM item WHERE i_id = @i_id", {"i_id": key}),
-    ):
-        assert router.execute(sql, params).rows == backend.execute(sql, params).fetchall()
+    ]
     if isinstance(key, str):
-        sql = f"SELECT i_stock FROM item WHERE i_id = '{key}'"
-        assert router.execute(sql).rows == backend.execute(sql).fetchall()
+        texts.append((f"SELECT i_stock FROM item WHERE i_id = '{key}'", None))
+    for sql, params in texts:
+        answer = _answer(lambda: router.execute(sql, params).rows)
+        assert answer == _answer(lambda: backend.execute(sql, params).fetchall())
+        if isinstance(key, str):  # a string never compares with an INT key
+            assert answer == "TypeCheckError: cannot compare int and varchar"
 
 
 def test_raw_select_with_key_equality_routes_to_shard(sharded, router):

@@ -45,6 +45,26 @@ def test_analyze_workload_runs_clean(capsys):
     assert "analyze: clean" in out
 
 
+def test_analyze_workload_fails_on_a_procedure_the_engine_rejects(capsys, monkeypatch):
+    from repro.analysis import cli
+
+    build = cli._build_corpus
+
+    def seeded():
+        backend, cache, config = build()
+        backend.execute(
+            "CREATE PROCEDURE seededBad AS BEGIN SELECT i_title FROM item WHERE i_id = @nope END",
+            database="tpcw",
+        )
+        return backend, cache, config
+
+    monkeypatch.setattr(cli, "_build_corpus", seeded)
+    assert main(["analyze", "--workload"]) == 1
+    out = capsys.readouterr().out
+    assert "must declare the scalar variable @nope at procedure seededBad" in out
+    assert "workload: 1 diagnostic(s)" in out
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
