@@ -5,8 +5,10 @@ server, so each server pays the full replication-apply cost and the tier
 tops out around five servers. This example partitions instead: four
 shards each subscribe to a horizontal slice of the TPC-W item table, a
 shard-aware router sends single-key statements to the owning shard and
-scatter-gathers scans, and the tier rebalances live — all behind the
-same client surface every other example uses.
+scatter-gathers scans and the best-seller aggregate (item and order_line
+co-partition on the item id, so no group spans two shards), and the tier
+rebalances live — all behind the same client surface every other
+example uses.
 
 Run:  python examples/sharded_tier.py
 """
@@ -51,6 +53,14 @@ def main() -> None:
     fanout = sharded.metrics.counter("shard.fanout").value
     print(f"\nScatter-gather: {len(routed)} rows, identical to backend: "
           f"{routed == direct} (fanout counter: {fanout})")
+
+    # Grouped by the co-partition key: per-shard sums are the global ones.
+    # Rows tied on orders_sum may come back in another order, so compare sums.
+    sql = "EXEC getBestSellers @subject = @subject"
+    routed = cursor.execute(sql, {"subject": "HISTORY"}).fetchall()
+    direct = backend.execute(sql, {"subject": "HISTORY"}).fetchall()
+    print(f"Grouped scatter (getBestSellers): {len(routed)} rows, orders_sum "
+          f"identical to backend: {[r[-1] for r in routed] == [r[-1] for r in direct]}")
 
     # --- Live rebalancing -----------------------------------------------------
     print("\nAdding shard4 (splits the widest slice):")

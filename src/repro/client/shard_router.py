@@ -16,11 +16,13 @@ SELECT would):
   only matches keys it actually holds, so the optimizer's guarded plan
   fetches a missing key from the backend. A key the partitioner cannot
   place (NULL, or anything but an integer) goes to the backend.
-* **scatter** — a decomposable scan: each shard runs the statement with
-  its slice conjunct ANDed in, and the router re-merges (UNION ALL, then
-  ORDER BY/TOP re-applied). See :mod:`repro.sharding.scatter`.
-* **backend** — everything else (writes, transactions, global
-  aggregates, statements over unpartitioned/uncached tables), and every
+* **scatter** — a decomposable scan, or a join of co-partitioned tables
+  grouped by their key (the best-seller query): each shard runs the
+  statement with its slice conjuncts ANDed in, and the router re-merges
+  (UNION ALL, then ORDER BY/TOP re-applied). See
+  :mod:`repro.sharding.scatter`.
+* **backend** — everything else (writes, transactions, aggregates whose
+  groups span shards, statements over unpartitioned/uncached tables), and every
   statement of a session inside an explicit transaction: ``BEGIN`` runs
   on the backend, which is the transaction's home from then on
   (:func:`~repro.client.connection.execute_home` sends it there).

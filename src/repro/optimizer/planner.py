@@ -70,8 +70,10 @@ from repro.optimizer.binder import (
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.optimizer.predicates import (
+    SimpleComparison,
     and_together,
     conjunct_tables,
+    implies,
     negate,
     normalize_comparison,
     split_conjuncts,
@@ -915,6 +917,15 @@ class Optimizer:
             else float(len(storage))
         )
         view_estimator = self._estimator(view_stats)
+        # Every view row satisfies the view's constant predicate (articles,
+        # snapshots and re-slicing keep it so; a re-slice bumps the schema
+        # version), so a constant conjunct that predicate implies filters
+        # nothing here: a shard's slice conjunct is not re-checked per row.
+        conjuncts = [
+            conjunct
+            for conjunct in leaf.conjuncts
+            if not _implied_by(match.description.conjuncts, conjunct)
+        ]
         saved = leaf.estimator
         leaf.estimator = view_estimator
         try:
@@ -922,7 +933,7 @@ class Optimizer:
                 leaf,
                 storage_name=view_name,
                 labeled_schema=labeled,
-                conjuncts=leaf.conjuncts,
+                conjuncts=conjuncts,
                 rows_hint=rows_hint,
             )
         finally:
@@ -1801,6 +1812,22 @@ class Optimizer:
             predicate = blank.compile(select.where)
             op = FilterOp(op, predicate)
         return _Plan(op, 1.0, 1.0).attach()
+
+
+def _implied_by(
+    view_comparisons: List[SimpleComparison], conjunct: ast.Expression
+) -> bool:
+    """Does a view's constant predicate imply this query conjunct outright?
+
+    :func:`implies` with the roles swapped: the view's comparisons stand
+    as the premise. Only a constant conjunct can be implied, and only an
+    answer with no guard counts — a parameter's value is unknown here.
+    """
+    comparison = normalize_comparison(conjunct)
+    if comparison is None or comparison.is_parameterized:
+        return False
+    outcome = implies(view_comparisons, comparison)
+    return outcome.implied and outcome.guard is None
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,18 @@ per statement text, the deployment asks it which procedures to copy to
 the shards (:func:`procedure_routes`), and ``python -m repro analyze``
 prints the same table. Nothing is declared per procedure:
 
-* a ``SELECT`` over the policy's shadowed tables with an equality on
-  the one partitioned table's key routes by **key**;
+* a ``SELECT`` naming only the policy's shadowed tables (subqueries
+  included) with an equality on the one partitioned table's key routes
+  by **key**;
 * one that :func:`~repro.sharding.scatter.decompose` can split
-  **scatters**;
+  **scatters** — a scan, or a join of co-partitioned tables grouped by
+  their key (TPC-W's best-seller query);
 * an ``EXEC`` of a procedure whose body is a single ``SELECT`` routes
   exactly as that ``SELECT`` would, with the key and parameter sources
   re-bound through the call's arguments;
 * everything else — writes, transactions, multi-statement procedures,
-  aggregates, tables no view covers — goes to the **backend**, which is
-  always exactly correct.
+  aggregates whose groups span shards, tables no view covers — goes to
+  the **backend**, which is always exactly correct.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.catalog.objects import ProcedureDef
+from repro.engine.locks import named_tables
 from repro.optimizer.predicates import split_conjuncts
 from repro.sharding.policy import ShardingPolicy
-from repro.sharding.scatter import ScatterQuery, _table_names, decompose
+from repro.sharding.scatter import ScatterQuery, _key_reference, _table_names, decompose
 from repro.sql import ast
 
 #: A value source for routing keys and procedure arguments: the name of
@@ -97,7 +100,8 @@ def procedure_routes(policy: ShardingPolicy, catalog: Any) -> Dict[str, str]:
 def _decide_select(statement: ast.Select, policy: ShardingPolicy) -> Route:
     tables = _table_names(statement.from_clause)
     if not tables or not all(
-        table.object_name.lower() in policy.source_tables for table in tables
+        table.object_name.lower() in policy.source_tables
+        for table in named_tables(statement)
     ):
         return BACKEND
     key_source = _key_equality(statement, tables, policy)
@@ -118,11 +122,6 @@ def _key_equality(
     ]
     if len(partitioned) != 1:
         return None
-    partition = policy.partitions[partitioned[0].object_name.lower()]
-    qualifiers = {
-        partitioned[0].binding_name.lower(),
-        partitioned[0].object_name.lower(),
-    }
     for conjunct in split_conjuncts(statement.where):
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             continue
@@ -130,13 +129,10 @@ def _key_equality(
             (conjunct.left, conjunct.right),
             (conjunct.right, conjunct.left),
         ):
-            if not isinstance(column, ast.ColumnRef):
-                continue
-            if column.name.lower() != partition.key_column.lower():
-                continue
-            if column.qualifier and column.qualifier.lower() not in qualifiers:
-                continue
-            if isinstance(value, ast.Parameter):
+            if (
+                isinstance(value, ast.Parameter)
+                and _key_reference(column, partitioned, policy.partitions) is not None
+            ):
                 return value.name
     return None
 

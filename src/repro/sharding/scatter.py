@@ -1,22 +1,41 @@
 """Scatter-gather decomposition: per-shard rewrite and result re-merge.
 
-A scan over a partitioned table decomposes into per-shard scans whose
-results union back together (UNION ALL semantics). Two rewrites make the
-per-shard statements cheap and the merge exact:
+A query over partitioned tables decomposes into per-shard queries whose
+results union back together (UNION ALL semantics) when every result row
+comes from one shard:
 
-* the shard's slice conjunct (``key BETWEEN lo AND hi``) is ANDed into
-  each per-shard WHERE. The query's own predicate rarely *implies* the
-  slice, so without this conjunct the optimizer on each shard would have
-  to treat its slice view as conditional and plan remote fallbacks; with
-  it, predicate implication holds unconditionally and the scan runs
-  local — which needs the bounds to reach the shard's optimizer as
-  constants, so the statement is marked :data:`~repro.sql.AS_WRITTEN`
-  and no layer below lifts them to parameters (they are the same on
-  every call; there is nothing to share). It also keeps the merge exact
-  during rebalancing: the conjunct
-  describes the slice by *value*, so a shard (or the backend, after a
-  failover) returns exactly those rows no matter where the router
-  believed the slice lived.
+* a select-project-join over one partitioned table (plus any broadcast
+  tables) qualifies;
+* so does a grouped query whose partitioned tables are each equi-joined
+  to the others on their partition keys, when its ``GROUP BY`` contains
+  one of those keys. All partitions share one
+  :class:`~repro.sharding.ring.RangePartitioner`, so equal keys live on
+  one shard and no group spans two: per-shard aggregates and ``HAVING``
+  are exact. TPC-W's ``item`` and ``order_line`` co-partition on the
+  item id for exactly this — the best-seller query. A bare aggregate
+  (``COUNT(*)``, no ``GROUP BY``), a ``GROUP BY`` without the key and
+  ``DISTINCT`` do not qualify: their rows combine across shards. An
+  ungrouped join of partitioned tables stays on the backend too; the
+  shards would only ship it the same rows;
+* a subquery qualifies when every table it names is broadcast (each
+  shard holds those tables whole).
+
+Two rewrites make the per-shard statements cheap and the merge exact:
+
+* one slice conjunct per partitioned reference (``key BETWEEN lo AND
+  hi``) is ANDed into each per-shard WHERE. The query's own predicate
+  rarely *implies* the slice, so without the conjunct the optimizer on
+  each shard would have to treat its slice view as conditional and plan
+  remote fallbacks; with it, predicate implication holds unconditionally
+  and the scan runs local — and since view matching does not chase join
+  equalities, every sliced reference needs its own conjunct. That needs
+  the bounds to reach the shard's optimizer as constants, so the
+  statement is marked :data:`~repro.sql.AS_WRITTEN` and no layer below
+  lifts them to parameters (they are the same on every call; there is
+  nothing to share). The conjuncts also keep the merge exact during
+  rebalancing: they describe the slice by *value*, so a shard (or the
+  backend, after a failover) returns exactly those rows no matter where
+  the router believed the slice lived.
 * ORDER BY columns missing from the projection are appended to the
   select list, so the gather side can re-sort the concatenation; TOP is
   kept per shard (each shard's local top-k is a superset of its members
@@ -34,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.locks import named_tables
+from repro.optimizer.predicates import split_conjuncts
 from repro.sharding.policy import TablePartition
 from repro.sharding.ring import slice_predicate
 from repro.sql import AS_WRITTEN, ast
@@ -42,25 +63,20 @@ from repro.sql.formatter import format_statement
 
 @dataclass(frozen=True)
 class ScatterQuery:
-    """A scan decomposed for scatter-gather execution."""
+    """A query decomposed for scatter-gather execution."""
 
     select: ast.Select  # projection already extended with sort columns
-    partition: TablePartition
-    key_qualifier: Optional[str]  # alias of the partitioned table, if any
+    keys: Tuple[ast.ColumnRef, ...]  # each partitioned reference's key
     sort_keys: Tuple[Tuple[int, bool], ...]  # (column position, descending)
     top: Optional[int]
     width: int  # the application-visible projection width
 
     def shard_sql(self, low: int, high: int) -> str:
         """The per-shard statement for one slice ``[low, high]``."""
-        conjunct = slice_predicate(
-            self.partition.key_column, low, high, self.key_qualifier
-        )
-        where = (
-            conjunct
-            if self.select.where is None
-            else ast.BinaryOp(op="AND", left=self.select.where, right=conjunct)
-        )
+        where = self.select.where
+        for key in self.keys:
+            conjunct = slice_predicate(key.name, low, high, key.qualifier)
+            where = conjunct if where is None else ast.BinaryOp("AND", where, conjunct)
         return AS_WRITTEN + format_statement(replace(self.select, where=where))
 
     def merge(self, shard_rows: Sequence[Sequence[Tuple]]) -> List[Tuple]:
@@ -99,25 +115,80 @@ def _table_names(ref: Optional[ast.TableRef]) -> Optional[List[ast.TableName]]:
     return None  # derived tables are not scatter-decomposable
 
 
-def _has_subquery(select: ast.Select) -> bool:
-    for expression in ast.walk_statement_expressions(select):
-        if isinstance(
-            expression, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)
-        ):
-            return True
-    return False
+def _join_conditions(ref: Optional[ast.TableRef]) -> List[ast.Expression]:
+    """The ON conjuncts of a flattenable (inner/cross) FROM clause."""
+    if not isinstance(ref, ast.JoinRef):
+        return []
+    own = split_conjuncts(ref.condition)
+    return own + _join_conditions(ref.left) + _join_conditions(ref.right)
 
 
-def _has_aggregate(select: ast.Select) -> bool:
-    """Bare aggregates (COUNT(*) with no GROUP BY) must not scatter:
-    concatenating per-shard aggregates is not the global aggregate."""
+def _subqueries_broadcast(
+    select: ast.Select, partitions: Dict[str, TablePartition]
+) -> bool:
+    """Does every subquery name only unpartitioned tables? (The router
+    checks that each shard shadows them, which makes them broadcast.)"""
     for expression in ast.walk_statement_expressions(select):
-        if (
-            isinstance(expression, ast.FuncCall)
-            and expression.name.upper() in ast.AGGREGATE_FUNCTIONS
-        ):
-            return True
-    return False
+        if isinstance(expression, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+            for table in named_tables(expression.subquery):
+                if table.object_name.lower() in partitions:
+                    return False
+    return True
+
+
+def _aggregates(select: ast.Select) -> bool:
+    """Does the query block itself (not its subqueries) aggregate?"""
+    expressions = [item.expression for item in select.items]
+    expressions += [order.expression for order in select.order_by]
+    return any(
+        isinstance(node, ast.FuncCall) and node.is_aggregate
+        for expression in expressions
+        for node in ast.walk_expression(expression)
+    )
+
+
+def _key_reference(
+    column: ast.Expression,
+    references: Sequence[ast.TableName],
+    partitions: Dict[str, TablePartition],
+) -> Optional[int]:
+    """The partitioned reference whose partition key ``column`` names."""
+    if not isinstance(column, ast.ColumnRef):
+        return None
+    found = [
+        position
+        for position, reference in enumerate(references)
+        if partitions[reference.object_name.lower()].key_column.lower() == column.name.lower()
+        and (
+            not column.qualifier
+            or column.qualifier.lower()
+            in (reference.binding_name.lower(), reference.object_name.lower())
+        )
+    ]
+    return found[0] if len(found) == 1 else None
+
+
+def _co_partitioned(
+    select: ast.Select,
+    references: Sequence[ast.TableName],
+    partitions: Dict[str, TablePartition],
+) -> bool:
+    """Are all partitioned references equi-joined on their keys?"""
+    component = list(range(len(references)))
+
+    def root(position: int) -> int:
+        while component[position] != position:
+            position = component[position]
+        return position
+
+    for conjunct in split_conjuncts(select.where) + _join_conditions(select.from_clause):
+        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+            continue
+        left = _key_reference(conjunct.left, references, partitions)
+        right = _key_reference(conjunct.right, references, partitions)
+        if left is not None and right is not None:
+            component[root(left)] = root(right)
+    return len({root(position) for position in component}) == 1
 
 
 def _match_item(
@@ -147,17 +218,16 @@ def decompose(
 ) -> Optional[ScatterQuery]:
     """Decompose a SELECT for scatter-gather, or None when not possible.
 
-    Decomposable means: a select-project-join over exactly one
-    partitioned table (plus any broadcast/replicated tables), no
-    aggregation or DISTINCT, no subqueries, an optional literal TOP, and
-    an ORDER BY of plain column references. Anything else routes to the
-    backend instead — correctness never depends on decomposing.
+    Decomposable means: an inner join of partitioned tables co-partitioned
+    on their keys (plus any broadcast tables), no DISTINCT, aggregation
+    only under a GROUP BY that contains a partition key, subqueries over
+    broadcast tables only, an optional literal TOP, and an ORDER BY of
+    plain column references or select-item aliases. Anything else routes
+    to the backend instead — correctness never depends on decomposing.
     """
     if not isinstance(select, ast.Select):
         return None
-    if select.group_by or select.having is not None or select.distinct:
-        return None
-    if select.freshness is not None:
+    if select.distinct or select.freshness is not None:
         return None
     tables = _table_names(select.from_clause)
     if not tables:
@@ -165,9 +235,17 @@ def decompose(
     partitioned = [
         table for table in tables if table.object_name.lower() in partitions
     ]
-    if len(partitioned) != 1:
+    grouped = bool(select.group_by) or select.having is not None or _aggregates(select)
+    if not partitioned or (len(partitioned) > 1 and not grouped):
         return None
-    if _has_subquery(select) or _has_aggregate(select):
+    if not _co_partitioned(select, partitioned, partitions):
+        return None
+    if grouped and not any(
+        _key_reference(expression, partitioned, partitions) is not None
+        for expression in select.group_by
+    ):
+        return None
+    if not _subqueries_broadcast(select, partitions):
         return None
     for item in select.items:
         if isinstance(item.expression, ast.Star) or item.target_parameter:
@@ -190,11 +268,17 @@ def decompose(
             position = len(items) - 1
         sort_keys.append((position, order.descending))
 
-    partition = partitions[partitioned[0].object_name.lower()]
+    several = len(partitioned) > 1
+    keys = tuple(
+        ast.ColumnRef(
+            name=partitions[table.object_name.lower()].key_column,
+            qualifier=table.alias or (table.object_name if several else None),
+        )
+        for table in partitioned
+    )
     return ScatterQuery(
         select=replace(select, items=tuple(items)),
-        partition=partition,
-        key_qualifier=partitioned[0].alias,
+        keys=keys,
         sort_keys=tuple(sort_keys),
         top=top,
         width=width,

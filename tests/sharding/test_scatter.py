@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from repro.sharding.policy import TablePartition, tpcw_sharding_policy
+from repro.sharding.routing import decide
 from repro.sharding.scatter import decompose
-from repro.sql import parse
+from repro.sql import ast, parse
 from repro.tpcw import TPCWConfig
+from repro.tpcw.procedures import procedure_definitions
 import pytest
 
 
 pytestmark = pytest.mark.shard
 
-POLICY = tpcw_sharding_policy(TPCWConfig(num_items=100))
+CONFIG = TPCWConfig(num_items=100)
+POLICY = tpcw_sharding_policy(CONFIG)
 PARTITIONS = POLICY.partitions
 
 
@@ -24,7 +27,7 @@ def test_decompose_simple_scan():
         _select("SELECT i_id, i_title FROM item WHERE i_subject = @s"), PARTITIONS
     )
     assert scatter is not None
-    assert scatter.partition.table == "item"
+    assert scatter.keys == (ast.ColumnRef("i_id"),)
     assert scatter.width == 2
     sql = scatter.shard_sql(10, 19)
     assert "BETWEEN 10 AND 19" in sql
@@ -84,7 +87,7 @@ def test_decompose_allows_inner_join_with_broadcast_table():
         PARTITIONS,
     )
     assert scatter is not None
-    assert scatter.partition.table == "item"
+    assert scatter.keys == (ast.ColumnRef("i_id"),)
 
 
 def test_non_decomposable_shapes_route_to_backend():
@@ -103,14 +106,76 @@ def test_non_decomposable_shapes_route_to_backend():
         assert decompose(_select(sql), PARTITIONS) is None, sql
 
 
+def test_best_sellers_group_by_the_co_partition_key_and_scatter():
+    body = parse(procedure_definitions(CONFIG)["getBestSellers"]).body[0]
+    scatter = decompose(body, PARTITIONS)
+    assert scatter is not None
+    # One slice conjunct per partitioned reference: view matching does not
+    # chase i.i_id = ol.ol_i_id, so each sliced view needs its own.
+    assert scatter.keys == (ast.ColumnRef("i_id", "i"), ast.ColumnRef("ol_i_id", "ol"))
+    assert scatter.shard_sql(1, 50).endswith(
+        "AND i.i_id BETWEEN 1 AND 50 AND ol.ol_i_id BETWEEN 1 AND 50 "
+        "GROUP BY i.i_id, i.i_title, a.a_fname, a.a_lname ORDER BY orders_sum DESC"
+    )
+    assert scatter.sort_keys == ((4, True),) and scatter.top == CONFIG.search_result_limit
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT ol_i_id, COUNT(*) FROM order_line GROUP BY ol_i_id",
+        "SELECT ol.ol_i_id, SUM(ol.ol_qty) AS total FROM order_line ol "
+        "JOIN item i ON ol.ol_i_id = i.i_id WHERE i.i_subject = @s "
+        "GROUP BY ol.ol_i_id HAVING SUM(ol.ol_qty) > 2 ORDER BY total DESC",
+        "SELECT i_id, SUM(ol_qty) FROM item, order_line WHERE ol_i_id = i_id "
+        "AND i_a_id IN (SELECT a_id FROM author WHERE a_lname LIKE @l) GROUP BY i_id",
+    ],
+    ids=["one-table", "join-on-having", "broadcast-subquery"],
+)
+def test_groups_on_the_key_scatter(sql):
+    assert decide(parse(sql), POLICY, None).kind == "scatter"
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT i.i_subject, SUM(ol.ol_qty) FROM item i, order_line ol "
+        "WHERE i.i_id = ol.ol_i_id GROUP BY i.i_subject",
+        "SELECT i.i_id, SUM(ol.ol_qty) FROM item i, order_line ol "
+        "WHERE i.i_id = ol.ol_o_id GROUP BY i.i_id",
+        "SELECT i.i_id, SUM(ol.ol_qty) FROM item i, order_line ol "
+        "WHERE i.i_id = ol.ol_i_id AND i.i_related1 IN (SELECT ol_i_id FROM order_line) "
+        "GROUP BY i.i_id",
+        "SELECT i.i_id, SUM(ol.ol_qty) FROM item i "
+        "LEFT JOIN order_line ol ON i.i_id = ol.ol_i_id GROUP BY i.i_id",
+        "SELECT DISTINCT SUM(ol.ol_qty) AS total FROM item i "
+        "JOIN order_line ol ON i.i_id = ol.ol_i_id GROUP BY i.i_id",
+        "SELECT SUM(ol.ol_qty) FROM item i, order_line ol WHERE i.i_id = ol.ol_i_id",
+        "SELECT i.i_id, ol.ol_qty FROM item i, order_line ol WHERE i.i_id = ol.ol_i_id",
+        "SELECT i_id, SUM(ol_qty) FROM item, order_line WHERE ol_i_id = i_id "
+        "AND i_a_id IN (SELECT c_id FROM customer) GROUP BY i_id",
+    ],
+    ids=[
+        "group-by-without-key",
+        "join-on-non-key",
+        "subquery-over-partitioned",
+        "left-join",
+        "distinct",
+        "bare-aggregate",
+        "ungrouped-join",
+        "subquery-over-unshadowed",
+    ],
+)
+def test_groups_that_span_shards_stay_on_the_backend(sql):
+    assert decide(parse(sql), POLICY, None).kind == "backend"
+
+
 def test_shard_sql_is_a_valid_statement():
     scatter = decompose(
         _select("SELECT i_id, i_title FROM item WHERE i_cost < @c ORDER BY i_title"),
         PARTITIONS,
     )
     assert scatter is not None
-    from repro.sql import ast
-
     reparsed = parse(scatter.shard_sql(1, 50))
     assert isinstance(reparsed, ast.Select)
 
