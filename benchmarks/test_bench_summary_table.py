@@ -87,8 +87,9 @@ def test_bench_summary_table(cached_model, nocache_model, benchmark, capsys, ben
         < measured["Shopping"][2]
         < measured["Ordering"][2]
     )
-    # Browsing/Shopping leave the backend mostly idle; Ordering does not.
+    # Browsing/Shopping leave the backend mostly idle; Ordering loads it
+    # several times harder than Shopping (paper 55.4 / 15.9 = 3.5x).
     assert measured["Shopping"][2] < 0.25
-    assert measured["Ordering"][2] > 0.35
+    assert measured["Ordering"][2] >= 3 * measured["Shopping"][2]
 
     benchmark(lambda: cached_model.point("Browsing", 5))

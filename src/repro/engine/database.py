@@ -122,7 +122,11 @@ class Database:
         self.bump_version()
 
     def stats_for(self, name: str) -> Optional[TableStatistics]:
-        return self.statistics.get(name.lower())
+        """The statistics a plan may trust: an ANALYZE that saw zero rows
+        is no statistics (its NDV of 1 would cost every equality as a
+        full scan)."""
+        stats = self.statistics.get(name.lower())
+        return stats if stats is not None and stats.row_count > 0 else None
 
     # -- MTCache hooks ---------------------------------------------------------
 

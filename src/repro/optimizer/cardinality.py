@@ -24,6 +24,18 @@ DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_LIKE_SELECTIVITY = 0.1
 DEFAULT_OPAQUE_SELECTIVITY = 0.5
 DEFAULT_IN_SELECTIVITY = 0.2
+#: Rows assumed for a leaf that has no statistics (or is a derived table).
+DEFAULT_TABLE_ROWS = 1000.0
+
+
+def leaf_rows(held: int, statistics: Optional[TableStatistics]) -> float:
+    """The one row estimate for a leaf: the rows its storage holds now or
+    its analyzed rows (the default without statistics), whichever is
+    larger — so a momentarily tiny table cannot pin a scan into a cached
+    plan. A remote leaf holds no local rows.
+    """
+    analyzed = float(statistics.row_count) if statistics is not None else DEFAULT_TABLE_ROWS
+    return max(float(held), analyzed)
 
 
 class CardinalityEstimator:

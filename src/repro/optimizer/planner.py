@@ -67,7 +67,7 @@ from repro.optimizer.binder import (
     qualify_expression,
     substitute,
 )
-from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cardinality import DEFAULT_TABLE_ROWS, CardinalityEstimator, leaf_rows
 from repro.optimizer.cost import CostModel
 from repro.optimizer.predicates import (
     SimpleComparison,
@@ -136,7 +136,7 @@ class _Leaf:
     schema: Schema  # leaf output schema (required columns, alias-qualified)
     is_remote: bool = False
     remote_server: Optional[str] = None
-    base_rows: float = 1000.0
+    base_rows: float = DEFAULT_TABLE_ROWS
     estimator: Optional[CardinalityEstimator] = None
 
 
@@ -585,7 +585,7 @@ class Optimizer:
         source = leaf.source
         if source.kind == "derived":
             leaf.is_remote = False
-            leaf.base_rows = 1000.0
+            leaf.base_rows = DEFAULT_TABLE_ROWS
             leaf.estimator = self._estimator(None)
             return
         if source.server is not None:
@@ -596,7 +596,6 @@ class Optimizer:
         else:
             stats = self.database.stats_for(source.table_name)
         leaf.estimator = self._estimator(stats)
-        leaf.base_rows = float(stats.row_count) if stats is not None else 1000.0
         if self.assume_all_local:
             leaf.is_remote = False
         elif source.server is not None:
@@ -607,6 +606,9 @@ class Optimizer:
             leaf.remote_server = self.database.backend_server
         else:
             leaf.is_remote = False
+        local = not leaf.is_remote and source.server is None
+        held = len(self.database.storage_table(source.table_name)) if local else 0
+        leaf.base_rows = leaf_rows(held, stats)
 
     # ------------------------------------------------------------------
     # leaf access paths
@@ -652,13 +654,14 @@ class Optimizer:
         storage_name: Optional[str] = None,
         labeled_schema: Optional[Schema] = None,
         conjuncts: Optional[List[ast.Expression]] = None,
-        rows_hint: Optional[float] = None,
     ) -> _Plan:
         """Access a locally stored object (base table or view backing).
 
         ``labeled_schema`` relabels the storage's columns into the query's
         namespace (used when scanning a view whose output names differ from
         the base table's). Index selection considers every storage index.
+        The object's rows are estimated from its storage and the leaf
+        estimator's statistics (the view's own, for a view backing).
         """
         table_name = storage_name or leaf.source.table_name
         storage = self.database.storage_table(table_name)
@@ -669,7 +672,7 @@ class Optimizer:
         )
         conjuncts = leaf.conjuncts if conjuncts is None else conjuncts
         estimator = leaf.estimator or self._estimator(None)
-        base_rows = rows_hint if rows_hint is not None else float(len(storage) or leaf.base_rows)
+        base_rows = leaf_rows(len(storage), estimator.statistics)
         selectivity = estimator.selectivity(conjuncts) if conjuncts else 1.0
         out_rows = max(0.0, base_rows * selectivity)
 
@@ -894,7 +897,6 @@ class Optimizer:
     def _leaf_view_plan(self, leaf: _Leaf, match: ViewMatch) -> _Plan:
         """Scan a matching materialized view, relabeled into query names."""
         view_name = match.view.name
-        storage = self.database.storage_table(view_name)
         view_schema = self._object_schema(view_name)
         # Relabel view output columns back to base-table names under the
         # query alias so residual predicates and upper operators resolve.
@@ -910,13 +912,7 @@ class Optimizer:
             )
             for column in view_schema
         )
-        view_stats = self.database.stats_for(view_name)
-        rows_hint = (
-            float(view_stats.row_count)
-            if view_stats is not None
-            else float(len(storage))
-        )
-        view_estimator = self._estimator(view_stats)
+        view_estimator = self._estimator(self.database.stats_for(view_name))
         # Every view row satisfies the view's constant predicate (articles,
         # snapshots and re-slicing keep it so; a re-slice bumps the schema
         # version), so a constant conjunct that predicate implies filters
@@ -934,7 +930,6 @@ class Optimizer:
                 storage_name=view_name,
                 labeled_schema=labeled,
                 conjuncts=conjuncts,
-                rows_hint=rows_hint,
             )
         finally:
             leaf.estimator = saved
