@@ -55,10 +55,11 @@ def _candidate_rids(storage, equalities: Dict[str, Scalar], ctx) -> Optional[Lis
     """Narrow a DML statement's candidates through an index when possible.
 
     Finds an index whose leading columns are covered by equality conjuncts
-    and seeks it; the full predicate is still re-checked per candidate.
-    Returns None when no index applies (caller falls back to a table
-    scan). Chosen per execution: indexes are looked up on the storage the
-    statement finds, only the operands were compiled ahead.
+    and seeks it — a hash probe when they cover the whole key; the full
+    predicate is still re-checked per candidate. Returns None when no
+    index applies (caller falls back to a table scan). Chosen per
+    execution: indexes are looked up on the storage the statement finds,
+    only the operands were compiled ahead.
     """
     if not equalities:
         return None
@@ -70,9 +71,9 @@ def _candidate_rids(storage, equalities: Dict[str, Scalar], ctx) -> Optional[Lis
                 break
             prefix.append(maker((), ctx))
         if prefix:
-            index.check_key(prefix)
+            rids = index.seek(prefix)
             ctx.work.index_seeks += 1
-            return list(storage.indexes[index.name].seek_prefix(prefix))
+            return rids
     return None
 
 

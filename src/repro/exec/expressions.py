@@ -27,9 +27,11 @@ batch form is a specialized kernel rather than a row loop:
   operand once, not per row) and fall back to :func:`sql_compare`
   element-wise otherwise;
 * AND/OR/NOT combine child selection vectors with Kleene logic;
-* constant LIKE patterns compile their regex at closure-build time, and
-  non-constant patterns go through a bounded process-wide memo instead of
-  recompiling per row.
+* constant LIKE patterns compile at closure-build time, non-constant
+  ones through a bounded process-wide memo instead of per row; a pattern
+  with a literal core (``%lit%``, ``lit%``, ``%lit``, ``lit``) tests
+  ASCII values by string containment, prefix, suffix or equality rather
+  than running its regex (:class:`LikePattern`).
 
 The generic fallback (``batch_from_scalar``) simply maps the scalar
 closure over the chunk, so batch semantics are scalar semantics
@@ -175,19 +177,81 @@ def like_to_regex(pattern: str) -> "re.Pattern":
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE | re.DOTALL)
 
 
-#: Process-wide bounded memo of compiled LIKE patterns. Non-constant
-#: patterns (column/parameter-valued) hit this instead of recompiling per
-#: row; constant patterns bypass it entirely (compiled at closure build).
+class LikePattern:
+    """A compiled LIKE pattern: its IGNORECASE regex and a batch matcher.
+
+    A pattern whose only wildcards are a leading and/or trailing ``%``
+    around an ASCII literal (``%lit%``, ``lit%``, ``%lit``, ``lit``) tests
+    an ASCII value's ``.lower()`` by containment, prefix, suffix or
+    equality instead — what the regex answers there, including ``$``
+    accepting one final newline. A non-ASCII value (``re.IGNORECASE``
+    folds the Kelvin sign or ``ſ`` into ASCII letters) and every other
+    pattern take the regex.
+    """
+
+    __slots__ = ("regex", "_test")
+
+    def __init__(self, pattern: str):
+        self.regex = like_to_regex(pattern)
+        self._test = _literal_test(pattern)
+
+    def matches(self, values: Sequence[Any]) -> List[Optional[bool]]:
+        """Per value: NULL for NULL, else whether its text matches."""
+        regex_match = self.regex.match
+        test = self._test
+        if test is None:
+            return [
+                None if value is None
+                else regex_match(value if type(value) is str else str(value)) is not None
+                for value in values
+            ]
+        return [
+            None if value is None
+            else test(text.lower())
+            if (text := value if type(value) is str else str(value)).isascii()
+            else regex_match(text) is not None
+            for value in values
+        ]
+
+    def match(self, value: Any) -> bool:
+        """Whether one non-NULL value's text matches."""
+        return bool(self.matches((value,))[0])
+
+
+def _literal_test(pattern: str) -> Optional[Callable[[str], bool]]:
+    """The string test for a literal-core pattern over lowered ASCII
+    text (a C-level callable), or None when the pattern needs its regex."""
+    core = pattern.strip("%")
+    if "%" in core or "_" in core or not core.isascii():
+        return None
+    literal = core.lower()
+    ends = (literal, literal + "\n")
+    if pattern.startswith("%"):
+        if pattern.endswith("%"):
+            return _operator.methodcaller("__contains__", literal)
+        return _operator.methodcaller("endswith", ends)
+    if pattern.endswith("%"):
+        return _operator.methodcaller("startswith", literal)
+    return ends.__contains__
+
+
+def _negated(results: List[Optional[bool]]) -> List[Optional[bool]]:
+    return [None if result is None else not result for result in results]
+
+
+#: Process-wide bounded memo of compiled LIKE patterns: a constant pattern
+#: compiles through it once at closure build, a parameter or column
+#: pattern once per distinct value instead of per row.
 _like_pattern_memo: LRUCache = LRUCache(256)
 
 
-def compiled_like_pattern(pattern: str) -> "re.Pattern":
-    """Fetch (or build and memoize) the regex for a LIKE pattern."""
-    regex = _like_pattern_memo.get(pattern)
-    if regex is None:
-        regex = like_to_regex(pattern)
-        _like_pattern_memo[pattern] = regex
-    return regex
+def compiled_like_pattern(pattern: str) -> LikePattern:
+    """Fetch (or build and memoize) the compiled form of a LIKE pattern."""
+    compiled = _like_pattern_memo.get(pattern)
+    if compiled is None:
+        compiled = LikePattern(pattern)
+        _like_pattern_memo[pattern] = compiled
+    return compiled
 
 
 def batch_from_scalar(scalar: Scalar) -> BatchScalar:
@@ -568,26 +632,18 @@ class ExpressionCompiler:
         operand_batch = batch_form(operand)
         constant = getattr(pattern_fn, "constant_value", None)
         if constant is not None:
-            # Constant pattern: the regex is compiled exactly once, at
-            # closure-build time — never inside the row loop.
-            regex_match = compiled_like_pattern(str(constant)).match
+            # Constant pattern: compiled exactly once, at closure-build time.
+            like = compiled_like_pattern(str(constant))
 
             def match_constant(row, ctx):
                 value = operand(row, ctx)
                 if value is None:
                     return None
-                matched = bool(regex_match(str(value)))
-                return (not matched) if negated else matched
+                return like.match(value) != negated
 
             def match_constant_batch(rows, ctx):
-                out = []
-                for value in operand_batch(rows, ctx):
-                    if value is None:
-                        out.append(None)
-                        continue
-                    matched = bool(regex_match(str(value)))
-                    out.append((not matched) if negated else matched)
-                return out
+                results = like.matches(operand_batch(rows, ctx))
+                return _negated(results) if negated else results
 
             match_constant.batch = match_constant_batch
             return match_constant
@@ -597,27 +653,19 @@ class ExpressionCompiler:
             pattern = pattern_fn(row, ctx)
             if value is None or pattern is None:
                 return None
-            matched = bool(compiled_like_pattern(str(pattern)).match(str(value)))
-            return (not matched) if negated else matched
+            return compiled_like_pattern(str(pattern)).match(value) != negated
 
         if _is_row_independent(pattern_fn):
             # Parameter-valued pattern: unknown until run time, but fixed
-            # within an execution — compile once per chunk via the memo.
+            # within an execution — looked up once per chunk via the memo.
             def parameter_batch(rows, ctx):
                 if not rows:
                     return []
                 pattern = pattern_fn((), ctx)
                 if pattern is None:
                     return [None] * len(rows)
-                regex_match = compiled_like_pattern(str(pattern)).match
-                out = []
-                for value in operand_batch(rows, ctx):
-                    if value is None:
-                        out.append(None)
-                        continue
-                    matched = bool(regex_match(str(value)))
-                    out.append((not matched) if negated else matched)
-                return out
+                results = compiled_like_pattern(str(pattern)).matches(operand_batch(rows, ctx))
+                return _negated(results) if negated else results
 
             evaluate.batch = parameter_batch
         return evaluate

@@ -14,17 +14,20 @@ to implement ChoosePlan: the predicate references only parameters, is
 evaluated once when the operator is opened, and when false the operator's
 input is never opened (its branch of the plan costs nothing at run time).
 
-Scan, filter, project, aggregate, hash join, sort/top, distinct and
-union-all move whole chunks through compiled batch kernels (see
-``exec/expressions.py``), memoized per operator instance
+Scan, filter, project, aggregate, hash join, index lookup join, sort/top,
+distinct and union-all move whole chunks through compiled batch kernels
+(see ``exec/expressions.py``), memoized per operator instance
 (:meth:`PhysicalOperator._kernel`) — and since cached plans *are*
 operator trees, the kernels live in the plan cache entry and die with it
-on a schema bump. Sources whose rows are already materialised (index
-seek, index extreme, remote query) yield list slices. Operators whose
-work is inherently a per-row loop (index range scan, nested-loop, index
-lookup and merge joins) keep that loop as a ``_rows`` generator and hand
-it to :func:`_chunked`. Work counters count per input row whichever
-shape an operator has (``rows_processed += len(chunk)``).
+on a schema bump. The index lookup join probes a whole left chunk at once
+(hashed exact-key lookups, :meth:`SecondaryIndex.seek_many`) and filters
+the chunk's candidates with the same kernels. Sources whose rows are
+already materialised (index seek, index extreme, remote query) yield list
+slices. Operators whose work is inherently a per-row loop (index range
+scan, nested-loop and merge joins) keep that loop as a ``_rows`` generator
+and hand it to :func:`_chunked`. Work counters count per input row
+whichever shape an operator has (``rows_processed += len(chunk)``); an
+operator that consumes a whole input chunk counts it whole.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 from repro.common.schema import Schema
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import Scalar, batch_form, tuple_kernel
+from repro.exec.expressions import Scalar, batch_form, column_maker, tuple_kernel
 
 Row = Tuple
 Batch = List[Row]
@@ -179,16 +182,11 @@ class IndexSeekOp(PhysicalOperator):
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
-        key = tuple(maker((), ctx) for maker in self.key_makers)
-        index.check_key(key)
+        rids = index.seek(tuple(maker((), ctx) for maker in self.key_makers))
         ctx.work.index_seeks += 1
-        if len(key) == len(index.column_names):
-            rids = index.seek(key)
-        else:
-            rids = list(index.seek_prefix(key))
         size = ctx.batch_rows
         for start in range(0, len(rids), size):
-            chunk = [table.get(rid) for rid in rids[start : start + size]]
+            chunk = table.get_many(rids[start : start + size])
             ctx.work.rows_processed += len(chunk)
             yield chunk
 
@@ -224,11 +222,9 @@ class IndexRangeScanOp(PhysicalOperator):
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
         low = tuple(m((), ctx) for m in self.low_makers) if self.low_makers else None
         high = tuple(m((), ctx) for m in self.high_makers) if self.high_makers else None
-        for bound in (low, high):
-            if bound is not None:
-                index.check_key(bound)
+        rids = index.range_scan(low, high, self.low_inclusive, self.high_inclusive)
         ctx.work.index_seeks += 1
-        for rid in index.range_scan(low, high, self.low_inclusive, self.high_inclusive):
+        for rid in rids:
             ctx.work.rows_processed += 1
             yield table.get(rid)
 
@@ -440,7 +436,7 @@ class HashJoinOp(PhysicalOperator):
 
 
 class IndexLookupJoinOp(PhysicalOperator):
-    """Index nested-loop join: per left row, seek the right table's index.
+    """Index nested-loop join: probe the right table's index per left row.
 
     The workhorse for point-lookup joins (``customer ⋈ address`` by
     primary key): instead of scanning/hashing the whole right table, each
@@ -449,6 +445,14 @@ class IndexLookupJoinOp(PhysicalOperator):
     own filters (compiled against the right storage's full schema);
     ``right_positions`` projects the right row down to the leaf schema;
     ``residual`` filters the combined row.
+
+    It runs a left chunk at a time: one key kernel for the chunk's probes,
+    one :meth:`SecondaryIndex.seek_many` for the full-key ones (a prefix
+    probe scans the tree), then the right predicate and the residual as
+    batch kernels over all of the chunk's candidates. Output keeps left
+    order (a left row's matches in index order) in chunks of at most
+    ``ctx.batch_rows``. Each left row counts one index seek and each
+    fetched right row one processed row.
     """
 
     def __init__(
@@ -474,40 +478,68 @@ class IndexLookupJoinOp(PhysicalOperator):
         self.kind = kind
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        return _chunked(self._rows(ctx), ctx.batch_rows)
-
-    def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
+        probe_keys = self._kernel("probe-keys", ctx, lambda: tuple_kernel(self.key_makers))
+        project = self._kernel(
+            "right-project",
+            ctx,
+            lambda: tuple_kernel([column_maker(position) for position in self.right_positions]),
+        )
+        right_filter = residual = None
+        if self.right_predicate is not None:
+            right_filter = self._kernel(
+                "right-predicate", ctx, lambda: batch_form(self.right_predicate)
+            )
+        if self.residual is not None:
+            residual = self._kernel("residual", ctx, lambda: batch_form(self.residual))
         partial = len(self.key_makers) < len(index.column_names)
         null_right = (None,) * len(self.right_schema)
-        for left_row in chain.from_iterable(self.children[0].execute_batches(ctx)):
-            key = tuple(maker(left_row, ctx) for maker in self.key_makers)
-            ctx.work.index_seeks += 1
-            if any(part is None for part in key):
-                rids = []
-            elif partial:
-                rids = list(index.seek_prefix(key))
+        size = ctx.batch_rows
+        for chunk in self.children[0].execute_batches(ctx):
+            keys = probe_keys(chunk, ctx)
+            ctx.work.index_seeks += len(chunk)
+            if partial:
+                matches = [() if None in key else index.seek(key) for key in keys]
             else:
-                rids = index.seek(key)
-            matched = False
-            for rid in rids:
-                right_full = table.get(rid)
-                ctx.work.rows_processed += 1
-                if (
-                    self.right_predicate is not None
-                    and self.right_predicate(right_full, ctx) is not True
-                ):
-                    continue
-                right_row = tuple(right_full[position] for position in self.right_positions)
-                combined = left_row + right_row
-                if self.residual is None or self.residual(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
-                yield left_row + null_right
+                matches = index.seek_many(keys)
+            owners = [i for i, rids in enumerate(matches) for _ in rids]
+            candidates = table.get_many(list(chain.from_iterable(matches)))
+            ctx.work.rows_processed += len(candidates)
+            if right_filter is not None and candidates:
+                owners, candidates = _selected(right_filter(candidates, ctx), owners, candidates)
+            combined = [
+                chunk[owner] + right for owner, right in zip(owners, project(candidates, ctx))
+            ]
+            if residual is not None and combined:
+                owners, combined = _selected(residual(combined, ctx), owners, combined)
+            if self.kind == "LEFT" and len(set(owners)) < len(chunk):
+                combined = _outer(chunk, owners, combined, null_right)
+            for start in range(0, len(combined), size):
+                yield combined[start : start + size]
 
     def describe(self) -> str:
         return f"IndexLookupJoin({self.table_name}.{self.index_name})"
+
+
+def _selected(selection: List[Any], owners: List[int], rows: Batch) -> Tuple[List[int], Batch]:
+    """Keep the ``(owner, row)`` pairs a predicate's selection vector accepts."""
+    kept = [i for i, keep in enumerate(selection) if keep is True]
+    return [owners[i] for i in kept], [rows[i] for i in kept]
+
+
+def _outer(chunk: Batch, owners: List[int], combined: Batch, null_right: Row) -> Batch:
+    """Left-outer output: ``combined`` (grouped by ascending owner) with a
+    NULL-extended row in place for each left row that kept no match."""
+    rows: Batch = []
+    position = 0
+    for owner, row in zip(owners, combined):
+        while position < owner:
+            rows.append(chunk[position] + null_right)
+            position += 1
+        rows.append(row)
+        position = owner + 1
+    rows.extend(left_row + null_right for left_row in chunk[position:])
+    return rows
 
 
 class MergeJoinOp(PhysicalOperator):

@@ -3,8 +3,9 @@
 Keys are tuples of SQL values. Because Python cannot order ``None`` against
 other values (and SQL gives NULL a defined sort position: first, ascending),
 keys are passed through :func:`encode_key` which maps every part to a
-``(tag, value)`` pair with NULL tagged lowest. Mixed int/float parts compare
-fine natively; strings/dates only meet their own kind in a typed column.
+``(tag, value)`` pair with NULL tagged lowest. Numbers — ``bool`` included,
+as the comparison rule has it — share one tag and compare natively;
+strings/dates only meet their own kind in a typed column.
 
 Leaves are linked for ordered scans. Each key maps to a small list of
 payloads so secondary indexes with duplicate keys need no special casing.
@@ -16,10 +17,9 @@ import bisect
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 _NULL_TAG = 0
-_BOOL_TAG = 1
-_NUMBER_TAG = 2
-_STRING_TAG = 3
-_OTHER_TAG = 4  # dates, datetimes — ordered within their own kind
+_NUMBER_TAG = 1
+_STRING_TAG = 2
+_OTHER_TAG = 3  # dates, datetimes — ordered within their own kind
 
 #: Sorts after every real key component; used to turn a key prefix into an
 #: upper bound covering all keys that start with the prefix.
@@ -30,8 +30,6 @@ def _encode_part(part: Any) -> Tuple:
     """Encode one key component so heterogeneous parts never compare."""
     if part is None:
         return (_NULL_TAG,)
-    if isinstance(part, bool):
-        return (_BOOL_TAG, part)
     if isinstance(part, (int, float)):
         return (_NUMBER_TAG, part)
     if isinstance(part, str):
@@ -132,18 +130,24 @@ class BPlusTree:
 
     # -- mutation ---------------------------------------------------------------
 
-    def insert(self, key: Tuple, payload: Any) -> None:
-        """Insert a payload under ``key`` (duplicates allowed)."""
+    def insert(self, key: Tuple, payload: Any) -> List[Any]:
+        """Insert a payload under ``key`` (duplicates allowed).
+
+        Returns the key's payload list itself — the object the leaf holds
+        for as long as the key has payloads (splits move it, never copy
+        it) — so an index can reach it without a descent.
+        """
         root = self.root
         if len(root.keys) >= self.order:
             new_root = _Node(is_leaf=False)
             new_root.children.append(root)
             self._split_child(new_root, 0)
             self.root = new_root
-        self._insert_nonfull(self.root, key, payload)
+        payloads = self._insert_nonfull(self.root, key, payload)
         self._size += 1
+        return payloads
 
-    def _insert_nonfull(self, node: _Node, key: Tuple, payload: Any) -> None:
+    def _insert_nonfull(self, node: _Node, key: Tuple, payload: Any) -> List[Any]:
         while not node.is_leaf:
             index = bisect.bisect_right(node.keys, key)
             child = node.children[index]
@@ -155,10 +159,13 @@ class BPlusTree:
             node = child
         index = bisect.bisect_left(node.keys, key)
         if index < len(node.keys) and node.keys[index] == key:
-            node.values[index].append(payload)
+            payloads = node.values[index]
+            payloads.append(payload)
         else:
+            payloads = [payload]
             node.keys.insert(index, key)
-            node.values.insert(index, [payload])
+            node.values.insert(index, payloads)
+        return payloads
 
     def _split_child(self, parent: _Node, index: int) -> None:
         child = parent.children[index]

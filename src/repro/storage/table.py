@@ -11,65 +11,179 @@ simulator uses to calibrate CPU service demands for the TPC-W experiments.
 
 from __future__ import annotations
 
+import datetime
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+import operator
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
-from repro.common.types import coerce_value, comparable_types, incomparable, value_kind
+from repro.common.types import (
+    TypeKind,
+    coerce_value,
+    comparable_types,
+    incomparable,
+    value_kind,
+)
 from repro.errors import ConstraintError, ExecutionError
 from repro.storage.btree import PREFIX_SENTINEL, BPlusTree, encode_key
 
 
+#: How a probe part becomes its column's stored form: ``(stored, exact)``.
+#: ``exact`` is False when no stored value can equal the part; ``stored``
+#: is then the greatest stored-form value below it.
+_Convert = Callable[[Any], Tuple[Any, bool]]
+
+
+def _day_of(moment: datetime.datetime) -> Tuple[datetime.date, bool]:
+    """A DATE column holds midnights: a moment with a time of day lies
+    strictly between its day and the next."""
+    day = moment.date()
+    return day, moment == datetime.datetime(day.year, day.month, day.day)
+
+
+def _probe_forms(kind: TypeKind) -> Dict[type, Optional[_Convert]]:
+    """For each Python type the comparison rule accepts against ``kind``,
+    how a probe value of that type becomes the column's stored form
+    (None: it already is one).
+
+    Numbers need nothing: ``bool``, ``int`` and ``float`` hash and compare
+    as one kind in the exact-key map and in the tree's encoding, just as
+    the comparison rule compares them. Where a scan parses one side — a
+    temporal column against an ISO string, a date against a datetime — the
+    probe is parsed instead. A string column matches a temporal probe
+    against the text the engine stores for it (``str(value)``).
+    """
+    forms: Dict[type, Optional[_Convert]] = dict.fromkeys(comparable_types(kind))
+    if kind is TypeKind.DATE:
+        forms[datetime.datetime] = _day_of
+        forms[str] = lambda text: (datetime.date.fromisoformat(text), True)
+    elif kind is TypeKind.DATETIME:
+        forms[datetime.date] = lambda day: (
+            datetime.datetime(day.year, day.month, day.day), True
+        )
+        forms[str] = lambda text: (datetime.datetime.fromisoformat(text), True)
+    elif kind in (TypeKind.VARCHAR, TypeKind.CHAR):
+        forms[datetime.date] = forms[datetime.datetime] = lambda value: (str(value), True)
+    return forms
+
+
 class SecondaryIndex:
-    """A (possibly unique) B+-tree index over a subset of table columns."""
+    """A (possibly unique) index over a subset of table columns.
+
+    The B+-tree serves prefix and range scans in key order. Beside it the
+    index keeps one dict from each stored key to the tree's own payload
+    list for that key (a one-column index keys it by the bare value), so
+    an exact-match probe is a hash lookup: no key encoding, no descent.
+    Every probe is first brought to its columns' stored form
+    (:meth:`_stored`) under the comparison rule, so an index answers what
+    a scan of the same rows answers.
+    """
 
     def __init__(self, name: str, table: "Table", column_names: Sequence[str], unique: bool = False):
         self.name = name
         self.table = table
         self.column_names = tuple(column_names)
         self.positions = tuple(table.schema.resolve(name) for name in column_names)
-        #: Per key column: its kind and the Python types a key part may have.
-        self._key_rules = tuple(
-            (kind, comparable_types(kind))
-            for kind in (table.schema[position].sql_type.kind for position in self.positions)
+        self._kinds = tuple(table.schema[position].sql_type.kind for position in self.positions)
+        self._forms = tuple(_probe_forms(kind) for kind in self._kinds)
+        self._single = len(self.positions) == 1
+        #: Probe types a one-column index looks up as they come (none for a
+        #: composite index, whose map key is a tuple).
+        self._plain = frozenset(
+            held for held, convert in self._forms[0].items()
+            if convert is None and held is not type(None) and self._single
         )
+        #: The exact-map key of a heap row: its bare value, or a tuple.
+        self._exact_key = operator.itemgetter(*self.positions)
         self.unique = unique
         self.tree = BPlusTree()
+        self._exact: Dict[Any, List[int]] = {}
 
-    def check_key(self, values: Sequence[Any]) -> None:
-        """Refuse a seek key part the comparison rule refuses against its
-        column, with the comparison's own error: a seek compares nothing,
-        so it would otherwise just find no row where a scan raises."""
-        for value, (column, accepted) in zip(values, self._key_rules):
-            if type(value) not in accepted:
-                raise incomparable(value_kind(value), column)
+    def _stored(self, values: Sequence[Any]) -> Tuple[List[Any], bool]:
+        """The probe ``values`` in their columns' stored form, and whether
+        every part is exact. Stops after a part no stored value can equal
+        (see :data:`_Convert`). Refuses a part the comparison rule refuses
+        against its column, with the comparison's own error: a seek
+        compares nothing, so it would otherwise just find no row where a
+        scan raises."""
+        parts: List[Any] = []
+        for value, forms, kind in zip(values, self._forms, self._kinds):
+            try:
+                convert = forms[type(value)]
+            except KeyError:
+                raise incomparable(value_kind(value), kind) from None
+            if convert is None:
+                parts.append(value)
+                continue
+            stored, exact = convert(value)
+            parts.append(stored)
+            if not exact:
+                return parts, False
+        return parts, True
 
     def key_for(self, row: Tuple) -> Tuple:
-        """Extract and encode this index's key from a heap row."""
+        """Extract and encode this index's tree key from a heap row."""
         return encode_key(tuple(row[position] for position in self.positions))
 
     def insert(self, rid: int, row: Tuple) -> None:
-        key = self.key_for(row)
-        if self.unique:
-            existing = self.tree.get(key)
-            if existing:
-                values = tuple(row[position] for position in self.positions)
-                raise ConstraintError(
-                    f"duplicate key {values!r} in unique index {self.name!r}"
-                )
-        self.tree.insert(key, rid)
+        exact = self._exact_key(row)
+        if self.unique and exact in self._exact:
+            values = tuple(row[position] for position in self.positions)
+            raise ConstraintError(f"duplicate key {values!r} in unique index {self.name!r}")
+        self._exact[exact] = self.tree.insert(self.key_for(row), rid)
 
     def delete(self, rid: int, row: Tuple) -> None:
         self.tree.delete(self.key_for(row), rid)
+        exact = self._exact_key(row)
+        if not self._exact.get(exact, True):
+            del self._exact[exact]  # the tree dropped the emptied list
+
+    def clear(self) -> None:
+        """Remove every entry."""
+        self.tree.clear()
+        self._exact.clear()
 
     def seek(self, values: Sequence[Any]) -> List[int]:
-        """Return rids whose key equals the given values exactly."""
-        return self.tree.get(encode_key(tuple(values)))
+        """Rids whose key equals ``values`` — or, for fewer values than
+        key columns, starts with them — in key order. A NULL part matches
+        stored NULLs: this is a stored-key lookup, and SQL's ``= NULL`` is
+        left to the predicate above it."""
+        parts, exact = self._stored(values)
+        if not exact:
+            return []
+        if len(parts) < len(self.positions):
+            return [rid for _, rid in self.tree.scan_prefix(encode_key(parts))]
+        return list(self._exact.get(parts[0] if self._single else tuple(parts), ()))
 
-    def seek_prefix(self, values: Sequence[Any]) -> Iterator[int]:
-        """Yield rids whose key starts with the given prefix values."""
-        for _, rid in self.tree.scan_prefix(encode_key(tuple(values))):
-            yield rid
+    def seek_many(self, keys: Sequence[Tuple]) -> List[Sequence[int]]:
+        """The rids of each full-key probe in ``keys``, one join chunk at a
+        time. A probe with a NULL part matches nothing (NULL never
+        equi-joins). The lists are the index's own: read them before the
+        table next changes."""
+        found = self._exact.get
+        plain = self._plain
+        matches: List[Sequence[int]] = []
+        for key in keys:
+            if type(key[0]) in plain:
+                matches.append(found(key[0], ()))
+            elif None in key:
+                matches.append(())
+            else:
+                parts, exact = self._stored(key)
+                exact_key = parts[0] if self._single else tuple(parts)
+                matches.append(found(exact_key, ()) if exact else ())
+        return matches
+
+    def _bound(self, values: Optional[Sequence[Any]], inclusive: bool, upper: bool):
+        """A range bound as an encoded tree key and its inclusiveness."""
+        if values is None:
+            return None, inclusive
+        parts, exact = self._stored(values)
+        if exact:
+            return encode_key(parts), inclusive
+        # The last part lies strictly above ``parts[-1]`` and below the next
+        # stored value, so every key sharing ``parts`` is on the lower side.
+        return encode_key(parts) + (PREFIX_SENTINEL,), upper
 
     def range_scan(
         self,
@@ -84,9 +198,10 @@ class SecondaryIndex:
         low bound naturally sorts before every key sharing the prefix, and
         a short high bound is padded with a sentinel so it sorts after
         them (otherwise ``(1,) < (1, x)`` would exclude the whole prefix).
+        The bounds are normalised (and checked) before the first rid.
         """
-        low_key = encode_key(tuple(low)) if low is not None else None
-        high_key = encode_key(tuple(high)) if high is not None else None
+        low_key, low_inclusive = self._bound(low, low_inclusive, upper=False)
+        high_key, high_inclusive = self._bound(high, high_inclusive, upper=True)
         if (
             high_key is not None
             and high_inclusive
@@ -94,8 +209,10 @@ class SecondaryIndex:
         ):
             padding = len(self.column_names) - len(high_key)
             high_key = high_key + (PREFIX_SENTINEL,) * padding
-        for _, rid in self.tree.scan(low_key, high_key, low_inclusive, high_inclusive):
-            yield rid
+        return (
+            rid
+            for _, rid in self.tree.scan(low_key, high_key, low_inclusive, high_inclusive)
+        )
 
     def __repr__(self) -> str:
         unique = "unique " if self.unique else ""
@@ -261,11 +378,21 @@ class Table:
         self.rows_read += 1
         return row
 
+    def get_many(self, rids: Sequence[int]) -> List[Tuple]:
+        """Fetch rows by rid, in order; counts like :meth:`get` per row."""
+        rows = self.rows
+        try:
+            fetched = [rows[rid] for rid in rids]
+        except KeyError as missing:
+            raise ExecutionError(f"no row {missing.args[0]} in table {self.name!r}") from None
+        self.rows_read += len(fetched)
+        return fetched
+
     def truncate(self) -> None:
         """Remove all rows and reset indexes (keeps definitions)."""
         self.rows.clear()
         for index in self.indexes.values():
-            index.tree.clear()
+            index.clear()
 
     def reset_counters(self) -> None:
         """Reset the work counters used for simulator calibration."""

@@ -16,6 +16,8 @@ wall-clock half with real worker threads, a real pool and real latches.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.client import ConnectionPool, connect
@@ -37,6 +39,26 @@ POOL_SIZE = 4
 #: 4x the pool's concurrency: three quarters of the offered load has to
 #: wait or shed at any instant.
 OVERLOAD_WORKERS = 4 * POOL_SIZE
+#: Wall seconds per request on the link to the cache.
+ROUND_TRIP = 0.001
+
+
+class RoundTrip:
+    """A target reached over a link that takes ``ROUND_TRIP`` wall seconds
+    per request. The client holds its pooled connection across the wait
+    but not the interpreter, as over a network, so the other workers run
+    and queue meanwhile: with 4x the pool's workers the offered load
+    exceeds pool plus waiters by construction, however fast the engine."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def execute(self, sql, **kwargs):
+        time.sleep(ROUND_TRIP)
+        return self.target.execute(sql, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.target, name)
 
 
 def build_env(name: str):
@@ -47,7 +69,7 @@ def build_env(name: str):
 
 def run_threaded(deployment, cache, config, *, workers: int, duration: float):
     pool = ConnectionPool(
-        lambda: connect(cache.server),
+        lambda: connect(RoundTrip(cache.server)),
         size=POOL_SIZE,
         max_waiters=POOL_SIZE,
         checkout_timeout=10.0,
