@@ -9,7 +9,9 @@ Walks every module under the package root and extracts:
   ``threading`` primitives;
 * **acquisition regions** — ``with lock:``, ``with rw.shared():`` /
   ``.exclusive():`` / ``.held_by(session):`` (a statement running under
-  its explicit transaction's hold), ``with manager.locking(...):``, and
+  its explicit transaction's hold), ``with manager.locking(...):`` and
+  ``with bound.table_locks:`` (a bound statement's table locks, which
+  :class:`~repro.engine.locks.TableLocks` takes one by one), and
   bare ``acquire_*``/``release_*`` pairs (an unmatched acquire holds to
   the end of the function);
 * **a call graph** — conservative resolution of ``self.method()``,
@@ -365,6 +367,8 @@ class _Analyzer:
         if isinstance(node, ast.Attribute):
             if node.attr == "latch":
                 return _LATCH_SPEC
+            if node.attr == "table_locks":
+                return _TABLE_SPEC  # a bound statement's resolved table locks
             if (
                 isinstance(node.value, ast.Name)
                 and node.value.id == "self"
@@ -544,6 +548,12 @@ class _Analyzer:
                     continue
                 if isinstance(stmt, ast.For):
                     scan_calls(stmt.iter)
+                    if current_class == "TableLocks" and isinstance(stmt.target, ast.Tuple):
+                        # ``for lock, exclusive in self.locks``: a
+                        # statement's resolved table locks.
+                        lock = stmt.target.elts[0]
+                        if isinstance(lock, ast.Name):
+                            local_locks[lock.id] = _TABLE_SPEC
                     walk_block(stmt.body)
                     walk_block(stmt.orelse)
                     continue

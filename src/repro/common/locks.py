@@ -94,7 +94,11 @@ class RWLock:
         # guards this lock's own counters and is held exactly while the
         # RWLock acquisition itself is recorded — witnessing it would
         # read as a leaf lock held while a latch-level class is taken.
-        self._cond = threading.Condition(threading.Lock())
+        # The shared paths take its raw mutex directly (no Python-level
+        # ``Condition.__enter__``) and use the condition only to wait.
+        guard = threading.Lock()
+        self._mutex = guard
+        self._cond = threading.Condition(guard)
         self._readers = 0
         self._writer: Optional[int] = None  # owning thread ident
         self._writer_depth = 0
@@ -124,7 +128,7 @@ class RWLock:
 
     def acquire_shared(self, timeout: Optional[float] = None) -> bool:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._writer != me:  # exclusive owner reads freely
                 while (
                     self._writer is not None
@@ -138,13 +142,17 @@ class RWLock:
         return True
 
     def release_shared(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._writer != threading.get_ident():
                 # (the owner fast path is a matching no-op)
                 if self._readers <= 0:
                     raise RuntimeError("release_shared without a matching acquire")
                 self._readers -= 1
-                if self._readers == 0:
+                # Only an exclusive waiter waits for the readers to drain
+                # (readers wait on writer and holder, ``held_by`` on the
+                # writer), and every one counts itself in
+                # ``_writers_waiting`` while it waits.
+                if self._readers == 0 and self._writers_waiting:
                     self._cond.notify_all()
         self._note_released()
 
@@ -164,6 +172,8 @@ class RWLock:
                         or self._readers
                     ):
                         if not self._cond.wait(timeout):
+                            # Readers queued behind this writer may go now.
+                            self._cond.notify_all()
                             return False
                 finally:
                     self._writers_waiting -= 1

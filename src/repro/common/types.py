@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import TypeCheckError
 
@@ -184,6 +184,66 @@ def comparable_types(kind: TypeKind) -> FrozenSet[type]:
     ``kind`` — NULL's included: it compares with anything (to UNKNOWN)."""
     accepted = (held for held, other in _VALUE_KINDS.items() if comparable(other, kind))
     return frozenset((type(None), *accepted))
+
+
+#: How a probe part becomes its column's stored form: ``(stored, exact)``.
+#: ``exact`` is False when no stored value can equal the part; ``stored``
+#: is then the greatest stored-form value below it.
+Convert = Callable[[Any], Tuple[Any, bool]]
+
+
+def _day_of(moment: datetime.datetime) -> Tuple[datetime.date, bool]:
+    """A DATE column holds midnights: a moment with a time of day lies
+    strictly between its day and the next."""
+    day = moment.date()
+    return day, moment == datetime.datetime(day.year, day.month, day.day)
+
+
+def probe_forms(kind: TypeKind) -> Dict[type, Optional[Convert]]:
+    """For each Python type the comparison rule accepts against ``kind``,
+    how a probe value of that type becomes the column's stored form
+    (None: it already is one).
+
+    Numbers need nothing: ``bool``, ``int`` and ``float`` hash and compare
+    as one kind in an index's exact-key map and in the tree's encoding,
+    just as the comparison rule compares them. Where a scan parses one
+    side — a temporal column against an ISO string, a date against a
+    datetime — the probe is parsed instead. A string column matches a
+    temporal probe against the text the engine stores for it
+    (``str(value)``).
+    """
+    forms: Dict[type, Optional[Convert]] = dict.fromkeys(comparable_types(kind))
+    if kind is TypeKind.DATE:
+        forms[datetime.datetime] = _day_of
+        forms[str] = lambda text: (datetime.date.fromisoformat(text), True)
+    elif kind is TypeKind.DATETIME:
+        forms[datetime.date] = lambda day: (
+            datetime.datetime(day.year, day.month, day.day), True
+        )
+        forms[str] = lambda text: (datetime.datetime.fromisoformat(text), True)
+    elif kind in _STRING_KINDS:
+        forms[datetime.date] = forms[datetime.datetime] = lambda value: (str(value), True)
+    return forms
+
+
+def equi_join_forms(
+    left: Optional[TypeKind], right: Optional[TypeKind]
+) -> Tuple[Optional[TypeKind], Optional[TypeKind]]:
+    """The column kind whose stored form (:func:`probe_forms`) each side
+    of an equi-join key is brought to — None where its values already
+    hash as the other side's do — so that keys the comparison rule calls
+    equal are equal as hash keys. As for an index probe, the side a scan
+    parses is parsed: a string against a temporal becomes that temporal,
+    and a date against a datetime becomes that day's midnight. Numbers
+    need nothing. Kinds not known at plan time (None) are left alone."""
+    if left is None or right is None or left is right:
+        return None, None
+    families = (_FAMILIES[left], _FAMILIES[right])
+    if families == ("string", "temporal") or (left, right) == (TypeKind.DATE, TypeKind.DATETIME):
+        return right, None
+    if families == ("temporal", "string") or (left, right) == (TypeKind.DATETIME, TypeKind.DATE):
+        return None, left
+    return None, None
 
 
 def incomparable(left: Optional[TypeKind], right: Optional[TypeKind]) -> TypeCheckError:

@@ -6,7 +6,9 @@ returns a :class:`BoundStatement`:
 
 * the :class:`~repro.engine.locks.LockPlan` — from the one
   :func:`~repro.engine.locks.statement_lock_plan`, so the plan the
-  concurrency analysis checks is the plan the dispatcher acquires;
+  concurrency analysis checks is the plan the dispatcher acquires — and,
+  for a plan under the shared latch, its table locks resolved to the
+  database's lock objects (:class:`~repro.engine.locks.TableLocks`);
 * the objects the statement *names*, each with the permission it needs —
   one :func:`~repro.engine.locks.named_tables` walk feeds locks and
   permissions alike, and it descends into ``IN``/``EXISTS``/scalar
@@ -46,7 +48,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.ddl import derive_schema
-from repro.engine.locks import LockPlan, named_tables, statement_lock_plan
+from repro.engine.locks import (
+    LockMode,
+    LockPlan,
+    TableLocks,
+    named_tables,
+    statement_lock_plan,
+)
 from repro.engine.procedures import BoundProcedure, bind_arguments, bind_procedure
 from repro.errors import BindError, CatalogError
 from repro.exec.expressions import Scalar, compile_scalar
@@ -62,7 +70,7 @@ class BoundStatement:
     """One statement bound against one database at one schema version."""
 
     __slots__ = (
-        "statement", "kind", "version", "lock_plan", "objects", "read_only",
+        "statement", "kind", "version", "lock_plan", "table_locks", "objects", "read_only",
         "planned", "children", "scalar", "arguments", "procedure", "forward",
     )  # fmt: skip
 
@@ -72,6 +80,9 @@ class BoundStatement:
         self.kind = type(statement)
         self.version = version
         self.lock_plan: Optional[LockPlan] = None
+        #: The shared-latch plan's table locks, resolved once (None for
+        #: no plan or an exclusive-latch one).
+        self.table_locks: Optional[TableLocks] = None
         #: ``(permission, object name)`` for every object the statement
         #: names; checked live for principals other than the owner.
         self.objects: Tuple[Tuple[str, str], ...] = ()
@@ -126,7 +137,9 @@ def bind_statement(
     bound = BoundStatement(statement, database.version)
     _check_subquery_widths(statement, database)
     named = tuple(named_tables(statement))
-    bound.lock_plan = statement_lock_plan(statement, database.catalog, named)
+    plan = bound.lock_plan = statement_lock_plan(statement, database.catalog, named)
+    if plan is not None and plan.latch is LockMode.SHARED:
+        bound.table_locks = database.lock_manager.locking(plan.tables)
     objects = [("SELECT", name.object_name) for name in named]
     kind = bound.kind
     if kind is ast.UnionAll:

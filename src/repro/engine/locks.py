@@ -30,7 +30,6 @@ view read locks what it actually scans.
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -81,43 +80,66 @@ class TableLockManager:
                     lock = RWLock()
                     # One witness class for all table locks; nesting
                     # inside the class is sanctioned (ordered=True)
-                    # because ``locking`` acquires in sorted name order.
+                    # because a lock plan acquires in sorted name order.
                     annotate_lock(lock, "table", LEVEL_TABLE, ordered=True)
                     self._locks[key] = lock
         return lock
 
-    @contextmanager
-    def locking(self, pairs: Iterable[Tuple[str, LockMode]]) -> Iterator[None]:
-        """Acquire a batch of table locks in deterministic (sorted) order.
+    def locking(self, pairs: Iterable[Tuple[str, LockMode]]) -> "TableLocks":
+        """A batch of table locks, resolved to this manager's locks.
 
-        Duplicate names collapse with exclusive-wins semantics; locks are
-        released in reverse order. Sorting by name gives every statement
-        the same global acquisition order — the deadlock-avoidance rule.
+        Duplicate names collapse with exclusive-wins semantics and the
+        batch is sorted by name: every statement acquires in the same
+        global order — the deadlock-avoidance rule. The server resolves
+        a statement's lock plan here once, when it binds the statement;
+        the replication apply resolves each transaction's set.
         """
         modes: Dict[str, LockMode] = {}
         for name, mode in pairs:
             key = name.lower()
             if modes.get(key) is not LockMode.EXCLUSIVE:
                 modes[key] = mode
-        acquired: List[Tuple[RWLock, LockMode]] = []
-        try:
-            for key in sorted(modes):
-                lock = self.lock_for(key)
-                if modes[key] is LockMode.EXCLUSIVE:
-                    lock.acquire_exclusive()
-                else:
-                    lock.acquire_shared()
-                acquired.append((lock, modes[key]))
-            yield
-        finally:
-            for lock, mode in reversed(acquired):
-                if mode is LockMode.EXCLUSIVE:
-                    lock.release_exclusive()
-                else:
-                    lock.release_shared()
+        return TableLocks(tuple((self.lock_for(key), modes[key]) for key in sorted(modes)))
 
     def __repr__(self) -> str:
         return f"<TableLockManager tables={len(self._locks)}>"
+
+
+class TableLocks:
+    """A batch of table locks as a plain context manager: entering
+    acquires them in the given (sorted) order, leaving releases them in
+    reverse. It holds no per-use state, so one instance — resolved when a
+    statement is bound — serves every execution on every thread."""
+
+    __slots__ = ("locks",)
+
+    def __init__(self, locks: Sequence[Tuple[RWLock, LockMode]]):
+        #: ``(lock, exclusive)`` in acquisition order.
+        self.locks = tuple((lock, mode is LockMode.EXCLUSIVE) for lock, mode in locks)
+
+    def __enter__(self) -> None:
+        taken = 0
+        try:
+            for lock, exclusive in self.locks:
+                if exclusive:
+                    lock.acquire_exclusive()
+                else:
+                    lock.acquire_shared()
+                taken += 1
+        except BaseException:
+            _release(self.locks[:taken])
+            raise
+
+    def __exit__(self, *exc) -> None:
+        _release(self.locks)
+
+
+def _release(locks: Tuple[Tuple[RWLock, bool], ...]) -> None:
+    for lock, exclusive in reversed(locks):
+        if exclusive:
+            lock.release_exclusive()
+        else:
+            lock.release_shared()
 
 
 @dataclass(frozen=True)

@@ -507,7 +507,7 @@ class Server:
             else:
                 with latch.shared():
                     if bound.version == database.version:
-                        with database.lock_manager.locking(plan.tables):
+                        with bound.table_locks:
                             return runner(self, bound, merged, database, session)
             # DDL got in between the version check and the latch.
 

@@ -47,7 +47,15 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.common.lru import LRUCache
 from repro.common.schema import Schema
-from repro.common.types import incomparable, is_numeric, is_string, is_temporal, value_kind
+from repro.common.types import (
+    TypeKind,
+    incomparable,
+    is_numeric,
+    is_string,
+    is_temporal,
+    probe_forms,
+    value_kind,
+)
 from repro.errors import ExecutionError, TypeCheckError
 from repro.exec.context import COMPARISON_FAMILY
 from repro.sql import ast
@@ -273,6 +281,35 @@ def batch_form(scalar: Scalar) -> BatchScalar:
     if existing is not None:
         return existing
     return batch_from_scalar(scalar)
+
+
+def stored_as(scalar: Scalar, kind: Optional[TypeKind]) -> Scalar:
+    """``scalar`` with each value brought to a ``kind`` column's stored
+    form (:func:`~repro.common.types.probe_forms`), batch form included;
+    ``scalar`` itself for no kind. A value no stored one can equal becomes
+    NULL — it never equi-joins — and NULL stays NULL. The planner wraps
+    equi-join keys in it (:func:`~repro.common.types.equi_join_forms`)."""
+    if kind is None:
+        return scalar
+    forms = probe_forms(kind)
+
+    def convert(value: Any) -> Any:
+        try:
+            form = forms[type(value)]
+        except KeyError:
+            raise incomparable(value_kind(value), kind) from None
+        if form is None:
+            return value
+        stored, exact = form(value)
+        return stored if exact else None
+
+    inner = batch_form(scalar)
+
+    def maker(row: Tuple, ctx: object) -> Any:
+        return convert(scalar(row, ctx))
+
+    maker.batch = lambda rows, ctx: [convert(value) for value in inner(rows, ctx)]  # type: ignore[attr-defined]
+    return maker
 
 
 def column_maker(position: int) -> Scalar:

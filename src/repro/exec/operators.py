@@ -166,7 +166,11 @@ class SeqScanOp(PhysicalOperator):
 
 
 class IndexSeekOp(PhysicalOperator):
-    """Exact-match index seek on the leading columns of an index."""
+    """Exact-match index seek on the leading columns of an index.
+
+    It answers its key equalities by itself — the planner filters only
+    the leaf's other conjuncts above it — so a NULL key part finds no row:
+    SQL's ``= NULL`` is never true, though the index stores NULL keys."""
 
     def __init__(
         self,
@@ -182,7 +186,10 @@ class IndexSeekOp(PhysicalOperator):
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
-        rids = index.seek(tuple(maker((), ctx) for maker in self.key_makers))
+        key = tuple(maker((), ctx) for maker in self.key_makers)
+        rids = index.seek(key)  # checks every part against its column
+        if None in key:
+            rids = []
         ctx.work.index_seeks += 1
         size = ctx.batch_rows
         for start in range(0, len(rids), size):
@@ -568,8 +575,7 @@ class MergeJoinOp(PhysicalOperator):
     @staticmethod
     def _sortable(key: Tuple) -> Tuple:
         return tuple(
-            (0, part) if isinstance(part, (int, float)) and not isinstance(part, bool)
-            else (1, str(part))
+            (0, part) if isinstance(part, (int, float)) else (1, str(part))
             for part in key
         )
 

@@ -46,10 +46,14 @@ def active_span() -> Optional["Span"]:
 
 
 class Span:
-    """One timed operation within a trace.
+    """One timed operation within a trace — and its own context manager.
 
-    A plain ``__slots__`` class rather than a dataclass: spans are created
-    on the statement hot path, so construction cost matters.
+    ``Tracer.span`` hands out an unopened span; entering it adopts the
+    active span as parent, takes the ids and the start time and makes it
+    the active span; leaving it records the end (and an escaping error),
+    restores the previous active span and hands it to its collector. One
+    object per span: spans are created on the statement hot path, so a
+    plain ``__slots__`` class with no separate context object.
     """
 
     __slots__ = (
@@ -62,29 +66,50 @@ class Span:
         "end",
         "status",
         "attributes",
+        "_collector",
+        "_token",
     )
 
     def __init__(
         self,
         name: str,
         service: str,
-        trace_id: int,
-        span_id: int,
-        parent_id: Optional[int],
-        start: float,
-        end: Optional[float] = None,
-        status: str = "ok",
-        attributes: Optional[Dict[str, Any]] = None,
+        attributes: Dict[str, Any],
+        collector: Optional["SpanCollector"] = None,
     ):
         self.name = name
         self.service = service
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = start
-        self.end = end
-        self.status = status
-        self.attributes = attributes if attributes is not None else {}
+        self.attributes = attributes
+        self._collector = collector
+        self.trace_id = self.span_id = 0
+        self.parent_id: Optional[int] = None
+        self.start = 0.0
+        self.end: Optional[float] = None
+        self.status = "ok"
+        self._token: Any = None
+
+    def __enter__(self) -> "Span":
+        parent = _ACTIVE.get()
+        self.span_id = span_id = next(_ids)
+        if parent is None:
+            self.trace_id = span_id
+        else:
+            self.trace_id = parent.trace_id
+            self.parent_id = parent.span_id
+        self.start = time.perf_counter()
+        self._token = _ACTIVE.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.end = time.perf_counter()
+        if exc_type is not None:
+            self.status = "error"
+            self.attributes.setdefault("error", repr(exc))
+        _ACTIVE.reset(self._token)
+        # The ring keeps finished spans; it need not keep their tokens.
+        self._token = None
+        self._collector.record(self)
+        return False
 
     @property
     def duration(self) -> float:
@@ -177,45 +202,6 @@ class _NullSpanContext:
 NULL_SPAN = _NullSpanContext()
 
 
-class _SpanContext:
-    """Context manager that opens a span on enter, finishes it on exit."""
-
-    __slots__ = ("_tracer", "_name", "_attributes", "_token", "span")
-
-    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._attributes = attributes
-        self._token = None
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        parent = _ACTIVE.get()
-        span_id = next(_ids)
-        span = Span(
-            name=self._name,
-            service=self._tracer.service,
-            trace_id=parent.trace_id if parent is not None else span_id,
-            span_id=span_id,
-            parent_id=parent.span_id if parent is not None else None,
-            start=time.perf_counter(),
-            attributes=self._attributes,
-        )
-        self.span = span
-        self._token = _ACTIVE.set(span)
-        return span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        span.end = time.perf_counter()
-        if exc_type is not None:
-            span.status = "error"
-            span.attributes.setdefault("error", repr(exc))
-        _ACTIVE.reset(self._token)
-        self._tracer.collector.record(span)
-        return False
-
-
 @contextmanager
 def propagated_trace(trace_id: int, span_id: int, service: str = "remote"):
     """Adopt a trace context received from another process.
@@ -226,16 +212,11 @@ def propagated_trace(trace_id: int, span_id: int, service: str = "remote"):
     the cross-process analogue of the free in-process propagation the
     module docstring describes. The synthetic parent is never recorded
     (the client already recorded the real span); it only exists to seed
-    ``_ACTIVE`` for :class:`_SpanContext` to parent under.
+    ``_ACTIVE`` for the next :class:`Span` to parent under.
     """
-    parent = Span(
-        name="(remote-parent)",
-        service=service,
-        trace_id=trace_id,
-        span_id=span_id,
-        parent_id=None,
-        start=time.perf_counter(),
-    )
+    parent = Span("(remote-parent)", service, {})
+    parent.trace_id, parent.span_id = trace_id, span_id
+    parent.start = time.perf_counter()
     token = _ACTIVE.set(parent)
     try:
         yield parent
@@ -260,7 +241,7 @@ class Tracer:
         """Open a child span of whatever span is currently active."""
         if not self.enabled:
             return NULL_SPAN
-        return _SpanContext(self, name, attributes)
+        return Span(name, self.service, attributes, self.collector)
 
 
 def _trim(text: str, limit: int = 120) -> str:

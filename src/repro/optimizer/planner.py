@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.schema import Column, Schema
-from repro.common.types import FLOAT, SqlType
+from repro.common.types import FLOAT, SqlType, TypeKind, equi_join_forms
 from repro.errors import BindError, OptimizerError
-from repro.exec.expressions import ExpressionCompiler, Scalar, column_maker
+from repro.exec.expressions import ExpressionCompiler, Scalar, column_maker, stored_as
 from repro.exec.operators import (
     AggregateOp,
     AggregateSpec,
@@ -719,41 +719,50 @@ class Optimizer:
         compiler: ExpressionCompiler,
         estimator: CardinalityEstimator,
     ) -> Optional[_Plan]:
-        """Build an index seek/range alternative when conjuncts allow."""
-        comparisons = [
-            comparison
-            for comparison in (normalize_comparison(c) for c in conjuncts)
-            if comparison is not None
-        ]
-        by_column: Dict[str, List] = {}
-        for comparison in comparisons:
-            by_column.setdefault(comparison.column.name.lower(), []).append(comparison)
+        """Build an index seek/range alternative when conjuncts allow.
+
+        An exact seek answers its key equalities itself (the probe is
+        brought to the columns' stored form and a NULL part finds no row),
+        so only the other conjuncts are filtered above it. A range scan
+        keeps the whole filter: its bounds may be inexact.
+        """
+        # Comparisons by the storage position of their column: a view's
+        # conjuncts name base columns, its storage the view's own.
+        by_position: Dict[int, List[Tuple[Any, ast.Expression]]] = {}
+        for conjunct in conjuncts:
+            comparison = normalize_comparison(conjunct)
+            if comparison is None:
+                continue
+            column = comparison.column
+            position = full_schema.maybe_resolve(column.name, column.qualifier)
+            if position is not None:
+                by_position.setdefault(position, []).append((comparison, conjunct))
 
         # Longest equality prefix.
         key_makers: List[Scalar] = []
+        key_conjuncts: List[ast.Expression] = []
         consumed_selectivity = 1.0
         blank = ExpressionCompiler(Schema(()))
-        for column_name in index.column_names:
-            candidates = [
-                comparison
-                for comparison in by_column.get(column_name.lower(), [])
-                if comparison.op == "="
-            ]
-            if not candidates:
+        for position in index.positions:
+            equality = next(
+                (pair for pair in by_position.get(position, ()) if pair[0].op == "="), None
+            )
+            if equality is None:
                 break
-            operand = candidates[0].operand
-            key_makers.append(blank.compile(operand))
+            comparison, conjunct = equality
+            key_conjuncts.append(conjunct)
+            key_makers.append(blank.compile(comparison.operand))
             consumed_selectivity *= estimator.conjunct_selectivity(
-                ast.BinaryOp("=", candidates[0].column, operand)
+                ast.BinaryOp("=", comparison.column, comparison.operand)
             )
 
         low_makers = high_makers = None
         low_inclusive = high_inclusive = True
         if len(key_makers) < len(index.column_names):
             # A range bound on the next key column extends the access path.
-            next_column = index.column_names[len(key_makers)].lower()
-            lows = [c for c in by_column.get(next_column, []) if c.op in (">", ">=")]
-            highs = [c for c in by_column.get(next_column, []) if c.op in ("<", "<=")]
+            bounds = [c for c, _ in by_position.get(index.positions[len(key_makers)], ())]
+            lows = [c for c in bounds if c.op in (">", ">=")]
+            highs = [c for c in bounds if c.op in ("<", "<=")]
             prefix = list(key_makers)
             if lows:
                 low_makers = prefix + [blank.compile(lows[0].operand)]
@@ -790,6 +799,8 @@ class Optimizer:
 
         matched_rows = max(1.0, base_rows * consumed_selectivity)
         cost = self.cost.index_seek(matched_rows) + self.cost.filter(matched_rows)
+        if isinstance(op, IndexSeekOp):
+            conjuncts = [c for c in conjuncts if c not in key_conjuncts]
         if conjuncts:
             predicate = compiler.compile(and_together(conjuncts))
             op = FilterOp(op, predicate)
@@ -1131,8 +1142,16 @@ class Optimizer:
                     rows = min(join_rows, equi_rows) if equi_rows else join_rows
                 else:
                     right_compiler = ExpressionCompiler(plan.op.schema)
-                    equi_left = [left_compiler.compile(le) for le, _ in equi_pairs]
-                    equi_right = [right_compiler.compile(re) for _, re in equi_pairs]
+                    equi_left: List[Scalar] = []
+                    equi_right: List[Scalar] = []
+                    for le, re in equi_pairs:
+                        # Build and probe on keys in one stored form.
+                        left_form, right_form = equi_join_forms(
+                            self._key_kind(le, current_schema),
+                            self._key_kind(re, plan.op.schema),
+                        )
+                        equi_left.append(stored_as(left_compiler.compile(le), left_form))
+                        equi_right.append(stored_as(right_compiler.compile(re), right_form))
                     residual_fn = (
                         ExpressionCompiler(combined_schema).compile(and_together(residual))
                         if residual
@@ -1417,14 +1436,23 @@ class Optimizer:
         return f"col{position + 1}"
 
     @staticmethod
-    def _infer_type(expression: ast.Expression, schema: Schema) -> SqlType:
-        """An output column's type (FLOAT where inference cannot tell)."""
+    def _static_type(expression: ast.Expression, schema: Schema) -> Optional[SqlType]:
+        """An expression's type over ``schema`` (None: inference cannot tell)."""
 
         def column_type(ref: ast.ColumnRef) -> Optional[SqlType]:
             index = schema.maybe_resolve(ref.name, ref.qualifier)
             return schema[index].sql_type if index is not None else None
 
-        return ast.infer_type(expression, column_type) or FLOAT
+        return ast.infer_type(expression, column_type)
+
+    @staticmethod
+    def _infer_type(expression: ast.Expression, schema: Schema) -> SqlType:
+        """An output column's type (FLOAT where inference cannot tell)."""
+        return Optimizer._static_type(expression, schema) or FLOAT
+
+    def _key_kind(self, expression: ast.Expression, schema: Schema) -> Optional[TypeKind]:
+        sql_type = self._static_type(expression, schema)
+        return sql_type.kind if sql_type is not None else None
 
     def _select_output_schema(self, select: ast.Select) -> Schema:
         """Derive a SELECT's output schema without planning it fully."""

@@ -11,60 +11,14 @@ simulator uses to calibrate CPU service demands for the TPC-W experiments.
 
 from __future__ import annotations
 
-import datetime
 import itertools
 import operator
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
-from repro.common.types import (
-    TypeKind,
-    coerce_value,
-    comparable_types,
-    incomparable,
-    value_kind,
-)
+from repro.common.types import coerce_value, incomparable, probe_forms, value_kind
 from repro.errors import ConstraintError, ExecutionError
 from repro.storage.btree import PREFIX_SENTINEL, BPlusTree, encode_key
-
-
-#: How a probe part becomes its column's stored form: ``(stored, exact)``.
-#: ``exact`` is False when no stored value can equal the part; ``stored``
-#: is then the greatest stored-form value below it.
-_Convert = Callable[[Any], Tuple[Any, bool]]
-
-
-def _day_of(moment: datetime.datetime) -> Tuple[datetime.date, bool]:
-    """A DATE column holds midnights: a moment with a time of day lies
-    strictly between its day and the next."""
-    day = moment.date()
-    return day, moment == datetime.datetime(day.year, day.month, day.day)
-
-
-def _probe_forms(kind: TypeKind) -> Dict[type, Optional[_Convert]]:
-    """For each Python type the comparison rule accepts against ``kind``,
-    how a probe value of that type becomes the column's stored form
-    (None: it already is one).
-
-    Numbers need nothing: ``bool``, ``int`` and ``float`` hash and compare
-    as one kind in the exact-key map and in the tree's encoding, just as
-    the comparison rule compares them. Where a scan parses one side — a
-    temporal column against an ISO string, a date against a datetime — the
-    probe is parsed instead. A string column matches a temporal probe
-    against the text the engine stores for it (``str(value)``).
-    """
-    forms: Dict[type, Optional[_Convert]] = dict.fromkeys(comparable_types(kind))
-    if kind is TypeKind.DATE:
-        forms[datetime.datetime] = _day_of
-        forms[str] = lambda text: (datetime.date.fromisoformat(text), True)
-    elif kind is TypeKind.DATETIME:
-        forms[datetime.date] = lambda day: (
-            datetime.datetime(day.year, day.month, day.day), True
-        )
-        forms[str] = lambda text: (datetime.datetime.fromisoformat(text), True)
-    elif kind in (TypeKind.VARCHAR, TypeKind.CHAR):
-        forms[datetime.date] = forms[datetime.datetime] = lambda value: (str(value), True)
-    return forms
 
 
 class SecondaryIndex:
@@ -85,7 +39,7 @@ class SecondaryIndex:
         self.column_names = tuple(column_names)
         self.positions = tuple(table.schema.resolve(name) for name in column_names)
         self._kinds = tuple(table.schema[position].sql_type.kind for position in self.positions)
-        self._forms = tuple(_probe_forms(kind) for kind in self._kinds)
+        self._forms = tuple(probe_forms(kind) for kind in self._kinds)
         self._single = len(self.positions) == 1
         #: Probe types a one-column index looks up as they come (none for a
         #: composite index, whose map key is a tuple).
@@ -102,7 +56,7 @@ class SecondaryIndex:
     def _stored(self, values: Sequence[Any]) -> Tuple[List[Any], bool]:
         """The probe ``values`` in their columns' stored form, and whether
         every part is exact. Stops after a part no stored value can equal
-        (see :data:`_Convert`). Refuses a part the comparison rule refuses
+        (see :data:`~repro.common.types.Convert`). Refuses a part the comparison rule refuses
         against its column, with the comparison's own error: a seek
         compares nothing, so it would otherwise just find no row where a
         scan raises."""

@@ -128,12 +128,13 @@ def assert_bound_as_fresh(server: Server, database, sql: str) -> int:
     Looks the text up the way an execution does (the parse cache's bound
     batch) and compares, for every statement and — through a local
     ``EXEC`` — every statement of the procedure bodies beneath it, the
-    bound lock plan with a fresh ``statement_lock_plan`` and the bound
+    bound lock plan with a fresh ``statement_lock_plan`` (and its resolved
+    table locks with the database's own) and the bound
     object list with the names an independent AST walk finds. Returns how
     many bindings were compared.
     """
     from repro.analysis.concurrency.atomicity import _walk_table_names
-    from repro.engine.locks import statement_lock_plan
+    from repro.engine.locks import LockMode, statement_lock_plan
     from repro.sql import ast
 
     seen = set()
@@ -144,7 +145,16 @@ def assert_bound_as_fresh(server: Server, database, sql: str) -> int:
         seen.add(id(bound))
         statement = bound.statement
         assert bound.version == database.version, statement
-        assert bound.lock_plan == statement_lock_plan(statement, database.catalog), statement
+        plan = bound.lock_plan
+        assert plan == statement_lock_plan(statement, database.catalog), statement
+        if plan is not None and plan.latch is LockMode.SHARED:
+            # Resolved once, to this database's own table locks.
+            assert bound.table_locks.locks == tuple(
+                (database.lock_manager.lock_for(name), mode is LockMode.EXCLUSIVE)
+                for name, mode in plan.tables
+            ), statement
+        else:
+            assert bound.table_locks is None, statement
         named = {name.object_name.lower() for name in _walk_table_names(statement)}
         if isinstance(statement, ast.Execute) and len(statement.procedure) != 4:
             named.add(statement.procedure[-1].lower())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.engine.locks import (
     LockMode,
     LockPlan,
     TableLockManager,
+    TableLocks,
     referenced_tables,
     statement_lock_plan,
 )
@@ -95,6 +97,90 @@ def test_release_exclusive_without_ownership_raises():
         lock.release_exclusive()
 
 
+def test_timed_out_writer_lets_queued_readers_in():
+    """A writer that gives up wakes the readers queued behind it: they
+    wait only while a writer is waiting, and it no longer is."""
+    lock = RWLock()
+    lock.acquire_shared()  # the first reader holds on throughout
+    outcome = []
+    reader_in = threading.Event()
+
+    def writer():
+        outcome.append(lock.acquire_exclusive(timeout=0.5))
+
+    def reader():
+        lock.acquire_shared()
+        reader_in.set()
+        lock.release_shared()
+
+    writing = threading.Thread(target=writer, daemon=True)
+    writing.start()
+    deadline = time.monotonic() + 5.0
+    while "waiting=1" not in repr(lock) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    reading = threading.Thread(target=reader, daemon=True)
+    reading.start()
+    time.sleep(0.05)
+    assert not reader_in.is_set()  # queued behind the waiting writer
+    writing.join(timeout=5.0)
+    assert outcome == [False]
+    try:
+        assert reader_in.wait(timeout=1.0)
+    finally:
+        lock.release_shared()
+        reading.join(timeout=5.0)
+    assert lock.readers == 0
+
+
+def test_readers_and_writers_under_contention_lose_no_wakeup():
+    """More threads than cores, a short switch interval, writers that time
+    out among writers that wait: every thread finishes (no reader or
+    writer sleeps through the release it waits for) and no writer ever
+    overlaps a reader or another writer."""
+    lock = RWLock()
+    state = {"writers": 0, "writes": 0}
+    errors = []
+
+    def reader():
+        for _ in range(300):
+            lock.acquire_shared()
+            try:
+                if state["writers"]:
+                    errors.append("a reader overlapped a writer")
+            finally:
+                lock.release_shared()
+
+    def writer(timeout):
+        for _ in range(100):
+            if not lock.acquire_exclusive(timeout=timeout):
+                continue
+            try:
+                state["writers"] += 1
+                if state["writers"] != 1 or lock.readers:
+                    errors.append("a writer overlapped another holder")
+                state["writes"] += 1
+                state["writers"] -= 1
+            finally:
+                lock.release_exclusive()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, daemon=True) for _ in range(6)]
+        threads += [threading.Thread(target=writer, args=(None,), daemon=True) for _ in range(2)]
+        threads += [threading.Thread(target=writer, args=(0.001,), daemon=True) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert state["writes"] >= 200  # the writers that wait never give up
+    assert lock.readers == 0 and not lock.owns_exclusive()
+
+
 # -- TableLockManager ---------------------------------------------------------
 
 
@@ -105,6 +191,31 @@ def test_table_locks_deduplicate_exclusive_wins():
     ):
         assert manager.lock_for("orders").owns_exclusive()
     assert not manager.lock_for("orders").owns_exclusive()
+
+
+def test_table_locks_acquire_sorted_and_release_what_they_took():
+    manager = TableLockManager()
+    batch = manager.locking([("b", LockMode.SHARED), ("a", LockMode.EXCLUSIVE)])
+    assert batch.locks == ((manager.lock_for("a"), True), (manager.lock_for("b"), False))
+    # A lock that fails mid-batch: the locks already taken are released.
+    broken = RWLock()
+    broken.acquire_shared = lambda: (_ for _ in ()).throw(RuntimeError("refused"))
+    partial = TableLocks(
+        [
+            (manager.lock_for("a"), LockMode.EXCLUSIVE),
+            (manager.lock_for("b"), LockMode.SHARED),
+            (broken, LockMode.SHARED),
+        ]
+    )
+    with pytest.raises(RuntimeError):
+        with partial:
+            pass
+    assert not manager.lock_for("a").owns_exclusive()
+    assert manager.lock_for("b").readers == 0
+    with batch:  # reusable: it keeps no per-use state
+        assert manager.lock_for("b").readers == 1
+    with batch:
+        assert manager.lock_for("a").owns_exclusive()
 
 
 def test_table_locks_released_on_error():

@@ -121,3 +121,47 @@ class TestPlannerSelection:
             normal.execute(sql).rows == expensive_hash.execute(sql).rows
         )
         assert len(normal.execute(sql).rows) > 0
+
+    def test_merge_join_keys_meet_in_one_stored_form(self):
+        """A string against a DATE, a DATE against a DATETIME and a BIT
+        against an INT: the merge join matches what the comparison rule
+        matches, as the reference evaluator does."""
+        import datetime
+
+        from repro import Server
+        from repro.exec.reference import evaluate_select
+        from repro.optimizer.cost import CostModel
+        from repro.sql import parse
+
+        server = Server("s", cost_model=CostModel(hash_join_row=1000.0))
+        server.create_database("db")
+        server.execute("CREATE TABLE a (id INT PRIMARY KEY, d DATE, flag BIT)")
+        server.execute(
+            "CREATE TABLE b (bid INT PRIMARY KEY, ds VARCHAR(20), ts DATETIME, n INT)"
+        )
+        database = server.database("db")
+        day = datetime.date(2020, 1, 1)
+        database.bulk_load(
+            "a",
+            [(i, day + datetime.timedelta(days=i), i % 2 == 0) for i in range(1, 41)],
+        )
+        database.bulk_load(
+            "b",
+            [
+                (
+                    i,
+                    str(day + datetime.timedelta(days=i % 20)),
+                    datetime.datetime(2020, 1, 1 + i % 20, 6 * (i % 2)),
+                    i % 3,
+                )
+                for i in range(1, 41)
+            ],
+        )
+        database.analyze_all()
+        for on in ("a.d = b.ds", "b.ts = a.d", "a.flag = b.n"):
+            sql = f"SELECT a.id, b.bid FROM a JOIN b ON {on}"
+            planned = server.plan_select(parse(sql), database)
+            assert any(isinstance(n, MergeJoinOp) for n in planned.root.walk()), on
+            expected = sorted(evaluate_select(database, parse(sql), {})[1])
+            assert expected, on
+            assert sorted(server.execute(sql).rows) == expected, on

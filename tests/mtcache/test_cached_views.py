@@ -138,3 +138,27 @@ class TestMaintenance:
         cache.copy_procedure("getC")
         assert cache.database.catalog.maybe_procedure("getC") is not None
         assert cache.execute("EXEC getC @id = 3").scalar == "cust3"
+
+
+def test_seek_on_a_view_that_renames_its_columns():
+    """A query names base columns; the view's storage (and its indexes)
+    uses the view's names. A seek must key on the view column the base
+    column maps to — here the names are swapped — and it answers alone,
+    with no filter above it."""
+    from repro.exec.operators import FilterOp, IndexSeekOp
+    from repro.sql import parse
+
+    backend = make_shop_backend(customers=50, orders=20)
+    cache = MTCacheDeployment(backend, "shop").add_cache_server("cache1")
+    cache.create_cached_view(
+        "CREATE CACHED VIEW v AS SELECT cid AS segment, segment AS cid, cname FROM customer"
+    )
+    for sql in (
+        "SELECT cname FROM customer WHERE cid = 7",
+        "SELECT cname FROM customer WHERE segment = 'gold'",
+    ):
+        nodes = list(cache.server.plan_select(parse(sql), cache.database).root.walk())
+        assert any(isinstance(node, IndexSeekOp) for node in nodes), sql
+        assert not any(isinstance(node, FilterOp) for node in nodes), sql
+        expected = sorted(backend.execute(sql, database="shop").rows)
+        assert expected and sorted(cache.execute(sql).rows) == expected, sql

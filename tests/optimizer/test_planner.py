@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exec.operators import (
+    FilterOp,
     HashJoinOp,
     IndexExtremeOp,
     IndexLookupJoinOp,
@@ -42,6 +43,29 @@ class TestAccessPaths:
         planned = plan(backend, "SELECT cid FROM customer WHERE segment = 'gold'")
         seeks = ops_in(planned, IndexSeekOp)
         assert seeks and seeks[0].index_name == "ix_customer_segment"
+
+    def test_seek_is_not_filtered_again_on_its_key(self, backend):
+        planned = plan(backend, "SELECT cid FROM customer WHERE segment = 'gold'")
+        assert ops_in(planned, IndexSeekOp) and not ops_in(planned, FilterOp)
+
+    def test_seek_filters_the_conjuncts_it_does_not_answer(self, backend):
+        sql = "SELECT cid FROM customer WHERE segment = 'gold' AND cname <> 'cust6'"
+        (filter_op,) = ops_in(plan(backend, sql), FilterOp)
+        assert isinstance(filter_op.children[0], IndexSeekOp)
+        # ``segment + ''`` is no column: the twin query scans.
+        scanned = sql.replace("segment =", "segment + '' =")
+        assert ops_in(plan(backend, scanned), SeqScanOp)
+        rows = backend.execute(sql, database="shop").rows
+        assert rows and sorted(rows) == sorted(backend.execute(scanned, database="shop").rows)
+        assert (6,) not in rows
+
+    def test_range_scan_keeps_its_filter(self, backend):
+        planned = plan(backend, "SELECT cname FROM customer WHERE cid <= 50")
+        (scan,) = ops_in(planned, IndexRangeScanOp)
+        assert any(
+            isinstance(node, FilterOp) and node.children[0] is scan
+            for node in planned.root.walk()
+        )
 
     def test_unindexed_predicate_scans(self, backend):
         planned = plan(backend, "SELECT cid FROM customer WHERE cname = 'cust5'")

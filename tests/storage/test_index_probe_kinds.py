@@ -8,7 +8,9 @@ Python type is not the column's stored one but which the comparison rule
 accepts: a bool against INT or FLOAT, an int against FLOAT or BIT, a
 float holding an integer (or not) against INT, an ISO string or a
 datetime against DATE, a date or an ISO string against DATETIME — and
-NULL.
+NULL, against columns that store NULLs: an index keeps NULL keys, and
+an exact seek, which is not filtered again on its key, must still find
+no row for ``= NULL``.
 """
 
 from __future__ import annotations
@@ -24,15 +26,19 @@ from repro.sql import parse
 
 ROWS = 2000
 DAY0 = datetime.date(2020, 1, 1)
-COLUMNS = "id INT{pk}, d DATE, ts DATETIME, f FLOAT, flag BIT, v INT"
+COLUMNS = "id INT{pk}, d DATE, ts DATETIME, f FLOAT, flag BIT, v INT, n1 INT, h INT, n2 INT"
 
 
 def stored_row(i: int):
     """Row ``i``: day ``DAY0 + i``; ``ts`` is that day's midnight for even
-    ``i`` and 06:00 for odd ``i``; ``flag`` is set on every 100th row."""
+    ``i`` and 06:00 for odd ``i``; ``flag`` is set on every 100th row.
+    ``n1`` is NULL on every 5th row, ``n2`` on every 3rd; ``h`` is
+    ``i % 10``."""
     day = DAY0 + datetime.timedelta(days=i)
     moment = datetime.datetime(day.year, day.month, day.day, 0 if i % 2 == 0 else 6)
-    return (i, day, moment, float(i), i % 100 == 0, i)
+    n1 = None if i % 5 == 0 else i % 50
+    n2 = None if i % 3 == 0 else i % 7
+    return (i, day, moment, float(i), i % 100 == 0, i, n1, i % 10, n2)
 
 
 def build() -> Server:
@@ -45,6 +51,8 @@ def build() -> Server:
         CREATE INDEX ix_ts ON t (ts);
         CREATE INDEX ix_f ON t (f);
         CREATE INDEX ix_flag ON t (flag);
+        CREATE INDEX ix_n1 ON t (n1);
+        CREATE INDEX ix_h_n2_v ON t (h, n2, v);
         CREATE TABLE u ({COLUMNS.format(pk="")});
         CREATE TABLE l (k INT PRIMARY KEY, kb BIT, kf FLOAT, ks VARCHAR(20), kts DATETIME);
         """,
@@ -151,14 +159,55 @@ def test_lookup_join_probe_answers_what_a_scan_answers(shared, template):
 
 
 def test_lookup_join_parses_string_and_datetime_probes_of_a_date(shared):
-    # The twin's hash join compares keys by Python equality, so only the
-    # reference speaks for these two.
+    # The twin's hash join builds and probes on keys in one stored form.
     for template, rows in (
         ("SELECT l.k, {t}.id FROM l JOIN {t} ON l.ks = {t}.d", [(1, 3), (2, 5)]),
         ("SELECT l.k, {t}.id FROM l JOIN {t} ON l.kts = {t}.d", [(1, 3)]),
+        ("SELECT l.k, {t}.id FROM l JOIN {t} ON {t}.d = l.ks", [(1, 3), (2, 5)]),
+        ("SELECT l.k, {t}.id FROM l JOIN {t} ON {t}.d = l.kts", [(1, 3)]),
     ):
-        indexed, _, expected = answers(shared, template, {})
-        assert indexed == expected == rows
+        indexed, twin, expected = answers(shared, template, {})
+        assert indexed == twin == expected == rows
+
+
+NULL_PROBES = [
+    ("SELECT id FROM {t} WHERE id = @p", {"p": None}),
+    ("SELECT id FROM {t} WHERE n1 = @p", {"p": None}),
+    ("SELECT id FROM {t} WHERE h = @q AND n2 = @p", {"q": 0, "p": None}),
+    ("SELECT id FROM {t} WHERE h = @p AND n2 = @q", {"q": 1, "p": None}),
+]
+
+
+@pytest.mark.parametrize(
+    "template,params", NULL_PROBES, ids=[t.split("WHERE ")[1] for t, _ in NULL_PROBES]
+)
+def test_null_probe_finds_no_stored_null(shared, template, params):
+    assert shared.execute(
+        "SELECT COUNT(*) FROM t WHERE n1 IS NULL AND h = 0 AND n2 IS NULL", database="db"
+    ).rows == [(ROWS // 30,)]
+    seeks = [op for op in index_ops(shared, template.format(t="t")) if isinstance(op, IndexSeekOp)]
+    assert seeks
+    indexed, twin, expected = answers(shared, template, params)
+    assert indexed == twin == expected == []
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        "UPDATE {t} SET v = 0 WHERE n1 = @p",
+        "DELETE FROM {t} WHERE h = @q AND n2 = @p",
+    ],
+)
+def test_null_probe_dml_touches_no_row(template):
+    server = build()
+    for name in ("t", "u"):
+        result = server.execute(template.format(t=name), {"q": 0, "p": None}, database="db")
+        assert result.rowcount == 0
+    contents = [
+        sorted(server.execute(f"SELECT * FROM {name}", database="db").rows)
+        for name in ("t", "u")
+    ]
+    assert contents[0] == contents[1]
 
 
 DML = [

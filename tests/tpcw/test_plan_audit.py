@@ -1,13 +1,14 @@
 """Plan audit of a Shopping run through one cache: the backend seeks every
 table it reads — the cart tables are ANALYZEd while still empty, which is
-no statistics — and the cache scans only what no index can serve."""
+no statistics — the cache scans only what no index can serve, and no
+index seek is filtered again on its own key."""
 
 import random
 
 import pytest
 
 from repro.client import connect
-from repro.exec.operators import SeqScanOp
+from repro.exec.operators import FilterOp, IndexSeekOp, SeqScanOp
 from repro.tpcw import (
     INTERACTIONS,
     MIXES,
@@ -84,6 +85,36 @@ def test_backend_plans_contain_no_scan(shopping_run):
 def test_cache_scans_only_like_searches_and_the_bestseller_window(shopping_run):
     _, cache = shopping_run
     assert scanned_tables(cache.server) == {"cv_item", "cv_author", "cv_orders"}
+
+
+BROWSE_SEEKS = ("getRelated", "getBook", "doSubjectSearch", "getNewProducts", "getBestSellers")
+
+
+def procedure_roots(server, name):
+    """The plan roots of the statements in procedure ``name``'s bound body."""
+    roots = []
+    for batch in server._parse_cache.values():
+        for bound in batch.bound:
+            procedure = bound.procedure
+            if procedure is not None and procedure.definition.name.lower() == name.lower():
+                roots += [
+                    nested.planned.root
+                    for nested in procedure.statements
+                    if getattr(nested.planned, "root", None) is not None
+                ]
+    return roots
+
+
+@pytest.mark.parametrize("name", BROWSE_SEEKS)
+def test_cache_seeks_are_not_filtered_again_on_their_key(shopping_run, name):
+    _, cache = shopping_run
+    nodes = [node for root in procedure_roots(cache.server, name) for node in root.walk()]
+    assert any(isinstance(node, IndexSeekOp) for node in nodes), name
+    assert not [
+        node
+        for node in nodes
+        if isinstance(node, FilterOp) and isinstance(node.children[0], IndexSeekOp)
+    ]
 
 
 def test_get_cart_cost_follows_the_cart_not_the_table():
