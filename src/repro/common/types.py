@@ -265,6 +265,17 @@ def check_arithmetic(op: str, left: SqlType, right: SqlType) -> None:
         raise TypeCheckError(f"cannot apply {op!r} to {left.kind.value} and {right.kind.value}")
 
 
+#: The inverse of ``_VALUE_KINDS``: the Python type each kind is held as.
+_HELD_TYPES = {kind: held for held, kind in _VALUE_KINDS.items()}
+
+
+def stored_type(kind: TypeKind) -> type:
+    """The Python type values of ``kind`` are stored as: the one type
+    :func:`coerce_value` returns unchanged (a string only within its
+    column's length)."""
+    return _HELD_TYPES[_HELD_AS.get(kind, kind)]
+
+
 def coerce_value(value: Any, sql_type: SqlType) -> Any:
     """Coerce a Python value to the representation used for ``sql_type``.
 

@@ -26,7 +26,7 @@ _OTHER_TAG = 3  # dates, datetimes — ordered within their own kind
 PREFIX_SENTINEL = (9,)
 
 
-def _encode_part(part: Any) -> Tuple:
+def encode_part(part: Any) -> Tuple:
     """Encode one key component so heterogeneous parts never compare."""
     if part is None:
         return (_NULL_TAG,)
@@ -39,7 +39,7 @@ def _encode_part(part: Any) -> Tuple:
 
 def encode_key(parts: Sequence[Any]) -> Tuple:
     """Encode a composite key for storage in the tree."""
-    return tuple(_encode_part(part) for part in parts)
+    return tuple([encode_part(part) for part in parts])
 
 
 class _Node:
@@ -62,6 +62,9 @@ class BPlusTree:
         self.order = order
         self.root = _Node(is_leaf=True)
         self._size = 0  # number of (key, payload) pairs
+        # The rightmost leaf, or one left of it that splits have since
+        # moved it past (``insert`` follows ``next_leaf`` to catch up).
+        self._last = self.root
 
     def __len__(self) -> int:
         return self._size
@@ -136,7 +139,22 @@ class BPlusTree:
         Returns the key's payload list itself — the object the leaf holds
         for as long as the key has payloads (splits move it, never copy
         it) — so an index can reach it without a descent.
+
+        A key above every stored key, while the rightmost leaf has room,
+        is appended to that leaf without a descent: ascending keys (a bulk
+        load, new order ids) arrive that way.
         """
+        last = self._last
+        while last.next_leaf is not None:
+            last = last.next_leaf
+        self._last = last
+        keys = last.keys
+        if keys and key > keys[-1] and len(keys) < self.order:
+            payloads = [payload]
+            keys.append(key)
+            last.values.append(payloads)
+            self._size += 1
+            return payloads
         root = self.root
         if len(root.keys) >= self.order:
             new_root = _Node(is_leaf=False)
@@ -213,7 +231,7 @@ class BPlusTree:
 
     def clear(self) -> None:
         """Remove every entry."""
-        self.root = _Node(is_leaf=True)
+        self.root = self._last = _Node(is_leaf=True)
         self._size = 0
 
     def items(self) -> Iterator[Tuple[Tuple, Any]]:

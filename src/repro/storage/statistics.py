@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
@@ -29,6 +31,25 @@ def _sort_key(value: Any) -> Tuple:
     return (3, type(value).__name__, value)
 
 
+def _ordered(values: Sequence[Any]) -> Tuple[List[Any], int]:
+    """Non-empty ``values`` stably sorted by :func:`_sort_key`, and the
+    position of the first maximal one (the value ``max`` keeps).
+
+    Values of one type, or ints with floats, order natively exactly as
+    their sort keys do, so they skip the key function; bools do not (the
+    key puts ``True`` below ``1``)."""
+    kinds = set(map(type, values))
+    if kinds <= {int, float} or (len(kinds) == 1 and bool not in kinds):
+        ordered = sorted(values)
+        return ordered, bisect.bisect_left(ordered, ordered[-1])
+    ordered = sorted(values, key=_sort_key)
+    top = len(ordered) - 1
+    greatest = _sort_key(ordered[top])
+    while top and _sort_key(ordered[top - 1]) == greatest:
+        top -= 1
+    return ordered, top
+
+
 @dataclass
 class Histogram:
     """An equi-depth histogram: ``bounds`` are bucket upper edges."""
@@ -39,9 +60,13 @@ class Histogram:
     @classmethod
     def build(cls, values: Sequence[Any], buckets: int = 20) -> "Histogram":
         """Build from non-null values; each bucket holds ~equal row counts."""
-        ordered = sorted(values, key=_sort_key)
-        if not ordered:
+        if not values:
             return cls([], 0)
+        return cls.from_ordered(_ordered(values)[0], buckets)
+
+    @classmethod
+    def from_ordered(cls, ordered: Sequence[Any], buckets: int = 20) -> "Histogram":
+        """Build from non-null values already in :func:`_sort_key` order."""
         buckets = max(1, min(buckets, len(ordered)))
         bounds = []
         for index in range(1, buckets + 1):
@@ -54,12 +79,17 @@ class Histogram:
         if not self.bounds:
             return 0.5
         key = _sort_key(value)
-        keys = [_sort_key(bound) for bound in self.bounds]
         if inclusive:
-            index = bisect.bisect_right(keys, key)
+            index = bisect.bisect_right(self._keys, key)
         else:
-            index = bisect.bisect_left(keys, key)
+            index = bisect.bisect_left(self._keys, key)
         return min(1.0, index / self.bucket_count)
+
+    @cached_property
+    def _keys(self) -> List[Tuple]:
+        """The bounds' sort keys, made on the first estimate (a cached
+        attribute, not a field: equality and copies see bounds only)."""
+        return [_sort_key(bound) for bound in self.bounds]
 
 
 @dataclass
@@ -85,9 +115,10 @@ class ColumnStatistics:
             row_count=len(values),
         )
         if non_null:
-            stats.min_value = min(non_null, key=_sort_key)
-            stats.max_value = max(non_null, key=_sort_key)
-            stats.histogram = Histogram.build(non_null, buckets)
+            ordered, top = _ordered(non_null)
+            stats.min_value = ordered[0]
+            stats.max_value = ordered[top]
+            stats.histogram = Histogram.from_ordered(ordered, buckets)
         return stats
 
     @property
@@ -155,7 +186,7 @@ class TableStatistics:
         """Compute statistics over materialized rows (the ANALYZE path)."""
         stats = cls(table_name=table_name, row_count=len(rows))
         for position, column_name in enumerate(column_names):
-            values = [row[position] for row in rows]
+            values = list(map(itemgetter(position), rows))
             stats.columns[column_name.lower()] = ColumnStatistics.build(column_name, values)
         return stats
 

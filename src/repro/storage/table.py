@@ -16,9 +16,16 @@ import operator
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
-from repro.common.types import coerce_value, incomparable, probe_forms, value_kind
+from repro.common.types import (
+    coerce_value,
+    incomparable,
+    is_string,
+    probe_forms,
+    stored_type,
+    value_kind,
+)
 from repro.errors import ConstraintError, ExecutionError
-from repro.storage.btree import PREFIX_SENTINEL, BPlusTree, encode_key
+from repro.storage.btree import PREFIX_SENTINEL, BPlusTree, encode_key, encode_part
 
 
 class SecondaryIndex:
@@ -77,7 +84,7 @@ class SecondaryIndex:
 
     def key_for(self, row: Tuple) -> Tuple:
         """Extract and encode this index's tree key from a heap row."""
-        return encode_key(tuple(row[position] for position in self.positions))
+        return tuple([encode_part(row[position]) for position in self.positions])
 
     def insert(self, rid: int, row: Tuple) -> None:
         exact = self._exact_key(row)
@@ -185,6 +192,15 @@ class Table:
         self._rid_counter = itertools.count(1)
         self.rows_read = 0
         self.rows_written = 0
+        #: Per column, the type its values are stored as, and the declared
+        #: length of each bounded string column: a row that matches needs
+        #: no coercion (see :meth:`_coerce_row`).
+        self._stored_types = tuple(stored_type(column.sql_type.kind) for column in schema)
+        self._bounded = tuple(
+            (position, column.sql_type.length)
+            for position, column in enumerate(schema)
+            if is_string(column.sql_type) and column.sql_type.length is not None
+        )
         if self.primary_key:
             self.create_index(f"pk_{name}", self.primary_key, unique=True)
 
@@ -220,6 +236,16 @@ class Table:
         return None
 
     def _coerce_row(self, values: Sequence[Any]) -> Tuple:
+        """``values`` as a stored row: checked against the schema, each
+        value coerced to its column's type. A row whose every value is
+        already of its column's stored type — no NULL, no string over its
+        length — is stored as it is, as coercion would leave it."""
+        if tuple(map(type, values)) == self._stored_types:
+            for position, length in self._bounded:
+                if len(values[position]) > length:
+                    break
+            else:
+                return tuple(values)
         if len(values) != len(self.schema):
             raise ExecutionError(
                 f"row arity {len(values)} does not match table {self.name!r} "

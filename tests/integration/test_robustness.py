@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MTCacheDeployment, Server
+from repro.engine import procedures
 from repro.errors import CatalogError, ConstraintError, ExecutionError
 from repro.replication.agent import DistributionAgent
 
@@ -193,7 +194,10 @@ class TestEngineEdgeCases:
         with pytest.raises(BindError):
             cache.execute("SELECT nonexistent FROM customer")
 
-    def test_while_loop_bound(self):
+    def test_while_loop_bound(self, monkeypatch):
+        # The shipped bound, lowered here so the runaway loop hits it fast.
+        assert procedures.MAX_LOOP_ITERATIONS == 1_000_000
+        monkeypatch.setattr(procedures, "MAX_LOOP_ITERATIONS", 1_000)
         server = Server("s")
         server.create_database("db")
         server.execute(

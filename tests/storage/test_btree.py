@@ -1,5 +1,6 @@
 """B+-tree unit and property-based tests."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -178,3 +179,135 @@ def test_property_deletes_remove_exactly(keys, data):
         assert tree.delete(encode_key((key_value,)), key_value)
     remaining = sorted(set(keys) - set(to_delete))
     assert [p for _, p in tree.scan()] == remaining
+
+
+# -- the append path: ascending keys go straight to the rightmost leaf --------
+
+#: One step against a tree and its oracle: append above the greatest key so
+#: far, insert anywhere (duplicates likely), delete the top keys (emptying
+#: the rightmost leaf), delete anywhere, or clear.
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 12)),
+        st.tuples(st.just("insert"), st.integers(0, 60)),
+        st.tuples(st.just("drop_top"), st.integers(1, 10)),
+        st.tuples(st.just("delete"), st.integers(0, 60)),
+        st.tuples(st.just("clear"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+def _tree_key(value):
+    """A two-part key whose first part groups values by four, so prefix
+    scans cross leaves."""
+    return encode_key((value // 4, value))
+
+
+class _Oracle:
+    """A sorted-dict model of the tree: value -> payloads in insertion order."""
+
+    def __init__(self):
+        self.entries = {}
+        self.top = 0  # every value ever inserted lies at or below it
+
+    def items(self, low=None, high=None):
+        return [
+            (_tree_key(value), payload)
+            for value in sorted(self.entries)
+            if (low is None or value >= low) and (high is None or value <= high)
+            for payload in self.entries[value]
+        ]
+
+
+def _apply(tree, oracle, steps, rng):
+    payloads = itertools.count()
+    for action, amount in steps:
+        if action == "append":
+            for _ in range(amount):
+                oracle.top += rng.randint(1, 3)
+                payload = next(payloads)
+                tree.insert(_tree_key(oracle.top), payload)
+                oracle.entries.setdefault(oracle.top, []).append(payload)
+        elif action == "insert":
+            payload = next(payloads)
+            tree.insert(_tree_key(amount), payload)
+            oracle.entries.setdefault(amount, []).append(payload)
+            oracle.top = max(oracle.top, amount)
+        elif action in ("drop_top", "delete"):
+            victims = sorted(oracle.entries)[-amount:] if action == "drop_top" else [amount]
+            for value in victims:
+                for payload in oracle.entries.pop(value, []):
+                    assert tree.delete(_tree_key(value), payload)
+        else:
+            tree.clear()
+            oracle.entries.clear()
+
+
+def _check(tree, oracle):
+    assert list(tree.items()) == oracle.items()
+    assert len(tree) == sum(map(len, oracle.entries.values()))
+    for value in range(oracle.top + 2):
+        assert tree.get(_tree_key(value)) == oracle.entries.get(value, [])
+    for low, high in ((0, oracle.top // 2), (oracle.top // 3, oracle.top), (5, 9)):
+        assert list(tree.scan(_tree_key(low), _tree_key(high))) == oracle.items(low, high)
+    for group in range(oracle.top // 4 + 2):
+        assert list(tree.scan_prefix(encode_key((group,)))) == [
+            entry for entry in oracle.items() if entry[0][0] == encode_key((group,))[0]
+        ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STEPS, st.integers(0, 2**16))
+def test_property_appends_interleaved_with_every_write(steps, seed):
+    tree, oracle = BPlusTree(order=4), _Oracle()
+    _apply(tree, oracle, steps, random.Random(seed))
+    _check(tree, oracle)
+    # And a cleared tree takes ascending keys above everything it held.
+    tree.clear()
+    oracle.entries.clear()
+    _apply(tree, oracle, [("append", 20)], random.Random(seed))
+    _check(tree, oracle)
+
+
+def test_append_after_clear_lands_in_the_new_tree():
+    tree = BPlusTree(order=4)
+    for value in range(30):
+        tree.insert(encode_key((value,)), value)
+    tree.clear()
+    for value in range(100, 110):
+        tree.insert(encode_key((value,)), value)
+    assert [payload for _, payload in tree.items()] == list(range(100, 110))
+    assert tree.get(encode_key((105,))) == [105]
+
+
+def test_equal_key_joins_the_existing_list():
+    tree = BPlusTree()  # the rightmost leaf has room, so only the key decides
+    for value in range(10):
+        first = tree.insert(encode_key((value,)), value)
+    again = tree.insert(encode_key((9,)), "again")
+    assert again is first
+    assert tree.get(encode_key((9,))) == [9, "again"]
+    assert [key for key, _ in tree.items()].count(encode_key((9,))) == 2
+
+
+def test_exact_map_holds_the_tree_lists_after_appends():
+    from tests.storage.test_index_exact_map import assert_twins, make_table
+
+    table = make_table()
+    rng = random.Random(11)
+    rids = [table.insert((i, i // 3, "a")) for i in range(200)]  # ascending keys
+    for i in (500, 250, 201, 499):  # out of order
+        table.insert((i, rng.randrange(70), "b"))
+    for rid in rids[-40:]:  # empties the rightmost leaves
+        table.delete_rid(rid)
+    rids = [table.insert((i, i // 3, None)) for i in range(600, 700)]
+    table.insert_with_rid(rids[0] + 1000, (900, 1, "c"))
+    assert_twins(table)
+    table.truncate()
+    for i in range(1000, 1100):
+        table.insert((i, i % 5, "d"))
+    assert_twins(table)
+    assert sorted(table.indexes["pk_t"].seek((1050,))) == [
+        rid for rid, row in table.rows.items() if row[0] == 1050
+    ]

@@ -1,9 +1,22 @@
 """Heap table + secondary index tests."""
 
+import datetime
+
 import pytest
 
 from repro.common.schema import Column, Schema
-from repro.common.types import FLOAT, INT, VARCHAR
+from repro.common.types import (
+    BIGINT,
+    BOOLEAN,
+    CHAR,
+    DATE,
+    DATETIME,
+    FLOAT,
+    INT,
+    NUMERIC,
+    VARCHAR,
+    coerce_value,
+)
 from repro.errors import ConstraintError, ExecutionError
 from repro.storage.table import Table
 
@@ -146,3 +159,81 @@ class TestTruncateAndCounters:
         assert table.rows_read >= 1
         table.reset_counters()
         assert table.rows_written == 0
+
+
+# -- a row already in stored form is stored as it is --------------------------
+
+
+class _Count(int):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+_TYPES = [INT, BIGINT, FLOAT, NUMERIC, VARCHAR(4), VARCHAR(), CHAR(3), DATE, DATETIME, BOOLEAN]
+_VALUES = [
+    None, True, False, 0, 7, -2, _Count(5), 1.5, 2.0, "12", "1.5", "abc", "abcd", "abcdef",
+    _Text("xy"), "2024-01-02", "2024-01-02 03:04:05", datetime.date(2024, 1, 2),
+    datetime.datetime(2024, 1, 2, 3, 4, 5), datetime.datetime(2024, 1, 2), [1],
+]
+
+
+def _per_value(table, values):
+    """What coercing each value on its own makes of ``values``."""
+    if len(values) != len(table.schema):
+        raise ExecutionError(
+            f"row arity {len(values)} does not match table {table.name!r} "
+            f"({len(table.schema)} columns)"
+        )
+    coerced = []
+    for value, column in zip(values, table.schema):
+        stored = coerce_value(value, column.sql_type)
+        if stored is None and not column.nullable:
+            raise ConstraintError(f"column {column.name!r} of {table.name!r} is NOT NULL")
+        coerced.append(stored)
+    return tuple(coerced)
+
+
+def _outcome(coerce, table, values):
+    """A row's values with their types, or the error it raised."""
+    try:
+        return [(type(value), value) for value in coerce(table, values)]
+    except Exception as error:  # noqa: BLE001 - the error is the outcome
+        return (type(error), str(error))
+
+
+@pytest.mark.parametrize("sql_type", _TYPES, ids=str)
+@pytest.mark.parametrize("nullable", [True, False])
+def test_coerce_row_matches_per_value_coercion(sql_type, nullable):
+    table = Table("t", Schema([Column("c", sql_type, nullable=nullable)]))
+    for value in _VALUES:
+        expected = _outcome(_per_value, table, (value,))
+        assert _outcome(Table._coerce_row, table, (value,)) == expected, value
+        assert _outcome(Table._coerce_row, table, [value]) == expected, value
+
+
+def test_coerce_row_matches_per_value_coercion_on_whole_rows():
+    columns = [Column(f"c{i}", kind, nullable=i % 2 == 0) for i, kind in enumerate(_TYPES)]
+    table = Table("t", Schema(columns))
+    stored = (
+        3, 4, 1.5, 2.0, "abcd", "long text", "abc",
+        datetime.date(2024, 1, 2), datetime.datetime(2024, 1, 2, 3), True,
+    )
+    assert table._coerce_row(stored) == stored
+    rows = [stored, stored[:-1], stored + (1,), ()]
+    for position in range(len(stored)):
+        for value in _VALUES:
+            rows.append(stored[:position] + (value,) + stored[position + 1 :])
+    for row in rows:
+        assert _outcome(Table._coerce_row, table, row) == _outcome(_per_value, table, row), row
+
+
+def test_over_long_string_is_cut_to_its_column():
+    columns = [Column("id", INT), Column("code", CHAR(2)), Column("v", VARCHAR(3))]
+    table = Table("t", Schema(columns))
+    rid = table.insert((1, "abc", "abcd"))
+    assert table.get(rid) == (1, "ab", "abc")
+    rid = table.insert((2, "ab", "abc"))
+    assert table.get(rid) == (2, "ab", "abc")
