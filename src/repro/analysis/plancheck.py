@@ -27,11 +27,6 @@ by the optimizer and checks the invariants MTCache correctness rests on:
   every required parameter must be bound.
 * **Catalog resolution** — scan and seek operators must reference
   locally stored tables and existing indexes.
-* **Batch-kernel discipline** — every compiled expression a batch
-  operator evaluates chunk-wise (filter predicates, projection makers,
-  group keys, aggregate arguments, join keys, sort keys) must expose a
-  batch form that honors the length contract: probed with an empty
-  chunk it must return an empty list without raising.
 
 The verifier powers the opt-in checked-execution hook
 (``Server(checked_plans=True)``) and the mutation tests.
@@ -43,7 +38,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.common.types import SqlType, common_type
 from repro.errors import AnalysisError, SqlError, TypeCheckError
-from repro.exec.expressions import batch_form
 from repro.exec.operators import (
     AggregateOp,
     DistinctOp,
@@ -83,46 +77,6 @@ def _types_compatible(left: SqlType, right: SqlType) -> bool:
     except TypeCheckError:
         return False
     return True
-
-
-class _BatchProbeContext:
-    """Minimal execution context for probing batch kernels.
-
-    Probes run against an empty chunk, so only the row-independent
-    surface is needed: parameters (all NULL) and the clock.
-    """
-
-    def __init__(self) -> None:
-        self.params: Dict[str, Any] = {}
-
-    def param(self, name: str) -> Any:
-        return None
-
-    def now(self) -> float:
-        return 0.0
-
-
-def _batch_probe_targets(op: PhysicalOperator) -> Iterable[Tuple[str, Any]]:
-    """(label, compiled expression) pairs a batch operator evaluates chunk-wise."""
-    if isinstance(op, FilterOp) and op.predicate is not None:
-        yield "Filter predicate", op.predicate
-    if isinstance(op, ProjectOp):
-        for position, maker in enumerate(op.makers, start=1):
-            yield f"Project expression {position}", maker
-    if isinstance(op, AggregateOp):
-        for position, maker in enumerate(op.group_makers, start=1):
-            yield f"Aggregate group key {position}", maker
-        for position, spec in enumerate(op.aggregates, start=1):
-            if spec.argument is not None:
-                yield f"Aggregate argument {position}", spec.argument
-    if isinstance(op, (HashJoinOp, MergeJoinOp)):
-        for position, maker in enumerate(op.left_keys, start=1):
-            yield f"join left key {position}", maker
-        for position, maker in enumerate(op.right_keys, start=1):
-            yield f"join right key {position}", maker
-    if isinstance(op, SortOp):
-        for position, (maker, _descending) in enumerate(op.sort_makers, start=1):
-            yield f"Sort key {position}", maker
 
 
 class PlanVerifier:
@@ -301,38 +255,6 @@ class PlanVerifier:
             self._check_remote(op, location, diagnostics, referenced)
         if isinstance(op, _STORAGE_OPS):
             self._check_storage(op, location, diagnostics)
-        self._check_batch_kernels(op, location, diagnostics)
-
-    def _check_batch_kernels(
-        self, op: PhysicalOperator, location: str, diagnostics: List[AnalysisError]
-    ) -> None:
-        """Probe every chunk-wise expression's batch form on an empty chunk.
-
-        The batch contract requires one output element per input row, so
-        an empty chunk must come back as an empty list — anything else
-        (including an exception) means the batch executor would produce
-        results misaligned with its rows.
-        """
-        for label, fn in _batch_probe_targets(op):
-            form = batch_form(fn)
-            try:
-                probed = form([], _BatchProbeContext())
-            except Exception as exc:  # noqa: BLE001 — any failure is the finding
-                self._error(
-                    diagnostics,
-                    "batch-kernel",
-                    f"{label} batch form raised on an empty chunk: {exc}",
-                    location,
-                )
-                continue
-            if not isinstance(probed, list) or probed:
-                self._error(
-                    diagnostics,
-                    "batch-kernel",
-                    f"{label} batch form breaks the length contract: expected an "
-                    f"empty list for an empty chunk, got {probed!r}",
-                    location,
-                )
 
     def _check_union(
         self, op: UnionAllOp, location: str, diagnostics: List[AnalysisError]

@@ -43,9 +43,9 @@ own source (``python -m repro analyze --self``):
   hash a key uses ``repro.sharding.stable_hash``.
 * ``compile-at-build-time`` — operator execution bodies
   (``execute_batches``, its ``_rows`` loop, ``__next__``,
-  ``next_batch``) may not call ``compile_scalar``/``compile_predicate``
-  or construct an ``ExpressionCompiler``. Expressions compile once when
-  the plan is built and the closures are cached with it; compiling
+  ``next_batch``) may not call ``compile_scalar`` or construct an
+  ``ExpressionCompiler``. Expressions compile once when the plan is
+  built and their kernels are cached with it; compiling
   inside the batch loop silently reintroduces per-execution (or
   per-row) parse cost that the plan cache exists to eliminate.
 * ``net-raw-socket`` — raw transport construction (``socket.socket``,
@@ -349,7 +349,7 @@ def _check_raw_threading_lock(tree: ast.AST, path: str) -> Iterator[AnalysisErro
 _EXECUTION_METHODS = frozenset({"execute_batches", "_rows", "__next__", "next_batch"})
 
 #: Call targets that compile expressions (forbidden inside execution bodies).
-_COMPILE_CALLS = frozenset({"compile_scalar", "compile_predicate", "ExpressionCompiler"})
+_COMPILE_CALLS = frozenset({"compile_scalar", "ExpressionCompiler"})
 
 
 def _check_compile_at_build_time(tree: ast.AST, path: str) -> Iterator[AnalysisError]:
@@ -372,7 +372,7 @@ def _check_compile_at_build_time(tree: ast.AST, path: str) -> Iterator[AnalysisE
                         "compile-at-build-time",
                         f"{node.name}.{item.name} calls {dotted}() at execution "
                         "time; expressions compile once at plan build and the "
-                        "closures are cached with the plan",
+                        "kernels are cached with the plan",
                         location=f"{path}:{call.lineno}",
                     )
 

@@ -57,7 +57,7 @@ from repro.engine.locks import (
 )
 from repro.engine.procedures import BoundProcedure, bind_arguments, bind_procedure
 from repro.errors import BindError, CatalogError
-from repro.exec.expressions import Scalar, compile_scalar
+from repro.exec.expressions import Kernel, compile_scalar
 from repro.sql import RESERVED_PREFIX, ast
 from repro.sql.formatter import format_statement
 
@@ -94,12 +94,12 @@ class BoundStatement:
         #: ALL branches, an EXPLAIN's target, an INSERT's or a view's source.
         self.children: Tuple["BoundStatement", ...] = ()
         #: DECLARE / SET / PRINT: the compiled value (None: no initializer).
-        self.scalar: Optional[Scalar] = None
+        self.scalar: Optional[Kernel] = None
         #: EXEC: ``(name, compiled expression)`` — for a local call every
         #: parameter in declaration order, with the caller's argument or
         #: the default; for a forwarded one each argument under its
         #: parameter marker in the forwarded text.
-        self.arguments: Tuple[Tuple[str, Scalar], ...] = ()
+        self.arguments: Tuple[Tuple[str, Kernel], ...] = ()
         self.procedure: Optional[BoundProcedure] = None
         #: Forwarded DML / EXEC: ``(linked server, statement text)``.
         self.forward: Optional[Tuple[str, str]] = None

@@ -15,7 +15,7 @@ from repro.engine.results import Result
 from repro.engine.transactions import Transaction, TransactionManager
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler, Scalar, compile_scalar
+from repro.exec.expressions import ExpressionCompiler, Kernel, compile_scalar, evaluate
 from repro.optimizer.predicates import normalize_comparison, split_conjuncts
 from repro.sql import ast
 
@@ -37,10 +37,10 @@ def _charge_write(ctx: ExecutionContext, storage, rows_affected: int) -> None:
     ctx.work.rows_processed += int(per_row * rows_affected)
 
 
-def _index_equalities(where: Optional[ast.Expression]) -> Dict[str, Scalar]:
+def _index_equalities(where: Optional[ast.Expression]) -> Dict[str, Kernel]:
     """Column (lowercase) -> compiled operand, for each ``column = literal
     or parameter`` conjunct of ``where``: what an index seek can use."""
-    equalities: Dict[str, Scalar] = {}
+    equalities: Dict[str, Kernel] = {}
     if where is not None:
         for conjunct in split_conjuncts(where):
             comparison = normalize_comparison(conjunct)
@@ -51,7 +51,7 @@ def _index_equalities(where: Optional[ast.Expression]) -> Dict[str, Scalar]:
     return equalities
 
 
-def _candidate_rids(storage, equalities: Dict[str, Scalar], ctx) -> Optional[List[int]]:
+def _candidate_rids(storage, equalities: Dict[str, Kernel], ctx) -> Optional[List[int]]:
     """Narrow a DML statement's candidates through an index when possible.
 
     Finds an index whose leading columns are covered by equality conjuncts
@@ -69,7 +69,7 @@ def _candidate_rids(storage, equalities: Dict[str, Scalar], ctx) -> Optional[Lis
             maker = equalities.get(column_name.lower())
             if maker is None:
                 break
-            prefix.append(maker((), ctx))
+            prefix.append(evaluate(maker, ctx))
         if prefix:
             rids = index.seek(prefix)
             ctx.work.index_seeks += 1
@@ -77,19 +77,20 @@ def _candidate_rids(storage, equalities: Dict[str, Scalar], ctx) -> Optional[Lis
     return None
 
 
-def _matching(storage, predicate: Optional[Scalar], equalities, ctx) -> List[Tuple[int, Tuple]]:
-    """``(rid, row)`` of every row the WHERE predicate accepts."""
+def _matching(storage, predicate: Optional[Kernel], equalities, ctx) -> List[Tuple[int, Tuple]]:
+    """``(rid, row)`` of every row the WHERE predicate accepts: one
+    predicate call over all the candidates."""
     candidates = _candidate_rids(storage, equalities, ctx)
     if candidates is not None:
-        pairs = ((rid, storage.rows.get(rid)) for rid in candidates)
+        ctx.work.rows_processed += len(candidates)
+        pairs = [(rid, row) for rid in candidates if (row := storage.rows.get(rid)) is not None]
     else:
         pairs = list(storage.rows.items())
-    matched = []
-    for rid, row in pairs:
-        ctx.work.rows_processed += 1
-        if row is not None and (predicate is None or predicate(row, ctx) is True):
-            matched.append((rid, row))
-    return matched
+        ctx.work.rows_processed += len(pairs)
+    if predicate is None or not pairs:
+        return pairs
+    selection = predicate([row for _, row in pairs], ctx)
+    return [pair for pair, keep in zip(pairs, selection) if keep is True]
 
 
 def _check_types(schema, expressions) -> None:
@@ -149,7 +150,7 @@ def _compile_insert(database, statement: ast.Insert) -> DmlRunner:
                 raise ExecutionError("INSERT ... SELECT requires a select runner")
             rows, _ = select_runner()
         else:
-            rows = [tuple(maker((), ctx) for maker in makers) for makers in row_makers]
+            rows = [tuple(evaluate(maker, ctx) for maker in makers) for makers in row_makers]
         for row in rows:
             manager.logged_insert(transaction, storage, expand(tuple(row)))
         _charge_write(ctx, storage, len(rows))
@@ -179,10 +180,12 @@ def _compile_update(database, statement: ast.Update) -> DmlRunner:
         storage = ctx.database.storage_table(table_def.name)
         manager: TransactionManager = ctx.database.transactions
         matched = _matching(storage, predicate, equalities, ctx)
-        for rid, row in matched:
-            new_row = list(row)
-            for position, maker in assignments:
-                new_row[position] = maker(row, ctx)
+        old_rows = [row for _, row in matched]
+        new_rows = [list(row) for row in old_rows]
+        for position, maker in assignments:
+            for new_row, value in zip(new_rows, maker(old_rows, ctx)):
+                new_row[position] = value
+        for (rid, _), new_row in zip(matched, new_rows):
             manager.logged_update(transaction, storage, rid, new_row)
         _charge_write(ctx, storage, len(matched))
         return Result(rowcount=len(matched))

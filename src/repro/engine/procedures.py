@@ -8,7 +8,7 @@ runs when the ``EXEC`` naming the procedure is bound (once per schema
 version, see :mod:`repro.engine.binding`) and turns the definition into a
 :class:`BoundProcedure`: parameter order and compiled defaults, every
 ``IF``/``WHILE``/``SET``/``DECLARE``/``RETURN``/``PRINT`` expression
-compiled to a closure, every embedded statement a
+compiled to a kernel, every embedded statement a
 :class:`~repro.engine.binding.BoundStatement` carrying its own lock plan
 and plan slot, and the body itself a tuple of *steps* — closures over
 those parts. A call (:class:`ProcedureInterpreter`) builds only what
@@ -30,7 +30,7 @@ from repro.catalog.objects import ProcedureDef
 from repro.engine.results import Result
 from repro.errors import BindError, ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import Scalar, compile_scalar
+from repro.exec.expressions import Kernel, compile_scalar, evaluate
 from repro.sql import RESERVED_PREFIX, ast
 
 
@@ -61,7 +61,7 @@ class BoundProcedure:
     def __init__(self, definition: ProcedureDef):
         self.definition = definition
         #: ``(name, compiled default or None)`` in declaration order.
-        self.params: Tuple[Tuple[str, Optional[Scalar]], ...] = ()
+        self.params: Tuple[Tuple[str, Optional[Kernel]], ...] = ()
         self.body: Tuple[Step, ...] = ()
         #: The body's embedded statements as bound, in source order (the
         #: steps hold the same objects; this is the view tools read).
@@ -130,7 +130,7 @@ def call_with_every_parameter(procedure: ProcedureDef) -> ast.Execute:
 
 def bind_arguments(
     procedure: BoundProcedure, arguments: Sequence[Tuple[Optional[str], ast.Expression]]
-) -> Tuple[Tuple[str, Scalar], ...]:
+) -> Tuple[Tuple[str, Kernel], ...]:
     """An ``EXEC``'s arguments matched to ``procedure``'s parameters:
     ``(parameter, compiled value)`` for every parameter in declaration
     order — the caller's argument (named, else positional) or the default.
@@ -262,14 +262,14 @@ class ProcedureInterpreter:
     def call(
         self,
         procedure: BoundProcedure,
-        arguments: Sequence[Tuple[str, Scalar]],
+        arguments: Sequence[Tuple[str, Kernel]],
         outer_params: Dict[str, Any],
     ) -> Result:
         """Run ``procedure`` with ``arguments`` as :func:`bind_arguments`
         matched them, evaluated against the caller's parameters."""
         ctx = self._context(outer_params)
         for param, value in arguments:
-            self.frame[param] = value((), ctx)
+            self.frame[param] = evaluate(value, ctx)
         result = self.result
         try:
             _run_block(procedure.body, self)
@@ -294,11 +294,11 @@ class ProcedureInterpreter:
 
     # -- what the steps call ------------------------------------------------
 
-    def evaluate(self, value: Scalar) -> Any:
+    def evaluate(self, value: Kernel) -> Any:
         """A compiled body expression over the current frame (a fresh
         context each time: subquery results must not outlive one
         evaluation of a ``WHILE`` condition)."""
-        return value((), self._context(self.frame))
+        return evaluate(value, self._context(self.frame))
 
     def run_statement(self, nested) -> None:
         result = self.result

@@ -54,6 +54,7 @@ from repro.exec.context import (
     ExecutionContext,
     WorkCounters,
 )
+from repro.exec.expressions import evaluate
 from repro.exec.operators import BatchCursor, PhysicalOperator
 from repro.obs.metrics import CounterGroupView, MetricsRegistry
 from repro.obs.tracing import NULL_SPAN as _NULL_SPAN
@@ -606,7 +607,7 @@ class Server:
         """DECLARE / SET / PRINT at session level."""
         value = None
         if bound.scalar is not None:
-            value = bound.scalar((), self._make_context(merged, database, session))
+            value = evaluate(bound.scalar, self._make_context(merged, database, session))
         if bound.kind is ast.PrintStatement:
             return Result(messages=[str(value)])
         session.variables[bound.statement.name] = value
@@ -876,7 +877,7 @@ class Server:
         if bound.forward is None:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
         ctx = self._make_context(params, database, session)
-        values = {marker: value((), ctx) for marker, value in bound.arguments}
+        values = {marker: evaluate(value, ctx) for marker, value in bound.arguments}
         return self._forward(bound, values, session)
 
     # -- linked-server endpoint -------------------------------------------------

@@ -1,6 +1,6 @@
 """Execution layer: expression evaluation and Volcano-style operators."""
 
-from repro.exec.expressions import ExpressionCompiler, compile_predicate, compile_scalar
+from repro.exec.expressions import ExpressionCompiler, compile_scalar, evaluate
 from repro.exec.context import ExecutionContext, WorkCounters
 from repro.exec.operators import (
     AggregateOp,
@@ -24,8 +24,8 @@ from repro.exec.operators import (
 
 __all__ = [
     "ExpressionCompiler",
-    "compile_predicate",
     "compile_scalar",
+    "evaluate",
     "ExecutionContext",
     "WorkCounters",
     "PhysicalOperator",

@@ -1,49 +1,39 @@
-"""Expression compilation: AST → Python closures with SQL semantics.
+"""Expression compilation: AST → batch kernels with SQL semantics.
 
-Expressions compile once per plan against an input :class:`Schema`; the
-resulting closures take ``(row, context)`` and return a Python value where
+An expression compiles once per plan, against an input :class:`Schema`,
+to one *kernel* ``(rows, ctx) -> list``: one value per input row, where
 ``None`` is SQL NULL. Comparison and boolean operators follow SQL
-three-valued logic (``None`` = UNKNOWN); predicates accept a row only when
-the compiled closure returns exactly ``True``.
+three-valued logic (``None`` = UNKNOWN); a predicate's list is a
+selection vector, and a row passes only where its value is exactly
+``True``. Kernels live in the plan, so they recompile only when a schema
+bump invalidates it. A caller with one row — a seek key, a ChoosePlan
+startup guard (paper §5.1), ``TOP``, a procedure step, a DML value, an
+article's row filter — runs a batch of one through :func:`evaluate`.
 
-Guard predicates for dynamic plans (paper §5.1) reference only parameters,
-so they compile to closures that ignore the row — the FilterOp startup
-predicate evaluates them once per execution.
-
-**Batch forms.** Every compiled closure additionally carries a ``batch``
-attribute: a function ``(rows, ctx) -> list`` returning one scalar result
-per input row (for predicates, a selection vector the batch operators test
-element-wise with ``is True``). Batch forms are built at compile time —
-never per execution — and live on the closure, so they are cached inside
-the plan-cache entry alongside the plan itself and only recompile when a
-schema bump invalidates the plan. Where the expression shape allows it the
-batch form is a specialized kernel rather than a row loop:
-
-* column references become position reads, literals/parameters are
-  hoisted once per chunk;
-* comparisons of a column against a hoistable operand pick their
-  type-coercion dispatch once per chunk (numeric/string columns compare
-  with the raw Python operator; temporal columns parse an ISO string
-  operand once, not per row) and fall back to :func:`sql_compare`
-  element-wise otherwise;
-* AND/OR/NOT combine child selection vectors with Kleene logic;
-* constant LIKE patterns compile at closure-build time, non-constant
-  ones through a bounded process-wide memo instead of per row; a pattern
-  with a literal core (``%lit%``, ``lit%``, ``%lit``, ``lit``) tests
-  ASCII values by string containment, prefix, suffix or equality rather
-  than running its regex (:class:`LikePattern`).
-
-The generic fallback (``batch_from_scalar``) simply maps the scalar
-closure over the chunk, so batch semantics are scalar semantics
-row-for-row by construction.
+The value-level definitions are the semantics: :func:`sql_compare`,
+:func:`sql_and`/:func:`sql_or`/:func:`sql_not`, the arithmetic
+operators, each scalar function, :func:`sql_in` and :class:`LikePattern`.
+A node with no specialised kernel maps its value function over its
+children's vectors (:func:`_strict`). The specialised kernels read a
+column by position and a literal or parameter once per chunk
+(:func:`tuple_kernel` fuses column reads into one ``itemgetter``); run a
+column-vs-constant comparison with the raw Python operator, its
+coercion picked once per chunk (``BETWEEN`` is two such comparisons);
+compile a literal or parameter LIKE pattern once, testing a literal
+core (``%lit%``, ``lit%``, ``%lit``, ``lit``) by containment, prefix,
+suffix or equality instead of its regex; give ``EXISTS`` and scalar
+subqueries one value per chunk (they are uncorrelated, and the context
+memoises their rows); and keep ``CASE``, ``COALESCE`` and ``ISNULL``
+lazy: a branch or argument runs only on the rows that reach it.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 import operator as _operator
 import re
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.lru import LRUCache
 from repro.common.schema import Schema
@@ -60,46 +50,32 @@ from repro.errors import ExecutionError, TypeCheckError
 from repro.exec.context import COMPARISON_FAMILY
 from repro.sql import ast
 
-Scalar = Callable[[Tuple, "object"], Any]
-#: Batch form of a scalar: ``(rows, ctx) -> [value, ...]`` (one per row).
-BatchScalar = Callable[[Sequence[Tuple], "object"], List[Any]]
+#: A compiled expression: ``(rows, ctx) -> [value, ...]``, one per row.
+Kernel = Callable[[Sequence[Tuple], Any], List[Any]]
+
+
+def evaluate(kernel: Kernel, ctx: Any, row: Tuple = ()) -> Any:
+    """The kernel's value for one row (a parameter-only expression: ``()``)."""
+    return kernel((row,), ctx)[0]
 
 
 def sql_equal(left: Any, right: Any) -> Optional[bool]:
     """Three-valued ``=``: NULL operands yield UNKNOWN (None)."""
-    if left is None or right is None:
-        return None
-    return _coerce_pair(left, right) == 0
+    return sql_compare("=", left, right)
 
 
 def sql_compare(op: str, left: Any, right: Any) -> Optional[bool]:
     """Three-valued comparison for =, <>, <, <=, >, >=."""
     if left is None or right is None:
         return None
-    sign = _coerce_pair(left, right)
-    if op == "=":
-        return sign == 0
-    if op == "<>":
-        return sign != 0
-    if op == "<":
-        return sign < 0
-    if op == "<=":
-        return sign <= 0
-    if op == ">":
-        return sign > 0
-    if op == ">=":
-        return sign >= 0
-    raise ExecutionError(f"unknown comparison operator {op!r}")
+    return _COMPARATORS[op](_coerce_pair(left, right), 0)
 
 
-def in_subquery_linear(value: Any, rows: Sequence[Tuple], negated: bool) -> Optional[bool]:
-    """``value [NOT] IN (rows' first column)`` by a ``sql_equal`` scan: the
-    definition of the predicate (and the tests' oracle for the set probe),
-    executed only where candidates and probe do not share one comparison
-    family. ``value`` is not NULL."""
+def sql_in(value: Any, candidates: Iterable[Any], negated: bool) -> Optional[bool]:
+    """``value [NOT] IN (candidates)`` by ``sql_equal``; ``value`` is not
+    NULL. A NULL candidate makes a miss UNKNOWN."""
     seen_null = False
-    for subrow in rows:
-        candidate = subrow[0]
+    for candidate in candidates:
         if candidate is None:
             seen_null = True
             continue
@@ -108,6 +84,14 @@ def in_subquery_linear(value: Any, rows: Sequence[Tuple], negated: bool) -> Opti
     if seen_null:
         return None
     return negated
+
+
+def in_subquery_linear(value: Any, rows: Sequence[Tuple], negated: bool) -> Optional[bool]:
+    """``value [NOT] IN (rows' first column)`` by a ``sql_equal`` scan: the
+    definition of the predicate (and the tests' oracle for the set probe),
+    executed only where candidates and probe do not share one comparison
+    family. ``value`` is not NULL."""
+    return sql_in(value, (subrow[0] for subrow in rows), negated)
 
 
 def _coerce_pair(left: Any, right: Any) -> int:
@@ -170,6 +154,142 @@ def sql_not(value: Optional[bool]) -> Optional[bool]:
     if value is None:
         return None
     return not value
+
+
+def _as_bool(value: Any) -> Optional[bool]:
+    """Interpret a value in boolean context (non-zero numbers are true)."""
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value != 0
+    return bool(value)
+
+
+def _add(lhs: Any, rhs: Any) -> Any:
+    if isinstance(lhs, str) or isinstance(rhs, str):
+        # T-SQL string concatenation via +
+        if isinstance(lhs, str) and isinstance(rhs, str):
+            return lhs + rhs
+        raise TypeCheckError("cannot add string and non-string")
+    return lhs + rhs
+
+
+def _divide(lhs: Any, rhs: Any) -> Any:
+    if rhs == 0:
+        raise ExecutionError("division by zero")
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        # T-SQL integer division truncates toward zero.
+        quotient = abs(lhs) // abs(rhs)
+        return quotient if (lhs >= 0) == (rhs >= 0) else -quotient
+    return lhs / rhs
+
+
+def _modulo(lhs: Any, rhs: Any) -> Any:
+    if rhs == 0:
+        raise ExecutionError("modulo by zero")
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        # Exact, and signed like the dividend (T-SQL truncates toward zero).
+        remainder = abs(lhs) % abs(rhs)
+        return remainder if lhs >= 0 else -remainder
+    return math.fmod(lhs, rhs)
+
+
+_ARITHMETIC = {
+    "+": _add,
+    "-": _operator.sub,
+    "*": _operator.mul,
+    "/": _divide,
+    "%": _modulo,
+}
+
+
+def _substring(text: Any, start: Any, length: Any) -> str:
+    begin = max(0, int(start) - 1)  # SQL is 1-based
+    return str(text)[begin : begin + int(length)]
+
+
+#: What ``GETDATE()`` reads at virtual time zero.
+_EPOCH = datetime.datetime(2003, 6, 9)
+
+#: Scalar functions that are NULL on any NULL argument: (arity, value function).
+_STRICT_FUNCTIONS = {
+    "UPPER": (1, lambda value: str(value).upper()),
+    "LOWER": (1, lambda value: str(value).lower()),
+    "LTRIM": (1, lambda value: str(value).lstrip()),
+    "RTRIM": (1, lambda value: str(value).rstrip()),
+    "LEN": (1, lambda value: len(str(value).rstrip())),
+    "ABS": (1, abs),
+    "ROUND": (2, lambda value, digits: round(value, int(digits))),
+    "SUBSTRING": (3, _substring),
+    # 1-based; 0 when absent.
+    "CHARINDEX": (2, lambda needle, haystack: str(haystack).find(str(needle)) + 1),
+    "YEAR": (1, _operator.attrgetter("year")),
+    "MONTH": (1, _operator.attrgetter("month")),
+    "DAY": (1, _operator.attrgetter("day")),
+    "FLOOR": (1, math.floor),
+    "CEILING": (1, math.ceil),
+}
+
+
+def _strict(label: str, function: Callable[..., Any], kernels: Sequence[Kernel]) -> Kernel:
+    """The kernel mapping a value function over its children's vectors:
+    NULL where any argument is NULL. A ``TypeError``, ``AttributeError``
+    or ``ValueError`` the function raises (not a child kernel) is the
+    operands' type: it becomes a :class:`TypeCheckError` naming ``label``."""
+
+    if len(kernels) == 2:
+        left, right = kernels
+
+        def binary(rows, ctx):
+            pairs = zip(left(rows, ctx), right(rows, ctx))
+            try:
+                return [
+                    None if lhs is None or rhs is None else function(lhs, rhs)
+                    for lhs, rhs in pairs
+                ]
+            except (TypeError, AttributeError, ValueError) as exc:
+                raise TypeCheckError(f"{label}: {exc}") from None
+
+        return binary
+
+    def general(rows, ctx):
+        columns = [kernel(rows, ctx) for kernel in kernels]
+        try:
+            return [None if None in args else function(*args) for args in zip(*columns)]
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise TypeCheckError(f"{label}: {exc}") from None
+
+    return general
+
+
+def _per_chunk(value: Callable[[Any], Any]) -> Kernel:
+    """The kernel of a row-independent value, computed once per non-empty chunk."""
+    return lambda rows, ctx: [value(ctx)] * len(rows) if rows else []
+
+
+def _fill(results: List[Any], positions: List[int], kernel: Kernel, rows, ctx) -> None:
+    """Write ``kernel``'s values for the rows at ``positions`` into ``results``."""
+    values = kernel([rows[i] for i in positions], ctx)
+    for i, value in zip(positions, values):
+        results[i] = value
+
+
+def _coalesce(kernels: Sequence[Kernel]) -> Kernel:
+    """``COALESCE``: each argument runs only on the rows still NULL."""
+
+    def run(rows, ctx):
+        results = [None] * len(rows)
+        pending = list(range(len(rows)))
+        for kernel in kernels:
+            if not pending:
+                break
+            _fill(results, pending, kernel, rows, ctx)
+            pending = [i for i in pending if results[i] is None]
+        return results
+
+    return run
 
 
 def like_to_regex(pattern: str) -> "re.Pattern":
@@ -243,13 +363,8 @@ def _literal_test(pattern: str) -> Optional[Callable[[str], bool]]:
     return ends.__contains__
 
 
-def _negated(results: List[Optional[bool]]) -> List[Optional[bool]]:
-    return [None if result is None else not result for result in results]
-
-
 #: Process-wide bounded memo of compiled LIKE patterns: a constant pattern
-#: compiles through it once at closure build, a parameter or column
-#: pattern once per distinct value instead of per row.
+#: or parameter pattern compiles once per distinct value, not per row.
 _like_pattern_memo: LRUCache = LRUCache(256)
 
 
@@ -262,35 +377,14 @@ def compiled_like_pattern(pattern: str) -> LikePattern:
     return compiled
 
 
-def batch_from_scalar(scalar: Scalar) -> BatchScalar:
-    """Generic batch form: map the scalar closure over the chunk."""
-
-    def run(rows: Sequence[Tuple], ctx: object) -> List[Any]:
-        return [scalar(row, ctx) for row in rows]
-
-    return run
-
-
-def batch_form(scalar: Scalar) -> BatchScalar:
-    """The scalar's batch form, falling back to the generic row map.
-
-    Compiler-produced closures always carry ``.batch``; hand-built makers
-    (and test doubles) may not, so batch operators funnel through here.
-    """
-    existing = getattr(scalar, "batch", None)
-    if existing is not None:
-        return existing
-    return batch_from_scalar(scalar)
-
-
-def stored_as(scalar: Scalar, kind: Optional[TypeKind]) -> Scalar:
-    """``scalar`` with each value brought to a ``kind`` column's stored
-    form (:func:`~repro.common.types.probe_forms`), batch form included;
-    ``scalar`` itself for no kind. A value no stored one can equal becomes
-    NULL — it never equi-joins — and NULL stays NULL. The planner wraps
-    equi-join keys in it (:func:`~repro.common.types.equi_join_forms`)."""
+def stored_as(kernel: Kernel, kind: Optional[TypeKind]) -> Kernel:
+    """``kernel`` with each value brought to a ``kind`` column's stored
+    form (:func:`~repro.common.types.probe_forms`); ``kernel`` itself for
+    no kind. A value no stored one can equal becomes NULL — it never
+    equi-joins — and NULL stays NULL. The planner wraps equi-join keys in
+    it (:func:`~repro.common.types.equi_join_forms`)."""
     if kind is None:
-        return scalar
+        return kernel
     forms = probe_forms(kind)
 
     def convert(value: Any) -> Any:
@@ -303,42 +397,32 @@ def stored_as(scalar: Scalar, kind: Optional[TypeKind]) -> Scalar:
         stored, exact = form(value)
         return stored if exact else None
 
-    inner = batch_form(scalar)
-
-    def maker(row: Tuple, ctx: object) -> Any:
-        return convert(scalar(row, ctx))
-
-    maker.batch = lambda rows, ctx: [convert(value) for value in inner(rows, ctx)]  # type: ignore[attr-defined]
-    return maker
+    return lambda rows, ctx: [convert(value) for value in kernel(rows, ctx)]
 
 
-def column_maker(position: int) -> Scalar:
-    """A Scalar reading one row position, with its batch form attached.
+def column_maker(position: int) -> Kernel:
+    """The kernel reading one row position; :func:`tuple_kernel`
+    recognizes it (``column_position``) and fuses column reads into a
+    single ``itemgetter``."""
 
-    The planner uses this for pure column-projection makers so the batch
-    projection kernel can recognize them (``column_position``) and fuse
-    them into a single ``itemgetter``.
-    """
+    def column(rows, ctx):
+        return [row[position] for row in rows]
 
-    def maker(row: Tuple, ctx: object) -> Any:
-        return row[position]
-
-    maker.column_position = position  # type: ignore[attr-defined]
-    maker.batch = lambda rows, ctx: [row[position] for row in rows]  # type: ignore[attr-defined]
-    return maker
+    column.column_position = position  # type: ignore[attr-defined]
+    return column
 
 
-def tuple_kernel(makers: Sequence[Scalar]) -> BatchScalar:
-    """Batch kernel producing one tuple per row from a list of makers.
+def tuple_kernel(makers: Sequence[Kernel]) -> Kernel:
+    """Kernel producing one tuple per row from a list of kernels.
 
-    Used for projections, group keys and hash-join key extraction. When
-    every maker is a plain column reference the kernel collapses to an
-    ``itemgetter``; otherwise each maker's batch form computes a column
-    vector and the vectors are zipped back into rows.
+    Used for projections, group keys and join key extraction. When every
+    kernel is a plain column reference it collapses to an ``itemgetter``;
+    otherwise each kernel computes a column vector and the vectors are
+    zipped back into rows.
     """
     if not makers:
         # No extractors (e.g. GROUP BY-less aggregation): every row keys
-        # to the empty tuple, same as the scalar ``tuple()`` over nothing.
+        # to the empty tuple.
         return lambda rows, ctx: [()] * len(rows)
     positions = [getattr(maker, "column_position", None) for maker in makers]
     if all(position is not None for position in positions):
@@ -347,18 +431,19 @@ def tuple_kernel(makers: Sequence[Scalar]) -> BatchScalar:
             return lambda rows, ctx: [(row[first],) for row in rows]
         getter = _operator.itemgetter(*positions)
         return lambda rows, ctx: [getter(row) for row in rows]
-    forms = [batch_form(maker) for maker in makers]
+    kernels = list(makers)
 
     def run(rows: Sequence[Tuple], ctx: object) -> List[Any]:
         if not rows:
             return []
-        columns = [form(rows, ctx) for form in forms]
-        return list(zip(*columns))
+        return list(zip(*[kernel(rows, ctx) for kernel in kernels]))
 
     return run
 
 
-#: Python comparators for the batch fast path (dispatch picked per chunk).
+#: Python comparator per SQL comparison: applied to ``_coerce_pair``'s
+#: sign and 0 by :func:`sql_compare`, to raw values by the
+#: column-vs-constant path.
 _COMPARATORS = {
     "=": _operator.eq,
     "<>": _operator.ne,
@@ -370,114 +455,85 @@ _COMPARATORS = {
 
 
 #: Mirror of each comparator for normalizing ``const OP col`` to
-#: ``col OP' const`` in the batch fast path (``5 < col`` ≡ ``col > 5``).
+#: ``col OP' const`` (``5 < col`` ≡ ``col > 5``).
 _FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-def _is_row_independent(fn: Scalar) -> bool:
-    """True when the closure ignores the row (literal or parameter)."""
-    return hasattr(fn, "constant_value") or hasattr(fn, "parameter_name")
+def _is_row_independent(kernel: Kernel) -> bool:
+    """True when the kernel ignores the rows (literal or parameter)."""
+    return hasattr(kernel, "constant_value") or hasattr(kernel, "parameter_name")
 
 
 class ExpressionCompiler:
-    """Compiles AST expressions to closures over a fixed input schema."""
+    """Compiles AST expressions to kernels over a fixed input schema."""
 
     def __init__(self, schema: Optional[Schema] = None):
         self.schema = schema or Schema(())
 
-    def compile(self, expression: ast.Expression) -> Scalar:
-        """Compile a scalar expression (batch form always attached)."""
+    def compile(self, expression: ast.Expression) -> Kernel:
+        """Compile an expression to its kernel."""
         method = getattr(self, f"_compile_{type(expression).__name__.lower()}", None)
         if method is None:
             raise ExecutionError(
                 f"cannot compile expression of type {type(expression).__name__}"
             )
-        fn = method(expression)
-        if not hasattr(fn, "batch"):
-            fn.batch = batch_from_scalar(fn)
-        return fn
+        return method(expression)
 
     # -- leaves ---------------------------------------------------------------
 
-    def _compile_literal(self, node: ast.Literal) -> Scalar:
+    def _compile_literal(self, node: ast.Literal) -> Kernel:
         value = node.value
 
-        def literal(row, ctx):
-            return value
-
-        literal.constant_value = value
-        literal.batch = lambda rows, ctx: [value] * len(rows)
-        return literal
-
-    def _compile_columnref(self, node: ast.ColumnRef) -> Scalar:
-        position = self.schema.resolve(node.name, node.qualifier)
-        return column_maker(position)
-
-    def _compile_parameter(self, node: ast.Parameter) -> Scalar:
-        name = node.name
-
-        def parameter(row, ctx):
-            return ctx.param(name)
-
-        parameter.parameter_name = name
-
-        def batch(rows, ctx):
-            value = ctx.param(name)
+        def literal(rows, ctx):
             return [value] * len(rows)
 
-        parameter.batch = batch
+        literal.constant_value = value  # type: ignore[attr-defined]
+        return literal
+
+    def _compile_columnref(self, node: ast.ColumnRef) -> Kernel:
+        return column_maker(self.schema.resolve(node.name, node.qualifier))
+
+    def _compile_parameter(self, node: ast.Parameter) -> Kernel:
+        name = node.name
+
+        def parameter(rows, ctx):
+            return [ctx.param(name)] * len(rows)
+
+        parameter.parameter_name = name  # type: ignore[attr-defined]
         return parameter
 
-    def _compile_star(self, node: ast.Star) -> Scalar:
+    def _compile_star(self, node: ast.Star) -> Kernel:
         raise ExecutionError("'*' is only valid in select lists and COUNT(*)")
 
     # -- operators ---------------------------------------------------------------
 
-    def _compile_binaryop(self, node: ast.BinaryOp) -> Scalar:
+    def _compile_binaryop(self, node: ast.BinaryOp) -> Kernel:
         left = self.compile(node.left)
         right = self.compile(node.right)
         op = node.op
         if op in ("AND", "OR"):
             combine = sql_and if op == "AND" else sql_or
 
-            def logical(row, ctx):
-                return combine(_as_bool(left(row, ctx)), _as_bool(right(row, ctx)))
-
-            left_batch = batch_form(left)
-            right_batch = batch_form(right)
-
-            def logical_batch(rows, ctx):
-                # Both sides evaluate eagerly in the scalar form too, so combining
-                # whole child vectors preserves semantics exactly.
+            def logical(rows, ctx):
+                # Both sides evaluate on every row (no short circuit).
                 return [
                     combine(_as_bool(lhs), _as_bool(rhs))
-                    for lhs, rhs in zip(left_batch(rows, ctx), right_batch(rows, ctx))
+                    for lhs, rhs in zip(left(rows, ctx), right(rows, ctx))
                 ]
 
-            logical.batch = logical_batch
             return logical
         if op in _COMPARATORS:
-            def compare(row, ctx):
-                return sql_compare(op, left(row, ctx), right(row, ctx))
-
-            compare.batch = self._batch_compare(op, left, right)
-            return compare
-        if op in ("+", "-", "*", "/", "%"):
-            return _compile_arithmetic(op, left, right)
+            return self._compare(op, left, right)
+        if op in _ARITHMETIC:
+            return _strict(op, _ARITHMETIC[op], (left, right))
         raise ExecutionError(f"unknown binary operator {op!r}")
 
-    def _batch_compare(self, op: str, left: Scalar, right: Scalar) -> BatchScalar:
-        """Batch form of a comparison, specializing column-vs-hoistable.
-
-        When one side is a plain column reference and the other is
-        row-independent (literal or parameter), the hoistable side is
-        evaluated once per chunk and the coercion dispatch is chosen once
-        from the column's declared type plus the hoisted value's runtime
-        type — the inner loop then runs a raw Python comparator. Any row
-        whose value falls outside the specialized case (or any shape the
-        specializer does not recognize) drops to element-wise
-        :func:`sql_compare`, so results match the scalar form exactly.
-        """
+    def _compare(self, op: str, left: Kernel, right: Kernel) -> Kernel:
+        """A comparison's kernel. A column against a literal or parameter
+        reads the operand once per chunk and picks the coercion dispatch
+        once from the column's declared type and the operand's runtime
+        type, so the loop runs a raw Python comparator; a value outside
+        that case, and every other shape, takes :func:`sql_compare`."""
         left_position = getattr(left, "column_position", None)
         right_position = getattr(right, "column_position", None)
         if left_position is not None and _is_row_independent(right):
@@ -485,43 +541,34 @@ class ExpressionCompiler:
         elif right_position is not None and _is_row_independent(left):
             position, hoisted, effective_op = right_position, left, _FLIPPED[op]
         else:
-            left_batch = batch_form(left)
-            right_batch = batch_form(right)
-
-            def generic(rows, ctx):
-                return [
-                    sql_compare(op, lhs, rhs)
-                    for lhs, rhs in zip(left_batch(rows, ctx), right_batch(rows, ctx))
-                ]
-
-            return generic
+            comparator = _COMPARATORS[op]
+            return _strict(
+                op, lambda lhs, rhs: comparator(_coerce_pair(lhs, rhs), 0), (left, right)
+            )
 
         columns = self.schema.columns
         sql_type = columns[position].sql_type if position < len(columns) else None
-        numeric = sql_type is not None and is_numeric(sql_type)
-        stringy = sql_type is not None and is_string(sql_type)
+        # The Python types a column of this SQL type holds natively.
+        native: Any = None
+        if sql_type is not None and is_numeric(sql_type):
+            native = (int, float)
+        elif sql_type is not None and is_string(sql_type):
+            native = str
         temporal = sql_type is not None and is_temporal(sql_type)
         comparator = _COMPARATORS[effective_op]
 
         def fast(rows, ctx):
             if not rows:
                 return []
-            other = hoisted((), ctx)
+            other = evaluate(hoisted, ctx)
             if other is None:
                 return [None] * len(rows)
             if isinstance(other, bool):
                 other = int(other)
-            if numeric and isinstance(other, (int, float)):
+            if native is not None and isinstance(other, native):
                 return [
                     None if (v := row[position]) is None
-                    else (comparator(v, other) if isinstance(v, (int, float))
-                          else sql_compare(effective_op, v, other))
-                    for row in rows
-                ]
-            if stringy and isinstance(other, str):
-                return [
-                    None if (v := row[position]) is None
-                    else (comparator(v, other) if isinstance(v, str)
+                    else (comparator(v, other) if isinstance(v, native)
                           else sql_compare(effective_op, v, other))
                     for row in rows
                 ]
@@ -542,76 +589,41 @@ class ExpressionCompiler:
 
         return fast
 
-    def _compile_unaryop(self, node: ast.UnaryOp) -> Scalar:
+    def _compile_unaryop(self, node: ast.UnaryOp) -> Kernel:
         operand = self.compile(node.operand)
-        operand_batch = batch_form(operand)
         if node.op == "NOT":
-            def negation(row, ctx):
-                return sql_not(_as_bool(operand(row, ctx)))
-
-            negation.batch = lambda rows, ctx: [
-                sql_not(_as_bool(v)) for v in operand_batch(rows, ctx)
-            ]
-            return negation
+            return lambda rows, ctx: [sql_not(_as_bool(v)) for v in operand(rows, ctx)]
         if node.op == "-":
-            def negate(row, ctx):
-                value = operand(row, ctx)
-                return None if value is None else -value
-
-            negate.batch = lambda rows, ctx: [
-                None if v is None else -v for v in operand_batch(rows, ctx)
-            ]
-            return negate
+            return _strict("unary -", _operator.neg, (operand,))
         raise ExecutionError(f"unknown unary operator {node.op!r}")
 
-    def _compile_isnull(self, node: ast.IsNull) -> Scalar:
+    def _compile_isnull(self, node: ast.IsNull) -> Kernel:
         operand = self.compile(node.operand)
-        operand_batch = batch_form(operand)
         if node.negated:
-            def not_null(row, ctx):
-                return operand(row, ctx) is not None
+            return lambda rows, ctx: [v is not None for v in operand(rows, ctx)]
+        return lambda rows, ctx: [v is None for v in operand(rows, ctx)]
 
-            not_null.batch = lambda rows, ctx: [
-                v is not None for v in operand_batch(rows, ctx)
-            ]
-            return not_null
-
-        def null_test(row, ctx):
-            return operand(row, ctx) is None
-
-        null_test.batch = lambda rows, ctx: [v is None for v in operand_batch(rows, ctx)]
-        return null_test
-
-    def _compile_inlist(self, node: ast.InList) -> Scalar:
+    def _compile_inlist(self, node: ast.InList) -> Kernel:
         operand = self.compile(node.operand)
         items = [self.compile(item) for item in node.items]
+        negated = node.negated
 
-        def evaluate(row, ctx):
-            value = operand(row, ctx)
-            if value is None:
-                return None
-            seen_null = False
-            for item in items:
-                candidate = item(row, ctx)
-                if candidate is None:
-                    seen_null = True
-                    continue
-                if sql_equal(value, candidate) is True:
-                    return False if node.negated else True
-            if seen_null:
-                return None
-            return True if node.negated else False
+        def in_list(rows, ctx):
+            candidates = zip(*[item(rows, ctx) for item in items])
+            return [
+                None if value is None else sql_in(value, row_items, negated)
+                for value, row_items in zip(operand(rows, ctx), candidates)
+            ]
 
-        return evaluate
+        return in_list
 
-    def _compile_insubquery(self, node: ast.InSubquery) -> Scalar:
+    def _compile_insubquery(self, node: ast.InSubquery) -> Kernel:
         """``IN (subquery)``: one hash probe per row into the membership
         structure the context builds once per execution; any combination
         the structure cannot answer exactly as ``sql_equal`` would (mixed
         families, dates against ISO strings, a string probed into
         numbers, NaN) takes the linear scan, which coerces or raises."""
         operand = self.compile(node.operand)
-        operand_batch = batch_form(operand)
         subquery = node.subquery
         negated = node.negated
 
@@ -629,14 +641,8 @@ class ExpressionCompiler:
                     return negated
             return in_subquery_linear(value, ctx.run_subquery(subquery), negated)
 
-        def evaluate(row, ctx):
-            value = operand(row, ctx)
-            if value is None:
-                return None
-            return probe(value, ctx.subquery_membership(subquery), ctx)
-
-        def evaluate_batch(rows, ctx):
-            values = operand_batch(rows, ctx)
+        def in_subquery(rows, ctx):
+            values = operand(rows, ctx)
             if all(value is None for value in values):
                 return [None] * len(values)  # the subquery never runs
             membership = ctx.subquery_membership(subquery)
@@ -644,267 +650,108 @@ class ExpressionCompiler:
                 None if value is None else probe(value, membership, ctx) for value in values
             ]
 
-        evaluate.batch = evaluate_batch
-        return evaluate
+        return in_subquery
 
-    def _compile_between(self, node: ast.Between) -> Scalar:
+    def _compile_between(self, node: ast.Between) -> Kernel:
+        both = ast.BinaryOp(
+            "AND",
+            ast.BinaryOp(">=", node.operand, node.low),
+            ast.BinaryOp("<=", node.operand, node.high),
+        )
+        return self.compile(ast.UnaryOp("NOT", both) if node.negated else both)
+
+    def _compile_like(self, node: ast.Like) -> Kernel:
         operand = self.compile(node.operand)
-        low = self.compile(node.low)
-        high = self.compile(node.high)
-
-        def evaluate(row, ctx):
-            value = operand(row, ctx)
-            result = sql_and(
-                sql_compare(">=", value, low(row, ctx)),
-                sql_compare("<=", value, high(row, ctx)),
-            )
-            return sql_not(result) if node.negated else result
-
-        return evaluate
-
-    def _compile_like(self, node: ast.Like) -> Scalar:
-        operand = self.compile(node.operand)
-        pattern_fn = self.compile(node.pattern)
+        pattern_kernel = self.compile(node.pattern)
         negated = node.negated
-        operand_batch = batch_form(operand)
-        constant = getattr(pattern_fn, "constant_value", None)
-        if constant is not None:
-            # Constant pattern: compiled exactly once, at closure-build time.
-            like = compiled_like_pattern(str(constant))
-
-            def match_constant(row, ctx):
-                value = operand(row, ctx)
-                if value is None:
-                    return None
-                return like.match(value) != negated
-
-            def match_constant_batch(rows, ctx):
-                results = like.matches(operand_batch(rows, ctx))
-                return _negated(results) if negated else results
-
-            match_constant.batch = match_constant_batch
-            return match_constant
-
-        def evaluate(row, ctx):
-            value = operand(row, ctx)
-            pattern = pattern_fn(row, ctx)
-            if value is None or pattern is None:
-                return None
-            return compiled_like_pattern(str(pattern)).match(value) != negated
-
-        if _is_row_independent(pattern_fn):
-            # Parameter-valued pattern: unknown until run time, but fixed
-            # within an execution — looked up once per chunk via the memo.
-            def parameter_batch(rows, ctx):
+        if _is_row_independent(pattern_kernel):
+            # A literal or parameter pattern is fixed within an execution:
+            # read once per chunk, compiled once through the memo.
+            def match_hoisted(rows, ctx):
                 if not rows:
                     return []
-                pattern = pattern_fn((), ctx)
+                pattern = evaluate(pattern_kernel, ctx)
                 if pattern is None:
                     return [None] * len(rows)
-                results = compiled_like_pattern(str(pattern)).matches(operand_batch(rows, ctx))
-                return _negated(results) if negated else results
+                results = compiled_like_pattern(str(pattern)).matches(operand(rows, ctx))
+                return [sql_not(result) for result in results] if negated else results
 
-            evaluate.batch = parameter_batch
-        return evaluate
+            return match_hoisted
+        return _strict(
+            "LIKE",
+            lambda value, pattern: compiled_like_pattern(str(pattern)).match(value) != negated,
+            (operand, pattern_kernel),
+        )
 
-    def _compile_casewhen(self, node: ast.CaseWhen) -> Scalar:
+    def _compile_casewhen(self, node: ast.CaseWhen) -> Kernel:
         compiled = [(self.compile(cond), self.compile(result)) for cond, result in node.whens]
-        else_fn = self.compile(node.else_result) if node.else_result is not None else None
+        otherwise = self.compile(node.else_result) if node.else_result is not None else None
 
-        def evaluate(row, ctx):
+        def case(rows, ctx):
+            # Each condition runs on the rows no earlier WHEN took, each
+            # branch on the rows it takes.
+            results = [None] * len(rows)
+            pending = list(range(len(rows)))
             for condition, result in compiled:
-                if _as_bool(condition(row, ctx)) is True:
-                    return result(row, ctx)
-            if else_fn is not None:
-                return else_fn(row, ctx)
-            return None
+                if not pending:
+                    return results
+                flags = condition([rows[i] for i in pending], ctx)
+                taken = [i for i, flag in zip(pending, flags) if _as_bool(flag) is True]
+                if taken:
+                    _fill(results, taken, result, rows, ctx)
+                    pending = [i for i, flag in zip(pending, flags) if _as_bool(flag) is not True]
+            if otherwise is not None and pending:
+                _fill(results, pending, otherwise, rows, ctx)
+            return results
 
-        return evaluate
+        return case
 
-    def _compile_exists(self, node: ast.Exists) -> Scalar:
-        def evaluate(row, ctx):
-            rows = ctx.run_subquery(node.subquery)
-            found = bool(rows)
-            return (not found) if node.negated else found
+    def _compile_exists(self, node: ast.Exists) -> Kernel:
+        subquery, negated = node.subquery, node.negated
+        return _per_chunk(lambda ctx: bool(ctx.run_subquery(subquery)) != negated)
 
-        return evaluate
+    def _compile_scalarsubquery(self, node: ast.ScalarSubquery) -> Kernel:
+        subquery = node.subquery
 
-    def _compile_scalarsubquery(self, node: ast.ScalarSubquery) -> Scalar:
-        def evaluate(row, ctx):
-            rows = ctx.run_subquery(node.subquery)
-            if not rows:
-                return None
-            if len(rows) > 1:
+        def value(ctx):
+            found = ctx.run_subquery(subquery)
+            if len(found) > 1:
                 raise ExecutionError("scalar subquery returned more than one row")
-            return rows[0][0]
+            return found[0][0] if found else None
 
-        return evaluate
+        return _per_chunk(value)
 
-    def _compile_funccall(self, node: ast.FuncCall) -> Scalar:
+    def _compile_funccall(self, node: ast.FuncCall) -> Kernel:
         if node.is_aggregate:
             raise ExecutionError(
                 f"aggregate {node.name} outside GROUP BY context"
             )
-        return _compile_scalar_function(self, node)
+        name = node.name
+        args = [self.compile(arg) for arg in node.args]
+
+        def need(count: int) -> None:
+            if len(args) != count:
+                raise ExecutionError(f"{name} expects {count} argument(s), got {len(args)}")
+
+        if name in _STRICT_FUNCTIONS:
+            arity, function = _STRICT_FUNCTIONS[name]
+            need(arity)
+            return _strict(name, function, args)
+        if name in ("COALESCE", "ISNULL"):
+            if name == "ISNULL":
+                need(2)
+            return _coalesce(args)
+        if name == "GETDATE":
+            return _per_chunk(lambda ctx: _EPOCH + datetime.timedelta(seconds=ctx.now()))
+        if name == "STALENESS":
+            # Seconds the local cached views may lag the backend, read off the
+            # cache's one replication watermark when evaluated (0 on a server
+            # that caches nothing): the currency guard of ``WITH FRESHNESS``.
+            need(0)
+            return _per_chunk(lambda ctx: ctx.database.replication_staleness())
+        raise ExecutionError(f"unknown function {name!r}")
 
 
-def _as_bool(value: Any) -> Optional[bool]:
-    """Interpret a value in boolean context (non-zero numbers are true)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return value != 0
-    return bool(value)
-
-
-def _compile_arithmetic(op: str, left: Scalar, right: Scalar) -> Scalar:
-    def evaluate(row, ctx):
-        lhs = left(row, ctx)
-        rhs = right(row, ctx)
-        if lhs is None or rhs is None:
-            return None
-        if op == "+":
-            if isinstance(lhs, str) or isinstance(rhs, str):
-                # T-SQL string concatenation via +
-                if isinstance(lhs, str) and isinstance(rhs, str):
-                    return lhs + rhs
-                raise TypeCheckError("cannot add string and non-string")
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0:
-                raise ExecutionError("division by zero")
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                # T-SQL integer division truncates toward zero.
-                quotient = abs(lhs) // abs(rhs)
-                return quotient if (lhs >= 0) == (rhs >= 0) else -quotient
-            return lhs / rhs
-        if op == "%":
-            if rhs == 0:
-                raise ExecutionError("modulo by zero")
-            return lhs - rhs * int(lhs / rhs)
-        raise ExecutionError(f"unknown arithmetic operator {op!r}")
-
-    return evaluate
-
-
-def _compile_scalar_function(compiler: ExpressionCompiler, node: ast.FuncCall) -> Scalar:
-    name = node.name
-    args = [compiler.compile(arg) for arg in node.args]
-
-    def need(count: int) -> None:
-        if len(args) != count:
-            raise ExecutionError(f"{name} expects {count} argument(s), got {len(args)}")
-
-    if name == "COALESCE":
-        def coalesce(row, ctx):
-            for arg in args:
-                value = arg(row, ctx)
-                if value is not None:
-                    return value
-            return None
-
-        return coalesce
-    if name == "ISNULL":
-        need(2)
-        return lambda row, ctx: (
-            args[0](row, ctx) if args[0](row, ctx) is not None else args[1](row, ctx)
-        )
-    if name in ("UPPER", "LOWER", "LTRIM", "RTRIM", "LEN", "ABS"):
-        need(1)
-        simple = {
-            "UPPER": lambda v: str(v).upper(),
-            "LOWER": lambda v: str(v).lower(),
-            "LTRIM": lambda v: str(v).lstrip(),
-            "RTRIM": lambda v: str(v).rstrip(),
-            "LEN": lambda v: len(str(v).rstrip()),
-            "ABS": abs,
-        }[name]
-        return lambda row, ctx: (None if args[0](row, ctx) is None else simple(args[0](row, ctx)))
-    if name == "ROUND":
-        need(2)
-
-        def round_fn(row, ctx):
-            value = args[0](row, ctx)
-            digits = args[1](row, ctx)
-            if value is None or digits is None:
-                return None
-            return round(value, int(digits))
-
-        return round_fn
-    if name == "SUBSTRING":
-        need(3)
-
-        def substring(row, ctx):
-            text = args[0](row, ctx)
-            start = args[1](row, ctx)
-            length = args[2](row, ctx)
-            if text is None or start is None or length is None:
-                return None
-            begin = max(0, int(start) - 1)  # SQL is 1-based
-            return str(text)[begin : begin + int(length)]
-
-        return substring
-    if name == "CHARINDEX":
-        need(2)
-
-        def charindex(row, ctx):
-            needle = args[0](row, ctx)
-            haystack = args[1](row, ctx)
-            if needle is None or haystack is None:
-                return None
-            return str(haystack).find(str(needle)) + 1  # 0 when absent, 1-based
-
-        return charindex
-    if name == "GETDATE":
-        def getdate(row, ctx):
-            return datetime.datetime(2003, 6, 9) + datetime.timedelta(seconds=ctx.now())
-
-        return getdate
-    if name == "STALENESS":
-        # Seconds the local cached views may lag the backend, read off the
-        # cache's one replication watermark when evaluated (0 on a server
-        # that caches nothing): the currency guard of ``WITH FRESHNESS``.
-        need(0)
-        return lambda row, ctx: ctx.database.replication_staleness()
-    if name in ("YEAR", "MONTH", "DAY"):
-        need(1)
-        attribute = name.lower()
-
-        def extract(row, ctx):
-            value = args[0](row, ctx)
-            if value is None:
-                return None
-            return getattr(value, attribute)
-
-        return extract
-    if name == "FLOOR":
-        need(1)
-        import math
-
-        return lambda row, ctx: (
-            None if args[0](row, ctx) is None else math.floor(args[0](row, ctx))
-        )
-    if name == "CEILING":
-        need(1)
-        import math
-
-        return lambda row, ctx: (
-            None if args[0](row, ctx) is None else math.ceil(args[0](row, ctx))
-        )
-    raise ExecutionError(f"unknown function {name!r}")
-
-
-def compile_scalar(expression: ast.Expression, schema: Optional[Schema] = None) -> Scalar:
-    """Compile a scalar expression against a schema (convenience)."""
-    return ExpressionCompiler(schema).compile(expression)
-
-
-def compile_predicate(expression: ast.Expression, schema: Optional[Schema] = None) -> Scalar:
-    """Compile a predicate; callers must test the result ``is True``."""
+def compile_scalar(expression: ast.Expression, schema: Optional[Schema] = None) -> Kernel:
+    """Compile an expression against a schema (convenience)."""
     return ExpressionCompiler(schema).compile(expression)

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 from repro.common.schema import Schema
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import Scalar, batch_form, column_maker, tuple_kernel
+from repro.exec.expressions import Kernel, column_maker, evaluate, tuple_kernel
 
 Row = Tuple
 Batch = List[Row]
@@ -129,9 +129,9 @@ class PhysicalOperator:
 
 
 class ValuesOp(PhysicalOperator):
-    """Emit a fixed list of row-producing closures (VALUES / SELECT 1)."""
+    """Emit fixed rows of row-independent kernels (VALUES / SELECT 1)."""
 
-    def __init__(self, schema: Schema, row_makers: Sequence[Sequence[Scalar]]):
+    def __init__(self, schema: Schema, row_makers: Sequence[Sequence[Kernel]]):
         super().__init__(schema)
         self.row_makers = [list(makers) for makers in row_makers]
 
@@ -139,7 +139,7 @@ class ValuesOp(PhysicalOperator):
         rows = []
         for makers in self.row_makers:
             ctx.work.rows_processed += 1
-            rows.append(tuple(maker((), ctx) for maker in makers))
+            rows.append(tuple(evaluate(maker, ctx) for maker in makers))
         if rows:
             yield rows
 
@@ -177,7 +177,7 @@ class IndexSeekOp(PhysicalOperator):
         schema: Schema,
         table_name: str,
         index_name: str,
-        key_makers: Sequence[Scalar],
+        key_makers: Sequence[Kernel],
     ):
         super().__init__(schema)
         self.table_name = table_name
@@ -186,7 +186,7 @@ class IndexSeekOp(PhysicalOperator):
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
-        key = tuple(maker((), ctx) for maker in self.key_makers)
+        key = tuple(evaluate(maker, ctx) for maker in self.key_makers)
         rids = index.seek(key)  # checks every part against its column
         if None in key:
             rids = []
@@ -209,8 +209,8 @@ class IndexRangeScanOp(PhysicalOperator):
         schema: Schema,
         table_name: str,
         index_name: str,
-        low_makers: Optional[Sequence[Scalar]] = None,
-        high_makers: Optional[Sequence[Scalar]] = None,
+        low_makers: Optional[Sequence[Kernel]] = None,
+        high_makers: Optional[Sequence[Kernel]] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ):
@@ -227,8 +227,8 @@ class IndexRangeScanOp(PhysicalOperator):
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         table, index = _table_and_index(ctx, self.table_name, self.index_name)
-        low = tuple(m((), ctx) for m in self.low_makers) if self.low_makers else None
-        high = tuple(m((), ctx) for m in self.high_makers) if self.high_makers else None
+        low = tuple(evaluate(m, ctx) for m in self.low_makers) if self.low_makers else None
+        high = tuple(evaluate(m, ctx) for m in self.high_makers) if self.high_makers else None
         rids = index.range_scan(low, high, self.low_inclusive, self.high_inclusive)
         ctx.work.index_seeks += 1
         for rid in rids:
@@ -288,8 +288,8 @@ class FilterOp(PhysicalOperator):
     def __init__(
         self,
         child: PhysicalOperator,
-        predicate: Optional[Scalar] = None,
-        startup_predicate: Optional[Scalar] = None,
+        predicate: Optional[Kernel] = None,
+        startup_predicate: Optional[Kernel] = None,
         description: str = "",
         startup_guard: Optional[Any] = None,
     ):
@@ -298,22 +298,22 @@ class FilterOp(PhysicalOperator):
         self.startup_predicate = startup_predicate
         self.description = description
         # Source AST of the startup predicate. Compiled startup predicates
-        # are opaque closures; the plan verifier needs the expression to
+        # are opaque kernels; the plan verifier needs the expression to
         # prove ChoosePlan guards mutually exclusive and exhaustive.
         self.startup_guard = startup_guard
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         if self.startup_predicate is not None:
-            if self.startup_predicate((), ctx) is not True:
+            if evaluate(self.startup_predicate, ctx) is not True:
                 return
         child = self.children[0]
-        if self.predicate is None:
+        predicate = self.predicate
+        if predicate is None:
             yield from child.execute_batches(ctx)
             return
-        kernel = self._kernel("predicate", ctx, lambda: batch_form(self.predicate))
         for chunk in child.execute_batches(ctx):
             ctx.work.rows_processed += len(chunk)
-            selection = kernel(chunk, ctx)
+            selection = predicate(chunk, ctx)
             passed = [row for row, keep in zip(chunk, selection) if keep is True]
             if passed:
                 yield passed
@@ -330,7 +330,7 @@ class FilterOp(PhysicalOperator):
 class ProjectOp(PhysicalOperator):
     """Compute output expressions; also performs column pruning."""
 
-    def __init__(self, child: PhysicalOperator, schema: Schema, makers: Sequence[Scalar]):
+    def __init__(self, child: PhysicalOperator, schema: Schema, makers: Sequence[Kernel]):
         super().__init__(schema, [child])
         self.makers = list(makers)
 
@@ -351,7 +351,7 @@ class NestedLoopJoinOp(PhysicalOperator):
         self,
         left: PhysicalOperator,
         right: PhysicalOperator,
-        predicate: Optional[Scalar] = None,
+        predicate: Optional[Kernel] = None,
         kind: str = "INNER",
     ):
         super().__init__(left.schema.concat(right.schema), [left, right])
@@ -366,14 +366,10 @@ class NestedLoopJoinOp(PhysicalOperator):
         right_rows = list(chain.from_iterable(right.execute_batches(ctx)))
         null_right = (None,) * len(right.schema)
         for left_row in chain.from_iterable(left.execute_batches(ctx)):
-            matched = False
-            for right_row in right_rows:
-                ctx.work.rows_processed += 1
-                combined = left_row + right_row
-                if self.predicate is None or self.predicate(combined, ctx) is True:
-                    matched = True
-                    yield combined
-            if self.kind == "LEFT" and not matched:
+            ctx.work.rows_processed += len(right_rows)
+            joined = _joined(left_row, right_rows, self.predicate, ctx)
+            yield from joined
+            if self.kind == "LEFT" and not joined:
                 yield left_row + null_right
 
     def describe(self) -> str:
@@ -383,17 +379,17 @@ class NestedLoopJoinOp(PhysicalOperator):
 class HashJoinOp(PhysicalOperator):
     """Equi-join via hashing (INNER or LEFT outer).
 
-    ``left_keys``/``right_keys`` are scalar extractors evaluated against the
-    respective input rows; a residual predicate filters combined rows.
+    ``left_keys``/``right_keys`` are key kernels over the respective input
+    chunks; a residual predicate filters each left row's combined rows.
     """
 
     def __init__(
         self,
         left: PhysicalOperator,
         right: PhysicalOperator,
-        left_keys: Sequence[Scalar],
-        right_keys: Sequence[Scalar],
-        residual: Optional[Scalar] = None,
+        left_keys: Sequence[Kernel],
+        right_keys: Sequence[Kernel],
+        residual: Optional[Kernel] = None,
         kind: str = "INNER",
     ):
         super().__init__(left.schema.concat(right.schema), [left, right])
@@ -421,20 +417,13 @@ class HashJoinOp(PhysicalOperator):
             ctx.work.rows_processed += len(chunk)
             for left_row, key in zip(chunk, left_kernel(chunk, ctx)):
                 matches = build.get(key, ()) if not any(part is None for part in key) else ()
-                matched = False
-                for right_row in matches:
-                    combined = left_row + right_row
-                    if self.residual is None or self.residual(combined, ctx) is True:
-                        matched = True
-                        out.append(combined)
-                        if len(out) >= size:
-                            yield out
-                            out = []
-                if self.kind == "LEFT" and not matched:
-                    out.append(left_row + null_right)
-                    if len(out) >= size:
-                        yield out
-                        out = []
+                joined = _joined(left_row, matches, self.residual, ctx)
+                if self.kind == "LEFT" and not joined:
+                    joined = [left_row + null_right]
+                out.extend(joined)
+                while len(out) >= size:
+                    yield out[:size]
+                    out = out[size:]
         if out:
             yield out
 
@@ -468,10 +457,10 @@ class IndexLookupJoinOp(PhysicalOperator):
         right_schema: Schema,
         table_name: str,
         index_name: str,
-        key_makers: Sequence[Scalar],
+        key_makers: Sequence[Kernel],
         right_positions: Sequence[int],
-        right_predicate: Optional[Scalar] = None,
-        residual: Optional[Scalar] = None,
+        right_predicate: Optional[Kernel] = None,
+        residual: Optional[Kernel] = None,
         kind: str = "INNER",
     ):
         super().__init__(left.schema.concat(right_schema), [left])
@@ -492,13 +481,7 @@ class IndexLookupJoinOp(PhysicalOperator):
             ctx,
             lambda: tuple_kernel([column_maker(position) for position in self.right_positions]),
         )
-        right_filter = residual = None
-        if self.right_predicate is not None:
-            right_filter = self._kernel(
-                "right-predicate", ctx, lambda: batch_form(self.right_predicate)
-            )
-        if self.residual is not None:
-            residual = self._kernel("residual", ctx, lambda: batch_form(self.residual))
+        right_filter, residual = self.right_predicate, self.residual
         partial = len(self.key_makers) < len(index.column_names)
         null_right = (None,) * len(self.right_schema)
         size = ctx.batch_rows
@@ -526,6 +509,15 @@ class IndexLookupJoinOp(PhysicalOperator):
 
     def describe(self) -> str:
         return f"IndexLookupJoin({self.table_name}.{self.index_name})"
+
+
+def _joined(left_row: Row, right_rows: Sequence[Row], predicate: Optional[Kernel], ctx) -> Batch:
+    """``left_row`` joined to each of ``right_rows`` that ``predicate``
+    accepts: one kernel call over all of them."""
+    combined = [left_row + right_row for right_row in right_rows]
+    if predicate is None or not combined:
+        return combined
+    return [row for row, keep in zip(combined, predicate(combined, ctx)) if keep is True]
 
 
 def _selected(selection: List[Any], owners: List[int], rows: Batch) -> Tuple[List[int], Batch]:
@@ -563,9 +555,9 @@ class MergeJoinOp(PhysicalOperator):
         self,
         left: PhysicalOperator,
         right: PhysicalOperator,
-        left_keys: Sequence[Scalar],
-        right_keys: Sequence[Scalar],
-        residual: Optional[Scalar] = None,
+        left_keys: Sequence[Kernel],
+        right_keys: Sequence[Kernel],
+        residual: Optional[Kernel] = None,
     ):
         super().__init__(left.schema.concat(right.schema), [left, right])
         self.left_keys = list(left_keys)
@@ -579,14 +571,14 @@ class MergeJoinOp(PhysicalOperator):
             for part in key
         )
 
-    def _keyed(self, op: PhysicalOperator, makers: List[Scalar], ctx) -> List[Tuple]:
+    def _keyed(self, op: PhysicalOperator, kernel: Kernel, ctx) -> List[Tuple]:
         keyed = []
-        for row in chain.from_iterable(op.execute_batches(ctx)):
-            ctx.work.rows_processed += 1
-            key = tuple(maker(row, ctx) for maker in makers)
-            if any(part is None for part in key):
-                continue  # NULL never equi-joins
-            keyed.append((self._sortable(key), row))
+        for chunk in op.execute_batches(ctx):
+            ctx.work.rows_processed += len(chunk)
+            for row, key in zip(chunk, kernel(chunk, ctx)):
+                if any(part is None for part in key):
+                    continue  # NULL never equi-joins
+                keyed.append((self._sortable(key), row))
         keyed.sort(key=lambda pair: pair[0])
         return keyed
 
@@ -594,8 +586,10 @@ class MergeJoinOp(PhysicalOperator):
         return _chunked(self._rows(ctx), ctx.batch_rows)
 
     def _rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        left = self._keyed(self.children[0], self.left_keys, ctx)
-        right = self._keyed(self.children[1], self.right_keys, ctx)
+        left_kernel = self._kernel("left-keys", ctx, lambda: tuple_kernel(self.left_keys))
+        right_kernel = self._kernel("right-keys", ctx, lambda: tuple_kernel(self.right_keys))
+        left = self._keyed(self.children[0], left_kernel, ctx)
+        right = self._keyed(self.children[1], right_kernel, ctx)
         i = j = 0
         while i < len(left) and j < len(right):
             left_key = left[i][0]
@@ -613,12 +607,10 @@ class MergeJoinOp(PhysicalOperator):
             j_end = j
             while j_end < len(right) and right[j_end][0] == right_key:
                 j_end += 1
+            group = [right_row for _, right_row in right[j:j_end]]
             for _, left_row in left[i:i_end]:
-                for _, right_row in right[j:j_end]:
-                    combined = left_row + right_row
-                    ctx.work.rows_processed += 1
-                    if self.residual is None or self.residual(combined, ctx) is True:
-                        yield combined
+                ctx.work.rows_processed += len(group)
+                yield from _joined(left_row, group, self.residual, ctx)
             i, j = i_end, j_end
 
     def describe(self) -> str:
@@ -628,7 +620,7 @@ class MergeJoinOp(PhysicalOperator):
 class AggregateSpec:
     """One aggregate to compute: function, argument extractor, DISTINCT."""
 
-    def __init__(self, function: str, argument: Optional[Scalar], distinct: bool = False):
+    def __init__(self, function: str, argument: Optional[Kernel], distinct: bool = False):
         self.function = function
         self.argument = argument  # None => COUNT(*)
         self.distinct = distinct
@@ -701,7 +693,7 @@ class AggregateOp(PhysicalOperator):
         self,
         child: PhysicalOperator,
         schema: Schema,
-        group_makers: Sequence[Scalar],
+        group_makers: Sequence[Kernel],
         aggregates: Sequence[AggregateSpec],
     ):
         super().__init__(schema, [child])
@@ -714,22 +706,14 @@ class AggregateOp(PhysicalOperator):
         key_kernel = self._kernel(
             "group-keys", ctx, lambda: tuple_kernel(self.group_makers)
         )
-        argument_kernels = self._kernel(
-            "agg-args",
-            ctx,
-            lambda: [
-                None if spec.argument is None else batch_form(spec.argument)
-                for spec in self.aggregates
-            ],
-        )
         for chunk in self.children[0].execute_batches(ctx):
             ctx.work.rows_processed += len(chunk)
             keys = key_kernel(chunk, ctx)
             # Columnar argument extraction: one kernel call per aggregate
-            # per chunk instead of one closure call per row.
+            # per chunk.
             columns = [
-                None if kernel is None else kernel(chunk, ctx)
-                for kernel in argument_kernels
+                None if spec.argument is None else spec.argument(chunk, ctx)
+                for spec in self.aggregates
             ]
             for i, key in enumerate(keys):
                 states = groups.get(key)
@@ -758,7 +742,7 @@ class SortOp(PhysicalOperator):
     def __init__(
         self,
         child: PhysicalOperator,
-        sort_makers: Sequence[Tuple[Scalar, bool]],  # (extractor, descending)
+        sort_makers: Sequence[Tuple[Kernel, bool]],  # (extractor, descending)
     ):
         super().__init__(child.schema, [child])
         self.sort_makers = list(sort_makers)
@@ -768,11 +752,7 @@ class SortOp(PhysicalOperator):
         for chunk in self.children[0].execute_batches(ctx):
             rows.extend(chunk)
         ctx.work.rows_processed += len(rows)
-        kernels = self._kernel(
-            "sort-keys",
-            ctx,
-            lambda: [batch_form(maker) for maker, _ in self.sort_makers],
-        )
+        kernels = [maker for maker, _ in self.sort_makers]
         # Stable multi-pass sort: apply keys from least to most significant.
         # NULL is the lowest value (T-SQL): first ascending, last
         # descending — the same (0-tagged) key works for both directions.
@@ -798,12 +778,12 @@ class SortOp(PhysicalOperator):
 class TopOp(PhysicalOperator):
     """Emit at most N rows; N may be a parameter expression."""
 
-    def __init__(self, child: PhysicalOperator, count_maker: Scalar):
+    def __init__(self, child: PhysicalOperator, count_maker: Kernel):
         super().__init__(child.schema, [child])
         self.count_maker = count_maker
 
     def execute_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        limit = self.count_maker((), ctx)
+        limit = evaluate(self.count_maker, ctx)
         if limit is None:
             raise ExecutionError("TOP count evaluated to NULL")
         remaining = int(limit)

@@ -21,7 +21,7 @@ from repro.common.schema import Column, Schema
 from repro.common.types import FLOAT
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import ExpressionCompiler, evaluate
 from repro.sql import ast
 
 
@@ -68,7 +68,7 @@ class _ReferenceEvaluator:
             matched = False
             for right_row in right_rows:
                 row = left_row + right_row
-                if condition is None or condition(row, self.ctx) is True:
+                if condition is None or evaluate(condition, self.ctx, row) is True:
                     matched = True
                     output.append(row)
             if ref.kind == "LEFT" and not matched:
@@ -96,7 +96,7 @@ class _ReferenceEvaluator:
         if select.from_clause is None:
             compiler = ExpressionCompiler(Schema(()))
             row = tuple(
-                compiler.compile(item.expression)((), self.ctx)
+                evaluate(compiler.compile(item.expression), self.ctx)
                 for item in select.items
             )
             schema = Schema(
@@ -109,7 +109,7 @@ class _ReferenceEvaluator:
 
         if select.where is not None:
             predicate = ExpressionCompiler(schema).compile(select.where)
-            rows = [row for row in rows if predicate(row, self.ctx) is True]
+            rows = [row for row in rows if evaluate(predicate, self.ctx, row) is True]
 
         items = self._expand_stars(select.items, schema)
 
@@ -145,7 +145,7 @@ class _ReferenceEvaluator:
             # NULL is the lowest value: first ascending, last descending.
             for maker, descending in reversed(keyed):
                 def sort_key(row, maker=maker):
-                    value = maker(row, self.ctx)
+                    value = evaluate(maker, self.ctx, row)
                     if value is None:
                         return (0, 0)
                     return (1, value)
@@ -161,7 +161,7 @@ class _ReferenceEvaluator:
                 expression = order_exprs.get(expression, expression)
             makers.append(compiler.compile(expression))
         projected = [
-            tuple(maker(row, self.ctx) for maker in makers) for row in rows
+            tuple(evaluate(maker, self.ctx, row) for maker in makers) for row in rows
         ]
         out_schema = Schema(
             Column(self._name_of(item, position), FLOAT)
@@ -179,7 +179,7 @@ class _ReferenceEvaluator:
 
         if select.top is not None:
             limit_maker = ExpressionCompiler(Schema(())).compile(select.top)
-            limit = limit_maker((), self.ctx)
+            limit = evaluate(limit_maker, self.ctx)
             projected = projected[: int(limit)]
 
         return out_schema, projected
@@ -209,7 +209,7 @@ class _ReferenceEvaluator:
         groups: Dict[Tuple, List[Tuple]] = {}
         order: List[Tuple] = []
         for row in rows:
-            key = tuple(maker(row, self.ctx) for maker in group_makers)
+            key = tuple(evaluate(maker, self.ctx, row) for maker in group_makers)
             if key not in groups:
                 groups[key] = []
                 order.append(key)
@@ -221,7 +221,7 @@ class _ReferenceEvaluator:
         def compute(call: ast.FuncCall, members: List[Tuple]) -> Any:
             if call.args and not isinstance(call.args[0], ast.Star):
                 arg = compiler.compile(call.args[0])
-                values = [arg(row, self.ctx) for row in members]
+                values = [evaluate(arg, self.ctx, row) for row in members]
                 values = [value for value in values if value is not None]
                 if call.distinct:
                     deduped = []
@@ -280,7 +280,7 @@ class _ReferenceEvaluator:
         if select.having is not None:
             having = substitute(select.having, rewrite)
             predicate = ExpressionCompiler(group_schema).compile(having)
-            group_rows = [row for row in group_rows if predicate(row, self.ctx) is True]
+            group_rows = [row for row in group_rows if evaluate(predicate, self.ctx, row) is True]
 
         new_items = [
             ast.SelectItem(substitute(item.expression, rewrite), item.alias, item.target_parameter)

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.clock import SimulatedClock
 from repro.engine import Database, Server
 from repro.errors import ReplicationError
+from repro.exec.context import DEFAULT_BATCH_ROWS
 from repro.mtcache.cache_server import CacheServer
 from repro.mtcache.scripts import generate_shadow_script
 from repro.optimizer.cost import CostModel
@@ -295,9 +296,9 @@ class MTCacheDeployment:
         (the new view's storage on a freshly drained cache)."""
         source = self.backend_database.storage_table(article.source_table)
         copied = 0
-        for _, row in source.scan():
-            if article.row_matches(row):
-                target.insert(article.project(row))
+        for chunk in source.scan_batches(DEFAULT_BATCH_ROWS):
+            for row in article.select(chunk):
+                target.insert(row)
                 copied += 1
         return copied
 

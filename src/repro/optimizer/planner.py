@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.common.schema import Column, Schema
 from repro.common.types import FLOAT, SqlType, TypeKind, equi_join_forms
 from repro.errors import BindError, OptimizerError
-from repro.exec.expressions import ExpressionCompiler, Scalar, column_maker, stored_as
+from repro.exec.expressions import ExpressionCompiler, Kernel, column_maker, stored_as
 from repro.exec.operators import (
     AggregateOp,
     AggregateSpec,
@@ -643,7 +643,7 @@ class Optimizer:
         positions = [
             aliased_schema.resolve(column, leaf.source.alias) for column in leaf.required
         ]
-        makers: List[Scalar] = [column_maker(position) for position in positions]
+        makers: List[Kernel] = [column_maker(position) for position in positions]
         project = ProjectOp(relabeled, leaf.schema, makers)
         cost += self.cost.project(rows)
         return _Plan(project, rows, cost).attach()
@@ -739,7 +739,7 @@ class Optimizer:
                 by_position.setdefault(position, []).append((comparison, conjunct))
 
         # Longest equality prefix.
-        key_makers: List[Scalar] = []
+        key_makers: List[Kernel] = []
         key_conjuncts: List[ast.Expression] = []
         consumed_selectivity = 1.0
         blank = ExpressionCompiler(Schema(()))
@@ -1142,8 +1142,8 @@ class Optimizer:
                     rows = min(join_rows, equi_rows) if equi_rows else join_rows
                 else:
                     right_compiler = ExpressionCompiler(plan.op.schema)
-                    equi_left: List[Scalar] = []
-                    equi_right: List[Scalar] = []
+                    equi_left: List[Kernel] = []
+                    equi_right: List[Kernel] = []
                     for le, re in equi_pairs:
                         # Build and probe on keys in one stored form.
                         left_form, right_form = equi_join_forms(
@@ -1393,7 +1393,7 @@ class Optimizer:
         # ORDER BY before projection (can reference pre-projection columns).
         if order_by:
             compiler = ExpressionCompiler(schema)
-            sort_makers: List[Tuple[Scalar, bool]] = []
+            sort_makers: List[Tuple[Kernel, bool]] = []
             for entry in order_by:
                 expression = substitute(entry.expression, mapping) if mapping else entry.expression
                 sort_makers.append((compiler.compile(expression), entry.descending))
@@ -1402,7 +1402,7 @@ class Optimizer:
 
         # Projection.
         compiler = ExpressionCompiler(schema)
-        makers: List[Scalar] = []
+        makers: List[Kernel] = []
         out_columns = []
         for position, item in enumerate(items):
             expression = substitute(item.expression, mapping) if mapping else item.expression

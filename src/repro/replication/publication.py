@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.common.schema import Schema
 from repro.errors import ReplicationError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import ExpressionCompiler, evaluate
 from repro.sql import ast
 
 
@@ -45,7 +45,15 @@ class Article:
         """Does a full source row fall inside the article's restriction?"""
         if self._predicate_fn is None:
             return True
-        return self._predicate_fn(row, _BLANK_CONTEXT) is True
+        return evaluate(self._predicate_fn, _BLANK_CONTEXT, row) is True
+
+    def select(self, rows: List[Tuple]) -> List[Tuple]:
+        """The projected images of the full source ``rows`` inside the
+        restriction: one predicate call for all of them."""
+        if self._predicate_fn is not None and rows:
+            selection = self._predicate_fn(rows, _BLANK_CONTEXT)
+            rows = [row for row, keep in zip(rows, selection) if keep is True]
+        return [self.project(row) for row in rows]
 
     def project(self, row: Tuple) -> Tuple:
         """Project a full source row to the article's column subset."""

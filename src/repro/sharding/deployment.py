@@ -30,6 +30,7 @@ from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError
+from repro.exec.context import DEFAULT_BATCH_ROWS
 from repro.mtcache.cache_server import CacheServer
 from repro.mtcache.deployment import MTCacheDeployment
 from repro.obs.metrics import MetricsRegistry
@@ -233,9 +234,8 @@ class ShardedDeployment:
             storage.delete_rid(rid)
         moved += len(stale)
         present = {row[key_position] for _, row in storage.scan()}
-        for _, row in source.scan():
-            if article.row_matches(row):
-                projected = article.project(row)
+        for chunk in source.scan_batches(DEFAULT_BATCH_ROWS):
+            for projected in article.select(chunk):
                 if projected[key_position] not in present:
                     storage.insert(projected)
                     moved += 1

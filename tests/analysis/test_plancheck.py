@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import check_plan, verify_plan
 from repro.engine import Server
 from repro.errors import AnalysisError
-from repro.exec.operators import FilterOp, RemoteQueryOp, SeqScanOp, UnionAllOp
+from repro.exec.operators import RemoteQueryOp, SeqScanOp, UnionAllOp
 from repro.sql import parse_statements
 
 
@@ -79,43 +79,6 @@ def test_check_plan_raises_analysis_error(backend):
     with pytest.raises(AnalysisError) as excinfo:
         check_plan(bad, database=database)
     assert excinfo.value.rule == "catalog"
-
-
-def _filter_of(planned):
-    # The fixtures filter on a predicate no index seek answers by itself
-    # (a seek drops the filter on its own key equalities).
-    for op in planned.root.walk():
-        if isinstance(op, FilterOp):
-            return op
-    raise AssertionError("expected a FilterOp in the plan")
-
-
-def test_broken_batch_kernel_reported(backend):
-    database = backend.database("shop")
-    planned = _plan(
-        backend, database, "SELECT cname FROM customer WHERE segment <> 'gold'"
-    )
-    assert verify_plan(planned, database=database) == []
-    # Mutate the compiled predicate's batch form to violate the length
-    # contract (a non-empty vector for an empty chunk).
-    _filter_of(planned).predicate.batch = lambda rows, ctx: [True]
-    diagnostics = verify_plan(planned, database=database)
-    assert [d.rule for d in diagnostics] == ["batch-kernel"]
-
-
-def test_raising_batch_kernel_reported(backend):
-    database = backend.database("shop")
-    planned = _plan(
-        backend, database, "SELECT cname FROM customer WHERE segment <> 'gold'"
-    )
-
-    def explode(rows, ctx):
-        raise RuntimeError("broken kernel")
-
-    _filter_of(planned).predicate.batch = explode
-    diagnostics = verify_plan(planned, database=database)
-    assert [d.rule for d in diagnostics] == ["batch-kernel"]
-    assert "broken kernel" in diagnostics[0].message
 
 
 def test_servers_default_checked_from_environment(monkeypatch):

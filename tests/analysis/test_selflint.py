@@ -173,16 +173,16 @@ def test_compile_in_rows_loop_flagged():
                 return _chunked(self._rows(ctx), ctx.batch_rows)
 
             def _rows(self, ctx):
-                predicate = compile_predicate(self.schema, self.expr)
+                predicate = compile_scalar(self.expr, self.schema)
                 for chunk in self.children[0].execute_batches(ctx):
-                    for row in chunk:
-                        if predicate(row, ctx) is True:
-                            yield row
+                    yield from (
+                        row for row, keep in zip(chunk, predicate(chunk, ctx)) if keep is True
+                    )
         """
     )
     diagnostics = lint_source(source, "repro/exec/fake.py")
     assert _rules(diagnostics) == ["compile-at-build-time"]
-    assert "compile_predicate" in diagnostics[0].message
+    assert "compile_scalar" in diagnostics[0].message
 
 
 def test_compile_in_execute_batches_flagged():
@@ -191,7 +191,7 @@ def test_compile_in_execute_batches_flagged():
         class LazyOp(PhysicalOperator):
             def execute_batches(self, ctx):
                 kernel = ExpressionCompiler(self.schema).compile(self.expr)
-                yield [kernel(row, ctx) for row in self.rows]
+                yield kernel(self.rows, ctx)
         """
     )
     assert _rules(lint_source(source, "repro/exec/fake.py")) == [
@@ -204,10 +204,10 @@ def test_compile_in_next_methods_flagged():
         """
         class CursorOperator(PhysicalOperator):
             def __next__(self):
-                return compile_scalar(self.schema, self.expr)
+                return compile_scalar(self.expr, self.schema)
 
             def next_batch(self):
-                return compile_scalar(self.schema, self.expr)
+                return compile_scalar(self.expr, self.schema)
         """
     )
     diagnostics = lint_source(source, "repro/exec/fake.py")
@@ -220,11 +220,12 @@ def test_compile_in_init_is_clean():
         class EagerOp(PhysicalOperator):
             def __init__(self, schema, expr):
                 super().__init__(schema)
-                self.predicate = compile_predicate(schema, expr)
+                self.predicate = compile_scalar(expr, schema)
 
             def execute_batches(self, ctx):
                 for chunk in self.children[0].execute_batches(ctx):
-                    yield [row for row in chunk if self.predicate(row, ctx) is True]
+                    selection = self.predicate(chunk, ctx)
+                    yield [row for row, keep in zip(chunk, selection) if keep is True]
         """
     )
     assert lint_source(source, "repro/exec/fake.py") == []
@@ -235,7 +236,7 @@ def test_compile_outside_operator_classes_ignored():
         """
         class PlanBuilder:
             def execute_batches(self, ctx):
-                return compile_scalar(self.schema, self.expr)
+                return compile_scalar(self.expr, self.schema)
         """
     )
     assert lint_source(source, "repro/exec/fake.py") == []

@@ -14,7 +14,7 @@ import pytest
 
 import repro.optimizer.planner  # noqa: F401  (defines an operator of its own)
 from repro.common.schema import Column, Schema
-from repro.common.types import FLOAT, INT, VARCHAR
+from repro.common.types import INT
 from repro.catalog.objects import TableDef
 from repro.engine.database import Database
 from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext
@@ -24,6 +24,7 @@ from repro.exec.operators import (
     FilterOp,
     NestedLoopJoinOp,
     PhysicalOperator,
+    ProjectOp,
     SeqScanOp,
     ValuesOp,
 )
@@ -160,7 +161,7 @@ class TestBatchProtocol:
 
         def values(count):
             return ValuesOp(
-                schema, [[lambda row, ctx, v=i: v] for i in range(count)]
+                schema, [[lambda rows, ctx, v=i: [v] * len(rows)] for i in range(count)]
             )
 
         join = NestedLoopJoinOp(values(3), values(4))
@@ -183,12 +184,10 @@ class TestBatchProtocol:
 
     def test_kernel_cache_counts_hits_and_misses(self):
         database, scan = self._scan()
-        predicate = ExpressionCompiler(scan.schema).compile(
-            parse_expression("id > 500")
-        )
-        op = FilterOp(scan, predicate)
+        key = ExpressionCompiler(scan.schema).compile(parse_expression("id + 1"))
+        op = ProjectOp(scan, Schema([Column("k", INT)]), [key])
         ctx = ExecutionContext(database=database, batch_rows=100)
-        assert len(list(op.execute_batches(ctx))) == 5
+        assert len(list(op.execute_batches(ctx))) == 10
         assert ctx.compiled_cache_misses == 1
         assert ctx.compiled_cache_hits == 0
         # Re-executing the same operator instance reuses the built kernel.

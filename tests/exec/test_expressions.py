@@ -1,4 +1,11 @@
-"""Expression evaluation: SQL semantics including three-valued logic."""
+"""Expression evaluation: SQL semantics including three-valued logic.
+
+A compiled expression is one kernel ``(rows, ctx) -> list``. The oracle
+for its specialised paths is the value-level definitions
+(``sql_compare``, ``sql_and``/``sql_or``/``sql_not``,
+``like_to_regex(p).match``, ``in_subquery_linear``) applied row by row
+over the AST (:func:`oracle`), which bypasses every specialised kernel.
+"""
 
 import datetime
 
@@ -7,21 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.schema import Column, Schema
-from repro.common.types import FLOAT, INT, VARCHAR
+from repro.common.types import DATE, FLOAT, INT, VARCHAR
 from repro.errors import ExecutionError, TypeCheckError
 from repro.exec.context import ExecutionContext
 from repro.exec.expressions import (
     ExpressionCompiler,
+    _as_bool,
     _coerce_pair,
-    batch_form,
     compiled_like_pattern,
+    evaluate as evaluate_kernel,
+    in_subquery_linear,
     like_to_regex,
     sql_and,
     sql_compare,
     sql_not,
     sql_or,
 )
-from repro.sql import parse_expression
+from repro.sql import ast, parse_expression
 
 SCHEMA = Schema(
     [
@@ -34,7 +43,7 @@ SCHEMA = Schema(
 
 def evaluate(text, row=(1, 2.5, "hello"), params=None):
     compiled = ExpressionCompiler(SCHEMA).compile(parse_expression(text))
-    return compiled(row, ExecutionContext(params=params or {}))
+    return evaluate_kernel(compiled, ExecutionContext(params=params or {}), row)
 
 
 class TestArithmetic:
@@ -89,7 +98,7 @@ class TestComparisons:
     def test_date_vs_string(self):
         schema = Schema([Column("d", INT)])
         compiled = ExpressionCompiler(schema).compile(parse_expression("d >= '2003-01-05'"))
-        assert compiled((datetime.date(2003, 1, 6),), ExecutionContext()) is True
+        assert evaluate_kernel(compiled, ExecutionContext(), (datetime.date(2003, 1, 6),)) is True
 
 
 class TestThreeValuedLogic:
@@ -145,8 +154,7 @@ class TestPredicates:
     def test_like_special_chars_escaped(self):
         schema = Schema([Column("s", VARCHAR(20))])
         compiled = ExpressionCompiler(schema).compile(parse_expression("s LIKE 'a.b%'"))
-        assert compiled(("a.bc",), ExecutionContext()) is True
-        assert compiled(("axbc",), ExecutionContext()) is False
+        assert compiled([("a.bc",), ("axbc",)], ExecutionContext()) == [True, False]
 
     def test_is_null(self):
         assert evaluate("NULL IS NULL") is True
@@ -192,7 +200,7 @@ class TestParametersAndFunctions:
         clock = SimulatedClock()
         clock.advance(60.0)
         compiled = ExpressionCompiler(SCHEMA).compile(parse_expression("GETDATE()"))
-        value = compiled((1, 2.5, "x"), ExecutionContext(clock=clock))
+        value = evaluate_kernel(compiled, ExecutionContext(clock=clock), (1, 2.5, "x"))
         assert value == datetime.datetime(2003, 6, 9, 0, 1)
 
     def test_aggregate_outside_group_by_rejected(self):
@@ -290,28 +298,128 @@ BATCH_EXPRESSIONS = [
 ]
 
 
+def oracle(node, row, params):
+    """``node``'s value on one row, read straight off the value-level
+    definitions: no kernel, no column-vs-constant path, no literal-core
+    LIKE test, no membership probe."""
+
+    def value(child):
+        return oracle(child, row, params)
+
+    if isinstance(node, ast.Literal):
+        return node.value
+    if isinstance(node, ast.ColumnRef):
+        return row[SCHEMA.resolve(node.name, node.qualifier)]
+    if isinstance(node, ast.Parameter):
+        return params.get(node.name)
+    if isinstance(node, ast.BinaryOp):
+        lhs, rhs = value(node.left), value(node.right)
+        if node.op in ("AND", "OR"):
+            combine = sql_and if node.op == "AND" else sql_or
+            return combine(_as_bool(lhs), _as_bool(rhs))
+        if node.op in ("=", "<>", "<", "<=", ">", ">="):
+            return sql_compare(node.op, lhs, rhs)
+        assert node.op == "+"
+        return None if lhs is None or rhs is None else lhs + rhs
+    if isinstance(node, ast.UnaryOp):
+        operand = value(node.operand)
+        if node.op == "NOT":
+            return sql_not(_as_bool(operand))
+        return None if operand is None else -operand
+    if isinstance(node, ast.IsNull):
+        return (value(node.operand) is None) != node.negated
+    if isinstance(node, ast.Between):
+        operand = value(node.operand)
+        result = sql_and(
+            sql_compare(">=", operand, value(node.low)),
+            sql_compare("<=", operand, value(node.high)),
+        )
+        return sql_not(result) if node.negated else result
+    if isinstance(node, ast.InList):
+        operand = value(node.operand)
+        if operand is None:
+            return None
+        return in_subquery_linear(operand, [(value(item),) for item in node.items], node.negated)
+    if isinstance(node, ast.Like):
+        operand, pattern = value(node.operand), value(node.pattern)
+        if operand is None or pattern is None:
+            return None
+        return (like_to_regex(str(pattern)).match(str(operand)) is not None) != node.negated
+    assert isinstance(node, ast.FuncCall) and node.name == "COALESCE"
+    return next((v for v in map(value, node.args) if v is not None), None)
+
+
+#: Rows with NULLs, cross-type numerics, bools-as-ints, and boundary
+#: strings — the inputs where a specialised kernel could drift from the
+#: value-level definitions.
+EDGE_ROWS = [
+    (1, 2.5, "hello"),
+    (None, None, None),
+    (0, 0.0, ""),
+    (-7, 1.0, "HELLO"),
+    (2, -2.5, "h_llo"),
+    (True, 2.0, "hel"),
+    (1000000, 1e-9, "hello world"),
+    (None, 3.5, "xyz"),
+    (3, None, "hello"),
+]
+
+BATCH_EXPRESSIONS = [
+    "a = 1",
+    "a <> 1",
+    "a < 2",
+    "a <= 0",
+    "a > -1",
+    "a >= 1000000",
+    "1 < a",  # flipped orientation normalizes to a > 1
+    "2.5 >= b",
+    "b = 2.5",
+    "s = 'hello'",
+    "s < 'i'",
+    "s LIKE 'he%'",
+    "s LIKE '%l_o'",
+    "s LIKE @pat",
+    "a = @x",
+    "a IS NULL",
+    "b IS NOT NULL",
+    "a = 1 AND b > 0",
+    "a = 1 OR s = 'xyz'",
+    "NOT (a = 1)",
+    "a + 1",
+    "-b",
+    "a BETWEEN 0 AND 2",
+    "a IN (1, 2, NULL)",
+    "COALESCE(a, 99)",
+]
+
+
 class TestBatchFormsMatchScalar:
-    """Every compiled batch closure must equal the scalar map, row for row."""
+    """Every kernel equals the value-level definitions, row for row."""
 
     PARAMS = {"x": 1, "pat": "h%o"}
 
     def _compiled(self, text):
         return ExpressionCompiler(SCHEMA).compile(parse_expression(text))
 
+    def _expected(self, text, rows):
+        node = parse_expression(text)
+        return [oracle(node, row, self.PARAMS) for row in rows]
+
     @pytest.mark.parametrize("text", BATCH_EXPRESSIONS)
     def test_batch_equals_scalar_on_edge_rows(self, text):
         compiled = self._compiled(text)
         ctx = ExecutionContext(params=self.PARAMS)
-        expected = [compiled(row, ctx) for row in EDGE_ROWS]
-        assert batch_form(compiled)(EDGE_ROWS, ctx) == expected
+        expected = self._expected(text, EDGE_ROWS)
+        assert compiled(EDGE_ROWS, ctx) == expected
+        assert [evaluate_kernel(compiled, ctx, row) for row in EDGE_ROWS] == expected
 
     @pytest.mark.parametrize("text", BATCH_EXPRESSIONS)
     def test_batch_of_empty_chunk_is_empty(self, text):
         compiled = self._compiled(text)
-        assert batch_form(compiled)([], ExecutionContext(params=self.PARAMS)) == []
+        assert compiled([], ExecutionContext(params=self.PARAMS)) == []
 
     def test_temporal_batch_fast_path(self):
-        schema = Schema([Column("d", INT)])
+        schema = Schema([Column("d", DATE)])
         compiled = ExpressionCompiler(schema).compile(
             parse_expression("d >= '2003-01-05'")
         )
@@ -321,10 +429,9 @@ class TestBatchFormsMatchScalar:
             (None,),
             (datetime.date(2003, 1, 6),),
         ]
-        ctx = ExecutionContext()
-        expected = [compiled(row, ctx) for row in rows]
+        expected = [sql_compare(">=", row[0], "2003-01-05") for row in rows]
         assert expected == [False, True, None, True]
-        assert batch_form(compiled)(rows, ctx) == expected
+        assert compiled(rows, ExecutionContext()) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -337,12 +444,206 @@ class TestBatchFormsMatchScalar:
             max_size=20,
         ),
         st.sampled_from(
-            ["a < 3", "a >= @x", "b <= 1.5", "s = 'he'", "s LIKE 'h%'",
-             "a = 1 AND b > 0", "a IS NULL OR s <> 'x'"]
+            ["a < 3", "a <= 0", "a >= @x", "b <= 1.5", "s = 'he'", "s LIKE 'h%'",
+             "s LIKE '%l_o'", "a = 1 AND b > 0", "a IS NULL OR s <> 'x'"]
         ),
     )
     def test_property_batch_matches_scalar(self, rows, text):
         compiled = self._compiled(text)
         ctx = ExecutionContext(params=self.PARAMS)
-        expected = [compiled(row, ctx) for row in rows]
-        assert batch_form(compiled)(rows, ctx) == expected
+        assert compiled(rows, ctx) == self._expected(text, rows)
+
+
+class _Database:
+    """What ``STALENESS()`` reads off a database."""
+
+    @staticmethod
+    def replication_staleness():
+        return 0.0
+
+
+SUBQUERY = ast.Select(
+    items=(ast.SelectItem(ast.ColumnRef("x")),), from_clause=ast.TableName(("u",))
+)
+
+#: One expression per node type and function the compiler accepts.
+LENGTH_EXPRESSIONS = {
+    "literal": ast.Literal(42),
+    "null literal": ast.Literal(None),
+    "column": ast.ColumnRef("a"),
+    "parameter": ast.Parameter("x"),
+    "and": parse_expression("a = 1 AND b > 0"),
+    "or": parse_expression("a = 1 OR b > 0"),
+    "column comparison": parse_expression("a < b"),
+    "constant comparison": parse_expression("1 < a"),
+    "+": parse_expression("a + 1"),
+    "-": parse_expression("a - b"),
+    "*": parse_expression("a * 2"),
+    "/": parse_expression("a / 2"),
+    "%": parse_expression("a % 2"),
+    "not": parse_expression("NOT (a = 1)"),
+    "negate": parse_expression("-a"),
+    "is null": parse_expression("a IS NULL"),
+    "is not null": parse_expression("a IS NOT NULL"),
+    "in list": parse_expression("a NOT IN (1, NULL)"),
+    "in subquery": ast.InSubquery(ast.ColumnRef("a"), SUBQUERY),
+    "between": parse_expression("a BETWEEN 0 AND 2"),
+    "not between": parse_expression("a NOT BETWEEN 0 AND 2"),
+    "like literal": parse_expression("s LIKE 'h%'"),
+    "like parameter": parse_expression("s NOT LIKE @pat"),
+    "like column": parse_expression("s LIKE s"),
+    "case": parse_expression("CASE WHEN a = 1 THEN 'one' WHEN a = 2 THEN 'two' END"),
+    "case else": parse_expression("CASE WHEN a = 1 THEN 'one' ELSE 'other' END"),
+    "exists": ast.Exists(SUBQUERY),
+    "not exists": ast.Exists(SUBQUERY, negated=True),
+    "scalar subquery": ast.ScalarSubquery(SUBQUERY),
+    **{
+        name: parse_expression(text)
+        for name, text in [
+            ("UPPER", "UPPER(s)"), ("LOWER", "LOWER(s)"), ("LTRIM", "LTRIM(s)"),
+            ("RTRIM", "RTRIM(s)"), ("LEN", "LEN(s)"), ("ABS", "ABS(a)"),
+            ("ROUND", "ROUND(b, 1)"), ("SUBSTRING", "SUBSTRING(s, 1, 2)"),
+            ("CHARINDEX", "CHARINDEX('l', s)"), ("FLOOR", "FLOOR(b)"),
+            ("CEILING", "CEILING(b)"), ("COALESCE", "COALESCE(a, 0)"),
+            ("ISNULL", "ISNULL(a, 0)"), ("GETDATE", "GETDATE()"),
+            ("STALENESS", "STALENESS()"), ("YEAR", "YEAR(GETDATE())"),
+            ("MONTH", "MONTH(GETDATE())"), ("DAY", "DAY(GETDATE())"),
+        ]
+    },
+}  # fmt: skip
+
+
+def test_length_expressions_cover_every_node_type():
+    compilable = {
+        name[len("_compile_"):]
+        for name in dir(ExpressionCompiler)
+        if name.startswith("_compile_") and name != "_compile_star"
+    }
+    covered = {
+        type(node).__name__.lower()
+        for expression in LENGTH_EXPRESSIONS.values()
+        for node in ast.walk_expression(expression)
+    }
+    assert compilable <= covered
+
+
+@pytest.mark.parametrize("name", sorted(LENGTH_EXPRESSIONS))
+def test_kernel_gives_one_value_per_row(name):
+    """The length contract: an empty chunk gives ``[]``, an n-row chunk
+    n values."""
+    compiled = ExpressionCompiler(SCHEMA).compile(LENGTH_EXPRESSIONS[name])
+
+    def context():
+        return ExecutionContext(
+            database=_Database(),
+            params={"x": 1, "pat": "h%"},
+            subquery_executor=lambda select, params: [(1,)],
+        )
+
+    assert compiled([], context()) == []
+    values = compiled(EDGE_ROWS, context())
+    assert isinstance(values, list) and len(values) == len(EDGE_ROWS)
+    assert evaluate_kernel(compiled, context(), EDGE_ROWS[0]) == values[0]
+
+
+LAZY_SCHEMA = Schema([Column("k", INT), Column("d", INT)])
+
+
+def run_lazy(text, rows):
+    compiled = ExpressionCompiler(LAZY_SCHEMA).compile(parse_expression(text))
+    return compiled(rows, ExecutionContext())
+
+
+class TestLaziness:
+    """A CASE branch, and a COALESCE or ISNULL argument, runs only on the
+    rows that reach it — rows that do not reach it share the chunk."""
+
+    def test_case_branch_runs_only_where_its_condition_holds(self):
+        text = "CASE WHEN k = 1 THEN 0 ELSE 10 / (k - 1) END"
+        assert run_lazy(text, [(1, 0), (2, 0), (None, 0)]) == [0, 10, None]
+
+    def test_case_condition_runs_only_where_no_earlier_when_held(self):
+        text = "CASE WHEN k = 1 THEN 0 WHEN 10 / (k - 1) > 5 THEN 1 ELSE 2 END"
+        assert run_lazy(text, [(1, 0), (2, 0), (3, 0)]) == [0, 1, 2]
+
+    def test_case_branch_still_runs_on_the_rows_that_reach_it(self):
+        with pytest.raises(ExecutionError, match="division by zero"):
+            run_lazy("CASE WHEN k = 1 THEN 10 / d ELSE 0 END", [(2, 0), (1, 0)])
+
+    @pytest.mark.parametrize("function", ["COALESCE", "ISNULL"])
+    def test_fallback_runs_only_on_null_rows(self, function):
+        text = f"{function}(k, 10 / d)"
+        assert run_lazy(text, [(1, 0), (None, 2), (3, 0)]) == [1, 5, 3]
+        assert run_lazy("COALESCE(k, 1 / 0)", [(1, 0), (2, 0)]) == [1, 2]
+        with pytest.raises(ExecutionError, match="division by zero"):
+            run_lazy(text, [(1, 0), (None, 0)])
+
+
+class TestModulo:
+    """``%`` truncates like T-SQL: exact on integers of any size, and the
+    remainder takes the dividend's sign."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("100000000000000001 % 3", 2),
+            ("9223372036854775807 % 10", 7),
+            ("-7 % 3", -1),
+            ("7 % -3", 1),
+            ("7.5 % 2", 1.5),
+            ("-7.5 % 2", -1.5),
+        ],
+    )
+    def test_remainder(self, text, expected):
+        value = evaluate(text)
+        assert value == expected and type(value) is type(expected)
+
+    def test_modulo_by_zero(self):
+        with pytest.raises(ExecutionError, match="modulo by zero"):
+            evaluate("7 % 0")
+
+    def test_through_a_server(self):
+        from repro import Server
+
+        server = Server("modulo")
+        server.create_database("db")
+        result = server.execute("SELECT 9223372036854775807 % 10", database="db")
+        assert result.rows == [(7,)]
+
+
+TYPED_SCHEMA = Schema(
+    [Column("name", VARCHAR(20)), Column("k", INT), Column("d", DATE)]
+)
+TYPED_ROW = ("widget", 3, datetime.date(2003, 6, 9))
+
+MISTYPED = [
+    ("-name", {}),
+    ("-@p", {"p": "x"}),
+    ("ABS(name)", {}),
+    ("ROUND(name, 1)", {}),
+    ("FLOOR(d)", {}),
+    ("YEAR(k)", {}),
+    ("SUBSTRING(name, 'a', 1)", {}),
+]
+
+
+@pytest.mark.parametrize("text, params", MISTYPED, ids=[text for text, _ in MISTYPED])
+def test_mistyped_operand_is_a_type_check_error(text, params):
+    compiled = ExpressionCompiler(TYPED_SCHEMA).compile(parse_expression(text))
+    with pytest.raises(TypeCheckError):
+        evaluate_kernel(compiled, ExecutionContext(params=params), TYPED_ROW)
+
+
+def test_mistyped_parameter_reaches_the_client_as_a_type_check_error():
+    from repro import Server
+    from repro.client import connect
+
+    server = Server("typed")
+    server.create_database("db")
+    server.execute("CREATE TABLE t (name VARCHAR(20))", database="db")
+    server.execute("INSERT INTO t (name) VALUES ('widget')", database="db")
+    cursor = connect(server, database="db").cursor()
+    with pytest.raises(TypeCheckError):
+        cursor.execute("SELECT -@p", {"p": "x"})
+    with pytest.raises(TypeCheckError):
+        cursor.execute("SELECT -name FROM t")

@@ -6,7 +6,8 @@ context builds once per execution; the definition of the predicate is a
 Every combination of candidates and probe — one family, mixed families,
 NULLs on either side, nothing at all, dates against ISO strings, a string
 probed into numbers — must give the oracle's answer or raise what it
-raises, in the scalar and in the batch form.
+raises, on one row and on a chunk. The oracle is restated here and
+checked against ``in_subquery_linear``, the engine's own definition.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro import Server
 from repro.errors import TypeCheckError
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler, sql_equal
+from repro.exec.expressions import ExpressionCompiler, evaluate, in_subquery_linear, sql_equal
 from repro.sql import ast, parse
 from repro.tpcw import TPCWConfig, build_backend, enable_caching
 
@@ -83,10 +84,12 @@ def test_probe_matches_the_linear_scan(name, negated):
     )
     for value in PROBES:
         expected = outcome(lambda: oracle(value, candidates, negated))
+        if value is not None:
+            assert outcome(lambda: in_subquery_linear(value, rows, negated)) == expected
         ctx = ExecutionContext(params={"p": value}, subquery_executor=lambda s, p: rows)
-        assert outcome(lambda: predicate((), ctx)) == expected, (name, value)
+        assert outcome(lambda: evaluate(predicate, ctx)) == expected, (name, value)
         ctx = ExecutionContext(params={"p": value}, subquery_executor=lambda s, p: rows)
-        assert outcome(lambda: predicate.batch([(), ()], ctx)) == (
+        assert outcome(lambda: predicate([(), ()], ctx)) == (
             expected if isinstance(expected, type) else [expected, expected]
         ), (name, value)
 
@@ -105,10 +108,10 @@ def test_the_subquery_runs_once_per_execution_and_not_for_null_probes():
         ast.InSubquery(ast.ColumnRef("x"), SUBQUERY, False)
     )
     ctx = ExecutionContext(subquery_executor=executor)
-    assert predicate.batch([(None,), (None,)], ctx) == [None, None]
+    assert predicate([(None,), (None,)], ctx) == [None, None]
     assert runs == []
-    assert predicate.batch([(1,), (5,), (None,)], ctx) == [True, False, None]
-    assert [predicate((value,), ctx) for value in (2, 3)] == [True, False]
+    assert predicate([(1,), (5,), (None,)], ctx) == [True, False, None]
+    assert [evaluate(predicate, ctx, (value,)) for value in (2, 3)] == [True, False]
     assert len(runs) == 1
 
 

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from repro.common.schema import Column, Schema
 from repro.common.types import VARCHAR
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler, compiled_like_pattern, like_to_regex
+from repro.exec.expressions import (
+    ExpressionCompiler,
+    compiled_like_pattern,
+    evaluate,
+    like_to_regex,
+)
 from repro.sql import parse_expression
 
 #: ASCII letters with non-ASCII case partners under re.IGNORECASE, those
@@ -89,5 +94,5 @@ def test_constant_and_parameter_patterns_agree_with_the_regex(case, null_pattern
         literal = "'" + pattern.replace("'", "''") + "'"
         forms.append(compiler.compile(parse_expression(f"s {operator} {literal}")))
     for compiled in forms:
-        assert compiled.batch(rows, ctx) == expected
-        assert [compiled(row, ctx) for row in rows] == expected
+        assert compiled(rows, ctx) == expected
+        assert [evaluate(compiled, ctx, row) for row in rows] == expected

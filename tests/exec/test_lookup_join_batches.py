@@ -22,7 +22,7 @@ from repro.common.schema import Column, Schema
 from repro.common.types import INT, VARCHAR
 from repro.engine.database import Database
 from repro.exec.context import DEFAULT_BATCH_ROWS, ExecutionContext
-from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import ExpressionCompiler, evaluate
 from repro.exec.operators import IndexLookupJoinOp, ValuesOp
 from repro.exec.reference import evaluate_select
 from repro.sql import parse, parse_expression
@@ -83,7 +83,7 @@ def compiled(schema: Schema, text: str):
 
 
 def values_op():
-    return ValuesOp(LEFT, [[lambda row, ctx, v=v: v for v in left] for left in LEFT_ROWS])
+    return ValuesOp(LEFT, [[lambda rows, ctx, v=v: [v] * len(rows) for v in left] for left in LEFT_ROWS])
 
 
 def row_at_a_time(database, index_name, key_columns, right_predicate, residual, kind):
@@ -106,10 +106,10 @@ def row_at_a_time(database, index_name, key_columns, right_predicate, residual, 
             for _, rid in stored:
                 right_full = table.rows[rid]
                 fetched += 1
-                if right_predicate is not None and right_predicate(right_full, ctx) is not True:
+                if right_predicate is not None and evaluate(right_predicate, ctx, right_full) is not True:
                     continue
                 combined = left_row + tuple(right_full[p] for p in RIGHT_POSITIONS)
-                if residual is None or residual(combined, ctx) is True:
+                if residual is None or evaluate(residual, ctx, combined) is True:
                     matched = True
                     rows.append(combined)
         if kind == "LEFT" and not matched:
@@ -158,7 +158,7 @@ def test_chunked_join_equals_row_at_a_time(batch_rows, kind, shape, filters):
 def test_one_left_row_with_more_matches_than_a_chunk():
     database = make_database()
     key = [compiled(LEFT, "k")]
-    left = ValuesOp(LEFT, [[lambda row, ctx: 5, lambda row, ctx: 0, lambda row, ctx: "five"]])
+    left = ValuesOp(LEFT, [[lambda rows, ctx, v=v: [v] * len(rows) for v in (5, 0, "five")]])
     op = IndexLookupJoinOp(left, RIGHT, "r", "ix_a", key, RIGHT_POSITIONS)
     ctx = ExecutionContext(database=database, batch_rows=2)
     chunks = list(op.execute_batches(ctx))

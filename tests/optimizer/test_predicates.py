@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.context import ExecutionContext
-from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import ExpressionCompiler, evaluate
 from repro.common.schema import Schema
 from repro.optimizer.predicates import (
     and_together,
@@ -121,7 +121,7 @@ class TestConstantImplication:
 class TestParameterGuards:
     def evaluate_guard(self, guard, params):
         blank = ExpressionCompiler(Schema(()))
-        return blank.compile(guard)((), ExecutionContext(params=params))
+        return evaluate(blank.compile(guard), ExecutionContext(params=params))
 
     def test_le_param_generates_guard(self):
         outcome = check("cid <= @cid", "cid <= 1000")

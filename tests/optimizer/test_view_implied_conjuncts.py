@@ -14,6 +14,7 @@ import pytest
 
 from repro import MTCacheDeployment
 from repro.analysis.plancheck import verify_plan
+from repro.exec.expressions import evaluate
 from repro.exec.operators import FilterOp, RemoteQueryOp
 from repro.sharding import ShardedDeployment
 from repro.sharding.routing import decide
@@ -42,7 +43,7 @@ def _passes(filter_op, params=None, **values) -> bool:
     row = [None] * len(filter_op.schema)
     for name, value in values.items():
         row[filter_op.schema.resolve(name)] = value
-    return filter_op.predicate(tuple(row), _Context(params or {})) is True
+    return evaluate(filter_op.predicate, _Context(params or {}), tuple(row)) is True
 
 
 @pytest.fixture(scope="module")

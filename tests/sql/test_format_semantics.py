@@ -14,6 +14,7 @@ from repro.common.types import FLOAT, INT
 from repro.errors import ExecutionError, TypeCheckError
 from repro.exec.context import ExecutionContext
 from repro.exec.expressions import ExpressionCompiler
+from repro.exec.expressions import evaluate as evaluate_kernel
 from repro.sql import ast, parse_expression
 from repro.sql.formatter import format_expression
 
@@ -53,7 +54,7 @@ def expressions(draw, depth=0):
 
 def evaluate(expression):
     compiled = ExpressionCompiler(SCHEMA).compile(expression)
-    return compiled(ROW, ExecutionContext())
+    return evaluate_kernel(compiled, ExecutionContext(), ROW)
 
 
 @settings(max_examples=300, deadline=None)
