@@ -199,6 +199,18 @@ def _day_of(moment: datetime.datetime) -> Tuple[datetime.date, bool]:
     return day, moment == datetime.datetime(day.year, day.month, day.day)
 
 
+def parse_iso(text: str, kind: TypeKind) -> datetime.date:
+    """``text`` as a value of temporal ``kind``: a DATE's ``date`` or a
+    DATETIME's ``datetime``. A string that is no ISO form of one is a
+    :class:`TypeCheckError`, on every path that parses one."""
+    try:
+        if kind is TypeKind.DATETIME:
+            return datetime.datetime.fromisoformat(text)
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        raise TypeCheckError(f"cannot convert {text!r} to {kind.value}") from None
+
+
 def probe_forms(kind: TypeKind) -> Dict[type, Optional[Convert]]:
     """For each Python type the comparison rule accepts against ``kind``,
     how a probe value of that type becomes the column's stored form
@@ -215,12 +227,12 @@ def probe_forms(kind: TypeKind) -> Dict[type, Optional[Convert]]:
     forms: Dict[type, Optional[Convert]] = dict.fromkeys(comparable_types(kind))
     if kind is TypeKind.DATE:
         forms[datetime.datetime] = _day_of
-        forms[str] = lambda text: (datetime.date.fromisoformat(text), True)
+        forms[str] = lambda text: (parse_iso(text, TypeKind.DATE), True)
     elif kind is TypeKind.DATETIME:
         forms[datetime.date] = lambda day: (
             datetime.datetime(day.year, day.month, day.day), True
         )
-        forms[str] = lambda text: (datetime.datetime.fromisoformat(text), True)
+        forms[str] = lambda text: (parse_iso(text, TypeKind.DATETIME), True)
     elif kind in _STRING_KINDS:
         forms[datetime.date] = forms[datetime.datetime] = lambda value: (str(value), True)
     return forms
@@ -321,7 +333,7 @@ def coerce_value(value: Any, sql_type: SqlType) -> Any:
         if isinstance(value, datetime.date):
             return value
         if isinstance(value, str):
-            return datetime.date.fromisoformat(value)
+            return parse_iso(value, kind)
         raise TypeCheckError(f"cannot coerce {value!r} to {sql_type}")
     if kind is TypeKind.DATETIME:
         if isinstance(value, datetime.datetime):
@@ -329,7 +341,7 @@ def coerce_value(value: Any, sql_type: SqlType) -> Any:
         if isinstance(value, datetime.date):
             return datetime.datetime(value.year, value.month, value.day)
         if isinstance(value, str):
-            return datetime.datetime.fromisoformat(value)
+            return parse_iso(value, kind)
         raise TypeCheckError(f"cannot coerce {value!r} to {sql_type}")
     if kind is TypeKind.BOOLEAN:
         if isinstance(value, bool):

@@ -144,7 +144,7 @@ class DistributedTransactionCoordinator:
         """Phase one: every participant votes."""
         if self._finished:
             raise DistributedError("transaction already finished")
-        with _TRACER.span("2pc.prepare", participants=len(self._participants)):
+        with _TRACER.child_span("2pc.prepare", participants=len(self._participants)):
             for _, transaction in self._participants:
                 if not transaction.active:
                     global_registry().counter("dtc.prepare_failures").inc()
@@ -159,7 +159,7 @@ class DistributedTransactionCoordinator:
         :class:`InDoubtRecord` logged — it does *not* keep committing the
         remaining branches (that would widen the inconsistency window).
         """
-        with _TRACER.span("2pc.commit", participants=len(self._participants)):
+        with _TRACER.child_span("2pc.commit", participants=len(self._participants)):
             if not self.prepare():
                 self.rollback()
                 raise DistributedError(
@@ -215,7 +215,7 @@ class DistributedTransactionCoordinator:
         """Abort every still-active participant."""
         if self._finished:
             return
-        with _TRACER.span("2pc.rollback", participants=len(self._participants)):
+        with _TRACER.child_span("2pc.rollback", participants=len(self._participants)):
             for database, transaction in self._participants:
                 if transaction.active:
                     database.transactions.rollback(transaction)

@@ -20,10 +20,10 @@ text copy).
 
 Every link is built by :meth:`LinkedServerRegistry.register` with the
 owning server's tracer, clock and metrics registry, so each remote call
-runs under a client-side span, the retry policy, the circuit breaker and
-the retry budget. The link also tracks simple traffic counters (queries,
-statements, prepares, prepared executions) used by tests and the cluster
-simulator.
+runs under the retry policy, the circuit breaker and the retry budget
+(and, inside a requested trace, a client-side span). The link also
+tracks simple traffic counters (queries, statements, prepares, prepared
+executions) used by tests and the cluster simulator.
 """
 
 from __future__ import annotations
@@ -151,13 +151,13 @@ class ServerLink:
         self._handles: LRUCache = LRUCache(256, on_evict=lambda handle: handle.close())
 
     def _span(self, name: str, **attributes):
-        """Client-side span for one remote call.
+        """Client-side span for one remote call, inside a requested trace.
 
         The target server opens its own spans inside; because the call is
         in-process the context variable makes them children of this one,
         so one exported trace covers both tiers.
         """
-        return self.tracer.span(name, target=self.name, **attributes)
+        return self.tracer.child_span(name, target=self.name, **attributes)
 
     def _invoke(self, kind: str, fn: Callable[[], Any]) -> Any:
         """Run one remote call under the link's resilience machinery.

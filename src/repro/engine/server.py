@@ -57,7 +57,6 @@ from repro.exec.context import (
 from repro.exec.expressions import evaluate
 from repro.exec.operators import BatchCursor, PhysicalOperator
 from repro.obs.metrics import CounterGroupView, MetricsRegistry
-from repro.obs.tracing import NULL_SPAN as _NULL_SPAN
 from repro.obs.tracing import Tracer, active_span
 from repro.optimizer.cost import CostModel
 from repro.optimizer.planner import Optimizer, PlannedStatement
@@ -69,6 +68,11 @@ WORK_FIELDS = tuple(field.name for field in dataclasses.fields(WorkCounters))
 
 #: Capacity of the SQL-text -> statements and statement -> plan LRUs.
 STATEMENT_CACHE_SIZE = 512
+
+#: The statement log's records for one parse-cache hit and one execution
+#: by prepared handle (:class:`~repro.obs.metrics.StatementLog`).
+_PARSE_CACHE_HIT = ("parse_cache_hits", 1)
+_PREPARED_EXECUTION = ("prepared_executions", 1)
 
 
 class PreparedStatement:
@@ -135,12 +139,12 @@ class Server:
         self._statement_seconds = self.metrics.histogram("engine.statement_seconds")
         # Plans are drained through BatchCursor in chunks of ``batch_rows``.
         # Instruments are created eagerly so ``exec.*`` always appears in
-        # metrics exports.
+        # metrics exports (the statement log folds into them).
         self.batch_rows = batch_rows
-        self._exec_batches = self.metrics.counter("exec.batches")
-        self._exec_batch_rows = self.metrics.histogram("exec.batch_rows")
-        self._compiled_cache_hits = self.metrics.counter("exec.compiled_cache_hits")
-        self._compiled_cache_misses = self.metrics.counter("exec.compiled_cache_misses")
+        self.metrics.counter("exec.batches")
+        self.metrics.histogram("exec.batch_rows")
+        self.metrics.counter("exec.compiled_cache_hits")
+        self.metrics.counter("exec.compiled_cache_misses")
         #: Opt-in per-operator profiling for every SELECT on this server
         #: (per-session opt-in: ``Session.statistics_profile``).
         self.profile_statements = False
@@ -189,9 +193,11 @@ class Server:
         # Cumulative work executed on this server (simulator calibration).
         # The counters live in the metrics registry and ``total_work`` is
         # an attribute-compatible facade over them; per-execution
-        # accumulation uses the plain dataclass.
+        # accumulation uses the plain dataclass. Every statement-path
+        # metric goes through the facade's write-behind log: one lock-free
+        # append per site.
         self.total_work = CounterGroupView(self.metrics, "work", WORK_FIELDS)
-        self.statements_executed = 0
+        self._log = self.total_work.log
 
     # -- crash / restart (fault injection) -----------------------------------
 
@@ -309,9 +315,7 @@ class Server:
         self._check_available()
         self._admit("statement batch", session)
         target = self.database(database or session.database)
-        tracer = self.tracer
-        span = tracer.span("batch", sql=sql) if tracer.enabled else _NULL_SPAN
-        with span:
+        with self.tracer.child_span("batch", sql=sql):
             batch, lifted = self._parse_sql(sql, target)
             return self._run_batch(sql, batch, lifted, params, session, target)
 
@@ -359,7 +363,7 @@ class Server:
         version = database.version
         batch = self._parse_cache.get(key, valid=lambda entry: entry.version == version)
         if batch is not None:
-            self.total_work.inc("parse_cache_hits")
+            self._log.append(_PARSE_CACHE_HIT)
             return batch, lifted
         self.parses += 1
         try:
@@ -433,17 +437,22 @@ class Server:
         session: Session,
         database: Database,
     ) -> Result:
-        """Execute one bound statement (batches and procedure bodies)."""
+        """Execute one bound statement (batches and procedure bodies);
+        its seconds, a failed statement's included, are one log record."""
         merged = session.merged_params(params)
-        self.statements_executed += 1
         started = time.perf_counter()
-        if self.tracer.enabled:
-            with self.tracer.span("statement", statement=bound.kind.__name__):
-                result = self._dispatch_statement(bound, merged, database, session)
-        else:
-            result = self._dispatch_statement(bound, merged, database, session)
-        self._statement_seconds.observe(time.perf_counter() - started)
-        return result
+        try:
+            with self.tracer.child_span("statement", statement=bound.kind.__name__):
+                return self._dispatch_statement(bound, merged, database, session)
+        finally:
+            self._log.append(time.perf_counter() - started)
+
+    @property
+    def statements_executed(self) -> int:
+        """Statements executed since the last :meth:`reset_work`: the count
+        of ``engine.statement_seconds``, exact under concurrent writers."""
+        self._log.fold()
+        return self._statement_seconds.count
 
     def _dispatch_statement(
         self,
@@ -649,7 +658,7 @@ class Server:
             planned = cached[1]
         else:
             started = time.perf_counter()
-            with self.tracer.span("optimize"):
+            with self.tracer.child_span("optimize"):
                 planned = self.optimizer_for(database).plan_select(statement)
             self.metrics.histogram("optimizer.plan_seconds").observe(
                 time.perf_counter() - started
@@ -680,11 +689,9 @@ class Server:
             from repro.obs.profile import profiled
 
             with profiled(planned.root) as profile:
-                rows = self._run_plan(planned.root, ctx)
+                rows = self._run_plan(planned.root, ctx, returned=True)
         else:
-            rows = self._run_plan(planned.root, ctx)
-        ctx.work.rows_returned = len(rows)
-        self.total_work.merge(ctx.work)
+            rows = self._run_plan(planned.root, ctx, returned=True)
         result = Result(rows=rows, schema=planned.schema, rowcount=len(rows))
         result.resultsets.append((planned.schema, rows))
         if profile is not None:
@@ -754,23 +761,23 @@ class Server:
         permissions."""
         planned = self.plan_select(select, database)
         ctx = self._make_context(params, database, session)
-        rows = self._run_plan(planned.root, ctx)
-        self.total_work.merge(ctx.work)
-        return rows
+        return self._run_plan(planned.root, ctx)
 
-    def _run_plan(self, root: PhysicalOperator, ctx: ExecutionContext) -> List[Tuple]:
-        """Drain a plan to a row list through :class:`BatchCursor`,
-        recording the ``exec.*`` instruments."""
+    def _run_plan(
+        self, root: PhysicalOperator, ctx: ExecutionContext, returned: bool = False
+    ) -> List[Tuple]:
+        """Drain a plan to a row list through :class:`BatchCursor`, then
+        log its work (``returned``: its rows are the statement's result),
+        chunk sizes and kernel-memo hits and misses as one record."""
         rows: List[Tuple] = []
+        sizes: List[int] = []
         cursor = BatchCursor(root, ctx)
-        batches = 0
         while (chunk := cursor.next_batch()) is not None:
-            batches += 1
             rows.extend(chunk)
-            self._exec_batch_rows.observe(len(chunk))
-        self._exec_batches.inc(batches)
-        self._compiled_cache_hits.inc(ctx.compiled_cache_hits)
-        self._compiled_cache_misses.inc(ctx.compiled_cache_misses)
+            sizes.append(len(chunk))
+        if returned:
+            ctx.work.rows_returned = len(rows)
+        self._log.append((ctx.work, sizes, ctx.compiled_cache_hits, ctx.compiled_cache_misses))
         return rows
 
     def _make_context(
@@ -821,7 +828,7 @@ class Server:
         if autocommit:
             database.transactions.commit(transaction)
             owner.commits += 1
-        self.total_work.merge(ctx.work)
+        self._log.append(ctx.work)
         return result
 
     def _source_runner(self, bound: BoundStatement, params, database, session):
@@ -849,7 +856,7 @@ class Server:
         server_name, text = bound.forward
         result = self.linked_servers.get(server_name).execute_statement_text(text, params)
         session.owner.commits += 1
-        self.total_work.inc("prepared_executions")
+        self._log.append(_PREPARED_EXECUTION)
         return result
 
     # -- procedures ---------------------------------------------------------------
@@ -872,7 +879,7 @@ class Server:
         name = bound.statement.procedure[-1]
         if bound.procedure is not None:
             interpreter = ProcedureInterpreter(self, database, session)
-            with self.tracer.span("procedure", procedure=name):
+            with self.tracer.child_span("procedure", procedure=name):
                 return interpreter.call(bound.procedure, bound.arguments, params)
         if bound.forward is None:
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
@@ -933,11 +940,11 @@ class Server:
                 f"no prepared statement with handle {handle_id} on server {self.name!r}"
             )
         target = self.database(handle.database_key)
-        with self.tracer.span("prepared", handle=handle_id):
+        with self.tracer.child_span("prepared", handle=handle_id):
             if handle.batch.version != target.version:
                 handle.batch, handle.lifted = self._parse_sql(handle.sql, target)
                 handle.reprepares += 1
-            self.total_work.inc("prepared_executions")
+            self._log.append(_PREPARED_EXECUTION)
             return self._run_batch(
                 handle.sql, handle.batch, handle.lifted, params, Session(), target
             )
@@ -978,7 +985,6 @@ class Server:
         steady state being measured); only the statistics reset.
         """
         self.total_work.reset()
-        self.statements_executed = 0
         self.parses = 0
         for cache in (self._parse_cache, self._plan_cache):
             stats = cache.stats

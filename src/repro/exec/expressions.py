@@ -21,10 +21,11 @@ column-vs-constant comparison with the raw Python operator, its
 coercion picked once per chunk (``BETWEEN`` is two such comparisons);
 compile a literal or parameter LIKE pattern once, testing a literal
 core (``%lit%``, ``lit%``, ``%lit``, ``lit``) by containment, prefix,
-suffix or equality instead of its regex; give ``EXISTS`` and scalar
-subqueries one value per chunk (they are uncorrelated, and the context
-memoises their rows); and keep ``CASE``, ``COALESCE`` and ``ISNULL``
-lazy: a branch or argument runs only on the rows that reach it.
+suffix or equality instead of its regex; give ``EXISTS``, scalar
+subqueries (uncorrelated, their rows memoised) and every eager node over
+only row-independent operands (``@p <= 1000``) one value per chunk; and
+keep ``CASE``, ``COALESCE`` and ``ISNULL`` lazy: a branch or argument
+runs only on the rows that reach it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.common.types import (
     is_numeric,
     is_string,
     is_temporal,
+    parse_iso,
     probe_forms,
     value_kind,
 )
@@ -126,9 +128,9 @@ def _as_datetime(value: datetime.date) -> datetime.datetime:
 
 
 def _parse_temporal(text: str, template: Any) -> Any:
-    if isinstance(template, datetime.datetime):
-        return datetime.datetime.fromisoformat(text)
-    return datetime.date.fromisoformat(text)
+    """``text`` parsed as ``template``'s kind (:func:`parse_iso`)."""
+    kind = TypeKind.DATETIME if isinstance(template, datetime.datetime) else TypeKind.DATE
+    return parse_iso(text, kind)
 
 
 def sql_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
@@ -237,7 +239,37 @@ def _strict(label: str, function: Callable[..., Any], kernels: Sequence[Kernel])
     """The kernel mapping a value function over its children's vectors:
     NULL where any argument is NULL. A ``TypeError``, ``AttributeError``
     or ``ValueError`` the function raises (not a child kernel) is the
-    operands' type: it becomes a :class:`TypeCheckError` naming ``label``."""
+    operands' type: it becomes a :class:`TypeCheckError` naming ``label``.
+    Over row-independent children it is row-independent itself: the
+    function runs once per call, on the children's values."""
+
+    if all(map(_is_row_independent, kernels)):
+        values = [kernel.value for kernel in kernels]  # type: ignore[attr-defined]
+        if len(values) == 2:
+            left_value, right_value = values
+
+            def once(ctx):
+                lhs = left_value(ctx)
+                rhs = right_value(ctx)
+                if lhs is None or rhs is None:
+                    return None
+                try:
+                    return function(lhs, rhs)
+                except (TypeError, AttributeError, ValueError) as exc:
+                    raise TypeCheckError(f"{label}: {exc}") from None
+
+        else:
+
+            def once(ctx):
+                args = [value(ctx) for value in values]
+                if None in args:
+                    return None
+                try:
+                    return function(*args)
+                except (TypeError, AttributeError, ValueError) as exc:
+                    raise TypeCheckError(f"{label}: {exc}") from None
+
+        return _per_chunk(once)
 
     if len(kernels) == 2:
         left, right = kernels
@@ -265,8 +297,16 @@ def _strict(label: str, function: Callable[..., Any], kernels: Sequence[Kernel])
 
 
 def _per_chunk(value: Callable[[Any], Any]) -> Kernel:
-    """The kernel of a row-independent value, computed once per non-empty chunk."""
-    return lambda rows, ctx: [value(ctx)] * len(rows) if rows else []
+    """The row-independent kernel of ``value(ctx)``: computed once per
+    non-empty chunk and repeated, never on an empty one. Its ``value`` is
+    what a parent over row-independent operands reads instead of a
+    batch (:func:`_is_row_independent`)."""
+
+    def row_independent(rows, ctx):
+        return [value(ctx)] * len(rows) if rows else []
+
+    row_independent.value = value  # type: ignore[attr-defined]
+    return row_independent
 
 
 def _fill(results: List[Any], positions: List[int], kernel: Kernel, rows, ctx) -> None:
@@ -460,8 +500,9 @@ _FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _is_row_independent(kernel: Kernel) -> bool:
-    """True when the kernel ignores the rows (literal or parameter)."""
-    return hasattr(kernel, "constant_value") or hasattr(kernel, "parameter_name")
+    """True when the kernel ignores the rows: a literal, a parameter, a
+    per-chunk value, or an eager node over only those (:func:`_per_chunk`)."""
+    return hasattr(kernel, "value")
 
 
 class ExpressionCompiler:
@@ -483,24 +524,14 @@ class ExpressionCompiler:
 
     def _compile_literal(self, node: ast.Literal) -> Kernel:
         value = node.value
-
-        def literal(rows, ctx):
-            return [value] * len(rows)
-
-        literal.constant_value = value  # type: ignore[attr-defined]
-        return literal
+        return _per_chunk(lambda ctx: value)
 
     def _compile_columnref(self, node: ast.ColumnRef) -> Kernel:
         return column_maker(self.schema.resolve(node.name, node.qualifier))
 
     def _compile_parameter(self, node: ast.Parameter) -> Kernel:
         name = node.name
-
-        def parameter(rows, ctx):
-            return [ctx.param(name)] * len(rows)
-
-        parameter.parameter_name = name  # type: ignore[attr-defined]
-        return parameter
+        return _per_chunk(lambda ctx: ctx.param(name))
 
     def _compile_star(self, node: ast.Star) -> Kernel:
         raise ExecutionError("'*' is only valid in select lists and COUNT(*)")
@@ -513,6 +544,11 @@ class ExpressionCompiler:
         op = node.op
         if op in ("AND", "OR"):
             combine = sql_and if op == "AND" else sql_or
+            if _is_row_independent(left) and _is_row_independent(right):
+                left_value, right_value = left.value, right.value  # type: ignore[attr-defined]
+                return _per_chunk(
+                    lambda ctx: combine(_as_bool(left_value(ctx)), _as_bool(right_value(ctx)))
+                )
 
             def logical(rows, ctx):
                 # Both sides evaluate on every row (no short circuit).
@@ -556,11 +592,12 @@ class ExpressionCompiler:
             native = str
         temporal = sql_type is not None and is_temporal(sql_type)
         comparator = _COMPARATORS[effective_op]
+        hoisted_value = hoisted.value  # type: ignore[attr-defined]
 
         def fast(rows, ctx):
             if not rows:
                 return []
-            other = evaluate(hoisted, ctx)
+            other = hoisted_value(ctx)
             if other is None:
                 return [None] * len(rows)
             if isinstance(other, bool):
@@ -592,6 +629,9 @@ class ExpressionCompiler:
     def _compile_unaryop(self, node: ast.UnaryOp) -> Kernel:
         operand = self.compile(node.operand)
         if node.op == "NOT":
+            if _is_row_independent(operand):
+                value = operand.value  # type: ignore[attr-defined]
+                return _per_chunk(lambda ctx: sql_not(_as_bool(value(ctx))))
             return lambda rows, ctx: [sql_not(_as_bool(v)) for v in operand(rows, ctx)]
         if node.op == "-":
             return _strict("unary -", _operator.neg, (operand,))
@@ -599,6 +639,9 @@ class ExpressionCompiler:
 
     def _compile_isnull(self, node: ast.IsNull) -> Kernel:
         operand = self.compile(node.operand)
+        if _is_row_independent(operand):
+            value, negated = operand.value, node.negated  # type: ignore[attr-defined]
+            return _per_chunk(lambda ctx: (value(ctx) is None) != negated)
         if node.negated:
             return lambda rows, ctx: [v is not None for v in operand(rows, ctx)]
         return lambda rows, ctx: [v is None for v in operand(rows, ctx)]
@@ -607,6 +650,16 @@ class ExpressionCompiler:
         operand = self.compile(node.operand)
         items = [self.compile(item) for item in node.items]
         negated = node.negated
+        if all(map(_is_row_independent, [operand, *items])):
+            value = operand.value  # type: ignore[attr-defined]
+            item_values = [item.value for item in items]  # type: ignore[attr-defined]
+
+            def once(ctx):
+                probe = value(ctx)
+                candidates = [item_value(ctx) for item_value in item_values]
+                return None if probe is None else sql_in(probe, candidates, negated)
+
+            return _per_chunk(once)
 
         def in_list(rows, ctx):
             candidates = zip(*[item(rows, ctx) for item in items])
@@ -664,13 +717,15 @@ class ExpressionCompiler:
         operand = self.compile(node.operand)
         pattern_kernel = self.compile(node.pattern)
         negated = node.negated
-        if _is_row_independent(pattern_kernel):
+        if _is_row_independent(pattern_kernel) and not _is_row_independent(operand):
             # A literal or parameter pattern is fixed within an execution:
             # read once per chunk, compiled once through the memo.
+            pattern_value = pattern_kernel.value  # type: ignore[attr-defined]
+
             def match_hoisted(rows, ctx):
                 if not rows:
                     return []
-                pattern = evaluate(pattern_kernel, ctx)
+                pattern = pattern_value(ctx)
                 if pattern is None:
                     return [None] * len(rows)
                 results = compiled_like_pattern(str(pattern)).matches(operand(rows, ctx))

@@ -869,7 +869,7 @@ class RemoteQueryOp(PhysicalOperator):
             raise ExecutionError("no linked servers registered in context")
         server = ctx.linked_servers.get(self.server_name)
         if ctx.tracer is not None:
-            span = ctx.tracer.span("remote.query", server=self.server_name)
+            span = ctx.tracer.child_span("remote.query", server=self.server_name)
         else:
             from repro.obs.tracing import NULL_SPAN
 

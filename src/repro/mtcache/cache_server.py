@@ -130,14 +130,14 @@ class CacheServer:
                 raise
             self.statements_forwarded += 1
             self.server.metrics.counter("mtcache.statements_forwarded").inc()
-            with self.server.tracer.span("forward.statement", target="backend"):
+            with self.server.tracer.child_span("forward.statement", target="backend"):
                 return self._on_backend(sql, params, session)
         except (LinkUnavailableError, ServerUnavailableError, CircuitOpenError):
             if not self._read_only_batch(sql):
                 raise
             self.fallback_reads += 1
             self.server.metrics.counter("resilience.fallback_reads").inc()
-            with self.server.tracer.span("failover.read", target="backend"):
+            with self.server.tracer.child_span("failover.read", target="backend"):
                 return self._on_backend(sql, params, session)
         if result.read_only:
             self._record_degraded_candidate(sql, params, result)

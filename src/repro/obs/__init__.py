@@ -3,12 +3,12 @@
 Four pillars, one package:
 
 * :mod:`repro.obs.metrics` — thread-safe metrics registry (counters,
-  gauges, fixed-bucket histograms), cheap enough to be always-on. Every
-  :class:`~repro.engine.server.Server` owns one; the old ``total_work``
-  counters are a facade over it.
-* :mod:`repro.obs.tracing` — structured trace spans with parent/child
-  linkage, propagated across linked-server calls via context variables
-  and exported through a bounded ring buffer.
+  gauges, fixed-bucket histograms). Every
+  :class:`~repro.engine.server.Server` owns one, fed by a lock-free
+  statement log; the old ``total_work`` counters are a facade over it.
+* :mod:`repro.obs.tracing` — structured trace spans, opened only inside a
+  requested trace, propagated across linked-server calls via context
+  variables and exported through a bounded ring buffer.
 * :mod:`repro.obs.profile` — opt-in per-operator execution profiles
   (actual rows / opens / wall time per plan operator), rendered as an
   annotated plan tree.

@@ -4,26 +4,26 @@ One :class:`MetricsRegistry` per server (plus a process-global registry
 for components that do not belong to a server, like the DTC). The design
 goals, in order:
 
-1. **Always-on.** Recording a metric must be cheap enough that nothing in
-   the engine needs a "profiling build". Hot per-row loops keep using the
-   plain :class:`~repro.exec.context.WorkCounters` dataclass; the registry
-   is touched at statement/batch granularity only.
-2. **Thread-safe.** Each metric guards its state with its own lock, so a
-   multi-threaded load driver and a background replication agent can
-   record concurrently without corrupting counts.
+1. **Free on the statement path.** Hot per-row loops keep using the
+   plain :class:`~repro.exec.context.WorkCounters` dataclass; each
+   statement-path site makes one lock-free append to a server's
+   :class:`StatementLog`, folded into the registry's metrics on read.
+2. **Thread-safe.** A metric's updates, and each fold, take the
+   metric's lock, so load-driver threads and a replication agent can
+   record concurrently without losing a count.
 3. **Exportable.** ``snapshot()`` renders every metric to plain dicts that
    serialize to JSON untouched (the export API and the ``python -m repro
    metrics`` CLI build on this).
 
 Metric identity is ``name`` plus an optional ``labels`` mapping; the same
-(name, labels) pair always returns the same metric object, so callers may
-either hold on to the object (hot paths) or re-look it up (cold paths).
+(name, labels) pair always returns the same metric object.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from collections import deque
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.locks import mutex
 
@@ -32,6 +32,10 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
+
+#: Records a :class:`StatementLog` holds before the writer whose append
+#: passes the bound folds them, so a registry nobody reads stays bounded.
+LOG_BOUND = 1024
 
 
 def _metric_key(name: str, labels: Optional[Mapping[str, Any]]) -> str:
@@ -128,6 +132,18 @@ class Histogram:
             self.count += 1
             self.sum += value
 
+    def observe_all(self, values: List[float]) -> None:
+        """Observe every value in ``values`` under one lock acquisition."""
+        buckets = self.buckets
+        positions = [bisect_left(buckets, value) for value in values]
+        total = sum(values)
+        with self._lock:
+            counts = self.counts
+            for position in positions:
+                counts[position] += 1
+            self.count += len(positions)
+            self.sum += total
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -160,8 +176,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # Write-behind aggregators (CounterGroupView) register a flush
-        # callback so snapshot()/reset() always see settled values.
+        # Write-behind logs (StatementLog) register a flush callback so
+        # snapshot()/reset() always see settled values.
         self._flush_hooks: list = []
 
     def register_flush(self, hook) -> None:
@@ -228,80 +244,141 @@ class MetricsRegistry:
         )
 
 
+class StatementLog:
+    """The write-behind log of one server's statement-path metrics.
+
+    A writer makes one ``deque.append`` per site and takes no lock (deque
+    appends are thread-safe). :meth:`fold` drains the log with
+    ``popleft`` (each record lands in exactly one fold) and adds what it
+    drained to the registry's counters and histograms, one locked update
+    per metric. Folds run on every registry flush (``snapshot()``,
+    ``reset()``), on every :class:`CounterGroupView` read, and in the
+    writer whose append passes :data:`LOG_BOUND`; a fold holds no lock of
+    its own, so one racing another may return before the other's records
+    land. A record is one of:
+
+    * ``(name, amount)``: ``amount`` more on work counter ``name``;
+    * a work object (a ``WorkCounters``): each field's delta;
+    * ``(work, chunk_sizes, memo_hits, memo_misses)``: one drained plan,
+      its work, one ``exec.batches`` and ``exec.batch_rows`` sample per
+      chunk, and its kernel-memo hits and misses;
+    * a ``float``: one statement's seconds.
+
+    A work object is logged once its execution is over; nothing writes
+    it after that.
+    """
+
+    def __init__(self, registry: MetricsRegistry, prefix: str, fields: Iterable[str]):
+        self.registry = registry
+        self.counters = {name: registry.counter(f"{prefix}.{name}") for name in fields}
+        self._records: "deque[Any]" = deque()
+        registry.register_flush(self.fold)
+
+    def append(self, record: Any) -> None:
+        """Log one record: a lock-free append, and a fold past the bound."""
+        records = self._records
+        records.append(record)
+        if len(records) > LOG_BOUND:
+            self.fold()
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def fold(self) -> None:
+        """Drain the log into the registry's metrics."""
+        records = self._records
+        if not records:
+            return
+        drained = []
+        pop = records.popleft
+        try:
+            for _ in range(len(records)):
+                drained.append(pop())
+        except IndexError:  # a concurrent fold drained the rest
+            pass
+        work = dict.fromkeys(self.counters, 0)
+        seconds: List[float] = []
+        chunks: List[int] = []
+        hits = misses = 0
+        for record in drained:
+            kind = type(record)
+            if kind is float:
+                seconds.append(record)
+                continue
+            if kind is tuple:
+                if len(record) == 2:
+                    work[record[0]] += record[1]
+                    continue
+                record, sizes, memo_hits, memo_misses = record
+                chunks.extend(sizes)
+                hits += memo_hits
+                misses += memo_misses
+            for name, delta in record.__dict__.items():
+                if delta:
+                    work[name] += delta
+        for name, delta in work.items():
+            if delta:
+                self.counters[name].inc(delta)
+        registry = self.registry
+        if seconds:
+            registry.histogram("engine.statement_seconds").observe_all(seconds)
+        if chunks:
+            registry.counter("exec.batches").inc(len(chunks))
+            registry.histogram("exec.batch_rows").observe_all(chunks)
+        if hits:
+            registry.counter("exec.compiled_cache_hits").inc(hits)
+        if misses:
+            registry.counter("exec.compiled_cache_misses").inc(misses)
+
+
 class CounterGroupView:
     """Attribute-style facade over a group of registry counters.
 
     Lets ``server.total_work.rows_processed`` keep working — reads and
     ``+=`` writes included — while the registry is the single source of
-    truth for exported values.
-
-    Writes are **write-behind**: ``merge``/``inc`` accumulate into a
-    pending-delta dict under one lock (one acquire per statement instead
-    of one per touched counter) and the deltas settle into the registry
-    counters on ``flush`` — which runs on every read, on ``snapshot`` and
-    automatically before ``MetricsRegistry.snapshot()``/``reset()``. Hot
-    paths therefore pay a dict-scan plus one lock; readers always see
-    settled values.
+    truth for exported values. Writes are **write-behind**: ``inc`` and
+    ``merge`` append one record to the view's :class:`StatementLog`
+    (``log``), with no lock; every read folds the log first, so readers
+    always see settled values.
     """
 
     def __init__(self, registry: MetricsRegistry, prefix: str, fields: Iterable[str]):
-        counters = {name: registry.counter(f"{prefix}.{name}") for name in fields}
-        object.__setattr__(self, "_counters", counters)
-        object.__setattr__(self, "_pending", dict.fromkeys(counters, 0))
-        object.__setattr__(self, "_lock", mutex())
-        registry.register_flush(self.flush)
-
-    def flush(self) -> None:
-        """Settle pending deltas into the registry counters."""
-        pending = self._pending
-        with self._lock:
-            for name, delta in pending.items():
-                if delta:
-                    self._counters[name].inc(delta)
-                    pending[name] = 0
+        log = StatementLog(registry, prefix, fields)
+        object.__setattr__(self, "log", log)
+        object.__setattr__(self, "_counters", log.counters)
 
     def __getattr__(self, name: str) -> int:
         counters = self._counters
         if name not in counters:
             raise AttributeError(name)
-        self.flush()
+        self.log.fold()
         return counters[name].value
 
     def __setattr__(self, name: str, value: int) -> None:
         counter = self._counters.get(name)
         if counter is None:
             raise AttributeError(f"unknown work counter {name!r}")
-        with self._lock:
-            self._pending[name] = 0
+        self.log.fold()
         counter.set(value)
 
     def inc(self, name: str, amount: int = 1) -> None:
-        """Bump one counter: the cheap single-field write for hot paths.
-
-        ``view.X += 1`` works but costs a settled read *and* a write;
-        ``view.inc("X")`` is one locked dict add.
-        """
-        with self._lock:
-            self._pending[name] += amount
+        """Bump one counter: one lock-free append (``view.X += 1`` costs
+        a settled read *and* a write)."""
+        if name not in self._counters:
+            raise AttributeError(f"unknown work counter {name!r}")
+        self.log.append((name, amount))
 
     def merge(self, other: Any) -> None:
-        """Add a per-execution ``WorkCounters``: one dict scan under a
-        single lock, adds for non-zero fields."""
-        pending = self._pending
-        with self._lock:
-            for name, delta in other.__dict__.items():
-                if delta:
-                    pending[name] += delta
+        """Add a per-execution ``WorkCounters``, finished: one append."""
+        self.log.append(other)
 
     def reset(self) -> None:
-        with self._lock:
-            for name in self._pending:
-                self._pending[name] = 0
+        self.log.fold()
         for counter in self._counters.values():
             counter.reset()
 
     def snapshot(self) -> Dict[str, int]:
-        self.flush()
+        self.log.fold()
         return {name: counter.value for name, counter in self._counters.items()}
 
     def __repr__(self) -> str:

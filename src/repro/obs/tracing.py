@@ -3,26 +3,25 @@
 One TPC-W interaction executed through a cache server fans out across
 tiers: parse and optimize on the mid tier, local execution against cached
 views, shipped remote SQL on the backend, forwarded DML inside a 2PC.
-Tracing stitches those pieces back into one tree.
-
-The design mirrors OpenTelemetry's span model, cut down to what this
-codebase needs:
+Tracing stitches those pieces back into one tree, on OpenTelemetry's span
+model cut down to what this codebase needs:
 
 * A :class:`Span` carries ids (trace/span/parent), a service name (which
-  server produced it), wall-clock bounds, a status and free-form
-  attributes.
-* The *active* span lives in a :mod:`contextvars` context variable. A new
-  span adopts the active span as parent — and because linked-server calls
-  are in-process method calls, span context propagates across the
-  ``ServerLink`` boundary for free: the backend's spans become children of
-  the mid-tier span that shipped the SQL, with no wire protocol needed.
+  server produced it), wall-clock bounds, a status and attributes.
+* The *active* span lives in a :mod:`contextvars` context variable and a
+  new span adopts it as parent; linked-server calls are in-process, so
+  the backend's spans nest under the mid-tier span that shipped the SQL.
 * Finished spans land in a bounded ring-buffer :class:`SpanCollector`
-  (default: one process-global collector shared by every tracer, so a
-  cross-server trace can be exported in one piece).
+  (by default one process-global collector shared by every tracer, so a
+  cross-server trace exports in one piece).
 
-Tracers can be disabled per server (``tracer.enabled = False``); a
-disabled tracer hands out a shared no-op context manager, keeping the
-instrumentation cost of the off state to one attribute check.
+A trace is opened on request: :meth:`Tracer.span` always opens a span,
+roots included, and is how a caller (the TPC-W driver, a test) asks for
+one. The engine's own sites call :meth:`Tracer.child_span`, which hands
+out the shared no-op :data:`NULL_SPAN` unless a span is active: an
+untraced statement pays one context-variable read per site and leaves
+the ring empty. A disabled tracer (``tracer.enabled = False``) hands out
+:data:`NULL_SPAN` from both.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class Span:
     active span as parent, takes the ids and the start time and makes it
     the active span; leaving it records the end (and an escaping error),
     restores the previous active span and hands it to its collector. One
-    object per span: spans are created on the statement hot path, so a
-    plain ``__slots__`` class with no separate context object.
+    object per span: a traced statement opens several, so a plain
+    ``__slots__`` class with no separate context object.
     """
 
     __slots__ = (
@@ -188,7 +187,8 @@ def global_collector() -> SpanCollector:
 
 
 class _NullSpanContext:
-    """Shared no-op context manager handed out by disabled tracers."""
+    """Shared no-op context manager: a disabled tracer's span, and an
+    engine site's outside a trace."""
 
     __slots__ = ()
 
@@ -238,8 +238,15 @@ class Tracer:
         self.enabled = enabled
 
     def span(self, name: str, **attributes: Any):
-        """Open a child span of whatever span is currently active."""
+        """Open a span: a child of the active span, else a trace's root."""
         if not self.enabled:
+            return NULL_SPAN
+        return Span(name, self.service, attributes, self.collector)
+
+    def child_span(self, name: str, **attributes: Any):
+        """Open a span only inside a trace someone asked for: a child of
+        the active span, else :data:`NULL_SPAN` (the engine's sites)."""
+        if not self.enabled or _ACTIVE.get() is None:
             return NULL_SPAN
         return Span(name, self.service, attributes, self.collector)
 

@@ -101,6 +101,6 @@ class DistributionAgent:
         saved = len(pending) - 1
         self.round_trips_saved += saved
         if saved:
-            subscriber.database.owner_server.total_work.round_trips_saved += saved
+            subscriber.database.owner_server.total_work.inc("round_trips_saved", saved)
         replication_metrics.record_batch(self, len(pending), now=now)
         return len(pending)

@@ -21,6 +21,7 @@ from repro.exec.expressions import (
     ExpressionCompiler,
     _as_bool,
     _coerce_pair,
+    _is_row_independent,
     compiled_like_pattern,
     evaluate as evaluate_kernel,
     in_subquery_linear,
@@ -254,50 +255,6 @@ class TestCoercionEdgeCases:
             _coerce_pair(datetime.date(2003, 1, 1), 5)
 
 
-#: Rows with NULLs, cross-type numerics, bools-as-ints, and boundary
-#: strings — the inputs where a vectorized fast path could drift from
-#: the scalar semantics.
-EDGE_ROWS = [
-    (1, 2.5, "hello"),
-    (None, None, None),
-    (0, 0.0, ""),
-    (-7, 1.0, "HELLO"),
-    (2, -2.5, "h_llo"),
-    (True, 2.0, "hel"),
-    (1000000, 1e-9, "hello world"),
-    (None, 3.5, "xyz"),
-    (3, None, "hello"),
-]
-
-BATCH_EXPRESSIONS = [
-    "a = 1",
-    "a <> 1",
-    "a < 2",
-    "a <= 0",
-    "a > -1",
-    "a >= 1000000",
-    "1 < a",  # flipped orientation normalizes to a > 1
-    "2.5 >= b",
-    "b = 2.5",
-    "s = 'hello'",
-    "s < 'i'",
-    "s LIKE 'he%'",
-    "s LIKE '%l_o'",
-    "s LIKE @pat",
-    "a = @x",
-    "a IS NULL",
-    "b IS NOT NULL",
-    "a = 1 AND b > 0",
-    "a = 1 OR s = 'xyz'",
-    "NOT (a = 1)",
-    "a + 1",
-    "-b",
-    "a BETWEEN 0 AND 2",
-    "a IN (1, 2, NULL)",
-    "COALESCE(a, 99)",
-]
-
-
 def oracle(node, row, params):
     """``node``'s value on one row, read straight off the value-level
     definitions: no kernel, no column-vs-constant path, no literal-core
@@ -390,6 +347,21 @@ BATCH_EXPRESSIONS = [
     "a BETWEEN 0 AND 2",
     "a IN (1, 2, NULL)",
     "COALESCE(a, 99)",
+    # Nodes over row-independent operands only: one value per chunk.
+    "@x = 1",
+    "@x <= 1000",
+    "2 > @x",
+    "@x + 1",
+    "-@x",
+    "NOT (@x = 5)",
+    "@x = 1 AND 2 > 1",
+    "@nope = 1 OR @x = 1",
+    "@x IS NULL",
+    "@nope IS NOT NULL",
+    "@x IN (1, 2, NULL)",
+    "@x BETWEEN 0 AND 2",
+    "'hello' LIKE @pat",
+    "a = @x + 1",
 ]
 
 
@@ -497,6 +469,17 @@ LENGTH_EXPRESSIONS = {
     "exists": ast.Exists(SUBQUERY),
     "not exists": ast.Exists(SUBQUERY, negated=True),
     "scalar subquery": ast.ScalarSubquery(SUBQUERY),
+    "constant comparison guard": parse_expression("@x <= 1000"),
+    "constant arithmetic": parse_expression("@x + 1"),
+    "constant negate": parse_expression("-@x"),
+    "constant not": parse_expression("NOT (@x = 5)"),
+    "constant and": parse_expression("@x = 1 AND 2 > 1"),
+    "constant is null": parse_expression("@x IS NULL"),
+    "constant in list": parse_expression("@x IN (1, NULL)"),
+    "constant like": parse_expression("'abc' LIKE @pat"),
+    "constant function": parse_expression("ABS(@x)"),
+    "staleness guard": parse_expression("STALENESS() <= 5"),
+    "column against constant arithmetic": parse_expression("a = @x + 1"),
     **{
         name: parse_expression(text)
         for name, text in [
@@ -579,6 +562,59 @@ class TestLaziness:
             run_lazy(text, [(1, 0), (None, 0)])
 
 
+class TestRowIndependentNodes:
+    """An eager node whose operands are all row-independent computes its
+    value once per call and repeats it; a lazy one stays lazy."""
+
+    HOISTED = ["@x <= 1000", "@x + 1", "-@x", "NOT (@x = 5)", "@x = 1 AND 2 > 1",
+               "@x IS NULL", "@x IN (1, NULL)", "'abc' LIKE @pat", "ABS(@x)",
+               "STALENESS() <= 5", "1 / 0"]  # fmt: skip
+
+    @pytest.mark.parametrize("text", HOISTED)
+    def test_is_row_independent(self, text):
+        assert _is_row_independent(ExpressionCompiler(SCHEMA).compile(parse_expression(text)))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a + 1", "a = @x", "CASE WHEN @x = 0 THEN 0 ELSE 1 END", "COALESCE(@x, 1)"],
+    )
+    def test_row_dependent_and_lazy_nodes_are_not(self, text):
+        compiled = ExpressionCompiler(SCHEMA).compile(parse_expression(text))
+        assert not _is_row_independent(compiled)
+
+    def test_value_is_computed_once_per_call(self):
+        class Counting(ExecutionContext):
+            reads = 0
+
+            def param(self, name):
+                Counting.reads += 1
+                return super().param(name)
+
+        compiled = ExpressionCompiler(SCHEMA).compile(parse_expression("-(@x + 1) * 2"))
+        assert compiled(EDGE_ROWS, Counting(params={"x": 1})) == [-4] * len(EDGE_ROWS)
+        assert Counting.reads == 1
+
+    def test_empty_batch_evaluates_nothing(self):
+        compiled = ExpressionCompiler(SCHEMA).compile(parse_expression("@x / 0"))
+        ctx = ExecutionContext(params={"x": 1})
+        assert compiled([], ctx) == []
+        with pytest.raises(ExecutionError, match="division by zero"):
+            compiled(EDGE_ROWS[:1], ctx)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("CASE WHEN @x = 0 THEN 0 ELSE 1 / @x END", 0),
+            ("COALESCE(@y, 1 / @x)", 7),
+            ("ISNULL(@y, 1 / @x)", 7),
+        ],
+    )
+    def test_lazy_nodes_over_constants_stay_lazy(self, text, expected):
+        compiled = ExpressionCompiler(SCHEMA).compile(parse_expression(text))
+        ctx = ExecutionContext(params={"x": 0, "y": 7})
+        assert compiled(EDGE_ROWS, ctx) == [expected] * len(EDGE_ROWS)
+
+
 class TestModulo:
     """``%`` truncates like T-SQL: exact on integers of any size, and the
     remainder takes the dividend's sign."""
@@ -647,3 +683,25 @@ def test_mistyped_parameter_reaches_the_client_as_a_type_check_error():
         cursor.execute("SELECT -@p", {"p": "x"})
     with pytest.raises(TypeCheckError):
         cursor.execute("SELECT -name FROM t")
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+@pytest.mark.parametrize("predicate", ["d = @p", "d >= @p"])
+def test_malformed_date_string_parameter_is_a_type_check_error(indexed, predicate):
+    """A string that is no ISO date, compared with a DATE column, is the
+    operands' type error whether a filter or an index seek meets it."""
+    from repro import Server
+
+    server = Server("dates")
+    server.create_database("db")
+    server.execute("CREATE TABLE t (k INT PRIMARY KEY, d DATE)", database="db")
+    if indexed:
+        server.execute("CREATE INDEX ix_t_d ON t (d)", database="db")
+    server.execute("INSERT INTO t (k, d) VALUES (1, '2003-06-09')", database="db")
+    server.execute("INSERT INTO t (k, d) VALUES (2, '2003-06-10')", database="db")
+    sql = f"SELECT k FROM t WHERE {predicate}"
+    plan = "\n".join(row[0] for row in server.execute(f"EXPLAIN {sql}", database="db").rows)
+    assert ("ix_t_d" in plan) == indexed
+    assert server.execute(sql, {"p": "2003-06-10"}, database="db").rows == [(2,)]
+    with pytest.raises(TypeCheckError, match="garbage"):
+        server.execute(sql, {"p": "garbage"}, database="db")

@@ -92,9 +92,12 @@ class TestCrossServerPropagation:
     """Satellite: span propagation across a linked-server round trip."""
 
     def _remote_query(self, cache, cid):
-        return cache.execute(
-            "SELECT cname FROM customer WHERE cid = @cid", params={"cid": cid}
-        )
+        # The engine opens spans only inside a trace someone asked for:
+        # the caller's root span (on the mid tier's tracer) asks.
+        with cache.server.tracer.span("request"):
+            return cache.execute(
+                "SELECT cname FROM customer WHERE cid = @cid", params={"cid": cid}
+            )
 
     def test_backend_spans_are_children_of_midtier_span(self, cache):
         # cid=150 is outside the cached view's cid<=100 range: the
@@ -148,6 +151,40 @@ class TestCrossServerPropagation:
             while node.parent_id is not None and node.service != "cache1":
                 node = by_id[node.parent_id]
             assert node.service == "cache1"
+
+
+class TestTraceContract:
+    """The engine opens spans only inside a trace a caller asked for."""
+
+    SQL = "SELECT cname FROM customer WHERE cid = @cid"
+
+    def test_bare_server_execute_records_no_span(self, backend):
+        assert backend.execute(self.SQL, {"cid": 5}).rows == [("cust5",)]
+        assert len(global_collector()) == 0
+
+    def test_bare_cache_execute_records_no_span(self, cache):
+        for cid in (5, 150):  # local, then remote through the link
+            cache.execute(self.SQL, {"cid": cid})
+        assert len(global_collector()) == 0
+
+    def test_a_callers_root_gets_the_whole_tree(self, cache):
+        cache.execute(self.SQL, {"cid": 150})  # prepares the remote handle
+        with cache.server.tracer.span("request") as root:
+            assert cache.execute(self.SQL, {"cid": 150}).rows == [("cust150",)]
+        spans = global_collector().spans()
+        assert {span.trace_id for span in spans} == {root.trace_id}
+        assert [(span.service, span.name) for span in sorted(spans, key=lambda s: s.span_id)] == [
+            ("cache1", "request"),
+            ("cache1", "batch"),
+            ("cache1", "statement"),
+            ("cache1", "remote.query"),
+            ("cache1", "remote.prepared"),
+            ("backend", "prepared"),
+            ("backend", "statement"),
+        ]
+        chain = sorted(spans, key=lambda s: s.span_id)
+        for parent, child in zip(chain, chain[1:]):
+            assert child.parent_id == parent.span_id
 
 
 class TestPropagatedTrace:
