@@ -25,7 +25,6 @@ Quickstart::
 from repro.client import Connection, ConnectionPool, Cursor, connect
 from repro.common.clock import SimulatedClock
 from repro.engine import Database, Result, Server, Session
-from repro.faults import FaultInjector
 from repro.mtcache import CacheServer, MTCacheDeployment
 from repro.optimizer import CostModel, Optimizer
 from repro.resilience import CircuitBreaker, FailoverRouter, RetryPolicy
@@ -42,7 +41,6 @@ __all__ = [
     "Result",
     "Server",
     "Session",
-    "FaultInjector",
     "CacheServer",
     "MTCacheDeployment",
     "CostModel",

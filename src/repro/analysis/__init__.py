@@ -23,14 +23,11 @@ from __future__ import annotations
 import os
 
 from repro.analysis.plancheck import PlanVerifier, check_plan, verify_plan
-from repro.analysis.selflint import lint_package, lint_source
 
 __all__ = [
     "PlanVerifier",
     "check_plan",
     "verify_plan",
-    "lint_package",
-    "lint_source",
     "checked_plans_default",
 ]
 

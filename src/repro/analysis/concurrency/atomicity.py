@@ -27,7 +27,6 @@ protocol with machinery *independent* of the code that implements it:
 from __future__ import annotations
 
 import ast as pyast
-import dataclasses
 import inspect
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -108,14 +107,14 @@ def check_statement_coverage(
 
 
 def _walk_table_names(node: object) -> Iterator[sqlast.TableName]:
-    """Every TableName reachable from a statement, via generic dataclass
+    """Every TableName reachable from a statement, via generic field
     traversal — deliberately independent of the engine's own walker."""
     if isinstance(node, sqlast.TableName):
         yield node
         return
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        for field in dataclasses.fields(node):
-            yield from _walk_table_names(getattr(node, field.name))
+    if isinstance(node, sqlast.Node):
+        for name in node._fields:
+            yield from _walk_table_names(getattr(node, name))
     elif isinstance(node, (list, tuple)):
         for item in node:
             yield from _walk_table_names(item)

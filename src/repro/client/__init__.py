@@ -2,9 +2,9 @@
 
 This package is the one sanctioned way for application code to talk to
 the engine. Every execution target — engine server, cache facade,
-failover router, shard router, wire client — speaks one protocol,
-``execute(sql, params=None, session=None)``, and applications reach any
-of them through:
+failover router, shard router (:mod:`repro.client.shard_router`), wire
+client — speaks one protocol, ``execute(sql, params=None,
+session=None)``, and applications reach any of them through:
 
     connection = connect(server_or_cache, database="tpcw")
     cursor = connection.cursor()
@@ -23,6 +23,5 @@ this package and ``repro.engine`` itself, nothing constructs a raw
 
 from repro.client.connection import Connection, Cursor, connect
 from repro.client.pool import ConnectionPool
-from repro.client.shard_router import ShardRouter
 
-__all__ = ["Connection", "ConnectionPool", "Cursor", "ShardRouter", "connect"]
+__all__ = ["Connection", "ConnectionPool", "Cursor", "connect"]

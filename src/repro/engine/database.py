@@ -93,12 +93,7 @@ class Database:
         Intended for initial database population (before any subscriber
         exists); replicated environments snapshot after bulk load.
         """
-        storage = self.storage_table(table_name)
-        count = 0
-        for row in rows:
-            storage.insert(row)
-            count += 1
-        return count
+        return self.storage_table(table_name).insert_many(rows)
 
     # -- statistics ---------------------------------------------------------
 

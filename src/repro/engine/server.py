@@ -38,6 +38,7 @@ from repro.engine.results import Result
 from repro.engine.session import Session
 from repro.errors import (
     CatalogError,
+    DeadlineExceededError,
     ExecutionError,
     LexError,
     ParseError,
@@ -56,10 +57,11 @@ from repro.exec.context import (
 )
 from repro.exec.expressions import evaluate
 from repro.exec.operators import BatchCursor, PhysicalOperator
-from repro.obs.metrics import CounterGroupView, MetricsRegistry
+from repro.obs.metrics import ROW_BUCKETS, CounterGroupView, MetricsRegistry
 from repro.obs.tracing import Tracer, active_span
 from repro.optimizer.cost import CostModel
 from repro.optimizer.planner import Optimizer, PlannedStatement
+from repro.resilience.deadline import current_deadline
 from repro.sql import ast, lift_literals, overlay, parse_statements
 
 #: The work-counter field names, taken from the dataclass so the
@@ -142,7 +144,7 @@ class Server:
         # metrics exports (the statement log folds into them).
         self.batch_rows = batch_rows
         self.metrics.counter("exec.batches")
-        self.metrics.histogram("exec.batch_rows")
+        self.metrics.histogram("exec.batch_rows", ROW_BUCKETS)
         self.metrics.counter("exec.compiled_cache_hits")
         self.metrics.counter("exec.compiled_cache_misses")
         #: Opt-in per-operator profiling for every SELECT on this server
@@ -252,12 +254,8 @@ class Server:
         transaction holds the database: shedding its statements — its
         ``ROLLBACK`` above all — only keeps everyone else out for longer.
         """
-        from repro.resilience.deadline import current_deadline
-
         deadline = current_deadline()
         if deadline is not None and deadline.expired():
-            from repro.errors import DeadlineExceededError
-
             self.metrics.counter("overload.deadline_misses").inc()
             raise DeadlineExceededError(
                 f"deadline exceeded before {what} on server {self.name!r}"

@@ -8,7 +8,7 @@
   permissions but empty tables; cached materialized views maintained by
   replication; transparent cost-based routing of queries and transparent
   forwarding of updates and stored-procedure calls.
-* :class:`OdbcSourceRegistry` — the redirection mechanism that makes
+* :mod:`repro.mtcache.odbc` — the redirection mechanism that makes
   caching transparent to applications: re-point a logical data source from
   the backend to a cache server without touching application code. Each
   name is an :class:`OdbcSource`, an execution target that forwards to
@@ -17,17 +17,10 @@
 
 from repro.mtcache.deployment import MTCacheDeployment
 from repro.mtcache.cache_server import CacheServer
-from repro.mtcache.odbc import OdbcSource, OdbcSourceRegistry
 from repro.mtcache.scripts import generate_shadow_script
-from repro.mtcache.advisor import AdvisorReport, CacheAdvisor, WorkloadStatement
 
 __all__ = [
     "MTCacheDeployment",
     "CacheServer",
-    "OdbcSource",
-    "OdbcSourceRegistry",
     "generate_shadow_script",
-    "CacheAdvisor",
-    "AdvisorReport",
-    "WorkloadStatement",
 ]

@@ -19,7 +19,15 @@ from repro.catalog.objects import ViewDef
 from repro.common.lru import LRUCache
 from repro.common.schema import Column, Schema
 from repro.engine import Database, Server
-from repro.errors import ReplicationError
+from repro.errors import (
+    BindError,
+    CatalogError,
+    CircuitOpenError,
+    LinkUnavailableError,
+    OverloadError,
+    ReplicationError,
+    ServerUnavailableError,
+)
 from repro.replication.agent import DistributionAgent
 from repro.replication.subscription import Subscriber, Subscription
 from repro.sql import ast, parse
@@ -105,15 +113,6 @@ class CacheServer:
         the :class:`~repro.errors.OverloadError`: load shedding must
         never silently drop a write.
         """
-        from repro.errors import (
-            BindError,
-            CatalogError,
-            CircuitOpenError,
-            LinkUnavailableError,
-            OverloadError,
-            ServerUnavailableError,
-        )
-
         try:
             result = self.server.execute(
                 sql, params=params, session=session, database=self.shadow_db_name

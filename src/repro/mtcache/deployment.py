@@ -295,12 +295,11 @@ class MTCacheDeployment:
         """Initial population: copy current matching rows into ``target``
         (the new view's storage on a freshly drained cache)."""
         source = self.backend_database.storage_table(article.source_table)
-        copied = 0
-        for chunk in source.scan_batches(DEFAULT_BATCH_ROWS):
-            for row in article.select(chunk):
-                target.insert(row)
-                copied += 1
-        return copied
+        return target.insert_many(
+            row
+            for chunk in source.scan_batches(DEFAULT_BATCH_ROWS)
+            for row in article.select(chunk)
+        )
 
     # -- faults & resilience ----------------------------------------------------
 

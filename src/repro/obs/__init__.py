@@ -27,7 +27,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-from repro.obs.profile import ExecutionProfile, OperatorProfile, profiled
 from repro.obs.tracing import (
     Span,
     SpanCollector,
@@ -44,9 +43,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "global_registry",
-    "ExecutionProfile",
-    "OperatorProfile",
-    "profiled",
     "Span",
     "SpanCollector",
     "Tracer",

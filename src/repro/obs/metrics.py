@@ -33,6 +33,9 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
 
+#: Buckets for counts of rows (``exec.batch_rows``: rows per drained chunk).
+ROW_BUCKETS: Tuple[int, ...] = (1, 8, 64, 256, 1024, 4096)
+
 #: Records a :class:`StatementLog` holds before the writer whose append
 #: passes the bound folds them, so a registry nobody reads stays bounded.
 LOG_BOUND = 1024
@@ -324,7 +327,7 @@ class StatementLog:
             registry.histogram("engine.statement_seconds").observe_all(seconds)
         if chunks:
             registry.counter("exec.batches").inc(len(chunks))
-            registry.histogram("exec.batch_rows").observe_all(chunks)
+            registry.histogram("exec.batch_rows", ROW_BUCKETS).observe_all(chunks)
         if hits:
             registry.counter("exec.compiled_cache_hits").inc(hits)
         if misses:

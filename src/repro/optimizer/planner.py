@@ -32,7 +32,7 @@ executor:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.common.schema import Column, Schema
@@ -1651,7 +1651,7 @@ class Optimizer:
             if not self._exists_on_backend(leaf.source.table_name):
                 return None
 
-        stripped = replace(select, freshness=None)
+        stripped = select.replace(freshness=None)
         sql_text = format_statement(stripped)
         schema = local_plan.op.schema
         backend_plan = self._backend_estimate(stripped)

@@ -9,6 +9,7 @@ tables (the paper's contrast with DBCache).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -29,12 +30,16 @@ class Article:
     predicate: Optional[ast.Expression] = None
 
     # Compiled state (populated by bind()).
-    _positions: Optional[List[int]] = field(default=None, repr=False)
+    _project: Any = field(default=None, repr=False)  # full row -> article row
     _predicate_fn: Any = field(default=None, repr=False)
 
     def bind(self, source_schema: Schema) -> None:
         """Resolve the article against the source table's schema."""
-        self._positions = [source_schema.resolve(column) for column in self.columns]
+        positions = [source_schema.resolve(column) for column in self.columns]
+        if len(positions) == 1:
+            self._project = lambda row, position=positions[0]: (row[position],)
+        else:
+            self._project = operator.itemgetter(*positions)
         if self.predicate is not None:
             qualified_schema = source_schema.with_qualifier(self.source_table)
             self._predicate_fn = ExpressionCompiler(qualified_schema).compile(self.predicate)
@@ -53,13 +58,13 @@ class Article:
         if self._predicate_fn is not None and rows:
             selection = self._predicate_fn(rows, _BLANK_CONTEXT)
             rows = [row for row, keep in zip(rows, selection) if keep is True]
-        return [self.project(row) for row in rows]
+        return list(map(self.project, rows))
 
     def project(self, row: Tuple) -> Tuple:
         """Project a full source row to the article's column subset."""
-        if self._positions is None:
+        if self._project is None:
             raise ReplicationError(f"article {self.name!r} is not bound")
-        return tuple(row[position] for position in self._positions)
+        return self._project(row)
 
 
 _BLANK_CONTEXT = ExecutionContext()

@@ -50,7 +50,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.client.connection import engine_of, execute_home, execute_on
+# The module, not its names: the engine imports this package while
+# ``repro.client.connection`` (which imports the engine) is still loading.
+from repro.client import connection
 from repro.errors import CircuitOpenError, LinkUnavailableError, ServerUnavailableError
 from repro.resilience.deadline import check_deadline
 
@@ -102,7 +104,7 @@ class FailoverRouter:
         ``connection.server``; anchoring that to the primary keeps one
         coherent observability stream across failovers.
         """
-        return engine_of(self.primary)
+        return connection.engine_of(self.primary)
 
     # ------------------------------------------------------------------
     def execute(
@@ -110,7 +112,7 @@ class FailoverRouter:
     ) -> Any:
         check_deadline("failover routing")
         if session is not None and session.in_transaction:
-            return execute_home(sql, params, session)
+            return connection.execute_home(sql, params, session)
         if self.state == self.FAILED_OVER:
             now = self.clock.now()
             if now >= self._next_probe:
@@ -123,11 +125,13 @@ class FailoverRouter:
                 self._next_probe = now + self.probe_interval
         if self.state == self.NORMAL:
             try:
-                return execute_on(self.primary, self.primary_database, sql, params, session)
+                return connection.execute_on(
+                    self.primary, self.primary_database, sql, params, session
+                )
             except _REROUTE_ERRORS:
                 self._fail_over()
         self.rerouted_statements += 1
-        return execute_on(self.fallback, self.fallback_database, sql, params, session)
+        return connection.execute_on(self.fallback, self.fallback_database, sql, params, session)
 
     # ------------------------------------------------------------------
     def _fail_over(self) -> None:

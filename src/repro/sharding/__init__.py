@@ -5,7 +5,7 @@ cache server, so each server pays the full apply cost and the tier tops
 out where replication work saturates one cache (five servers in the
 paper). This package partitions instead: each shard subscribes to a
 horizontal slice of the hot tables, apply work divides across the tier,
-and a shard-aware router (:class:`repro.client.ShardRouter`) sends
+and a shard-aware router (:class:`repro.client.shard_router.ShardRouter`) sends
 single-key statements to the owning shard and scatter-gathers scans.
 
 Placement lives in :mod:`repro.sharding.ring`; the declaration of where
@@ -18,14 +18,12 @@ rebalancing in :mod:`repro.sharding.deployment` and
 
 from repro.sharding.deployment import ShardedDeployment
 from repro.sharding.policy import ShardingPolicy, TablePartition, tpcw_sharding_policy
-from repro.sharding.rebalance import Rebalancer
 from repro.sharding.ring import RangePartitioner, stable_hash
 from repro.sharding.routing import decide, procedure_routes
 from repro.sharding.scatter import ScatterQuery, decompose
 
 __all__ = [
     "RangePartitioner",
-    "Rebalancer",
     "ScatterQuery",
     "ShardedDeployment",
     "ShardingPolicy",

@@ -113,7 +113,7 @@ class ShardedDeployment:
                 where = slice_predicate(partition.key_column, low, high)
                 if view.select.where is not None:
                     where = ast.BinaryOp(op="AND", left=view.select.where, right=where)
-                view = replace(view, select=replace(view.select, where=where))
+                view = view.replace(select=view.select.replace(where=where))
             yield view, partition
 
     def _routed_procedures(self) -> List[str]:

@@ -50,7 +50,7 @@ procedures all tie-break on the unique item title anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.locks import named_tables
@@ -77,7 +77,7 @@ class ScatterQuery:
         for key in self.keys:
             conjunct = slice_predicate(key.name, low, high, key.qualifier)
             where = conjunct if where is None else ast.BinaryOp("AND", where, conjunct)
-        return AS_WRITTEN + format_statement(replace(self.select, where=where))
+        return AS_WRITTEN + format_statement(self.select.replace(where=where))
 
     def merge(self, shard_rows: Sequence[Sequence[Tuple]]) -> List[Tuple]:
         """Re-merge per-shard row sets: sort, TOP, strip appended columns."""
@@ -277,7 +277,7 @@ def decompose(
         for table in partitioned
     )
     return ScatterQuery(
-        select=replace(select, items=tuple(items)),
+        select=select.replace(items=tuple(items)),
         keys=keys,
         sort_keys=tuple(sort_keys),
         top=top,

@@ -9,13 +9,12 @@ is the normal form statement-keyed caches key on (literals lifted to
 reserved parameter markers before any parse).
 """
 
-from repro.sql.lexer import Lexer, Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import Parser, parse, parse_expression, parse_statements
 from repro.sql.formatter import format_expression, format_statement
 from repro.sql.lift import AS_WRITTEN, RESERVED_PREFIX, lift_literals, overlay
 
 __all__ = [
-    "Lexer",
     "Token",
     "TokenType",
     "tokenize",

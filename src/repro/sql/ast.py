@@ -1,15 +1,18 @@
 """AST node classes for the T-SQL subset.
 
-Nodes are plain dataclasses. Expression nodes and statement nodes share a
-small base so visitors (binder, evaluator, formatter) can dispatch on type.
-Table names carry up to four dot-separated parts, matching SQL Server's
-``server.database.schema.object`` linked-server naming.
+A node class declares its fields as annotations, in order, with optional
+defaults; :class:`Node` gives every such class a frozen constructor,
+field equality and hashing, a ``repr`` and :meth:`Node.replace`, set up
+once per class when it is defined. Expression nodes and statement nodes
+share a small base so visitors (binder, evaluator, formatter) can
+dispatch on type. Table names carry up to four dot-separated parts,
+matching SQL Server's ``server.database.schema.object`` linked-server
+naming.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.common.types import (
     BIGINT,
@@ -28,9 +31,99 @@ from repro.common.types import (
 from repro.errors import TypeCheckError
 from repro.sql.lift import marker_type
 
+_set = object.__setattr__
+_N = TypeVar("_N", bound="Node")
+
 
 class Node:
-    """Base class for every AST node."""
+    """Base class for every AST node.
+
+    ``_fields`` names a class's fields in declaration order (a subclass's
+    follow its base's); defaults, as in a dataclass, are the trailing
+    fields' class attributes. Nodes are immutable: two are equal when they
+    are of the same class with equal fields, and hash as the tuple of
+    their fields (``_row``, kept from construction; the hash is computed
+    once, on first use).
+    """
+
+    _fields: Tuple[str, ...] = ()
+    _defaults: Dict[str, Any] = {}
+    _row: Tuple[Any, ...] = ()
+    _hash: Optional[int] = None
+
+    if TYPE_CHECKING:  # each class's own is made by __init_subclass__
+
+        def __init__(self, *args: Any, **kwargs: Any) -> None: ...
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        declared = cls.__dict__
+        own = declared.get("__annotations__", {})
+        names = cls._fields + tuple(name for name in own if name not in cls._fields)
+        defaults = {**cls._defaults, **{name: declared[name] for name in own if name in declared}}
+        cls._fields, cls._defaults = names, defaults
+        count = len(names)
+        required = count - len(defaults)
+        tail = tuple(defaults[name] for name in names[required:])
+
+        def __init__(self, *args: Any, **kwargs: Any) -> None:
+            if kwargs or not required <= len(args) <= count:
+                args = _bind(cls, args, kwargs)
+            elif len(args) < count:
+                args += tail[len(args) - required :]
+            _set(self, "_row", args)
+            for name, value in zip(names, args):
+                _set(self, name, value)
+
+        cls.__init__ = __init__  # type: ignore
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._row == other._row
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(self._row)
+            _set(self, "_hash", cached)
+        return cached
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._row))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self: _N, **changes: Any) -> _N:
+        """A copy of this node with the named fields changed."""
+        return type(self)(**{**dict(zip(self._fields, self._row)), **changes})
+
+
+def _bind(cls: Any, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
+    """Constructor arguments -> the field values in order, defaults filled
+    in; a ``TypeError`` where a wrong argument list would get one."""
+    names = cls._fields
+    values = cls._defaults.copy()
+    values.update(zip(names, args))
+    values.update(kwargs)
+    if (
+        len(values) == len(names) >= len(args)
+        and (not args or kwargs.keys().isdisjoint(names[: len(args)]))
+        and all(map(values.__contains__, names))
+    ):
+        return tuple(map(values.__getitem__, names))
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+    for name in kwargs:
+        if name in names[: len(args)] or name not in names:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {name!r}")
+    missing = next(name for name in names if name not in values)
+    raise TypeError(f"{cls.__name__}() missing argument {missing!r}")
 
 
 class Expression(Node):
@@ -46,14 +139,12 @@ class Statement(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Literal(Expression):
     """A constant: number, string, or NULL (``value is None``)."""
 
     value: Any
 
 
-@dataclass(frozen=True)
 class ColumnRef(Expression):
     """A possibly qualified column reference like ``c.name``."""
 
@@ -64,21 +155,18 @@ class ColumnRef(Expression):
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-@dataclass(frozen=True)
 class Parameter(Expression):
     """A run-time parameter or local variable marker, ``@name``."""
 
     name: str
 
 
-@dataclass(frozen=True)
 class Star(Expression):
     """``*`` or ``alias.*`` in a select list or COUNT(*)."""
 
     qualifier: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class BinaryOp(Expression):
     """A binary operation: arithmetic, comparison, AND/OR."""
 
@@ -87,7 +175,6 @@ class BinaryOp(Expression):
     right: Expression
 
 
-@dataclass(frozen=True)
 class UnaryOp(Expression):
     """NOT or unary minus."""
 
@@ -95,7 +182,6 @@ class UnaryOp(Expression):
     operand: Expression
 
 
-@dataclass(frozen=True)
 class IsNull(Expression):
     """``expr IS [NOT] NULL``."""
 
@@ -103,7 +189,6 @@ class IsNull(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class InList(Expression):
     """``expr [NOT] IN (value, ...)``."""
 
@@ -112,7 +197,6 @@ class InList(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class InSubquery(Expression):
     """``expr [NOT] IN (SELECT ...)``."""
 
@@ -121,7 +205,6 @@ class InSubquery(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Between(Expression):
     """``expr [NOT] BETWEEN low AND high``."""
 
@@ -131,7 +214,6 @@ class Between(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class Like(Expression):
     """``expr [NOT] LIKE pattern`` with ``%`` and ``_`` wildcards."""
 
@@ -140,7 +222,6 @@ class Like(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class CaseWhen(Expression):
     """Searched CASE expression."""
 
@@ -148,7 +229,6 @@ class CaseWhen(Expression):
     else_result: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class FuncCall(Expression):
     """A function call: aggregate (COUNT/SUM/AVG/MIN/MAX) or scalar."""
 
@@ -164,7 +244,6 @@ class FuncCall(Expression):
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
-@dataclass(frozen=True)
 class Exists(Expression):
     """``[NOT] EXISTS (SELECT ...)``."""
 
@@ -172,7 +251,6 @@ class Exists(Expression):
     negated: bool = False
 
 
-@dataclass(frozen=True)
 class ScalarSubquery(Expression):
     """A parenthesised subquery used as a scalar value."""
 
@@ -188,7 +266,6 @@ class TableRef(Node):
     """Base class for FROM-clause items."""
 
 
-@dataclass(frozen=True)
 class TableName(TableRef):
     """A (possibly multi-part) table or view name with an optional alias.
 
@@ -220,7 +297,6 @@ class TableName(TableRef):
         return f"{name} AS {self.alias}" if self.alias else name
 
 
-@dataclass(frozen=True)
 class DerivedTable(TableRef):
     """A parenthesised subquery in FROM, with a mandatory alias."""
 
@@ -228,7 +304,6 @@ class DerivedTable(TableRef):
     alias: str
 
 
-@dataclass(frozen=True)
 class JoinRef(TableRef):
     """An explicit join between two table references."""
 
@@ -243,7 +318,6 @@ class JoinRef(TableRef):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SelectItem(Node):
     """One select-list entry: an expression, optional alias, optional
     T-SQL assignment target (``SELECT @x = expr``)."""
@@ -253,7 +327,6 @@ class SelectItem(Node):
     target_parameter: Optional[str] = None
 
 
-@dataclass(frozen=True)
 class OrderItem(Node):
     """One ORDER BY entry."""
 
@@ -261,14 +334,12 @@ class OrderItem(Node):
     descending: bool = False
 
 
-@dataclass(frozen=True)
 class FreshnessSpec(Node):
     """The paper's proposed freshness clause: result may be this stale."""
 
     max_staleness_seconds: float
 
 
-@dataclass(frozen=True)
 class Select(Statement):
     """A SELECT statement (also used as a subquery body)."""
 
@@ -283,7 +354,6 @@ class Select(Statement):
     freshness: Optional[FreshnessSpec] = None
 
 
-@dataclass(frozen=True)
 class Explain(Statement):
     """``EXPLAIN <select>`` — return the optimizer's plan as text rows."""
 
@@ -291,7 +361,6 @@ class Explain(Statement):
     costs: bool = False  # EXPLAIN WITH COSTS
 
 
-@dataclass(frozen=True)
 class UnionAll(Statement):
     """``select UNION ALL select [UNION ALL ...]`` (bag union).
 
@@ -307,7 +376,6 @@ class UnionAll(Statement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Insert(Statement):
     """INSERT ... VALUES or INSERT ... SELECT."""
 
@@ -317,7 +385,6 @@ class Insert(Statement):
     select: Optional[Select] = None
 
 
-@dataclass(frozen=True)
 class Update(Statement):
     """UPDATE table SET col = expr, ... [WHERE]."""
 
@@ -326,7 +393,6 @@ class Update(Statement):
     where: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class Delete(Statement):
     """DELETE FROM table [WHERE]."""
 
@@ -339,7 +405,6 @@ class Delete(Statement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ColumnDef(Node):
     """A column definition inside CREATE TABLE."""
 
@@ -350,7 +415,6 @@ class ColumnDef(Node):
     default: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class ForeignKeyDef(Node):
     """A table-level FOREIGN KEY constraint."""
 
@@ -359,7 +423,6 @@ class ForeignKeyDef(Node):
     ref_columns: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class CreateTable(Statement):
     """CREATE TABLE with column and table-level constraints."""
 
@@ -369,7 +432,6 @@ class CreateTable(Statement):
     foreign_keys: Tuple[ForeignKeyDef, ...] = ()
 
 
-@dataclass(frozen=True)
 class CreateIndex(Statement):
     """CREATE [UNIQUE] [CLUSTERED] INDEX name ON table (cols)."""
 
@@ -380,7 +442,6 @@ class CreateIndex(Statement):
     clustered: bool = False
 
 
-@dataclass(frozen=True)
 class CreateView(Statement):
     """CREATE [MATERIALIZED|CACHED] VIEW name AS select.
 
@@ -394,7 +455,6 @@ class CreateView(Statement):
     cached: bool = False
 
 
-@dataclass(frozen=True)
 class ProcedureParam(Node):
     """A stored-procedure parameter declaration."""
 
@@ -403,7 +463,6 @@ class ProcedureParam(Node):
     default: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class CreateProcedure(Statement):
     """CREATE PROCEDURE name @p type, ... AS BEGIN body END."""
 
@@ -412,7 +471,6 @@ class CreateProcedure(Statement):
     body: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
 class DropObject(Statement):
     """DROP TABLE/INDEX/VIEW/PROCEDURE name."""
 
@@ -420,7 +478,6 @@ class DropObject(Statement):
     name: str
 
 
-@dataclass(frozen=True)
 class Grant(Statement):
     """GRANT SELECT ON object TO principal (simplified permission model)."""
 
@@ -434,7 +491,6 @@ class Grant(Statement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Declare(Statement):
     """DECLARE @name type [= expr]."""
 
@@ -443,7 +499,6 @@ class Declare(Statement):
     initial: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class SetVariable(Statement):
     """SET @name = expr."""
 
@@ -451,7 +506,6 @@ class SetVariable(Statement):
     value: Expression
 
 
-@dataclass(frozen=True)
 class IfStatement(Statement):
     """IF cond BEGIN ... END [ELSE BEGIN ... END]."""
 
@@ -460,7 +514,6 @@ class IfStatement(Statement):
     else_body: Tuple[Statement, ...] = ()
 
 
-@dataclass(frozen=True)
 class WhileStatement(Statement):
     """WHILE cond BEGIN ... END."""
 
@@ -468,21 +521,18 @@ class WhileStatement(Statement):
     body: Tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
 class ReturnStatement(Statement):
     """RETURN [expr]."""
 
     value: Optional[Expression] = None
 
 
-@dataclass(frozen=True)
 class PrintStatement(Statement):
     """PRINT expr (diagnostics only)."""
 
     value: Expression
 
 
-@dataclass(frozen=True)
 class Execute(Statement):
     """EXEC proc [@p = expr | expr, ...]; proc may be multi-part."""
 
@@ -495,17 +545,14 @@ class Execute(Statement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BeginTransaction(Statement):
     """BEGIN TRANSACTION."""
 
 
-@dataclass(frozen=True)
 class CommitTransaction(Statement):
     """COMMIT [TRANSACTION]."""
 
 
-@dataclass(frozen=True)
 class RollbackTransaction(Statement):
     """ROLLBACK [TRANSACTION]."""
 

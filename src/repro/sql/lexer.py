@@ -1,14 +1,17 @@
-"""Hand-written lexer for the T-SQL subset.
+"""Lexer for the T-SQL subset: one compiled pattern, one ``finditer`` loop.
 
-Produces a flat list of :class:`Token`. Keywords are recognised
-case-insensitively but identifiers preserve their original spelling.
-``@name`` produces a PARAMETER token (T-SQL parameter/variable marker).
+:data:`TOKEN` is the dialect's one lexical grammar; :func:`tokenize` turns
+its matches into a flat, EOF-terminated list of :class:`Token`, and
+:func:`~repro.sql.lift.lift_literals` scans with the same pattern.
+Keywords are recognised case-insensitively but identifiers preserve their
+original spelling. ``@name`` produces a PARAMETER token (T-SQL
+parameter/variable marker).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 from typing import List
 
 from repro.errors import LexError
@@ -51,18 +54,46 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATOR_START = "=<>!+-*/%"
-_TWO_CHAR_OPERATORS = {"<=", ">=", "<>", "!=", "=="}
+#: One token after any whitespace and comments; a match with no group is
+#: the end of the text. ``other`` takes any single character, so a
+#: construct that never closes (a string, a ``[name]``, a block comment)
+#: or a bare ``@`` surfaces as its opening character there. A string ends
+#: at a quote not followed by another (``''`` inside is an escaped quote),
+#: and a number has at most one exponent (``1e5e6`` is ``1e5`` then ``e6``).
+TOKEN = re.compile(
+    r"""(?:\s+|--[^\n]*|/\*.*?\*/)*(?:
+      (?P<string>'(?:[^']|'')*'(?!'))
+    | (?P<name>\[[^\]]*\]|@\w+)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<number>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE]\d+)?)
+    | (?P<compare><=|>=|<>|!=|[<>]|=(?!=))
+    | (?P<other>==|\S)
+    | \Z)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+_OTHER = {
+    "(": TokenType.LPAREN, ")": TokenType.RPAREN, ",": TokenType.COMMA,
+    ".": TokenType.DOT, ";": TokenType.SEMICOLON, "*": TokenType.STAR,
+    **dict.fromkeys(("==", "+", "-", "/", "%", "!"), TokenType.OPERATOR),
+}  # fmt: skip
+_UNCLOSED = {
+    "'": "unterminated string literal",
+    "[": "unterminated [identifier]",
+    "@": "'@' must be followed by a parameter name",
+}
 
 
-@dataclass(frozen=True)
 class Token:
     """A lexical token with position information for error messages."""
 
-    type: TokenType
-    value: str
-    line: int
-    column: int
+    __slots__ = ("type", "value", "line", "column")
+
+    def __init__(self, type: TokenType, value: str, line: int, column: int):
+        self.type = type
+        self.value = value
+        self.line = line
+        self.column = column
 
     def is_keyword(self, *words: str) -> bool:
         """Return True if this token is one of the given keywords."""
@@ -72,163 +103,50 @@ class Token:
         return f"Token({self.type.name}, {self.value!r})"
 
 
-class Lexer:
-    """Scans SQL text into tokens."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokens(self) -> List[Token]:
-        """Scan the whole input and return the token list (EOF-terminated)."""
-        result: List[Token] = []
-        while True:
-            token = self._next_token()
-            result.append(token)
-            if token.type is TokenType.EOF:
-                return result
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.text):
-            return self.text[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", self.line, self.column)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self.line, self.column
-        if self.pos >= len(self.text):
-            return Token(TokenType.EOF, "", line, column)
-        char = self._peek()
-
-        if char == "'":
-            return self._scan_string(line, column)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._scan_number(line, column)
-        if char == "@":
-            return self._scan_parameter(line, column)
-        if char.isalpha() or char == "_" or char == "[":
-            return self._scan_identifier(line, column)
-
-        simple = {
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            ",": TokenType.COMMA,
-            ".": TokenType.DOT,
-            ";": TokenType.SEMICOLON,
-        }
-        if char in simple:
-            self._advance()
-            return Token(simple[char], char, line, column)
-        if char == "*":
-            self._advance()
-            return Token(TokenType.STAR, "*", line, column)
-        if char in _OPERATOR_START:
-            two = char + self._peek(1)
-            if two in _TWO_CHAR_OPERATORS:
-                self._advance(2)
-                return Token(TokenType.OPERATOR, "<>" if two == "!=" else two, line, column)
-            self._advance()
-            return Token(TokenType.OPERATOR, char, line, column)
-        raise LexError(f"unexpected character {char!r}", line, column)
-
-    def _scan_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        chunks: List[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexError("unterminated string literal", line, column)
-            char = self._peek()
-            if char == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chunks.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(TokenType.STRING, "".join(chunks), line, column)
-            chunks.append(char)
-            self._advance()
-
-    def _scan_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        seen_dot = False
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char.isdigit():
-                self._advance()
-            elif char == "." and not seen_dot and self._peek(1).isdigit():
-                seen_dot = True
-                self._advance()
-            elif char in "eE" and self._peek(1).isdigit():
-                seen_dot = True  # treat exponent as float
-                self._advance(2)
-            else:
-                break
-        return Token(TokenType.NUMBER, self.text[start : self.pos], line, column)
-
-    def _scan_parameter(self, line: int, column: int) -> Token:
-        self._advance()  # @
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        name = self.text[start : self.pos]
-        if not name:
-            raise LexError("'@' must be followed by a parameter name", line, column)
-        return Token(TokenType.PARAMETER, name, line, column)
-
-    def _scan_identifier(self, line: int, column: int) -> Token:
-        if self._peek() == "[":  # bracket-quoted identifier
-            self._advance()
-            start = self.pos
-            while self.pos < len(self.text) and self._peek() != "]":
-                self._advance()
-            if self.pos >= len(self.text):
-                raise LexError("unterminated [identifier]", line, column)
-            name = self.text[start : self.pos]
-            self._advance()
-            return Token(TokenType.IDENT, name, line, column)
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        word = self.text[start : self.pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line, column)
-        return Token(TokenType.IDENT, word, line, column)
-
-
 def tokenize(text: str) -> List[Token]:
-    """Tokenize SQL text; convenience wrapper around :class:`Lexer`."""
-    return Lexer(text).tokens()
+    """Scan ``text`` and return its tokens, EOF-terminated.
+
+    Raises :class:`LexError` at the offending token's line and column (at
+    the end of the text for a block comment that never closes).
+    """
+    tokens: List[Token] = []
+    line, line_start, counted = 1, 0, 0  # newlines are counted up to ``counted``
+    for match in TOKEN.finditer(text):
+        kind = match.lastgroup
+        start = match.start(kind) if kind else match.end()
+        breaks = text.count("\n", counted, start)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        if kind is None:
+            break
+        value = match.group(kind)
+        if kind == "word":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, upper, line, column))
+            else:
+                tokens.append(Token(TokenType.IDENT, value, line, column))
+        elif kind == "name":
+            if value[0] == "@":
+                tokens.append(Token(TokenType.PARAMETER, value[1:], line, column))
+            else:
+                tokens.append(Token(TokenType.IDENT, value[1:-1], line, column))
+        elif kind == "number":
+            tokens.append(Token(TokenType.NUMBER, value, line, column))
+        elif kind == "string":
+            tokens.append(Token(TokenType.STRING, value[1:-1].replace("''", "'"), line, column))
+        elif kind == "compare":
+            tokens.append(Token(TokenType.OPERATOR, "<>" if value == "!=" else value, line, column))
+        elif value == "/" and text.startswith("*", match.end()):
+            end_line = text.count("\n") + 1
+            raise LexError("unterminated block comment", end_line, len(text) - text.rfind("\n"))
+        elif value in _OTHER:
+            tokens.append(Token(_OTHER[value], value, line, column))
+        else:
+            message = _UNCLOSED.get(value) or f"unexpected character {value!r}"
+            raise LexError(message, line, column)
+    tokens.append(Token(TokenType.EOF, "", line, column))
+    return tokens

@@ -20,12 +20,12 @@ correct, merely less shared:
    alone (which also makes an already-lifted text a no-op downstream), and
    :func:`overlay` refuses a parameter dict that does. A generated text
    whose literals are part of its shape says so with :data:`AS_WRITTEN`.
-4. One compiled scanner, no second ``tokenize()``; a text with no quote
-   and no digit outside a word is returned after a character-class search.
-5. The scanner's strings, comments, bracket names and numbers are the
-   lexer's; a sign is an operator and stays outside the marker, and a
-   literal with a word character right behind it (``5abc``) stays, since
-   the marker would swallow what the lexer makes a second token.
+4. One scan over the lexer's own pattern (:data:`repro.sql.lexer.TOKEN`),
+   no second ``tokenize()``; a text with no quote and no digit outside a
+   word is returned after a character-class search.
+5. A sign is an operator and stays outside the marker, and a literal with
+   a word character right behind it (``5abc``) stays, since the marker
+   would swallow what the lexer makes a second token.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import re
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.types import FLOAT, INT, VARCHAR, SqlType
+from repro.sql.lexer import TOKEN
 
 #: Parameter names starting with this belong to :func:`lift_literals`.
 RESERVED_PREFIX = "__l"
@@ -51,18 +52,6 @@ AS_WRITTEN = f"/* {_RESERVED_MARKER} */ "
 _QUOTE_OR_DIGIT = re.compile(r"['0-9]")
 _LITERAL_START = re.compile(r"'|(?<![\w@])\d")
 _WORD = re.compile(r"\w")
-
-_TOKEN = re.compile(
-    r"""(?:\s+|--[^\n]*|/\*.*?\*/)*(?:
-      (?P<string>'(?:[^']|'')*')
-    | (?P<name>\[[^\]]*\]|@\w+)
-    | (?P<word>[^\W\d]\w*)
-    | (?P<number>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE]\d+)?)
-    | (?P<compare><=|>=|<>|!=|[<>]|=(?!=))
-    | (?P<other>==|\S)
-    | \Z)""",
-    re.VERBOSE | re.DOTALL,
-)
 
 # Clause states: where a literal may be lifted, and after which token.
 _OFF, _PREDICATE, _LIST, _EXEC = range(4)
@@ -98,7 +87,7 @@ def lift_literals(text: str) -> Tuple[str, Dict[str, Any]]:
     state = _OFF
     saved = []  # the clause state outside each open parenthesis
     before = previous = ""  # the two tokens to the left, as operand contexts
-    for match in _TOKEN.finditer(text):
+    for match in TOKEN.finditer(text):
         kind = match.lastgroup
         if kind == "word":
             word = match.group(kind).upper()

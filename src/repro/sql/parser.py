@@ -43,8 +43,9 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        tokens = self.tokens
+        index = self.pos + offset  # ``pos`` never passes the closing EOF
+        return tokens[index] if index < len(tokens) else tokens[-1]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -53,7 +54,8 @@ class Parser:
         return token
 
     def _check_keyword(self, *words: str) -> bool:
-        return self._peek().is_keyword(*words)
+        token = self.tokens[self.pos]
+        return token.type is TokenType.KEYWORD and token.value in words
 
     def _match_keyword(self, *words: str) -> Optional[Token]:
         if self._check_keyword(*words):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.schema import Schema
 from repro.common.types import (
@@ -84,6 +84,8 @@ class SecondaryIndex:
 
     def key_for(self, row: Tuple) -> Tuple:
         """Extract and encode this index's tree key from a heap row."""
+        if self._single:
+            return (encode_part(row[self.positions[0]]),)
         return tuple([encode_part(row[position]) for position in self.positions])
 
     def insert(self, rid: int, row: Tuple) -> None:
@@ -192,10 +194,15 @@ class Table:
         self._rid_counter = itertools.count(1)
         self.rows_read = 0
         self.rows_written = 0
-        #: Per column, the type its values are stored as, and the declared
-        #: length of each bounded string column: a row that matches needs
-        #: no coercion (see :meth:`_coerce_row`).
+        #: Per column, the type its values are stored as, the types a
+        #: stored value may have (that one, and NULL where the column allows
+        #: it), and the declared length of each bounded string column: a row
+        #: that matches needs no coercion (see :meth:`_coerce_row`).
         self._stored_types = tuple(stored_type(column.sql_type.kind) for column in schema)
+        self._held_types = tuple(
+            frozenset({held} | ({type(None)} if column.nullable else set()))
+            for held, column in zip(self._stored_types, schema)
+        )
         self._bounded = tuple(
             (position, column.sql_type.length)
             for position, column in enumerate(schema)
@@ -238,11 +245,17 @@ class Table:
     def _coerce_row(self, values: Sequence[Any]) -> Tuple:
         """``values`` as a stored row: checked against the schema, each
         value coerced to its column's type. A row whose every value is
-        already of its column's stored type — no NULL, no string over its
-        length — is stored as it is, as coercion would leave it."""
-        if tuple(map(type, values)) == self._stored_types:
+        already of its column's stored type or an allowed NULL, with no
+        string over its length, is stored as it is, as coercion would
+        leave it."""
+        types = tuple(map(type, values))
+        if types == self._stored_types or (
+            len(types) == len(self._held_types)
+            and all(map(operator.contains, self._held_types, types))
+        ):
             for position, length in self._bounded:
-                if len(values[position]) > length:
+                value = values[position]
+                if value is not None and len(value) > length:
                     break
             else:
                 return tuple(values)
@@ -261,38 +274,49 @@ class Table:
             coerced.append(coerced_value)
         return tuple(coerced)
 
+    def _store(self, rid: int, row: Tuple) -> None:
+        """Index and keep a stored row under ``rid``: in every index or,
+        on a unique-key conflict, in none."""
+        indexes = self.indexes.values()
+        done = 0
+        try:
+            for index in indexes:
+                index.insert(rid, row)
+                done += 1
+        except ConstraintError:
+            for index in itertools.islice(indexes, done):
+                index.delete(rid, row)
+            raise
+        self.rows[rid] = row
+
     def insert(self, values: Sequence[Any]) -> int:
         """Insert one row; returns its rid. Enforces PK/unique constraints."""
         row = self._coerce_row(values)
         rid = next(self._rid_counter)
-        inserted: List[SecondaryIndex] = []
-        try:
-            for index in self.indexes.values():
-                index.insert(rid, row)
-                inserted.append(index)
-        except ConstraintError:
-            for index in inserted:
-                index.delete(rid, row)
-            raise
-        self.rows[rid] = row
+        self._store(rid, row)
         self.rows_written += 1
         return rid
+
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Insert ``rows`` in order with :meth:`insert`'s checks (arity,
+        NOT NULL, coercion, unique keys), one row at a time as the iterable
+        yields it; returns how many. A failing row raises and leaves the
+        rows before it inserted. The bulk-load and snapshot path."""
+        coerce, store, next_rid = self._coerce_row, self._store, self._rid_counter.__next__
+        count = 0
+        try:
+            for values in rows:
+                store(next_rid(), coerce(values))
+                count += 1
+        finally:
+            self.rows_written += count
+        return count
 
     def insert_with_rid(self, rid: int, values: Sequence[Any]) -> int:
         """Re-insert a row under a specific rid (transaction undo path)."""
         if rid in self.rows:
             raise ExecutionError(f"rid {rid} already present in {self.name!r}")
-        row = self._coerce_row(values)
-        inserted: List[SecondaryIndex] = []
-        try:
-            for index in self.indexes.values():
-                index.insert(rid, row)
-                inserted.append(index)
-        except ConstraintError:
-            for index in inserted:
-                index.delete(rid, row)
-            raise
-        self.rows[rid] = row
+        self._store(rid, self._coerce_row(values))
         self.rows_written += 1
         return rid
 

@@ -25,7 +25,6 @@ from repro.tpcw.workload import (
     browse_order_split,
 )
 from repro.tpcw.application import TPCWApplication
-from repro.tpcw.driver import DriverStats, LoadDriver, ThreadedLoadDriver
 from repro.tpcw.setup import CACHED_VIEW_DDL, build_backend, enable_caching
 
 __all__ = [
@@ -45,9 +44,6 @@ __all__ = [
     "WorkloadMix",
     "browse_order_split",
     "TPCWApplication",
-    "LoadDriver",
-    "ThreadedLoadDriver",
-    "DriverStats",
     "build_backend",
     "enable_caching",
     "CACHED_VIEW_DDL",

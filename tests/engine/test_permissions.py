@@ -139,7 +139,7 @@ def as_alice(request):
         if request.param != "cache":
             target = deployment.failover_connection(cache)
         if request.param == "shard_router":
-            from repro.client import ShardRouter
+            from repro.client.shard_router import ShardRouter
             from repro.sharding.policy import ShardingPolicy, TablePartition
             from repro.sharding.ring import RangePartitioner
 

@@ -237,6 +237,14 @@ class TestObservability:
         assert histogram["count"] == counters["exec.batches"]
         assert 0 < histogram["mean"] <= DEFAULT_BATCH_ROWS
 
+    def test_batch_rows_count_rows_in_row_buckets(self, server):
+        server.metrics.reset()
+        result = server.execute("SELECT cid FROM customer WHERE cid <= 5")
+        assert len(result.rows) == 5
+        buckets = server.metrics.snapshot()["histograms"]["exec.batch_rows"]["buckets"]
+        assert list(buckets) == ["1", "8", "64", "256", "1024", "4096", "+Inf"]
+        assert buckets["8"] == 1 and buckets["+Inf"] == 0
+
     def test_profile_counts_batches(self, server):
         server.profile_statements = True
         result = server.execute("SELECT cname FROM customer WHERE cid <= 150")

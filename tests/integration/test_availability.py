@@ -13,13 +13,13 @@ from repro.client import connect
 from repro.faults import FaultInjector
 from repro.obs import replication_metrics
 from repro.tpcw import (
-    LoadDriver,
     MIXES,
     TPCWApplication,
     TPCWConfig,
     build_backend,
     enable_caching,
 )
+from repro.tpcw.driver import LoadDriver
 
 
 def build_env():

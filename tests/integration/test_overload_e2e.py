@@ -24,14 +24,13 @@ from repro.client import ConnectionPool, connect
 from repro.faults import FaultInjector
 from repro.resilience import AdmissionController
 from repro.tpcw import (
-    LoadDriver,
     MIXES,
     TPCWApplication,
     TPCWConfig,
-    ThreadedLoadDriver,
     build_backend,
     enable_caching,
 )
+from repro.tpcw.driver import LoadDriver, ThreadedLoadDriver
 
 pytestmark = pytest.mark.overload
 

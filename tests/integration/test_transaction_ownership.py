@@ -15,7 +15,8 @@ import time
 import pytest
 
 from repro import MTCacheDeployment
-from repro.client import Connection, ConnectionPool, ShardRouter, connect
+from repro.client import Connection, ConnectionPool, connect
+from repro.client.shard_router import ShardRouter
 from repro.engine.session import Session
 from repro.errors import (
     PermissionError_,

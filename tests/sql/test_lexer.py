@@ -97,3 +97,44 @@ class TestOperatorsAndComments:
     def test_unexpected_character(self):
         with pytest.raises(LexError, match="unexpected"):
             tokenize("a ~ b")
+
+
+class TestErrorPositions:
+    """Every ``LexError`` names its 1-based line and column on multi-line
+    input: the token's start, or the end of the text for a comment that
+    never closes."""
+
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("SELECT a\nFROM t\nWHERE b = 'abc\n  def", "unterminated string literal", 3, 11),
+            ("SELECT a\n  FROM t /* note\n never\n ends", "unterminated block comment", 4, 6),
+            ("SELECT a\nFROM   [order table\n", "unterminated [identifier]", 2, 8),
+            (
+                "SELECT a\n  FROM t\n WHERE x = @ ",
+                "'@' must be followed by a parameter name",
+                3,
+                12,
+            ),
+            ("SELECT a\nFROM t\n  WHERE a ~ b", "unexpected character '~'", 3, 11),
+        ],
+    )
+    def test_message_line_and_column(self, text, message, line, column):
+        with pytest.raises(LexError) as caught:
+            tokenize(text)
+        assert str(caught.value) == f"{message} (line {line}, column {column})"
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_tokens_after_a_multi_line_string_and_comment_keep_their_position(self):
+        tokens = tokenize("a 'x\ny' /* p\nq */\n\tb")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), ("x\ny", 1, 3), ("b", 4, 2), ("", 4, 3),
+        ]
+
+    def test_a_string_never_ends_inside_an_escaped_quote(self):
+        with pytest.raises(LexError) as caught:
+            tokenize("INSERT '\nINTO t VALUES ('', 1)")
+        assert (caught.value.line, caught.value.column) == (1, 8)
+
+    def test_a_number_has_at_most_one_exponent(self):
+        assert values_of("1e5e6") == ["1e5", "e6"]

@@ -303,7 +303,7 @@ def _bind(node, values):
     if isinstance(node, (tuple, list)):
         return type(node)(_bind(item, values) for item in node)
     if isinstance(node, ast.Node):
-        bound = type(node)(**{name: _bind(value, values) for name, value in vars(node).items()})
+        bound = type(node)(**{name: _bind(getattr(node, name), values) for name in node._fields})
         if (
             isinstance(bound, ast.UnaryOp)
             and bound.op == "-"

@@ -69,6 +69,33 @@ class TestInsert:
         assert table.get(rid) == (7, "a", 2.5)
 
 
+class TestInsertMany:
+    def test_rows_load_in_order_from_a_generator(self):
+        table = make_table()
+        table.create_index("ix_name", ["name"])
+        count = table.insert_many((i, f"n{i % 3}", None if i % 2 else 0.5) for i in range(1, 7))
+        assert count == 6 and table.rows_written == 6
+        assert [row[0] for _, row in table.scan()] == [1, 2, 3, 4, 5, 6]
+        assert len(table.indexes["ix_name"].seek(("n1",))) == 2
+
+    def test_insert_checks_hold_row_by_row(self):
+        table = make_table()
+        assert table.insert_many([("7", "a", "2.5")]) == 1
+        assert table.get(1) == (7, "a", 2.5)
+        for bad, error in [((2, None, None), ConstraintError), ((2, "b"), ExecutionError)]:
+            with pytest.raises(error):
+                table.insert_many([bad])
+
+    def test_a_duplicate_key_stops_the_load_after_the_rows_before_it(self):
+        table = make_table()
+        table.create_index("ix_name", ["name"])
+        with pytest.raises(ConstraintError, match="duplicate key"):
+            table.insert_many([(1, "a", None), (2, "b", None), (1, "c", None), (3, "d", None)])
+        assert sorted(row[0] for _, row in table.scan()) == [1, 2]
+        assert table.rows_written == 2
+        assert table.indexes["ix_name"].seek(("c",)) == []
+
+
 class TestDeleteUpdate:
     def test_delete_removes_from_indexes(self):
         table = make_table()

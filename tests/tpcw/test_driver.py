@@ -4,13 +4,13 @@ import pytest
 
 from repro.client import connect
 from repro.tpcw import (
-    LoadDriver,
     MIXES,
     TPCWApplication,
     TPCWConfig,
     build_backend,
     enable_caching,
 )
+from repro.tpcw.driver import LoadDriver
 
 
 @pytest.fixture(scope="module")
