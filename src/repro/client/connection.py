@@ -107,7 +107,7 @@ def execute_home(sql: str, params, session) -> Result:
     else, whatever a router would pick for a statement outside one, and
     wherever an ODBC source points by now. If that server crashed, it
     answers :class:`~repro.errors.TransactionLostError`."""
-    home = session.owner.home
+    home = session.home
     return execute_on(home.owner_server, home.name, sql, params, session)
 
 

@@ -1,4 +1,4 @@
-"""Stored procedures: bound once, interpreted per call (T-SQL subset).
+"""Stored procedures: bound once, run in the caller's context (T-SQL subset).
 
 Procedures are the primary source of parameterized queries (paper §5.2):
 a body compiled once keeps reusing its (possibly dynamic) plans across
@@ -11,9 +11,13 @@ version, see :mod:`repro.engine.binding`) and turns the definition into a
 compiled to a kernel, every embedded statement a
 :class:`~repro.engine.binding.BoundStatement` carrying its own lock plan
 and plan slot, and the body itself a tuple of *steps* — closures over
-those parts. A call (:class:`ProcedureInterpreter`) builds only what
-varies: the session the body runs under, the variable frame seeded from
-the arguments, and the result it accumulates.
+those parts. A call (:func:`run_procedure`) builds only what varies: the
+variable frame seeded from the arguments and the result it accumulates.
+The body runs in the ``EXEC`` statement's execution context, with the
+frame as its parameters: every expression is evaluated in it, and each
+embedded statement runs in it through ``Server.run_in_call`` under its
+own lock plan, as ``dbo`` in the caller's transaction (ownership
+chaining).
 
 Binding is also where a body and a call are checked: a variable the body
 never declares, and an ``EXEC`` whose arguments do not match the
@@ -44,8 +48,9 @@ class _ReturnSignal(Exception):
 #: Safety bound on WHILE iterations (runaway-loop protection).
 MAX_LOOP_ITERATIONS = 1_000_000
 
-#: One body statement, compiled: runs against the call in progress.
-Step = Callable[["ProcedureInterpreter"], None]
+#: One body statement, compiled: ``step(server, ctx, result)`` runs it in
+#: the call's context (``ctx.params`` is the frame) into the call's result.
+Step = Callable[[Any, ExecutionContext, Result], None]
 
 
 class BoundProcedure:
@@ -166,9 +171,16 @@ def _compile_block(statements: Sequence[ast.Statement], bind_nested) -> Tuple[St
     return tuple(_compile_step(statement, bind_nested) for statement in statements)
 
 
-def _run_block(steps: Tuple[Step, ...], call: "ProcedureInterpreter") -> None:
+def _run_block(steps: Tuple[Step, ...], server, ctx: ExecutionContext, result: Result) -> None:
     for step in steps:
-        step(call)
+        step(server, ctx, result)
+
+
+def _evaluate(value: Kernel, ctx: ExecutionContext) -> Any:
+    """A compiled body expression over the current frame (subquery
+    results must not outlive one evaluation of a ``WHILE`` condition)."""
+    ctx.forget_subqueries()
+    return evaluate(value, ctx)
 
 
 def _truthy(value: Any) -> bool:
@@ -190,8 +202,8 @@ def _compile_step(statement: ast.Statement, bind_nested) -> Step:
         )
         value = compile_scalar(expression) if expression is not None else None
 
-        def assign(call: "ProcedureInterpreter") -> None:
-            call.frame[name] = call.evaluate(value) if value is not None else None
+        def assign(server, ctx: ExecutionContext, result: Result) -> None:
+            ctx.params[name] = _evaluate(value, ctx) if value is not None else None
 
         return assign
     if isinstance(statement, ast.IfStatement):
@@ -199,21 +211,22 @@ def _compile_step(statement: ast.Statement, bind_nested) -> Step:
         then_body = _compile_block(statement.then_body, bind_nested)
         else_body = _compile_block(statement.else_body, bind_nested)
 
-        def run_if(call: "ProcedureInterpreter") -> None:
-            _run_block(then_body if _truthy(call.evaluate(condition)) else else_body, call)
+        def run_if(server, ctx: ExecutionContext, result: Result) -> None:
+            branch = then_body if _truthy(_evaluate(condition, ctx)) else else_body
+            _run_block(branch, server, ctx, result)
 
         return run_if
     if isinstance(statement, ast.WhileStatement):
         condition = compile_scalar(statement.condition)
         body = _compile_block(statement.body, bind_nested)
 
-        def run_while(call: "ProcedureInterpreter") -> None:
+        def run_while(server, ctx: ExecutionContext, result: Result) -> None:
             iterations = 0
-            while _truthy(call.evaluate(condition)):
+            while _truthy(_evaluate(condition, ctx)):
                 iterations += 1
                 if iterations > MAX_LOOP_ITERATIONS:
                     raise ExecutionError("WHILE loop exceeded iteration bound")
-                _run_block(body, call)
+                _run_block(body, server, ctx, result)
 
         return run_while
     if isinstance(statement, ast.ReturnStatement):
@@ -221,88 +234,44 @@ def _compile_step(statement: ast.Statement, bind_nested) -> Step:
             return _return_zero
         value = compile_scalar(statement.value)
 
-        def run_return(call: "ProcedureInterpreter") -> None:
-            raise _ReturnSignal(call.evaluate(value))
+        def run_return(server, ctx: ExecutionContext, result: Result) -> None:
+            raise _ReturnSignal(_evaluate(value, ctx))
 
         return run_return
     if isinstance(statement, ast.PrintStatement):
         value = compile_scalar(statement.value)
-        return lambda call: call.result.messages.append(str(call.evaluate(value)))
+
+        def run_print(server, ctx: ExecutionContext, result: Result) -> None:
+            result.messages.append(str(_evaluate(value, ctx)))
+
+        return run_print
     nested = bind_nested(statement)
     if isinstance(statement, ast.Select):
         targets = tuple(item.target_parameter for item in statement.items)
         if any(targets):
-            return lambda call: call.assign_from_select(nested, targets)
-        return lambda call: call.run_select(nested)
+
+            def assign_from_select(server, ctx: ExecutionContext, result: Result) -> None:
+                """``SELECT @x = expr``: T-SQL applies the select list to
+                each row, so the final values come from the last row; with
+                no rows the variables keep their prior values."""
+                _, rows = server.run_in_call(nested, ctx, select=True)
+                frame = ctx.params
+                for row in rows:
+                    for position, target in enumerate(targets):
+                        if target is not None:
+                            frame[target] = row[position]
+
+            return assign_from_select
+
+        def run_select(server, ctx: ExecutionContext, result: Result) -> None:
+            result.resultsets.append(server.run_in_call(nested, ctx, select=True))
+
+        return run_select
+
     # Everything else (DML, EXEC, transactions) goes through the server's
     # dispatcher with the frame as parameter bindings.
-    return lambda call: call.run_statement(nested)
-
-
-def _return_zero(call: "ProcedureInterpreter") -> None:
-    raise _ReturnSignal(0)
-
-
-class ProcedureInterpreter:
-    """One invocation of a :class:`BoundProcedure`.
-
-    Holds what a call owns — session, frame, accumulated result — and
-    nothing derivable from the definition: no expression is compiled and
-    no statement classified here; the steps were built when the ``EXEC``
-    was bound.
-    """
-
-    def __init__(self, server, database, session):
-        self.server = server
-        self.database = database
-        self.session = session.frame()
-        self.frame: Dict[str, Any] = {}
-        self.result = Result()
-
-    def call(
-        self,
-        procedure: BoundProcedure,
-        arguments: Sequence[Tuple[str, Kernel]],
-        outer_params: Dict[str, Any],
-    ) -> Result:
-        """Run ``procedure`` with ``arguments`` as :func:`bind_arguments`
-        matched them, evaluated against the caller's parameters."""
-        ctx = self._context(outer_params)
-        for param, value in arguments:
-            self.frame[param] = evaluate(value, ctx)
-        result = self.result
-        try:
-            _run_block(procedure.body, self)
-        except _ReturnSignal as signal:
-            result.return_value = signal.value
-        if result.resultsets:
-            result.schema, result.rows = result.resultsets[-1]
-        return result
-
-    def _context(self, params: Dict[str, Any]) -> ExecutionContext:
-        ctx = ExecutionContext(
-            database=self.database,
-            params=params,
-            linked_servers=self.server.linked_servers,
-            clock=self.server.clock,
-        )
-        ctx.subquery_executor = self._run_subquery
-        return ctx
-
-    def _run_subquery(self, select: ast.Select, params: Dict[str, Any]):
-        return self.server.run_subquery(select, params, self.database, self.session)
-
-    # -- what the steps call ------------------------------------------------
-
-    def evaluate(self, value: Kernel) -> Any:
-        """A compiled body expression over the current frame (a fresh
-        context each time: subquery results must not outlive one
-        evaluation of a ``WHILE`` condition)."""
-        return evaluate(value, self._context(self.frame))
-
-    def run_statement(self, nested) -> None:
-        result = self.result
-        inner = self.server.execute_bound(nested, self.frame, self.session, self.database)
+    def run_statement(server, ctx: ExecutionContext, result: Result) -> None:
+        inner = server.run_in_call(nested, ctx)
         result.messages.extend(inner.messages)
         result.rowcount += inner.rowcount
         if inner.resultsets:
@@ -310,17 +279,39 @@ class ProcedureInterpreter:
         elif inner.schema is not None:
             result.resultsets.append((inner.schema, inner.rows))
 
-    def run_select(self, nested) -> None:
-        inner = self.server.execute_bound(nested, self.frame, self.session, self.database)
-        self.result.resultsets.append((inner.schema, inner.rows))
+    return run_statement
 
-    def assign_from_select(self, nested, targets: Tuple[Optional[str], ...]) -> None:
-        """``SELECT @x = expr``: T-SQL applies the select list to each
-        row, so the final values come from the last row; with no rows the
-        variables keep their prior values."""
-        inner = self.server.execute_bound(nested, self.frame, self.session, self.database)
-        frame = self.frame
-        for row in inner.rows:
-            for position, target in enumerate(targets):
-                if target is not None:
-                    frame[target] = row[position]
+
+def _return_zero(server, ctx: ExecutionContext, result: Result) -> None:
+    raise _ReturnSignal(0)
+
+
+def run_procedure(
+    server,
+    procedure: BoundProcedure,
+    arguments: Sequence[Tuple[str, Kernel]],
+    ctx: ExecutionContext,
+) -> Result:
+    """One call of ``procedure``, in the calling statement's context.
+
+    ``arguments`` (as :func:`bind_arguments` matched them) are evaluated
+    against the caller's parameters; their values are the frame, which
+    stands in for ``ctx.params`` while the body runs. The body's steps
+    were built when the ``EXEC`` was bound: its ``SELECT``s drain into
+    the call's result, every other statement's result is merged into it.
+    """
+    frame: Dict[str, Any] = {}
+    for param, value in arguments:
+        frame[param] = evaluate(value, ctx)
+    result = Result()
+    caller_params = ctx.params
+    ctx.params = frame
+    try:
+        _run_block(procedure.body, server, ctx, result)
+    except _ReturnSignal as signal:
+        result.return_value = signal.value
+    finally:
+        ctx.params = caller_params
+    if result.resultsets:
+        result.schema, result.rows = result.resultsets[-1]
+    return result

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.catalog.permissions import OWNER
 from repro.common.clock import SimulatedClock
 from repro.common.lru import LRUCache
+from repro.common.types import common_type
 from repro.engine.binding import BoundBatch, BoundStatement, bind_statement
 from repro.engine.database import Database
 from repro.engine.ddl import (
@@ -33,7 +34,7 @@ from repro.engine.ddl import (
 )
 from repro.engine.dml import compile_dml
 from repro.engine.locks import LockMode
-from repro.engine.procedures import ProcedureInterpreter
+from repro.engine.procedures import run_procedure
 from repro.engine.results import Result
 from repro.engine.session import Session
 from repro.errors import (
@@ -45,6 +46,7 @@ from repro.errors import (
     PartialEffectError,
     PreparedStatementError,
     ReproError,
+    ServerUnavailableError,
     TransactionError,
     TransactionLostError,
     TypeCheckError,
@@ -239,21 +241,19 @@ class Server:
         """Health probe used by pool checkout (parallels CacheServer.healthy)."""
         return self.available
 
-    def _check_available(self) -> None:
-        if not self.available:
-            from repro.errors import ServerUnavailableError
-
-            raise ServerUnavailableError(f"server {self.name!r} is down")
-
     def _admit(self, what: str, session: Optional[Session] = None) -> None:
-        """Overload gate for the entry points: deadline, then admission.
+        """The entry points' gate: availability, deadline, then admission.
 
-        The deadline check comes first — a request whose budget is
-        already gone must not consume an admission token (it would be
-        thrown away after the work anyway). A session inside an explicit
-        transaction holds the database: shedding its statements — its
-        ``ROLLBACK`` above all — only keeps everyone else out for longer.
+        A crashed server raises ``ServerUnavailableError`` so callers can
+        retry or reroute. The deadline check comes before admission — a
+        request whose budget is already gone must not consume an admission
+        token (it would be thrown away after the work anyway). A session
+        inside an explicit transaction holds the database: shedding its
+        statements — its ``ROLLBACK`` above all — only keeps everyone else
+        out for longer.
         """
+        if not self.available:
+            raise ServerUnavailableError(f"server {self.name!r} is down")
         deadline = current_deadline()
         if deadline is not None and deadline.expired():
             self.metrics.counter("overload.deadline_misses").inc()
@@ -307,10 +307,9 @@ class Server:
         """Execute a SQL batch as ``session`` (none: ``dbo``, on a fresh
         autocommit session); returns the last statement's result."""
         session = session or Session()
-        if session.owner.lost:
+        if session.lost:
             target = self.database(database or session.database)
             return self._answer_lost(session, self._parse_sql(sql, target)[0].bound)
-        self._check_available()
         self._admit("statement batch", session)
         target = self.database(database or session.database)
         with self.tracer.child_span("batch", sql=sql):
@@ -390,7 +389,7 @@ class Server:
 
         The one place a call's failure is classified against its effects:
         an error some layer would re-run the call for, raised after a
-        statement of it committed (``session.owner.commits`` moved), is
+        statement of it committed (``session.commits`` moved), is
         re-raised as the non-transient :class:`PartialEffectError`.
         """
         if lifted:
@@ -399,19 +398,20 @@ class Server:
                 batch = self._bind_batch(parse_statements(sql), database)
             else:
                 params = merged
-        owner = session.owner
-        commits = owner.commits
-        result = Result()
+        commits = session.commits
+        result = None
         try:
             for bound in batch.bound:
                 result = self.execute_bound(bound, params, session, database)
         except ReproError as exc:
-            if owner.commits == commits or not invites_rerun(exc):
+            if session.commits == commits or not invites_rerun(exc):
                 raise
             raise PartialEffectError(
                 f"{type(exc).__name__} on server {self.name!r} after an earlier "
                 f"statement of the call committed; it must not be re-run: {exc}"
             ) from exc
+        if result is None:
+            result = Result()
         result.read_only = batch.read_only
         return result
 
@@ -435,13 +435,50 @@ class Server:
         session: Session,
         database: Database,
     ) -> Result:
-        """Execute one bound statement (batches and procedure bodies);
-        its seconds, a failed statement's included, are one log record."""
-        merged = session.merged_params(params)
+        """Execute one bound statement of a batch as ``session``.
+
+        Its parameters are the caller's laid over the session's variables
+        (one copy, none without variables), and it runs in one execution
+        context: its plans, subqueries and, for an ``EXEC``, the
+        procedure body. Its work, chunk sizes, kernel-memo counts and
+        seconds — a failed statement's included — are one log record.
+        """
+        variables = session.variables
+        if variables:
+            params = {**variables, **params} if params else variables
+        ctx = self._make_context(params, database, session)
+        checked = session.principal.lower() != OWNER
+        tracer = ctx.tracer
         started = time.perf_counter()
         try:
-            with self.tracer.child_span("statement", statement=bound.kind.__name__):
-                return self._dispatch_statement(bound, merged, database, session)
+            if tracer is None:
+                return self._dispatch(bound, ctx, checked)
+            with tracer.child_span("statement", statement=bound.kind.__name__):
+                return self._dispatch(bound, ctx, checked)
+        finally:
+            elapsed = time.perf_counter() - started
+            hits, misses = ctx.compiled_cache_hits, ctx.compiled_cache_misses
+            self._log.append((ctx.work, ctx.chunk_sizes, hits, misses, elapsed))
+
+    def run_in_call(self, bound: BoundStatement, ctx: ExecutionContext, select: bool = False):
+        """One statement of a procedure body, in the call's context (whose
+        parameters are the frame): a ``SELECT``'s ``(schema, rows)`` when
+        ``select``, else its result.
+
+        It runs as ``dbo`` (ownership chaining: once the caller holds
+        EXECUTE, embedded statements do not re-check the caller's table
+        permissions) in the caller's transaction, under its own lock plan.
+        Its work lands in the context, so in the ``EXEC``'s log record; it
+        logs only its seconds."""
+        ctx.forget_subqueries()
+        runner = Server._select_rows if select else None
+        tracer = ctx.tracer
+        started = time.perf_counter()
+        try:
+            if tracer is None:
+                return self._dispatch(bound, ctx, False, runner)
+            with tracer.child_span("statement", statement=bound.kind.__name__):
+                return self._dispatch(bound, ctx, False, runner)
         finally:
             self._log.append(time.perf_counter() - started)
 
@@ -452,14 +489,12 @@ class Server:
         self._log.fold()
         return self._statement_seconds.count
 
-    def _dispatch_statement(
-        self,
-        bound: BoundStatement,
-        merged: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> Result:
-        """Check permissions, acquire the bound lock plan, run.
+    def _dispatch(
+        self, bound: BoundStatement, ctx: ExecutionContext, checked: bool, runner=None
+    ) -> Any:
+        """Check permissions (``checked``: the session is not ``dbo``),
+        acquire the bound lock plan, run ``runner`` (by default the
+        statement kind's).
 
         Everything decided here was decided when the statement was bound;
         what is left is what varies per execution. The permission check
@@ -473,57 +508,57 @@ class Server:
         shared state, has no lock plan; DDL takes the latch exclusive for
         one statement; everything else takes it shared plus sorted
         per-table locks. A thread already holding the latch exclusively —
-        a statement of an explicit transaction, or a nested dispatch from
-        a procedure body — skips both levels.
+        a statement of an explicit transaction, or a procedure body's
+        statement under one — skips both levels.
 
         A binding the schema version has overtaken is redone here, for
-        this execution (its holder — parse-cache entry, prepared handle —
-        is rebuilt by its own version check). The version is compared
-        again once the latch is held: DDL runs under the exclusive latch,
-        so a binding current inside the latch stays current while the
-        statement runs, plan slot included.
+        this execution (its holder — parse-cache entry, prepared handle,
+        procedure body — is rebuilt by its own version check). The
+        version is compared again once the latch is held: DDL runs under
+        the exclusive latch, so a binding current inside the latch stays
+        current while the statement runs, plan slot included.
         """
-        runner = _RUNNERS.get(bound.kind)
         if runner is None:
-            raise ExecutionError(f"cannot execute {bound.kind.__name__} at session level")
+            runner = _RUNNERS.get(bound.kind)
+            if runner is None:
+                raise ExecutionError(f"cannot execute {bound.kind.__name__} at session level")
+        database = ctx.database
+        session = ctx.session
         latch = database.latch
-        owner = session.owner
         while True:
             if bound.version != database.version:
                 bound = self.bind(bound.statement, database)
-            if bound.objects and session.principal.lower() != OWNER:
+            if checked and bound.objects:
                 check = database.catalog.permissions.check
                 for permission, name in bound.objects:
                     check(permission, name, session.principal)
             if latch.owns_exclusive():
-                return runner(self, bound, merged, database, session)
-            if owner.home is database:
+                return runner(self, bound, ctx)
+            if session.home is database:
                 # The session's transaction holds this latch (so no DDL
                 # can have slipped in); a crash marks the session lost,
                 # then ends its hold.
-                with latch.held_by(owner) as held:
-                    if owner.lost or not held:
+                with latch.held_by(session) as held:
+                    if session.lost or not held:
                         return self._answer_lost(session, (bound,))
-                    return runner(self, bound, merged, database, session)
+                    return runner(self, bound, ctx)
             plan = bound.lock_plan
             if plan is None:
-                return runner(self, bound, merged, database, session)
+                return runner(self, bound, ctx)
             if plan.latch is LockMode.EXCLUSIVE:
                 with latch.exclusive():
                     if bound.version == database.version:
-                        return runner(self, bound, merged, database, session)
+                        return runner(self, bound, ctx)
             else:
                 with latch.shared():
                     if bound.version == database.version:
                         with bound.table_locks:
-                            return runner(self, bound, merged, database, session)
+                            return runner(self, bound, ctx)
             # DDL got in between the version check and the latch.
 
     # -- transaction control ----------------------------------------------
 
-    def _begin_transaction(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
+    def _begin_transaction(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         """BEGIN TRANSACTION: coarse 2PL — the session owns the database.
 
         The latch is taken exclusively *before* the transaction starts and
@@ -532,34 +567,34 @@ class Server:
         without finer-grained locks, and concurrent sessions queue behind
         it. This database is the session's ``home`` from here on.
         """
-        owner = session.owner
-        if owner.home is not None:
+        database = ctx.database
+        session = ctx.session
+        if session.home is not None:
             raise TransactionError("a transaction is already active")
         with database.latch.exclusive():
-            owner.transaction = database.transactions.begin()
-            owner.home = database
-            database.latch.hold_for(owner)
+            session.transaction = database.transactions.begin()
+            session.home = database
+            database.latch.hold_for(session)
         return Result(messages=["transaction started"])
 
-    def _end_transaction(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
+    def _end_transaction(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         """COMMIT / ROLLBACK: end the transaction, then — even when that
         raises — detach it from the session and end the session's hold."""
-        owner = session.owner
+        database = ctx.database
+        session = ctx.session
         commit = bound.kind is ast.CommitTransaction
-        if owner.home is not database:
+        if session.home is not database:
             verb = "commit" if commit else "roll back"
             raise TransactionError(f"no active transaction to {verb}")
         transactions = database.transactions
         try:
-            (transactions.commit if commit else transactions.rollback)(owner.transaction)
+            (transactions.commit if commit else transactions.rollback)(session.transaction)
         finally:
-            owner.transaction = owner.home = None
+            session.transaction = session.home = None
             database.latch.end_hold()
         if not commit:
             return Result(messages=["transaction rolled back"])
-        owner.commits += 1
+        session.commits += 1
         return Result(messages=["transaction committed"])
 
     def _answer_lost(self, session: Session, batch) -> Result:
@@ -569,9 +604,8 @@ class Server:
         for (``close()``, pool release and disconnect cleanup need no
         special case), anything else :class:`TransactionLostError`, once.
         """
-        owner = session.owner
-        owner.transaction = owner.home = None
-        owner.lost = False
+        session.transaction = session.home = None
+        session.lost = False
         if batch and all(bound.kind is ast.RollbackTransaction for bound in batch):
             return Result(messages=["transaction rolled back"])
         raise TransactionLostError(
@@ -581,43 +615,35 @@ class Server:
 
     # -- statements without a plan of their own ------------------------------
 
-    def _execute_explain(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
+    def _execute_explain(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         from repro.common.schema import Column, Schema
         from repro.common.types import VARCHAR
 
         target = bound.children[0]
-        planned = self.plan_select(target.statement, database, bound=target)
+        planned = self.plan_select(target.statement, ctx.database, bound=target)
         lines = planned.explain(costs=bound.statement.costs).splitlines()
         schema = Schema([Column("plan", VARCHAR(None))])
         return Result(rows=[(line,) for line in lines], schema=schema, rowcount=len(lines))
 
-    def _execute_ddl(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
-        result = _DDL[bound.kind](database, bound.statement)
-        session.owner.commits += 1
+    def _execute_ddl(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
+        result = _DDL[bound.kind](ctx.database, bound.statement)
+        ctx.session.commits += 1
         return result
 
-    def _execute_create_view(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
-        runner = self._source_runner(bound, merged, database, session)
-        result = execute_create_view(database, bound.statement, select_runner=runner)
-        session.owner.commits += 1
+    def _execute_create_view(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
+        runner = self._source_runner(bound, ctx)
+        result = execute_create_view(ctx.database, bound.statement, select_runner=runner)
+        ctx.session.commits += 1
         return result
 
-    def _execute_variable(
-        self, bound: BoundStatement, merged: Dict[str, Any], database: Database, session: Session
-    ) -> Result:
+    def _execute_variable(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         """DECLARE / SET / PRINT at session level."""
         value = None
         if bound.scalar is not None:
-            value = evaluate(bound.scalar, self._make_context(merged, database, session))
+            value = evaluate(bound.scalar, ctx)
         if bound.kind is ast.PrintStatement:
             return Result(messages=[str(value)])
-        session.variables[bound.statement.name] = value
+        ctx.session.variables[bound.statement.name] = value
         return Result()
 
     # -- SELECT ---------------------------------------------------------------
@@ -673,39 +699,31 @@ class Server:
             bound.planned = planned
         return planned
 
-    def _execute_select(
-        self,
-        bound: BoundStatement,
-        params: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> Result:
-        planned = self.plan_select(bound.statement, database, bound=bound)
-        ctx = self._make_context(params, database, session)
-        profile = None
-        if self.profile_statements or session.statistics_profile:
-            from repro.obs.profile import profiled
-
-            with profiled(planned.root) as profile:
-                rows = self._run_plan(planned.root, ctx, returned=True)
+    def _execute_select(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
+        planned = self.plan_select(bound.statement, ctx.database, bound=bound)
+        if self.profile_statements or ctx.session.statistics_profile:
+            rows, profile = self._profiled_drain(planned.root, ctx)
         else:
-            rows = self._run_plan(planned.root, ctx, returned=True)
-        result = Result(rows=rows, schema=planned.schema, rowcount=len(rows))
+            rows, profile = self._drain(planned.root, ctx), None
+        ctx.work.rows_returned += len(rows)
+        result = Result(rows=rows, schema=planned.schema, rowcount=len(rows), profile=profile)
         result.resultsets.append((planned.schema, rows))
-        if profile is not None:
-            result.profile = profile
-            span = active_span()
-            if span is not None:
-                span.attributes["profile"] = profile.render()
         return result
 
-    def _execute_union(
-        self,
-        bound: BoundStatement,
-        params: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> Result:
+    def _select_rows(
+        self, bound: BoundStatement, ctx: ExecutionContext
+    ) -> Tuple[Any, List[Tuple]]:
+        """A procedure body's SELECT: ``(schema, rows)``, no result of its
+        own (profiled only when the server profiles every statement)."""
+        planned = self.plan_select(bound.statement, ctx.database, bound=bound)
+        if self.profile_statements:
+            rows = self._profiled_drain(planned.root, ctx)[0]
+        else:
+            rows = self._drain(planned.root, ctx)
+        ctx.work.rows_returned += len(rows)
+        return planned.schema, rows
+
+    def _execute_union(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         """UNION ALL: concatenate branch results (bag semantics).
 
         Each branch routes independently — one side may come from a cached
@@ -714,7 +732,7 @@ class Server:
         rows: List[Tuple] = []
         schema = None
         for branch in bound.children:
-            result = self._execute_select(branch, params, database, session)
+            result = self._execute_select(branch, ctx)
             if schema is None:
                 schema = result.schema
             elif len(result.schema) != len(schema):
@@ -736,8 +754,6 @@ class Server:
         widening rules (INT unions with FLOAT, VARCHAR with CHAR); a string
         column under a numeric one is an error, reported with the column.
         """
-        from repro.common.types import common_type
-
         for position, (left, right) in enumerate(zip(expected, actual)):
             try:
                 common_type(left.sql_type, right.sql_type)
@@ -747,101 +763,95 @@ class Server:
                     f"{position + 1} ({left.name!r}): {left.sql_type} vs {right.sql_type}"
                 ) from exc
 
-    def run_subquery(
-        self,
-        select: ast.Select,
-        params: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> List[Tuple]:
+    def run_subquery(self, select: ast.Select, ctx: ExecutionContext) -> List[Tuple]:
         """Plan (through the structural plan cache) and run a subquery of
-        a statement whose binding already covered its locks and
-        permissions."""
-        planned = self.plan_select(select, database)
-        ctx = self._make_context(params, database, session)
-        return self._run_plan(planned.root, ctx)
+        the statement running in ``ctx``, in that context: its binding
+        already covered the subquery's locks and permissions."""
+        return self._drain(self.plan_select(select, ctx.database).root, ctx)
 
-    def _run_plan(
-        self, root: PhysicalOperator, ctx: ExecutionContext, returned: bool = False
-    ) -> List[Tuple]:
-        """Drain a plan to a row list through :class:`BatchCursor`, then
-        log its work (``returned``: its rows are the statement's result),
-        chunk sizes and kernel-memo hits and misses as one record."""
+    def _drain(self, root: PhysicalOperator, ctx: ExecutionContext) -> List[Tuple]:
+        """Drain a plan to a row list through :class:`BatchCursor`; each
+        chunk's size goes to the context (the statement's log record)."""
         rows: List[Tuple] = []
-        sizes: List[int] = []
+        sizes = ctx.chunk_sizes
         cursor = BatchCursor(root, ctx)
         while (chunk := cursor.next_batch()) is not None:
             rows.extend(chunk)
             sizes.append(len(chunk))
-        if returned:
-            ctx.work.rows_returned = len(rows)
-        self._log.append((ctx.work, sizes, ctx.compiled_cache_hits, ctx.compiled_cache_misses))
         return rows
 
+    def _profiled_drain(self, root: PhysicalOperator, ctx: ExecutionContext):
+        """:meth:`_drain` under a per-operator profile, rendered onto the
+        statement's span: ``(rows, profile)``."""
+        from repro.obs.profile import profiled
+
+        with profiled(root) as profile:
+            rows = self._drain(root, ctx)
+        span = active_span()
+        if span is not None:
+            span.attributes["profile"] = profile.render()
+        return rows, profile
+
     def _make_context(
-        self, params: Dict[str, Any], database: Database, session: Session
+        self, params: Optional[Dict[str, Any]], database: Database, session: Session
     ) -> ExecutionContext:
-        ctx = ExecutionContext(
-            database=database,
-            params=params,
-            linked_servers=self.linked_servers,
-            clock=self.clock,
-            tracer=self.tracer,
-            batch_rows=self.batch_rows,
+        """A statement's context. It carries the tracer only inside a
+        requested trace: outside one, no span of the statement can open,
+        so its sites skip the tracer altogether."""
+        return ExecutionContext(
+            database,
+            params,
+            self.linked_servers,
+            self.clock,
+            self.run_subquery,
+            self.tracer if active_span() is not None else None,
+            self.batch_rows,
+            session,
         )
-        ctx.subquery_executor = lambda select, sub_params: self.run_subquery(
-            select, sub_params, database, session
-        )
-        return ctx
 
     # -- DML --------------------------------------------------------------------
 
-    def _execute_dml(
-        self,
-        bound: BoundStatement,
-        params: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> Result:
+    def _execute_dml(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         if bound.forward is not None:
-            return self._forward(bound, params, session)
+            return self._forward(bound, ctx.params, ctx)
+        database = ctx.database
         run = bound.planned
         if run is None:
             # Compiled at the first execution, not when bound: the target
             # may be created by an earlier statement of the same batch.
             run = bound.planned = compile_dml(database, bound.statement)
-        ctx = self._make_context(params, database, session)
         # The session's explicit transaction, when it lives on this
         # database (a statement a cache re-runs on the backend does not
         # bring the cache's transaction along).
-        owner = session.owner
-        autocommit = owner.home is not database
-        transaction = database.transactions.begin() if autocommit else owner.transaction
+        session = ctx.session
+        autocommit = session.home is not database
+        transaction = database.transactions.begin() if autocommit else session.transaction
         try:
-            result = run(ctx, transaction, self._source_runner(bound, params, database, session))
+            result = run(ctx, transaction, self._source_runner(bound, ctx))
         except Exception:
             if autocommit:
                 database.transactions.rollback(transaction)
             raise
         if autocommit:
             database.transactions.commit(transaction)
-            owner.commits += 1
-        self._log.append(ctx.work)
+            session.commits += 1
         return result
 
-    def _source_runner(self, bound: BoundStatement, params, database, session):
+    def _source_runner(self, bound: BoundStatement, ctx: ExecutionContext):
         """``() -> (rows, schema)`` of the SELECT a statement is fed from
         (an INSERT's source, a materialized view's definition), or None."""
         if not bound.children:
             return None
 
         def run() -> Tuple[List[Tuple], Any]:
-            result = self._execute_select(bound.children[0], params, database, session)
+            result = self._execute_select(bound.children[0], ctx)
             return result.rows, result.schema
 
         return run
 
-    def _forward(self, bound: BoundStatement, params: Dict[str, Any], session: Session) -> Result:
+    def _forward(
+        self, bound: BoundStatement, params: Dict[str, Any], ctx: ExecutionContext
+    ) -> Result:
         """Ship a DML or ``EXEC`` statement to its owning server.
 
         The one forwarding call: the binding holds the owning server and
@@ -853,37 +863,33 @@ class Server:
         """
         server_name, text = bound.forward
         result = self.linked_servers.get(server_name).execute_statement_text(text, params)
-        session.owner.commits += 1
-        self._log.append(_PREPARED_EXECUTION)
+        ctx.session.commits += 1
+        ctx.work.prepared_executions += 1
         return result
 
     # -- procedures ---------------------------------------------------------------
 
-    def _execute_procedure_call(
-        self,
-        bound: BoundStatement,
-        params: Dict[str, Any],
-        database: Database,
-        session: Session,
-    ) -> Result:
+    def _execute_procedure_call(self, bound: BoundStatement, ctx: ExecutionContext) -> Result:
         """Run a procedure held locally, or forward the call (paper §5.2).
 
         Which of the two — and the procedure's bound body, or the
         forwarded text — was settled when the ``EXEC`` was bound
-        (:func:`repro.engine.binding.bind_statement`); a forwarded call
-        evaluates its arguments here and ships them as parameters through
-        the same :meth:`_forward` as DML.
+        (:func:`repro.engine.binding.bind_statement`). A local body runs
+        in this statement's context (:func:`run_procedure`); a forwarded
+        call evaluates its arguments here and ships them as parameters
+        through the same :meth:`_forward` as DML.
         """
-        name = bound.statement.procedure[-1]
         if bound.procedure is not None:
-            interpreter = ProcedureInterpreter(self, database, session)
-            with self.tracer.child_span("procedure", procedure=name):
-                return interpreter.call(bound.procedure, bound.arguments, params)
+            tracer = ctx.tracer
+            if tracer is None:
+                return run_procedure(self, bound.procedure, bound.arguments, ctx)
+            with tracer.child_span("procedure", procedure=bound.statement.procedure[-1]):
+                return run_procedure(self, bound.procedure, bound.arguments, ctx)
         if bound.forward is None:
+            name = bound.statement.procedure[-1]
             raise CatalogError(f"no procedure {name!r} and no backend server to forward to")
-        ctx = self._make_context(params, database, session)
         values = {marker: evaluate(value, ctx) for marker, value in bound.arguments}
-        return self._forward(bound, values, session)
+        return self._forward(bound, values, ctx)
 
     # -- linked-server endpoint -------------------------------------------------
 
@@ -903,7 +909,6 @@ class Server:
         This is what lets a parameterized remote query ship its text a
         single time instead of once per execution.
         """
-        self._check_available()
         self._admit("prepare")
         target = self.database(database)
         batch, lifted = self._parse_sql(sql, target)
@@ -930,7 +935,6 @@ class Server:
         new schema. Unknown handles raise :class:`PreparedStatementError`
         so the client link can re-prepare from its own text copy.
         """
-        self._check_available()
         self._admit("prepared execution")
         handle = self._prepared.get(handle_id)
         if handle is None:

@@ -28,10 +28,6 @@ class Session:
         self.database = database
         self.variables: Dict[str, Any] = {}
         self.statistics_profile = False
-        #: Whose transaction this session's statements run in: its own,
-        #: or, for a procedure frame, its caller's (see :meth:`frame`).
-        #: The four fields below are only ever read through ``owner``.
-        self.owner = self
         self.transaction = None  # the explicit one (None in autocommit)
         self.home = None
         self.lost = False
@@ -42,20 +38,4 @@ class Session:
 
     @property
     def in_transaction(self) -> bool:
-        return self.owner.home is not None
-
-    def frame(self) -> "Session":
-        """The session a procedure body runs under: ``dbo`` (ownership
-        chaining — once the caller holds EXECUTE, embedded statements do
-        not re-check the caller's table permissions), no variables of its
-        own, and the caller's transaction."""
-        frame = Session(database=self.database)
-        frame.owner = self.owner
-        return frame
-
-    def merged_params(self, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Explicit parameters overlaid on session variables."""
-        merged = dict(self.variables)
-        if params:
-            merged.update(params)
-        return merged
+        return self.home is not None

@@ -78,7 +78,20 @@ def build_membership(rows: List[Tuple]) -> Optional[Membership]:
 
 
 class ExecutionContext:
-    """Per-execution state shared by all operators in a plan."""
+    """Per-execution state shared by all operators in a plan.
+
+    One statement runs in one context: its plan, its subqueries (which
+    see the same parameters) and, for an ``EXEC``, the procedure body,
+    whose frame of variables replaces ``params`` for the call. ``params``
+    is held, not copied: only a procedure body writes it, and then it is
+    the body's own frame.
+    """
+
+    __slots__ = (
+        "database", "params", "linked_servers", "clock", "batch_rows", "session",
+        "compiled_cache_hits", "compiled_cache_misses", "chunk_sizes", "tracer", "work",
+        "subquery_executor", "_subquery_cache", "_membership_cache",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -89,21 +102,27 @@ class ExecutionContext:
         subquery_executor: Optional[Callable] = None,
         tracer: Optional[object] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
+        session: Optional[object] = None,
     ):
         self.database = database
-        self.params = dict(params or {})
+        self.params = params if params is not None else {}
         self.linked_servers = linked_servers
         self.clock = clock
         self.batch_rows = batch_rows
+        #: The engine session the statement runs for (None for a bare
+        #: context): its transaction, its ``STATISTICS PROFILE`` switch.
+        self.session = session
         # Batch-kernel memoization stats for this execution (drained into
         # the exec.compiled_cache_* metrics by the server).
         self.compiled_cache_hits = 0
         self.compiled_cache_misses = 0
+        #: The size of every chunk a drain pulled (``exec.batch_rows``).
+        self.chunk_sizes: List[int] = []
         # Observability: the owning server's Tracer (None for a bare
         # context); RemoteQueryOp opens client-side spans through it.
         self.tracer = tracer
         self.work = WorkCounters()
-        # Callable(select_ast, params) -> list of rows; installed by the
+        # Callable(select_ast, ctx) -> list of rows; installed by the
         # engine so scalar/IN subqueries can run nested statements.
         self.subquery_executor = subquery_executor
         self._subquery_cache: Dict[int, list] = {}
@@ -116,10 +135,11 @@ class ExecutionContext:
     def run_subquery(self, select_ast: object) -> list:
         """Execute an uncorrelated subquery once per execution.
 
-        The rows are memoised by AST identity for the life of this
-        context — the plan (or bound statement) holding the AST outlives
-        it, so the key cannot be recycled — and so every row the outer
-        plan probes sees one evaluation of the subquery.
+        The rows are memoised by AST identity until
+        :meth:`forget_subqueries` — the plan (or bound statement) holding
+        the AST outlives the memo, so the key cannot be recycled — and so
+        every row the outer plan probes sees one evaluation of the
+        subquery.
         """
         key = id(select_ast)
         if key not in self._subquery_cache:
@@ -127,8 +147,16 @@ class ExecutionContext:
                 from repro.errors import ExecutionError
 
                 raise ExecutionError("no subquery executor installed in context")
-            self._subquery_cache[key] = self.subquery_executor(select_ast, self.params)
+            self._subquery_cache[key] = self.subquery_executor(select_ast, self)
         return self._subquery_cache[key]
+
+    def forget_subqueries(self) -> None:
+        """Drop the memoised subquery results: what runs next in this
+        context (a procedure body's next statement or expression) may see
+        different parameters."""
+        if self._subquery_cache:
+            self._subquery_cache.clear()
+            self._membership_cache.clear()
 
     def subquery_membership(self, select_ast: object) -> Optional[Membership]:
         """The subquery's rows as one membership structure, built once per

@@ -39,6 +39,7 @@ from repro.common.schema import Schema
 from repro.errors import ExecutionError
 from repro.exec.context import ExecutionContext
 from repro.exec.expressions import Kernel, column_maker, evaluate, tuple_kernel
+from repro.obs.tracing import NULL_SPAN
 
 Row = Tuple
 Batch = List[Row]
@@ -871,8 +872,6 @@ class RemoteQueryOp(PhysicalOperator):
         if ctx.tracer is not None:
             span = ctx.tracer.child_span("remote.query", server=self.server_name)
         else:
-            from repro.obs.tracing import NULL_SPAN
-
             span = NULL_SPAN
         with span:
             rows = server.prepare(self.sql_text).execute_rows(ctx.params)

@@ -41,8 +41,8 @@ class _ReferenceEvaluator:
         self.ctx = ExecutionContext(database=database, params=params)
         self.ctx.subquery_executor = self._run_subquery
 
-    def _run_subquery(self, select: ast.Select, params: Dict[str, Any]) -> List[Tuple]:
-        _, rows = _ReferenceEvaluator(self.database, params).select(select)
+    def _run_subquery(self, select: ast.Select, ctx: ExecutionContext) -> List[Tuple]:
+        _, rows = _ReferenceEvaluator(self.database, ctx.params).select(select)
         return rows
 
     # -- FROM ------------------------------------------------------------------

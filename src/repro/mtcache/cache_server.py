@@ -34,6 +34,16 @@ from repro.sql import ast, parse
 from repro.sql.formatter import format_statement
 
 
+def _degraded_key(sql: str, params: Optional[Dict]):
+    """Key of a degraded-read entry, or None for unhashable params."""
+    if not params:
+        return sql
+    try:
+        return (sql, frozenset(params.items()))
+    except TypeError:
+        return None
+
+
 class CacheServer:
     """One mid-tier cache server attached to a deployment."""
 
@@ -55,13 +65,12 @@ class CacheServer:
         # Read-only statements rerouted to the backend on transient
         # failures (link down, breaker open, own server crashed).
         self.fallback_reads = 0
-        # Graceful degradation under overload (PR 9): recent read-only
-        # results, each stamped with the replication-staleness bound in
-        # force when it was captured. When admission control sheds a
-        # read, the cache may answer from here as long as capture-time
-        # staleness plus entry age stays within ``degraded_staleness``
-        # — a declared bounded-staleness answer instead of an error.
-        # Writes are never served this way (they re-raise, loudly).
+        # Graceful degradation under overload: recent read-only results,
+        # each stored with the time its data was current as of. When
+        # admission control sheds a read, the cache may answer from here
+        # as long as that is at most ``degraded_staleness`` ago — a
+        # declared bounded-staleness answer instead of an error. Writes
+        # are never served this way (they re-raise, loudly).
         self.degraded_staleness: float = 5.0
         self.degraded_reads = 0
         self._degraded_results: LRUCache = LRUCache(128)
@@ -106,10 +115,10 @@ class CacheServer:
         the application-tier :class:`~repro.resilience.FailoverRouter`
         handles rerouting those.
 
-        Under overload (admission control shedding, PR 9), a read-only
-        batch may degrade to a recently cached result as long as its
-        total staleness — replication lag at capture plus entry age —
-        stays within :attr:`degraded_staleness`. Writes always re-raise
+        Under overload (admission control shedding), a read-only batch
+        may degrade to a recently cached result as long as its total
+        staleness — replication lag at capture plus entry age — stays
+        within :attr:`degraded_staleness`. Writes always re-raise
         the :class:`~repro.errors.OverloadError`: load shedding must
         never silently drop a write.
         """
@@ -139,7 +148,9 @@ class CacheServer:
             with self.server.tracer.child_span("failover.read", target="backend"):
                 return self._on_backend(sql, params, session)
         if result.read_only:
-            self._record_degraded_candidate(sql, params, result)
+            key = _degraded_key(sql, params)
+            if key is not None:
+                self._degraded_results[key] = (self._current_as_of(), result)
         return result
 
     def _on_backend(self, sql: str, params: Optional[Dict], session):
@@ -150,50 +161,33 @@ class CacheServer:
             sql, params=params, session=session, database=deployment.database_name
         )
 
-    # -- degraded reads (overload, PR 9) -------------------------------------
+    # -- degraded reads (overload) ---------------------------------------------
 
-    @staticmethod
-    def _degraded_key(sql: str, params: Optional[Dict]):
-        """Cache key for degraded results, or None for unhashable params."""
-        if not params:
-            return (sql, ())
-        try:
-            return (sql, tuple(sorted(params.items())))
-        except TypeError:
-            return None
-
-    def _record_degraded_candidate(self, sql: str, params: Optional[Dict], result) -> None:
-        """Remember a successful read-only result for degraded service.
-
-        Called only for a result whose batch was read-only — the bit the
-        server read off the bound batch it just ran, not a second parse
-        lookup. Each entry is stamped with the capture time and the
-        replication staleness bound in force at capture, so a later
-        degraded serve can honestly bound the total staleness it hands out.
-        """
-        key = self._degraded_key(sql, params)
-        if key is None:
-            return
-        now = self.database.clock.now()
-        self._degraded_results[key] = (now, self.staleness(), result)
+    def _current_as_of(self) -> float:
+        """The time the cached views' data is current as of: the
+        subscriber's (:meth:`Subscriber.as_of`), or now without cached
+        views. ``now − as_of`` is :meth:`staleness`; a result captured
+        with ``as_of`` has, at a later ``now``, a total staleness of its
+        age plus the lag at capture, which is ``now − as_of``."""
+        if self.subscriptions:
+            return self.subscriber.as_of()
+        return self.server.clock.now()
 
     def _degraded_result(self, sql: str, params: Optional[Dict]):
         """A cached result fresh enough to serve under overload, or None.
 
         Only read-only batches have entries (being read-only is a property
         of the text, which is the key), and one is served only while its
-        capture-time replication lag plus its age stays within
-        :attr:`degraded_staleness`.
+        data is current as of at most :attr:`degraded_staleness` ago.
         """
-        key = self._degraded_key(sql, params)
+        key = _degraded_key(sql, params)
         if key is None:
             return None
         entry = self._degraded_results.get(key)
         if entry is None:
             return None
-        captured_at, staleness_at_capture, result = entry
-        now = self.database.clock.now()
-        if (now - captured_at) + staleness_at_capture > self.degraded_staleness:
+        as_of, result = entry
+        if self.server.clock.now() - as_of > self.degraded_staleness:
             return None
         return result
 

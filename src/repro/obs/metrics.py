@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.locks import mutex
@@ -262,10 +263,12 @@ class StatementLog:
 
     * ``(name, amount)``: ``amount`` more on work counter ``name``;
     * a work object (a ``WorkCounters``): each field's delta;
-    * ``(work, chunk_sizes, memo_hits, memo_misses)``: one drained plan,
-      its work, one ``exec.batches`` and ``exec.batch_rows`` sample per
-      chunk, and its kernel-memo hits and misses;
-    * a ``float``: one statement's seconds.
+    * ``(work, chunk_sizes, memo_hits, memo_misses, seconds)``: one
+      statement, everything it ran included: its work, one
+      ``exec.batches`` and ``exec.batch_rows`` sample per chunk its plans
+      yielded, its kernel-memo hits and misses, and its seconds;
+    * a ``float``: the seconds of one statement whose work a statement
+      record of its caller carries (a procedure body's).
 
     A work object is logged once its execution is over; nothing writes
     it after that.
@@ -299,7 +302,8 @@ class StatementLog:
                 drained.append(pop())
         except IndexError:  # a concurrent fold drained the rest
             pass
-        work = dict.fromkeys(self.counters, 0)
+        amounts = dict.fromkeys(self.counters, 0)
+        works = []
         seconds: List[float] = []
         chunks: List[int] = []
         hits = misses = 0
@@ -307,21 +311,23 @@ class StatementLog:
             kind = type(record)
             if kind is float:
                 seconds.append(record)
-                continue
-            if kind is tuple:
-                if len(record) == 2:
-                    work[record[0]] += record[1]
-                    continue
-                record, sizes, memo_hits, memo_misses = record
+            elif kind is not tuple:
+                works.append(record)
+            elif len(record) == 2:
+                amounts[record[0]] += record[1]
+            else:
+                work, sizes, memo_hits, memo_misses, statement_seconds = record
+                works.append(work)
+                seconds.append(statement_seconds)
                 chunks.extend(sizes)
                 hits += memo_hits
                 misses += memo_misses
-            for name, delta in record.__dict__.items():
-                if delta:
-                    work[name] += delta
-        for name, delta in work.items():
+        for name, counter in self.counters.items():
+            delta = amounts[name]
+            if works:
+                delta += sum(map(attrgetter(name), works))
             if delta:
-                self.counters[name].inc(delta)
+                counter.inc(delta)
         registry = self.registry
         if seconds:
             registry.histogram("engine.statement_seconds").observe_all(seconds)

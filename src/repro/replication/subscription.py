@@ -153,11 +153,14 @@ class Subscriber:
         subscription = self.subscriptions.pop(view_name.lower())
         self._by_article[subscription.article.name].remove(subscription)
 
+    def as_of(self) -> float:
+        """The time the views are current as of: the newest applied
+        commit, or the reader scan after which nothing was left to apply."""
+        return max(self.synced_through, self.last_applied_commit_ts)
+
     def staleness(self, now: float) -> float:
-        """Upper bound (seconds) on how stale the views are at ``now``:
-        current as of the newest applied commit, or of the reader scan
-        after which nothing was left to apply."""
-        return max(0.0, now - max(self.synced_through, self.last_applied_commit_ts))
+        """Upper bound (seconds) on how stale the views are at ``now``."""
+        return max(0.0, now - self.as_of())
 
     def apply_batch(self, transactions) -> int:
         """Apply a commit-ordered batch in one subscriber round trip.

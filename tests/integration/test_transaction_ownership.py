@@ -264,7 +264,7 @@ def test_a_sharded_connection_is_one_connection_and_one_session(monkeypatch):
     execute_bound = Server.execute_bound
 
     def spying(self, bound, params, session, database):
-        seen.append((self.name, session.owner))
+        seen.append((self.name, session))
         return execute_bound(self, bound, params, session, database)
 
     monkeypatch.setattr(Server, "execute_bound", spying)
@@ -276,7 +276,7 @@ def test_a_sharded_connection_is_one_connection_and_one_session(monkeypatch):
     cursor.execute("SELECT i_title FROM item WHERE i_id = 7")  # key route: a shard
     cursor.execute("SELECT COUNT(*) FROM item")  # the backend
     assert {name for name, _ in seen} >= {"backend", sharded.partitioner.owner(7)}
-    assert all(owner is connection.session for _, owner in seen)
+    assert all(session is connection.session for _, session in seen)
 
 
 # -- (4) the matrix: target x fault x phase -----------------------------------

@@ -1,10 +1,10 @@
 """Bounded-staleness degraded reads when admission control sheds.
 
-The cache remembers recent read-only results together with the
-replication staleness bound in force when each was captured. When the
-engine server sheds a statement (OverloadError), a read may be answered
-from that memory as long as capture-time staleness plus entry age stays
-within ``degraded_staleness`` — a *declared* bounded-staleness answer
+The cache remembers recent read-only results together with the time
+their data was current as of (``as_of``). When the engine server sheds a
+statement (OverloadError), a read may be answered from that memory as
+long as capture-time staleness plus entry age — ``now - as_of`` — stays
+within ``degraded_staleness``: a *declared* bounded-staleness answer
 instead of an error. Writes always surface the OverloadError.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import OverloadError
+from repro.mtcache.cache_server import _degraded_key
 from repro.resilience import AdmissionController
 
 pytestmark = pytest.mark.overload
@@ -58,15 +59,29 @@ class TestDegradedReads:
         """An entry captured while replication was lagging has already
         spent part of its staleness budget: age + lag-at-capture must
         stay within the bound, so a lagging capture expires sooner."""
-        cache.execute(SELECT, {"cid": 7})
-        key = cache._degraded_key(SELECT, {"cid": 7})
-        captured_at, lag, result = cache._degraded_results.get(key)
-        # Re-stamp the entry as captured with 4s of replication lag.
-        cache._degraded_results[key] = (captured_at, 4.0, result)
+        self._capture_with_lag(deployment, cache, lag=4.0)
         overload(cache)
         deployment.clock.advance(2.0)  # age 2s + lag 4s > bound 5s
         with pytest.raises(OverloadError):
             cache.execute(SELECT, {"cid": 7})
+
+    def test_capture_within_the_bound_after_lag_is_served(self, deployment, cache):
+        """The mirror case: age 2s + lag 2s stays within the 5s bound."""
+        live = self._capture_with_lag(deployment, cache, lag=2.0)
+        overload(cache)
+        deployment.clock.advance(2.0)
+        assert cache.execute(SELECT, {"cid": 7}).rows == live.rows
+        assert cache.degraded_reads == 1
+
+    @staticmethod
+    def _capture_with_lag(deployment, cache, lag):
+        """Capture SELECT's result, then re-stamp its entry as captured
+        while replication lagged ``lag`` seconds behind the clock."""
+        live = cache.execute(SELECT, {"cid": 7})
+        key = _degraded_key(SELECT, {"cid": 7})
+        _, result = cache._degraded_results.get(key)
+        cache._degraded_results[key] = (deployment.clock.now() - lag, result)
+        return live
 
     def test_writes_always_surface_the_overload_error(self, deployment, cache):
         overload(cache)
